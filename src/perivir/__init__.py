@@ -11,7 +11,6 @@ from .model import (
     SinusoidalCoefficient,
     State,
     Trajectory,
-    coefficient_at,
     incidence,
     jacobian,
     rhs,
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelParameters", "SinusoidalCoefficient", "State", "Trajectory",
-    "coefficient_at", "incidence", "rhs", "jacobian", "vector_field",
+    "incidence", "rhs", "jacobian", "vector_field",
     "IntegratorConfig", "MatrixSolution", "integrate", "integrate_matrix",
     "IntegrationError", "StepLimitExceeded", "NonFiniteState",
     "VirusFreeSolution", "PeriodicOrbit", "virus_free_closed_form",

@@ -96,10 +96,9 @@ class ClassificationReport:
     @property
     def eta_relative_variation(self) -> float | None:
         """Spread of the per-period floors over the last 10 periods, max/median - min/median."""
-        floors = [f for ev in self.evidence for f in ev.period_floors]
-        if not floors:
-            return None
         per_ic = [ev.period_floors for ev in self.evidence if ev.period_floors]
+        if not per_ic:
+            return None
         worst = 0.0
         for fl in per_ic:
             med = float(np.median(fl))
@@ -131,123 +130,112 @@ class SweepRow:
 
 
 def simulate(params: ModelParameters, initial_state, t_end: float,
-             cfg: IntegratorConfig, grid_step: float | None = None,
-             t_eval=None) -> Trajectory:
+             cfg: IntegratorConfig, grid_step: float | None = None) -> Trajectory:
     """Integrate the full model from t = 0 and clamp rounding-level negatives.
 
-    Samples at accepted steps by default; `grid_step` requests a uniform
-    output grid (always including 0 and t_end exactly), `t_eval` an
-    explicit one.
+    `initial_state` is one State or (4,) array, or an (m, 4) batch of
+    initial states integrated together (states come back shaped
+    (len(times), m, 4)). Samples at accepted steps by default, shared by
+    every member of a batch; `grid_step` requests a uniform output grid
+    (always including 0 and t_end exactly).
     """
     y0 = initial_state.as_array() if isinstance(initial_state, State) \
         else np.asarray(initial_state, dtype=float)
+    t_eval = None
     if grid_step is not None:
-        if t_eval is not None:
-            raise ValueError("pass grid_step or t_eval, not both")
         if grid_step <= 0.0:
             raise ValueError("grid_step must be positive")
         n = int(math.floor(t_end / grid_step + 1e-9))
-        ts = grid_step * np.arange(n + 1)
-        if ts[-1] < t_end - 1e-9 * max(1.0, t_end):
-            ts = np.append(ts, t_end)
+        t_eval = grid_step * np.arange(n + 1)
+        if t_eval[-1] < t_end - 1e-9 * max(1.0, t_end):
+            t_eval = np.append(t_eval, t_end)
         else:
-            ts[-1] = t_end
-        t_eval = ts
+            t_eval[-1] = t_end
     traj, _ = integrate(vector_field(params), 0.0, t_end, y0, cfg, t_eval=t_eval)
     return Trajectory(traj.times, clamp_small_negatives(traj.states, cfg.abs_tol),
                       params.hash_id())
 
 
-def _final_period_evidence(traj: Trajectory, t_star: VirusFreeSolution,
-                           horizon: float, period: float) -> TrajectoryEvidence:
+def _final_period_evidence(traj: Trajectory, ics, t_star: VirusFreeSolution,
+                           horizon: float, period: float) -> tuple[TrajectoryEvidence, ...]:
+    """Per-member evidence from a batch trajectory, states shaped (time, member, 4)."""
     last = traj.window(horizon - period, horizon)
-    infect = last.states[:, 1:4]
-    final_inf = float(np.max(infect))
-    sup_t = float(np.max(np.abs(last.states[:, 0] - t_star.value(last.times))))
-    floor = float(np.min(infect.min(axis=1)))
-
-    floors = []
-    for j in range(10, 0, -1):
-        w = traj.window(horizon - j * period, horizon - (j - 1) * period)
-        if len(w) == 0:
-            continue
-        floors.append(float(np.min(w.states[:, 1:4].min(axis=1))))
-    return TrajectoryEvidence(
-        initial_state=State.from_array(np.maximum(traj.states[0], 0.0)),
-        final_infection_max=final_inf,
-        t_star_sup_distance=sup_t,
-        infection_floor=floor,
-        period_floors=tuple(floors),
-    )
+    final_inf = last.states[:, :, 1:4].max(axis=(0, 2))
+    sup_t = np.abs(last.states[:, :, 0] - t_star.value(last.times)[:, None]).max(axis=0)
+    floors = np.array([
+        traj.window(horizon - j * period, horizon - (j - 1) * period)
+        .states[:, :, 1:4].min(axis=(0, 2))
+        for j in range(10, 0, -1)])
+    return tuple(
+        TrajectoryEvidence(
+            initial_state=ic,
+            final_infection_max=float(final_inf[i]),
+            t_star_sup_distance=float(sup_t[i]),
+            infection_floor=float(floors[-1, i]),
+            period_floors=tuple(float(f) for f in floors[:, i]),
+        )
+        for i, ic in enumerate(ics))
 
 
 def classify(params: ModelParameters, initial_conditions, horizon: float,
              cfg: IntegratorConfig,
-             extinction_eps: float = EXTINCTION_EPS,
-             tstar_eps: float = TSTAR_EPS,
-             persistence_floor_min: float = PERSISTENCE_FLOOR_MIN,
              r0_result: R0Result | None = None) -> ClassificationReport:
     """Decide Extinction / Persistence / Indeterminate from long simulations.
 
     Extinction requires every trajectory to end its final period with
-    max(E, I, V) below extinction_eps and sup |T - T*| below tstar_eps.
+    max(E, I, V) below EXTINCTION_EPS and sup |T - T*| below TSTAR_EPS.
     Persistence requires every trajectory's final-period infection floor
-    to clear persistence_floor_min AND to hold steady across the last 10
+    to clear PERSISTENCE_FLOOR_MIN AND to hold steady across the last 10
     periods (no more than a 2% net decline), which separates a settled
     orbit from a slow near-threshold decay. Anything else, including
     disagreement between trajectories or a failed integration, is
     Indeterminate; parameter sets very close to the threshold genuinely
     cannot be decided on a finite horizon.
 
-    Integration failures are recorded per initial condition, not raised.
+    All initial conditions run as one batch integration. An integration
+    failure is not raised: its message is recorded on the evidence of
+    every initial condition, and the verdict is Indeterminate.
     """
-    ics = list(initial_conditions)
+    ics = [ic if isinstance(ic, State) else State.from_array(ic)
+           for ic in initial_conditions]
     if len(ics) < 3:
         raise ValueError("need at least 3 initial conditions")
     period = params.period
     if horizon < 50.0 * period:
         raise ValueError("horizon must cover at least 50 periods")
+    y0 = np.array([ic.as_array() for ic in ics])
+    if np.any(y0 <= 0.0):
+        raise ValueError("initial conditions must be strictly positive componentwise")
 
     if r0_result is None:
         r0_result = r0_periodic(params)
     t_star = virus_free_closed_form(params)
-    grid_step = period / GRID_POINTS_PER_PERIOD
 
-    evidence: list[TrajectoryEvidence] = []
-    for ic in ics:
-        state = ic if isinstance(ic, State) else State.from_array(ic)
-        if state.t_cells <= 0 or state.e_cells <= 0 or state.i_cells <= 0 or state.virus <= 0:
-            raise ValueError("initial conditions must be strictly positive componentwise")
-        try:
-            traj = simulate(params, state, horizon, cfg, grid_step=grid_step)
-        except IntegrationError as exc:
-            evidence.append(TrajectoryEvidence(initial_state=state, error=str(exc)))
-            continue
-        evidence.append(_final_period_evidence(traj, t_star, horizon, period))
+    try:
+        traj = simulate(params, y0, horizon, cfg,
+                        grid_step=period / GRID_POINTS_PER_PERIOD)
+    except IntegrationError as exc:
+        evidence = tuple(TrajectoryEvidence(initial_state=ic, error=str(exc)) for ic in ics)
+        return ClassificationReport(r0=r0_result, regime=Regime.INDETERMINATE,
+                                    evidence=evidence, horizon=horizon)
+    evidence = _final_period_evidence(traj, ics, t_star, horizon, period)
 
-    ok = [ev for ev in evidence if ev.error is None]
-    if len(ok) == len(evidence) and ok:
-        all_extinct = all(
-            ev.final_infection_max < extinction_eps and ev.t_star_sup_distance < tstar_eps
-            for ev in ok)
-        all_persist = all(
-            ev.infection_floor > persistence_floor_min
-            and len(ev.period_floors) >= 2
-            and ev.period_floors[-1] >= FLOOR_TREND_MIN * ev.period_floors[0]
-            for ev in ok)
-        if all_extinct:
-            regime = Regime.EXTINCTION
-        elif all_persist:
-            regime = Regime.PERSISTENCE
-        else:
-            regime = Regime.INDETERMINATE
+    all_extinct = all(
+        ev.final_infection_max < EXTINCTION_EPS and ev.t_star_sup_distance < TSTAR_EPS
+        for ev in evidence)
+    all_persist = all(
+        ev.infection_floor > PERSISTENCE_FLOOR_MIN
+        and ev.period_floors[-1] >= FLOOR_TREND_MIN * ev.period_floors[0]
+        for ev in evidence)
+    eta = None
+    if all_extinct:
+        regime = Regime.EXTINCTION
+    elif all_persist:
+        regime = Regime.PERSISTENCE
+        eta = min(ev.infection_floor for ev in evidence)
     else:
         regime = Regime.INDETERMINATE
-
-    eta = None
-    if regime == Regime.PERSISTENCE:
-        eta = min(ev.infection_floor for ev in ok)
-    return ClassificationReport(r0=r0_result, regime=regime, evidence=tuple(evidence),
+    return ClassificationReport(r0=r0_result, regime=regime, evidence=evidence,
                                 horizon=horizon, persistence_eta=eta)
 
 

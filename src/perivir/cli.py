@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import Regime, classify, monitor_invariants, simulate, sweep
 from .integrate import IntegrationError, IntegratorConfig
-from .model import ModelParameters, SinusoidalCoefficient, State
+from .model import ModelParameters, SinusoidalCoefficient, State, Trajectory
 from .periodic import (
     ConvergedToBoundary,
     NewtonDiverged,
@@ -78,13 +78,30 @@ def _get_float(cp: configparser.ConfigParser, section: str, key: str,
         raise ValidationError(f"{section}.{key}: not a number: {raw!r}") from exc
 
 
+def _naming_key(exc: ValueError, section: str) -> ValidationError:
+    """A domain-type ValueError as a ValidationError that names the INI key.
+
+    Domain messages start with the field they reject. A field that is
+    already dotted (mu.mean) is its own key; angular_frequency lives in
+    [scalars] whichever coefficient rejected it.
+    """
+    msg = str(exc)
+    field = msg.split(" ", 1)[0]
+    if "." in field:
+        return ValidationError(msg)
+    if field == "angular_frequency":
+        section = "scalars"
+    return ValidationError(f"{section}.{msg}")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config document.
 
     Raises ParseError for syntax problems (with line numbers, courtesy of
     configparser) and ValidationError naming the offending key for
-    invariant breaches. There are no silent model defaults: the model
-    sections and run horizon are required.
+    invariant breaches; the model invariants themselves are checked by
+    SinusoidalCoefficient and ModelParameters. There are no silent model
+    defaults: the model sections and run horizon are required.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -97,37 +114,21 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(f"missing required section [{section}]")
 
     omega = _get_float(cp, "scalars", "angular_frequency")
-    if omega <= 0.0:
-        raise ValidationError("scalars.angular_frequency: must be positive")
-
     coeffs = {}
     for section in _COEFF_SECTIONS:
         mean = _get_float(cp, section, "mean")
         amplitude = _get_float(cp, section, "amplitude")
-        if mean < 0.0:
-            raise ValidationError(f"{section}.mean: must be nonnegative")
-        if amplitude < 0.0:
-            raise ValidationError(f"{section}.amplitude: must be nonnegative")
-        if amplitude >= mean and not (mean == 0.0 and amplitude == 0.0):
-            raise ValidationError(
-                f"{section}.amplitude: must be strictly below {section}.mean")
-        coeffs[section] = SinusoidalCoefficient(mean, amplitude, omega)
+        try:
+            coeffs[section] = SinusoidalCoefficient(mean, amplitude, omega)
+        except ValueError as exc:
+            raise _naming_key(exc, section) from exc
 
-    scalars = {}
-    for key in _SCALAR_KEYS:
-        v = _get_float(cp, "scalars", key)
-        if key in ("c1", "c2"):
-            if v < 0.0:
-                raise ValidationError(f"scalars.{key}: must be nonnegative")
-        elif v <= 0.0:
-            raise ValidationError(f"scalars.{key}: must be strictly positive")
-        scalars[key] = v
-
+    scalars = {key: _get_float(cp, "scalars", key) for key in _SCALAR_KEYS}
     try:
         params = ModelParameters(mu=coeffs["mu"], beta=coeffs["beta"], d=coeffs["d"],
                                  **scalars)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise _naming_key(exc, "scalars") from exc
 
     integ_kwargs = {}
     if cp.has_section("integrator"):
@@ -212,11 +213,6 @@ def _write_csv(path: str, header, rows) -> None:
                               for v in row) + "\n")
 
 
-def _trajectory_rows(traj):
-    for t, y in zip(traj.times, traj.states):
-        yield (t, y[0], y[1], y[2], y[3])
-
-
 def _ic_path(base: str, index: int, total: int) -> str:
     if total == 1:
         return base
@@ -224,23 +220,28 @@ def _ic_path(base: str, index: int, total: int) -> str:
     return f"{stem}_ic{index}{ext}"
 
 
-def _cmd_simulate(cfg: RunConfig, args) -> int:
+def _ic_batch(cfg: RunConfig, command: str) -> np.ndarray:
+    """The config's initial conditions as one (m, 4) batch."""
     if not cfg.initial_conditions:
-        raise ValidationError("run.initial_conditions: need at least one for simulate")
-    trajectories = []
-    for i, ic in enumerate(cfg.initial_conditions):
-        traj = simulate(cfg.params, ic, args.t_end, cfg.integrator,
-                        grid_step=args.grid_step)
-        path = _ic_path(args.out, i, len(cfg.initial_conditions))
-        _write_csv(path, ("t", "T", "E", "I", "V"), _trajectory_rows(traj))
+        raise ValidationError(f"run.initial_conditions: need at least one for {command}")
+    return np.array([ic.as_array() for ic in cfg.initial_conditions])
+
+
+def _cmd_simulate(cfg: RunConfig, args) -> int:
+    traj = simulate(cfg.params, _ic_batch(cfg, "simulate"), args.t_end, cfg.integrator,
+                    grid_step=args.grid_step)
+    n_ics = traj.states.shape[1]
+    for i in range(n_ics):
+        path = _ic_path(args.out, i, n_ics)
+        _write_csv(path, ("t", "T", "E", "I", "V"),
+                   zip(traj.times, *(traj.states[:, i, comp] for comp in range(4))))
         print(f"wrote {path}")
-        trajectories.append(traj)
     if args.svg:
         names = ("T cells", "E cells", "I cells", "virus")
         panels = [
             Panel(title=names[comp], x_label="time (hours)", y_label="density",
-                  series=tuple(Series(tr.times, tr.states[:, comp], label=f"ic{i}")
-                               for i, tr in enumerate(trajectories)))
+                  series=tuple(Series(traj.times, traj.states[:, i, comp], label=f"ic{i}")
+                               for i in range(n_ics)))
             for comp in range(4)
         ]
         write_panels(args.svg, panels, n_cols=2)
@@ -313,14 +314,13 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def _cmd_validate(cfg: RunConfig, args) -> int:
-    if not cfg.initial_conditions:
-        raise ValidationError("run.initial_conditions: need at least one for validate")
+    traj = simulate(cfg.params, _ic_batch(cfg, "validate"), cfg.horizon, cfg.integrator,
+                    grid_step=cfg.params.period / 96.0)
     total_violations = 0
     all_bounded = True
-    for i, ic in enumerate(cfg.initial_conditions):
-        traj = simulate(cfg.params, ic, cfg.horizon, cfg.integrator,
-                        grid_step=cfg.params.period / 96.0)
-        log = monitor_invariants(traj, cfg.params, abs_tol=cfg.integrator.abs_tol)
+    for i in range(traj.states.shape[1]):
+        log = monitor_invariants(Trajectory(traj.times, traj.states[:, i]), cfg.params,
+                                 abs_tol=cfg.integrator.abs_tol)
         print(f"ic{i}: violations={log.positivity_violations} "
               f"worst_undershoot={log.worst_undershoot!r} "
               f"bound={log.bound_estimate!r} bounded={log.bounded}")

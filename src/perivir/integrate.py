@@ -11,6 +11,12 @@ combined by RMS. Components of the infection model span several orders of
 magnitude (cells vs virions), so the mixed absolute/relative weighting is
 load-bearing.
 
+A state shaped (m, n) is a batch of m independent members sharing one
+step sequence. Each member gets its own RMS and a step is accepted when
+the worst member's RMS is <= 1, so every member is held to the tolerance
+it would get alone; a single RMS over all m*n components would dilute one
+member's error by sqrt(m).
+
 Off-step values come from the standard quartic dense-output interpolant
 on accepted steps, so requested output grids are hit exactly.
 """
@@ -137,15 +143,24 @@ def _dense_eval(theta, y0, y1, h, K):
 def _integrate_core(f, t0, t1, y0, cfg, t_eval):
     """Shared stepping loop.
 
-    Returns (times, values, y_final, (steps, accepted, rejected)).
+    Returns (times, values, y_final, (steps, accepted, rejected)), with
+    values shaped (len(times),) + y0.shape and y_final shaped like y0.
     With t_eval=None, samples at every accepted step; otherwise exactly at
     the requested (sorted, in-range) times.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
     y = np.asarray(y0, dtype=float).copy()
-    if y.ndim != 1:
-        raise ValueError("y0 must be one-dimensional")
+    shape = y.shape
+    if y.ndim == 2:
+        # the stepping loop runs on the flat state; f sees the batch shape
+        f_batch = f
+        y = y.ravel()
+
+        def f(t, y_flat):
+            return f_batch(t, y_flat.reshape(shape)).ravel()
+    elif y.ndim != 1:
+        raise ValueError("y0 must have shape (n,) or (m, n)")
     if not np.all(np.isfinite(y)):
         raise NonFiniteState("initial state is not finite")
 
@@ -198,7 +213,7 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
             raise NonFiniteState(f"state became non-finite near t={t}")
 
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        err = float(np.sqrt(((err_vec / scale) ** 2).reshape(shape).mean(axis=-1).max()))
 
         if err <= 1.0:
             t_new = t + h
@@ -232,26 +247,25 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
             n_rejected += 1
             rejected_last = True
 
-    y_final = y
     if t_eval is None:
         times[-1] = t1  # the last accepted step lands within rounding of t1
-        times_arr = np.asarray(times)
-        values_arr = np.asarray(values)
     else:
         # anything left can only be t1 itself (within rounding)
         while eval_idx < len(t_eval):
             times.append(float(t_eval[eval_idx]))
-            values.append(y_final.copy())
+            values.append(y.copy())
             eval_idx += 1
-        times_arr = np.asarray(times)
-        values_arr = np.asarray(values)
-    return times_arr, values_arr, y_final, (n_steps, n_accepted, n_rejected)
+    values_arr = np.asarray(values).reshape((len(times),) + shape)
+    return np.asarray(times), values_arr, y.reshape(shape), (n_steps, n_accepted, n_rejected)
 
 
 def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None):
     """Integrate y' = f(t, y) from t0 to t1.
 
-    Returns (Trajectory, final_state). Without t_eval the trajectory is
+    y0 is one state of shape (n,) or a batch of m states of shape (m, n);
+    f receives and returns arrays of y0's shape. Returns (Trajectory,
+    final_state), the trajectory states shaped (len(times),) + y0.shape and
+    the final state shaped like y0. Without t_eval the trajectory is
     sampled at t0 and every accepted step (t1 included exactly); with
     t_eval it is sampled exactly at the requested times via the
     dense-output interpolant.

@@ -28,12 +28,10 @@ __all__ = [
     "ModelParameters",
     "State",
     "Trajectory",
-    "coefficient_at",
     "incidence",
     "rhs",
     "jacobian",
     "vector_field",
-    "stacked_vector_field",
     "clamp_small_negatives",
 ]
 
@@ -54,8 +52,9 @@ class SinusoidalCoefficient:
     angular_frequency: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.mean, self.amplitude, self.angular_frequency)):
-            raise ValueError("coefficient fields must be finite")
+        for name in ("mean", "amplitude", "angular_frequency"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.mean < 0.0:
             raise ValueError("mean must be nonnegative")
         if self.amplitude < 0.0:
@@ -81,11 +80,6 @@ class SinusoidalCoefficient:
             return self.mean + self.amplitude * math.sin(self.angular_frequency * t)
         t = np.asarray(t, dtype=float)
         return self.mean + self.amplitude * np.sin(self.angular_frequency * t)
-
-
-def coefficient_at(coeff: SinusoidalCoefficient, t):
-    """Value of a periodic coefficient at time t; strictly positive unless the coefficient is zero."""
-    return coeff.value(t)
 
 
 @dataclass(frozen=True)
@@ -178,9 +172,10 @@ class State:
 class Trajectory:
     """Time-stamped states from one integration run.
 
-    `states` has one row per time point; rows hold whatever dimension the
-    integrated system has (4 for the infection model). `params_hash`
-    identifies the generating ModelParameters when applicable.
+    `states` has one row per time point; rows hold whatever shape the
+    integrated state has: (4,) for one infection-model state, (m, 4) for a
+    batch of m members sharing the time grid. `params_hash` identifies the
+    generating ModelParameters when applicable.
     """
 
     times: np.ndarray
@@ -190,8 +185,8 @@ class Trajectory:
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
-        if self.times.ndim != 1 or self.states.ndim != 2:
-            raise ValueError("times must be 1-D and states 2-D")
+        if self.times.ndim != 1 or self.states.ndim < 2:
+            raise ValueError("times must be 1-D and states at least 2-D")
         if len(self.times) != len(self.states):
             raise ValueError("times and states must have equal length")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
@@ -203,9 +198,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def component(self, index: int) -> np.ndarray:
-        return self.states[:, index]
 
     def window(self, t_from: float, t_to: float) -> "Trajectory":
         """Sub-trajectory with t_from <= t <= t_to (small tolerance on the edges)."""
@@ -272,7 +264,10 @@ def jacobian(t: float, state, params: ModelParameters) -> np.ndarray:
 
 
 def vector_field(params: ModelParameters):
-    """Closure f(t, y) over a fixed parameter set, for the integrator."""
+    """Closure f(t, y) over a fixed parameter set, for the integrator.
+
+    y may be one state (4,) or a batch (m, 4), as `rhs` broadcasts.
+    """
 
     def f(t, y):
         return rhs(t, y, params)
@@ -280,24 +275,12 @@ def vector_field(params: ModelParameters):
     return f
 
 
-def stacked_vector_field(params: ModelParameters):
-    """Closure over a flat vector holding any number of stacked (T,E,I,V) blocks.
-
-    Lets several initial conditions be propagated in one integration; the
-    step controller then governs all of them jointly.
-    """
-
-    def f(t, y):
-        return rhs(t, y.reshape(-1, 4), params).ravel()
-
-    return f
-
-
-# The step controller bounds the RMS of component errors weighted by
-# abs_tol + rel_tol*|y|, which leaves any single component a sqrt(n) slack,
-# and errors accumulate over a few adjacent steps near the zero face. A
-# band of 4*abs_tol covers the observed worst case with margin while
-# staying well below any meaningful density threshold.
+# The step controller bounds each member's RMS of component errors weighted
+# by abs_tol + rel_tol*|y|, which leaves any single component of a 4-state
+# a sqrt(4) slack whatever the batch size, and errors accumulate over a few
+# adjacent steps near the zero face. A band of 4*abs_tol covers the
+# observed worst case with margin while staying well below any meaningful
+# density threshold.
 POSITIVITY_BAND_FACTOR = 4.0
 
 

@@ -164,8 +164,7 @@ def rho_for_lambda(lin: LinearizedSystem, lam: float, cfg: IntegratorConfig) -> 
 
 
 def r0_periodic(params: ModelParameters, tol: float = 1e-8,
-                cfg: IntegratorConfig | None = None,
-                t_star: VirusFreeSolution | None = None) -> R0Result:
+                cfg: IntegratorConfig | None = None) -> R0Result:
     """Reproduction number of the periodic model by bracketing and bisection.
 
     Each evaluation of rho(lambda) costs one 3x3 monodromy integration;
@@ -176,9 +175,7 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
         raise ValueError("tol must be positive")
     if cfg is None:
         cfg = IntegratorConfig.spectral()
-    if t_star is None:
-        t_star = virus_free_closed_form(params)
-    lin = build_linearization(params, t_star)
+    lin = build_linearization(params, virus_free_closed_form(params))
 
     if params.beta.is_zero:
         rho_g = rho_for_lambda(lin, 1.0, cfg)  # F == 0: any lambda gives rho(Phi_{-G})

@@ -170,3 +170,16 @@ def fd_jacobian(f, t: float, y: np.ndarray, h: float = 1e-6) -> np.ndarray:
         e[j] = h
         cols.append((np.asarray(f(t, y + e)) - np.asarray(f(t, y - e))) / (2.0 * h))
     return np.column_stack(cols)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.name for the test; each call appends its positional args to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

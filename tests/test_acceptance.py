@@ -30,7 +30,7 @@ from perivir import (
 )
 from perivir.analysis import DEFAULT_INITIAL_CONDITIONS
 from perivir.cli import main
-from perivir.model import stacked_vector_field
+from perivir.model import vector_field
 from perivir.periodic import _healthy_field
 
 from .helpers import (
@@ -165,17 +165,16 @@ def test_criterion_08_positivity_and_boundedness():
     rng = np.random.default_rng(20240108)
     horizon = 50.0 * params.period
     grid = np.linspace(0.0, horizon, 401)
-    f = stacked_vector_field(params)
+    f = vector_field(params)
 
     violations = 0
     unbounded = 0
     worst = 0.0
     for _ in range(20):
         batch = 10.0 ** rng.uniform(-2.0, math.log10(20.0), size=(50, 4))
-        traj, _ = integrate(f, 0.0, horizon, batch.ravel(), SIM, t_eval=grid)
-        states = traj.states.reshape(len(grid), 50, 4)
+        traj, _ = integrate(f, 0.0, horizon, batch, SIM, t_eval=grid)
         for j in range(50):
-            single = Trajectory(grid, states[:, j, :])
+            single = Trajectory(grid, traj.states[:, j, :])
             log = monitor_invariants(single, params, abs_tol=SIM.abs_tol)
             violations += log.positivity_violations
             worst = min(worst, log.worst_undershoot)

@@ -12,16 +12,19 @@ from perivir import (
     Trajectory,
     classify,
     monitor_invariants,
+    r0_periodic,
     simulate,
     sweep,
     virus_free_closed_form,
 )
+from perivir import analysis
 from perivir.analysis import DEFAULT_INITIAL_CONDITIONS
 
 from .helpers import (
     OMEGA,
     closed_form_r0,
     baseline_params,
+    count_calls,
     persistence_params,
     rescaled_extinction_params,
     zero_beta_params,
@@ -83,6 +86,19 @@ class TestClassify:
         report = classify(persistence_params(), DEFAULT_INITIAL_CONDITIONS, 1200.0, tiny)
         assert report.regime == Regime.INDETERMINATE
         assert all(ev.error is not None for ev in report.evidence)
+
+    def test_one_integration_whatever_the_ic_count(self, monkeypatch, sim_cfg):
+        params = persistence_params()
+        r0 = r0_periodic(params)
+        calls = count_calls(monkeypatch, analysis, "integrate")
+        for extra in (0, 2):
+            ics = DEFAULT_INITIAL_CONDITIONS + tuple(
+                State(1.0 + i, 1.0, 1.0, 1.0) for i in range(extra))
+            calls.clear()
+            report = classify(params, ics, 1200.0, sim_cfg, r0_result=r0)
+            assert len(calls) == 1
+            assert len(report.evidence) == len(ics)
+            assert report.regime == Regime.PERSISTENCE
 
     def test_preconditions(self, sim_cfg):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from perivir import analysis
 from perivir.cli import (
     ParseError,
     RunConfig,
@@ -14,7 +15,7 @@ from perivir.cli import (
     serialize_config,
 )
 
-from .helpers import OMEGA
+from .helpers import OMEGA, count_calls
 
 
 GOOD_CONFIG = f"""
@@ -71,6 +72,19 @@ class TestParseConfig:
         bad = GOOD_CONFIG.replace("amplitude = 0.005", "amplitude = 0.02")
         with pytest.raises(ValidationError, match="d.amplitude"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("old, new, key", [
+        (f"angular_frequency = {2 * math.pi / 24!r}", "angular_frequency = 0",
+         "scalars.angular_frequency"),
+        ("mean = 0.3", "mean = -0.3", "beta.mean"),
+        ("amplitude = 0.05", "amplitude = -0.05", "mu.amplitude"),
+        ("k = 0.2", "k = 0", "scalars.k"),
+        ("c2 = 0.1", "c2 = -0.1", "scalars.c2"),
+    ])
+    def test_domain_rejection_names_key(self, old, new, key):
+        assert old in GOOD_CONFIG
+        with pytest.raises(ValidationError, match=key):
+            parse_config(GOOD_CONFIG.replace(old, new))
 
     def test_empty_document_rejected(self):
         with pytest.raises((ParseError, ValidationError)):
@@ -180,6 +194,18 @@ class TestCliDispatch:
         lines = out.read_text().splitlines()
         assert lines[0] == "value,r0,rho_at_one,regime,error"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("ics", ["10,1,1,1", "10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1"])
+    def test_simulate_and_validate_integrate_once(self, monkeypatch, tmp_path, ics):
+        path = tmp_path / "cfg.ini"
+        path.write_text(GOOD_CONFIG.replace("horizon = 4800", "horizon = 48")
+                        .replace("10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1", ics))
+        calls = count_calls(monkeypatch, analysis, "integrate")
+        assert main(["simulate", "--config", str(path), "--t-end", "48",
+                     "--out", str(tmp_path / "run.csv")]) == 0
+        assert len(calls) == 1
+        assert main(["validate", "--config", str(path)]) == 0
+        assert len(calls) == 2
 
     def test_csv_determinism(self, config_dir, tmp_path):
         args = lambda o: ["simulate", "--config", str(config_dir / "persistence.ini"),

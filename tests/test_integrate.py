@@ -11,6 +11,7 @@ from perivir import (
     integrate,
     integrate_matrix,
 )
+from perivir.analysis import DEFAULT_INITIAL_CONDITIONS
 from perivir.model import vector_field
 from perivir.periodic import virus_free_closed_form
 from perivir.reproduction import build_linearization
@@ -123,6 +124,46 @@ class TestVectorIntegration:
         cfg = IntegratorConfig(max_step=0.125)
         traj, _ = integrate(lambda t, y: -0.01 * y, 0.0, 10.0, [1.0], cfg)
         assert np.max(np.diff(traj.times)) <= 0.125 + 1e-12
+
+
+class TestBatchIntegration:
+    def test_shapes_follow_y0(self, sim_cfg):
+        y0 = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        traj, yf = integrate(lambda t, y: -y, 0.0, 1.0, y0, sim_cfg, t_eval=[0.0, 0.5, 1.0])
+        assert traj.states.shape == (3, 3, 2)
+        assert yf.shape == (3, 2)
+        assert np.allclose(yf, math.exp(-1.0) * y0, rtol=1e-5)
+        with pytest.raises(ValueError):
+            integrate(lambda t, y: -y, 0.0, 1.0, np.ones((2, 2, 2)), sim_cfg)
+
+    def test_batched_members_match_serial_runs(self, sim_cfg):
+        # 52 periods at rel_tol 1e-6, as a classification runs them
+        params = persistence_params()
+        f = vector_field(params)
+        horizon = 52.0 * params.period
+        grid = np.linspace(0.0, horizon, 521)
+        batch = np.array([ic.as_array() for ic in DEFAULT_INITIAL_CONDITIONS])
+        traj, _ = integrate(f, 0.0, horizon, batch, sim_cfg, t_eval=grid)
+        for i, row in enumerate(batch):
+            alone, _ = integrate(f, 0.0, horizon, row, sim_cfg, t_eval=grid)
+            rel = np.abs(traj.states[:, i] - alone.states) / np.abs(alone.states)
+            assert np.max(rel) < 1e-5
+
+    def test_member_error_not_diluted_by_batch(self, sim_cfg):
+        # 199 members rest on the virus-free state (T* = 10 for the table
+        # coefficients) and one moves: its error must be the one it gets
+        # alone, not one loosened by the resting members' zero errors
+        params = baseline_params()
+        f = vector_field(params)
+        t_end = 10.0 * params.period
+        batch = np.tile([10.0, 0.0, 0.0, 0.0], (200, 1))
+        batch[7] = [10.0, 1.0, 1.0, 1.0]
+        _, ref = integrate(f, 0.0, t_end, batch[7], IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15))
+        _, alone = integrate(f, 0.0, t_end, batch[7], sim_cfg)
+        _, together = integrate(f, 0.0, t_end, batch, sim_cfg)
+        err_alone = np.max(np.abs(alone - ref))
+        assert err_alone > 0.0
+        assert np.max(np.abs(together[7] - ref)) == pytest.approx(err_alone, rel=1e-9)
 
 
 class TestMatrixIntegration:

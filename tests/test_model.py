@@ -8,12 +8,11 @@ from perivir import (
     SinusoidalCoefficient,
     State,
     Trajectory,
-    coefficient_at,
     incidence,
     jacobian,
     rhs,
 )
-from perivir.model import clamp_small_negatives, stacked_vector_field, vector_field
+from perivir.model import clamp_small_negatives, vector_field
 
 from .helpers import OMEGA, fd_jacobian, baseline_params, rhs_by_hand, skewed_params
 
@@ -21,16 +20,16 @@ from .helpers import OMEGA, fd_jacobian, baseline_params, rhs_by_hand, skewed_pa
 class TestSinusoidalCoefficient:
     def test_zero_amplitude_is_constant(self):
         c = SinusoidalCoefficient(0.1, 0.0, OMEGA)
-        assert coefficient_at(c, 5.0) == 0.1
+        assert c.value(5.0) == 0.1
 
     def test_quarter_period_peak(self):
         # sin(pi/2) = 1 at t = 6 for a 24-hour period
         c = SinusoidalCoefficient(0.1, 0.05, OMEGA)
-        assert coefficient_at(c, 6.0) == pytest.approx(0.15, abs=1e-12)
+        assert c.value(6.0) == pytest.approx(0.15, abs=1e-12)
 
     def test_full_period_returns_to_mean(self):
         c = SinusoidalCoefficient(0.1, 0.05, OMEGA)
-        assert coefficient_at(c, 24.0) == pytest.approx(0.1, abs=1e-12)
+        assert c.value(24.0) == pytest.approx(0.1, abs=1e-12)
 
     def test_periodicity_on_grid(self):
         c = SinusoidalCoefficient(0.2, 0.15, OMEGA)
@@ -180,15 +179,6 @@ class TestRhs:
         out = rhs(1.3, batch, params)
         for i in range(6):
             assert np.array_equal(out[i], rhs(1.3, batch[i], params))
-
-    def test_stacked_field_matches(self):
-        params = baseline_params()
-        rng = np.random.default_rng(12)
-        flat = rng.uniform(0.0, 10.0, size=12)
-        f = stacked_vector_field(params)
-        g = vector_field(params)
-        expected = np.concatenate([g(0.7, flat[i:i + 4]) for i in (0, 4, 8)])
-        assert np.allclose(f(0.7, flat), expected, rtol=1e-15)
 
 
 class TestJacobian:

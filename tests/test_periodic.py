@@ -19,7 +19,7 @@ from perivir import (
     virus_free_numeric,
     warm_start_guess,
 )
-from perivir.model import jacobian, stacked_vector_field
+from perivir.model import jacobian, vector_field
 from perivir.periodic import _healthy_field
 from perivir.reproduction import build_linearization, monodromy
 
@@ -149,8 +149,7 @@ class TestPoincareMap:
         params = persistence_params()
         rng = np.random.default_rng(23)
         batch = 10.0 ** rng.uniform(-2.0, math.log10(20.0), size=(64, 4))
-        f = stacked_vector_field(params)
-        _, end = integrate(f, 0.0, params.period, batch.ravel(), sim_cfg)
+        _, end = integrate(vector_field(params), 0.0, params.period, batch, sim_cfg)
         assert np.min(end) >= -sim_cfg.abs_tol
         for row in batch[:6]:
             out = poincare_map(params, State.from_array(row), sim_cfg)
@@ -198,6 +197,25 @@ class TestFindPeriodicOrbit:
         with pytest.raises(ValueError):
             find_periodic_orbit(persistence_params(), np.array([10.0, 0.0, 1.0, 1.0]),
                                 spectral_cfg)
+
+    def test_stall_within_integration_error_returns_orbit(self, spectral_cfg):
+        # Newton stalls at |g| ~ 1e-10, above newton_tol, where no damped step
+        # beats the flow's own error; weighted by the integrator's tolerances
+        # the residual is well below 1, so the orbit is returned
+        params = ModelParameters(
+            mu=SinusoidalCoefficient(0.10801091509914085, 0.05176732810088202, OMEGA),
+            beta=SinusoidalCoefficient(0.01663690586943997, 0.0034932815317735627, OMEGA),
+            d=SinusoidalCoefficient(0.010925537047309815, 0.0036911707968849674, OMEGA),
+            k=0.19905098933342835, delta=0.1069240826005271, p=0.5427658726300583,
+            c=0.11730922054046482, c1=0.09679950822708207, c2=0.09208330410174287)
+        guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
+        orbit = find_periodic_orbit(params, guess, spectral_cfg)
+        x = orbit.initial_state.as_array()
+        g = poincare_map(params, orbit.initial_state, spectral_cfg).as_array() - x
+        assert 1e-10 <= orbit.newton_residual < 1e-9
+        assert np.max(np.abs(g) / (spectral_cfg.abs_tol + spectral_cfg.rel_tol * np.abs(x))) <= 1.0
+        assert np.max(np.abs(orbit.states[-1] - orbit.states[0])) < 1e-9
+        assert orbit.stable
 
 
 class TestWarmStart:
