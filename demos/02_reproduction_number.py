@@ -3,7 +3,7 @@
 The reproduction number of the periodic model is the unique lambda at
 which the one-period monodromy of w' = (F(t)/lambda - G(t)) w has
 spectral radius 1. This script traces that spectral-radius curve, shows
-the bisection result sitting exactly at its unit crossing, cross-checks
+the root-search result sitting exactly at its unit crossing, cross-checks
 the autonomous closed form, and sweeps the infection rate across the
 threshold.
 """
@@ -66,9 +66,9 @@ autonomous = ModelParameters(
     k=0.2, delta=0.1, p=0.5, c=0.1, c1=0.1, c2=0.1)
 closed = r0_autonomous(mu=0.1, beta=0.3, d=0.01, k=0.2, delta=0.1,
                        p=0.5, c=0.1, c1=0.1)
-bisected = r0_periodic(autonomous).value
-print(f"autonomous closed form {closed:.8f} vs bisection {bisected:.8f} "
-      f"(rel dev {abs(closed - bisected) / closed:.1e})")
+searched = r0_periodic(autonomous).value
+print(f"autonomous closed form {closed:.8f} vs monodromy root {searched:.8f} "
+      f"(rel dev {abs(closed - searched) / closed:.1e})")
 
 # Sweeping the mean infection rate across its critical value flips the
 # simulated regime exactly where R0 crosses 1.

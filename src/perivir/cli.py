@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Regime, classify, monitor_invariants, simulate, sweep
+from .analysis import monitor_invariants, simulate, sweep
 from .integrate import IntegrationError, IntegratorConfig
 from .model import ModelParameters, SinusoidalCoefficient, State, Trajectory
 from .periodic import (
@@ -354,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="uniform output grid step (hours); default: accepted steps")
 
     sp = add("r0", _cmd_r0, "compute the periodic reproduction number")
-    sp.add_argument("--tol", type=float, default=1e-8, help="bisection bracket tolerance")
+    sp.add_argument("--tol", type=float, default=1e-8, help="absolute bracket width")
 
     sp = add("orbit", _cmd_orbit, "locate an endemic periodic orbit by Newton shooting")
     sp.add_argument("--transient", type=float, default=2000.0,

@@ -104,9 +104,27 @@ class VirusFreeSolution:
         wrap = abs(self.values[-1] - self.values[0])
         if wrap > 1e-8 * max(1.0, abs(self.values[0])):
             raise ValueError("T* samples do not close up over one period")
+        object.__setattr__(self, "_samples", tuple(self.values.tolist()))
 
     def value(self, t):
-        """T*(t) for scalar or array t, extended periodically."""
+        """T*(t) for scalar or array t, extended periodically.
+
+        A Python int or float takes a plain-float path that repeats the
+        operations of `_periodic_cubic_eval` in the same order, so both
+        paths give bitwise-equal results.
+        """
+        if isinstance(t, (float, int)):
+            values = self._samples
+            n = len(values) - 1
+            s = (float(t) % self.period) * (n / self.period)
+            i = min(int(s), n - 1)
+            th = s - i
+            w_m1 = -th * (th - 1.0) * (th - 2.0) / 6.0
+            w_0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
+            w_1 = -(th + 1.0) * th * (th - 2.0) / 2.0
+            w_2 = (th + 1.0) * th * (th - 1.0) / 6.0
+            return (w_m1 * values[(i - 1) % n] + w_0 * values[i]
+                    + w_1 * values[(i + 1) % n] + w_2 * values[(i + 2) % n])
         return _periodic_cubic_eval(t, self.period, self.values)
 
 

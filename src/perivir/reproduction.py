@@ -9,12 +9,16 @@ negative is cooperative:
     G(t) = [[k + d(t), 0, 0], [-k, delta + d(t), 0], [0, -p, c]]
 
 The reproduction number is the unique lambda0 > 0 at which the one-period
-monodromy of w' = (F(t)/lambda - G(t)) w has spectral radius exactly 1;
-rho(lambda) is continuous and nonincreasing, so a doubling/halving
-bracket from lambda = 1 followed by bisection locates it. Its sign
-relative to 1 matches the sign of rho(Phi_{F-G}(P)) - 1, which is also
-reported. A model with beta identically zero has no infection term; that
-case reports the conventional value 0 instead of searching.
+monodromy of w' = (F(t)/lambda - G(t)) w has spectral radius exactly 1
+(Wang & Zhao 2008). rho(lambda) is continuous, nonincreasing and nearly
+log-linear, so the root is searched on log rho against log lambda: a
+bracket grown by secant steps from lambda = 1 and the autonomous R0 of the
+coefficient means, then narrowed by Illinois (modified regula falsi;
+Dowell & Jarratt 1971) with a bisection safeguard. Each evaluation of rho
+costs one 3x3 monodromy integration. The sign of R0 - 1 matches the sign
+of rho(Phi_{F-G}(P)) - 1, which is also reported. A model with beta
+identically zero has no infection term; that case reports the
+conventional value 0 instead of searching.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ __all__ = [
 ]
 
 MAX_BRACKET_STEPS = 60
+LOG_STEP_MIN = 1e-3   # smallest bracketing step in log lambda
+LOG_STEP_MAX = 2.0    # largest bracketing step in log lambda
+LOG_STEP_FLAT = 0.7   # bracketing step when the secant slope is not negative
+OVERSHOOT = 1.1       # secant steps aim 10% past the extrapolated root
 
 
 class ParamsMismatch(ValueError):
@@ -84,7 +92,7 @@ class LinearizedSystem:
         ])
 
     def combined(self, lam: float):
-        """Matrix function t -> F(t)/lam - G(t), the bisection integrand."""
+        """Matrix function t -> F(t)/lam - G(t), the root-search integrand."""
         p = self.params
         k, delta, pp, c = p.k, p.delta, p.p, p.c
         inv_lam = 1.0 / lam
@@ -113,10 +121,11 @@ class MonodromyResult:
 class R0Result:
     """Reproduction number with the evidence that produced it.
 
-    method is one of "periodic-bisection", "autonomous-closed-form", or
-    "no-infection-term" (beta identically zero; value 0 by convention).
-    bracket straddles the root: rho at bracket[0] >= 1 >= rho at bracket[1].
-    iterations counts spectral-radius evaluations (bracketing plus bisection).
+    method is "periodic-monodromy" (the unit crossing of the monodromy
+    spectral radius) or "no-infection-term" (beta identically zero; value
+    0 by convention). bracket straddles the root: rho at bracket[0] >= 1 >=
+    rho at bracket[1], and value is its midpoint. trace holds every
+    (lambda, rho) evaluation in order, and iterations == len(trace).
     rho_at_one is rho(Phi_{F-G}(P)); sign(value - 1) == sign(rho_at_one - 1).
     """
 
@@ -125,6 +134,7 @@ class R0Result:
     bracket: tuple[float, float]
     iterations: int
     rho_at_one: float
+    trace: tuple[tuple[float, float], ...]
 
 
 def build_linearization(params: ModelParameters,
@@ -165,65 +175,121 @@ def rho_for_lambda(lin: LinearizedSystem, lam: float, cfg: IntegratorConfig) -> 
 
 def r0_periodic(params: ModelParameters, tol: float = 1e-8,
                 cfg: IntegratorConfig | None = None) -> R0Result:
-    """Reproduction number of the periodic model by bracketing and bisection.
+    """Reproduction number of the periodic model: the unit crossing of rho(lambda).
 
-    Each evaluation of rho(lambda) costs one 3x3 monodromy integration;
-    bisection rather than a secant update because rho can be nearly flat
-    where the dominant multiplier crosses 1 slowly.
+    rho(1) is evaluated first, then rho at the autonomous R0 of the
+    coefficient means; from there `_unit_crossing` brackets and narrows the
+    root until the bracket is at most `tol` wide (an absolute width). Each
+    evaluation goes through `rho_for_lambda` and costs one 3x3 monodromy
+    integration.
+
+    Raises ValueError unless tol is finite and positive, and BracketFailure
+    when no bracket is found within MAX_BRACKET_STEPS secant steps.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     if cfg is None:
         cfg = IntegratorConfig.spectral()
     lin = build_linearization(params, virus_free_closed_form(params))
+    trace = []
 
+    def rho(lam: float) -> float:
+        value = rho_for_lambda(lin, lam, cfg)
+        trace.append((lam, value))
+        return value
+
+    rho_at_one = rho(1.0)  # with beta == 0, F == 0 and this is rho(Phi_{-G})
     if params.beta.is_zero:
-        rho_g = rho_for_lambda(lin, 1.0, cfg)  # F == 0: any lambda gives rho(Phi_{-G})
         return R0Result(value=0.0, method="no-infection-term", bracket=(0.0, 0.0),
-                        iterations=1, rho_at_one=rho_g)
-
-    rho_at_one = rho_for_lambda(lin, 1.0, cfg)
-    evals = 1
-
+                        iterations=1, rho_at_one=rho_at_one, trace=tuple(trace))
     if rho_at_one == 1.0:
-        return R0Result(value=1.0, method="periodic-bisection", bracket=(1.0, 1.0),
-                        iterations=evals, rho_at_one=rho_at_one)
-
-    # expand until rho(lo) >= 1 >= rho(hi); rho is nonincreasing in lambda
-    if rho_at_one > 1.0:
-        lo, hi = 1.0, 2.0
-        for _ in range(MAX_BRACKET_STEPS):
-            rho_hi = rho_for_lambda(lin, hi, cfg)
-            evals += 1
-            if rho_hi <= 1.0:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
-            raise BracketFailure("no upper bracket within 60 doublings")
+        lo = hi = 1.0
     else:
-        lo, hi = 0.5, 1.0
-        for _ in range(MAX_BRACKET_STEPS):
-            rho_lo = rho_for_lambda(lin, lo, cfg)
-            evals += 1
-            if rho_lo >= 1.0:
-                break
-            lo, hi = 0.5 * lo, lo
-        else:
-            raise BracketFailure("no lower bracket within 60 halvings")
+        guess = r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean, params.k,
+                              params.delta, params.p, params.c, params.c1)
+        lo, hi = _unit_crossing(rho, (1.0, rho_at_one), guess, tol)
+    return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
+                    iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace))
 
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at floating resolution
+
+def _unit_crossing(rho, start: tuple[float, float], guess: float,
+                   tol: float) -> tuple[float, float]:
+    """Bracket (lo, hi), hi - lo <= tol, with rho(lo) >= 1 >= rho(hi).
+
+    rho is a positive, nonincreasing function of lambda > 0; start is a
+    (lambda, rho) pair already evaluated. Both phases work on
+    y = log rho against x = log lambda, where rho is nearly linear.
+
+    Bracketing: rho is evaluated at guess (moved LOG_STEP_MIN away from
+    start when closer). Each step then starts from the newer point nearer
+    the crossing and extrapolates the secant through the last two points,
+    overshooting by 10%, with a step length clamped to
+    [LOG_STEP_MIN, LOG_STEP_MAX]; a secant slope that is not negative gives
+    a step of LOG_STEP_FLAT instead. It stops when a step crosses the root,
+    so the bracket is as narrow as that step even when start and guess
+    already straddle the root from far apart.
+
+    Narrowing: Illinois steps (regula falsi that halves the retained
+    endpoint's y when the same endpoint is kept twice running), each point
+    clamped to [lo + tol/2, hi - tol/2]. A step that fails to halve the
+    bracket is a miss. Two misses running (the bracketing step counts as
+    one) are followed by a bisection step, and after a bisection every miss
+    is, until an Illinois step halves the bracket again. Every halving thus
+    costs at most two evaluations, so a flat, steep or noisy rho needs at
+    most about twice the bisection count.
+    """
+    lam_a, rho_a = start
+    if abs(math.log(guess / lam_a)) < LOG_STEP_MIN:
+        guess = lam_a * math.exp(math.copysign(LOG_STEP_MIN, rho_a - 1.0))
+    a, b = (lam_a, math.log(rho_a)), (guess, math.log(rho(guess)))  # (lambda, log rho)
+    for _ in range(MAX_BRACKET_STEPS):
+        if abs(a[1]) < abs(b[1]):
+            a, b = b, a  # b is the point nearer the crossing
+        up = b[1] >= 0.0  # rho(b) >= 1: the root lies at larger lambda
+        xa, xb = math.log(a[0]), math.log(b[0])
+        slope = (b[1] - a[1]) / (xb - xa)
+        if slope < 0.0:
+            step = min(max(OVERSHOOT * abs(b[1] / slope), LOG_STEP_MIN), LOG_STEP_MAX)
+        else:
+            step = LOG_STEP_FLAT
+        lam = math.exp(xb + step if up else xb - step)
+        c = (lam, math.log(rho(lam)))
+        if (c[1] >= 0.0) != up:
             break
-        rho_mid = rho_for_lambda(lin, mid, cfg)
-        evals += 1
-        if rho_mid >= 1.0:
-            lo = mid
-        else:
-            hi = mid
+        a, b = b, c
+    else:
+        raise BracketFailure(f"no bracket within {MAX_BRACKET_STEPS} secant steps")
 
-    return R0Result(value=0.5 * (lo + hi), method="periodic-bisection",
-                    bracket=(lo, hi), iterations=evals, rho_at_one=rho_at_one)
+    (lo, y_lo), (hi, y_hi) = (b, c) if up else (c, b)
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    kept = None  # the endpoint the previous step left in place
+    misses = 1  # steps running that failed to halve the bracket; bracketing counts as one
+    while hi - lo > tol:
+        width = hi - lo
+        bisect = misses >= 2
+        if bisect:
+            lam = 0.5 * (lo + hi)
+        else:
+            x = x_hi - y_hi * (x_hi - x_lo) / (y_hi - y_lo)
+            lam = min(max(math.exp(x), lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < lam < hi:  # interval at floating resolution
+            break
+        y = math.log(rho(lam))
+        if y >= 0.0:
+            lo, x_lo, y_lo = lam, math.log(lam), y
+            if kept == "hi":
+                y_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, x_hi, y_hi = lam, math.log(lam), y
+            if kept == "lo":
+                y_lo *= 0.5
+            kept = "lo"
+        if bisect:
+            misses = 1
+        else:
+            misses = misses + 1 if hi - lo > 0.5 * width else 0
+    return lo, hi
 
 
 def r0_autonomous(mu: float, beta: float, d: float, k: float, delta: float,

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 matrix exponential is plain scaling-and-squaring Taylor summation, the
-spectral radius oracle is power iteration, and the vector-field oracle is
-a scalar transcription of the four model equations.
+spectral radius oracle is power iteration, the vector-field oracle is
+a scalar transcription of the four model equations, and the R0 search
+oracle is plain doubling and bisection on the library's rho(lambda).
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ import math
 
 import numpy as np
 
-from perivir import ModelParameters, SinusoidalCoefficient
+from perivir import (
+    IntegratorConfig,
+    ModelParameters,
+    SinusoidalCoefficient,
+    build_linearization,
+    rho_for_lambda,
+    virus_free_closed_form,
+)
 
 OMEGA = 2.0 * math.pi / 24.0
 
@@ -109,6 +117,54 @@ def closed_form_r0(params: ModelParameters) -> float:
     mu0, beta0, d0 = params.mu.mean, params.beta.mean, params.d.mean
     return (params.p * beta0 * params.k * mu0) / (
         params.c * (d0 + params.delta) * (d0 + params.k) * (d0 + params.c1 * mu0))
+
+
+def bisection_root(rho, tol: float, max_steps: int = 60):
+    """Unit crossing of a nonincreasing rho by doubling from 1, then bisection.
+
+    Returns (lo, hi, evaluations) with rho(lo) >= 1 >= rho(hi) and
+    hi - lo <= tol (or the interval at floating resolution).
+    """
+    rho_one = rho(1.0)
+    evals = 1
+    if rho_one == 1.0:
+        return 1.0, 1.0, evals
+    if rho_one > 1.0:
+        lo, hi = 1.0, 2.0
+        for _ in range(max_steps):
+            evals += 1
+            if rho(hi) <= 1.0:
+                break
+            lo, hi = hi, 2.0 * hi
+        else:
+            raise RuntimeError("no upper bracket")
+    else:
+        lo, hi = 0.5, 1.0
+        for _ in range(max_steps):
+            evals += 1
+            if rho(lo) >= 1.0:
+                break
+            lo, hi = 0.5 * lo, lo
+        else:
+            raise RuntimeError("no lower bracket")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        evals += 1
+        if rho(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, evals
+
+
+def bisection_r0(params: ModelParameters, tol: float = 1e-8, cfg=None):
+    """R0 by the doubling-plus-bisection search: (value, (lo, hi), evaluations)."""
+    cfg = IntegratorConfig.spectral() if cfg is None else cfg
+    lin = build_linearization(params, virus_free_closed_form(params))
+    lo, hi, evals = bisection_root(lambda lam: rho_for_lambda(lin, lam, cfg), tol)
+    return 0.5 * (lo + hi), (lo, hi), evals
 
 
 def expm_reference(A: np.ndarray) -> np.ndarray:

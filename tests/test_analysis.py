@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +14,6 @@ from perivir import (
     r0_periodic,
     simulate,
     sweep,
-    virus_free_closed_form,
 )
 from perivir import analysis
 from perivir.analysis import DEFAULT_INITIAL_CONDITIONS

@@ -15,7 +15,7 @@ from perivir.cli import (
     serialize_config,
 )
 
-from .helpers import OMEGA, count_calls
+from .helpers import count_calls
 
 
 GOOD_CONFIG = f"""
@@ -140,7 +140,15 @@ class TestCliDispatch:
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["r0"] == pytest.approx(0.3947, rel=1e-3)
         assert payload["bracket"][0] <= payload["r0"] <= payload["bracket"][1]
-        assert payload["method"] == "periodic-bisection"
+        assert payload["method"] == "periodic-monodromy"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_r0_non_finite_tol_exits_2(self, config_dir, capsys, tol):
+        code = main(["r0", "--config", str(config_dir / "persistence.ini"), "--tol", tol])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config-error: tol must be finite and positive" in captured.err
+        assert captured.out == ""
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["r0", "--config", "/nonexistent.ini"]) == 2

@@ -6,7 +6,6 @@ import pytest
 from perivir import (
     IntegratorConfig,
     NonFiniteState,
-    State,
     StepLimitExceeded,
     integrate,
     integrate_matrix,

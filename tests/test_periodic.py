@@ -13,7 +13,6 @@ from perivir import (
     find_periodic_orbit,
     floquet_multipliers,
     integrate,
-    integrate_matrix,
     poincare_map,
     virus_free_closed_form,
     virus_free_numeric,
@@ -84,6 +83,20 @@ class TestVirusFreeClosedForm:
         fine = virus_free_closed_form(params, n_quad=2048)
         g = np.linspace(0.0, params.period, 53)
         assert np.max(np.abs(coarse.value(g) - fine.value(g))) < 1e-6
+
+    def test_scalar_and_array_lookups_bitwise_equal(self):
+        # the float/int fast path must reproduce the array interpolation exactly,
+        # including negative times, period multiples and the grid nodes
+        sol = virus_free_closed_form(skewed_params())
+        P = sol.period
+        ts = np.concatenate([
+            np.linspace(-3.0 * P, 5.0 * P, 4001), sol.times,
+            P * np.arange(-3.0, 6.0), [-1e-300, 5e-324, P * (1.0 - 1e-16), -0.0]])
+        scalar = np.array([sol.value(t) for t in ts.tolist()])
+        assert np.array_equal(scalar, sol.value(ts))
+        for t in (0, 24, -24, 7, -1000):
+            assert sol.value(t) == sol.value(np.array([float(t)]))[0]
+            assert type(sol.value(t)) is float
 
 
 class TestVirusFreeNumeric:

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perivir import (
+    BracketFailure,
+    IntegratorConfig,
+    ModelParameters,
     ParamsMismatch,
+    SinusoidalCoefficient,
     build_linearization,
     monodromy,
     r0_autonomous,
@@ -13,14 +19,22 @@ from perivir import (
     spectral_radius,
     virus_free_closed_form,
 )
+from perivir import reproduction
+from perivir.reproduction import _unit_crossing
 
 from .helpers import (
+    OMEGA,
+    beta_at_threshold,
+    bisection_r0,
+    bisection_root,
     closed_form_r0,
+    count_calls,
     expm_reference,
     baseline_params,
     persistence_params,
     power_iteration_radius,
     random_autonomous_params,
+    random_periodic_params,
     skewed_params,
     zero_beta_params,
 )
@@ -144,7 +158,7 @@ class TestR0Periodic:
         res = r0_periodic(params)
         closed = closed_form_r0(params)
         assert abs(res.value - closed) / closed < 1e-6
-        assert res.method == "periodic-bisection"
+        assert res.method == "periodic-monodromy"
 
     def test_autonomous_matches_closed_form_below_one(self):
         params = baseline_params(amps=0.0, beta_scale=0.01)
@@ -212,3 +226,117 @@ class TestR0Periodic:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             r0_periodic(baseline_params(), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError):
+            r0_periodic(baseline_params(), tol=tol)
+
+
+def _admissible_periodic(draw_rates, log_r0_factor, amps):
+    """A periodic parameter set with beta placed log_r0_factor decades from threshold."""
+    r = draw_rates
+    beta_c = beta_at_threshold(r["mu0"], r["d0"], r["k"], r["delta"], r["p"],
+                               r["c"], r["c1"])
+    beta0 = beta_c * 10.0 ** log_r0_factor
+    return ModelParameters(
+        mu=SinusoidalCoefficient(r["mu0"], amps[0] * r["mu0"], OMEGA),
+        beta=SinusoidalCoefficient(beta0, amps[1] * beta0, OMEGA),
+        d=SinusoidalCoefficient(r["d0"], amps[2] * r["d0"], OMEGA),
+        k=r["k"], delta=r["delta"], p=r["p"], c=r["c"], c1=r["c1"], c2=r["c2"])
+
+
+_rates = st.fixed_dictionaries({
+    "mu0": st.floats(0.02, 0.3), "d0": st.floats(0.005, 0.05),
+    "k": st.floats(0.05, 0.6), "delta": st.floats(0.02, 0.6),
+    "p": st.floats(0.1, 0.6), "c": st.floats(0.05, 0.6),
+    "c1": st.floats(0.0, 0.3), "c2": st.floats(0.0, 0.3),
+})
+_amps = st.tuples(*(st.floats(0.0, 0.9) for _ in range(3)))
+
+
+class TestR0Search:
+    def test_trace_holds_every_evaluation_and_both_bracket_ends(self):
+        res = r0_periodic(persistence_params())
+        assert res.iterations == len(res.trace)
+        assert res.trace[0] == (1.0, res.rho_at_one)
+        rho = dict(res.trace)
+        lo, hi = res.bracket
+        assert rho[lo] >= 1.0
+        assert rho[hi] <= 1.0
+        assert hi - lo <= 1e-8
+
+    def test_zero_beta_trace_is_the_single_evaluation(self):
+        res = r0_periodic(zero_beta_params())
+        assert res.trace == ((1.0, res.rho_at_one),)
+        assert res.iterations == 1
+
+    def test_each_evaluation_is_one_monodromy_integration(self, monkeypatch):
+        rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
+        matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
+        res = r0_periodic(persistence_params())
+        assert len(rho_calls) == len(matrix_calls) == res.iterations
+
+    def test_evaluation_budget_persistence(self):
+        assert r0_periodic(persistence_params()).iterations <= 12
+
+    def test_evaluation_budget_zero_amplitude(self):
+        rng = np.random.default_rng(20240101)
+        for params in [baseline_params(amps=0.0)] + [
+                random_autonomous_params(rng) for _ in range(5)]:
+            assert r0_periodic(params).iterations <= 5
+
+    def test_evaluation_budget_random_periodic(self):
+        # the first 30 sets of the criterion-3 sample
+        rng = np.random.default_rng(20240103)
+        counts = [r0_periodic(random_periodic_params(rng)).iterations for _ in range(30)]
+        assert max(counts) <= 12
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(rates=_rates, log_r0_factor=st.floats(-1.5, 1.5), amps=_amps)
+    def test_matches_bisection_oracle(self, rates, log_r0_factor, amps):
+        params = _admissible_periodic(rates, log_r0_factor, amps)
+        tol = 1e-6
+        res = r0_periodic(params, tol=tol)
+        oracle, _, _ = bisection_r0(params, tol=tol)
+        assert abs(res.value - oracle) <= tol + 1e-8 * oracle
+        cfg = IntegratorConfig.spectral()
+        lin = build_linearization(params, virus_free_closed_form(params))
+        lo, hi = res.bracket
+        assert lo <= res.value <= hi and hi - lo <= tol
+        assert rho_for_lambda(lin, lo, cfg) >= 1.0 >= rho_for_lambda(lin, hi, cfg)
+
+
+def _steep_after(root):
+    """Flat above 1 up to the root, then falling steeply."""
+    return lambda lam: (math.exp(1e-6 * (root - lam)) if lam < root
+                        else math.exp(max(50.0 * (root - lam), -700.0)))
+
+
+def _step_at(root):
+    return lambda lam: 2.0 if lam < root else 0.5
+
+
+class TestUnitCrossing:
+    @pytest.mark.parametrize("shape", [_steep_after, _step_at], ids=["flat-steep", "step"])
+    @pytest.mark.parametrize("root", [0.37, 3.7, 123.4])
+    @pytest.mark.parametrize("guess_factor", [1.0, 1.01, 5.0, 1.0 / 7.0])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_pathological_rho_within_twice_bisection(self, shape, root, guess_factor, tol):
+        rho = shape(root)
+        calls = []
+
+        def counted(lam):
+            calls.append(lam)
+            return rho(lam)
+
+        lo, hi = _unit_crossing(counted, (1.0, rho(1.0)), root * guess_factor, tol)
+        evaluations = len(calls) + 1  # plus the start point
+        _, _, bisections = bisection_root(rho, tol)
+        assert rho(lo) >= 1.0 >= rho(hi)
+        assert 0.0 <= hi - lo <= tol
+        assert evaluations <= 2 * bisections
+
+    def test_bracket_failure_when_rho_never_crosses(self):
+        with pytest.raises(BracketFailure):
+            _unit_crossing(lambda lam: 2.0, (1.0, 2.0), 3.0, 1e-8)
