@@ -40,6 +40,7 @@ cfg = IntegratorConfig.spectral()
 
 # 1. Warm start: after ~2000 hours the transient has settled into the
 #    cycle's basin, so the state at the last period start is a good guess.
+#    The transient runs at simulation tolerance; Newton polishes at cfg's.
 guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, cfg)
 print("warm-start guess:", np.round(guess.as_array(), 6))
 

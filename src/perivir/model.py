@@ -219,13 +219,15 @@ def rhs(t: float, state, params: ModelParameters) -> np.ndarray:
     """Vector field of the model at time t.
 
     `state` may be a State, a length-4 array, or a (..., 4) batch of
-    states; the result has the matching shape.
+    states; the result has the matching shape. An array t must broadcast
+    against one component of `state.T`.
+
+    The components are unpacked from `y.T`, so a single state yields
+    numpy scalars rather than 0-d array views (arithmetic on 0-d views
+    costs several times more); a batch yields one array per component.
     """
     y = state.as_array() if isinstance(state, State) else np.asarray(state, dtype=float)
-    T = y[..., 0]
-    E = y[..., 1]
-    I = y[..., 2]
-    V = y[..., 3]
+    T, E, I, V = y.T
     mu_t = params.mu.value(t)
     beta_t = params.beta.value(t)
     d_t = params.d.value(t)
@@ -234,7 +236,7 @@ def rhs(t: float, state, params: ModelParameters) -> np.ndarray:
     dE = inc - (params.k + d_t) * E
     dI = params.k * E - (params.delta + d_t) * I
     dV = params.p * I - params.c * V
-    return np.stack([dT, dE, dI, dV], axis=-1)
+    return np.array([dT, dE, dI, dV]).T
 
 
 def jacobian(t: float, state, params: ModelParameters) -> np.ndarray:

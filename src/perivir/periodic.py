@@ -16,7 +16,7 @@ finite differences of the map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,7 +130,13 @@ class VirusFreeSolution:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A located periodic solution of the full system."""
+    """A located periodic solution of the full system.
+
+    trace holds one (residual, damping_step) pair per Newton iterate, in
+    order: max |flow_P(x) - x| at the iterate and the damping factor s of
+    the step x + s*dx taken from it (0.0 on the last, returned iterate,
+    from which no step was taken); iterations == len(trace).
+    """
 
     initial_state: State
     times: np.ndarray
@@ -140,6 +146,8 @@ class PeriodicOrbit:
     stable: bool
     stability_margin: float
     monodromy: np.ndarray
+    iterations: int
+    trace: tuple[tuple[float, float], ...]
 
     @property
     def period(self) -> float:
@@ -258,17 +266,15 @@ def _augmented_field(params: ModelParameters):
 
 
 def _flow_and_monodromy(params: ModelParameters, x: np.ndarray, cfg: IntegratorConfig):
-    """One-period flow of x together with the monodromy of the variational equation."""
+    """One-period flow of x together with the monodromy of the variational equation.
+
+    Returns (samples, end, monodromy): the state at the ORBIT_SAMPLES + 1
+    grid times over [0, P], the state at P and Phi(P; x).
+    """
     ya0 = np.concatenate([x, np.eye(4).ravel()])
-    _, ya = integrate(_augmented_field(params), 0.0, params.period, ya0, cfg,
-                      t_eval=np.array([params.period]))
-    return ya[:4], ya[4:].reshape(4, 4)
-
-
-def _flow(params: ModelParameters, x: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    _, y = integrate(vector_field(params), 0.0, params.period, x, cfg,
-                     t_eval=np.array([params.period]))
-    return y
+    grid = np.linspace(0.0, params.period, ORBIT_SAMPLES + 1)
+    traj, ya = integrate(_augmented_field(params), 0.0, params.period, ya0, cfg, t_eval=grid)
+    return traj.states[:, :4], ya[:4], ya[4:].reshape(4, 4)
 
 
 def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorConfig,
@@ -278,6 +284,11 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     Solves g(x) = flow_P(x) - x = 0 with Jacobian Dg = Phi(P; x) - I from
     the variational equation along the trajectory. Damping halves the
     Newton step up to 8 times when the residual does not decrease.
+
+    Every trial point is integrated once, state and variational equation
+    together, sampled on the orbit grid: the flow that accepts a damped
+    step also supplies the next iterate's residual and Jacobian, and the
+    returned orbit's samples come from the last iterate's flow.
 
     Converges when max |g| < newton_tol. When no damped step decreases the
     residual but it already lies within the integrator's own error scale,
@@ -294,12 +305,13 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
         raise ValueError("guess must be strictly positive componentwise")
 
     eye = np.eye(4)
+    samples, y_end, mono = _flow_and_monodromy(params, x, cfg)
+    g = y_end - x
+    res = float(np.max(np.abs(g)))
+    trace = []
     for _ in range(MAX_NEWTON_ITERS):
-        y_end, mono = _flow_and_monodromy(params, x, cfg)
-        g = y_end - x
-        res = float(np.max(np.abs(g)))
         if res < newton_tol:
-            return _package_orbit(params, x, mono, res, cfg)
+            return _package_orbit(params, x, samples, mono, trace + [(res, 0.0)], cfg)
 
         try:
             dx = np.linalg.solve(mono - eye, -g)
@@ -309,39 +321,41 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
         step = 1.0
         for _ in range(9):
             x_try = x + step * dx
-            res_try = float(np.max(np.abs(_flow(params, x_try, cfg) - x_try)))
+            samples_try, y_try, mono_try = _flow_and_monodromy(params, x_try, cfg)
+            g_try = y_try - x_try
+            res_try = float(np.max(np.abs(g_try)))
             if res_try < res:
                 break
             step *= 0.5
         else:
             if np.max(np.abs(g) / (cfg.abs_tol + cfg.rel_tol * np.abs(x))) <= 1.0:
-                return _package_orbit(params, x, mono, res, cfg)
+                return _package_orbit(params, x, samples, mono, trace + [(res, 0.0)], cfg)
             raise NewtonDiverged(f"residual stalled at {res:.3e}")
-        x = x + step * dx
+        trace.append((res, step))
+        x, samples, mono, g, res = x_try, samples_try, mono_try, g_try, res_try
 
     raise NewtonDiverged(f"no convergence within {MAX_NEWTON_ITERS} iterations")
 
 
-def _package_orbit(params: ModelParameters, x: np.ndarray, mono: np.ndarray,
-                   residual: float, cfg: IntegratorConfig) -> PeriodicOrbit:
+def _package_orbit(params: ModelParameters, x: np.ndarray, samples: np.ndarray,
+                   mono: np.ndarray, trace: list, cfg: IntegratorConfig) -> PeriodicOrbit:
     if np.any(x < BOUNDARY_EPS):
         raise ConvergedToBoundary(
             "fixed point has a component below boundary_eps; "
             "this is the virus-free orbit, not an interior one")
     multipliers = floquet_multipliers(mono)
     max_mod = float(np.abs(multipliers[0]))
-    grid = np.linspace(0.0, params.period, ORBIT_SAMPLES + 1)
-    traj, _ = integrate(vector_field(params), 0.0, params.period, x, cfg, t_eval=grid)
-    states = clamp_small_negatives(traj.states, cfg.abs_tol)
     return PeriodicOrbit(
         initial_state=State.from_array(clamp_small_negatives(x, cfg.abs_tol)),
-        times=grid,
-        states=states,
-        newton_residual=residual,
+        times=np.linspace(0.0, params.period, ORBIT_SAMPLES + 1),
+        states=clamp_small_negatives(samples, cfg.abs_tol),
+        newton_residual=trace[-1][0],
         floquet_multipliers=multipliers,
         stable=max_mod < 1.0,
         stability_margin=1.0 - max_mod,
         monodromy=mono,
+        iterations=len(trace),
+        trace=tuple(trace),
     )
 
 
@@ -350,12 +364,19 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     """State reached at the last period start within a transient integration.
 
     In the persistence regime trajectories approach the endemic orbit, so
-    the transient endpoint lies in the Newton basin.
+    the transient endpoint lies in the Newton basin. The endpoint only has
+    to reach that basin, since Newton shooting polishes it at the caller's
+    tolerance, so the transient runs at simulation tolerance or looser:
+    rel_tol and abs_tol are raised to at least those of
+    IntegratorConfig.simulation(), while the step limits stay as given.
     """
     P = params.period
     t_end = math.floor(transient / P) * P
     if t_end <= 0.0:
         raise ValueError("transient must cover at least one period")
+    loose = IntegratorConfig.simulation()
+    cfg = replace(cfg, rel_tol=max(cfg.rel_tol, loose.rel_tol),
+                  abs_tol=max(cfg.abs_tol, loose.abs_tol))
     _, y = integrate(vector_field(params), 0.0, t_end, ic.as_array(), cfg,
                      t_eval=np.array([t_end]))
     return State.from_array(clamp_small_negatives(y, cfg.abs_tol))

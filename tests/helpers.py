@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 matrix exponential is plain scaling-and-squaring Taylor summation, the
-spectral radius oracle is power iteration, the vector-field oracle is
-a scalar transcription of the four model equations, and the R0 search
-oracle is plain doubling and bisection on the library's rho(lambda).
+spectral radius oracle is power iteration, the vector-field oracles are
+a scalar transcription of the four model equations and a per-column-view
+formulation for batches, and the R0 search oracle is plain doubling and
+bisection on the library's rho(lambda).
 """
 
 from __future__ import annotations
@@ -214,6 +215,30 @@ def rhs_by_hand(t: float, y, params: ModelParameters):
         params.k * E - (params.delta + d_t) * I,
         params.p * I - params.c * V,
     ])
+
+
+def rhs_column_views(t, y, params: ModelParameters):
+    """The model vector field on (..., 4) states through per-column views.
+
+    Each component is read as y[..., j] and the result is stacked on the
+    last axis: the same arithmetic in the same order as `model.rhs`, but
+    on 0-d views for a single state, so it serves as a bitwise oracle for
+    the unpacked formulation.
+    """
+    y = np.asarray(y, dtype=float)
+    T = y[..., 0]
+    E = y[..., 1]
+    I = y[..., 2]
+    V = y[..., 3]
+    mu_t = params.mu.value(t)
+    beta_t = params.beta.value(t)
+    d_t = params.d.value(t)
+    inc = beta_t * T * V / ((1.0 + params.c1 * T) * (1.0 + params.c2 * V))
+    dT = mu_t - inc - d_t * T
+    dE = inc - (params.k + d_t) * E
+    dI = params.k * E - (params.delta + d_t) * I
+    dV = params.p * I - params.c * V
+    return np.stack([dT, dE, dI, dV], axis=-1)
 
 
 def fd_jacobian(f, t: float, y: np.ndarray, h: float = 1e-6) -> np.ndarray:

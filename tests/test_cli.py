@@ -168,6 +168,29 @@ class TestCliDispatch:
         assert code == 3
         assert "numerical-failure" in capsys.readouterr().err
 
+    def test_orbit_matches_pinned_spectral_warm_start(self, config_dir, tmp_path, capsys):
+        # the summary line as printed when the warm-start transient ran at
+        # spectral tolerance and Newton polished it with separate 4-wide
+        # line-search flows; the orbit is the same fixed point to within
+        # the shooting tolerance, and the multipliers to within 1e-12
+        pinned = {
+            "initial_state": [0.10319521884740318, 0.3529522440966036,
+                              0.7915462962119961, 4.34007161966431],
+            "multipliers": [[0.07473869158318686, 0.08354976759662591],
+                            [0.07473869158318686, -0.08354976759662591],
+                            [0.003051043248332042, 0.0],
+                            [6.41753946165362e-10, 0.0]],
+            "stable": True,
+        }
+        assert main(["orbit", "--config", str(config_dir / "persistence.ini"),
+                     "--out", str(tmp_path / "orbit.csv")]) == 0
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        for got, want in zip(out["initial_state"], pinned["initial_state"], strict=True):
+            assert abs(got - want) <= 1e-9 * abs(want)
+        for got, want in zip(out["multipliers"], pinned["multipliers"], strict=True):
+            assert abs(complex(*got) - complex(*want)) <= 1e-12
+        assert out["stable"] is pinned["stable"]
+
     def test_validate_clean_config_exits_0(self, tmp_path):
         cfg_text = GOOD_CONFIG.replace("horizon = 4800", "horizon = 240")
         path = tmp_path / "ok.ini"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from perivir import (
     ModelParameters,
@@ -12,7 +15,20 @@ from perivir import (
 )
 from perivir.model import clamp_small_negatives, vector_field
 
-from .helpers import OMEGA, fd_jacobian, baseline_params, rhs_by_hand, skewed_params
+from .helpers import (
+    OMEGA,
+    baseline_params,
+    fd_jacobian,
+    rhs_by_hand,
+    rhs_column_views,
+    skewed_params,
+)
+
+_state_shapes = st.one_of(
+    st.just((4,)),
+    st.tuples(st.integers(1, 5), st.just(4)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(4)),
+)
 
 
 class TestSinusoidalCoefficient:
@@ -169,6 +185,26 @@ class TestRhs:
             rhs_val = (params.mu.value(t) - params.d.value(t) * (y[0] + y[1] + y[2])
                        - params.delta * y[2])
             assert lhs == pytest.approx(rhs_val, rel=1e-12, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), shape=_state_shapes, t=st.floats(0.0, 48.0),
+           t_kind=st.sampled_from(["float", "0-d", "per-member"]))
+    def test_bitwise_equal_to_column_views(self, data, shape, t, t_kind):
+        y = data.draw(hnp.arrays(float, shape, elements=st.floats(0.0, 100.0)))
+        params = skewed_params()
+        if t_kind == "float":
+            t_rhs = t_views = t
+        elif t_kind == "0-d" or len(shape) == 1:
+            t_rhs = t_views = np.array(t)
+        else:
+            # one time per member: rhs broadcasts t against a component of
+            # y.T, whose axes are the batch axes reversed
+            t_views = t + np.arange(np.prod(shape[:-1]), dtype=float).reshape(shape[:-1])
+            t_rhs = t_views.T
+        out = rhs(t_rhs, y, params)
+        expected = rhs_column_views(t_views, y, params)
+        assert out.shape == expected.shape == shape
+        assert np.array_equal(out, expected)
 
     def test_batched_matches_rowwise(self):
         params = baseline_params()

@@ -8,6 +8,7 @@ from perivir import (
     ConvergedToBoundary,
     IntegratorConfig,
     ModelParameters,
+    NewtonDiverged,
     SinusoidalCoefficient,
     State,
     find_periodic_orbit,
@@ -18,11 +19,19 @@ from perivir import (
     virus_free_numeric,
     warm_start_guess,
 )
+from perivir import periodic
 from perivir.model import jacobian, vector_field
 from perivir.periodic import _healthy_field
 from perivir.reproduction import build_linearization, monodromy
 
-from .helpers import OMEGA, baseline_params, persistence_params, rescaled_extinction_params, skewed_params
+from .helpers import (
+    OMEGA,
+    baseline_params,
+    count_calls,
+    persistence_params,
+    rescaled_extinction_params,
+    skewed_params,
+)
 
 
 def constant_coefficient_params(**overrides) -> ModelParameters:
@@ -211,10 +220,10 @@ class TestFindPeriodicOrbit:
             find_periodic_orbit(persistence_params(), np.array([10.0, 0.0, 1.0, 1.0]),
                                 spectral_cfg)
 
-    def test_stall_within_integration_error_returns_orbit(self, spectral_cfg):
-        # Newton stalls at |g| ~ 1e-10, above newton_tol, where no damped step
-        # beats the flow's own error; weighted by the integrator's tolerances
-        # the residual is well below 1, so the orbit is returned
+    def test_stall_within_integration_error_returns_orbit(self, monkeypatch, spectral_cfg):
+        # newton_tol = 0 cannot be beaten, so Newton runs until no damped step
+        # lowers the residual and the return goes through the stall branch:
+        # weighted by the integrator's tolerances the residual is below 1
         params = ModelParameters(
             mu=SinusoidalCoefficient(0.10801091509914085, 0.05176732810088202, OMEGA),
             beta=SinusoidalCoefficient(0.01663690586943997, 0.0034932815317735627, OMEGA),
@@ -222,13 +231,67 @@ class TestFindPeriodicOrbit:
             k=0.19905098933342835, delta=0.1069240826005271, p=0.5427658726300583,
             c=0.11730922054046482, c1=0.09679950822708207, c2=0.09208330410174287)
         guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
-        orbit = find_periodic_orbit(params, guess, spectral_cfg)
+        flows = count_calls(monkeypatch, periodic, "_flow_and_monodromy")
+        orbit = find_periodic_orbit(params, guess, spectral_cfg, newton_tol=0.0)
+        # one flow at the guess, one per trial of every accepted step, and
+        # the nine failed trials of the stall
+        steps = [s for _, s in orbit.trace[:-1]]
+        assert len(flows) == 1 + sum(1 + round(-math.log2(s)) for s in steps) + 9
+        assert orbit.trace[-1] == (orbit.newton_residual, 0.0)
         x = orbit.initial_state.as_array()
         g = poincare_map(params, orbit.initial_state, spectral_cfg).as_array() - x
-        assert 1e-10 <= orbit.newton_residual < 1e-9
+        assert orbit.newton_residual < 1e-9
         assert np.max(np.abs(g) / (spectral_cfg.abs_tol + spectral_cfg.rel_tol * np.abs(x))) <= 1.0
         assert np.max(np.abs(orbit.states[-1] - orbit.states[0])) < 1e-9
         assert orbit.stable
+
+    @pytest.mark.parametrize("exponent, diverges", [(-20, True), (-43, False)])
+    def test_stall_branch_on_a_shifted_flow(self, monkeypatch, spectral_cfg, exponent, diverges):
+        # a flow that shifts every state by the same power of two: g is the
+        # same at every trial point (exactly, from a guess of ones), so every
+        # halving fails and the weighted residual alone decides the outcome:
+        # 2^-20 / (abs_tol + rel_tol) ~ 1e3 raises, 2^-43 / ... ~ 1e-4 returns
+        offset = np.array([2.0 ** exponent, 0.0, 0.0, 0.0])
+        flows = []
+
+        def shifted(params, x, cfg):
+            flows.append(x)
+            end = x + offset
+            return np.tile(end, (periodic.ORBIT_SAMPLES + 1, 1)), end, 2.0 * np.eye(4)
+
+        monkeypatch.setattr(periodic, "_flow_and_monodromy", shifted)
+        guess = np.ones(4)
+        if diverges:
+            with pytest.raises(NewtonDiverged, match="stalled"):
+                find_periodic_orbit(persistence_params(), guess, spectral_cfg, newton_tol=0.0)
+        else:
+            orbit = find_periodic_orbit(persistence_params(), guess, spectral_cfg,
+                                        newton_tol=0.0)
+            assert orbit.trace == ((2.0 ** exponent, 0.0),)
+            assert np.array_equal(orbit.initial_state.as_array(), guess)
+        assert len(flows) == 1 + 9
+
+    def test_trace_records_every_iterate(self, spectral_cfg):
+        params = persistence_params()
+        guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
+        orbit = find_periodic_orbit(params, guess, spectral_cfg)
+        residuals = [r for r, _ in orbit.trace]
+        assert orbit.iterations == len(orbit.trace) >= 2
+        assert all(b < a for a, b in zip(residuals, residuals[1:]))
+        assert residuals[-1] == orbit.newton_residual
+        assert all(0.0 < s <= 1.0 for _, s in orbit.trace[:-1])
+        assert orbit.trace[-1][1] == 0.0
+
+    def test_only_augmented_flows(self, monkeypatch, spectral_cfg):
+        # every integration is the 20-wide state-plus-variational flow: no
+        # 4-wide line-search flows and no separate pass for the orbit samples
+        params = persistence_params()
+        guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
+        calls = count_calls(monkeypatch, periodic, "integrate")
+        orbit = find_periodic_orbit(params, guess, spectral_cfg)
+        assert 1 <= len(calls) <= 3
+        assert all(np.shape(args[3]) == (20,) for args in calls)
+        assert orbit.states.shape == (periodic.ORBIT_SAMPLES + 1, 4)
 
 
 class TestWarmStart:
@@ -236,6 +299,23 @@ class TestWarmStart:
         params = persistence_params()
         s = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 100.0, sim_cfg)
         assert np.all(s.as_array() > 0.0)
+
+    def test_spectral_request_runs_at_simulation_tolerance(self, spectral_cfg, sim_cfg):
+        params = persistence_params()
+        ic = State(10.0, 1.0, 1.0, 1.0)
+        a = warm_start_guess(params, ic, 2000.0, spectral_cfg).as_array()
+        b = warm_start_guess(params, ic, 2000.0, sim_cfg).as_array()
+        assert np.array_equal(a, b)
+
+    def test_looser_tolerance_and_step_limits_kept(self, sim_cfg):
+        params = persistence_params()
+        ic = State(10.0, 1.0, 1.0, 1.0)
+        loose = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-7, max_step=0.5)
+        t_end = 4 * params.period
+        _, y = integrate(vector_field(params), 0.0, t_end, ic.as_array(), loose,
+                         t_eval=np.array([t_end]))
+        s = warm_start_guess(params, ic, t_end, loose)
+        assert np.array_equal(s.as_array(), y)
 
     def test_short_transient_rejected(self, sim_cfg):
         with pytest.raises(ValueError):
