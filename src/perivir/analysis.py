@@ -59,6 +59,8 @@ PERSISTENCE_FLOOR_MIN = 1e-6
 # loses a fraction of it every period and must not be called persistent
 FLOOR_TREND_MIN = 0.98
 GRID_POINTS_PER_PERIOD = 96
+# classify judges the floors and the final period over this many last periods
+EVIDENCE_PERIODS = 10
 
 DEFAULT_INITIAL_CONDITIONS = (
     State(10.0, 1.0, 1.0, 1.0),
@@ -141,16 +143,24 @@ def simulate(params: ModelParameters, initial_state, t_end: float,
     """
     y0 = initial_state.as_array() if isinstance(initial_state, State) \
         else np.asarray(initial_state, dtype=float)
-    t_eval = None
-    if grid_step is not None:
-        if grid_step <= 0.0:
-            raise ValueError("grid_step must be positive")
-        n = int(math.floor(t_end / grid_step + 1e-9))
-        t_eval = grid_step * np.arange(n + 1)
-        if t_eval[-1] < t_end - 1e-9 * max(1.0, t_end):
-            t_eval = np.append(t_eval, t_end)
-        else:
-            t_eval[-1] = t_end
+    t_eval = None if grid_step is None else _uniform_grid(t_end, grid_step)
+    return _integrate_clamped(params, y0, t_end, cfg, t_eval)
+
+
+def _uniform_grid(t_end: float, grid_step: float) -> np.ndarray:
+    """Multiples of grid_step from 0 to t_end, ending exactly at t_end."""
+    if grid_step <= 0.0:
+        raise ValueError("grid_step must be positive")
+    n = int(math.floor(t_end / grid_step + 1e-9))
+    grid = grid_step * np.arange(n + 1)
+    if grid[-1] < t_end - 1e-9 * max(1.0, t_end):
+        return np.append(grid, t_end)
+    grid[-1] = t_end
+    return grid
+
+
+def _integrate_clamped(params: ModelParameters, y0: np.ndarray, t_end: float,
+                       cfg: IntegratorConfig, t_eval) -> Trajectory:
     traj, _ = integrate(vector_field(params), 0.0, t_end, y0, cfg, t_eval=t_eval)
     return Trajectory(traj.times, clamp_small_negatives(traj.states, cfg.abs_tol),
                       params.hash_id())
@@ -158,14 +168,17 @@ def simulate(params: ModelParameters, initial_state, t_end: float,
 
 def _final_period_evidence(traj: Trajectory, ics, t_star: VirusFreeSolution,
                            horizon: float, period: float) -> tuple[TrajectoryEvidence, ...]:
-    """Per-member evidence from a batch trajectory, states shaped (time, member, 4)."""
+    """Per-member evidence from a batch trajectory, states shaped (time, member, 4).
+
+    Reads only the last EVIDENCE_PERIODS periods before the horizon.
+    """
     last = traj.window(horizon - period, horizon)
     final_inf = last.states[:, :, 1:4].max(axis=(0, 2))
     sup_t = np.abs(last.states[:, :, 0] - t_star.value(last.times)[:, None]).max(axis=0)
     floors = np.array([
         traj.window(horizon - j * period, horizon - (j - 1) * period)
         .states[:, :, 1:4].min(axis=(0, 2))
-        for j in range(10, 0, -1)])
+        for j in range(EVIDENCE_PERIODS, 0, -1)])
     return tuple(
         TrajectoryEvidence(
             initial_state=ic,
@@ -185,9 +198,10 @@ def classify(params: ModelParameters, initial_conditions, horizon: float,
     Extinction requires every trajectory to end its final period with
     max(E, I, V) below EXTINCTION_EPS and sup |T - T*| below TSTAR_EPS.
     Persistence requires every trajectory's final-period infection floor
-    to clear PERSISTENCE_FLOOR_MIN AND to hold steady across the last 10
-    periods (no more than a 2% net decline), which separates a settled
-    orbit from a slow near-threshold decay. Anything else, including
+    to clear PERSISTENCE_FLOOR_MIN AND to hold steady across the last
+    EVIDENCE_PERIODS periods (no more than a 2% net decline), which
+    separates a settled orbit from a slow near-threshold decay. The
+    integration samples only those periods. Anything else, including
     disagreement between trajectories or a failed integration, is
     Indeterminate; parameter sets very close to the threshold genuinely
     cannot be decided on a finite horizon.
@@ -211,9 +225,13 @@ def classify(params: ModelParameters, initial_conditions, horizon: float,
         r0_result = r0_periodic(params)
     t_star = virus_free_closed_form(params)
 
+    # the step sequence does not depend on t_eval, so sampling only the
+    # evidence window gives the samples of the full grid bitwise
+    grid_step = period / GRID_POINTS_PER_PERIOD
+    grid = _uniform_grid(horizon, grid_step)
+    window = grid[grid >= horizon - EVIDENCE_PERIODS * period - 0.5 * grid_step]
     try:
-        traj = simulate(params, y0, horizon, cfg,
-                        grid_step=period / GRID_POINTS_PER_PERIOD)
+        traj = _integrate_clamped(params, y0, horizon, cfg, window)
     except IntegrationError as exc:
         evidence = tuple(TrajectoryEvidence(initial_state=ic, error=str(exc)) for ic in ics)
         return ClassificationReport(r0=r0_result, regime=Regime.INDETERMINATE,

@@ -358,9 +358,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("orbit", _cmd_orbit, "locate an endemic periodic orbit by Newton shooting")
     sp.add_argument("--transient", type=float, default=2000.0,
-                    help="warm-start transient length (hours), integrated at "
-                         "simulation tolerance or looser")
-    sp.add_argument("--newton-tol", type=float, default=1e-10, help="shooting residual target")
+                    help="warm-start transient length (hours), integrated one period "
+                         "at a time at simulation tolerance or looser; an upper bound, "
+                         "it stops once the period map has settled")
+    sp.add_argument("--newton-tol", type=float, default=1e-10,
+                    help="shooting residual target: how well the state-plus-variational "
+                         "flow over one period closes on itself")
     sp.add_argument("--out", required=True, help="one-period samples CSV path")
     sp.add_argument("--svg", help="optional phase-plane SVG path prefix")
 

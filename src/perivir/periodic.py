@@ -132,6 +132,14 @@ class VirusFreeSolution:
 class PeriodicOrbit:
     """A located periodic solution of the full system.
 
+    newton_residual is max |flow_P(x) - x| where flow_P is the 20-wide
+    state-plus-variational integration that Newton shooting runs: it says
+    how well that one discretisation closes on itself, not how far x is
+    from the true orbit. The plain 4-wide flow at the same tolerance
+    (poincare_map) closes less tightly; on configs/persistence.ini the
+    residual reads 2.7e-15 and |poincare_map(x) - x| about 3e-11 (demo 03
+    prints both).
+
     trace holds one (residual, damping_step) pair per Newton iterate, in
     order: max |flow_P(x) - x| at the iterate and the damping factor s of
     the step x + s*dx taken from it (0.0 on the last, returned iterate,
@@ -361,25 +369,43 @@ def _package_orbit(params: ModelParameters, x: np.ndarray, samples: np.ndarray,
 
 def warm_start_guess(params: ModelParameters, ic: State, transient: float,
                      cfg: IntegratorConfig) -> State:
-    """State reached at the last period start within a transient integration.
+    """Iterate the Poincare map from ic until it settles, within a transient budget.
 
     In the persistence regime trajectories approach the endemic orbit, so
-    the transient endpoint lies in the Newton basin. The endpoint only has
-    to reach that basin, since Newton shooting polishes it at the caller's
+    the iterates enter the Newton basin. They only have to reach that
+    basin, since Newton shooting polishes the fixed point at the caller's
     tolerance, so the transient runs at simulation tolerance or looser:
     rel_tol and abs_tol are raised to at least those of
-    IntegratorConfig.simulation(), while the step limits stay as given.
+    IntegratorConfig.simulation(), while the step limits stay as given
+    (max_steps applies to each pass).
+
+    Each pass is one poincare_map over [0, P], at most floor(transient / P)
+    of them. After pass n the change is measured in units of that rel_tol,
+    delta_n = max_i |x_n,i - x_{n-1},i| / (rel_tol * |x_n,i|), and the
+    iteration stops once q = delta_n / delta_{n-1} < 1 and
+    delta_n * q / (1 - q) <= 1: the a-posteriori bound on the distance to
+    the fixed point of a map contracting by q. A growing change (an
+    infection still rising from near the virus-free orbit) never stops it,
+    and neither does a zero component, whose change reads inf or nan.
     """
-    P = params.period
-    t_end = math.floor(transient / P) * P
-    if t_end <= 0.0:
+    periods = math.floor(transient / params.period)
+    if periods < 1:
         raise ValueError("transient must cover at least one period")
     loose = IntegratorConfig.simulation()
     cfg = replace(cfg, rel_tol=max(cfg.rel_tol, loose.rel_tol),
                   abs_tol=max(cfg.abs_tol, loose.abs_tol))
-    _, y = integrate(vector_field(params), 0.0, t_end, ic.as_array(), cfg,
-                     t_eval=np.array([t_end]))
-    return State.from_array(clamp_small_negatives(y, cfg.abs_tol))
+    x = ic.as_array()
+    last = np.nan  # no change before the first pass, so q is nan after it
+    for _ in range(periods):
+        x_next = poincare_map(params, x, cfg).as_array()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            change = np.max(np.abs(x_next - x) / (cfg.rel_tol * np.abs(x_next)))
+            q = change / last
+            settled = q < 1.0 and change * q / (1.0 - q) <= 1.0
+        x, last = x_next, change
+        if settled:
+            break
+    return State.from_array(x)
 
 
 def floquet_multipliers(monodromy: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .helpers import (
     count_calls,
     persistence_params,
     rescaled_extinction_params,
+    table_coefficients,
     zero_beta_params,
 )
 
@@ -97,6 +98,46 @@ class TestClassify:
             assert len(calls) == 1
             assert len(report.evidence) == len(ics)
             assert report.regime == Regime.PERSISTENCE
+
+    @pytest.mark.parametrize("factory, horizon_periods, ic_scale", [
+        (persistence_params, 50.0, None), (baseline_params, 52.5, None),
+        (rescaled_extinction_params, 51.3, None),
+        # infection still growing at the horizon, so each period's floor
+        # sits on its first sample, the window's edge
+        pytest.param(
+            lambda: replace(persistence_params(), beta=table_coefficients(beta_scale=0.02)[1]),
+            50.0, 1e-12, id="growing")])
+    def test_evidence_equals_full_grid_evidence(self, monkeypatch, sim_cfg, factory,
+                                                horizon_periods, ic_scale):
+        # classify samples only the evidence window; the step sequence does
+        # not depend on the samples, so its evidence is bitwise that of the
+        # whole uniform grid
+        params = factory()
+        ics = DEFAULT_INITIAL_CONDITIONS
+        if ic_scale is not None:
+            t0 = analysis.virus_free_closed_form(params).t_star_initial
+            ics = tuple(State(t0, ic_scale * k, ic_scale, ic_scale) for k in (1.0, 2.0, 3.0))
+        period = params.period
+        horizon = horizon_periods * period
+        samples = []
+        original = analysis.integrate
+
+        def spy(f, t0, t1, y0, cfg, t_eval=None):
+            samples.append(t_eval)
+            return original(f, t0, t1, y0, cfg, t_eval=t_eval)
+
+        monkeypatch.setattr(analysis, "integrate", spy)
+        report = classify(params, ics, horizon, sim_cfg, r0_result=r0_periodic(params))
+        window = samples[0]
+        assert len(window) <= analysis.EVIDENCE_PERIODS * analysis.GRID_POINTS_PER_PERIOD + 2
+        assert window[-1] == horizon
+
+        y0 = np.array([ic.as_array() for ic in ics])
+        full = simulate(params, y0, horizon, sim_cfg,
+                        grid_step=period / analysis.GRID_POINTS_PER_PERIOD)
+        expected = analysis._final_period_evidence(
+            full, ics, analysis.virus_free_closed_form(params), horizon, period)
+        assert report.evidence == expected
 
     def test_preconditions(self, sim_cfg):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from .helpers import (
     persistence_params,
     rescaled_extinction_params,
     skewed_params,
+    table_coefficients,
 )
 
 
@@ -308,14 +311,53 @@ class TestWarmStart:
         assert np.array_equal(a, b)
 
     def test_looser_tolerance_and_step_limits_kept(self, sim_cfg):
+        # a looser config, max_step included, is used as given: the guess is
+        # bitwise that of 4 successive Poincare maps at that config
         params = persistence_params()
         ic = State(10.0, 1.0, 1.0, 1.0)
         loose = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-7, max_step=0.5)
-        t_end = 4 * params.period
-        _, y = integrate(vector_field(params), 0.0, t_end, ic.as_array(), loose,
-                         t_eval=np.array([t_end]))
-        s = warm_start_guess(params, ic, t_end, loose)
-        assert np.array_equal(s.as_array(), y)
+        x = ic
+        for _ in range(4):
+            x = poincare_map(params, x, loose)
+        s = warm_start_guess(params, ic, 4 * params.period, loose)
+        assert np.array_equal(s.as_array(), x.as_array())
+
+    def test_near_virus_free_start_finds_the_orbit(self, spectral_cfg):
+        # R0 ~ 2.6: from next to the virus-free orbit the infection first
+        # grows by orders of magnitude, a change that must not stop the
+        # iteration however small it is in absolute terms
+        params = replace(persistence_params(), beta=table_coefficients(beta_scale=0.04)[1])
+        t0 = virus_free_closed_form(params).t_star_initial
+        orbits = [
+            find_periodic_orbit(params, warm_start_guess(params, ic, 2000.0, spectral_cfg),
+                                spectral_cfg).initial_state.as_array()
+            for ic in (State(t0, 1e-12, 1e-12, 1e-12), State(10.0, 1.0, 1.0, 1.0))]
+        assert np.max(np.abs(orbits[0] - orbits[1]) / np.abs(orbits[1])) < 1e-9
+
+    def test_stops_once_settled(self, monkeypatch, spectral_cfg):
+        # 83 periods of budget; the period map settles after 9
+        calls = count_calls(monkeypatch, periodic, "integrate")
+        warm_start_guess(persistence_params(), State(10.0, 1.0, 1.0, 1.0), 2000.0,
+                         spectral_cfg)
+        assert 2 <= len(calls) <= 15
+        assert all(args[1:3] == (0.0, 24.0) for args in calls)
+
+    def test_unsettled_run_uses_the_whole_budget(self, monkeypatch, sim_cfg):
+        params = persistence_params()
+        calls = count_calls(monkeypatch, periodic, "poincare_map")
+        warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 4.5 * params.period, sim_cfg)
+        assert len(calls) == 4
+
+    def test_virus_free_face_runs_the_budget_silently(self, monkeypatch, sim_cfg):
+        # E = I = V = 0 stays there: their change is 0/0, never settled, and
+        # must not warn
+        params = persistence_params()
+        calls = count_calls(monkeypatch, periodic, "poincare_map")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = warm_start_guess(params, State(10.0, 0.0, 0.0, 0.0), 240.0, sim_cfg)
+        assert len(calls) == 10
+        assert s.infection_max == 0.0 and s.t_cells > 0.0
 
     def test_short_transient_rejected(self, sim_cfg):
         with pytest.raises(ValueError):
