@@ -22,7 +22,6 @@ from perivir import (
     r0_periodic,
     rho_for_lambda,
     sweep,
-    virus_free_closed_form,
 )
 from perivir.svgplot import Panel, Series, write_panels
 
@@ -47,7 +46,7 @@ print(f"bracket width {result.bracket[1] - result.bracket[0]:.1e} "
 # The curve lambda -> rho is continuous and nonincreasing; R0 is its unit
 # crossing. Plot it on a log-lambda grid around the root.
 cfg = IntegratorConfig.spectral()
-lin = build_linearization(params, virus_free_closed_form(params))
+lin = build_linearization(params)
 lams = np.geomspace(result.value / 8.0, result.value * 8.0, 25)
 rhos = np.array([rho_for_lambda(lin, lam, cfg) for lam in lams])
 panel = Panel(title="spectral radius vs lambda", x_label="lambda",

@@ -42,14 +42,12 @@ from .reproduction import (
     BracketFailure,
     LinearizedSystem,
     MonodromyResult,
-    ParamsMismatch,
     R0Result,
     build_linearization,
     monodromy,
     r0_autonomous,
     r0_periodic,
     rho_for_lambda,
-    spectral_radius,
 )
 from .analysis import (
     ClassificationReport,
@@ -75,8 +73,8 @@ __all__ = [
     "warm_start_guess", "floquet_multipliers",
     "DegenerateDecay", "NewtonDiverged", "ConvergedToBoundary",
     "LinearizedSystem", "MonodromyResult", "R0Result", "build_linearization",
-    "monodromy", "spectral_radius", "rho_for_lambda", "r0_periodic",
-    "r0_autonomous", "ParamsMismatch", "BracketFailure",
+    "monodromy", "rho_for_lambda", "r0_periodic",
+    "r0_autonomous", "BracketFailure",
     "ClassificationReport", "InvariantLog", "Regime", "SweepRow",
     "TrajectoryEvidence", "classify", "monitor_invariants", "simulate", "sweep",
 ]

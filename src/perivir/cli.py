@@ -37,7 +37,6 @@ __all__ = [
     "ValidationError",
     "RunConfig",
     "parse_config",
-    "serialize_config",
     "load_config",
     "main",
 ]
@@ -169,28 +168,6 @@ def parse_config(text: str) -> RunConfig:
                      initial_conditions=tuple(ics), horizon=horizon)
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Config document that parses back to an identical RunConfig."""
-    p = cfg.params
-    lines = []
-    for name, coeff in (("mu", p.mu), ("beta", p.beta), ("d", p.d)):
-        lines += [f"[{name}]", f"mean = {coeff.mean!r}", f"amplitude = {coeff.amplitude!r}", ""]
-    lines += ["[scalars]", f"angular_frequency = {p.angular_frequency!r}"]
-    lines += [f"{key} = {getattr(p, key)!r}" for key in _SCALAR_KEYS]
-    ic = cfg.integrator
-    lines += ["", "[integrator]",
-              f"rel_tol = {ic.rel_tol!r}", f"abs_tol = {ic.abs_tol!r}",
-              f"initial_step = {ic.initial_step!r}", f"max_step = {ic.max_step!r}",
-              f"max_steps = {ic.max_steps}"]
-    lines += ["", "[run]", f"horizon = {cfg.horizon!r}"]
-    if cfg.initial_conditions:
-        ics = "; ".join(
-            f"{s.t_cells!r},{s.e_cells!r},{s.i_cells!r},{s.virus!r}"
-            for s in cfg.initial_conditions)
-        lines.append(f"initial_conditions = {ics}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -265,10 +242,8 @@ def _cmd_r0(cfg: RunConfig, args) -> int:
 
 
 def _cmd_orbit(cfg: RunConfig, args) -> int:
-    if not cfg.initial_conditions:
-        raise ValidationError("run.initial_conditions: need at least one for orbit")
-    guess = warm_start_guess(cfg.params, cfg.initial_conditions[0],
-                             args.transient, cfg.integrator)
+    first = State.from_array(_ic_batch(cfg, "orbit")[0])
+    guess = warm_start_guess(cfg.params, first, args.transient, cfg.integrator)
     orbit = find_periodic_orbit(cfg.params, guess, cfg.integrator,
                                 newton_tol=args.newton_tol)
     _write_csv(args.out, ("t", "T", "E", "I", "V"),

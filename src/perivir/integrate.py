@@ -128,15 +128,12 @@ _PI_ALPHA = 0.2 - 0.75 * _PI_BETA
 
 
 def _dense_eval(theta, y0, y1, h, K):
-    """Quartic interpolant at fraction theta of an accepted step."""
+    """Quartic interpolant at the fractions theta (a 1-D array) of an accepted step."""
     ydiff = y1 - y0
     bspl = h * K[0] - ydiff
     r4 = ydiff - h * K[6] - bspl
     r5 = h * (_D @ K)
-    if np.ndim(theta) == 0:
-        th = float(theta)
-        return y0 + th * (ydiff + (1.0 - th) * (bspl + th * (r4 + (1.0 - th) * r5)))
-    th = np.asarray(theta)[:, None]
+    th = theta[:, None]
     return y0 + th * (ydiff + (1.0 - th) * (bspl + th * (r4 + (1.0 - th) * r5)))
 
 
@@ -264,7 +261,7 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None):
 
     y0 is one state of shape (n,) or a batch of m states of shape (m, n);
     f receives and returns arrays of y0's shape. Returns (Trajectory,
-    final_state), the trajectory states shaped (len(times),) + y0.shape and
+    final state), the trajectory states shaped (len(times),) + y0.shape and
     the final state shaped like y0. Without t_eval the trajectory is
     sampled at t0 and every accepted step (t1 included exactly); with
     t_eval it is sampled exactly at the requested times via the
@@ -292,7 +289,5 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Matr
 
     _, _, y_final, (steps, acc, rej) = _integrate_core(
         f, t0, t1, M0.ravel(), cfg, t_eval=np.array([t1]))
-    end = y_final.reshape(n, n)
-    if not np.all(np.isfinite(end)):
-        raise NonFiniteState("matrix solution not finite")
-    return MatrixSolution(end_matrix=end, step_count=steps, accepted=acc, rejected=rej)
+    return MatrixSolution(end_matrix=y_final.reshape(n, n), step_count=steps,
+                          accepted=acc, rejected=rej)

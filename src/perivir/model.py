@@ -162,11 +162,6 @@ class State:
         y = np.asarray(y, dtype=float)
         return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
 
-    @property
-    def infection_max(self) -> float:
-        """Largest infection-related component, max(E, I, V)."""
-        return max(self.e_cells, self.i_cells, self.virus)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -194,10 +189,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
     def window(self, t_from: float, t_to: float) -> "Trajectory":
         """Sub-trajectory with t_from <= t <= t_to (small tolerance on the edges)."""

@@ -62,35 +62,10 @@ class ConvergedToBoundary(RuntimeError):
     """Newton collapsed onto the virus-free orbit: no interior orbit from this guess."""
 
 
-def _periodic_cubic_eval(tau, period: float, values: np.ndarray):
-    """Cubic Lagrange interpolation on a uniform periodic grid.
-
-    `values` holds samples at j*period/n for j = 0..n with
-    values[0] == values[-1]; tau may be a scalar or an array and is
-    wrapped modulo the period.
-    """
-    n = len(values) - 1
-    scalar = np.ndim(tau) == 0
-    s = (np.asarray(tau, dtype=float) % period) * (n / period)
-    i = np.minimum(s.astype(int), n - 1)
-    th = s - i
-    vm1 = values[(i - 1) % n]
-    v0 = values[i]
-    v1 = values[(i + 1) % n]
-    v2 = values[(i + 2) % n]
-    w_m1 = -th * (th - 1.0) * (th - 2.0) / 6.0
-    w_0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
-    w_1 = -(th + 1.0) * th * (th - 2.0) / 2.0
-    w_2 = (th + 1.0) * th * (th - 1.0) / 6.0
-    out = w_m1 * vm1 + w_0 * v0 + w_1 * v1 + w_2 * v2
-    return float(out) if scalar else out
-
-
 @dataclass(frozen=True)
 class VirusFreeSolution:
     """One-period sampling of T*(t) on a uniform grid over [0, P]."""
 
-    params_hash: str
     t_star_initial: float
     times: np.ndarray
     values: np.ndarray
@@ -107,25 +82,30 @@ class VirusFreeSolution:
         object.__setattr__(self, "_samples", tuple(self.values.tolist()))
 
     def value(self, t):
-        """T*(t) for scalar or array t, extended periodically.
+        """T*(t) by cubic Lagrange interpolation, extended periodically.
 
-        A Python int or float takes a plain-float path that repeats the
-        operations of `_periodic_cubic_eval` in the same order, so both
-        paths give bitwise-equal results.
+        A number or a 0-d array gives a float. Any other array-like gives
+        an array of its shape, each element through the same formula.
         """
-        if isinstance(t, (float, int)):
-            values = self._samples
-            n = len(values) - 1
-            s = (float(t) % self.period) * (n / self.period)
-            i = min(int(s), n - 1)
-            th = s - i
-            w_m1 = -th * (th - 1.0) * (th - 2.0) / 6.0
-            w_0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
-            w_1 = -(th + 1.0) * th * (th - 2.0) / 2.0
-            w_2 = (th + 1.0) * th * (th - 1.0) / 6.0
-            return (w_m1 * values[(i - 1) % n] + w_0 * values[i]
-                    + w_1 * values[(i + 1) % n] + w_2 * values[(i + 2) % n])
-        return _periodic_cubic_eval(t, self.period, self.values)
+        if not isinstance(t, (float, int)):
+            t = np.asarray(t, dtype=float)
+            if t.ndim:
+                return np.array([self._at(x) for x in t.ravel().tolist()]).reshape(t.shape)
+            t = float(t)
+        return self._at(t)
+
+    def _at(self, t: float) -> float:
+        values = self._samples
+        n = len(values) - 1
+        s = (t % self.period) * (n / self.period)
+        i = min(int(s), n - 1)
+        th = s - i
+        w_m1 = -th * (th - 1.0) * (th - 2.0) / 6.0
+        w_0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
+        w_1 = -(th + 1.0) * th * (th - 2.0) / 2.0
+        w_2 = (th + 1.0) * th * (th - 1.0) / 6.0
+        return (w_m1 * values[(i - 1) % n] + w_0 * values[i]
+                + w_1 * values[(i + 1) % n] + w_2 * values[(i + 2) % n])
 
 
 @dataclass(frozen=True)
@@ -135,10 +115,8 @@ class PeriodicOrbit:
     newton_residual is max |flow_P(x) - x| where flow_P is the 20-wide
     state-plus-variational integration that Newton shooting runs: it says
     how well that one discretisation closes on itself, not how far x is
-    from the true orbit. The plain 4-wide flow at the same tolerance
-    (poincare_map) closes less tightly; on configs/persistence.ini the
-    residual reads 2.7e-15 and |poincare_map(x) - x| about 3e-11 (demo 03
-    prints both).
+    from the true orbit (the README's numerical notes compare it with the
+    closure of poincare_map).
 
     trace holds one (residual, damping_step) pair per Newton iterate, in
     order: max |flow_P(x) - x| at the iterate and the damping factor s of
@@ -170,25 +148,23 @@ def _death_integral(params: ModelParameters, t):
     return d.mean * t + (d.amplitude / w) * (1.0 - np.cos(w * t))
 
 
-def virus_free_closed_form(params: ModelParameters, n_quad: int = 512) -> VirusFreeSolution:
+def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
     """T*(t) by the integrating-factor formula.
 
     T*(t) = e^{-D(t)} (int_0^t mu(s) e^{D(s)} ds + T*(0)) with
     D(t) = int_0^t d and the periodic initial value
     T*(0) = e^{-D(P)} int_0^P mu e^{D} / (1 - e^{-D(P)}). D is analytic
     for sinusoidal d; the remaining integral is composite Simpson on
-    2*n_quad panels, cumulated at the n_quad+1 sample nodes.
+    2*TSTAR_SAMPLES panels, cumulated at the TSTAR_SAMPLES+1 sample nodes.
     """
-    if n_quad < 64:
-        raise ValueError("n_quad must be at least 64")
     P = params.period
     DP = float(_death_integral(params, P))
     if DP <= 0.0:
         raise DegenerateDecay("death rate integrates to <= 0 over one period")
 
-    fine = np.linspace(0.0, P, 2 * n_quad + 1)
+    fine = np.linspace(0.0, P, 2 * TSTAR_SAMPLES + 1)
     g = params.mu.value(fine) * np.exp(_death_integral(params, fine))
-    h2 = P / (2 * n_quad)
+    h2 = P / (2 * TSTAR_SAMPLES)
     panels = (h2 / 3.0) * (g[0:-1:2] + 4.0 * g[1::2] + g[2::2])
     integral = np.concatenate(([0.0], np.cumsum(panels)))
 
@@ -197,7 +173,6 @@ def virus_free_closed_form(params: ModelParameters, n_quad: int = 512) -> VirusF
     times = fine[::2]
     values = np.exp(-_death_integral(params, times)) * (integral + t0_value)
     return VirusFreeSolution(
-        params_hash=params.hash_id(),
         t_star_initial=float(t0_value),
         times=times,
         values=values,
@@ -238,7 +213,6 @@ def virus_free_numeric(params: ModelParameters, cfg: IntegratorConfig) -> VirusF
     values = traj.states[:, 0].copy()
     values[-1] = values[0]  # closes up to integration accuracy; make it exact
     return VirusFreeSolution(
-        params_hash=params.hash_id(),
         t_star_initial=t0_value,
         times=grid,
         values=values,

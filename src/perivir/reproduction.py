@@ -33,14 +33,12 @@ from .model import ModelParameters
 from .periodic import VirusFreeSolution, virus_free_closed_form
 
 __all__ = [
-    "ParamsMismatch",
     "BracketFailure",
     "LinearizedSystem",
     "MonodromyResult",
     "R0Result",
     "build_linearization",
     "monodromy",
-    "spectral_radius",
     "rho_for_lambda",
     "r0_periodic",
     "r0_autonomous",
@@ -53,43 +51,26 @@ LOG_STEP_FLAT = 0.7   # bracketing step when the secant slope is not negative
 OVERSHOOT = 1.1       # secant steps aim 10% past the extrapolated root
 
 
-class ParamsMismatch(ValueError):
-    """The virus-free solution was generated from different parameters."""
-
-
 class BracketFailure(RuntimeError):
     """No lambda bracket found; spectral radius plateaued or broke down numerically."""
 
 
 @dataclass(frozen=True)
 class LinearizedSystem:
-    """F(t), G(t) and their combination at the virus-free orbit.
+    """The infection subsystem linearized at the virus-free orbit T*.
 
+    F and G are those of the module docstring: F's one nonzero entry, (1,3),
+    is `infection_entry(t)`, and `combined(lam)` is t -> F(t)/lam - G(t).
     Compartment ordering is (E, I, V) everywhere.
     """
 
     t_star: VirusFreeSolution
-    period: float
     params: ModelParameters
 
     def infection_entry(self, t: float) -> float:
         """The single nonzero entry of F: beta(t) T*(t) / (1 + c1 T*(t))."""
         ts = self.t_star.value(t)
         return self.params.beta.value(t) * ts / (1.0 + self.params.c1 * ts)
-
-    def F(self, t: float) -> np.ndarray:
-        out = np.zeros((3, 3))
-        out[0, 2] = self.infection_entry(t)
-        return out
-
-    def G(self, t: float) -> np.ndarray:
-        p = self.params
-        d_t = p.d.value(t)
-        return np.array([
-            [p.k + d_t, 0.0, 0.0],
-            [-p.k, p.delta + d_t, 0.0],
-            [0.0, -p.p, p.c],
-        ])
 
     def combined(self, lam: float):
         """Matrix function t -> F(t)/lam - G(t), the root-search integrand."""
@@ -137,15 +118,13 @@ class R0Result:
     trace: tuple[tuple[float, float], ...]
 
 
-def build_linearization(params: ModelParameters,
-                        t_star: VirusFreeSolution) -> LinearizedSystem:
-    """Linearized infection subsystem at the virus-free orbit.
+def build_linearization(params: ModelParameters) -> LinearizedSystem:
+    """Linearized infection subsystem at the virus-free orbit of params.
 
-    Raises ParamsMismatch when t_star was generated from other parameters.
+    T* comes from virus_free_closed_form(params), so F and G always share
+    one parameter set.
     """
-    if t_star.params_hash != params.hash_id():
-        raise ParamsMismatch("virus-free solution belongs to a different parameter set")
-    return LinearizedSystem(t_star=t_star, period=params.period, params=params)
+    return LinearizedSystem(t_star=virus_free_closed_form(params), params=params)
 
 
 def monodromy(A, period: float, cfg: IntegratorConfig) -> MonodromyResult:
@@ -160,17 +139,9 @@ def monodromy(A, period: float, cfg: IntegratorConfig) -> MonodromyResult:
     )
 
 
-def spectral_radius(M: np.ndarray) -> float:
-    """Maximum eigenvalue modulus of a small dense matrix."""
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix must be finite")
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
-
-
 def rho_for_lambda(lin: LinearizedSystem, lam: float, cfg: IntegratorConfig) -> float:
     """rho of the one-period monodromy of w' = (F/lam - G) w."""
-    return monodromy(lin.combined(lam), lin.period, cfg).spectral_radius
+    return monodromy(lin.combined(lam), lin.params.period, cfg).spectral_radius
 
 
 def r0_periodic(params: ModelParameters, tol: float = 1e-8,
@@ -190,7 +161,7 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
         raise ValueError("tol must be finite and positive")
     if cfg is None:
         cfg = IntegratorConfig.spectral()
-    lin = build_linearization(params, virus_free_closed_form(params))
+    lin = build_linearization(params)
     trace = []
 
     def rho(lam: float) -> float:

@@ -20,7 +20,6 @@ from perivir import (
     SinusoidalCoefficient,
     build_linearization,
     rho_for_lambda,
-    virus_free_closed_form,
 )
 
 OMEGA = 2.0 * math.pi / 24.0
@@ -163,7 +162,7 @@ def bisection_root(rho, tol: float, max_steps: int = 60):
 def bisection_r0(params: ModelParameters, tol: float = 1e-8, cfg=None):
     """R0 by the doubling-plus-bisection search: (value, (lo, hi), evaluations)."""
     cfg = IntegratorConfig.spectral() if cfg is None else cfg
-    lin = build_linearization(params, virus_free_closed_form(params))
+    lin = build_linearization(params)
     lo, hi, evals = bisection_root(lambda lam: rho_for_lambda(lin, lam, cfg), tol)
     return 0.5 * (lo + hi), (lo, hi), evals
 

@@ -4,7 +4,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from perivir import analysis
+from perivir import (
+    IntegratorConfig,
+    ModelParameters,
+    SinusoidalCoefficient,
+    State,
+    analysis,
+)
 from perivir.cli import (
     ParseError,
     RunConfig,
@@ -12,7 +18,6 @@ from perivir.cli import (
     load_config,
     main,
     parse_config,
-    serialize_config,
 )
 
 from .helpers import count_calls
@@ -63,10 +68,21 @@ class TestParseConfig:
         assert len(cfg.initial_conditions) == 3
         assert cfg.integrator.rel_tol == 1e-9
 
-    def test_round_trip_identity(self):
-        cfg = parse_config(GOOD_CONFIG)
-        again = parse_config(serialize_config(cfg))
-        assert again == cfg
+    def test_parses_to_explicit_run_config(self):
+        omega = 2 * math.pi / 24
+
+        def coeff(mean, amplitude):
+            return SinusoidalCoefficient(mean, amplitude, omega)
+
+        expected = RunConfig(
+            params=ModelParameters(mu=coeff(0.1, 0.05), beta=coeff(0.3, 0.1),
+                                   d=coeff(0.01, 0.005), k=0.2, delta=0.1, p=0.5,
+                                   c=0.1, c1=0.1, c2=0.1),
+            integrator=IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12),
+            initial_conditions=(State(10.0, 1.0, 1.0, 1.0), State(5.0, 2.0, 0.5, 3.0),
+                                State(20.0, 0.1, 0.1, 0.1)),
+            horizon=4800.0)
+        assert parse_config(GOOD_CONFIG) == expected
 
     def test_amplitude_at_mean_names_key(self):
         bad = GOOD_CONFIG.replace("amplitude = 0.005", "amplitude = 0.02")
@@ -159,6 +175,22 @@ class TestCliDispatch:
         bad.write_text(GOOD_CONFIG.replace("mean = 0.01", "mean = -0.01"))
         assert main(["r0", "--config", str(bad)]) == 2
         assert "config-error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("orbit", ["--out", "orbit.csv"]),
+        ("simulate", ["--t-end", "24", "--out", "run.csv"]),
+        ("validate", []),
+    ])
+    def test_no_initial_conditions_exits_2(self, tmp_path, capsys, command, extra):
+        path = tmp_path / "no_ics.ini"
+        path.write_text(GOOD_CONFIG.replace(
+            "initial_conditions = 10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1", ""))
+        extra = [str(tmp_path / a) if a.endswith(".csv") else a for a in extra]
+        assert main([command, "--config", str(path)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config-error: run.initial_conditions: need at least one for {command}\n")
+        assert captured.out == ""
 
     def test_orbit_in_extinction_regime_exits_3(self, config_dir, tmp_path, capsys):
         # no interior orbit exists below threshold; Newton collapses to the

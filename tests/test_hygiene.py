@@ -1,7 +1,9 @@
 """Source hygiene checks that stand in for a linter.
 
 Every name a module in src/perivir imports must be used in that module,
-listed in its __all__, or come from __future__.
+listed in its __all__, or come from __future__. Every module-level private
+name (a _-prefixed function, class or constant) must be read somewhere in
+src/perivir.
 """
 
 import ast
@@ -33,6 +35,37 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level _-prefixed definitions that no module of `sources` reads.
+
+    sources maps a module name to its text. A read is a loaded name, an
+    attribute or an imported name; dunders are not private names.
+    """
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{module} line {line}: {name}" for module, line, name in defined
+            if name not in used]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -44,3 +77,23 @@ def test_detector_flags_unused_and_honours_all_and_future():
               "__all__ = ['dumps']\n"
               "x = math.pi\n")
     assert unused_imports(source) == ["line 3: os", "line 4: loads"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_private_name_detector_flags_unread_definitions():
+    sources = {
+        "a.py": ("__version__ = '1'\n"
+                 "_USED, _UNUSED = 1, 2\n"
+                 "def _helper():\n    return _USED\n"
+                 "def _imported():\n    pass\n"
+                 "def _orphan():\n    pass\n"
+                 "class _Cls:\n    pass\n"
+                 "class Box:\n    _slot: int = 0\n"),
+        "b.py": "from a import _imported\nimport a\nx = a._helper()\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a.py line 2: _UNUSED", "a.py line 7: _orphan", "a.py line 9: _Cls"]

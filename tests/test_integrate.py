@@ -12,7 +12,6 @@ from perivir import (
 )
 from perivir.analysis import DEFAULT_INITIAL_CONDITIONS
 from perivir.model import vector_field
-from perivir.periodic import virus_free_closed_form
 from perivir.reproduction import build_linearization
 
 from .helpers import expm_reference, baseline_params, persistence_params
@@ -178,10 +177,10 @@ class TestMatrixIntegration:
         assert np.max(np.abs(sol.end_matrix - expm_reference(24.0 * A))) < 1e-8
 
     def test_columns_match_vector_runs(self, spectral_cfg):
-        # A(t) = -G(t): the transfer part of the linearized infection subsystem
+        # A(t) = -G(t), the transfer part of the linearized infection subsystem:
+        # F/lam vanishes at lam = inf
         params = persistence_params()
-        lin = build_linearization(params, virus_free_closed_form(params))
-        A = lambda t: -lin.G(t)
+        A = build_linearization(params).combined(math.inf)
         sol = integrate_matrix(A, 0.0, params.period, np.eye(3), spectral_cfg)
         f = lambda t, y: A(t) @ y
         for j in range(3):

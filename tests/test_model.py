@@ -263,7 +263,6 @@ class TestStateAndTrajectory:
     def test_state_roundtrip(self):
         s = State(1.0, 2.0, 3.0, 4.0)
         assert State.from_array(s.as_array()) == s
-        assert s.infection_max == 4.0
 
     def test_trajectory_requires_increasing_times(self):
         with pytest.raises(ValueError):

@@ -85,30 +85,27 @@ class TestVirusFreeClosedForm:
         sol = virus_free_closed_form(skewed_params())
         assert np.min(sol.values) > 0.0
 
-    def test_small_quadrature_rejected(self):
-        with pytest.raises(ValueError):
-            virus_free_closed_form(baseline_params(), n_quad=32)
+    def test_lookup_keeps_shape(self):
+        sol = virus_free_closed_form(skewed_params())
+        t = np.linspace(-30.0, 50.0, 12)
+        flat = sol.value(t)
+        assert flat.shape == (12,)
+        assert flat.tolist() == [sol.value(x) for x in t.tolist()]
+        assert np.array_equal(sol.value(t.reshape(3, 4)), flat.reshape(3, 4))
+        assert np.array_equal(sol.value(t.tolist()), flat)
+        zero_d = sol.value(np.array(7.5))
+        assert type(zero_d) is float and zero_d == sol.value(7.5)
+        for x in (0, 24, -24, 7, -1000):
+            assert type(sol.value(x)) is float
 
-    def test_quadrature_refinement_converges(self):
-        params = skewed_params()
-        coarse = virus_free_closed_form(params, n_quad=64)
-        fine = virus_free_closed_form(params, n_quad=2048)
-        g = np.linspace(0.0, params.period, 53)
-        assert np.max(np.abs(coarse.value(g) - fine.value(g))) < 1e-6
-
-    def test_scalar_and_array_lookups_bitwise_equal(self):
-        # the float/int fast path must reproduce the array interpolation exactly,
-        # including negative times, period multiples and the grid nodes
+    def test_node_times_return_samples(self):
+        # every grid node, shifted by whole periods either way, reads back its
+        # stored sample; t = P wraps to t = 0
         sol = virus_free_closed_form(skewed_params())
         P = sol.period
-        ts = np.concatenate([
-            np.linspace(-3.0 * P, 5.0 * P, 4001), sol.times,
-            P * np.arange(-3.0, 6.0), [-1e-300, 5e-324, P * (1.0 - 1e-16), -0.0]])
-        scalar = np.array([sol.value(t) for t in ts.tolist()])
-        assert np.array_equal(scalar, sol.value(ts))
-        for t in (0, 24, -24, 7, -1000):
-            assert sol.value(t) == sol.value(np.array([float(t)]))[0]
-            assert type(sol.value(t)) is float
+        for m in range(-3, 6):
+            assert np.array_equal(sol.value(sol.times[:-1] + m * P), sol.values[:-1])
+            assert sol.value(m * P) == sol.values[0]
 
 
 class TestVirusFreeNumeric:
@@ -357,7 +354,7 @@ class TestWarmStart:
             warnings.simplefilter("error")
             s = warm_start_guess(params, State(10.0, 0.0, 0.0, 0.0), 240.0, sim_cfg)
         assert len(calls) == 10
-        assert s.infection_max == 0.0 and s.t_cells > 0.0
+        assert (s.e_cells, s.i_cells, s.virus) == (0.0, 0.0, 0.0) and s.t_cells > 0.0
 
     def test_short_transient_rejected(self, sim_cfg):
         with pytest.raises(ValueError):
@@ -396,8 +393,8 @@ class TestFloquetMachinery:
         A_full = lambda t: jacobian(t, np.array([sol.value(t), 0.0, 0.0, 0.0]), params)
         full = monodromy(A_full, params.period, spectral_cfg)
 
-        lin = build_linearization(params, sol)
-        sub = monodromy(lambda t: lin.F(t) - lin.G(t), params.period, spectral_cfg)
+        sub = monodromy(build_linearization(params).combined(1.0), params.period,
+                        spectral_cfg)
         d_mult = math.exp(-(params.d.mean * params.period))  # sine integrates to 0
         expected = np.sort_complex(np.concatenate([[d_mult], sub.eigenvalues]))
         got = np.sort_complex(full.eigenvalues)

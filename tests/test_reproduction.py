@@ -9,14 +9,13 @@ from perivir import (
     BracketFailure,
     IntegratorConfig,
     ModelParameters,
-    ParamsMismatch,
+    NonFiniteState,
     SinusoidalCoefficient,
     build_linearization,
     monodromy,
     r0_autonomous,
     r0_periodic,
     rho_for_lambda,
-    spectral_radius,
     virus_free_closed_form,
 )
 from perivir import reproduction
@@ -44,50 +43,67 @@ from .test_periodic import constant_coefficient_params
 class TestLinearization:
     def test_constant_coefficient_infection_entry(self, spectral_cfg):
         # T* = mu/d = 10, so F(1,3) = 0.3 * 10 / (1 + 0.1*10) = 1.5
-        params = constant_coefficient_params()
-        lin = build_linearization(params, virus_free_closed_form(params))
+        lin = build_linearization(constant_coefficient_params())
         for t in (0.0, 5.0, 17.3):
-            F = lin.F(t)
-            assert F[0, 2] == pytest.approx(1.5, rel=1e-10)
-            assert np.count_nonzero(F) == 1
+            assert lin.infection_entry(t) == pytest.approx(1.5, rel=1e-10)
+            # F/1 - F/2 = F/2 has the single nonzero entry at (E, V)
+            half_f = lin.combined(1.0)(t) - lin.combined(2.0)(t)
+            assert np.count_nonzero(half_f) == 1
+            assert half_f[0, 2] == 0.5 * lin.infection_entry(t)
 
     def test_saturation_off_reduces_to_beta_tstar(self, spectral_cfg):
         params = constant_coefficient_params(c1=0.0)
         sol = virus_free_closed_form(params)
-        lin = build_linearization(params, sol)
+        lin = build_linearization(params)
         t = 3.0
-        assert lin.F(t)[0, 2] == pytest.approx(
+        assert lin.infection_entry(t) == pytest.approx(
             params.beta.value(t) * sol.value(t), rel=1e-10)
 
-    def test_transfer_matrix_layout(self):
+    def test_t_star_is_closed_form_of_params(self):
         params = skewed_params()
-        lin = build_linearization(params, virus_free_closed_form(params))
+        lin = build_linearization(params)
+        assert lin.params is params
+        assert np.array_equal(lin.t_star.values, virus_free_closed_form(params).values)
+
+    def test_combined_at_one_is_f_minus_g(self):
+        params = skewed_params()
+        lin = build_linearization(params)
         for t in (0.0, 7.7):
-            G = lin.G(t)
+            d_t = params.d.value(t)
+            f_minus_g = np.array([
+                [-(params.k + d_t), 0.0, lin.infection_entry(t)],
+                [params.k, -(params.delta + d_t), 0.0],
+                [0.0, params.p, -params.c],
+            ])
+            assert np.array_equal(lin.combined(1.0)(t), f_minus_g)
+
+    def test_transfer_matrix_layout(self):
+        # G is -combined(lam) everywhere but at (E, V), where F sits
+        params = skewed_params()
+        lin = build_linearization(params)
+        for t in (0.0, 7.7):
+            G = -lin.combined(3.0)(t)
+            assert G[0, 2] == pytest.approx(-lin.infection_entry(t) / 3.0, rel=1e-14)
+            G[0, 2] = 0.0
             d_t = params.d.value(t)
             assert G[0, 0] == pytest.approx(params.k + d_t, rel=1e-14)
             assert G[1, 1] == pytest.approx(params.delta + d_t, rel=1e-14)
             assert G[2, 2] == params.c
             assert G[1, 0] == -params.k
             assert G[2, 1] == -params.p
-            assert G[0, 1] == G[0, 2] == G[1, 2] == G[2, 0] == 0.0
+            assert G[0, 1] == G[1, 2] == G[2, 0] == 0.0
             # -G cooperative: off-diagonals of G nonpositive
             off = G - np.diag(np.diag(G))
             assert np.all(off <= 0.0)
 
     def test_nonnegative_f_and_periodicity(self):
         params = skewed_params()
-        lin = build_linearization(params, virus_free_closed_form(params))
+        lin = build_linearization(params)
         ts = np.linspace(0.0, params.period, 29)
         for t in ts:
-            assert lin.F(t)[0, 2] >= 0.0
+            assert lin.infection_entry(t) >= 0.0
             assert abs(lin.infection_entry(t + params.period)
                        - lin.infection_entry(t)) < 1e-10
-
-    def test_params_mismatch_rejected(self):
-        sol = virus_free_closed_form(baseline_params())
-        with pytest.raises(ParamsMismatch):
-            build_linearization(persistence_params(), sol)
 
 
 class TestMonodromy:
@@ -104,29 +120,38 @@ class TestMonodromy:
 
     def test_threshold_sign_agreement_baseline(self, spectral_cfg):
         params = baseline_params()
-        lin = build_linearization(params, virus_free_closed_form(params))
-        res = monodromy(lambda t: lin.F(t) - lin.G(t), params.period, spectral_cfg)
+        lin = build_linearization(params)
+        res = monodromy(lin.combined(1.0), params.period, spectral_cfg)
         r0 = r0_periodic(params)
         assert (res.spectral_radius > 1.0) == (r0.value > 1.0)
 
 
 class TestSpectralRadius:
-    def test_diagonal(self):
-        assert spectral_radius(np.array([[2.0, 0.0], [0.0, -3.0]])) == pytest.approx(3.0)
+    """MonodromyResult.spectral_radius is the largest eigenvalue modulus."""
 
-    def test_identity(self):
-        assert spectral_radius(np.eye(3)) == pytest.approx(1.0)
+    def test_diagonal(self, spectral_cfg):
+        A = np.diag([math.log(2.0), -math.log(3.0), math.log(0.5)]) / 24.0
+        res = monodromy(lambda t: A, 24.0, spectral_cfg)
+        assert res.spectral_radius == pytest.approx(2.0, rel=1e-9)
 
-    def test_matches_power_iteration_on_nonnegative_matrices(self):
+    def test_identity(self, spectral_cfg):
+        # a rotation generator: the monodromy is orthogonal, every |eigenvalue| is 1
+        A = np.array([[0.0, 0.2, 0.0], [-0.2, 0.0, 0.1], [0.0, -0.1, 0.0]])
+        res = monodromy(lambda t: A, 24.0, spectral_cfg)
+        assert res.spectral_radius == pytest.approx(1.0, rel=1e-9)
+
+    def test_matches_power_iteration_on_nonnegative_matrices(self, spectral_cfg):
         rng = np.random.default_rng(19)
         for _ in range(10):
-            M = rng.uniform(0.05, 1.0, size=(3, 3))  # positive, hence irreducible
-            assert spectral_radius(M) == pytest.approx(
-                power_iteration_radius(M), rel=1e-8)
+            # nonnegative off-diagonals: the monodromy is positive, hence irreducible
+            A = rng.uniform(0.0, 0.05, size=(3, 3)) - np.diag(rng.uniform(0.0, 0.1, 3))
+            res = monodromy(lambda t: A, 24.0, spectral_cfg)
+            assert res.spectral_radius == pytest.approx(
+                power_iteration_radius(res.matrix), rel=1e-8)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_radius(np.array([[math.inf, 0.0], [0.0, 1.0]]))
+    def test_non_finite_rejected(self, spectral_cfg):
+        with pytest.raises(NonFiniteState):
+            monodromy(lambda t: np.array([[math.nan, 0.0], [0.0, 1.0]]), 24.0, spectral_cfg)
 
 
 class TestR0Autonomous:
@@ -170,14 +195,14 @@ class TestR0Periodic:
     def test_root_property_and_sign_consistency(self, spectral_cfg):
         for params in (persistence_params(), skewed_params()):
             res = r0_periodic(params)
-            lin = build_linearization(params, virus_free_closed_form(params))
+            lin = build_linearization(params)
             assert abs(rho_for_lambda(lin, res.value, spectral_cfg) - 1.0) < 1e-6
             assert (res.value > 1.0) == (res.rho_at_one > 1.0)
 
     def test_bracket_straddles_root(self, spectral_cfg):
         params = persistence_params()
         res = r0_periodic(params, tol=1e-6)
-        lin = build_linearization(params, virus_free_closed_form(params))
+        lin = build_linearization(params)
         assert rho_for_lambda(lin, res.bracket[0], spectral_cfg) >= 1.0
         assert rho_for_lambda(lin, res.bracket[1], spectral_cfg) <= 1.0
         assert res.bracket[0] <= res.value <= res.bracket[1]
@@ -185,7 +210,7 @@ class TestR0Periodic:
     def test_rho_nonincreasing_on_log_grid(self, spectral_cfg):
         params = persistence_params()
         res = r0_periodic(params, tol=1e-4)
-        lin = build_linearization(params, virus_free_closed_form(params))
+        lin = build_linearization(params)
         lams = np.geomspace(res.value / 4.0, res.value * 4.0, 9)
         rhos = [rho_for_lambda(lin, lam, spectral_cfg) for lam in lams]
         for a, b in zip(rhos, rhos[1:]):
@@ -301,7 +326,7 @@ class TestR0Search:
         oracle, _, _ = bisection_r0(params, tol=tol)
         assert abs(res.value - oracle) <= tol + 1e-8 * oracle
         cfg = IntegratorConfig.spectral()
-        lin = build_linearization(params, virus_free_closed_form(params))
+        lin = build_linearization(params)
         lo, hi = res.bracket
         assert lo <= res.value <= hi and hi - lo <= tol
         assert rho_for_lambda(lin, lo, cfg) >= 1.0 >= rho_for_lambda(lin, hi, cfg)
