@@ -185,7 +185,8 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
     t = t0
     n = len(y)
     K = np.empty((7, n))
-    K[0] = f(t, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite field raises below
+        K[0] = f(t, y)
     if not np.all(np.isfinite(K[0])):
         raise NonFiniteState(f"vector field not finite at t={t}")
     err_old = 1e-4

@@ -1,4 +1,4 @@
-"""Reproduction numbers via monodromy spectra of the linearized infection subsystem.
+"""Reproduction numbers from the next-generation operator of the linearized infection subsystem.
 
 Linearizing the infection compartments (E, I, V) at the virus-free orbit
 gives a new-infection matrix F(t), nonzero only in entry (1,3) where
@@ -8,17 +8,17 @@ negative is cooperative:
     F(t) = [[0, 0, beta(t) T*(t)/(1 + c1 T*(t))], [0,0,0], [0,0,0]]
     G(t) = [[k + d(t), 0, 0], [-k, delta + d(t), 0], [0, -p, c]]
 
-The reproduction number is the unique lambda0 > 0 at which the one-period
-monodromy of w' = (F(t)/lambda - G(t)) w has spectral radius exactly 1
-(Wang & Zhao 2008). rho(lambda) is continuous, nonincreasing and nearly
-log-linear, so the root is searched on log rho against log lambda: a
-bracket grown by secant steps from lambda = 1 and the autonomous R0 of the
-coefficient means, then narrowed by Illinois (modified regula falsi;
-Dowell & Jarratt 1971) with a bisection safeguard. Each evaluation of rho
-costs one 3x3 monodromy integration. The sign of R0 - 1 matches the sign
-of rho(Phi_{F-G}(P)) - 1, which is also reported. A model with beta
-identically zero has no infection term; that case reports the
-conventional value 0 instead of searching.
+R0 is the spectral radius of F (d/dt + G)^{-1} on P-periodic functions,
+the unique lambda0 > 0 at which the one-period monodromy of
+w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
+is lower triangular, so the operator acts on the scalar rate of new E
+infections, and its truncated Fourier matrix gives R0 (Hill's method;
+Deconinck & Kutz 2006), which one batched monodromy integration certifies.
+Failing that, the root is searched on log rho against log lambda by secant
+steps, then Illinois (modified regula falsi; Dowell & Jarratt 1971) with a
+bisection safeguard, one 3x3 monodromy per evaluation. sign(R0 - 1) matches
+sign(rho(Phi_{F-G}(P)) - 1), which is also reported. With beta identically
+zero there is no infection term, and R0 is 0 by convention.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import IntegratorConfig, integrate_matrix
+from .integrate import IntegratorConfig, integrate, integrate_matrix
 from .model import ModelParameters
 from .periodic import VirusFreeSolution, virus_free_closed_form
 
@@ -49,6 +49,7 @@ LOG_STEP_MIN = 1e-3   # smallest bracketing step in log lambda
 LOG_STEP_MAX = 2.0    # largest bracketing step in log lambda
 LOG_STEP_FLAT = 0.7   # bracketing step when the secant slope is not negative
 OVERSHOOT = 1.1       # secant steps aim 10% past the extrapolated root
+HILL_MAX_ORDER = 64   # highest harmonic of the Fourier truncation
 
 
 class BracketFailure(RuntimeError):
@@ -72,19 +73,20 @@ class LinearizedSystem:
         ts = self.t_star.value(t)
         return self.params.beta.value(t) * ts / (1.0 + self.params.c1 * ts)
 
-    def combined(self, lam: float):
-        """Matrix function t -> F(t)/lam - G(t), the root-search integrand."""
-        p = self.params
-        k, delta, pp, c = p.k, p.delta, p.p, p.c
-        inv_lam = 1.0 / lam
+    def combined(self, lam):
+        """t -> F(t)/lam - G(t): (3, 3) for a number lam, (m, 3, 3) for m lambdas."""
+        p, k, delta = self.params, self.params.k, self.params.delta
+        inv_lam = 1.0 / np.asarray(lam, dtype=float)
+        shape = inv_lam.shape + (3, 3)
+        constant = np.array([[0.0, 0.0, 0.0], [k, 0.0, 0.0], [0.0, p.p, -p.c]])
 
         def A(t: float) -> np.ndarray:
             d_t = p.d.value(t)
-            return np.array([
-                [-(k + d_t), 0.0, inv_lam * self.infection_entry(t)],
-                [k, -(delta + d_t), 0.0],
-                [0.0, pp, -c],
-            ])
+            a = np.empty(shape)
+            a[...] = constant
+            a[..., 0, 0], a[..., 1, 1], a[..., 0, 2] = (
+                -(k + d_t), -(delta + d_t), inv_lam * self.infection_entry(t))
+            return a
 
         return A
 
@@ -106,7 +108,8 @@ class R0Result:
     spectral radius) or "no-infection-term" (beta identically zero; value
     0 by convention). bracket straddles the root: rho at bracket[0] >= 1 >=
     rho at bracket[1], and value is its midpoint. trace holds every
-    (lambda, rho) evaluation in order, and iterations == len(trace).
+    (lambda, rho) evaluation in order, and iterations == len(trace) (3 when
+    the Fourier value is certified: lambda = 1, then the bracket ends).
     rho_at_one is rho(Phi_{F-G}(P)); sign(value - 1) == sign(rho_at_one - 1).
     """
 
@@ -148,11 +151,13 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
                 cfg: IntegratorConfig | None = None) -> R0Result:
     """Reproduction number of the periodic model: the unit crossing of rho(lambda).
 
-    rho(1) is evaluated first, then rho at the autonomous R0 of the
-    coefficient means; from there `_unit_crossing` brackets and narrows the
-    root until the bracket is at most `tol` wide (an absolute width). Each
-    evaluation goes through `rho_for_lambda` and costs one 3x3 monodromy
-    integration.
+    The Fourier value R0_H of `_hill_r0` is certified by one batched
+    monodromy integration at lambda = 1, R0_H - tol/2 and R0_H + tol/2; the
+    last two are the bracket (at most `tol` wide, an absolute width) when
+    rho straddles 1 across them. Otherwise `_unit_crossing` brackets and
+    narrows the root from the points evaluated so far, or from rho(1) and
+    the autonomous R0 of the coefficient means when R0_H did not converge
+    or R0_H - tol/2 <= 0; each further evaluation is one `rho_for_lambda`.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
     when no bracket is found within MAX_BRACKET_STEPS secant steps.
@@ -169,36 +174,86 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
         trace.append((lam, value))
         return value
 
-    rho_at_one = rho(1.0)  # with beta == 0, F == 0 and this is rho(Phi_{-G})
-    if params.beta.is_zero:
-        return R0Result(value=0.0, method="no-infection-term", bracket=(0.0, 0.0),
-                        iterations=1, rho_at_one=rho_at_one, trace=tuple(trace))
-    if rho_at_one == 1.0:
-        lo = hi = 1.0
+    hill = math.nan if params.beta.is_zero else _hill_r0(lin, tol)
+    if hill - 0.5 * tol > 0.0:
+        lo = hill - 0.5 * tol
+        hi = lo + tol
+        while hi - lo > tol:  # lo + tol can round up
+            hi = math.nextafter(hi, lo)
+        # one (3, 9) batch of flattened 3x3 monodromies, each member on its own error norm
+        A, P = lin.combined(np.array([1.0, lo, hi])), params.period
+        _, end = integrate(lambda t, y: (A(t) @ y.reshape(3, 3, 3)).reshape(3, 9), 0.0, P,
+                           np.tile(np.eye(3).ravel(), (3, 1)), cfg, t_eval=np.array([P]))
+        rhos = np.abs(np.linalg.eigvals(end.reshape(3, 3, 3))).max(axis=1)
+        trace.extend(zip((1.0, lo, hi), rhos.tolist()))
+        rho_at_one = trace[0][1]
+        if not trace[1][1] >= 1.0 >= trace[2][1]:
+            # go on from the two distinct points nearest the crossing
+            a, b = sorted(dict(trace).items(), key=lambda q: abs(math.log(q[1])))[:2]
+            lo, hi = _unit_crossing(rho, a, b, tol)
     else:
-        guess = r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean, params.k,
-                              params.delta, params.p, params.c, params.c1)
-        lo, hi = _unit_crossing(rho, (1.0, rho_at_one), guess, tol)
+        rho_at_one = rho(1.0)  # with beta == 0, F == 0 and this is rho(Phi_{-G})
+        if params.beta.is_zero:
+            return R0Result(value=0.0, method="no-infection-term", bracket=(0.0, 0.0),
+                            iterations=1, rho_at_one=rho_at_one, trace=tuple(trace))
+        if rho_at_one == 1.0:
+            lo = hi = 1.0
+        else:
+            guess = r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean, params.k,
+                                  params.delta, params.p, params.c, params.c1)
+            lo, hi = _unit_crossing(rho, (1.0, rho_at_one), guess, tol)
     return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
                     iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace))
 
 
-def _unit_crossing(rho, start: tuple[float, float], guess: float,
+def _hill_r0(lin: LinearizedSystem, tol: float) -> float:
+    """R0 from the truncated Fourier next-generation matrix, or nan if unconverged.
+
+    On the E infection rate the operator is f p S_V^-1 k S_I^-1 S_E^-1, with
+    S_x = d/dt + x + d(t) and S_V = d/dt + c, each factor projected onto
+    {1, cos n w t, sin n w t}, n <= N, by quadrature on the T* nodes. N
+    doubles from 8 until two values agree within tol/4, up to HILL_MAX_ORDER;
+    a top eigenvalue that is not real and positive counts as unconverged.
+    """
+    p, t, t_star = lin.params, lin.t_star.times[:-1], lin.t_star.values[:-1]
+    f, d = p.beta.value(t) * t_star / (1.0 + p.c1 * t_star), p.d.value(t)
+    previous, n = math.nan, 8
+    while n <= HILL_MAX_ORDER:
+        w, eye = p.angular_frequency * np.arange(1, n + 1), np.eye(2 * n + 1)
+        phi = np.hstack([np.ones((len(t), 1)), np.cos(np.outer(t, w)), np.sin(np.outer(t, w))])
+        weights = np.r_[1.0, np.full(2 * n, 2.0)][:, None] / len(t)
+        deriv = np.zeros_like(eye)
+        deriv[1:n + 1, n + 1:], deriv[n + 1:, 1:n + 1] = np.diag(w), -np.diag(w)
+        s_d = deriv + weights * (phi.T @ (d[:, None] * phi))
+        x = weights * (phi.T @ (f[:, None] * phi))
+        for s in (s_d + p.k * eye, s_d + p.delta * eye, deriv + p.c * eye):
+            x = np.linalg.solve(s, x)
+        eig = np.linalg.eigvals(p.p * p.k * x)
+        top = eig[np.argmax(np.abs(eig))]
+        value = float(top.real) if top.imag == 0.0 and top.real > 0.0 else math.nan
+        if abs(value - previous) <= 0.25 * tol:
+            return value
+        previous, n = value, 2 * n
+    return math.nan
+
+
+def _unit_crossing(rho, start: tuple[float, float], guess: float | tuple[float, float],
                    tol: float) -> tuple[float, float]:
     """Bracket (lo, hi), hi - lo <= tol, with rho(lo) >= 1 >= rho(hi).
 
     rho is a positive, nonincreasing function of lambda > 0; start is a
-    (lambda, rho) pair already evaluated. Both phases work on
-    y = log rho against x = log lambda, where rho is nearly linear.
+    (lambda, rho) pair already evaluated, and guess is either another such
+    pair or a lambda at which rho is evaluated first (moved LOG_STEP_MIN
+    away from start when closer). Both phases work on y = log rho against
+    x = log lambda, where rho is nearly linear.
 
-    Bracketing: rho is evaluated at guess (moved LOG_STEP_MIN away from
-    start when closer). Each step then starts from the newer point nearer
-    the crossing and extrapolates the secant through the last two points,
-    overshooting by 10%, with a step length clamped to
-    [LOG_STEP_MIN, LOG_STEP_MAX]; a secant slope that is not negative gives
-    a step of LOG_STEP_FLAT instead. It stops when a step crosses the root,
-    so the bracket is as narrow as that step even when start and guess
-    already straddle the root from far apart.
+    Bracketing: each step starts from the newer point nearer the crossing
+    and extrapolates the secant through the last two points, overshooting
+    by 10%, with a step length clamped to [LOG_STEP_MIN, LOG_STEP_MAX]; a
+    secant slope that is not negative gives a step of LOG_STEP_FLAT
+    instead. It stops when a step crosses the root, so the bracket is as
+    narrow as that step even when start and guess already straddle the
+    root from far apart.
 
     Narrowing: Illinois steps (regula falsi that halves the retained
     endpoint's y when the same endpoint is kept twice running), each point
@@ -210,9 +265,11 @@ def _unit_crossing(rho, start: tuple[float, float], guess: float,
     most about twice the bisection count.
     """
     lam_a, rho_a = start
-    if abs(math.log(guess / lam_a)) < LOG_STEP_MIN:
-        guess = lam_a * math.exp(math.copysign(LOG_STEP_MIN, rho_a - 1.0))
-    a, b = (lam_a, math.log(rho_a)), (guess, math.log(rho(guess)))  # (lambda, log rho)
+    if not isinstance(guess, tuple):
+        if abs(math.log(guess / lam_a)) < LOG_STEP_MIN:
+            guess = lam_a * math.exp(math.copysign(LOG_STEP_MIN, rho_a - 1.0))
+        guess = (guess, rho(guess))
+    a, b = (lam_a, math.log(rho_a)), (guess[0], math.log(guess[1]))  # (lambda, log rho)
     for _ in range(MAX_BRACKET_STEPS):
         if abs(a[1]) < abs(b[1]):
             a, b = b, a  # b is the point nearer the crossing

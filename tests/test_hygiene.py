@@ -3,15 +3,19 @@
 Every name a module in src/perivir imports must be used in that module,
 listed in its __all__, or come from __future__. Every module-level private
 name (a _-prefixed function, class or constant) must be read somewhere in
-src/perivir.
+src/perivir. `perivir r0` must run without importing scipy or numpy.fft.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "perivir"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "perivir"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -97,3 +101,16 @@ def test_private_name_detector_flags_unread_definitions():
     }
     assert unreferenced_private_names(sources) == [
         "a.py line 2: _UNUSED", "a.py line 7: _orphan", "a.py line 9: _Cls"]
+
+
+def test_r0_imports_neither_scipy_nor_numpy_fft():
+    # start-up time and memory of every run pay for each module imported
+    probe = ("import sys\n"
+             "from perivir.cli import main\n"
+             "assert main(['r0', '--config', 'configs/persistence.ini']) == 0\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+             " or m.startswith('numpy.fft')))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

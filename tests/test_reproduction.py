@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from perivir import (
     virus_free_closed_form,
 )
 from perivir import reproduction
-from perivir.reproduction import _unit_crossing
+from perivir.cli import main
+from perivir.reproduction import _hill_r0, _unit_crossing
 
 from .helpers import (
     OMEGA,
@@ -152,6 +155,12 @@ class TestSpectralRadius:
     def test_non_finite_rejected(self, spectral_cfg):
         with pytest.raises(NonFiniteState):
             monodromy(lambda t: np.array([[math.nan, 0.0], [0.0, 1.0]]), 24.0, spectral_cfg)
+
+    def test_infinite_generator_raises_without_a_warning(self, spectral_cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState):
+                monodromy(lambda t: np.array([[math.inf, 0.0], [0.0, 1.0]]), 24.0, spectral_cfg)
 
 
 class TestR0Autonomous:
@@ -296,11 +305,23 @@ class TestR0Search:
         assert res.trace == ((1.0, res.rho_at_one),)
         assert res.iterations == 1
 
+    def test_certified_path_is_one_batched_integration(self, monkeypatch):
+        rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
+        integrate_calls = count_calls(monkeypatch, reproduction, "integrate")
+        res = r0_periodic(persistence_params())
+        assert len(integrate_calls) == 1 and rho_calls == []
+        assert res.iterations == 3
+        assert np.shape(integrate_calls[0][3]) == (3, 9)
+
     def test_each_evaluation_is_one_monodromy_integration(self, monkeypatch):
+        # with the Fourier value unconverged, every evaluation is a search step
+        monkeypatch.setattr(reproduction, "_hill_r0", lambda lin, tol: math.nan)
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
+        integrate_calls = count_calls(monkeypatch, reproduction, "integrate")
         res = r0_periodic(persistence_params())
         assert len(rho_calls) == len(matrix_calls) == res.iterations
+        assert integrate_calls == []
 
     def test_evaluation_budget_persistence(self):
         assert r0_periodic(persistence_params()).iterations <= 12
@@ -365,3 +386,87 @@ class TestUnitCrossing:
     def test_bracket_failure_when_rho_never_crosses(self):
         with pytest.raises(BracketFailure):
             _unit_crossing(lambda lam: 2.0, (1.0, 2.0), 3.0, 1e-8)
+
+
+def _straddles(res, tol):
+    """The bracket of res is at most tol wide and straddles 1 by its own trace."""
+    rho = dict(res.trace)
+    lo, hi = res.bracket
+    return hi - lo <= tol and rho[lo] >= 1.0 >= rho[hi] and lo <= res.value <= hi
+
+
+def _long_period_params():
+    """P = 720 h with d swinging by 90% of its mean: N = 8 harmonics are too few."""
+    omega = 2.0 * math.pi / 720.0
+    return ModelParameters(
+        mu=SinusoidalCoefficient(0.1, 0.05, omega),
+        beta=SinusoidalCoefficient(0.0176, 0.0088, omega),
+        d=SinusoidalCoefficient(0.03, 0.027, omega),
+        k=0.2, delta=0.1, p=0.5, c=0.1, c1=0.1, c2=0.1)
+
+
+class TestHill:
+    def test_matches_bisection_oracle_on_criterion_3_sample(self):
+        rng = np.random.default_rng(20240103)
+        tol = 1e-6
+        for _ in range(8):
+            params = random_periodic_params(rng)
+            oracle, _, _ = bisection_r0(params, tol=tol)
+            hill = _hill_r0(build_linearization(params), tol)
+            assert abs(hill - oracle) <= tol + 1e-8 * oracle
+
+    def test_long_period_doubles_the_truncation(self, monkeypatch):
+        params = _long_period_params()
+        res = r0_periodic(params, tol=1e-8)
+        assert res.iterations == 3
+        oracle, _, _ = bisection_r0(params, tol=1e-6)
+        assert abs(res.value - oracle) <= 1e-6 + 1e-8 * oracle
+        # capped at 16 harmonics, the values at N = 8 and N = 16 still differ by more than tol/4
+        monkeypatch.setattr(reproduction, "HILL_MAX_ORDER", 16)
+        assert math.isnan(_hill_r0(build_linearization(params), 1e-8))
+
+    @pytest.mark.parametrize("name, parent", [
+        ("baseline", 39.469662417860675),
+        ("extinction", 0.39469662440386477),
+        ("persistence", 64.68095939666455),
+    ])
+    def test_shipped_configs_within_tol_of_the_search(self, config_dir, capsys, name, parent):
+        # parent: the value the root search alone gave before the Fourier route
+        assert main(["r0", "--config", str(config_dir / f"{name}.ini")]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert abs(payload["r0"] - parent) <= 1e-8
+
+
+class TestFallback:
+    def test_unconverged_fourier_value_falls_back_to_the_search(self, monkeypatch):
+        monkeypatch.setattr(reproduction, "_hill_r0", lambda lin, tol: math.nan)
+        res = r0_periodic(persistence_params())
+        assert res.trace[0] == (1.0, res.rho_at_one)
+        assert res.iterations > 3 and _straddles(res, 1e-8)
+
+    def test_failed_certification_searches_on_from_its_points(self, monkeypatch):
+        params = persistence_params()
+        tol = 1e-8
+        certified = r0_periodic(params, tol=tol)
+        hill = reproduction._hill_r0
+        monkeypatch.setattr(reproduction, "_hill_r0",
+                            lambda lin, tol: hill(lin, tol) + 3.0 * tol)
+        rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
+        integrate_calls = count_calls(monkeypatch, reproduction, "integrate")
+        res = r0_periodic(params, tol=tol)
+        assert res.trace[0] == (1.0, res.rho_at_one)
+        assert len(integrate_calls) == 1 and len(rho_calls) == res.iterations - 3 > 0
+        assert _straddles(res, tol)
+        assert abs(res.value - certified.value) <= tol + 1e-8 * certified.value
+
+    def test_tolerance_below_the_fourier_accuracy(self):
+        res = r0_periodic(persistence_params(), tol=1e-12)
+        assert res.trace[0] == (1.0, res.rho_at_one)
+        assert _straddles(res, 1e-12)
+
+    @pytest.mark.parametrize("beta_scale", [0.0253, 0.0254])
+    def test_bracket_width_near_threshold(self, beta_scale):
+        # at R0 near 1, R0 - tol/2 + tol and R0 + tol/2 - (R0 - tol/2) can round above tol
+        res = r0_periodic(baseline_params(beta_scale=beta_scale), tol=1e-6)
+        assert abs(res.value - 1.0) < 3e-3
+        assert _straddles(res, 1e-6)
