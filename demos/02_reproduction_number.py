@@ -44,17 +44,18 @@ result = r0_periodic(params)
 print(f"periodic R0 = {result.value:.6f}")
 print(f"rho(Phi_F-G(P)) = {result.rho_at_one:.4f} "
       f"(same side of 1 as R0: {(result.value > 1) == (result.rho_at_one > 1)})")
-# three evaluations when the Fourier value is certified: lambda = 1, then
+# three evaluations when the first bracket is certified: lambda = 1, then
 # the two bracket ends, all from one batched integration
 print(f"bracket width {result.bracket[1] - result.bracket[0]:.1e} "
       f"after {result.iterations} spectral-radius evaluations")
 
 # The curve lambda -> rho is continuous and nonincreasing; R0 is its unit
-# crossing. Plot it on a log-lambda grid around the certified value.
+# crossing. Plot it on a log-lambda grid around the certified value, all
+# 25 points from one batched integration.
 cfg = IntegratorConfig.spectral()
 lin = build_linearization(params)
 lams = np.geomspace(result.value / 8.0, result.value * 8.0, 25)
-rhos = np.array([rho_for_lambda(lin, lam, cfg) for lam in lams])
+rhos = rho_for_lambda(lin, lams, cfg)
 panel = Panel(title="spectral radius vs lambda", x_label="lambda",
               y_label="rho of one-period monodromy",
               series=(Series(lams, rhos, "rho(lambda)"),

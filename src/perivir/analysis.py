@@ -149,8 +149,8 @@ def simulate(params: ModelParameters, initial_state, t_end: float,
 
 def _uniform_grid(t_end: float, grid_step: float) -> np.ndarray:
     """Multiples of grid_step from 0 to t_end, ending exactly at t_end."""
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
+    if not (0.0 < grid_step < math.inf and math.isfinite(t_end)):
+        raise ValueError("grid_step and t_end must be finite, grid_step positive")
     n = int(math.floor(t_end / grid_step + 1e-9))
     grid = grid_step * np.arange(n + 1)
     if grid[-1] < t_end - 1e-9 * max(1.0, t_end):

@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import monitor_invariants, simulate, sweep
+from .analysis import GRID_POINTS_PER_PERIOD, monitor_invariants, simulate, sweep
 from .integrate import IntegrationError, IntegratorConfig
 from .model import ModelParameters, SinusoidalCoefficient, State, Trajectory
 from .periodic import (
@@ -130,23 +131,24 @@ def parse_config(text: str) -> RunConfig:
         raise _naming_key(exc, "scalars") from exc
 
     integ_kwargs = {}
-    if cp.has_section("integrator"):
-        defaults = IntegratorConfig()
-        integ_kwargs = {
-            "rel_tol": _get_float(cp, "integrator", "rel_tol", defaults.rel_tol),
-            "abs_tol": _get_float(cp, "integrator", "abs_tol", defaults.abs_tol),
-            "initial_step": _get_float(cp, "integrator", "initial_step", defaults.initial_step),
-            "max_step": _get_float(cp, "integrator", "max_step", defaults.max_step),
-            "max_steps": int(_get_float(cp, "integrator", "max_steps", defaults.max_steps)),
-        }
     try:
+        if cp.has_section("integrator"):
+            defaults = IntegratorConfig()
+            integ_kwargs = {
+                "rel_tol": _get_float(cp, "integrator", "rel_tol", defaults.rel_tol),
+                "abs_tol": _get_float(cp, "integrator", "abs_tol", defaults.abs_tol),
+                "initial_step": _get_float(cp, "integrator", "initial_step",
+                                           defaults.initial_step),
+                "max_step": _get_float(cp, "integrator", "max_step", defaults.max_step),
+                "max_steps": int(_get_float(cp, "integrator", "max_steps", defaults.max_steps)),
+            }
         integrator = IntegratorConfig(**integ_kwargs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # int() of nan or inf max_steps
         raise ValidationError(f"integrator: {exc}") from exc
 
     horizon = _get_float(cp, "run", "horizon")
-    if horizon <= 0.0:
-        raise ValidationError("run.horizon: must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValidationError("run.horizon: must be finite and positive")
 
     ics: list[State] = []
     if cp.has_option("run", "initial_conditions"):
@@ -290,7 +292,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
 
 def _cmd_validate(cfg: RunConfig, args) -> int:
     traj = simulate(cfg.params, _ic_batch(cfg, "validate"), cfg.horizon, cfg.integrator,
-                    grid_step=cfg.params.period / 96.0)
+                    grid_step=cfg.params.period / GRID_POINTS_PER_PERIOD)
     total_violations = 0
     all_bounded = True
     for i in range(traj.states.shape[1]):

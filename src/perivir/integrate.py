@@ -69,10 +69,11 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.initial_step <= 0.0 or self.initial_step > self.max_step:
-            raise ValueError("need 0 < initial_step <= max_step")
+        # written so that nan fails every comparison
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if not (0.0 < self.initial_step < math.inf and self.initial_step <= self.max_step):
+            raise ValueError("need 0 < initial_step <= max_step, initial_step finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
 
@@ -145,8 +146,8 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
     With t_eval=None, samples at every accepted step; otherwise exactly at
     the requested (sorted, in-range) times.
     """
-    if not t1 > t0:
-        raise ValueError("need t1 > t0")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise ValueError("need finite t0 < t1")
     y = np.asarray(y0, dtype=float).copy()
     shape = y.shape
     if y.ndim == 2:
@@ -275,20 +276,20 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None):
 
 
 def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> MatrixSolution:
-    """Integrate the matrix ODE M' = A(t) @ M from M0.
+    """Integrate the matrix ODE M' = A(t) @ M from M0, an (n, n) matrix or an (m, n, n) stack.
 
-    With M0 = I this yields the evolution operator of the linear system
-    over [t0, t1] (the fundamental matrix when t1 - t0 is one period).
+    A stack is one (m, n*n) batch, each member on its own error norm; end_matrix
+    has M0's shape. With M0 = I this yields the evolution operator over [t0, t1]
+    (the fundamental matrix when t1 - t0 is one period).
     """
     M0 = np.asarray(M0, dtype=float)
-    if M0.ndim != 2 or M0.shape[0] != M0.shape[1]:
-        raise ValueError("M0 must be a square matrix")
-    n = M0.shape[0]
+    if M0.ndim not in (2, 3) or M0.shape[-1] != M0.shape[-2]:
+        raise ValueError("M0 must be a square matrix or a stack of them")
 
-    def f(t, m_flat):
-        return (A(t) @ m_flat.reshape(n, n)).ravel()
+    def f(t, y):
+        return (A(t) @ y.reshape(M0.shape)).reshape(y.shape)
 
     _, _, y_final, (steps, acc, rej) = _integrate_core(
-        f, t0, t1, M0.ravel(), cfg, t_eval=np.array([t1]))
-    return MatrixSolution(end_matrix=y_final.reshape(n, n), step_count=steps,
+        f, t0, t1, M0.reshape(M0.shape[:-2] + (-1,)), cfg, t_eval=np.array([t1]))
+    return MatrixSolution(end_matrix=y_final.reshape(M0.shape), step_count=steps,
                           accepted=acc, rejected=rej)

@@ -362,6 +362,8 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     infection still rising from near the virus-free orbit) never stops it,
     and neither does a zero component, whose change reads inf or nan.
     """
+    if not math.isfinite(transient):
+        raise ValueError("transient must be finite")
     periods = math.floor(transient / params.period)
     if periods < 1:
         raise ValueError("transient must cover at least one period")

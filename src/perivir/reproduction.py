@@ -14,11 +14,11 @@ w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
 is lower triangular, so the operator acts on the scalar rate of new E
 infections, and its truncated Fourier matrix gives R0 (Hill's method;
 Deconinck & Kutz 2006), which one batched monodromy integration certifies.
-Failing that, the root is searched on log rho against log lambda by secant
-steps, then Illinois (modified regula falsi; Dowell & Jarratt 1971) with a
-bisection safeguard, one 3x3 monodromy per evaluation. sign(R0 - 1) matches
-sign(rho(Phi_{F-G}(P)) - 1), which is also reported. With beta identically
-zero there is no infection term, and R0 is 0 by convention.
+Failing that, the root is searched from the evaluated points on log rho
+against log lambda by secant steps, then Illinois (modified regula falsi;
+Dowell & Jarratt 1971) with a bisection safeguard. Every evaluation is one
+`rho_for_lambda`. sign(R0 - 1) matches sign(rho(Phi_{F-G}(P)) - 1), which
+is also reported. With beta identically zero R0 is 0 by convention.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import IntegratorConfig, integrate, integrate_matrix
+from .integrate import IntegratorConfig, integrate_matrix
 from .model import ModelParameters
 from .periodic import VirusFreeSolution, virus_free_closed_form
 
@@ -96,7 +96,7 @@ class MonodromyResult:
     """Fundamental matrix over one period with its spectrum."""
 
     matrix: np.ndarray
-    spectral_radius: float
+    spectral_radius: float | np.ndarray  # (m,) for a stack
     eigenvalues: np.ndarray
 
 
@@ -109,7 +109,7 @@ class R0Result:
     0 by convention). bracket straddles the root: rho at bracket[0] >= 1 >=
     rho at bracket[1], and value is its midpoint. trace holds every
     (lambda, rho) evaluation in order, and iterations == len(trace) (3 when
-    the Fourier value is certified: lambda = 1, then the bracket ends).
+    the first bracket is certified).
     rho_at_one is rho(Phi_{F-G}(P)); sign(value - 1) == sign(rho_at_one - 1).
     """
 
@@ -131,19 +131,25 @@ def build_linearization(params: ModelParameters) -> LinearizedSystem:
 
 
 def monodromy(A, period: float, cfg: IntegratorConfig) -> MonodromyResult:
-    """Fundamental matrix of z' = A(t) z over [0, period], with its spectrum."""
-    n = A(0.0).shape[0]
-    sol = integrate_matrix(A, 0.0, period, np.eye(n), cfg)
+    """Fundamental matrix of z' = A(t) z over [0, period], with its spectrum.
+
+    For a stack A(t) of shape (m, n, n), one batch: every field gains the m axis.
+    """
+    shape = np.shape(A(0.0))
+    sol = integrate_matrix(A, 0.0, period, np.broadcast_to(np.eye(shape[-1]), shape), cfg)
     eig = np.linalg.eigvals(sol.end_matrix)
-    return MonodromyResult(
-        matrix=sol.end_matrix,
-        spectral_radius=float(np.max(np.abs(eig))),
-        eigenvalues=eig,
-    )
+    radius = np.abs(eig).max(axis=-1)
+    return MonodromyResult(matrix=sol.end_matrix,
+                           spectral_radius=float(radius) if radius.ndim == 0 else radius,
+                           eigenvalues=eig)
 
 
-def rho_for_lambda(lin: LinearizedSystem, lam: float, cfg: IntegratorConfig) -> float:
-    """rho of the one-period monodromy of w' = (F/lam - G) w."""
+def rho_for_lambda(lin: LinearizedSystem, lam: float | np.ndarray,
+                   cfg: IntegratorConfig) -> float | np.ndarray:
+    """rho of the one-period monodromy of w' = (F/lam - G) w.
+
+    A float for a number lam; a 1-D array of m lambdas gives m radii from one integration.
+    """
     return monodromy(lin.combined(lam), lin.params.period, cfg).spectral_radius
 
 
@@ -151,13 +157,14 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
                 cfg: IntegratorConfig | None = None) -> R0Result:
     """Reproduction number of the periodic model: the unit crossing of rho(lambda).
 
-    The Fourier value R0_H of `_hill_r0` is certified by one batched
-    monodromy integration at lambda = 1, R0_H - tol/2 and R0_H + tol/2; the
-    last two are the bracket (at most `tol` wide, an absolute width) when
-    rho straddles 1 across them. Otherwise `_unit_crossing` brackets and
-    narrows the root from the points evaluated so far, or from rho(1) and
-    the autonomous R0 of the coefficient means when R0_H did not converge
-    or R0_H - tol/2 <= 0; each further evaluation is one `rho_for_lambda`.
+    The first value is R0_H of `_hill_r0`, or the autonomous R0 of the
+    coefficient means (at least tol) when R0_H did not converge or is not
+    above tol. One `rho_for_lambda` call on a stack of three evaluates rho
+    at lambda = 1, value - tol/2 and value + tol/2; the last two are the
+    bracket (at most `tol` wide, an absolute width) when rho straddles 1
+    across them. Otherwise `_unit_crossing` brackets and narrows the root
+    from the two distinct points nearest the crossing, one `rho_for_lambda`
+    per further evaluation.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
     when no bracket is found within MAX_BRACKET_STEPS secant steps.
@@ -174,34 +181,24 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
         trace.append((lam, value))
         return value
 
-    hill = math.nan if params.beta.is_zero else _hill_r0(lin, tol)
-    if hill - 0.5 * tol > 0.0:
-        lo = hill - 0.5 * tol
-        hi = lo + tol
-        while hi - lo > tol:  # lo + tol can round up
-            hi = math.nextafter(hi, lo)
-        # one (3, 9) batch of flattened 3x3 monodromies, each member on its own error norm
-        A, P = lin.combined(np.array([1.0, lo, hi])), params.period
-        _, end = integrate(lambda t, y: (A(t) @ y.reshape(3, 3, 3)).reshape(3, 9), 0.0, P,
-                           np.tile(np.eye(3).ravel(), (3, 1)), cfg, t_eval=np.array([P]))
-        rhos = np.abs(np.linalg.eigvals(end.reshape(3, 3, 3))).max(axis=1)
-        trace.extend(zip((1.0, lo, hi), rhos.tolist()))
-        rho_at_one = trace[0][1]
-        if not trace[1][1] >= 1.0 >= trace[2][1]:
-            # go on from the two distinct points nearest the crossing
-            a, b = sorted(dict(trace).items(), key=lambda q: abs(math.log(q[1])))[:2]
-            lo, hi = _unit_crossing(rho, a, b, tol)
-    else:
-        rho_at_one = rho(1.0)  # with beta == 0, F == 0 and this is rho(Phi_{-G})
-        if params.beta.is_zero:
-            return R0Result(value=0.0, method="no-infection-term", bracket=(0.0, 0.0),
-                            iterations=1, rho_at_one=rho_at_one, trace=tuple(trace))
-        if rho_at_one == 1.0:
-            lo = hi = 1.0
-        else:
-            guess = r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean, params.k,
-                                  params.delta, params.p, params.c, params.c1)
-            lo, hi = _unit_crossing(rho, (1.0, rho_at_one), guess, tol)
+    if params.beta.is_zero:
+        rho_at_one = rho(1.0)  # F == 0, so this is rho(Phi_{-G})
+        return R0Result(value=0.0, method="no-infection-term", bracket=(0.0, 0.0),
+                        iterations=1, rho_at_one=rho_at_one, trace=tuple(trace))
+    guess = _hill_r0(lin, tol)
+    if not guess > tol:
+        guess = max(tol, r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean,
+                                       params.k, params.delta, params.p, params.c, params.c1))
+    lo = guess - 0.5 * tol
+    hi = lo + tol
+    while hi - lo > tol:  # lo + tol can round up
+        hi = math.nextafter(hi, lo)
+    lams = (1.0, lo, hi)
+    trace.extend(zip(lams, rho_for_lambda(lin, np.array(lams), cfg).tolist()))
+    rho_at_one = trace[0][1]
+    if not trace[1][1] >= 1.0 >= trace[2][1]:
+        a, b = sorted(dict(trace).items(), key=lambda q: abs(math.log(q[1])))[:2]
+        lo, hi = _unit_crossing(rho, a, b, tol)
     return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
                     iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace))
 
@@ -237,23 +234,22 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> float:
     return math.nan
 
 
-def _unit_crossing(rho, start: tuple[float, float], guess: float | tuple[float, float],
+def _unit_crossing(rho, a: tuple[float, float], b: tuple[float, float],
                    tol: float) -> tuple[float, float]:
     """Bracket (lo, hi), hi - lo <= tol, with rho(lo) >= 1 >= rho(hi).
 
-    rho is a positive, nonincreasing function of lambda > 0; start is a
-    (lambda, rho) pair already evaluated, and guess is either another such
-    pair or a lambda at which rho is evaluated first (moved LOG_STEP_MIN
-    away from start when closer). Both phases work on y = log rho against
-    x = log lambda, where rho is nearly linear.
+    rho is a positive, nonincreasing function of lambda > 0; a and b are
+    (lambda, rho) pairs already evaluated, at two distinct lambdas. Both
+    phases work on y = log rho against x = log lambda, where rho is nearly
+    linear.
 
     Bracketing: each step starts from the newer point nearer the crossing
     and extrapolates the secant through the last two points, overshooting
     by 10%, with a step length clamped to [LOG_STEP_MIN, LOG_STEP_MAX]; a
     secant slope that is not negative gives a step of LOG_STEP_FLAT
     instead. It stops when a step crosses the root, so the bracket is as
-    narrow as that step even when start and guess already straddle the
-    root from far apart.
+    narrow as that step even when a and b already straddle the root from
+    far apart.
 
     Narrowing: Illinois steps (regula falsi that halves the retained
     endpoint's y when the same endpoint is kept twice running), each point
@@ -264,12 +260,7 @@ def _unit_crossing(rho, start: tuple[float, float], guess: float | tuple[float, 
     costs at most two evaluations, so a flat, steep or noisy rho needs at
     most about twice the bisection count.
     """
-    lam_a, rho_a = start
-    if not isinstance(guess, tuple):
-        if abs(math.log(guess / lam_a)) < LOG_STEP_MIN:
-            guess = lam_a * math.exp(math.copysign(LOG_STEP_MIN, rho_a - 1.0))
-        guess = (guess, rho(guess))
-    a, b = (lam_a, math.log(rho_a)), (guess[0], math.log(guess[1]))  # (lambda, log rho)
+    a, b = (a[0], math.log(a[1])), (b[0], math.log(b[1]))  # (lambda, log rho)
     for _ in range(MAX_BRACKET_STEPS):
         if abs(a[1]) < abs(b[1]):
             a, b = b, a  # b is the point nearer the crossing

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -191,6 +192,34 @@ class TestCliDispatch:
         assert captured.err == (
             f"config-error: run.initial_conditions: need at least one for {command}\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("field, value", [
+        ("rel_tol", "nan"), ("abs_tol", "nan"), ("initial_step", "nan"),
+        ("max_step", "nan"), ("max_steps", "inf"),
+    ])
+    def test_non_finite_integrator_setting_exits_2(self, tmp_path, capsys, field, value):
+        text = re.sub(rf"^{field} = .*\n", "", GOOD_CONFIG, flags=re.M)
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace("[integrator]\n", f"[integrator]\n{field} = {value}\n"))
+        assert main(["r0", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config-error: integrator: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("horizon, command, extra", [
+        ("inf", "validate", []),
+        ("4800", "orbit", ["--transient", "inf", "--out", "orbit.csv"]),
+        ("4800", "simulate", ["--t-end", "inf", "--grid-step", "1", "--out", "run.csv"]),
+        ("4800", "simulate", ["--t-end", "inf", "--out", "run.csv"]),
+    ])
+    def test_non_finite_horizon_exits_2(self, tmp_path, capsys, horizon, command, extra):
+        path = tmp_path / "horizon.ini"
+        path.write_text(GOOD_CONFIG.replace("horizon = 4800", f"horizon = {horizon}"))
+        extra = [str(tmp_path / a) if a.endswith(".csv") else a for a in extra]
+        assert main([command, "--config", str(path)] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config-error: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_orbit_in_extinction_regime_exits_3(self, config_dir, tmp_path, capsys):
         # no interior orbit exists below threshold; Newton collapses to the

@@ -4,9 +4,13 @@ Every name a module in src/perivir imports must be used in that module,
 listed in its __all__, or come from __future__. Every module-level private
 name (a _-prefixed function, class or constant) must be read somewhere in
 src/perivir. `perivir r0` must run without importing scipy or numpy.fft.
+Every function perfbench/tracer.py wraps by name must exist in perivir.
 """
 
 import ast
+import importlib
+import importlib.util
+import math
 import os
 import pathlib
 import subprocess
@@ -114,3 +118,35 @@ def test_r0_imports_neither_scipy_nor_numpy_fft():
     out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def _perfbench_tracer():
+    """perfbench/tracer.py as a module; perfbench is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_names_resolve_in_perivir():
+    tracer = _perfbench_tracer()
+    missing = [f"{mod}.{attr}" for mod, attr in [*tracer.SPANS, *tracer.LEAVES]
+               if not callable(getattr(importlib.import_module(f"perivir.{mod}"), attr, None))]
+    assert missing == []
+
+
+def test_tracer_counts_monodromy_steps(monkeypatch):
+    import perivir.cli  # noqa: F401  the tracer wraps names in every perivir module
+    from perivir import reproduction
+
+    from .helpers import persistence_params
+
+    monkeypatch.setattr(reproduction, "_hill_r0", lambda lin, tol: math.nan)
+    tracer = _perfbench_tracer().Tracer()
+    tracer.install()
+    try:
+        reproduction.r0_periodic(persistence_params())
+    finally:
+        tracer.uninstall()
+    assert tracer.snapshot()["counts"]["integrate.integrate_matrix.steps"] > 0

@@ -27,6 +27,8 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0}, {"abs_tol": -1e-9}, {"initial_step": 0.0},
         {"initial_step": 2.0, "max_step": 1.0}, {"max_steps": 0},
+        {"rel_tol": math.nan}, {"abs_tol": math.inf}, {"initial_step": math.nan},
+        {"initial_step": math.inf}, {"max_step": math.nan},
     ])
     def test_invalid_config(self, kwargs):
         with pytest.raises(ValueError):
@@ -97,9 +99,11 @@ class TestVectorIntegration:
         with pytest.raises(NonFiniteState):
             integrate(lambda t, y: -y, 0.0, 1.0, [math.nan], sim_cfg)
 
-    def test_bad_interval_rejected(self, sim_cfg):
+    @pytest.mark.parametrize("t0, t1", [(1.0, 1.0), (0.0, math.inf), (0.0, math.nan),
+                                        (-math.inf, 1.0)])
+    def test_bad_interval_rejected(self, sim_cfg, t0, t1):
         with pytest.raises(ValueError):
-            integrate(lambda t, y: -y, 1.0, 1.0, [1.0], sim_cfg)
+            integrate(lambda t, y: -y, t0, t1, [1.0], sim_cfg)
 
     def test_bad_grid_rejected(self, sim_cfg):
         with pytest.raises(ValueError):
@@ -175,6 +179,13 @@ class TestMatrixIntegration:
         A = rng.uniform(-0.08, 0.08, size=(3, 3))
         sol = integrate_matrix(lambda t: A, 0.0, 24.0, np.eye(3), spectral_cfg)
         assert np.max(np.abs(sol.end_matrix - expm_reference(24.0 * A))) < 1e-8
+        # a stack of generators integrates as one batch, each member to the same accuracy
+        stack = rng.uniform(-0.08, 0.08, size=(4, 3, 3))
+        sol = integrate_matrix(lambda t: stack, 0.0, 24.0,
+                               np.broadcast_to(np.eye(3), stack.shape), spectral_cfg)
+        assert sol.end_matrix.shape == (4, 3, 3)
+        for i in range(4):
+            assert np.max(np.abs(sol.end_matrix[i] - expm_reference(24.0 * stack[i]))) < 1e-8
 
     def test_columns_match_vector_runs(self, spectral_cfg):
         # A(t) = -G(t), the transfer part of the linearized infection subsystem:

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,6 +226,15 @@ class TestR0Periodic:
         for a, b in zip(rhos, rhos[1:]):
             assert a >= b - 1e-9
 
+    def test_stacked_lambdas_match_scalar_calls(self, spectral_cfg):
+        lin = build_linearization(persistence_params())
+        lams = np.geomspace(0.5, 500.0, 5)
+        stacked = rho_for_lambda(lin, lams, spectral_cfg)
+        assert stacked.shape == (5,)
+        scalar = [rho_for_lambda(lin, lam, spectral_cfg) for lam in lams]
+        assert all(isinstance(r, float) for r in scalar)
+        np.testing.assert_allclose(stacked, scalar, rtol=1e-7, atol=0.0)
+
     def test_scale_covariance_of_infection_term(self):
         # scaling beta scales F, and the root characterization scales with it
         base = persistence_params()
@@ -307,21 +317,20 @@ class TestR0Search:
 
     def test_certified_path_is_one_batched_integration(self, monkeypatch):
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
-        integrate_calls = count_calls(monkeypatch, reproduction, "integrate")
+        matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(persistence_params())
-        assert len(integrate_calls) == 1 and rho_calls == []
+        assert len(rho_calls) == len(matrix_calls) == 1
         assert res.iterations == 3
-        assert np.shape(integrate_calls[0][3]) == (3, 9)
+        assert np.shape(matrix_calls[0][3]) == (3, 3, 3)
 
     def test_each_evaluation_is_one_monodromy_integration(self, monkeypatch):
-        # with the Fourier value unconverged, every evaluation is a search step
+        # with the Fourier value unconverged the search starts from the mean-rate R0;
+        # its first three evaluations share one batched integration
         monkeypatch.setattr(reproduction, "_hill_r0", lambda lin, tol: math.nan)
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
-        integrate_calls = count_calls(monkeypatch, reproduction, "integrate")
         res = r0_periodic(persistence_params())
-        assert len(rho_calls) == len(matrix_calls) == res.iterations
-        assert integrate_calls == []
+        assert len(rho_calls) == len(matrix_calls) == res.iterations - 2
 
     def test_evaluation_budget_persistence(self):
         assert r0_periodic(persistence_params()).iterations <= 12
@@ -338,12 +347,17 @@ class TestR0Search:
         counts = [r0_periodic(random_periodic_params(rng)).iterations for _ in range(30)]
         assert max(counts) <= 12
 
+    @pytest.mark.parametrize("start", ["fourier", "mean-rate"])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(rates=_rates, log_r0_factor=st.floats(-1.5, 1.5), amps=_amps)
-    def test_matches_bisection_oracle(self, rates, log_r0_factor, amps):
+    def test_matches_bisection_oracle(self, start, rates, log_r0_factor, amps):
+        # "mean-rate": with the Fourier value unconverged, the search starts from
+        # the autonomous R0 of the coefficient means
         params = _admissible_periodic(rates, log_r0_factor, amps)
         tol = 1e-6
-        res = r0_periodic(params, tol=tol)
+        hill = (lambda lin, tol: math.nan) if start == "mean-rate" else _hill_r0
+        with mock.patch.object(reproduction, "_hill_r0", hill):
+            res = r0_periodic(params, tol=tol)
         oracle, _, _ = bisection_r0(params, tol=tol)
         assert abs(res.value - oracle) <= tol + 1e-8 * oracle
         cfg = IntegratorConfig.spectral()
@@ -376,7 +390,8 @@ class TestUnitCrossing:
             calls.append(lam)
             return rho(lam)
 
-        lo, hi = _unit_crossing(counted, (1.0, rho(1.0)), root * guess_factor, tol)
+        guess = root * guess_factor
+        lo, hi = _unit_crossing(counted, (1.0, rho(1.0)), (guess, counted(guess)), tol)
         evaluations = len(calls) + 1  # plus the start point
         _, _, bisections = bisection_root(rho, tol)
         assert rho(lo) >= 1.0 >= rho(hi)
@@ -385,7 +400,7 @@ class TestUnitCrossing:
 
     def test_bracket_failure_when_rho_never_crosses(self):
         with pytest.raises(BracketFailure):
-            _unit_crossing(lambda lam: 2.0, (1.0, 2.0), 3.0, 1e-8)
+            _unit_crossing(lambda lam: 2.0, (1.0, 2.0), (3.0, 2.0), 1e-8)
 
 
 def _straddles(res, tol):
@@ -452,10 +467,11 @@ class TestFallback:
         monkeypatch.setattr(reproduction, "_hill_r0",
                             lambda lin, tol: hill(lin, tol) + 3.0 * tol)
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
-        integrate_calls = count_calls(monkeypatch, reproduction, "integrate")
+        matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(params, tol=tol)
         assert res.trace[0] == (1.0, res.rho_at_one)
-        assert len(integrate_calls) == 1 and len(rho_calls) == res.iterations - 3 > 0
+        # the first three evaluations are one batched integration
+        assert len(matrix_calls) == len(rho_calls) == res.iterations - 2 > 1
         assert _straddles(res, tol)
         assert abs(res.value - certified.value) <= tol + 1e-8 * certified.value
 
