@@ -117,8 +117,6 @@ class InvariantLog:
     positivity_violations: int
     worst_undershoot: float
     bound_estimate: float
-    first_half_max: float
-    second_half_max: float
     bounded: bool
 
 
@@ -162,8 +160,7 @@ def _uniform_grid(t_end: float, grid_step: float) -> np.ndarray:
 def _integrate_clamped(params: ModelParameters, y0: np.ndarray, t_end: float,
                        cfg: IntegratorConfig, t_eval) -> Trajectory:
     traj, _ = integrate(vector_field(params), 0.0, t_end, y0, cfg, t_eval=t_eval)
-    return Trajectory(traj.times, clamp_small_negatives(traj.states, cfg.abs_tol),
-                      params.hash_id())
+    return Trajectory(traj.times, clamp_small_negatives(traj.states, cfg.abs_tol))
 
 
 def _final_period_evidence(traj: Trajectory, ics, t_star: VirusFreeSolution,
@@ -280,14 +277,11 @@ def monitor_invariants(traj: Trajectory, params: ModelParameters,
     second = w[traj.times >= mid]
     first_max = float(first.max()) if len(first) else 0.0
     second_max = float(second.max()) if len(second) else 0.0
-    bounded = second_max <= 1.01 * first_max
     return InvariantLog(
         positivity_violations=violations,
         worst_undershoot=worst,
         bound_estimate=float(w.max()),
-        first_half_max=first_max,
-        second_half_max=second_max,
-        bounded=bounded,
+        bounded=second_max <= 1.01 * first_max,
     )
 
 

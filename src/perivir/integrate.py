@@ -11,11 +11,11 @@ combined by RMS. Components of the infection model span several orders of
 magnitude (cells vs virions), so the mixed absolute/relative weighting is
 load-bearing.
 
-A state shaped (m, n) is a batch of m independent members sharing one
-step sequence. Each member gets its own RMS and a step is accepted when
-the worst member's RMS is <= 1, so every member is held to the tolerance
-it would get alone; a single RMS over all m*n components would dilute one
-member's error by sqrt(m).
+Member-axis rule: a state with two or more axes, (m, n) vectors or an
+(m, n, n) matrix stack, is a batch of m members along axis 0 sharing one
+step sequence. A step is accepted when the worst member's RMS over its
+other axes is <= 1, so each member is held to the tolerance it would get
+alone; one RMS over the batch would dilute a member's error by sqrt(m).
 
 Off-step values come from the standard quartic dense-output interpolant
 on accepted steps, so requested output grids are hit exactly.
@@ -92,7 +92,6 @@ class MatrixSolution:
 
     end_matrix: np.ndarray
     step_count: int
-    accepted: int
     rejected: int
 
 
@@ -141,8 +140,9 @@ def _dense_eval(theta, y0, y1, h, K):
 def _integrate_core(f, t0, t1, y0, cfg, t_eval):
     """Shared stepping loop.
 
-    Returns (times, values, y_final, (steps, accepted, rejected)), with
-    values shaped (len(times),) + y0.shape and y_final shaped like y0.
+    A y0 with ndim >= 2 is a batch along axis 0 (the member-axis rule in the
+    module docstring). Returns (times, values, y_final, (steps, rejected)),
+    with values shaped (len(times),) + y0.shape and y_final shaped like y0.
     With t_eval=None, samples at every accepted step; otherwise exactly at
     the requested (sorted, in-range) times.
     """
@@ -150,15 +150,14 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
         raise ValueError("need finite t0 < t1")
     y = np.asarray(y0, dtype=float).copy()
     shape = y.shape
-    if y.ndim == 2:
+    members = shape[0] if y.ndim >= 2 else 1
+    if y.ndim >= 2:
         # the stepping loop runs on the flat state; f sees the batch shape
         f_batch = f
         y = y.ravel()
 
         def f(t, y_flat):
             return f_batch(t, y_flat.reshape(shape)).ravel()
-    elif y.ndim != 1:
-        raise ValueError("y0 must have shape (n,) or (m, n)")
     if not np.all(np.isfinite(y)):
         raise NonFiniteState("initial state is not finite")
 
@@ -186,65 +185,63 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
     t = t0
     n = len(y)
     K = np.empty((7, n))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite field raises below
-        K[0] = f(t, y)
-    if not np.all(np.isfinite(K[0])):
-        raise NonFiniteState(f"vector field not finite at t={t}")
     err_old = 1e-4
     rejected_last = False
-    n_steps = n_accepted = n_rejected = 0
+    n_steps = n_rejected = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        K[0] = f(t, y)
+        if not np.all(np.isfinite(K[0])):
+            raise NonFiniteState(f"vector field not finite at t={t}")
 
-    while t < t1:
-        if n_steps >= cfg.max_steps:
-            raise StepLimitExceeded(f"max_steps={cfg.max_steps} reached at t={t}")
-        h = min(h, cfg.max_step, t1 - t)
-        n_steps += 1
+        while t < t1:
+            if n_steps >= cfg.max_steps:
+                raise StepLimitExceeded(f"max_steps={cfg.max_steps} reached at t={t}")
+            h = min(h, cfg.max_step, t1 - t)
+            n_steps += 1
 
-        # overflow inside a trial step is caught by the finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, 7):
                 yi = y + h * (_A[i - 1] @ K[:i])
                 K[i] = f(t + _C[i] * h, yi)
             y_new = yi  # stage 7 state is the 5th-order solution (FSAL)
             err_vec = h * (_E @ K)
 
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
-            raise NonFiniteState(f"state became non-finite near t={t}")
+            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
+                raise NonFiniteState(f"state became non-finite near t={t}")
 
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(((err_vec / scale) ** 2).reshape(shape).mean(axis=-1).max()))
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(((err_vec / scale) ** 2).reshape(members, -1).mean(-1).max()))
 
-        if err <= 1.0:
-            t_new = t + h
-            if t_eval is None:
-                times.append(t_new)
-                values.append(y_new.copy())
+            if err <= 1.0:
+                t_new = t + h
+                if t_eval is None:
+                    times.append(t_new)
+                    values.append(y_new.copy())
+                else:
+                    hi = eval_idx
+                    while hi < len(t_eval) and t_eval[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
+                        hi += 1
+                    if hi > eval_idx:
+                        theta = (t_eval[eval_idx:hi] - t) / h
+                        interp = _dense_eval(theta, y, y_new, h, K)
+                        for j, tv in enumerate(t_eval[eval_idx:hi]):
+                            times.append(float(tv))
+                            values.append(np.asarray(interp[j]))
+                        eval_idx = hi
+                # PI step-size update
+                fac = (err ** _PI_ALPHA) / (err_old ** _PI_BETA)
+                fac = max(_MIN_FACTOR,
+                          min(_MAX_FACTOR, _SAFETY / fac if fac > 0.0 else _MAX_FACTOR))
+                if rejected_last:
+                    fac = min(fac, 1.0)
+                err_old = max(err, 1e-4)
+                t, y = t_new, y_new
+                K[0] = K[6]
+                h *= fac
+                rejected_last = False
             else:
-                hi = eval_idx
-                while hi < len(t_eval) and t_eval[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
-                    hi += 1
-                if hi > eval_idx:
-                    theta = (t_eval[eval_idx:hi] - t) / h
-                    interp = _dense_eval(theta, y, y_new, h, K)
-                    for j, tv in enumerate(t_eval[eval_idx:hi]):
-                        times.append(float(tv))
-                        values.append(np.asarray(interp[j]))
-                    eval_idx = hi
-            # PI step-size update
-            fac = (err ** _PI_ALPHA) / (err_old ** _PI_BETA)
-            fac = max(_MIN_FACTOR, min(_MAX_FACTOR, _SAFETY / fac if fac > 0.0 else _MAX_FACTOR))
-            if rejected_last:
-                fac = min(fac, 1.0)
-            err_old = max(err, 1e-4)
-            t, y = t_new, y_new
-            K[0] = K[6]
-            h *= fac
-            n_accepted += 1
-            rejected_last = False
-        else:
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
-            n_rejected += 1
-            rejected_last = True
+                h *= max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
+                n_rejected += 1
+                rejected_last = True
 
     if t_eval is None:
         times[-1] = t1  # the last accepted step lands within rounding of t1
@@ -255,7 +252,7 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
             values.append(y.copy())
             eval_idx += 1
     values_arr = np.asarray(values).reshape((len(times),) + shape)
-    return np.asarray(times), values_arr, y.reshape(shape), (n_steps, n_accepted, n_rejected)
+    return np.asarray(times), values_arr, y.reshape(shape), (n_steps, n_rejected)
 
 
 def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None):
@@ -271,6 +268,8 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None):
 
     Raises StepLimitExceeded or NonFiniteState on failure.
     """
+    if np.ndim(y0) not in (1, 2):
+        raise ValueError("y0 must have shape (n,) or (m, n)")
     times, values, y_final, _ = _integrate_core(f, t0, t1, y0, cfg, t_eval)
     return Trajectory(times, values), y_final
 
@@ -278,18 +277,17 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None):
 def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> MatrixSolution:
     """Integrate the matrix ODE M' = A(t) @ M from M0, an (n, n) matrix or an (m, n, n) stack.
 
-    A stack is one (m, n*n) batch, each member on its own error norm; end_matrix
-    has M0's shape. With M0 = I this yields the evolution operator over [t0, t1]
-    (the fundamental matrix when t1 - t0 is one period).
+    The stack goes to the stepping loop as it is: by the member-axis rule
+    each of its m matrices is one member on its own error norm, and a single
+    matrix is a (1, n, n) stack. end_matrix has M0's shape. With M0 = I this
+    yields the evolution operator over [t0, t1] (the fundamental matrix when
+    t1 - t0 is one period).
     """
     M0 = np.asarray(M0, dtype=float)
     if M0.ndim not in (2, 3) or M0.shape[-1] != M0.shape[-2]:
         raise ValueError("M0 must be a square matrix or a stack of them")
-
-    def f(t, y):
-        return (A(t) @ y.reshape(M0.shape)).reshape(y.shape)
-
-    _, _, y_final, (steps, acc, rej) = _integrate_core(
-        f, t0, t1, M0.reshape(M0.shape[:-2] + (-1,)), cfg, t_eval=np.array([t1]))
-    return MatrixSolution(end_matrix=y_final.reshape(M0.shape), step_count=steps,
-                          accepted=acc, rejected=rej)
+    _, _, m_final, (steps, rejected) = _integrate_core(
+        lambda t, m: A(t) @ m, t0, t1, M0.reshape((-1,) + M0.shape[-2:]), cfg,
+        t_eval=np.array([t1]))
+    return MatrixSolution(end_matrix=m_final.reshape(M0.shape), step_count=steps,
+                          rejected=rejected)

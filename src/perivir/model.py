@@ -17,7 +17,6 @@ immutable and side-effect free.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -127,17 +126,6 @@ class ModelParameters:
         """Common period of the coefficients, 2*pi/angular_frequency (hours)."""
         return 2.0 * math.pi / self.mu.angular_frequency
 
-    def hash_id(self) -> str:
-        """Stable 12-hex identifier of the full parameter set."""
-        parts = (
-            self.mu.mean, self.mu.amplitude, self.mu.angular_frequency,
-            self.beta.mean, self.beta.amplitude, self.beta.angular_frequency,
-            self.d.mean, self.d.amplitude, self.d.angular_frequency,
-            self.k, self.delta, self.p, self.c, self.c1, self.c2,
-        )
-        blob = ",".join(float.hex(float(v)) for v in parts).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
-
 
 @dataclass(frozen=True)
 class State:
@@ -169,13 +157,11 @@ class Trajectory:
 
     `states` has one row per time point; rows hold whatever shape the
     integrated state has: (4,) for one infection-model state, (m, 4) for a
-    batch of m members sharing the time grid. `params_hash` identifies the
-    generating ModelParameters when applicable.
+    batch of m members sharing the time grid.
     """
 
     times: np.ndarray
     states: np.ndarray
-    params_hash: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -194,7 +180,7 @@ class Trajectory:
         """Sub-trajectory with t_from <= t <= t_to (small tolerance on the edges)."""
         eps = 1e-9 * max(1.0, abs(t_to))
         m = (self.times >= t_from - eps) & (self.times <= t_to + eps)
-        return Trajectory(self.times[m], self.states[m], self.params_hash)
+        return Trajectory(self.times[m], self.states[m])
 
 
 def incidence(beta_t: float, t_cells, virus, c1: float, c2: float):

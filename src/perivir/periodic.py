@@ -131,7 +131,6 @@ class PeriodicOrbit:
     floquet_multipliers: np.ndarray
     stable: bool
     stability_margin: float
-    monodromy: np.ndarray
     iterations: int
     trace: tuple[tuple[float, float], ...]
 
@@ -277,11 +276,13 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     max_i |g_i| / (abs_tol + rel_tol*|x_i|) <= 1, the flow cannot resolve a
     better fixed point and x is returned with its true residual.
 
-    Raises ConvergedToBoundary when the fixed point has a component below
-    1e-10 (collapse onto the virus-free orbit) and NewtonDiverged when the
-    residual stalls above the integrator's error scale or the iteration
-    budget runs out.
+    Raises ValueError unless 0 <= newton_tol < inf, ConvergedToBoundary
+    when the fixed point has a component below 1e-10 (collapse onto the
+    virus-free orbit) and NewtonDiverged when the residual stalls above the
+    integrator's error scale or the iteration budget runs out.
     """
+    if not 0.0 <= newton_tol < math.inf:  # written so that nan fails
+        raise ValueError("newton_tol must be finite and nonnegative")
     x = guess.as_array() if isinstance(guess, State) else np.asarray(guess, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("guess must be strictly positive componentwise")
@@ -335,7 +336,6 @@ def _package_orbit(params: ModelParameters, x: np.ndarray, samples: np.ndarray,
         floquet_multipliers=multipliers,
         stable=max_mod < 1.0,
         stability_margin=1.0 - max_mod,
-        monodromy=mono,
         iterations=len(trace),
         trace=tuple(trace),
     )

@@ -20,6 +20,9 @@ _MARGIN_L = 64.0
 _MARGIN_R = 14.0
 _MARGIN_T = 34.0
 _MARGIN_B = 46.0
+_PANEL_W = 420.0
+_PANEL_H = 300.0
+_TICK_TARGET = 5
 
 
 @dataclass(frozen=True)
@@ -41,12 +44,12 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0]
     if hi <= lo:
         hi = lo + max(1.0, abs(lo)) * 1e-3
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -61,7 +64,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def _panel_svg(panel: Panel, x0: float, y0: float, w: float, h: float) -> list[str]:
+def _panel_svg(panel: Panel, x0: float, y0: float) -> list[str]:
     xs = [s for s in panel.series if len(s.x)]
     if xs:
         x_lo = min(float(np.min(s.x)) for s in xs)
@@ -80,7 +83,7 @@ def _panel_svg(panel: Panel, x0: float, y0: float, w: float, h: float) -> list[s
         x_hi = x_lo + 1.0
 
     px0, py0 = x0 + _MARGIN_L, y0 + _MARGIN_T
-    pw, ph = w - _MARGIN_L - _MARGIN_R, h - _MARGIN_T - _MARGIN_B
+    pw, ph = _PANEL_W - _MARGIN_L - _MARGIN_R, _PANEL_H - _MARGIN_T - _MARGIN_B
 
     def tx(v):
         return px0 + (v - x_lo) / (x_hi - x_lo) * pw
@@ -127,15 +130,14 @@ def _panel_svg(panel: Panel, x0: float, y0: float, w: float, h: float) -> list[s
     return out
 
 
-def render_panels(panels, n_cols: int = 2, panel_width: float = 420.0,
-                  panel_height: float = 300.0) -> str:
+def render_panels(panels, n_cols: int = 2) -> str:
     """Lay panels out in a grid and return the full SVG document."""
     panels = list(panels)
     n = len(panels)
     n_cols = max(1, min(n_cols, n))
     n_rows = (n + n_cols - 1) // n_cols
-    width = n_cols * panel_width
-    height = n_rows * panel_height
+    width = n_cols * _PANEL_W
+    height = n_rows * _PANEL_H
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
@@ -145,8 +147,7 @@ def render_panels(panels, n_cols: int = 2, panel_width: float = 420.0,
     ]
     for idx, panel in enumerate(panels):
         r, c = divmod(idx, n_cols)
-        parts.extend(_panel_svg(panel, c * panel_width, r * panel_height,
-                                panel_width, panel_height))
+        parts.extend(_panel_svg(panel, c * _PANEL_W, r * _PANEL_H))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

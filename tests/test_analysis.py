@@ -31,13 +31,11 @@ from .helpers import (
 
 
 class TestSimulate:
-    def test_grid_sampling_and_hash(self, sim_cfg):
-        params = persistence_params()
-        traj = simulate(params, State(10.0, 1.0, 1.0, 1.0), 48.0, sim_cfg,
+    def test_grid_sampling(self, sim_cfg):
+        traj = simulate(persistence_params(), State(10.0, 1.0, 1.0, 1.0), 48.0, sim_cfg,
                         grid_step=0.5)
         assert traj.times[0] == 0.0 and traj.times[-1] == 48.0
         assert len(traj) == 97
-        assert traj.params_hash == params.hash_id()
 
     def test_samples_clamped_nonnegative(self, sim_cfg):
         # undershoot stays inside the rounding band, and the band is clamped

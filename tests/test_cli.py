@@ -221,6 +221,16 @@ class TestCliDispatch:
         assert captured.err.startswith("config-error: ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.parametrize("newton_tol", ["inf", "nan", "-1"])
+    def test_orbit_bad_newton_tol_exits_2(self, config_dir, tmp_path, capsys, newton_tol):
+        out = tmp_path / "orbit.csv"
+        code = main(["orbit", "--config", str(config_dir / "persistence.ini"),
+                     "--transient", "240", "--newton-tol", newton_tol, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config-error: newton_tol must be finite and nonnegative\n"
+        assert captured.out == "" and not out.exists()
+
     def test_orbit_in_extinction_regime_exits_3(self, config_dir, tmp_path, capsys):
         # no interior orbit exists below threshold; Newton collapses to the
         # virus-free solution and the command reports a numerical failure

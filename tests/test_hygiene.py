@@ -3,7 +3,9 @@
 Every name a module in src/perivir imports must be used in that module,
 listed in its __all__, or come from __future__. Every module-level private
 name (a _-prefixed function, class or constant) must be read somewhere in
-src/perivir. `perivir r0` must run without importing scipy or numpy.fft.
+src/perivir. Every field of a dataclass in src/perivir must be read as an
+attribute somewhere in src/perivir, tests, demos or perfbench. `perivir r0`
+must run without importing scipy or numpy.fft.
 Every function perfbench/tracer.py wraps by name must exist in perivir.
 """
 
@@ -74,6 +76,36 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
             if name not in used]
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+                isinstance(target, ast.Attribute) and target.attr == "dataclass"):
+            return True
+    return False
+
+
+def unread_dataclass_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Dataclass fields in `sources` that no text in `readers` reads as an attribute.
+
+    sources maps a module name to its text; readers are the texts searched
+    for reads. A read is any `<expr>.<field>` in load context, matched by
+    name alone, so a field counts as read when any object's attribute of
+    that name is read.
+    """
+    read = {node.attr for text in readers for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unread += [f"{module} {node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)
+                           and item.target.id not in read]
+    return unread
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -105,6 +137,27 @@ def test_private_name_detector_flags_unread_definitions():
     }
     assert unreferenced_private_names(sources) == [
         "a.py line 2: _UNUSED", "a.py line 7: _orphan", "a.py line 9: _Cls"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for folder in ("src/perivir", "tests", "demos", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    assert unread_dataclass_fields(sources, readers) == []
+
+
+def test_dataclass_field_detector_flags_unread_fields():
+    sources = {"a.py": ("import dataclasses\n"
+                        "from dataclasses import dataclass\n"
+                        "@dataclass(frozen=True)\n"
+                        "class Result:\n    value: float\n    spare: int = 0\n"
+                        "    def twice(self):\n        return 2 * self.value\n"
+                        "@dataclasses.dataclass\n"
+                        "class Log:\n    hits: int\n    note: str\n"
+                        "class Plain:\n    untracked: int = 0\n")}
+    readers = [sources["a.py"], "def f(log):\n    log.note = 'x'\n    return log.hits\n"]
+    assert unread_dataclass_fields(sources, readers) == [
+        "a.py Result.spare", "a.py Log.note"]
 
 
 def test_r0_imports_neither_scipy_nor_numpy_fft():

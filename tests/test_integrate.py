@@ -200,13 +200,29 @@ class TestMatrixIntegration:
             _, col = integrate(f, 0.0, params.period, e, spectral_cfg)
             assert np.max(np.abs(sol.end_matrix[:, j] - col)) < 1e-9
 
+    def test_single_matrix_is_a_stack_of_one(self, spectral_cfg):
+        # by the member-axis rule one matrix runs as a (1, n, n) stack, bitwise
+        A = lambda t: np.array([[-0.1 + 0.05 * math.sin(t), 0.3], [0.2, -0.4 * math.cos(t)]])
+        single = integrate_matrix(A, 0.0, 24.0, np.eye(2), spectral_cfg)
+        stack = integrate_matrix(A, 0.0, 24.0, np.eye(2)[None], spectral_cfg)
+        assert single.end_matrix.shape == (2, 2) and stack.end_matrix.shape == (1, 2, 2)
+        assert np.array_equal(single.end_matrix, stack.end_matrix[0])
+        assert (single.step_count, single.rejected) == (stack.step_count, stack.rejected)
+
     def test_non_square_rejected(self, sim_cfg):
         with pytest.raises(ValueError):
             integrate_matrix(lambda t: np.zeros((2, 3)), 0.0, 1.0,
                              np.zeros((2, 3)), sim_cfg)
 
     def test_step_tallies_reported(self, sim_cfg):
-        sol = integrate_matrix(lambda t: np.diag([-0.1, -0.2]), 0.0, 10.0,
-                               np.eye(2), sim_cfg)
-        assert sol.step_count == sol.accepted + sol.rejected
-        assert sol.accepted > 0
+        calls = 0
+
+        def A(t):
+            nonlocal calls
+            calls += 1
+            return np.diag([-0.1, -0.2])
+
+        sol = integrate_matrix(A, 0.0, 10.0, np.eye(2), sim_cfg)
+        # one field evaluation at t0, then six stages per attempted step (FSAL)
+        assert calls == 1 + 6 * sol.step_count
+        assert sol.step_count > sol.rejected >= 0

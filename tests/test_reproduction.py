@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -365,6 +366,22 @@ class TestR0Search:
         lo, hi = res.bracket
         assert lo <= res.value <= hi and hi - lo <= tol
         assert rho_for_lambda(lin, lo, cfg) >= 1.0 >= rho_for_lambda(lin, hi, cfg)
+
+    @pytest.mark.parametrize("start", ["fourier", "mean-rate"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(rates=_rates, log_r0_factor=st.floats(-1.5, 1.5), amps=_amps,
+           s=st.floats(0.1, 10.0))
+    def test_scale_covariance(self, start, rates, log_r0_factor, amps, s):
+        # beta -> s*beta scales F, so R0 scales by s; each value lies within
+        # tol/2 of its root, hence the two sides within (1 + s)*tol/2
+        params = _admissible_periodic(rates, log_r0_factor, amps)
+        scaled = replace(params, beta=SinusoidalCoefficient(
+            s * params.beta.mean, s * params.beta.amplitude, OMEGA))
+        tol = 1e-8
+        hill = (lambda lin, tol: math.nan) if start == "mean-rate" else _hill_r0
+        with mock.patch.object(reproduction, "_hill_r0", hill):
+            base, covariant = r0_periodic(params, tol=tol), r0_periodic(scaled, tol=tol)
+        assert abs(covariant.value - s * base.value) <= (1.0 + s) * tol
 
 
 def _steep_after(root):
