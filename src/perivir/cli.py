@@ -244,6 +244,9 @@ def _cmd_r0(cfg: RunConfig, args) -> int:
 
 
 def _cmd_orbit(cfg: RunConfig, args) -> int:
+    # find_periodic_orbit checks this too, but only after the warm start has run
+    if not 0.0 <= args.newton_tol < math.inf:  # written so that nan fails
+        raise ValueError("newton_tol must be finite and nonnegative")
     first = State.from_array(_ic_batch(cfg, "orbit")[0])
     guess = warm_start_guess(cfg.params, first, args.transient, cfg.integrator)
     orbit = find_periodic_orbit(cfg.params, guess, cfg.integrator,

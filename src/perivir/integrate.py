@@ -151,6 +151,7 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
     y = np.asarray(y0, dtype=float).copy()
     shape = y.shape
     members = shape[0] if y.ndim >= 2 else 1
+    per_member = y.size // members if y.size else 1
     if y.ndim >= 2:
         # the stepping loop runs on the flat state; f sees the batch shape
         f_batch = f
@@ -158,7 +159,7 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
 
         def f(t, y_flat):
             return f_batch(t, y_flat.reshape(shape)).ravel()
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteState("initial state is not finite")
 
     if t_eval is not None:
@@ -190,7 +191,7 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
     n_steps = n_rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
         K[0] = f(t, y)
-        if not np.all(np.isfinite(K[0])):
+        if not np.isfinite(K[0]).all():
             raise NonFiniteState(f"vector field not finite at t={t}")
 
         while t < t1:
@@ -205,11 +206,13 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
             y_new = yi  # stage 7 state is the 5th-order solution (FSAL)
             err_vec = h * (_E @ K)
 
-            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
+            if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
                 raise NonFiniteState(f"state became non-finite near t={t}")
 
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(((err_vec / scale) ** 2).reshape(members, -1).mean(-1).max()))
+            # max of the member sums, then / per_member: the max of the member means
+            err = math.sqrt(float(((err_vec / scale) ** 2).reshape(members, -1).sum(-1).max())
+                            / per_member)
 
             if err <= 1.0:
                 t_new = t + h

@@ -130,12 +130,13 @@ def build_linearization(params: ModelParameters) -> LinearizedSystem:
     return LinearizedSystem(t_star=virus_free_closed_form(params), params=params)
 
 
-def monodromy(A, period: float, cfg: IntegratorConfig) -> MonodromyResult:
+def monodromy(A, shape: tuple[int, ...], period: float,
+              cfg: IntegratorConfig) -> MonodromyResult:
     """Fundamental matrix of z' = A(t) z over [0, period], with its spectrum.
 
-    For a stack A(t) of shape (m, n, n), one batch: every field gains the m axis.
+    shape is that of A(t): (n, n), or (m, n, n) for a stack, which is one
+    batch in which every field gains the m axis.
     """
-    shape = np.shape(A(0.0))
     sol = integrate_matrix(A, 0.0, period, np.broadcast_to(np.eye(shape[-1]), shape), cfg)
     eig = np.linalg.eigvals(sol.end_matrix)
     radius = np.abs(eig).max(axis=-1)
@@ -150,7 +151,8 @@ def rho_for_lambda(lin: LinearizedSystem, lam: float | np.ndarray,
 
     A float for a number lam; a 1-D array of m lambdas gives m radii from one integration.
     """
-    return monodromy(lin.combined(lam), lin.params.period, cfg).spectral_radius
+    return monodromy(lin.combined(lam), np.shape(lam) + (3, 3), lin.params.period,
+                     cfg).spectral_radius
 
 
 def r0_periodic(params: ModelParameters, tol: float = 1e-8,

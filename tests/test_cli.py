@@ -11,6 +11,7 @@ from perivir import (
     SinusoidalCoefficient,
     State,
     analysis,
+    cli,
 )
 from perivir.cli import (
     ParseError,
@@ -222,11 +223,15 @@ class TestCliDispatch:
         assert captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize("newton_tol", ["inf", "nan", "-1"])
-    def test_orbit_bad_newton_tol_exits_2(self, config_dir, tmp_path, capsys, newton_tol):
+    def test_orbit_bad_newton_tol_exits_2(self, config_dir, tmp_path, capsys, monkeypatch,
+                                          newton_tol):
+        # rejected before the warm start integrates the transient
+        warm_starts = count_calls(monkeypatch, cli, "warm_start_guess")
         out = tmp_path / "orbit.csv"
         code = main(["orbit", "--config", str(config_dir / "persistence.ini"),
                      "--transient", "240", "--newton-tol", newton_tol, "--out", str(out)])
         assert code == 2
+        assert warm_starts == []
         captured = capsys.readouterr()
         assert captured.err == "config-error: newton_tol must be finite and nonnegative\n"
         assert captured.out == "" and not out.exists()

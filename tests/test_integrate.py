@@ -14,7 +14,7 @@ from perivir.analysis import DEFAULT_INITIAL_CONDITIONS
 from perivir.model import vector_field
 from perivir.reproduction import build_linearization
 
-from .helpers import expm_reference, baseline_params, persistence_params
+from .helpers import expm_reference, baseline_params, persistence_params, rhs_column_views
 
 
 class TestConfig:
@@ -150,6 +150,24 @@ class TestBatchIntegration:
             alone, _ = integrate(f, 0.0, horizon, row, sim_cfg, t_eval=grid)
             rel = np.abs(traj.states[:, i] - alone.states) / np.abs(alone.states)
             assert np.max(rel) < 1e-5
+
+    @pytest.mark.parametrize("profile", ["simulation", "spectral"])
+    @pytest.mark.parametrize("y0", [[10.0, 0.5, 0.5, 2.0],
+                                    [[10.0, 0.5, 0.5, 2.0], [3.0, 0.0, 0.0, 0.1],
+                                     [20.0, 5.0, 1.0, 40.0]]], ids=["one", "three"])
+    def test_model_field_matches_column_views(self, profile, y0):
+        # rhs's per-member float path drives the same steps, bit for bit, as
+        # the numpy column formula over several periods
+        cfg = getattr(IntegratorConfig, profile)()
+        params = persistence_params()
+        t_end = 4.0 * params.period
+        traj, yf = integrate(vector_field(params), 0.0, t_end, np.array(y0), cfg)
+        ref, ref_f = integrate(lambda t, y: rhs_column_views(t, y, params), 0.0, t_end,
+                               np.array(y0), cfg)
+        assert len(traj) > 40
+        assert np.array_equal(traj.times, ref.times)
+        assert np.array_equal(traj.states, ref.states)
+        assert np.array_equal(yf, ref_f)
 
     def test_member_error_not_diluted_by_batch(self, sim_cfg):
         # 199 members rest on the virus-free state (T* = 10 for the table

@@ -13,7 +13,7 @@ from perivir import (
     jacobian,
     rhs,
 )
-from perivir.model import clamp_small_negatives, vector_field
+from perivir.model import FLOAT_PATH_MAX_MEMBERS, clamp_small_negatives, vector_field
 
 from .helpers import (
     OMEGA,
@@ -24,10 +24,12 @@ from .helpers import (
     skewed_params,
 )
 
+# batch sizes on both sides of the crossover between rhs's two paths
 _state_shapes = st.one_of(
     st.just((4,)),
-    st.tuples(st.integers(1, 5), st.just(4)),
-    st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(4)),
+    st.tuples(st.integers(1, FLOAT_PATH_MAX_MEMBERS), st.just(4)),
+    st.tuples(st.integers(FLOAT_PATH_MAX_MEMBERS + 1, 3 * FLOAT_PATH_MAX_MEMBERS), st.just(4)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(4)),
 )
 
 
@@ -200,6 +202,17 @@ class TestRhs:
         expected = rhs_column_views(t_views, y, params)
         assert out.shape == expected.shape == shape
         assert np.array_equal(out, expected)
+
+    def test_zero_denominator_matches_column_views(self):
+        # T = -1/c1 zeroes the incidence denominator, which Python floats
+        # cannot divide by; rhs must still give numpy's inf/nan
+        params = baseline_params()
+        y = np.array([[-1.0 / params.c1, 0.5, 0.5, 2.0], [1.0, 0.5, 0.5, 2.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = rhs(3.0, y, params)
+            expected = rhs_column_views(3.0, y, params)
+        assert np.array_equal(out, expected, equal_nan=True)
+        assert not np.isfinite(out[0, :2]).any()
 
     def test_batched_matches_rowwise(self):
         params = baseline_params()

@@ -373,7 +373,7 @@ class TestFloquetMachinery:
         params = constant_coefficient_params()
         sol = virus_free_closed_form(params)
         A = lambda t: jacobian(t, np.array([sol.value(t), 0.0, 0.0, 0.0]), params)
-        res = monodromy(A, params.period, spectral_cfg)
+        res = monodromy(A, (4, 4), params.period, spectral_cfg)
         expected = math.exp(-params.d.mean * params.period)
         assert np.min(np.abs(res.eigenvalues - expected)) < 1e-10
 
@@ -391,9 +391,9 @@ class TestFloquetMachinery:
             params.beta.angular_frequency))
         sol = virus_free_closed_form(params)
         A_full = lambda t: jacobian(t, np.array([sol.value(t), 0.0, 0.0, 0.0]), params)
-        full = monodromy(A_full, params.period, spectral_cfg)
+        full = monodromy(A_full, (4, 4), params.period, spectral_cfg)
 
-        sub = monodromy(build_linearization(params).combined(1.0), params.period,
+        sub = monodromy(build_linearization(params).combined(1.0), (3, 3), params.period,
                         spectral_cfg)
         d_mult = math.exp(-(params.d.mean * params.period))  # sine integrates to 0
         expected = np.sort_complex(np.concatenate([[d_mult], sub.eigenvalues]))
