@@ -19,8 +19,8 @@ from .model import (
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
-    MatrixSolution,
     NonFiniteState,
+    Solution,
     StepLimitExceeded,
     integrate,
     integrate_matrix,
@@ -41,10 +41,8 @@ from .periodic import (
 from .reproduction import (
     BracketFailure,
     LinearizedSystem,
-    MonodromyResult,
     R0Result,
     build_linearization,
-    monodromy,
     r0_autonomous,
     r0_periodic,
     rho_for_lambda,
@@ -66,15 +64,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParameters", "SinusoidalCoefficient", "State", "Trajectory",
     "incidence", "rhs", "jacobian", "vector_field",
-    "IntegratorConfig", "MatrixSolution", "integrate", "integrate_matrix",
+    "IntegratorConfig", "Solution", "integrate", "integrate_matrix",
     "IntegrationError", "StepLimitExceeded", "NonFiniteState",
     "VirusFreeSolution", "PeriodicOrbit", "virus_free_closed_form",
     "virus_free_numeric", "poincare_map", "find_periodic_orbit",
     "warm_start_guess", "floquet_multipliers",
     "DegenerateDecay", "NewtonDiverged", "ConvergedToBoundary",
-    "LinearizedSystem", "MonodromyResult", "R0Result", "build_linearization",
-    "monodromy", "rho_for_lambda", "r0_periodic",
-    "r0_autonomous", "BracketFailure",
+    "LinearizedSystem", "R0Result", "build_linearization",
+    "rho_for_lambda", "r0_periodic", "r0_autonomous", "BracketFailure",
     "ClassificationReport", "InvariantLog", "Regime", "SweepRow",
     "TrajectoryEvidence", "classify", "monitor_invariants", "simulate", "sweep",
 ]

@@ -140,10 +140,13 @@ def parse_config(text: str) -> RunConfig:
                 "initial_step": _get_float(cp, "integrator", "initial_step",
                                            defaults.initial_step),
                 "max_step": _get_float(cp, "integrator", "max_step", defaults.max_step),
-                "max_steps": int(_get_float(cp, "integrator", "max_steps", defaults.max_steps)),
             }
+            max_steps = _get_float(cp, "integrator", "max_steps", defaults.max_steps)
+            if not float(max_steps).is_integer():  # also false for nan and inf
+                raise ValueError(f"max_steps must be a whole number, got {max_steps}")
+            integ_kwargs["max_steps"] = int(max_steps)
         integrator = IntegratorConfig(**integ_kwargs)
-    except (ValueError, OverflowError) as exc:  # int() of nan or inf max_steps
+    except ValueError as exc:
         raise ValidationError(f"integrator: {exc}") from exc
 
     horizon = _get_float(cp, "run", "horizon")

@@ -24,7 +24,7 @@ on accepted steps, so requested output grids are hit exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = [
     "StepLimitExceeded",
     "NonFiniteState",
     "IntegratorConfig",
-    "MatrixSolution",
+    "Solution",
     "integrate",
     "integrate_matrix",
 ]
@@ -87,12 +87,24 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class MatrixSolution:
-    """End matrix of a matrix-valued integration with step tallies."""
+class Solution:
+    """One integration: the sampled trajectory, the final state and the step tallies.
 
-    end_matrix: np.ndarray
+    Unpacks as (trajectory, final). end_matrix is final under the name that
+    matrix-ODE callers (the acceptance tests, perfbench's tracer) read.
+    """
+
+    trajectory: Trajectory
+    final: np.ndarray
     step_count: int
     rejected: int
+
+    def __iter__(self):
+        return iter((self.trajectory, self.final))
+
+    @property
+    def end_matrix(self) -> np.ndarray:
+        return self.final
 
 
 # Dormand-Prince 5(4) tableau.
@@ -137,15 +149,21 @@ def _dense_eval(theta, y0, y1, h, K):
     return y0 + th * (ydiff + (1.0 - th) * (bspl + th * (r4 + (1.0 - th) * r5)))
 
 
-def _integrate_core(f, t0, t1, y0, cfg, t_eval):
-    """Shared stepping loop.
+def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -> Solution:
+    """Integrate y' = f(t, y) from t0 to t1.
 
-    A y0 with ndim >= 2 is a batch along axis 0 (the member-axis rule in the
-    module docstring). Returns (times, values, y_final, (steps, rejected)),
-    with values shaped (len(times),) + y0.shape and y_final shaped like y0.
-    With t_eval=None, samples at every accepted step; otherwise exactly at
-    the requested (sorted, in-range) times.
+    y0 is one state of shape (n,) or, by the member-axis rule, a batch of m
+    states ((m, n) vectors, an (m, n, n) matrix stack); f receives and
+    returns arrays of y0's shape. The trajectory states are shaped
+    (len(times),) + y0.shape and the final state like y0. Without t_eval
+    the trajectory is sampled at t0 and every accepted step (t1 included
+    exactly); with t_eval it is sampled exactly at the requested (sorted,
+    in-range) times via the dense-output interpolant.
+
+    Raises StepLimitExceeded or NonFiniteState on failure.
     """
+    if np.ndim(y0) < 1:
+        raise ValueError("y0 must have at least one axis")
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError("need finite t0 < t1")
     y = np.asarray(y0, dtype=float).copy()
@@ -255,42 +273,21 @@ def _integrate_core(f, t0, t1, y0, cfg, t_eval):
             values.append(y.copy())
             eval_idx += 1
     values_arr = np.asarray(values).reshape((len(times),) + shape)
-    return np.asarray(times), values_arr, y.reshape(shape), (n_steps, n_rejected)
+    return Solution(Trajectory(times, values_arr), y.reshape(shape), n_steps, n_rejected)
 
 
-def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None):
-    """Integrate y' = f(t, y) from t0 to t1.
-
-    y0 is one state of shape (n,) or a batch of m states of shape (m, n);
-    f receives and returns arrays of y0's shape. Returns (Trajectory,
-    final state), the trajectory states shaped (len(times),) + y0.shape and
-    the final state shaped like y0. Without t_eval the trajectory is
-    sampled at t0 and every accepted step (t1 included exactly); with
-    t_eval it is sampled exactly at the requested times via the
-    dense-output interpolant.
-
-    Raises StepLimitExceeded or NonFiniteState on failure.
-    """
-    if np.ndim(y0) not in (1, 2):
-        raise ValueError("y0 must have shape (n,) or (m, n)")
-    times, values, y_final, _ = _integrate_core(f, t0, t1, y0, cfg, t_eval)
-    return Trajectory(times, values), y_final
-
-
-def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> MatrixSolution:
+def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solution:
     """Integrate the matrix ODE M' = A(t) @ M from M0, an (n, n) matrix or an (m, n, n) stack.
 
-    The stack goes to the stepping loop as it is: by the member-axis rule
-    each of its m matrices is one member on its own error norm, and a single
-    matrix is a (1, n, n) stack. end_matrix has M0's shape. With M0 = I this
-    yields the evolution operator over [t0, t1] (the fundamental matrix when
-    t1 - t0 is one period).
+    The stack goes to `integrate` as it is: by the member-axis rule each of
+    its m matrices is one member on its own error norm, and a single matrix
+    is a (1, n, n) stack. Sampled at t1 only; end_matrix has M0's shape.
+    With M0 = I this yields the evolution operator over [t0, t1] (the
+    fundamental matrix when t1 - t0 is one period).
     """
     M0 = np.asarray(M0, dtype=float)
     if M0.ndim not in (2, 3) or M0.shape[-1] != M0.shape[-2]:
         raise ValueError("M0 must be a square matrix or a stack of them")
-    _, _, m_final, (steps, rejected) = _integrate_core(
-        lambda t, m: A(t) @ m, t0, t1, M0.reshape((-1,) + M0.shape[-2:]), cfg,
-        t_eval=np.array([t1]))
-    return MatrixSolution(end_matrix=m_final.reshape(M0.shape), step_count=steps,
-                          rejected=rejected)
+    sol = integrate(lambda t, m: A(t) @ m, t0, t1, M0.reshape((-1,) + M0.shape[-2:]), cfg,
+                    t_eval=np.array([t1]))
+    return replace(sol, final=sol.final.reshape(M0.shape))

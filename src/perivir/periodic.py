@@ -385,9 +385,9 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
 
 
 def floquet_multipliers(monodromy: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a monodromy matrix, sorted by modulus, largest first."""
+    """Eigenvalues of a monodromy matrix, or of each in a stack, by modulus, largest first."""
     m = np.asarray(monodromy, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("monodromy matrix must be finite")
     eig = np.linalg.eigvals(m)
-    return eig[np.argsort(-np.abs(eig), kind="stable")]
+    return np.take_along_axis(eig, np.argsort(-np.abs(eig), axis=-1, kind="stable"), axis=-1)

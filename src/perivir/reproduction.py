@@ -30,15 +30,13 @@ import numpy as np
 
 from .integrate import IntegratorConfig, integrate_matrix
 from .model import ModelParameters
-from .periodic import VirusFreeSolution, virus_free_closed_form
+from .periodic import VirusFreeSolution, floquet_multipliers, virus_free_closed_form
 
 __all__ = [
     "BracketFailure",
     "LinearizedSystem",
-    "MonodromyResult",
     "R0Result",
     "build_linearization",
-    "monodromy",
     "rho_for_lambda",
     "r0_periodic",
     "r0_autonomous",
@@ -92,15 +90,6 @@ class LinearizedSystem:
 
 
 @dataclass(frozen=True)
-class MonodromyResult:
-    """Fundamental matrix over one period with its spectrum."""
-
-    matrix: np.ndarray
-    spectral_radius: float | np.ndarray  # (m,) for a stack
-    eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
 class R0Result:
     """Reproduction number with the evidence that produced it.
 
@@ -130,29 +119,16 @@ def build_linearization(params: ModelParameters) -> LinearizedSystem:
     return LinearizedSystem(t_star=virus_free_closed_form(params), params=params)
 
 
-def monodromy(A, shape: tuple[int, ...], period: float,
-              cfg: IntegratorConfig) -> MonodromyResult:
-    """Fundamental matrix of z' = A(t) z over [0, period], with its spectrum.
-
-    shape is that of A(t): (n, n), or (m, n, n) for a stack, which is one
-    batch in which every field gains the m axis.
-    """
-    sol = integrate_matrix(A, 0.0, period, np.broadcast_to(np.eye(shape[-1]), shape), cfg)
-    eig = np.linalg.eigvals(sol.end_matrix)
-    radius = np.abs(eig).max(axis=-1)
-    return MonodromyResult(matrix=sol.end_matrix,
-                           spectral_radius=float(radius) if radius.ndim == 0 else radius,
-                           eigenvalues=eig)
-
-
 def rho_for_lambda(lin: LinearizedSystem, lam: float | np.ndarray,
                    cfg: IntegratorConfig) -> float | np.ndarray:
     """rho of the one-period monodromy of w' = (F/lam - G) w.
 
     A float for a number lam; a 1-D array of m lambdas gives m radii from one integration.
     """
-    return monodromy(lin.combined(lam), np.shape(lam) + (3, 3), lin.params.period,
-                     cfg).spectral_radius
+    eye = np.broadcast_to(np.eye(3), np.shape(lam) + (3, 3))
+    end = integrate_matrix(lin.combined(lam), 0.0, lin.params.period, eye, cfg).end_matrix
+    radius = np.abs(floquet_multipliers(end)[..., 0])
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def r0_periodic(params: ModelParameters, tol: float = 1e-8,

@@ -196,7 +196,7 @@ class TestCliDispatch:
 
     @pytest.mark.parametrize("field, value", [
         ("rel_tol", "nan"), ("abs_tol", "nan"), ("initial_step", "nan"),
-        ("max_step", "nan"), ("max_steps", "inf"),
+        ("max_step", "nan"), ("max_steps", "inf"), ("max_steps", "2.7"),
     ])
     def test_non_finite_integrator_setting_exits_2(self, tmp_path, capsys, field, value):
         text = re.sub(rf"^{field} = .*\n", "", GOOD_CONFIG, flags=re.M)

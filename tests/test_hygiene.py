@@ -6,12 +6,14 @@ name (a _-prefixed function, class or constant) must be read somewhere in
 src/perivir. Every field of a dataclass in src/perivir must be read as an
 attribute somewhere in src/perivir, tests, demos or perfbench. `perivir r0`
 must run without importing scipy or numpy.fft.
-Every function perfbench/tracer.py wraps by name must exist in perivir.
+Every function perfbench/tracer.py wraps by name must exist in perivir, and
+`integrate` must keep the signature the tracer's wrapper assumes.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import math
 import os
 import pathlib
@@ -187,6 +189,14 @@ def test_tracer_names_resolve_in_perivir():
     missing = [f"{mod}.{attr}" for mod, attr in [*tracer.SPANS, *tracer.LEAVES]
                if not callable(getattr(importlib.import_module(f"perivir.{mod}"), attr, None))]
     assert missing == []
+
+
+def test_integrate_signature_matches_tracer_wrapper():
+    # the tracer wraps integrate as run(f, t0, t1, y0, cfg, t_eval=None)
+    params = inspect.signature(importlib.import_module("perivir.integrate").integrate).parameters
+    assert list(params) == ["f", "t0", "t1", "y0", "cfg", "t_eval"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    assert [p.default for p in params.values()] == [inspect.Parameter.empty] * 5 + [None]
 
 
 def test_tracer_counts_monodromy_steps(monkeypatch):

@@ -136,7 +136,7 @@ class TestBatchIntegration:
         assert yf.shape == (3, 2)
         assert np.allclose(yf, math.exp(-1.0) * y0, rtol=1e-5)
         with pytest.raises(ValueError):
-            integrate(lambda t, y: -y, 0.0, 1.0, np.ones((2, 2, 2)), sim_cfg)
+            integrate(lambda t, y: -y, 0.0, 1.0, np.float64(1.0), sim_cfg)
 
     def test_batched_members_match_serial_runs(self, sim_cfg):
         # 52 periods at rel_tol 1e-6, as a classification runs them
@@ -232,7 +232,8 @@ class TestMatrixIntegration:
             integrate_matrix(lambda t: np.zeros((2, 3)), 0.0, 1.0,
                              np.zeros((2, 3)), sim_cfg)
 
-    def test_step_tallies_reported(self, sim_cfg):
+    @pytest.mark.parametrize("kind", ["matrix", "vector"])
+    def test_step_tallies_reported(self, sim_cfg, kind):
         calls = 0
 
         def A(t):
@@ -240,7 +241,10 @@ class TestMatrixIntegration:
             calls += 1
             return np.diag([-0.1, -0.2])
 
-        sol = integrate_matrix(A, 0.0, 10.0, np.eye(2), sim_cfg)
+        if kind == "matrix":
+            sol = integrate_matrix(A, 0.0, 10.0, np.eye(2), sim_cfg)
+        else:
+            sol = integrate(lambda t, y: A(t) @ y, 0.0, 10.0, np.ones(2), sim_cfg)
         # one field evaluation at t0, then six stages per attempted step (FSAL)
         assert calls == 1 + 6 * sol.step_count
         assert sol.step_count > sol.rejected >= 0

@@ -16,6 +16,7 @@ from perivir import (
     find_periodic_orbit,
     floquet_multipliers,
     integrate,
+    integrate_matrix,
     poincare_map,
     virus_free_closed_form,
     virus_free_numeric,
@@ -24,7 +25,7 @@ from perivir import (
 from perivir import periodic
 from perivir.model import jacobian, vector_field
 from perivir.periodic import _healthy_field
-from perivir.reproduction import build_linearization, monodromy
+from perivir.reproduction import build_linearization
 
 from .helpers import (
     OMEGA,
@@ -366,6 +367,10 @@ class TestFloquetMachinery:
     def test_diagonal_multipliers(self):
         m = floquet_multipliers(np.diag([0.5, 0.2, 0.1, 0.05]))
         assert np.allclose(m, [0.5, 0.2, 0.1, 0.05])
+        # a stack is sorted member by member
+        stack = np.array([np.diag([0.1, 0.5, 0.05, 0.2]), np.diag([-0.2, 0.05, 0.5, -0.1])])
+        assert np.allclose(floquet_multipliers(stack),
+                           [[0.5, 0.2, 0.1, 0.05], [0.5, -0.2, -0.1, 0.05]])
 
     def test_constant_coefficient_scalar_multiplier(self, spectral_cfg):
         # at the virus-free orbit of the constant-coefficient model the
@@ -373,9 +378,9 @@ class TestFloquetMachinery:
         params = constant_coefficient_params()
         sol = virus_free_closed_form(params)
         A = lambda t: jacobian(t, np.array([sol.value(t), 0.0, 0.0, 0.0]), params)
-        res = monodromy(A, (4, 4), params.period, spectral_cfg)
+        M = integrate_matrix(A, 0.0, params.period, np.eye(4), spectral_cfg).end_matrix
         expected = math.exp(-params.d.mean * params.period)
-        assert np.min(np.abs(res.eigenvalues - expected)) < 1e-10
+        assert np.min(np.abs(floquet_multipliers(M) - expected)) < 1e-10
 
     @pytest.mark.parametrize("beta_scale", [0.01, 1.0])
     def test_virus_free_spectrum_splits(self, beta_scale, spectral_cfg):
@@ -391,13 +396,13 @@ class TestFloquetMachinery:
             params.beta.angular_frequency))
         sol = virus_free_closed_form(params)
         A_full = lambda t: jacobian(t, np.array([sol.value(t), 0.0, 0.0, 0.0]), params)
-        full = monodromy(A_full, (4, 4), params.period, spectral_cfg)
+        full = integrate_matrix(A_full, 0.0, params.period, np.eye(4), spectral_cfg).end_matrix
 
-        sub = monodromy(build_linearization(params).combined(1.0), (3, 3), params.period,
-                        spectral_cfg)
+        sub = integrate_matrix(build_linearization(params).combined(1.0), 0.0, params.period,
+                               np.eye(3), spectral_cfg).end_matrix
         d_mult = math.exp(-(params.d.mean * params.period))  # sine integrates to 0
-        expected = np.sort_complex(np.concatenate([[d_mult], sub.eigenvalues]))
-        got = np.sort_complex(full.eigenvalues)
+        expected = np.sort_complex(np.concatenate([[d_mult], floquet_multipliers(sub)]))
+        got = np.sort_complex(floquet_multipliers(full))
         tol = 1e-8 * np.maximum(1.0, np.abs(expected))
         assert np.all(np.abs(got - expected) <= tol)
 

@@ -16,7 +16,8 @@ from perivir import (
     NonFiniteState,
     SinusoidalCoefficient,
     build_linearization,
-    monodromy,
+    floquet_multipliers,
+    integrate_matrix,
     r0_autonomous,
     r0_periodic,
     rho_for_lambda,
@@ -113,58 +114,69 @@ class TestLinearization:
 
 class TestMonodromy:
     def test_zero_matrix_gives_identity(self, spectral_cfg):
-        res = monodromy(lambda t: np.zeros((3, 3)), (3, 3), 24.0, spectral_cfg)
-        assert np.max(np.abs(res.matrix - np.eye(3))) < 1e-12
-        assert res.spectral_radius == pytest.approx(1.0, abs=1e-12)
+        M = integrate_matrix(lambda t: np.zeros((3, 3)), 0.0, 24.0, np.eye(3),
+                             spectral_cfg).end_matrix
+        assert np.max(np.abs(M - np.eye(3))) < 1e-12
+        assert abs(floquet_multipliers(M)[..., 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_matrix_matches_expm(self, spectral_cfg):
         rng = np.random.default_rng(31)
         A = rng.uniform(-0.06, 0.06, size=(3, 3))
-        res = monodromy(lambda t: A, A.shape, 24.0, spectral_cfg)
-        assert np.max(np.abs(res.matrix - expm_reference(24.0 * A))) < 1e-8
+        M = integrate_matrix(lambda t: A, 0.0, 24.0, np.eye(3), spectral_cfg).end_matrix
+        assert np.max(np.abs(M - expm_reference(24.0 * A))) < 1e-8
 
     def test_threshold_sign_agreement_baseline(self, spectral_cfg):
         params = baseline_params()
         lin = build_linearization(params)
-        res = monodromy(lin.combined(1.0), (3, 3), params.period, spectral_cfg)
+        M = integrate_matrix(lin.combined(1.0), 0.0, params.period, np.eye(3),
+                             spectral_cfg).end_matrix
         r0 = r0_periodic(params)
-        assert (res.spectral_radius > 1.0) == (r0.value > 1.0)
+        assert (abs(floquet_multipliers(M)[..., 0]) > 1.0) == (r0.value > 1.0)
 
 
 class TestSpectralRadius:
-    """MonodromyResult.spectral_radius is the largest eigenvalue modulus."""
+    """abs(floquet_multipliers(M)[..., 0]) is the largest eigenvalue modulus."""
 
     def test_diagonal(self, spectral_cfg):
         A = np.diag([math.log(2.0), -math.log(3.0), math.log(0.5)]) / 24.0
-        res = monodromy(lambda t: A, A.shape, 24.0, spectral_cfg)
-        assert res.spectral_radius == pytest.approx(2.0, rel=1e-9)
+        M = integrate_matrix(lambda t: A, 0.0, 24.0, np.eye(3), spectral_cfg).end_matrix
+        assert abs(floquet_multipliers(M)[..., 0]) == pytest.approx(2.0, rel=1e-9)
 
     def test_identity(self, spectral_cfg):
         # a rotation generator: the monodromy is orthogonal, every |eigenvalue| is 1
         A = np.array([[0.0, 0.2, 0.0], [-0.2, 0.0, 0.1], [0.0, -0.1, 0.0]])
-        res = monodromy(lambda t: A, A.shape, 24.0, spectral_cfg)
-        assert res.spectral_radius == pytest.approx(1.0, rel=1e-9)
+        M = integrate_matrix(lambda t: A, 0.0, 24.0, np.eye(3), spectral_cfg).end_matrix
+        assert abs(floquet_multipliers(M)[..., 0]) == pytest.approx(1.0, rel=1e-9)
 
     def test_matches_power_iteration_on_nonnegative_matrices(self, spectral_cfg):
         rng = np.random.default_rng(19)
-        for _ in range(10):
-            # nonnegative off-diagonals: the monodromy is positive, hence irreducible
-            A = rng.uniform(0.0, 0.05, size=(3, 3)) - np.diag(rng.uniform(0.0, 0.1, 3))
-            res = monodromy(lambda t: A, A.shape, 24.0, spectral_cfg)
-            assert res.spectral_radius == pytest.approx(
-                power_iteration_radius(res.matrix), rel=1e-8)
+        # nonnegative off-diagonals: each monodromy is positive, hence irreducible
+        stack = np.array([rng.uniform(0.0, 0.05, size=(3, 3)) - np.diag(rng.uniform(0.0, 0.1, 3))
+                          for _ in range(10)])
+        for A in stack:
+            M = integrate_matrix(lambda t: A, 0.0, 24.0, np.eye(3), spectral_cfg).end_matrix
+            assert abs(floquet_multipliers(M)[..., 0]) == pytest.approx(
+                power_iteration_radius(M), rel=1e-8)
+        # an (m, 3, 3) stack gives each member's radius
+        Ms = integrate_matrix(lambda t: stack, 0.0, 24.0,
+                              np.broadcast_to(np.eye(3), stack.shape), spectral_cfg).end_matrix
+        radii = abs(floquet_multipliers(Ms)[..., 0])
+        assert radii.shape == (10,)
+        for M, r in zip(Ms, radii):
+            assert r == abs(floquet_multipliers(M)[..., 0])
+            assert r == pytest.approx(power_iteration_radius(M), rel=1e-8)
 
     def test_non_finite_rejected(self, spectral_cfg):
         with pytest.raises(NonFiniteState):
-            monodromy(lambda t: np.array([[math.nan, 0.0], [0.0, 1.0]]), (2, 2), 24.0,
-                      spectral_cfg)
+            integrate_matrix(lambda t: np.array([[math.nan, 0.0], [0.0, 1.0]]), 0.0, 24.0,
+                             np.eye(2), spectral_cfg)
 
     def test_infinite_generator_raises_without_a_warning(self, spectral_cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteState):
-                monodromy(lambda t: np.array([[math.inf, 0.0], [0.0, 1.0]]), (2, 2),
-                          24.0, spectral_cfg)
+                integrate_matrix(lambda t: np.array([[math.inf, 0.0], [0.0, 1.0]]), 0.0, 24.0,
+                                 np.eye(2), spectral_cfg)
 
 
 class TestR0Autonomous:
