@@ -201,7 +201,9 @@ def classify(params: ModelParameters, initial_conditions, horizon: float,
     integration samples only those periods. Anything else, including
     disagreement between trajectories or a failed integration, is
     Indeterminate; parameter sets very close to the threshold genuinely
-    cannot be decided on a finite horizon.
+    cannot be decided on a finite horizon. So is a verdict that contradicts
+    the R0 bracket: Extinction with bracket[0] > 1, Persistence with
+    bracket[1] < 1.
 
     All initial conditions run as one batch integration. An integration
     failure is not raised: its message is recorded on the evidence of
@@ -242,10 +244,12 @@ def classify(params: ModelParameters, initial_conditions, horizon: float,
         ev.infection_floor > PERSISTENCE_FLOOR_MIN
         and ev.period_floors[-1] >= FLOOR_TREND_MIN * ev.period_floors[0]
         for ev in evidence)
+    # a verdict the R0 bracket rules out (Wang & Zhao 2008) stays Indeterminate
+    lo, hi = r0_result.bracket
     eta = None
-    if all_extinct:
+    if all_extinct and lo <= 1.0:
         regime = Regime.EXTINCTION
-    elif all_persist:
+    elif all_persist and hi >= 1.0:
         regime = Regime.PERSISTENCE
         eta = min(ev.infection_floor for ev in evidence)
     else:

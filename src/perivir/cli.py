@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,22 +130,10 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise _naming_key(exc, "scalars") from exc
 
-    integ_kwargs = {}
     try:
-        if cp.has_section("integrator"):
-            defaults = IntegratorConfig()
-            integ_kwargs = {
-                "rel_tol": _get_float(cp, "integrator", "rel_tol", defaults.rel_tol),
-                "abs_tol": _get_float(cp, "integrator", "abs_tol", defaults.abs_tol),
-                "initial_step": _get_float(cp, "integrator", "initial_step",
-                                           defaults.initial_step),
-                "max_step": _get_float(cp, "integrator", "max_step", defaults.max_step),
-            }
-            max_steps = _get_float(cp, "integrator", "max_steps", defaults.max_steps)
-            if not float(max_steps).is_integer():  # also false for nan and inf
-                raise ValueError(f"max_steps must be a whole number, got {max_steps}")
-            integ_kwargs["max_steps"] = int(max_steps)
-        integrator = IntegratorConfig(**integ_kwargs)
+        integrator = IntegratorConfig(**{
+            f.name: _get_float(cp, "integrator", f.name, f.default)
+            for f in fields(IntegratorConfig)})
     except ValueError as exc:
         raise ValidationError(f"integrator: {exc}") from exc
 

@@ -74,12 +74,15 @@ class IntegratorConfig:
             raise ValueError("tolerances must be finite and positive")
         if not (0.0 < self.initial_step < math.inf and self.initial_step <= self.max_step):
             raise ValueError("need 0 < initial_step <= max_step, initial_step finite")
+        if not float(self.max_steps).is_integer():  # also false for nan and inf
+            raise ValueError(f"max_steps must be a whole number, got {self.max_steps}")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
+        object.__setattr__(self, "max_steps", int(self.max_steps))
 
     @classmethod
     def simulation(cls) -> "IntegratorConfig":
-        return cls(rel_tol=1e-6, abs_tol=1e-9)
+        return cls()
 
     @classmethod
     def spectral(cls) -> "IntegratorConfig":
@@ -157,8 +160,9 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
     returns arrays of y0's shape. The trajectory states are shaped
     (len(times),) + y0.shape and the final state like y0. Without t_eval
     the trajectory is sampled at t0 and every accepted step (t1 included
-    exactly); with t_eval it is sampled exactly at the requested (sorted,
-    in-range) times via the dense-output interpolant.
+    exactly); with t_eval, strictly increasing and within [t0, t1] exactly,
+    it is sampled at those times via the dense-output interpolant (at
+    theta = 0 that is the step's start state, so t0 reads back y0).
 
     Raises StepLimitExceeded or NonFiniteState on failure.
     """
@@ -186,21 +190,15 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
             raise ValueError("t_eval must be a nonempty 1-D array")
         if np.any(np.diff(t_eval) <= 0.0):
             raise ValueError("t_eval must be strictly increasing")
-        if t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12:
+        if t_eval[0] < t0 or t_eval[-1] > t1:
             raise ValueError("t_eval must lie within [t0, t1]")
-
-    times = [t0]
-    values = [y.copy()]
-    eval_idx = 0
-    if t_eval is not None:
         times, values = [], []
-        while eval_idx < len(t_eval) and t_eval[eval_idx] <= t0:
-            times.append(float(t_eval[eval_idx]))
-            values.append(y.copy())
-            eval_idx += 1
+    else:
+        times, values = [t0], [y.copy()]
+    eval_idx = 0
 
     atol, rtol = cfg.abs_tol, cfg.rel_tol
-    h = min(cfg.initial_step, cfg.max_step, t1 - t0)
+    h = min(cfg.initial_step, t1 - t0)
     t = t0
     n = len(y)
     K = np.empty((7, n))
@@ -266,12 +264,6 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
 
     if t_eval is None:
         times[-1] = t1  # the last accepted step lands within rounding of t1
-    else:
-        # anything left can only be t1 itself (within rounding)
-        while eval_idx < len(t_eval):
-            times.append(float(t_eval[eval_idx]))
-            values.append(y.copy())
-            eval_idx += 1
     values_arr = np.asarray(values).reshape((len(times),) + shape)
     return Solution(Trajectory(times, values_arr), y.reshape(shape), n_steps, n_rejected)
 

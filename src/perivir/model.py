@@ -124,7 +124,7 @@ class ModelParameters:
     @property
     def period(self) -> float:
         """Common period of the coefficients, 2*pi/angular_frequency (hours)."""
-        return 2.0 * math.pi / self.mu.angular_frequency
+        return self.mu.period
 
 
 @dataclass(frozen=True)

@@ -134,10 +134,6 @@ class PeriodicOrbit:
     iterations: int
     trace: tuple[tuple[float, float], ...]
 
-    @property
-    def period(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
 
 def _death_integral(params: ModelParameters, t):
     """Integral of d over [0, t]; analytic for the single-harmonic form."""

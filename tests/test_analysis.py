@@ -5,6 +5,7 @@ import pytest
 
 from perivir import (
     IntegratorConfig,
+    R0Result,
     Regime,
     SinusoidalCoefficient,
     State,
@@ -75,6 +76,20 @@ class TestClassify:
         assert report.regime == Regime.EXTINCTION
         assert report.r0.value == 0.0
         assert report.r0.method == "no-infection-term"
+
+    @pytest.mark.parametrize("factory, horizon, r0", [
+        (rescaled_extinction_params, 5000.0, 2.0), (persistence_params, 4800.0, 0.5)],
+        ids=["extinction-above-one", "persistence-below-one"])
+    def test_verdict_contradicting_the_r0_bracket_is_indeterminate(self, sim_cfg, factory,
+                                                                   horizon, r0):
+        # the threshold theorem rules out Extinction above 1 and Persistence below
+        fabricated = R0Result(value=r0, method="periodic-monodromy", bracket=(r0, r0),
+                              iterations=0, rho_at_one=r0, trace=())
+        report = classify(factory(), DEFAULT_INITIAL_CONDITIONS, horizon, sim_cfg,
+                          r0_result=fabricated)
+        assert report.regime == Regime.INDETERMINATE
+        assert report.persistence_eta is None
+        assert report.r0 is fabricated
 
     def test_integration_failure_recorded_per_ic(self):
         # a step budget this small cannot reach the horizon; the report

@@ -29,10 +29,15 @@ class TestConfig:
         {"initial_step": 2.0, "max_step": 1.0}, {"max_steps": 0},
         {"rel_tol": math.nan}, {"abs_tol": math.inf}, {"initial_step": math.nan},
         {"initial_step": math.inf}, {"max_step": math.nan},
+        {"max_steps": math.nan}, {"max_steps": math.inf}, {"max_steps": 2.7},
     ])
     def test_invalid_config(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    def test_whole_step_budget_stored_as_int(self):
+        max_steps = IntegratorConfig(max_steps=3.0).max_steps
+        assert type(max_steps) is int and max_steps == 3
 
 
 class TestVectorIntegration:
@@ -112,6 +117,13 @@ class TestVectorIntegration:
         with pytest.raises(ValueError):
             integrate(lambda t, y: -y, 0.0, 1.0, [1.0], sim_cfg,
                       t_eval=np.array([0.5, 1.5]))
+        # the bounds are exact: no rounding slack either side
+        with pytest.raises(ValueError):
+            integrate(lambda t, y: -y, 0.0, 1.0, [1.0], sim_cfg,
+                      t_eval=np.array([0.5, 1.0 + 1e-13]))
+        with pytest.raises(ValueError):
+            integrate(lambda t, y: -y, 0.0, 1.0, [1.0], sim_cfg,
+                      t_eval=np.array([-1e-13, 0.5]))
 
     def test_deterministic_reruns(self, sim_cfg):
         f = vector_field(persistence_params())
@@ -133,6 +145,7 @@ class TestBatchIntegration:
         y0 = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         traj, yf = integrate(lambda t, y: -y, 0.0, 1.0, y0, sim_cfg, t_eval=[0.0, 0.5, 1.0])
         assert traj.states.shape == (3, 3, 2)
+        assert np.array_equal(traj.states[0], y0)  # the interpolant at theta = 0
         assert yf.shape == (3, 2)
         assert np.allclose(yf, math.exp(-1.0) * y0, rtol=1e-5)
         with pytest.raises(ValueError):

@@ -314,6 +314,25 @@ _rates = st.fixed_dictionaries({
 _amps = st.tuples(*(st.floats(0.0, 0.9) for _ in range(3)))
 
 
+class TestMonodromyStartTime:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(rates=_rates, log_r0_factor=st.floats(-1.5, 1.5), amps=_amps,
+           log_lam=st.floats(-1.0, 1.0), periods=st.floats(0.0, 5.0, exclude_max=True))
+    def test_spectral_radius_independent_of_start(self, rates, log_r0_factor, amps,
+                                                  log_lam, periods):
+        # Phi(s + P, s) is similar to Phi(P, 0), so the two share a spectrum
+        params = _admissible_periodic(rates, log_r0_factor, amps)
+        combined = build_linearization(params).combined(10.0 ** log_lam)
+        cfg = IntegratorConfig.spectral()
+        P = params.period
+
+        def rho(s):
+            M = integrate_matrix(combined, s, s + P, np.eye(3), cfg).end_matrix
+            return abs(floquet_multipliers(M)[0])
+
+        assert rho(periods * P) == pytest.approx(rho(0.0), rel=1e-8)
+
+
 class TestR0Search:
     def test_trace_holds_every_evaluation_and_both_bracket_ends(self):
         res = r0_periodic(persistence_params())
