@@ -63,6 +63,12 @@ class RunConfig:
 
 _COEFF_SECTIONS = ("mu", "beta", "d")
 _SCALAR_KEYS = ("k", "delta", "p", "c", "c1", "c2")
+_SECTION_KEYS = {
+    **{section: ("mean", "amplitude") for section in _COEFF_SECTIONS},
+    "scalars": ("angular_frequency",) + _SCALAR_KEYS,
+    "integrator": tuple(f.name for f in fields(IntegratorConfig)),
+    "run": ("horizon", "initial_conditions"),
+}
 
 
 def _get_float(cp: configparser.ConfigParser, section: str, key: str,
@@ -101,7 +107,8 @@ def parse_config(text: str) -> RunConfig:
     configparser) and ValidationError naming the offending key for
     invariant breaches; the model invariants themselves are checked by
     SinusoidalCoefficient and ModelParameters. There are no silent model
-    defaults: the model sections and run horizon are required.
+    defaults: the model sections and run horizon are required. A section
+    or key that nothing reads, such as a misspelt one, is rejected too.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -109,6 +116,12 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
 
+    for section in cp.sections():
+        if section not in _SECTION_KEYS:
+            raise ValidationError(f"unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in _SECTION_KEYS[section]:
+                raise ValidationError(f"{section}.{key}: unknown key")
     for section in _COEFF_SECTIONS + ("scalars", "run"):
         if not cp.has_section(section):
             raise ValidationError(f"missing required section [{section}]")
@@ -272,6 +285,8 @@ def _cmd_orbit(cfg: RunConfig, args) -> int:
 
 def _cmd_sweep(cfg: RunConfig, args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise ValidationError("sweep --values: need at least one value")
     ics = cfg.initial_conditions or None
     rows = sweep(cfg.params, args.param, values, cfg.horizon, cfg.integrator,
                  initial_conditions=ics)

@@ -355,11 +355,13 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     iteration stops once q = delta_n / delta_{n-1} < 1 and
     delta_n * q / (1 - q) <= 1: the a-posteriori bound on the distance to
     the fixed point of a map contracting by q. A growing change (an
-    infection still rising from near the virus-free orbit) never stops it,
-    and neither does a zero component, whose change reads inf or nan.
+    infection still rising from near the virus-free orbit) never stops it.
+    A start on the invariant virus-free face E = I = V = 0 raises ValueError.
     """
     if not math.isfinite(transient):
         raise ValueError("transient must be finite")
+    if ic.e_cells == ic.i_cells == ic.virus == 0.0:
+        raise ValueError("ic lies on the invariant virus-free face E = I = V = 0")
     periods = math.floor(transient / params.period)
     if periods < 1:
         raise ValueError("transient must cover at least one period")

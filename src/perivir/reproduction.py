@@ -14,15 +14,16 @@ w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
 is lower triangular, so the operator acts on the scalar rate of new E
 infections, and its truncated Fourier matrix gives R0 (Hill's method;
 Deconinck & Kutz 2006), which one batched monodromy integration certifies.
-Failing that, the root is searched from the evaluated points on log rho
-against log lambda by secant steps, then Illinois (modified regula falsi;
-Dowell & Jarratt 1971) with a bisection safeguard. Every evaluation is one
-`rho_for_lambda`. sign(R0 - 1) matches sign(rho(Phi_{F-G}(P)) - 1), which
-is also reported. With beta identically zero R0 is 0 by convention.
+Failing that, the search goes on in rounds of one `rho_for_lambda` call
+each: a ladder in log lambda until rho straddles 1, then a pair around
+the secant crossing of log rho on log lambda and evenly spaced interior
+points. sign(R0 - 1) = sign(rho(Phi_{F-G}(P)) - 1), which is reported
+too. With beta identically zero R0 is 0 by convention.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,11 +43,9 @@ __all__ = [
     "r0_autonomous",
 ]
 
-MAX_BRACKET_STEPS = 60
-LOG_STEP_MIN = 1e-3   # smallest bracketing step in log lambda
-LOG_STEP_MAX = 2.0    # largest bracketing step in log lambda
-LOG_STEP_FLAT = 0.7   # bracketing step when the secant slope is not negative
-OVERSHOOT = 1.1       # secant steps aim 10% past the extrapolated root
+MAX_ROUNDS = 40       # search rounds after the first
+ROUND_LAMBDAS = 6     # ladder or evenly spaced lambdas of a search round
+LADDER_STEP = 0.1     # ladder spacing in log lambda
 HILL_MAX_ORDER = 64   # highest harmonic of the Fourier truncation
 
 
@@ -140,45 +139,46 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
     above tol. One `rho_for_lambda` call on a stack of three evaluates rho
     at lambda = 1, value - tol/2 and value + tol/2; the last two are the
     bracket (at most `tol` wide, an absolute width) when rho straddles 1
-    across them. Otherwise `_unit_crossing` brackets and narrows the root
-    from the two distinct points nearest the crossing, one `rho_for_lambda`
-    per further evaluation.
+    across them. Otherwise `_unit_crossing` searches on from those two
+    points in rounds of one `rho_for_lambda` call each; lambda = 1 only
+    gives rho_at_one and is never a bracket end.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
-    when no bracket is found within MAX_BRACKET_STEPS secant steps.
+    when no bracket is found within MAX_ROUNDS further rounds.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
     if cfg is None:
         cfg = IntegratorConfig.spectral()
     lin = build_linearization(params)
-    trace = []
-
-    def rho(lam: float) -> float:
-        value = rho_for_lambda(lin, lam, cfg)
-        trace.append((lam, value))
-        return value
-
     if params.beta.is_zero:
-        rho_at_one = rho(1.0)  # F == 0, so this is rho(Phi_{-G})
+        rho_at_one = rho_for_lambda(lin, 1.0, cfg)  # F == 0, so this is rho(Phi_{-G})
         return R0Result(value=0.0, method="no-infection-term", bracket=(0.0, 0.0),
-                        iterations=1, rho_at_one=rho_at_one, trace=tuple(trace))
+                        iterations=1, rho_at_one=rho_at_one, trace=((1.0, rho_at_one),))
     guess = _hill_r0(lin, tol)
     if not guess > tol:
         guess = max(tol, r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean,
                                        params.k, params.delta, params.p, params.c, params.c1))
-    lo = guess - 0.5 * tol
+    trace = []
+
+    def rho(lams: list[float]) -> list[float]:
+        radii = rho_for_lambda(lin, np.array(lams), cfg).tolist()
+        trace.extend(zip(lams, radii))
+        return radii
+
+    rho_at_one = rho([1.0, *_pair(guess, tol)])[0]
+    lo, hi = _unit_crossing(rho, trace[1:], tol)
+    return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
+                    iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace))
+
+
+def _pair(center: float, tol: float) -> list[float]:
+    """[center - tol/2, hi] with hi as near center + tol/2 as keeps hi - lo <= tol."""
+    lo = center - 0.5 * tol
     hi = lo + tol
     while hi - lo > tol:  # lo + tol can round up
         hi = math.nextafter(hi, lo)
-    lams = (1.0, lo, hi)
-    trace.extend(zip(lams, rho_for_lambda(lin, np.array(lams), cfg).tolist()))
-    rho_at_one = trace[0][1]
-    if not trace[1][1] >= 1.0 >= trace[2][1]:
-        a, b = sorted(dict(trace).items(), key=lambda q: abs(math.log(q[1])))[:2]
-        lo, hi = _unit_crossing(rho, a, b, tol)
-    return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
-                    iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace))
+    return [lo, hi]
 
 
 def _hill_r0(lin: LinearizedSystem, tol: float) -> float:
@@ -212,81 +212,45 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> float:
     return math.nan
 
 
-def _unit_crossing(rho, a: tuple[float, float], b: tuple[float, float],
-                   tol: float) -> tuple[float, float]:
+def _unit_crossing(rho, points: list[tuple[float, float]], tol: float) -> tuple[float, float]:
     """Bracket (lo, hi), hi - lo <= tol, with rho(lo) >= 1 >= rho(hi).
 
-    rho is a positive, nonincreasing function of lambda > 0; a and b are
-    (lambda, rho) pairs already evaluated, at two distinct lambdas. Both
-    phases work on y = log rho against x = log lambda, where rho is nearly
-    linear.
+    rho maps a list of lambdas to their radii in one call, a round; the
+    radius is positive and nonincreasing in lambda > 0. points are the
+    (lambda, rho) pairs already evaluated, at two or more distinct lambdas.
+    The bracket is the narrowest pair of neighbouring points straddling 1.
 
-    Bracketing: each step starts from the newer point nearer the crossing
-    and extrapolates the secant through the last two points, overshooting
-    by 10%, with a step length clamped to [LOG_STEP_MIN, LOG_STEP_MAX]; a
-    secant slope that is not negative gives a step of LOG_STEP_FLAT
-    instead. It stops when a step crosses the root, so the bracket is as
-    narrow as that step even when a and b already straddle the root from
-    far apart.
-
-    Narrowing: Illinois steps (regula falsi that halves the retained
-    endpoint's y when the same endpoint is kept twice running), each point
-    clamped to [lo + tol/2, hi - tol/2]. A step that fails to halve the
-    bracket is a miss. Two misses running (the bracketing step counts as
-    one) are followed by a bisection step, and after a bisection every miss
-    is, until an Illinois step halves the bracket again. Every halving thus
-    costs at most two evaluations, so a flat, steep or noisy rho needs at
-    most about twice the bisection count.
+    Without one, a round continues a ladder of ROUND_LAMBDAS steps of
+    LADDER_STEP in log lambda beyond the outermost point, on the root's
+    side. With one wider than tol, a round takes the `_pair` around the
+    secant crossing of log rho against log lambda (clamped to [lo + tol/2,
+    hi - tol/2]), which ends the search once the secant is within tol/2 of
+    the root, and ROUND_LAMBDAS evenly spaced interior lambdas, which
+    shrink the bracket at least (ROUND_LAMBDAS + 1)-fold whatever rho's
+    shape. A bracket with no float strictly inside is returned as it is.
     """
-    a, b = (a[0], math.log(a[1])), (b[0], math.log(b[1]))  # (lambda, log rho)
-    for _ in range(MAX_BRACKET_STEPS):
-        if abs(a[1]) < abs(b[1]):
-            a, b = b, a  # b is the point nearer the crossing
-        up = b[1] >= 0.0  # rho(b) >= 1: the root lies at larger lambda
-        xa, xb = math.log(a[0]), math.log(b[0])
-        slope = (b[1] - a[1]) / (xb - xa)
-        if slope < 0.0:
-            step = min(max(OVERSHOOT * abs(b[1] / slope), LOG_STEP_MIN), LOG_STEP_MAX)
-        else:
-            step = LOG_STEP_FLAT
-        lam = math.exp(xb + step if up else xb - step)
-        c = (lam, math.log(rho(lam)))
-        if (c[1] >= 0.0) != up:
-            break
-        a, b = b, c
-    else:
-        raise BracketFailure(f"no bracket within {MAX_BRACKET_STEPS} secant steps")
-
-    (lo, y_lo), (hi, y_hi) = (b, c) if up else (c, b)
-    x_lo, x_hi = math.log(lo), math.log(hi)
-    kept = None  # the endpoint the previous step left in place
-    misses = 1  # steps running that failed to halve the bracket; bracketing counts as one
-    while hi - lo > tol:
-        width = hi - lo
-        bisect = misses >= 2
-        if bisect:
-            lam = 0.5 * (lo + hi)
-        else:
-            x = x_hi - y_hi * (x_hi - x_lo) / (y_hi - y_lo)
-            lam = min(max(math.exp(x), lo + 0.5 * tol), hi - 0.5 * tol)
-        if not lo < lam < hi:  # interval at floating resolution
-            break
-        y = math.log(rho(lam))
-        if y >= 0.0:
-            lo, x_lo, y_lo = lam, math.log(lam), y
-            if kept == "hi":
-                y_hi *= 0.5
-            kept = "hi"
-        else:
-            hi, x_hi, y_hi = lam, math.log(lam), y
-            if kept == "lo":
-                y_lo *= 0.5
-            kept = "lo"
-        if bisect:
-            misses = 1
-        else:
-            misses = misses + 1 if hi - lo > 0.5 * width else 0
-    return lo, hi
+    points = sorted(points)
+    for rounds in itertools.count():
+        brackets = [(a, b) for a, b in zip(points, points[1:]) if a[1] >= 1.0 >= b[1]]
+        if brackets:
+            (lo, rho_lo), (hi, rho_hi) = min(brackets, key=lambda ab: ab[1][0] - ab[0][0])
+            if hi - lo <= tol:
+                return lo, hi
+            y_lo, y_hi = math.log(rho_lo), math.log(rho_hi)
+            share = y_lo / (y_lo - y_hi) if y_lo > y_hi else 0.5  # secant zero in log(hi / lo)
+            est = min(max(lo * (hi / lo) ** share, lo + 0.5 * tol), hi - 0.5 * tol)
+            inner = [lo + (hi - lo) * j / (ROUND_LAMBDAS + 1)
+                     for j in range(1, ROUND_LAMBDAS + 1)]
+            lams = sorted({lam for lam in _pair(est, tol) + inner if lo < lam < hi})
+            if not lams:  # bracket at floating resolution
+                return lo, hi
+        else:  # rho is above 1 at the largest lambda, or below 1 at the smallest
+            step = LADDER_STEP if points[-1][1] > 1.0 else -LADDER_STEP
+            x = math.log(points[-1 if step > 0.0 else 0][0])
+            lams = [math.exp(x + step * j) for j in range(1, ROUND_LAMBDAS + 1)]
+        if rounds == MAX_ROUNDS:
+            raise BracketFailure(f"no bracket within {MAX_ROUNDS} rounds")
+        points = sorted(points + list(zip(lams, rho(lams))))
 
 
 def r0_autonomous(mu: float, beta: float, d: float, k: float, delta: float,

@@ -12,6 +12,7 @@ from perivir import (
     State,
     analysis,
     cli,
+    periodic,
 )
 from perivir.cli import (
     ParseError,
@@ -194,6 +195,19 @@ class TestCliDispatch:
             f"config-error: run.initial_conditions: need at least one for {command}\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("rel_tol = 1e-9", "rel_tl = 1e-9", "integrator.rel_tl: unknown key"),
+        ("[integrator]", "[integrater]", "unknown section [integrater]"),
+        ("k = 0.2", "k = 0.2\nkappa = 0.2", "scalars.kappa: unknown key"),
+    ], ids=["misspelt-key", "misspelt-section", "extra-scalar"])
+    def test_unread_config_key_or_section_exits_2(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "typo.ini"
+        path.write_text(GOOD_CONFIG.replace(old, new, 1))
+        assert main(["r0", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config-error: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("field, value", [
         ("rel_tol", "nan"), ("abs_tol", "nan"), ("initial_step", "nan"),
         ("max_step", "nan"), ("max_steps", "inf"), ("max_steps", "2.7"),
@@ -234,6 +248,21 @@ class TestCliDispatch:
         assert warm_starts == []
         captured = capsys.readouterr()
         assert captured.err == "config-error: newton_tol must be finite and nonnegative\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_orbit_from_the_virus_free_face_exits_2(self, tmp_path, capsys, monkeypatch):
+        # rejected before any warm-start pass of the 20,000-period transient
+        path = tmp_path / "face.ini"
+        path.write_text(GOOD_CONFIG.replace("10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1", "10,0,0,0"))
+        passes = count_calls(monkeypatch, periodic, "poincare_map")
+        out = tmp_path / "orbit.csv"
+        code = main(["orbit", "--config", str(path), "--transient", "480000",
+                     "--out", str(out)])
+        assert code == 2
+        assert passes == []
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config-error: ic lies on the invariant virus-free face E = I = V = 0\n")
         assert captured.out == "" and not out.exists()
 
     def test_orbit_in_extinction_regime_exits_3(self, config_dir, tmp_path, capsys):
@@ -301,6 +330,16 @@ class TestCliDispatch:
         lines = out.read_text().splitlines()
         assert lines[0] == "value,r0,rho_at_one,regime,error"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("values", [",", "", " , "], ids=["comma", "empty", "blanks"])
+    def test_sweep_without_values_exits_2(self, config_dir, tmp_path, capsys, values):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(config_dir / "persistence.ini"),
+                     "--param", "beta.mean", "--values", values, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config-error: sweep --values: need at least one value\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("ics", ["10,1,1,1", "10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1"])
     def test_simulate_and_validate_integrate_once(self, monkeypatch, tmp_path, ics):

@@ -346,16 +346,21 @@ class TestWarmStart:
         warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 4.5 * params.period, sim_cfg)
         assert len(calls) == 4
 
-    def test_virus_free_face_runs_the_budget_silently(self, monkeypatch, sim_cfg):
-        # E = I = V = 0 stays there: their change is 0/0, never settled, and
-        # must not warn
-        params = persistence_params()
+    def test_virus_free_face_rejected_before_the_first_pass(self, monkeypatch, sim_cfg):
+        # E = I = V = 0 is invariant, so no number of passes can leave it
+        calls = count_calls(monkeypatch, periodic, "poincare_map")
+        with pytest.raises(ValueError, match="virus-free face E = I = V = 0"):
+            warm_start_guess(persistence_params(), State(10.0, 0.0, 0.0, 0.0), 240.0, sim_cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("ic", [State(10.0, 0.0, 0.0, 1.0), State(10.0, 1.0, 0.0, 0.0)])
+    def test_start_with_some_infection_at_zero_runs_silently(self, monkeypatch, sim_cfg, ic):
         calls = count_calls(monkeypatch, periodic, "poincare_map")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = warm_start_guess(params, State(10.0, 0.0, 0.0, 0.0), 240.0, sim_cfg)
-        assert len(calls) == 10
-        assert (s.e_cells, s.i_cells, s.virus) == (0.0, 0.0, 0.0) and s.t_cells > 0.0
+            s = warm_start_guess(persistence_params(), ic, 240.0, sim_cfg)
+        assert len(calls) >= 1
+        assert np.all(s.as_array() > 0.0)
 
     def test_short_transient_rejected(self, sim_cfg):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perivir import (
@@ -25,7 +25,7 @@ from perivir import (
 )
 from perivir import reproduction
 from perivir.cli import main
-from perivir.reproduction import _hill_r0, _unit_crossing
+from perivir.reproduction import _hill_r0, _pair, _unit_crossing
 
 from .helpers import (
     OMEGA,
@@ -357,14 +357,13 @@ class TestR0Search:
         assert res.iterations == 3
         assert np.shape(matrix_calls[0][3]) == (3, 3, 3)
 
-    def test_each_evaluation_is_one_monodromy_integration(self, monkeypatch):
-        # with the Fourier value unconverged the search starts from the mean-rate R0;
-        # its first three evaluations share one batched integration
+    def test_each_round_is_one_stacked_integration(self, monkeypatch):
+        # with the Fourier value unconverged the search starts from the mean-rate R0
         monkeypatch.setattr(reproduction, "_hill_r0", lambda lin, tol: math.nan)
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(persistence_params())
-        assert len(rho_calls) == len(matrix_calls) == res.iterations - 2
+        _assert_one_integration_a_round(rho_calls, matrix_calls, res)
 
     def test_evaluation_budget_persistence(self):
         assert r0_periodic(persistence_params()).iterations <= 12
@@ -384,6 +383,11 @@ class TestR0Search:
     @pytest.mark.parametrize("start", ["fourier", "mean-rate"])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(rates=_rates, log_r0_factor=st.floats(-1.5, 1.5), amps=_amps)
+    # R0 = 1: a stacked rho(1) can fall on the other side of 1 from a scalar one,
+    # so lambda = 1 must never be a bracket end
+    @example(rates={"mu0": 0.25, "d0": 0.0234375, "k": 0.5, "delta": 0.5, "p": 0.5,
+                    "c": 0.5, "c1": 0.25, "c2": 0.0},
+             log_r0_factor=0.0, amps=(0.0, 0.0, 0.0))
     def test_matches_bisection_oracle(self, start, rates, log_r0_factor, amps):
         # "mean-rate": with the Fourier value unconverged, the search starts from
         # the autonomous R0 of the coefficient means
@@ -432,25 +436,44 @@ class TestUnitCrossing:
     @pytest.mark.parametrize("root", [0.37, 3.7, 123.4])
     @pytest.mark.parametrize("guess_factor", [1.0, 1.01, 5.0, 1.0 / 7.0])
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
-    def test_pathological_rho_within_twice_bisection(self, shape, root, guess_factor, tol):
+    def test_pathological_rho_within_half_the_bisections(self, shape, root, guess_factor,
+                                                          tol):
         rho = shape(root)
-        calls = []
+        rounds = []
 
-        def counted(lam):
-            calls.append(lam)
-            return rho(lam)
+        def stacked(lams):
+            rounds.append(len(lams))
+            return [rho(lam) for lam in lams]
 
-        guess = root * guess_factor
-        lo, hi = _unit_crossing(counted, (1.0, rho(1.0)), (guess, counted(guess)), tol)
-        evaluations = len(calls) + 1  # plus the start point
+        points = [(lam, rho(lam)) for lam in _pair(root * guess_factor, tol)]
+        lo, hi = _unit_crossing(stacked, points, tol)
         _, _, bisections = bisection_root(rho, tol)
         assert rho(lo) >= 1.0 >= rho(hi)
         assert 0.0 <= hi - lo <= tol
-        assert evaluations <= 2 * bisections
+        assert len(rounds) + 1 <= bisections / 2  # plus the round that gave the points
+        assert max(rounds, default=0) <= reproduction.ROUND_LAMBDAS + 2
 
     def test_bracket_failure_when_rho_never_crosses(self):
-        with pytest.raises(BracketFailure):
-            _unit_crossing(lambda lam: 2.0, (1.0, 2.0), (3.0, 2.0), 1e-8)
+        for radius in (2.0, 0.5):  # a ladder up, then a ladder down
+            rounds = []
+
+            def stacked(lams):
+                rounds.append(lams)
+                return [radius] * len(lams)
+
+            with pytest.raises(BracketFailure):
+                _unit_crossing(stacked, [(1.0, radius), (3.0, radius)], 1e-8)
+            assert len(rounds) == reproduction.MAX_ROUNDS
+
+
+def _assert_one_integration_a_round(rho_calls, matrix_calls, res):
+    """Each search round is one rho_for_lambda call on one stacked integrate_matrix."""
+    stacks = [np.shape(call[3]) for call in matrix_calls]
+    assert len(rho_calls) == len(matrix_calls) > 1
+    assert [np.size(call[1]) for call in rho_calls] == [shape[0] for shape in stacks]
+    assert stacks[0] == (3, 3, 3)
+    assert all(shape[0] <= reproduction.ROUND_LAMBDAS + 2 for shape in stacks[1:])
+    assert sum(shape[0] for shape in stacks) == res.iterations
 
 
 def _straddles(res, tol):
@@ -520,8 +543,7 @@ class TestFallback:
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(params, tol=tol)
         assert res.trace[0] == (1.0, res.rho_at_one)
-        # the first three evaluations are one batched integration
-        assert len(matrix_calls) == len(rho_calls) == res.iterations - 2 > 1
+        _assert_one_integration_a_round(rho_calls, matrix_calls, res)
         assert _straddles(res, tol)
         assert abs(res.value - certified.value) <= tol + 1e-8 * certified.value
 
