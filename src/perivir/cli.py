@@ -109,8 +109,10 @@ def parse_config(text: str) -> RunConfig:
     SinusoidalCoefficient and ModelParameters. There are no silent model
     defaults: the model sections and run horizon are required. A section
     or key that nothing reads, such as a misspelt one, is rejected too.
+    A "#" after whitespace starts a comment; ";" does not, since it
+    separates the initial conditions.
     """
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:

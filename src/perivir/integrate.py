@@ -19,16 +19,26 @@ alone; one RMS over the batch would dilute a member's error by sqrt(m).
 
 Off-step values come from the standard quartic dense-output interpolant
 on accepted steps, so requested output grids are hit exactly.
+
+Two stepping loops run this one method. A state shaped like the model's,
+(4,) or an (m, 4) batch of at most FLOAT_PATH_MAX_MEMBERS members, steps
+on Python floats, through the field's float form f.floats when f has one.
+Every other state (matrix stacks, the variational flow, larger batches)
+steps on numpy arrays. Both loops use the same tableau, controller, checks
+and messages. The float loop sums every tableau product left to right;
+the array loop's @ does not, so the two agree to rounding, and bitwise
+once the array loop's products are summed left to right too.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Trajectory
+from .model import FLOAT_PATH_MAX_MEMBERS, Trajectory
 
 __all__ = [
     "IntegrationError",
@@ -110,36 +120,43 @@ class Solution:
         return self.final
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau, as floats for the float loop and as arrays for the array loop.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = tuple(
-    np.array(row)
-    for row in (
-        (1.0 / 5.0,),
-        (3.0 / 40.0, 9.0 / 40.0),
-        (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-        (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-        (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-        (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-    )
+_A_ROWS = (
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
 )
 # 5th-order weights equal the last A row (FSAL); E = b5 - b4 gives the error estimate.
-_E = np.array([
+_E_ROW = (
     71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
     -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
-])
+)
 # Dense-output weights for the quartic interpolant on an accepted step.
-_D = np.array([
+_D_ROW = (
     -12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
     -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
     -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
-])
+)
+_A = tuple(np.array(row) for row in _A_ROWS)
+_E = np.array(_E_ROW)
+_D = np.array(_D_ROW)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _PI_BETA = 0.04
 _PI_ALPHA = 0.2 - 0.75 * _PI_BETA
+
+
+def _pi_factor(err: float, err_old: float, rejected_last: bool) -> float:
+    """Step-size factor after an accepted step; at most 1 right after a rejection."""
+    fac = (err ** _PI_ALPHA) / (err_old ** _PI_BETA)
+    fac = max(_MIN_FACTOR, min(_MAX_FACTOR, _SAFETY / fac if fac > 0.0 else _MAX_FACTOR))
+    return min(fac, 1.0) if rejected_last else fac
 
 
 def _dense_eval(theta, y0, y1, h, K):
@@ -170,7 +187,29 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
         raise ValueError("y0 must have at least one axis")
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError("need finite t0 < t1")
+    t0, t1 = float(t0), float(t1)
     y = np.asarray(y0, dtype=float).copy()
+    shape = y.shape
+    if not np.isfinite(y).all():
+        raise NonFiniteState("initial state is not finite")
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        if t_eval.ndim != 1 or len(t_eval) == 0:
+            raise ValueError("t_eval must be a nonempty 1-D array")
+        if np.any(np.diff(t_eval) <= 0.0):
+            raise ValueError("t_eval must be strictly increasing")
+        if t_eval[0] < t0 or t_eval[-1] > t1:
+            raise ValueError("t_eval must lie within [t0, t1]")
+
+    # non-finite values raise below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if y.ndim <= 2 and shape[-1] == 4 and 0 < y.size <= 4 * FLOAT_PATH_MAX_MEMBERS:
+            return _integrate_floats(f, t0, t1, y, cfg, t_eval)
+        return _integrate_arrays(f, t0, t1, y, cfg, t_eval)
+
+
+def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
+    """The stepping loop on numpy arrays, for every state the float loop does not take."""
     shape = y.shape
     members = shape[0] if y.ndim >= 2 else 1
     per_member = y.size // members if y.size else 1
@@ -181,17 +220,7 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
 
         def f(t, y_flat):
             return f_batch(t, y_flat.reshape(shape)).ravel()
-    if not np.isfinite(y).all():
-        raise NonFiniteState("initial state is not finite")
-
     if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.ndim != 1 or len(t_eval) == 0:
-            raise ValueError("t_eval must be a nonempty 1-D array")
-        if np.any(np.diff(t_eval) <= 0.0):
-            raise ValueError("t_eval must be strictly increasing")
-        if t_eval[0] < t0 or t_eval[-1] > t1:
-            raise ValueError("t_eval must lie within [t0, t1]")
         times, values = [], []
     else:
         times, values = [t0], [y.copy()]
@@ -205,67 +234,176 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
     err_old = 1e-4
     rejected_last = False
     n_steps = n_rejected = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        K[0] = f(t, y)
-        if not np.isfinite(K[0]).all():
-            raise NonFiniteState(f"vector field not finite at t={t}")
+    K[0] = f(t, y)
+    if not np.isfinite(K[0]).all():
+        raise NonFiniteState(f"vector field not finite at t={t}")
 
-        while t < t1:
-            if n_steps >= cfg.max_steps:
-                raise StepLimitExceeded(f"max_steps={cfg.max_steps} reached at t={t}")
-            h = min(h, cfg.max_step, t1 - t)
-            n_steps += 1
+    while t < t1:
+        if n_steps >= cfg.max_steps:
+            raise StepLimitExceeded(f"max_steps={cfg.max_steps} reached at t={t}")
+        h = min(h, cfg.max_step, t1 - t)
+        n_steps += 1
 
-            for i in range(1, 7):
-                yi = y + h * (_A[i - 1] @ K[:i])
-                K[i] = f(t + _C[i] * h, yi)
-            y_new = yi  # stage 7 state is the 5th-order solution (FSAL)
-            err_vec = h * (_E @ K)
+        for i in range(1, 7):
+            yi = y + h * (_A[i - 1] @ K[:i])
+            K[i] = f(t + _C[i] * h, yi)
+        y_new = yi  # stage 7 state is the 5th-order solution (FSAL)
+        err_vec = h * (_E @ K)
 
-            if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
-                raise NonFiniteState(f"state became non-finite near t={t}")
+        if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
+            raise NonFiniteState(f"state became non-finite near t={t}")
 
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            # max of the member sums, then / per_member: the max of the member means
-            err = math.sqrt(float(((err_vec / scale) ** 2).reshape(members, -1).sum(-1).max())
-                            / per_member)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        # max of the member sums, then / per_member: the max of the member means
+        err = math.sqrt(float(((err_vec / scale) ** 2).reshape(members, -1).sum(-1).max())
+                        / per_member)
 
-            if err <= 1.0:
-                t_new = t + h
-                if t_eval is None:
-                    times.append(t_new)
-                    values.append(y_new.copy())
-                else:
-                    hi = eval_idx
-                    while hi < len(t_eval) and t_eval[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
-                        hi += 1
-                    if hi > eval_idx:
-                        theta = (t_eval[eval_idx:hi] - t) / h
-                        interp = _dense_eval(theta, y, y_new, h, K)
-                        for j, tv in enumerate(t_eval[eval_idx:hi]):
-                            times.append(float(tv))
-                            values.append(np.asarray(interp[j]))
-                        eval_idx = hi
-                # PI step-size update
-                fac = (err ** _PI_ALPHA) / (err_old ** _PI_BETA)
-                fac = max(_MIN_FACTOR,
-                          min(_MAX_FACTOR, _SAFETY / fac if fac > 0.0 else _MAX_FACTOR))
-                if rejected_last:
-                    fac = min(fac, 1.0)
-                err_old = max(err, 1e-4)
-                t, y = t_new, y_new
-                K[0] = K[6]
-                h *= fac
-                rejected_last = False
+        if err <= 1.0:
+            t_new = t + h
+            if t_eval is None:
+                times.append(t_new)
+                values.append(y_new.copy())
             else:
-                h *= max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
-                n_rejected += 1
-                rejected_last = True
+                hi = eval_idx
+                while hi < len(t_eval) and t_eval[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
+                    hi += 1
+                if hi > eval_idx:
+                    theta = (t_eval[eval_idx:hi] - t) / h
+                    interp = _dense_eval(theta, y, y_new, h, K)
+                    for j, tv in enumerate(t_eval[eval_idx:hi]):
+                        times.append(float(tv))
+                        values.append(np.asarray(interp[j]))
+                    eval_idx = hi
+            h *= _pi_factor(err, err_old, rejected_last)
+            err_old = max(err, 1e-4)
+            t, y = t_new, y_new
+            K[0] = K[6]
+            rejected_last = False
+        else:
+            h *= max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
+            n_rejected += 1
+            rejected_last = True
 
     if t_eval is None:
         times[-1] = t1  # the last accepted step lands within rounding of t1
     values_arr = np.asarray(values).reshape((len(times),) + shape)
     return Solution(Trajectory(times, values_arr), y.reshape(shape), n_steps, n_rejected)
+
+
+def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
+    """The stepping loop on Python floats, for a (4,) or (m, 4) state of at most 64 values.
+
+    The array loop's tableau, controller, checks and messages, with every
+    coefficient sum written out left to right. The field is f.floats when f
+    has it: f on a flat list of floats, returning a list, which may raise
+    ZeroDivisionError where numpy would give inf or nan. Without it, f is
+    called on arrays of y's shape.
+    """
+    shape = y.shape
+    field = getattr(f, "floats", None)
+    if field is None:
+        def field(t, ys):
+            return np.ravel(f(t, np.array(ys).reshape(shape))).tolist()
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _A_ROWS
+    e1, e2, e3, e4, e5, e6, e7 = _E_ROW
+    d1, d2, d3, d4, d5, d6, d7 = _D_ROW
+    _, c2, c3, c4, c5, c6, c7 = _C
+    isfinite = math.isfinite
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    max_steps, max_step = cfg.max_steps, cfg.max_step
+    t = t0
+    ys = y.ravel().tolist()
+    if t_eval is None:
+        grid = None
+        times, samples = [t], array("d", ys)
+    else:
+        grid = t_eval.tolist()
+        times, samples = [], array("d")
+    eval_idx = 0
+
+    h = min(cfg.initial_step, t1 - t0)
+    err_old = 1e-4
+    rejected_last = False
+    n_steps = n_rejected = 0
+    try:
+        k0 = field(t, ys)
+    except ZeroDivisionError:
+        k0 = [math.nan]
+    if not all(map(isfinite, k0)):
+        raise NonFiniteState(f"vector field not finite at t={t}")
+
+    while t < t1:
+        if n_steps >= max_steps:
+            raise StepLimitExceeded(f"max_steps={max_steps} reached at t={t}")
+        h = min(h, max_step, t1 - t)
+        n_steps += 1
+
+        try:
+            k1 = field(t + c2 * h, [y + h * (a21 * p) for y, p in zip(ys, k0)])
+            k2 = field(t + c3 * h, [y + h * (a31 * p + a32 * q)
+                                    for y, p, q in zip(ys, k0, k1)])
+            k3 = field(t + c4 * h, [y + h * (a41 * p + a42 * q + a43 * r)
+                                    for y, p, q, r in zip(ys, k0, k1, k2)])
+            k4 = field(t + c5 * h, [y + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                                    for y, p, q, r, s in zip(ys, k0, k1, k2, k3)])
+            k5 = field(t + c6 * h, [y + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
+                                    for y, p, q, r, s, u in zip(ys, k0, k1, k2, k3, k4)])
+            # the stage 7 state is the 5th-order solution (FSAL)
+            y_new = [y + h * (a71 * p + a72 * q + a73 * r + a74 * s + a75 * u + a76 * v)
+                     for y, p, q, r, s, u, v in zip(ys, k0, k1, k2, k3, k4, k5)]
+            k6 = field(t + c7 * h, y_new)
+        except ZeroDivisionError:  # numpy's inf or nan would fail the check below
+            raise NonFiniteState(f"state became non-finite near t={t}") from None
+        err_vec = [h * (e1 * p + e2 * q + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w)
+                   for p, q, r, s, u, v, w in zip(k0, k1, k2, k3, k4, k5, k6)]
+
+        if not (all(map(isfinite, y_new)) and all(map(isfinite, err_vec))):
+            raise NonFiniteState(f"state became non-finite near t={t}")
+
+        ratios = iter([e / (atol + rtol * (y if y >= z else z))
+                       for e, y, z in zip(err_vec, map(abs, ys), map(abs, y_new))])
+        # the largest member sum of squares, each summed left to right, then / 4
+        err = math.sqrt(max(a * a + b * b + c * c + d * d
+                            for a, b, c, d in zip(ratios, ratios, ratios, ratios)) / 4)
+
+        if err <= 1.0:
+            t_new = t + h
+            if grid is None:
+                times.append(t_new)
+                samples.extend(y_new)
+            else:
+                hi = eval_idx
+                while hi < len(grid) and grid[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
+                    hi += 1
+                if hi > eval_idx:
+                    # the quartic interpolant, as _dense_eval evaluates it
+                    ydiff = [z - y for y, z in zip(ys, y_new)]
+                    bspl = [h * p - dy for p, dy in zip(k0, ydiff)]
+                    r4 = [dy - h * w - b for dy, w, b in zip(ydiff, k6, bspl)]
+                    r5 = [h * (d1 * p + d2 * q + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w)
+                          for p, q, r, s, u, v, w in zip(k0, k1, k2, k3, k4, k5, k6)]
+                    for tv in grid[eval_idx:hi]:
+                        th = (tv - t) / h
+                        th1 = 1.0 - th
+                        samples.extend([y + th * (dy + th1 * (b + th * (r + th1 * s)))
+                                        for y, dy, b, r, s in zip(ys, ydiff, bspl, r4, r5)])
+                    times += grid[eval_idx:hi]
+                    eval_idx = hi
+            h *= _pi_factor(err, err_old, rejected_last)
+            err_old = max(err, 1e-4)
+            t, ys = t_new, y_new
+            k0 = k6
+            rejected_last = False
+        else:
+            h *= max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
+            n_rejected += 1
+            rejected_last = True
+
+    if grid is None:
+        times[-1] = t1  # the last accepted step lands within rounding of t1
+    states = np.frombuffer(samples).reshape((len(times),) + shape)
+    return Solution(Trajectory(times, states), np.array(ys).reshape(shape), n_steps, n_rejected)
 
 
 def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solution:

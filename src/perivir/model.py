@@ -192,45 +192,54 @@ def incidence(beta_t: float, t_cells, virus, c1: float, c2: float):
     return beta_t * t_cells * virus / ((1.0 + c1 * t_cells) * (1.0 + c2 * virus))
 
 
-# Largest batch whose field `rhs` evaluates member by member on Python
-# floats. Per call, floats cost about 1 us a member and the numpy column
-# formula a flat 17-33 us; the two meet between 20 and 24 members.
+# Largest batch that `rhs`, and the integrator's float loop, evaluate member
+# by member on Python floats.
 FLOAT_PATH_MAX_MEMBERS = 16
 
 
-def rhs(t: float, state, params: ModelParameters) -> np.ndarray:
-    """Vector field of the model at time t.
-
-    `state` may be a State, a length-4 array, or a (..., 4) batch of
-    states; the result has the matching shape. An array t must broadcast
-    against one component of `state.T`.
-
-    Two paths give bitwise-equal results. For a number t and at most
-    FLOAT_PATH_MAX_MEMBERS states, each member is evaluated on Python
-    floats, where a call costs a few microseconds against tens for
-    numpy's per-call overhead on short columns. An array t or a larger
-    batch uses the numpy formula on the columns of `y.T`. Both do the same
-    IEEE operations in the same order; a zero incidence denominator, which
-    Python floats cannot divide by, goes the numpy way too.
-    """
-    y = state.as_array() if isinstance(state, State) else np.asarray(state, dtype=float)
+def _field_floats(t, ys, params: ModelParameters) -> list:
+    """The vector field on a flat list of floats (T, E, I, V per member) at a number t."""
     mu_t = params.mu.value(t)
     beta_t = params.beta.value(t)
     d_t = params.d.value(t)
+    c1, c2, k, p, c = params.c1, params.c2, params.k, params.p, params.c
+    kd, dd = k + d_t, params.delta + d_t
+    it = iter(ys)
+    out = []
+    for T, E, I, V in zip(it, it, it, it):
+        inc = incidence(beta_t, T, V, c1, c2)
+        out += (mu_t - inc - d_t * T, inc - kd * E, k * E - dd * I, p * I - c * V)
+    return out
+
+
+def rhs(t: float, state, params: ModelParameters):
+    """Vector field of the model at time t.
+
+    `state` may be a State, a length-4 array, or a (..., 4) batch of
+    states; the result is an array of the matching shape. An array t must
+    broadcast against one component of `state.T`. For a number t, `state`
+    may also be a flat list of floats, four a member; the result is then a
+    list, and a zero incidence denominator raises ZeroDivisionError.
+
+    Two formulas give bitwise-equal results: `_field_floats` on Python
+    floats, for a number t and at most FLOAT_PATH_MAX_MEMBERS states, and
+    the numpy one on the columns of `y.T`, for an array t, a larger batch
+    or a zero incidence denominator. Both do the same IEEE operations in
+    the same order.
+    """
+    if isinstance(state, list):
+        return _field_floats(t, state, params)
+    y = state.as_array() if isinstance(state, State) else np.asarray(state, dtype=float)
     if (isinstance(t, (float, int)) and y.ndim and y.shape[-1] == 4
             and y.size <= 4 * FLOAT_PATH_MAX_MEMBERS):
-        c1, c2, k, p, c = params.c1, params.c2, params.k, params.p, params.c
-        kd, dd = k + d_t, params.delta + d_t
-        it = iter(y.ravel().tolist())
-        out = []
         try:
-            for T, E, I, V in zip(it, it, it, it):
-                inc = incidence(beta_t, T, V, c1, c2)
-                out += (mu_t - inc - d_t * T, inc - kd * E, k * E - dd * I, p * I - c * V)
-            return np.array(out).reshape(y.shape)
+            return np.array(_field_floats(t, y.ravel().tolist(), params)).reshape(y.shape)
         except ZeroDivisionError:
             pass
     T, E, I, V = y.T
+    mu_t = params.mu.value(t)
+    beta_t = params.beta.value(t)
+    d_t = params.d.value(t)
     inc = incidence(beta_t, T, V, params.c1, params.c2)
     dT = mu_t - inc - d_t * T
     dE = inc - (params.k + d_t) * E
@@ -268,12 +277,15 @@ def jacobian(t: float, state, params: ModelParameters) -> np.ndarray:
 def vector_field(params: ModelParameters):
     """Closure f(t, y) over a fixed parameter set, for the integrator.
 
-    y may be one state (4,) or a batch (m, 4), as `rhs` broadcasts.
+    y may be one state (4,) or a batch (m, 4), as `rhs` broadcasts, or a
+    flat list of floats. f.floats, the same function, tells the integrator
+    that f takes and returns such lists.
     """
 
     def f(t, y):
         return rhs(t, y, params)
 
+    f.floats = f
     return f
 
 

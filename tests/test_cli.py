@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import re
 import xml.etree.ElementTree as ET
 
@@ -58,6 +59,23 @@ initial_conditions = 10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1
 """
 
 
+def _good_run_config() -> RunConfig:
+    """The run configuration that GOOD_CONFIG and the README's example spell out."""
+    omega = 2 * math.pi / 24
+
+    def coeff(mean, amplitude):
+        return SinusoidalCoefficient(mean, amplitude, omega)
+
+    return RunConfig(
+        params=ModelParameters(mu=coeff(0.1, 0.05), beta=coeff(0.3, 0.1),
+                               d=coeff(0.01, 0.005), k=0.2, delta=0.1, p=0.5,
+                               c=0.1, c1=0.1, c2=0.1),
+        integrator=IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12),
+        initial_conditions=(State(10.0, 1.0, 1.0, 1.0), State(5.0, 2.0, 0.5, 3.0),
+                            State(20.0, 0.1, 0.1, 0.1)),
+        horizon=4800.0)
+
+
 class TestParseConfig:
     def test_table_constants_parsed_exactly(self):
         cfg = parse_config(GOOD_CONFIG)
@@ -72,20 +90,14 @@ class TestParseConfig:
         assert cfg.integrator.rel_tol == 1e-9
 
     def test_parses_to_explicit_run_config(self):
-        omega = 2 * math.pi / 24
+        assert parse_config(GOOD_CONFIG) == _good_run_config()
 
-        def coeff(mean, amplitude):
-            return SinusoidalCoefficient(mean, amplitude, omega)
-
-        expected = RunConfig(
-            params=ModelParameters(mu=coeff(0.1, 0.05), beta=coeff(0.3, 0.1),
-                                   d=coeff(0.01, 0.005), k=0.2, delta=0.1, p=0.5,
-                                   c=0.1, c1=0.1, c2=0.1),
-            integrator=IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12),
-            initial_conditions=(State(10.0, 1.0, 1.0, 1.0), State(5.0, 2.0, 0.5, 3.0),
-                                State(20.0, 0.1, 0.1, 0.1)),
-            horizon=4800.0)
-        assert parse_config(GOOD_CONFIG) == expected
+    def test_readme_config_block_parses_as_documented(self):
+        # the "Config format" block, verbatim, inline "#" notes included
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"### Config format\n\n```\n(.*?)```", readme, re.S).group(1)
+        assert "   # 2*pi/24 -> 24-hour period" in block
+        assert parse_config(block) == _good_run_config()
 
     def test_amplitude_at_mean_names_key(self):
         bad = GOOD_CONFIG.replace("amplitude = 0.005", "amplitude = 0.02")

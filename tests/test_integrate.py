@@ -1,3 +1,5 @@
+import contextlib
+import importlib
 import math
 
 import numpy as np
@@ -10,11 +12,71 @@ from perivir import (
     integrate,
     integrate_matrix,
 )
-from perivir.analysis import DEFAULT_INITIAL_CONDITIONS
-from perivir.model import vector_field
+from perivir import model as model_module
+from perivir.analysis import (
+    DEFAULT_INITIAL_CONDITIONS,
+    EVIDENCE_PERIODS,
+    GRID_POINTS_PER_PERIOD,
+    _uniform_grid,
+    classify,
+)
+from perivir.model import FLOAT_PATH_MAX_MEMBERS, vector_field
+from perivir.periodic import poincare_map
 from perivir.reproduction import build_linearization
 
-from .helpers import expm_reference, baseline_params, persistence_params, rhs_column_views
+from .helpers import (
+    baseline_params,
+    count_calls,
+    expm_reference,
+    persistence_params,
+    rhs_column_views,
+)
+
+# the package attribute perivir.integrate is the function
+_integrate_module = importlib.import_module("perivir.integrate")
+
+
+class _LeftToRight:
+    """A tableau row whose @ sums its products left to right, as the float loop does."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def __matmul__(self, K):
+        return np.einsum("i,ij->j", self.row, K)
+
+
+@contextlib.contextmanager
+def array_loop():
+    """Send every state to the numpy stepping loop, its tableau products summed left to right.
+
+    numpy's @ on the tableau goes through BLAS, which sums in an order of its
+    own; with these rows the two loops should agree bit for bit.
+    """
+    m = _integrate_module
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(m, "FLOAT_PATH_MAX_MEMBERS", 0)
+        mp.setattr(m, "_A", tuple(_LeftToRight(row) for row in m._A))
+        mp.setattr(m, "_E", _LeftToRight(m._E))
+        mp.setattr(m, "_D", _LeftToRight(m._D))
+        yield
+
+
+_BITWISE_STARTS = [[10.0, 0.5, 0.5, 2.0],
+                   [[10.0, 0.5, 0.5, 2.0], [3.0, 0.0, 0.0, 0.1], [20.0, 5.0, 1.0, 40.0]]]
+
+
+def _assert_loops_agree(params, y0, cfg, t_end, t_eval):
+    """The float loop and the left-to-right array loop agree bit for bit, tallies included."""
+    sol = integrate(vector_field(params), 0.0, t_end, np.array(y0), cfg, t_eval=t_eval)
+    with array_loop():
+        ref = integrate(lambda t, y: rhs_column_views(t, y, params), 0.0, t_end,
+                        np.array(y0), cfg, t_eval=t_eval)
+    assert len(sol.trajectory) > 40
+    assert np.array_equal(sol.trajectory.times, ref.trajectory.times)
+    assert np.array_equal(sol.trajectory.states, ref.trajectory.states)
+    assert np.array_equal(sol.final, ref.final)
+    assert (sol.step_count, sol.rejected) == (ref.step_count, ref.rejected)
 
 
 class TestConfig:
@@ -165,22 +227,25 @@ class TestBatchIntegration:
             assert np.max(rel) < 1e-5
 
     @pytest.mark.parametrize("profile", ["simulation", "spectral"])
-    @pytest.mark.parametrize("y0", [[10.0, 0.5, 0.5, 2.0],
-                                    [[10.0, 0.5, 0.5, 2.0], [3.0, 0.0, 0.0, 0.1],
-                                     [20.0, 5.0, 1.0, 40.0]]], ids=["one", "three"])
+    @pytest.mark.parametrize("y0", _BITWISE_STARTS, ids=["one", "three"])
     def test_model_field_matches_column_views(self, profile, y0):
-        # rhs's per-member float path drives the same steps, bit for bit, as
-        # the numpy column formula over several periods
-        cfg = getattr(IntegratorConfig, profile)()
+        # the float loop on the model's float field drives the same steps, bit
+        # for bit, as the numpy loop on the numpy column formula once that
+        # loop sums its tableau products left to right
         params = persistence_params()
-        t_end = 4.0 * params.period
-        traj, yf = integrate(vector_field(params), 0.0, t_end, np.array(y0), cfg)
-        ref, ref_f = integrate(lambda t, y: rhs_column_views(t, y, params), 0.0, t_end,
-                               np.array(y0), cfg)
-        assert len(traj) > 40
-        assert np.array_equal(traj.times, ref.times)
-        assert np.array_equal(traj.states, ref.states)
-        assert np.array_equal(yf, ref_f)
+        _assert_loops_agree(params, y0, getattr(IntegratorConfig, profile)(),
+                            4.0 * params.period, None)
+
+    @pytest.mark.parametrize("profile", ["simulation", "spectral"])
+    @pytest.mark.parametrize("y0", _BITWISE_STARTS, ids=["one", "three"])
+    def test_model_field_matches_column_views_on_classify_window(self, profile, y0):
+        # the dense output too, on classify's grid over its evidence window
+        params = persistence_params()
+        t_end = (EVIDENCE_PERIODS + 2) * params.period
+        step = params.period / GRID_POINTS_PER_PERIOD
+        grid = _uniform_grid(t_end, step)
+        window = grid[grid >= t_end - EVIDENCE_PERIODS * params.period - 0.5 * step]
+        _assert_loops_agree(params, y0, getattr(IntegratorConfig, profile)(), t_end, window)
 
     def test_member_error_not_diluted_by_batch(self, sim_cfg):
         # 199 members rest on the virus-free state (T* = 10 for the table
@@ -197,6 +262,54 @@ class TestBatchIntegration:
         err_alone = np.max(np.abs(alone - ref))
         assert err_alone > 0.0
         assert np.max(np.abs(together[7] - ref)) == pytest.approx(err_alone, rel=1e-9)
+
+
+class TestLoopRouting:
+    def test_model_runs_take_the_float_loop(self, monkeypatch, sim_cfg, spectral_cfg):
+        # classify's 3-member batch and a warm-start period pass never hand
+        # rhs an array: the float loop calls the model's float field
+        params = persistence_params()
+        calls = count_calls(monkeypatch, model_module, "rhs")
+        classify(params, DEFAULT_INITIAL_CONDITIONS, 50.0 * params.period, sim_cfg)
+        poincare_map(params, DEFAULT_INITIAL_CONDITIONS[0], spectral_cfg)
+        assert calls
+        assert all(isinstance(args[1], list) for args in calls)
+
+    def test_large_batch_takes_the_array_loop(self, monkeypatch, sim_cfg):
+        params = persistence_params()
+        f = vector_field(params)
+        horizon = 52.0 * params.period
+        grid = np.linspace(0.0, horizon, 521)
+        batch = np.random.default_rng(5).uniform(0.5, 20.0, size=(FLOAT_PATH_MAX_MEMBERS + 1, 4))
+        calls = count_calls(monkeypatch, model_module, "rhs")
+        traj, _ = integrate(f, 0.0, horizon, batch, sim_cfg, t_eval=grid)
+        assert calls
+        assert all(isinstance(args[1], np.ndarray) and args[1].shape == batch.shape
+                   for args in calls)
+        for i, row in enumerate(batch):
+            alone, _ = integrate(f, 0.0, horizon, row, sim_cfg, t_eval=grid)
+            rel = np.abs(traj.states[:, i] - alone.states) / np.abs(alone.states)
+            assert np.max(rel) < 1e-5
+
+    @pytest.mark.parametrize("case", ["step-limit", "blow-up", "zero-denominator"])
+    def test_failures_match_the_array_loop(self, sim_cfg, case):
+        # the same exception with the same message, the step it names included
+        params = baseline_params()
+        f, y0, cfg = vector_field(params), [10.0, 1.0, 1.0, 1.0], sim_cfg
+        if case == "step-limit":
+            cfg = IntegratorConfig(max_steps=5)
+            expected, message = StepLimitExceeded, "max_steps=5 reached at t="
+        elif case == "blow-up":  # y' = y^2 leaves every finite value at t = 1/y(0)
+            f, y0 = (lambda t, y: y * y), [1.0, 0.5, 2.0, 0.25]
+            expected, message = NonFiniteState, "state became non-finite near t="
+        else:  # T = -1/c1 zeroes the incidence denominator
+            y0 = [-1.0 / params.c1, 0.5, 0.5, 2.0]
+            expected, message = NonFiniteState, "vector field not finite at t=0.0"
+        with pytest.raises(expected, match=message) as floats:
+            integrate(f, 0.0, 2.0 * params.period, np.array(y0), cfg)
+        with array_loop(), pytest.raises(expected) as arrays:
+            integrate(f, 0.0, 2.0 * params.period, np.array(y0), cfg)
+        assert str(floats.value) == str(arrays.value)
 
 
 class TestMatrixIntegration:
