@@ -20,14 +20,16 @@ alone; one RMS over the batch would dilute a member's error by sqrt(m).
 Off-step values come from the standard quartic dense-output interpolant
 on accepted steps, so requested output grids are hit exactly.
 
-Two stepping loops run this one method. A state shaped like the model's,
-(4,) or an (m, 4) batch of at most FLOAT_PATH_MAX_MEMBERS members, steps
-on Python floats, through the field's float form f.floats when f has one.
-Every other state (matrix stacks, the variational flow, larger batches)
-steps on numpy arrays. Both loops use the same tableau, controller, checks
-and messages. The float loop sums every tableau product left to right;
-the array loop's @ does not, so the two agree to rounding, and bitwise
-once the array loop's products are summed left to right too.
+Two stepping loops run this one method. A small state, one (n,) vector or
+an (m, n) batch of at most 4 * FLOAT_PATH_MAX_MEMBERS values, steps on
+Python floats, through the field's float form f.floats when f has one:
+the model's (4,) state, its batches of up to 16 members, and Newton
+shooting's 20-wide state-plus-variational flow take this loop. Every other
+state (the (m, n, n) monodromy stacks, larger batches) steps on numpy
+arrays. Both loops use the same tableau, controller, checks and messages.
+The float loop sums every tableau product and each member's error norm
+left to right; the array loop's @ and sum do not, so the two agree to
+rounding, and bitwise once the array loop's sums run left to right too.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ class IntegratorConfig:
 class Solution:
     """One integration: the sampled trajectory, the final state and the step tallies.
 
-    Unpacks as (trajectory, final). end_matrix is final under the name that
+    Unpacks as (trajectory, final). next_step suits a following integration
+    of the same field as its initial_step. end_matrix is final under the name that
     matrix-ODE callers (the acceptance tests, perfbench's tracer) read.
     """
 
@@ -111,6 +114,10 @@ class Solution:
     final: np.ndarray
     step_count: int
     rejected: int
+    # the step the controller proposed after the last accepted step that did
+    # not end on t1 (the final one is cut to fit), at most max_step; the
+    # configured initial_step when the first accepted step already ended there
+    next_step: float
 
     def __iter__(self):
         return iter((self.trajectory, self.final))
@@ -203,7 +210,7 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
 
     # non-finite values raise below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if y.ndim <= 2 and shape[-1] == 4 and 0 < y.size <= 4 * FLOAT_PATH_MAX_MEMBERS:
+        if y.ndim <= 2 and 0 < y.size <= 4 * FLOAT_PATH_MAX_MEMBERS:
             return _integrate_floats(f, t0, t1, y, cfg, t_eval)
         return _integrate_arrays(f, t0, t1, y, cfg, t_eval)
 
@@ -228,6 +235,7 @@ def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
 
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     h = min(cfg.initial_step, t1 - t0)
+    next_step = cfg.initial_step
     t = t0
     n = len(y)
     K = np.empty((7, n))
@@ -242,6 +250,7 @@ def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
         if n_steps >= cfg.max_steps:
             raise StepLimitExceeded(f"max_steps={cfg.max_steps} reached at t={t}")
         h = min(h, cfg.max_step, t1 - t)
+        last_leg = h == t1 - t  # this step ends on t1
         n_steps += 1
 
         for i in range(1, 7):
@@ -275,6 +284,8 @@ def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
                         values.append(np.asarray(interp[j]))
                     eval_idx = hi
             h *= _pi_factor(err, err_old, rejected_last)
+            if not last_leg:
+                next_step = h
             err_old = max(err, 1e-4)
             t, y = t_new, y_new
             K[0] = K[6]
@@ -287,19 +298,22 @@ def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
     if t_eval is None:
         times[-1] = t1  # the last accepted step lands within rounding of t1
     values_arr = np.asarray(values).reshape((len(times),) + shape)
-    return Solution(Trajectory(times, values_arr), y.reshape(shape), n_steps, n_rejected)
+    return Solution(Trajectory(times, values_arr), y.reshape(shape), n_steps, n_rejected,
+                    min(next_step, cfg.max_step))
 
 
 def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
-    """The stepping loop on Python floats, for a (4,) or (m, 4) state of at most 64 values.
+    """The stepping loop on Python floats, for an (n,) or (m, n) state of at most 64 values.
 
     The array loop's tableau, controller, checks and messages, with every
-    coefficient sum written out left to right. The field is f.floats when f
-    has it: f on a flat list of floats, returning a list, which may raise
-    ZeroDivisionError where numpy would give inf or nan. Without it, f is
-    called on arrays of y's shape.
+    coefficient sum and every member's sum of squared error ratios written
+    out left to right. The field is f.floats when f has it: f on a flat list
+    of floats, returning a list, which may raise ZeroDivisionError where
+    numpy would give inf or nan. Without it, f is called on arrays of y's
+    shape.
     """
     shape = y.shape
+    width = shape[-1]  # one member's values
     field = getattr(f, "floats", None)
     if field is None:
         def field(t, ys):
@@ -323,6 +337,7 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
     eval_idx = 0
 
     h = min(cfg.initial_step, t1 - t0)
+    next_step = cfg.initial_step
     err_old = 1e-4
     rejected_last = False
     n_steps = n_rejected = 0
@@ -337,6 +352,7 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
         if n_steps >= max_steps:
             raise StepLimitExceeded(f"max_steps={max_steps} reached at t={t}")
         h = min(h, max_step, t1 - t)
+        last_leg = h == t1 - t  # this step ends on t1
         n_steps += 1
 
         try:
@@ -361,11 +377,17 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
         if not (all(map(isfinite, y_new)) and all(map(isfinite, err_vec))):
             raise NonFiniteState(f"state became non-finite near t={t}")
 
-        ratios = iter([e / (atol + rtol * (y if y >= z else z))
-                       for e, y, z in zip(err_vec, map(abs, ys), map(abs, y_new))])
-        # the largest member sum of squares, each summed left to right, then / 4
-        err = math.sqrt(max(a * a + b * b + c * c + d * d
-                            for a, b, c, d in zip(ratios, ratios, ratios, ratios)) / 4)
+        ratios = [e / (atol + rtol * (y if y >= z else z))
+                  for e, y, z in zip(err_vec, map(abs, ys), map(abs, y_new))]
+        # the largest member sum of squares, each summed left to right, then / width
+        worst = 0.0
+        for i in range(0, len(ratios), width):
+            acc = 0.0
+            for e in ratios[i:i + width]:
+                acc += e * e
+            if acc > worst:
+                worst = acc
+        err = math.sqrt(worst / width)
 
         if err <= 1.0:
             t_new = t + h
@@ -391,6 +413,8 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
                     times += grid[eval_idx:hi]
                     eval_idx = hi
             h *= _pi_factor(err, err_old, rejected_last)
+            if not last_leg:
+                next_step = h
             err_old = max(err, 1e-4)
             t, ys = t_new, y_new
             k0 = k6
@@ -403,7 +427,8 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
     if grid is None:
         times[-1] = t1  # the last accepted step lands within rounding of t1
     states = np.frombuffer(samples).reshape((len(times),) + shape)
-    return Solution(Trajectory(times, states), np.array(ys).reshape(shape), n_steps, n_rejected)
+    return Solution(Trajectory(times, states), np.array(ys).reshape(shape), n_steps, n_rejected,
+                    min(next_step, max_step))
 
 
 def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solution:

@@ -28,6 +28,7 @@ __all__ = [
     "State",
     "Trajectory",
     "incidence",
+    "incidence_partials",
     "rhs",
     "jacobian",
     "vector_field",
@@ -192,6 +193,17 @@ def incidence(beta_t: float, t_cells, virus, c1: float, c2: float):
     return beta_t * t_cells * virus / ((1.0 + c1 * t_cells) * (1.0 + c2 * virus))
 
 
+def incidence_partials(beta_t: float, t_cells: float, virus: float, c1: float, c2: float):
+    """The incidence's partial derivatives (d(inc)/dT, d(inc)/dV) at one state.
+
+        d(inc)/dT = beta(t)*V / ((1 + c1*T)^2 (1 + c2*V)),
+        d(inc)/dV = beta(t)*T / ((1 + c1*T)(1 + c2*V)^2).
+    """
+    qT = 1.0 + c1 * t_cells
+    qV = 1.0 + c2 * virus
+    return beta_t * virus / (qT * qT * qV), beta_t * t_cells / (qT * qV * qV)
+
+
 # Largest batch that `rhs`, and the integrator's float loop, evaluate member
 # by member on Python floats.
 FLOAT_PATH_MAX_MEMBERS = 16
@@ -251,20 +263,15 @@ def rhs(t: float, state, params: ModelParameters):
 def jacobian(t: float, state, params: ModelParameters) -> np.ndarray:
     """Analytic 4x4 Jacobian of `rhs` with respect to the state.
 
-    The incidence partials are
-        d(inc)/dT = beta(t)*V / ((1 + c1*T)^2 (1 + c2*V)),
-        d(inc)/dV = beta(t)*T / ((1 + c1*T)(1 + c2*V)^2).
-    Kept analytic because it feeds variational equations over full periods,
-    where finite-difference noise compounds.
+    The incidence partials come from `incidence_partials`. Kept analytic
+    because it feeds variational equations over full periods, where
+    finite-difference noise compounds.
     """
     y = state.as_array() if isinstance(state, State) else np.asarray(state, dtype=float)
-    T, E, I, V = (float(y[0]), float(y[1]), float(y[2]), float(y[3]))
+    T, V = float(y[0]), float(y[3])
     beta_t = params.beta.value(t)
     d_t = params.d.value(t)
-    qT = 1.0 + params.c1 * T
-    qV = 1.0 + params.c2 * V
-    dinc_dT = beta_t * V / (qT * qT * qV)
-    dinc_dV = beta_t * T / (qT * qV * qV)
+    dinc_dT, dinc_dV = incidence_partials(beta_t, T, V, params.c1, params.c2)
     k, delta, p, c = params.k, params.delta, params.p, params.c
     return np.array([
         [-dinc_dT - d_t, 0.0, 0.0, -dinc_dV],

@@ -25,8 +25,8 @@ from .model import (
     ModelParameters,
     State,
     clamp_small_negatives,
-    jacobian,
-    rhs,
+    incidence,
+    incidence_partials,
     vector_field,
 )
 
@@ -221,24 +221,53 @@ def poincare_map(params: ModelParameters, x0, cfg: IntegratorConfig) -> State:
     Small negative undershoot (within the integrator's absolute tolerance)
     is clamped to zero before the state is rebuilt.
     """
+    return _period_pass(params, x0, cfg)[0]
+
+
+def _period_pass(params: ModelParameters, x0, cfg: IntegratorConfig) -> tuple[State, float]:
+    """poincare_map's image of x0, and the step the integrator proposes for a next pass."""
     y0 = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
     if np.any(y0 < 0.0):
         raise ValueError("initial state must lie in the nonnegative cone")
-    _, y_final = integrate(vector_field(params), 0.0, params.period, y0, cfg,
-                           t_eval=np.array([params.period]))
-    return State.from_array(clamp_small_negatives(y_final, cfg.abs_tol))
+    sol = integrate(vector_field(params), 0.0, params.period, y0, cfg,
+                    t_eval=np.array([params.period]))
+    return State.from_array(clamp_small_negatives(sol.final, cfg.abs_tol)), sol.next_step
 
 
 def _augmented_field(params: ModelParameters):
-    """Vector field for state + fundamental matrix of the variational equation."""
+    """Vector field for state + fundamental matrix of the variational equation.
+
+    The 20-wide state is (T, E, I, V) followed by the rows of Phi. f.floats
+    takes and returns it as a list of floats: the state block is `rhs`'s
+    float formula, operation for operation, and the Phi block is
+    jacobian(t, y) @ Phi written out on the Jacobian's nonzero entries. f on
+    an array returns the same numbers as an array.
+    """
+    mu, beta, d = params.mu, params.beta, params.d
+    k, delta, p, c, c1, c2 = params.k, params.delta, params.p, params.c, params.c1, params.c2
+
+    def floats(t, ya):
+        # the rows of Phi are (x0..x3), (y0..y3), (z0..z3), (w0..w3)
+        T, E, I, V, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3, w0, w1, w2, w3 = ya
+        mu_t = mu.value(t)
+        beta_t = beta.value(t)
+        d_t = d.value(t)
+        kd, dd = k + d_t, delta + d_t
+        inc = incidence(beta_t, T, V, c1, c2)
+        a, b = incidence_partials(beta_t, T, V, c1, c2)
+        j00 = -a - d_t
+        # J = [[j00, 0, 0, -b], [a, -kd, 0, b], [0, k, -dd, 0], [0, 0, p, -c]]
+        return [mu_t - inc - d_t * T, inc - kd * E, k * E - dd * I, p * I - c * V,
+                j00 * x0 - b * w0, j00 * x1 - b * w1, j00 * x2 - b * w2, j00 * x3 - b * w3,
+                a * x0 - kd * y0 + b * w0, a * x1 - kd * y1 + b * w1,
+                a * x2 - kd * y2 + b * w2, a * x3 - kd * y3 + b * w3,
+                k * y0 - dd * z0, k * y1 - dd * z1, k * y2 - dd * z2, k * y3 - dd * z3,
+                p * z0 - c * w0, p * z1 - c * w1, p * z2 - c * w2, p * z3 - c * w3]
 
     def f(t, ya):
-        y = ya[:4]
-        phi = ya[4:].reshape(4, 4)
-        dy = rhs(t, y, params)
-        dphi = jacobian(t, y, params) @ phi
-        return np.concatenate([dy, dphi.ravel()])
+        return np.array(floats(t, ya.tolist()))
 
+    f.floats = floats
     return f
 
 
@@ -350,13 +379,17 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     (max_steps applies to each pass).
 
     Each pass is one poincare_map over [0, P], at most floor(transient / P)
-    of them. After pass n the change is measured in units of that rel_tol,
+    of them; every pass after the first starts from the step size the pass
+    before it proposed, not from initial_step. After pass n the change is
+    measured in units of that rel_tol,
     delta_n = max_i |x_n,i - x_{n-1},i| / (rel_tol * |x_n,i|), and the
     iteration stops once q = delta_n / delta_{n-1} < 1 and
     delta_n * q / (1 - q) <= 1: the a-posteriori bound on the distance to
     the fixed point of a map contracting by q. A growing change (an
-    infection still rising from near the virus-free orbit) never stops it.
-    A start on the invariant virus-free face E = I = V = 0 raises ValueError.
+    infection still rising from near the virus-free orbit) never stops it,
+    and an infinite one (a component clamped to zero) is no reference for
+    the next q. A start on the invariant virus-free face E = I = V = 0
+    raises ValueError.
     """
     if not math.isfinite(transient):
         raise ValueError("transient must be finite")
@@ -371,12 +404,14 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     x = ic.as_array()
     last = np.nan  # no change before the first pass, so q is nan after it
     for _ in range(periods):
-        x_next = poincare_map(params, x, cfg).as_array()
+        image, step = _period_pass(params, x, cfg)
+        x_next = image.as_array()
+        cfg = replace(cfg, initial_step=step)
         with np.errstate(divide="ignore", invalid="ignore"):
             change = np.max(np.abs(x_next - x) / (cfg.rel_tol * np.abs(x_next)))
             q = change / last
             settled = q < 1.0 and change * q / (1.0 - q) <= 1.0
-        x, last = x_next, change
+        x, last = x_next, change if np.isfinite(change) else np.nan
         if settled:
             break
     return State.from_array(x)

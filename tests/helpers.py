@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from perivir import (
     IntegratorConfig,
@@ -110,6 +111,32 @@ def random_periodic_params(rng: np.random.Generator) -> ModelParameters:
         beta=SinusoidalCoefficient(beta0, rng.uniform(0.0, 0.9) * beta0, OMEGA),
         d=SinusoidalCoefficient(r["d0"], rng.uniform(0.0, 0.9) * r["d0"], OMEGA),
         k=r["k"], delta=r["delta"], p=r["p"], c=r["c"], c1=r["c1"], c2=r["c2"])
+
+
+def admissible_periodic(rates: dict, log_r0_factor: float, amps) -> ModelParameters:
+    """A periodic parameter set with beta placed log_r0_factor decades from threshold.
+
+    rates is a RATES draw, amps an AMPS draw: each amplitude as a fraction of its mean.
+    """
+    r = rates
+    beta_c = beta_at_threshold(r["mu0"], r["d0"], r["k"], r["delta"], r["p"],
+                               r["c"], r["c1"])
+    beta0 = beta_c * 10.0 ** log_r0_factor
+    return ModelParameters(
+        mu=SinusoidalCoefficient(r["mu0"], amps[0] * r["mu0"], OMEGA),
+        beta=SinusoidalCoefficient(beta0, amps[1] * beta0, OMEGA),
+        d=SinusoidalCoefficient(r["d0"], amps[2] * r["d0"], OMEGA),
+        k=r["k"], delta=r["delta"], p=r["p"], c=r["c"], c1=r["c1"], c2=r["c2"])
+
+
+# hypothesis strategies for admissible_periodic, over random_rate_set's ranges
+RATES = st.fixed_dictionaries({
+    "mu0": st.floats(0.02, 0.3), "d0": st.floats(0.005, 0.05),
+    "k": st.floats(0.05, 0.6), "delta": st.floats(0.02, 0.6),
+    "p": st.floats(0.1, 0.6), "c": st.floats(0.05, 0.6),
+    "c1": st.floats(0.0, 0.3), "c2": st.floats(0.0, 0.3),
+})
+AMPS = st.tuples(*(st.floats(0.0, 0.9) for _ in range(3)))
 
 
 def closed_form_r0(params: ModelParameters) -> float:

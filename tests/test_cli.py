@@ -266,7 +266,7 @@ class TestCliDispatch:
         # rejected before any warm-start pass of the 20,000-period transient
         path = tmp_path / "face.ini"
         path.write_text(GOOD_CONFIG.replace("10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1", "10,0,0,0"))
-        passes = count_calls(monkeypatch, periodic, "poincare_map")
+        passes = count_calls(monkeypatch, periodic, "_period_pass")
         out = tmp_path / "orbit.csv"
         code = main(["orbit", "--config", str(path), "--transient", "480000",
                      "--out", str(out)])

@@ -8,6 +8,9 @@ attribute somewhere in src/perivir, tests, demos or perfbench. `perivir r0`
 must run without importing scipy or numpy.fft.
 Every function perfbench/tracer.py wraps by name must exist in perivir, and
 `integrate` must keep the signature the tracer's wrapper assumes.
+The float stepping loop and the float field formulas call neither builtin
+`sum` nor `math.fsum`: since Python 3.12 float `sum` is compensated, so a
+result would depend on the interpreter version.
 """
 
 import ast
@@ -160,6 +163,46 @@ def test_dataclass_field_detector_flags_unread_fields():
     readers = [sources["a.py"], "def f(log):\n    log.note = 'x'\n    return log.hits\n"]
     assert unread_dataclass_fields(sources, readers) == [
         "a.py Result.spare", "a.py Log.note"]
+
+
+def summing_calls(source: str, functions=None) -> list[str]:
+    """Calls of builtin sum and any use of fsum in source, or in its named top-level functions."""
+    nodes = ast.parse(source).body
+    if functions is not None:
+        nodes = [n for n in nodes if isinstance(n, ast.FunctionDef) and n.name in functions]
+        assert sorted(n.name for n in nodes) == sorted(functions)
+    found = []
+    for node in (sub for n in nodes for sub in ast.walk(n)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"):
+            found.append(f"line {node.lineno}: sum")
+        elif (isinstance(node, ast.Name) and node.id == "fsum") or (
+                isinstance(node, ast.Attribute) and node.attr == "fsum") or (
+                isinstance(node, ast.alias) and node.name == "fsum"):
+            found.append(f"line {node.lineno}: fsum")
+    return found
+
+
+# the modules, and the functions of them, whose float sums must run left to right
+_FLOAT_FORMULAS = {
+    "integrate.py": None,
+    "model.py": ["incidence", "incidence_partials", "_field_floats"],
+    "periodic.py": ["_augmented_field"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(_FLOAT_FORMULAS))
+def test_float_sums_are_written_out(module):
+    assert summing_calls((SRC / module).read_text(), _FLOAT_FORMULAS[module]) == []
+
+
+def test_summing_detector_flags_sum_and_fsum():
+    source = ("import math\nfrom math import fsum\n"
+              "def f(xs):\n    return sum(xs) + math.fsum(xs) + xs.sum()\n"
+              "def g(xs):\n    return sum(xs)\n")
+    assert summing_calls(source) == [
+        "line 2: fsum", "line 4: sum", "line 4: fsum", "line 6: sum"]
+    assert summing_calls(source, ["g"]) == ["line 6: sum"]
 
 
 def test_r0_imports_neither_scipy_nor_numpy_fft():

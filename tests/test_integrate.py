@@ -13,6 +13,7 @@ from perivir import (
     integrate_matrix,
 )
 from perivir import model as model_module
+from perivir import periodic
 from perivir.analysis import (
     DEFAULT_INITIAL_CONDITIONS,
     EVIDENCE_PERIODS,
@@ -20,9 +21,10 @@ from perivir.analysis import (
     _uniform_grid,
     classify,
 )
+from perivir.cli import main
 from perivir.model import FLOAT_PATH_MAX_MEMBERS, vector_field
 from perivir.periodic import poincare_map
-from perivir.reproduction import build_linearization
+from perivir.reproduction import build_linearization, rho_for_lambda
 
 from .helpers import (
     baseline_params,
@@ -36,34 +38,62 @@ from .helpers import (
 _integrate_module = importlib.import_module("perivir.integrate")
 
 
+class _LeftSum(np.ndarray):
+    """An error vector whose sum(-1) adds along the last axis left to right.
+
+    numpy sums more than 7 values pairwise, in 8 interleaved partial sums;
+    the float loop adds each member's squared error ratios in order. Arrays
+    computed from this one (the ratios, their squares) keep the class.
+    """
+
+    def sum(self, axis):
+        assert axis == -1
+        values = np.asarray(self)
+        acc = np.zeros(values.shape[:-1])
+        for j in range(values.shape[-1]):
+            acc = acc + values[..., j]
+        return acc
+
+
 class _LeftToRight:
     """A tableau row whose @ sums its products left to right, as the float loop does."""
 
-    def __init__(self, row):
+    def __init__(self, row, result=np.ndarray):
         self.row = row
+        self.result = result
 
     def __matmul__(self, K):
-        return np.einsum("i,ij->j", self.row, K)
+        return np.einsum("i,ij->j", self.row, K).view(self.result)
 
 
 @contextlib.contextmanager
 def array_loop():
-    """Send every state to the numpy stepping loop, its tableau products summed left to right.
+    """Send every state to the numpy stepping loop, its sums all taken left to right.
 
     numpy's @ on the tableau goes through BLAS, which sums in an order of its
-    own; with these rows the two loops should agree bit for bit.
+    own, and its sum over a member's error ratios is pairwise; with these
+    rows and this error vector the two loops should agree bit for bit.
     """
     m = _integrate_module
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(m, "FLOAT_PATH_MAX_MEMBERS", 0)
         mp.setattr(m, "_A", tuple(_LeftToRight(row) for row in m._A))
-        mp.setattr(m, "_E", _LeftToRight(m._E))
+        mp.setattr(m, "_E", _LeftToRight(m._E, _LeftSum))
         mp.setattr(m, "_D", _LeftToRight(m._D))
         yield
 
 
 _BITWISE_STARTS = [[10.0, 0.5, 0.5, 2.0],
                    [[10.0, 0.5, 0.5, 2.0], [3.0, 0.0, 0.0, 0.1], [20.0, 5.0, 1.0, 40.0]]]
+
+
+def _assert_same_solution(sol, ref):
+    """Two Solutions agree bit for bit, tallies and proposed step included."""
+    assert np.array_equal(sol.trajectory.times, ref.trajectory.times)
+    assert np.array_equal(sol.trajectory.states, ref.trajectory.states)
+    assert np.array_equal(sol.final, ref.final)
+    assert (sol.step_count, sol.rejected, sol.next_step) == (
+        ref.step_count, ref.rejected, ref.next_step)
 
 
 def _assert_loops_agree(params, y0, cfg, t_end, t_eval):
@@ -73,10 +103,22 @@ def _assert_loops_agree(params, y0, cfg, t_end, t_eval):
         ref = integrate(lambda t, y: rhs_column_views(t, y, params), 0.0, t_end,
                         np.array(y0), cfg, t_eval=t_eval)
     assert len(sol.trajectory) > 40
-    assert np.array_equal(sol.trajectory.times, ref.trajectory.times)
-    assert np.array_equal(sol.trajectory.states, ref.trajectory.states)
-    assert np.array_equal(sol.final, ref.final)
-    assert (sol.step_count, sol.rejected) == (ref.step_count, ref.rejected)
+    _assert_same_solution(sol, ref)
+
+
+def _recorded_newton_flow(params, x, cfg):
+    """_flow_and_monodromy's (samples, end, monodromy) and the Solution behind them."""
+    sols = []
+
+    def recorded(*args, **kwargs):
+        sols.append(integrate(*args, **kwargs))
+        return sols[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(periodic, "integrate", recorded)
+        out = periodic._flow_and_monodromy(params, np.array(x), cfg)
+    assert len(sols) == 1
+    return out, sols[0]
 
 
 class TestConfig:
@@ -198,8 +240,29 @@ class TestVectorIntegration:
 
     def test_max_step_respected(self):
         cfg = IntegratorConfig(max_step=0.125)
-        traj, _ = integrate(lambda t, y: -0.01 * y, 0.0, 10.0, [1.0], cfg)
-        assert np.max(np.diff(traj.times)) <= 0.125 + 1e-12
+        sol = integrate(lambda t, y: -0.01 * y, 0.0, 10.0, [1.0], cfg)
+        assert np.max(np.diff(sol.trajectory.times)) <= 0.125 + 1e-12
+        assert sol.next_step == 0.125  # the proposal is capped too
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 2, 2)], ids=["floats", "batch", "stack"])
+    def test_next_step_ignores_the_step_that_ends_on_t1(self, sim_cfg, shape):
+        # the step proposed after the last step that did not end on t1, not
+        # after the final one, which is shortened to end there exactly
+        y0 = np.ones(shape)
+        sol = integrate(lambda t, y: -0.3 * y, 0.0, 50.0, y0, sim_cfg)
+        steps = np.diff(sol.trajectory.times)
+        assert sol.rejected == 0 and len(steps) > 4
+        assert steps[-1] < steps[-2] < sol.next_step < 10.0 * steps[-2]
+        # a longer run takes the same steps, then one of next_step
+        longer = integrate(lambda t, y: -0.3 * y, 0.0, 60.0, y0, sim_cfg)
+        assert np.array_equal(longer.trajectory.times[:len(steps)], sol.trajectory.times[:-1])
+        taken = longer.trajectory.times[len(steps)] - longer.trajectory.times[len(steps) - 1]
+        assert taken == pytest.approx(sol.next_step, rel=1e-12)  # t + h - t rounds
+
+    def test_next_step_is_the_initial_step_when_the_first_step_ends_on_t1(self, sim_cfg):
+        sol = integrate(lambda t, y: -y, 0.0, 1e-3, [1.0], sim_cfg)
+        assert sol.step_count == 1
+        assert sol.next_step == sim_cfg.initial_step
 
 
 class TestBatchIntegration:
@@ -247,6 +310,23 @@ class TestBatchIntegration:
         window = grid[grid >= t_end - EVIDENCE_PERIODS * params.period - 0.5 * step]
         _assert_loops_agree(params, y0, getattr(IntegratorConfig, profile)(), t_end, window)
 
+    @pytest.mark.parametrize("profile", ["simulation", "spectral"])
+    @pytest.mark.parametrize("x", [[10.0, 1.0, 1.0, 1.0], [0.1032, 0.3530, 0.7915, 4.3401]],
+                             ids=["transient", "near-orbit"])
+    def test_newton_flow_matches_the_array_loop(self, profile, x):
+        # Newton shooting's 20-wide state-plus-variational flow steps on
+        # floats; the array loop with every sum left to right (tableau
+        # products and the 20-wide error norm) takes the same steps
+        params = persistence_params()
+        cfg = getattr(IntegratorConfig, profile)()
+        (samples, end, mono), sol = _recorded_newton_flow(params, x, cfg)
+        with array_loop():
+            (samples_ref, end_ref, mono_ref), ref = _recorded_newton_flow(params, x, cfg)
+        assert sol.step_count > 40
+        _assert_same_solution(sol, ref)
+        assert np.array_equal(samples, samples_ref)
+        assert np.array_equal(end, end_ref) and np.array_equal(mono, mono_ref)
+
     def test_member_error_not_diluted_by_batch(self, sim_cfg):
         # 199 members rest on the virus-free state (T* = 10 for the table
         # coefficients) and one moves: its error must be the one it gets
@@ -290,6 +370,31 @@ class TestLoopRouting:
             alone, _ = integrate(f, 0.0, horizon, row, sim_cfg, t_eval=grid)
             rel = np.abs(traj.states[:, i] - alone.states) / np.abs(alone.states)
             assert np.max(rel) < 1e-5
+
+    def test_orbit_runs_take_only_the_float_loop(self, monkeypatch, tmp_path, config_dir,
+                                                 spectral_cfg):
+        # the warm start's (4,) passes and Newton's 20-wide flows; the R0
+        # search's (m, 3, 3) monodromy stacks stay on the array loop
+        calls = count_calls(monkeypatch, _integrate_module, "_integrate_arrays")
+        assert main(["orbit", "--config", str(config_dir / "persistence.ini"),
+                     "--out", str(tmp_path / "orbit.csv")]) == 0
+        assert calls == []
+        lin = build_linearization(persistence_params())
+        rho_for_lambda(lin, np.array([0.5, 1.0, 2.0]), spectral_cfg)
+        assert len(calls) == 1 and calls[0][3].shape == (3, 3, 3)
+
+    def test_hidden_float_form_gives_the_same_solution(self, spectral_cfg):
+        # perfbench's tracer hands integrate a wrapper without f.floats: the
+        # float loop then calls f on arrays, which must do the same arithmetic
+        params = persistence_params()
+        grid = np.linspace(0.0, params.period, periodic.ORBIT_SAMPLES + 1)
+        x = np.array([10.0, 1.0, 1.0, 1.0])
+        for f, y0 in [(periodic._augmented_field(params), np.concatenate([x, np.eye(4).ravel()])),
+                      (vector_field(params), x)]:
+            sol = integrate(f, 0.0, params.period, y0, spectral_cfg, t_eval=grid)
+            hidden = integrate(lambda t, y: f(t, y), 0.0, params.period, y0, spectral_cfg,
+                               t_eval=grid)
+            _assert_same_solution(sol, hidden)
 
     @pytest.mark.parametrize("case", ["step-limit", "blow-up", "zero-denominator"])
     def test_failures_match_the_array_loop(self, sim_cfg, case):

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
 from perivir import (
@@ -23,12 +26,15 @@ from perivir import (
     warm_start_guess,
 )
 from perivir import periodic
-from perivir.model import jacobian, vector_field
+from perivir.model import jacobian, rhs, vector_field
 from perivir.periodic import _healthy_field
 from perivir.reproduction import build_linearization
 
 from .helpers import (
+    AMPS,
     OMEGA,
+    RATES,
+    admissible_periodic,
     baseline_params,
     count_calls,
     persistence_params,
@@ -295,6 +301,23 @@ class TestFindPeriodicOrbit:
         assert orbit.states.shape == (periodic.ORBIT_SAMPLES + 1, 4)
 
 
+class TestAugmentedField:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS, t=st.floats(0.0, 48.0),
+           y=hnp.arrays(float, 4, elements=st.floats(1e-6, 100.0)),
+           phi=hnp.arrays(float, (4, 4), elements=st.floats(-10.0, 10.0)))
+    def test_float_form_matches_rhs_and_jacobian(self, rates, log_r0_factor, amps, t, y, phi):
+        # the state block is rhs bit for bit; the Phi block is J @ Phi to
+        # rounding, relative to the size of the products it sums
+        params = admissible_periodic(rates, log_r0_factor, amps)
+        out = periodic._augmented_field(params).floats(t, y.tolist() + phi.ravel().tolist())
+        assert len(out) == 20 and all(type(v) is float for v in out)
+        assert np.array_equal(out[:4], rhs(t, y, params))
+        J = jacobian(t, y, params)
+        scale = np.abs(J) @ np.abs(phi)
+        assert np.all(np.abs(np.reshape(out[4:], (4, 4)) - J @ phi) <= 1e-14 * scale)
+
+
 class TestWarmStart:
     def test_lands_on_period_multiple_and_positive(self, sim_cfg):
         params = persistence_params()
@@ -310,15 +333,58 @@ class TestWarmStart:
 
     def test_looser_tolerance_and_step_limits_kept(self, sim_cfg):
         # a looser config, max_step included, is used as given: the guess is
-        # bitwise that of 4 successive Poincare maps at that config
+        # bitwise that of 4 successive Poincare maps at that config, each
+        # after the first started from the step the one before it proposed
         params = persistence_params()
         ic = State(10.0, 1.0, 1.0, 1.0)
         loose = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-7, max_step=0.5)
-        x = ic
+        x, cfg, steps = ic, loose, []
         for _ in range(4):
-            x = poincare_map(params, x, loose)
+            sol = integrate(vector_field(params), 0.0, params.period, x.as_array(), cfg,
+                            t_eval=np.array([params.period]))
+            assert np.array_equal(poincare_map(params, x, cfg).as_array(), sol.final)
+            x = State.from_array(sol.final)
+            cfg = replace(cfg, initial_step=sol.next_step)
+            steps.append(sol.next_step)
+        assert max(steps) == 0.5  # capped at max_step
         s = warm_start_guess(params, ic, 4 * params.period, loose)
         assert np.array_equal(s.as_array(), x.as_array())
+
+    def test_passes_carry_the_proposed_step(self, monkeypatch, sim_cfg):
+        # the first pass starts from initial_step, every later one from the
+        # step the pass before it proposed
+        params = persistence_params()
+        sols = []
+        original = periodic.integrate
+
+        def recorded(f, t0, t1, y0, cfg, t_eval=None):
+            sols.append((cfg.initial_step, original(f, t0, t1, y0, cfg, t_eval)))
+            return sols[-1][1]
+
+        monkeypatch.setattr(periodic, "integrate", recorded)
+        warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 10 * params.period, sim_cfg)
+        assert len(sols) >= 3
+        assert sols[0][0] == sim_cfg.initial_step
+        assert [start for start, _ in sols[1:]] == [sol.next_step for _, sol in sols[:-1]]
+        assert all(sol.next_step > sim_cfg.initial_step for _, sol in sols)
+
+    def test_infinite_change_is_no_contraction_reference(self, monkeypatch, sim_cfg):
+        # a component clamped to zero makes the change infinite; the finite
+        # change after it must not read as a contraction by a factor of 0
+        images = iter([[10.0, 1.0, 1.0, 2.0], [10.0, 0.0, 1.0, 2.0]]
+                      + [[10.0, 1.0, 1.0, 2.0]] * 8)
+        passes = []
+
+        def fake_pass(params, x, cfg):
+            passes.append(x)
+            return State(*next(images)), cfg.initial_step
+
+        monkeypatch.setattr(periodic, "_period_pass", fake_pass)
+        params = persistence_params()
+        s = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 10 * params.period, sim_cfg)
+        # pass 3 changes by 1e6 after pass 2's infinite change; pass 4 repeats it
+        assert len(passes) == 4
+        assert s == State(10.0, 1.0, 1.0, 2.0)
 
     def test_near_virus_free_start_finds_the_orbit(self, spectral_cfg):
         # R0 ~ 2.6: from next to the virus-free orbit the infection first
@@ -342,20 +408,20 @@ class TestWarmStart:
 
     def test_unsettled_run_uses_the_whole_budget(self, monkeypatch, sim_cfg):
         params = persistence_params()
-        calls = count_calls(monkeypatch, periodic, "poincare_map")
+        calls = count_calls(monkeypatch, periodic, "_period_pass")
         warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 4.5 * params.period, sim_cfg)
         assert len(calls) == 4
 
     def test_virus_free_face_rejected_before_the_first_pass(self, monkeypatch, sim_cfg):
         # E = I = V = 0 is invariant, so no number of passes can leave it
-        calls = count_calls(monkeypatch, periodic, "poincare_map")
+        calls = count_calls(monkeypatch, periodic, "_period_pass")
         with pytest.raises(ValueError, match="virus-free face E = I = V = 0"):
             warm_start_guess(persistence_params(), State(10.0, 0.0, 0.0, 0.0), 240.0, sim_cfg)
         assert calls == []
 
     @pytest.mark.parametrize("ic", [State(10.0, 0.0, 0.0, 1.0), State(10.0, 1.0, 0.0, 0.0)])
     def test_start_with_some_infection_at_zero_runs_silently(self, monkeypatch, sim_cfg, ic):
-        calls = count_calls(monkeypatch, periodic, "poincare_map")
+        calls = count_calls(monkeypatch, periodic, "_period_pass")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = warm_start_guess(persistence_params(), ic, 240.0, sim_cfg)

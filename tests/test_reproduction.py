@@ -28,7 +28,10 @@ from perivir.cli import main
 from perivir.reproduction import _hill_r0, _pair, _unit_crossing
 
 from .helpers import (
+    AMPS,
     OMEGA,
+    RATES,
+    admissible_periodic,
     beta_at_threshold,
     bisection_r0,
     bisection_root,
@@ -292,36 +295,14 @@ class TestR0Periodic:
             r0_periodic(baseline_params(), tol=tol)
 
 
-def _admissible_periodic(draw_rates, log_r0_factor, amps):
-    """A periodic parameter set with beta placed log_r0_factor decades from threshold."""
-    r = draw_rates
-    beta_c = beta_at_threshold(r["mu0"], r["d0"], r["k"], r["delta"], r["p"],
-                               r["c"], r["c1"])
-    beta0 = beta_c * 10.0 ** log_r0_factor
-    return ModelParameters(
-        mu=SinusoidalCoefficient(r["mu0"], amps[0] * r["mu0"], OMEGA),
-        beta=SinusoidalCoefficient(beta0, amps[1] * beta0, OMEGA),
-        d=SinusoidalCoefficient(r["d0"], amps[2] * r["d0"], OMEGA),
-        k=r["k"], delta=r["delta"], p=r["p"], c=r["c"], c1=r["c1"], c2=r["c2"])
-
-
-_rates = st.fixed_dictionaries({
-    "mu0": st.floats(0.02, 0.3), "d0": st.floats(0.005, 0.05),
-    "k": st.floats(0.05, 0.6), "delta": st.floats(0.02, 0.6),
-    "p": st.floats(0.1, 0.6), "c": st.floats(0.05, 0.6),
-    "c1": st.floats(0.0, 0.3), "c2": st.floats(0.0, 0.3),
-})
-_amps = st.tuples(*(st.floats(0.0, 0.9) for _ in range(3)))
-
-
 class TestMonodromyStartTime:
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(rates=_rates, log_r0_factor=st.floats(-1.5, 1.5), amps=_amps,
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
            log_lam=st.floats(-1.0, 1.0), periods=st.floats(0.0, 5.0, exclude_max=True))
     def test_spectral_radius_independent_of_start(self, rates, log_r0_factor, amps,
                                                   log_lam, periods):
         # Phi(s + P, s) is similar to Phi(P, 0), so the two share a spectrum
-        params = _admissible_periodic(rates, log_r0_factor, amps)
+        params = admissible_periodic(rates, log_r0_factor, amps)
         combined = build_linearization(params).combined(10.0 ** log_lam)
         cfg = IntegratorConfig.spectral()
         P = params.period
@@ -382,7 +363,7 @@ class TestR0Search:
 
     @pytest.mark.parametrize("start", ["fourier", "mean-rate"])
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(rates=_rates, log_r0_factor=st.floats(-1.5, 1.5), amps=_amps)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS)
     # R0 = 1: a stacked rho(1) can fall on the other side of 1 from a scalar one,
     # so lambda = 1 must never be a bracket end
     @example(rates={"mu0": 0.25, "d0": 0.0234375, "k": 0.5, "delta": 0.5, "p": 0.5,
@@ -391,7 +372,7 @@ class TestR0Search:
     def test_matches_bisection_oracle(self, start, rates, log_r0_factor, amps):
         # "mean-rate": with the Fourier value unconverged, the search starts from
         # the autonomous R0 of the coefficient means
-        params = _admissible_periodic(rates, log_r0_factor, amps)
+        params = admissible_periodic(rates, log_r0_factor, amps)
         tol = 1e-6
         hill = (lambda lin, tol: math.nan) if start == "mean-rate" else _hill_r0
         with mock.patch.object(reproduction, "_hill_r0", hill):
@@ -406,12 +387,12 @@ class TestR0Search:
 
     @pytest.mark.parametrize("start", ["fourier", "mean-rate"])
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(rates=_rates, log_r0_factor=st.floats(-1.5, 1.5), amps=_amps,
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
            s=st.floats(0.1, 10.0))
     def test_scale_covariance(self, start, rates, log_r0_factor, amps, s):
         # beta -> s*beta scales F, so R0 scales by s; each value lies within
         # tol/2 of its root, hence the two sides within (1 + s)*tol/2
-        params = _admissible_periodic(rates, log_r0_factor, amps)
+        params = admissible_periodic(rates, log_r0_factor, amps)
         scaled = replace(params, beta=SinusoidalCoefficient(
             s * params.beta.mean, s * params.beta.amplitude, OMEGA))
         tol = 1e-8
