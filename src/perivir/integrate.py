@@ -21,12 +21,13 @@ Off-step values come from the standard quartic dense-output interpolant
 on accepted steps, so requested output grids are hit exactly.
 
 Two stepping loops run this one method. A small state, one (n,) vector or
-an (m, n) batch of at most 4 * FLOAT_PATH_MAX_MEMBERS values, steps on
-Python floats, through the field's float form f.floats when f has one:
-the model's (4,) state, its batches of up to 16 members, and Newton
-shooting's 20-wide state-plus-variational flow take this loop. Every other
-state (the (m, n, n) monodromy stacks, larger batches) steps on numpy
-arrays. Both loops use the same tableau, controller, checks and messages.
+an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps on
+Python floats, through the field's float form f.floats when f has one
+(the model's is `model._field_floats` bound to its params): the model's
+(4,) state, its batches of up to 16 members, and Newton shooting's
+20-wide state-plus-variational flow take this loop. Every other state
+(the (m, n, n) monodromy stacks, larger batches) steps on numpy arrays.
+Both loops use the same tableau, controller, checks and messages.
 The float loop sums every tableau product and each member's error norm
 left to right; the array loop's @ and sum do not, so the two agree to
 rounding, and bitwise once the array loop's sums run left to right too.
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import FLOAT_PATH_MAX_MEMBERS, Trajectory
+from .model import Trajectory
 
 __all__ = [
     "IntegrationError",
@@ -127,6 +128,9 @@ class Solution:
         return self.final
 
 
+# Largest (n,) or (m, n) state, counted in values, that steps on Python floats.
+FLOAT_LOOP_MAX_VALUES = 64
+
 # Dormand-Prince 5(4) tableau, as floats for the float loop and as arrays for the array loop.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _A_ROWS = (
@@ -210,7 +214,7 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
 
     # non-finite values raise below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if y.ndim <= 2 and 0 < y.size <= 4 * FLOAT_PATH_MAX_MEMBERS:
+        if y.ndim <= 2 and 0 < y.size <= FLOAT_LOOP_MAX_VALUES:
             return _integrate_floats(f, t0, t1, y, cfg, t_eval)
         return _integrate_arrays(f, t0, t1, y, cfg, t_eval)
 
@@ -303,7 +307,7 @@ def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
 
 
 def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
-    """The stepping loop on Python floats, for an (n,) or (m, n) state of at most 64 values.
+    """The stepping loop on Python floats, for small (n,) and (m, n) states.
 
     The array loop's tableau, controller, checks and messages, with every
     coefficient sum and every member's sum of squared error ratios written

@@ -13,12 +13,17 @@ single-harmonic sine around a positive mean:
 All rates are per hour, time is in hours. This module holds the domain
 types, the vector field, and its analytic Jacobian; everything is
 immutable and side-effect free.
+
+The field has one formula per number type: `rhs` on numpy arrays and
+`_field_floats` on lists of floats. `jacobian` has no caller in perivir;
+it is the analytic oracle for the Phi block of `periodic._augmented_field`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -204,16 +209,20 @@ def incidence_partials(beta_t: float, t_cells: float, virus: float, c1: float, c
     return beta_t * virus / (qT * qT * qV), beta_t * t_cells / (qT * qV * qV)
 
 
-# Largest batch that `rhs`, and the integrator's float loop, evaluate member
-# by member on Python floats.
-FLOAT_PATH_MAX_MEMBERS = 16
+def _rates_at(params: ModelParameters, t) -> tuple:
+    """(mu(t), beta(t), d(t)) at a number t from one shared sine, bitwise their `value(t)`."""
+    mu, beta, d = params.mu, params.beta, params.d
+    s = math.sin(mu.angular_frequency * t)
+    return mu.mean + mu.amplitude * s, beta.mean + beta.amplitude * s, d.mean + d.amplitude * s
 
 
-def _field_floats(t, ys, params: ModelParameters) -> list:
-    """The vector field on a flat list of floats (T, E, I, V per member) at a number t."""
-    mu_t = params.mu.value(t)
-    beta_t = params.beta.value(t)
-    d_t = params.d.value(t)
+def _field_floats(params: ModelParameters, t, ys) -> list:
+    """The vector field on a flat list of floats (T, E, I, V per member) at a number t.
+
+    `rhs`'s operations in its order, so bitwise equal to it, except that a
+    zero incidence denominator raises ZeroDivisionError, not inf or nan.
+    """
+    mu_t, beta_t, d_t = _rates_at(params, t)
     c1, c2, k, p, c = params.c1, params.c2, params.k, params.p, params.c
     kd, dd = k + d_t, params.delta + d_t
     it = iter(ys)
@@ -224,30 +233,14 @@ def _field_floats(t, ys, params: ModelParameters) -> list:
     return out
 
 
-def rhs(t: float, state, params: ModelParameters):
+def rhs(t: float, state, params: ModelParameters) -> np.ndarray:
     """Vector field of the model at time t.
 
     `state` may be a State, a length-4 array, or a (..., 4) batch of
     states; the result is an array of the matching shape. An array t must
-    broadcast against one component of `state.T`. For a number t, `state`
-    may also be a flat list of floats, four a member; the result is then a
-    list, and a zero incidence denominator raises ZeroDivisionError.
-
-    Two formulas give bitwise-equal results: `_field_floats` on Python
-    floats, for a number t and at most FLOAT_PATH_MAX_MEMBERS states, and
-    the numpy one on the columns of `y.T`, for an array t, a larger batch
-    or a zero incidence denominator. Both do the same IEEE operations in
-    the same order.
+    broadcast against one component of `state.T`.
     """
-    if isinstance(state, list):
-        return _field_floats(t, state, params)
     y = state.as_array() if isinstance(state, State) else np.asarray(state, dtype=float)
-    if (isinstance(t, (float, int)) and y.ndim and y.shape[-1] == 4
-            and y.size <= 4 * FLOAT_PATH_MAX_MEMBERS):
-        try:
-            return np.array(_field_floats(t, y.ravel().tolist(), params)).reshape(y.shape)
-        except ZeroDivisionError:
-            pass
     T, E, I, V = y.T
     mu_t = params.mu.value(t)
     beta_t = params.beta.value(t)
@@ -284,15 +277,15 @@ def jacobian(t: float, state, params: ModelParameters) -> np.ndarray:
 def vector_field(params: ModelParameters):
     """Closure f(t, y) over a fixed parameter set, for the integrator.
 
-    y may be one state (4,) or a batch (m, 4), as `rhs` broadcasts, or a
-    flat list of floats. f.floats, the same function, tells the integrator
-    that f takes and returns such lists.
+    f is `rhs` on one state (4,) or a batch (m, 4). f.floats is
+    `_field_floats` bound to params: the same field on a flat list of
+    floats, which the integrator's float loop calls.
     """
 
     def f(t, y):
         return rhs(t, y, params)
 
-    f.floats = f
+    f.floats = partial(_field_floats, params)
     return f
 
 

@@ -24,6 +24,7 @@ from .integrate import IntegratorConfig, integrate
 from .model import (
     ModelParameters,
     State,
+    _rates_at,
     clamp_small_negatives,
     incidence,
     incidence_partials,
@@ -59,7 +60,7 @@ class NewtonDiverged(RuntimeError):
 
 
 class ConvergedToBoundary(RuntimeError):
-    """Newton collapsed onto the virus-free orbit: no interior orbit from this guess."""
+    """Newton or the warm start collapsed onto the virus-free orbit: no interior orbit found."""
 
 
 @dataclass(frozen=True)
@@ -238,20 +239,17 @@ def _augmented_field(params: ModelParameters):
     """Vector field for state + fundamental matrix of the variational equation.
 
     The 20-wide state is (T, E, I, V) followed by the rows of Phi. f.floats
-    takes and returns it as a list of floats: the state block is `rhs`'s
-    float formula, operation for operation, and the Phi block is
+    takes and returns it as a list of floats: the state block is
+    `model._field_floats`, operation for operation, and the Phi block is
     jacobian(t, y) @ Phi written out on the Jacobian's nonzero entries. f on
     an array returns the same numbers as an array.
     """
-    mu, beta, d = params.mu, params.beta, params.d
     k, delta, p, c, c1, c2 = params.k, params.delta, params.p, params.c, params.c1, params.c2
 
     def floats(t, ya):
         # the rows of Phi are (x0..x3), (y0..y3), (z0..z3), (w0..w3)
         T, E, I, V, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3, w0, w1, w2, w3 = ya
-        mu_t = mu.value(t)
-        beta_t = beta.value(t)
-        d_t = d.value(t)
+        mu_t, beta_t, d_t = _rates_at(params, t)
         kd, dd = k + d_t, delta + d_t
         inc = incidence(beta_t, T, V, c1, c2)
         a, b = incidence_partials(beta_t, T, V, c1, c2)
@@ -389,7 +387,8 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     infection still rising from near the virus-free orbit) never stops it,
     and an infinite one (a component clamped to zero) is no reference for
     the next q. A start on the invariant virus-free face E = I = V = 0
-    raises ValueError.
+    raises ValueError; a pass that lands on it (E, I and V all clamped to
+    zero) raises ConvergedToBoundary, since no later pass can leave it.
     """
     if not math.isfinite(transient):
         raise ValueError("transient must be finite")
@@ -403,8 +402,11 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
                   abs_tol=max(cfg.abs_tol, loose.abs_tol))
     x = ic.as_array()
     last = np.nan  # no change before the first pass, so q is nan after it
-    for _ in range(periods):
+    for n in range(1, periods + 1):
         image, step = _period_pass(params, x, cfg)
+        if image.e_cells == image.i_cells == image.virus == 0.0:
+            raise ConvergedToBoundary(
+                f"warm-start pass {n} landed on the virus-free face E = I = V = 0")
         x_next = image.as_array()
         cfg = replace(cfg, initial_step=step)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -24,7 +24,7 @@ from perivir.cli import (
     parse_config,
 )
 
-from .helpers import count_calls
+from .helpers import closed_form_r0, count_calls
 
 
 GOOD_CONFIG = f"""
@@ -284,6 +284,46 @@ class TestCliDispatch:
                      "--transient", "480", "--out", str(tmp_path / "orbit.csv")])
         assert code == 3
         assert "numerical-failure" in capsys.readouterr().err
+
+    def test_orbit_warm_start_collapse_exits_3(self, config_dir, tmp_path, capsys,
+                                               monkeypatch):
+        # a warm-start pass that lands on the virus-free face is a numerical
+        # collapse, reported at once rather than after the whole transient
+        original = periodic._period_pass
+        passes = []
+
+        def collapsing(params, x, cfg):
+            image, step = original(params, x, cfg)
+            passes.append(image)
+            return State(image.t_cells, 0.0, 0.0, 0.0), step
+
+        monkeypatch.setattr(periodic, "_period_pass", collapsing)
+        code = main(["orbit", "--config", str(config_dir / "persistence.ini"),
+                     "--out", str(tmp_path / "orbit.csv")])
+        assert code == 3
+        assert len(passes) == 1
+        assert capsys.readouterr().err == (
+            "numerical-failure: warm-start pass 1 landed on the virus-free face E = I = V = 0\n")
+
+    def test_fast_forcing_r0_and_validate_exit_0(self, config_dir, tmp_path, capsys):
+        # a 0.1 h period, 240 times faster than the shipped sets': the
+        # periodic R0 averages out to the closed form at the coefficient means
+        text = (config_dir / "persistence.ini").read_text()
+        for old, new in [("angular_frequency = 0.2617993877991494",
+                          f"angular_frequency = {2 * math.pi / 0.1!r}"),
+                         ("rel_tol = 1e-9", "rel_tol = 1e-6"),
+                         ("abs_tol = 1e-12", "abs_tol = 1e-9"),
+                         ("horizon = 4800", "horizon = 240")]:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "fast.ini"
+        path.write_text(text)
+        assert main(["r0", "--config", str(path)]) == 0
+        r0 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["r0"]
+        expected = closed_form_r0(load_config(str(path)).params)
+        assert expected == pytest.approx(64.935, rel=1e-5)
+        assert r0 == pytest.approx(expected, rel=1e-5)
+        assert main(["validate", "--config", str(path)]) == 0
 
     def test_orbit_matches_pinned_spectral_warm_start(self, config_dir, tmp_path, capsys):
         # the summary line as printed when the warm-start transient ran at

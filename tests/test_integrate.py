@@ -22,7 +22,7 @@ from perivir.analysis import (
     classify,
 )
 from perivir.cli import main
-from perivir.model import FLOAT_PATH_MAX_MEMBERS, vector_field
+from perivir.model import vector_field
 from perivir.periodic import poincare_map
 from perivir.reproduction import build_linearization, rho_for_lambda
 
@@ -76,7 +76,7 @@ def array_loop():
     """
     m = _integrate_module
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(m, "FLOAT_PATH_MAX_MEMBERS", 0)
+        mp.setattr(m, "FLOAT_LOOP_MAX_VALUES", 0)
         mp.setattr(m, "_A", tuple(_LeftToRight(row) for row in m._A))
         mp.setattr(m, "_E", _LeftToRight(m._E, _LeftSum))
         mp.setattr(m, "_D", _LeftToRight(m._D))
@@ -346,21 +346,25 @@ class TestBatchIntegration:
 
 class TestLoopRouting:
     def test_model_runs_take_the_float_loop(self, monkeypatch, sim_cfg, spectral_cfg):
-        # classify's 3-member batch and a warm-start period pass never hand
-        # rhs an array: the float loop calls the model's float field
+        # classify's 3-member batch and a warm-start period pass never call
+        # rhs: the float loop calls the model's float formula directly
         params = persistence_params()
-        calls = count_calls(monkeypatch, model_module, "rhs")
+        floats = count_calls(monkeypatch, model_module, "_field_floats")
+        arrays = count_calls(monkeypatch, model_module, "rhs")
         classify(params, DEFAULT_INITIAL_CONDITIONS, 50.0 * params.period, sim_cfg)
+        batched = len(floats)
         poincare_map(params, DEFAULT_INITIAL_CONDITIONS[0], spectral_cfg)
-        assert calls
-        assert all(isinstance(args[1], list) for args in calls)
+        assert 0 < batched < len(floats)
+        assert [len(args[2]) for args in floats] == [12] * batched + [4] * (len(floats) - batched)
+        assert arrays == []
 
     def test_large_batch_takes_the_array_loop(self, monkeypatch, sim_cfg):
         params = persistence_params()
         f = vector_field(params)
         horizon = 52.0 * params.period
         grid = np.linspace(0.0, horizon, 521)
-        batch = np.random.default_rng(5).uniform(0.5, 20.0, size=(FLOAT_PATH_MAX_MEMBERS + 1, 4))
+        members = _integrate_module.FLOAT_LOOP_MAX_VALUES // 4 + 1
+        batch = np.random.default_rng(5).uniform(0.5, 20.0, size=(members, 4))
         calls = count_calls(monkeypatch, model_module, "rhs")
         traj, _ = integrate(f, 0.0, horizon, batch, sim_cfg, t_eval=grid)
         assert calls

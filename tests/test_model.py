@@ -13,7 +13,8 @@ from perivir import (
     jacobian,
     rhs,
 )
-from perivir.model import FLOAT_PATH_MAX_MEMBERS, clamp_small_negatives, vector_field
+from perivir.integrate import FLOAT_LOOP_MAX_VALUES
+from perivir.model import clamp_small_negatives, vector_field
 
 from .helpers import (
     OMEGA,
@@ -24,11 +25,12 @@ from .helpers import (
     skewed_params,
 )
 
-# batch sizes on both sides of the crossover between rhs's two paths
+# batch sizes on both sides of the integrator's float-loop size
+_FLOAT_LOOP_MEMBERS = FLOAT_LOOP_MAX_VALUES // 4
 _state_shapes = st.one_of(
     st.just((4,)),
-    st.tuples(st.integers(1, FLOAT_PATH_MAX_MEMBERS), st.just(4)),
-    st.tuples(st.integers(FLOAT_PATH_MAX_MEMBERS + 1, 3 * FLOAT_PATH_MAX_MEMBERS), st.just(4)),
+    st.tuples(st.integers(1, _FLOAT_LOOP_MEMBERS), st.just(4)),
+    st.tuples(st.integers(_FLOAT_LOOP_MEMBERS + 1, 3 * _FLOAT_LOOP_MEMBERS), st.just(4)),
     st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(4)),
 )
 
@@ -202,10 +204,14 @@ class TestRhs:
         expected = rhs_column_views(t_views, y, params)
         assert out.shape == expected.shape == shape
         assert np.array_equal(out, expected)
+        if t_kind == "float" and y.size <= FLOAT_LOOP_MAX_VALUES:
+            # the float form the integrator's float loop calls
+            floats = vector_field(params).floats(t, y.ravel().tolist())
+            assert all(type(v) is float for v in floats)
+            assert np.array_equal(np.reshape(floats, shape), expected)
 
     def test_zero_denominator_matches_column_views(self):
-        # T = -1/c1 zeroes the incidence denominator, which Python floats
-        # cannot divide by; rhs must still give numpy's inf/nan
+        # T = -1/c1 zeroes the incidence denominator; rhs gives numpy's inf/nan
         params = baseline_params()
         y = np.array([[-1.0 / params.c1, 0.5, 0.5, 2.0], [1.0, 0.5, 0.5, 2.0]])
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -419,6 +419,24 @@ class TestWarmStart:
             warm_start_guess(persistence_params(), State(10.0, 0.0, 0.0, 0.0), 240.0, sim_cfg)
         assert calls == []
 
+    def test_pass_landing_on_the_virus_free_face_fails_at_once(self, monkeypatch, sim_cfg):
+        # E = I = V = 0 is invariant: once a pass clamps all three to zero no
+        # later pass can leave the face, so the transient stops there
+        original = periodic._period_pass
+        passes = []
+
+        def collapsing(params, x, cfg):
+            image, step = original(params, x, cfg)
+            passes.append(image)
+            if len(passes) == 2:
+                image = State(image.t_cells, 0.0, 0.0, 0.0)
+            return image, step
+
+        monkeypatch.setattr(periodic, "_period_pass", collapsing)
+        with pytest.raises(ConvergedToBoundary, match="pass 2 landed on the virus-free face"):
+            warm_start_guess(persistence_params(), State(10.0, 1.0, 1.0, 1.0), 240.0, sim_cfg)
+        assert len(passes) == 2
+
     @pytest.mark.parametrize("ic", [State(10.0, 0.0, 0.0, 1.0), State(10.0, 1.0, 0.0, 0.0)])
     def test_start_with_some_infection_at_zero_runs_silently(self, monkeypatch, sim_cfg, ic):
         calls = count_calls(monkeypatch, periodic, "_period_pass")
