@@ -18,7 +18,11 @@ other axes is <= 1, so each member is held to the tolerance it would get
 alone; one RMS over the batch would dilute a member's error by sqrt(m).
 
 Off-step values come from the standard quartic dense-output interpolant
-on accepted steps, so requested output grids are hit exactly.
+on accepted steps, so requested output grids are hit exactly. Neither
+loop evaluates it while stepping: each step with samples records its
+coefficients, and one numpy pass (_dense_output) evaluates the samples
+of up to _DENSE_CHUNK such steps together, operation for operation as
+the per-sample formula and so bitwise equal to it.
 
 Two stepping loops run this one method. A small state, one (n,) vector or
 an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps on
@@ -31,10 +35,21 @@ Both loops use the same tableau, controller, checks and messages.
 The float loop sums every tableau product and each member's error norm
 left to right; the array loop's @ and sum do not, so the two agree to
 rounding, and bitwise once the array loop's sums run left to right too.
+
+The float loop takes each attempted step from one straight-line function
+per (values, member width), generated from the tableau and compiled on
+first use, then kept for the process (_step_kernel). Nothing is built at
+import; a build costs about 1.7 ms for 4 values, 4 ms for 12, 7 ms for
+20 and 16-21 ms for 64, almost all of it in compile. Over 52 periods of
+the persistence set a step then costs 13-24 µs for (4,) and 26-43 µs for
+(3, 4), and Newton's 20-wide flow 40-69 µs (best to upper quartile of 12
+runs, 2-core host), against 22-33, 40-57 and 58-92 µs with the step
+written as list comprehensions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -156,6 +171,10 @@ _A = tuple(np.array(row) for row in _A_ROWS)
 _E = np.array(_E_ROW)
 _D = np.array(_D_ROW)
 
+# Steps whose samples are evaluated together: bounds the stages a grid's dense output keeps.
+# The step that reaches t1 takes the grid's last sample and evaluates what is left.
+_DENSE_CHUNK = 256
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -170,14 +189,96 @@ def _pi_factor(err: float, err_old: float, rejected_last: bool) -> float:
     return min(fac, 1.0) if rejected_last else fac
 
 
-def _dense_eval(theta, y0, y1, h, K):
-    """Quartic interpolant at the fractions theta (a 1-D array) of an accepted step."""
-    ydiff = y1 - y0
-    bspl = h * K[0] - ydiff
-    r4 = ydiff - h * K[6] - bspl
-    r5 = h * (_D @ K)
-    th = theta[:, None]
-    return y0 + th * (ydiff + (1.0 - th) * (bspl + th * (r4 + (1.0 - th) * r5)))
+def _step_source(n: int, width: int) -> str:
+    """Source of the float loop's attempted step on n values in members of `width` values.
+
+    step(field, t, h, ys, k0, atol, rtol) returns (y_new, k1, ..., k6, err):
+    stages 2-7, err_vec, the error ratios and the largest member sum of
+    squared ratios, each written out value by value with every sum left to
+    right, as the tableau rows read. The step raises NonFiniteState when the
+    field raises ZeroDivisionError or y_new or err_vec is not finite.
+    """
+    letters = "pqrsuvw"  # k0 .. k6; y is the state, z the new state, e the error, x the ratio
+
+    def names(letter):
+        return ", ".join(f"{letter}{i}" for i in range(n)) + ","
+
+    def row(coefficients, i):  # never regrouped: h * (a*p + b*q) is not h*a*p + h*b*q
+        return " + ".join(f"{a!r} * {letters[j]}{i}" for j, a in enumerate(coefficients))
+
+    def states(coefficients):
+        return ", ".join(f"y{i} + h * ({row(coefficients, i)})" for i in range(n))
+
+    lines = ["def step(field, t, h, ys, k0, atol, rtol):",
+             f"    {names('y')} = ys",
+             f"    {names('p')} = k0",
+             "    try:"]
+    lines += [f"        {names(letters[j])} = k{j} = field(t + {_C[j]!r} * h, [{states(a_row)}])"
+              for j, a_row in enumerate(_A_ROWS[:-1], 1)]
+    lines += [f"        y_new = [{states(_A_ROWS[-1])}]",  # the 5th-order solution (FSAL)
+              f"        {names('w')} = k6 = field(t + {_C[6]!r} * h, y_new)",
+              "    except ZeroDivisionError:",  # numpy's inf or nan would fail the check below
+              "        raise NonFiniteState(f'state became non-finite near t={t}') from None",
+              f"    {names('z')} = y_new"]
+    lines += [f"    e{i} = h * ({row(_E_ROW, i)})" for i in range(n)]
+    lines += [f"    if not (all(map(isfinite, y_new)) and all(map(isfinite, ({names('e')})))):",
+              "        raise NonFiniteState(f'state became non-finite near t={t}')"]
+    lines += [f"    x{i} = e{i} / (atol + rtol * (a if (a := abs(y{i})) >= (b := abs(z{i})) else b))"
+              for i in range(n)]
+    lines.append("    worst = 0.0")
+    for first in range(0, n, width):
+        squares = " + ".join(f"x{i} * x{i}" for i in range(first, first + width))
+        lines += [f"    acc = {squares}", "    if acc > worst: worst = acc"]
+    lines.append(f"    return y_new, k1, k2, k3, k4, k5, k6, sqrt(worst / {width})")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _step_kernel(n: int, width: int):
+    """The compiled step of _step_source(n, width), built on first use and kept for the process."""
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "NonFiniteState": NonFiniteState}
+    exec(compile(_step_source(n, width), f"<perivir step kernel {n}x{width}>", "exec"), namespace)
+    return namespace["step"]
+
+
+def _dense_output(out, grid, counts, t, h, y, y_new, k0, k6, r5) -> None:
+    """Write the quartic interpolant at the samples grid into out, one row per sample.
+
+    Row j of t and h (1-D) and of y, y_new, k0, k6 and r5 = h * (D . K) (2-D,
+    one column per value) belongs to the j-th step with samples, which takes
+    the next counts[j] samples. Each sample gets the bits of
+    y + theta*(ydiff + (1 - theta)*(bspl + theta*(r4 + (1 - theta)*r5))):
+    numpy rounds each elementwise operation as Python floats do, and the
+    in-place Horner steps below only swap the operands of + and *.
+    """
+    which = np.repeat(np.arange(len(counts)), counts)
+    theta = ((grid - t[which]) / h[which])[:, None]
+    theta1 = 1.0 - theta
+    h = h[:, None]
+    ydiff = y_new - y
+    bspl = h * k0 - ydiff
+    np.take(r5, which, axis=0, out=out)
+    out *= theta1
+    out += (ydiff - h * k6 - bspl)[which]  # r4
+    out *= theta
+    out += bspl[which]
+    out *= theta1
+    out += ydiff[which]
+    out *= theta
+    out += y[which]
+
+
+def _dense_floats(out, grid, counts, starts, sizes, stages) -> None:
+    """_dense_output on the float loop's record: per step, y, y_new and k0 .. k6 in stages."""
+    rows = np.frombuffer(stages).reshape(len(counts), 9, -1)
+    K = rows[:, 2:]
+    h = np.array(sizes)
+    r5 = _D_ROW[0] * K[:, 0]  # the dense-output weights' sum, left to right
+    for j in range(1, 7):
+        r5 += _D_ROW[j] * K[:, j]
+    r5 *= h[:, None]
+    _dense_output(out, grid, counts, np.array(starts), h, rows[:, 0], rows[:, 1], K[:, 0],
+                  K[:, 6], r5)
 
 
 def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -> Solution:
@@ -200,7 +301,6 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
         raise ValueError("need finite t0 < t1")
     t0, t1 = float(t0), float(t1)
     y = np.asarray(y0, dtype=float).copy()
-    shape = y.shape
     if not np.isfinite(y).all():
         raise NonFiniteState("initial state is not finite")
     if t_eval is not None:
@@ -231,11 +331,13 @@ def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
 
         def f(t, y_flat):
             return f_batch(t, y_flat.reshape(shape)).ravel()
-    if t_eval is not None:
-        times, values = [], []
-    else:
+    if t_eval is None:
         times, values = [t0], [y.copy()]
-    eval_idx = 0
+    else:
+        values = np.empty((len(t_eval), y.size))
+        # steps with samples not yet in values: sample counts, (t, h, y, y_new, k0, k6, r5)
+        counts, rows = [], []
+    eval_idx = done = 0
 
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     h = min(cfg.initial_step, t1 - t0)
@@ -281,12 +383,14 @@ def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
                 while hi < len(t_eval) and t_eval[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
                     hi += 1
                 if hi > eval_idx:
-                    theta = (t_eval[eval_idx:hi] - t) / h
-                    interp = _dense_eval(theta, y, y_new, h, K)
-                    for j, tv in enumerate(t_eval[eval_idx:hi]):
-                        times.append(float(tv))
-                        values.append(np.asarray(interp[j]))
+                    counts.append(hi - eval_idx)
+                    rows.append((t, h, y, y_new, K[0].copy(), K[6].copy(), h * (_D @ K)))
                     eval_idx = hi
+                    if len(counts) == _DENSE_CHUNK or hi == len(t_eval):
+                        _dense_output(values[done:hi], t_eval[done:hi], counts,
+                                      *(np.array(column) for column in zip(*rows)))
+                        done = hi
+                        counts, rows = [], []
             h *= _pi_factor(err, err_old, rejected_last)
             if not last_leg:
                 next_step = h
@@ -301,6 +405,8 @@ def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
 
     if t_eval is None:
         times[-1] = t1  # the last accepted step lands within rounding of t1
+    else:
+        times = t_eval.copy()
     values_arr = np.asarray(values).reshape((len(times),) + shape)
     return Solution(Trajectory(times, values_arr), y.reshape(shape), n_steps, n_rejected,
                     min(next_step, cfg.max_step))
@@ -309,25 +415,19 @@ def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
 def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
     """The stepping loop on Python floats, for small (n,) and (m, n) states.
 
-    The array loop's tableau, controller, checks and messages, with every
-    coefficient sum and every member's sum of squared error ratios written
-    out left to right. The field is f.floats when f has it: f on a flat list
-    of floats, returning a list, which may raise ZeroDivisionError where
-    numpy would give inf or nan. Without it, f is called on arrays of y's
-    shape.
+    The array loop's tableau, controller, checks and messages. Each attempted
+    step is one straight-line kernel (_step_kernel), with every coefficient
+    sum and every member's sum of squared error ratios written out left to
+    right. The field is f.floats when f has it: f on a flat list of floats,
+    returning a list, which may raise ZeroDivisionError where numpy would
+    give inf or nan. Without it, f is called on arrays of y's shape.
     """
     shape = y.shape
-    width = shape[-1]  # one member's values
     field = getattr(f, "floats", None)
     if field is None:
         def field(t, ys):
             return np.ravel(f(t, np.array(ys).reshape(shape))).tolist()
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _A_ROWS
-    e1, e2, e3, e4, e5, e6, e7 = _E_ROW
-    d1, d2, d3, d4, d5, d6, d7 = _D_ROW
-    _, c2, c3, c4, c5, c6, c7 = _C
-    isfinite = math.isfinite
+    step = _step_kernel(y.size, shape[-1])
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     max_steps, max_step = cfg.max_steps, cfg.max_step
     t = t0
@@ -337,8 +437,10 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
         times, samples = [t], array("d", ys)
     else:
         grid = t_eval.tolist()
-        times, samples = [], array("d")
-    eval_idx = 0
+        states = np.empty((len(grid), y.size))
+        # steps with samples not yet in states: sample counts, t, h, and y, y_new, k0 .. k6
+        counts, starts, sizes, stages = [], [], [], array("d")
+    eval_idx = done = 0
 
     h = min(cfg.initial_step, t1 - t0)
     next_step = cfg.initial_step
@@ -349,7 +451,7 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
         k0 = field(t, ys)
     except ZeroDivisionError:
         k0 = [math.nan]
-    if not all(map(isfinite, k0)):
+    if not all(map(math.isfinite, k0)):
         raise NonFiniteState(f"vector field not finite at t={t}")
 
     while t < t1:
@@ -359,39 +461,7 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
         last_leg = h == t1 - t  # this step ends on t1
         n_steps += 1
 
-        try:
-            k1 = field(t + c2 * h, [y + h * (a21 * p) for y, p in zip(ys, k0)])
-            k2 = field(t + c3 * h, [y + h * (a31 * p + a32 * q)
-                                    for y, p, q in zip(ys, k0, k1)])
-            k3 = field(t + c4 * h, [y + h * (a41 * p + a42 * q + a43 * r)
-                                    for y, p, q, r in zip(ys, k0, k1, k2)])
-            k4 = field(t + c5 * h, [y + h * (a51 * p + a52 * q + a53 * r + a54 * s)
-                                    for y, p, q, r, s in zip(ys, k0, k1, k2, k3)])
-            k5 = field(t + c6 * h, [y + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
-                                    for y, p, q, r, s, u in zip(ys, k0, k1, k2, k3, k4)])
-            # the stage 7 state is the 5th-order solution (FSAL)
-            y_new = [y + h * (a71 * p + a72 * q + a73 * r + a74 * s + a75 * u + a76 * v)
-                     for y, p, q, r, s, u, v in zip(ys, k0, k1, k2, k3, k4, k5)]
-            k6 = field(t + c7 * h, y_new)
-        except ZeroDivisionError:  # numpy's inf or nan would fail the check below
-            raise NonFiniteState(f"state became non-finite near t={t}") from None
-        err_vec = [h * (e1 * p + e2 * q + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w)
-                   for p, q, r, s, u, v, w in zip(k0, k1, k2, k3, k4, k5, k6)]
-
-        if not (all(map(isfinite, y_new)) and all(map(isfinite, err_vec))):
-            raise NonFiniteState(f"state became non-finite near t={t}")
-
-        ratios = [e / (atol + rtol * (y if y >= z else z))
-                  for e, y, z in zip(err_vec, map(abs, ys), map(abs, y_new))]
-        # the largest member sum of squares, each summed left to right, then / width
-        worst = 0.0
-        for i in range(0, len(ratios), width):
-            acc = 0.0
-            for e in ratios[i:i + width]:
-                acc += e * e
-            if acc > worst:
-                worst = acc
-        err = math.sqrt(worst / width)
+        y_new, k1, k2, k3, k4, k5, k6, err = step(field, t, h, ys, k0, atol, rtol)
 
         if err <= 1.0:
             t_new = t + h
@@ -403,19 +473,17 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
                 while hi < len(grid) and grid[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
                     hi += 1
                 if hi > eval_idx:
-                    # the quartic interpolant, as _dense_eval evaluates it
-                    ydiff = [z - y for y, z in zip(ys, y_new)]
-                    bspl = [h * p - dy for p, dy in zip(k0, ydiff)]
-                    r4 = [dy - h * w - b for dy, w, b in zip(ydiff, k6, bspl)]
-                    r5 = [h * (d1 * p + d2 * q + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w)
-                          for p, q, r, s, u, v, w in zip(k0, k1, k2, k3, k4, k5, k6)]
-                    for tv in grid[eval_idx:hi]:
-                        th = (tv - t) / h
-                        th1 = 1.0 - th
-                        samples.extend([y + th * (dy + th1 * (b + th * (r + th1 * s)))
-                                        for y, dy, b, r, s in zip(ys, ydiff, bspl, r4, r5)])
-                    times += grid[eval_idx:hi]
+                    counts.append(hi - eval_idx)
+                    starts.append(t)
+                    sizes.append(h)
+                    for row in (ys, y_new, k0, k1, k2, k3, k4, k5, k6):
+                        stages.extend(row)
                     eval_idx = hi
+                    if len(counts) == _DENSE_CHUNK or hi == len(grid):
+                        _dense_floats(states[done:hi], t_eval[done:hi], counts, starts, sizes,
+                                      stages)
+                        done = hi
+                        counts, starts, sizes, stages = [], [], [], array("d")
             h *= _pi_factor(err, err_old, rejected_last)
             if not last_leg:
                 next_step = h
@@ -430,9 +498,11 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
 
     if grid is None:
         times[-1] = t1  # the last accepted step lands within rounding of t1
-    states = np.frombuffer(samples).reshape((len(times),) + shape)
-    return Solution(Trajectory(times, states), np.array(ys).reshape(shape), n_steps, n_rejected,
-                    min(next_step, max_step))
+        states = np.frombuffer(samples)
+    else:
+        times = grid
+    return Solution(Trajectory(times, states.reshape((len(times),) + shape)),
+                    np.array(ys).reshape(shape), n_steps, n_rejected, min(next_step, max_step))
 
 
 def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solution:

@@ -5,7 +5,10 @@ matrix exponential is plain scaling-and-squaring Taylor summation, the
 spectral radius oracle is power iteration, the vector-field oracles are
 a scalar transcription of the four model equations and a per-column-view
 formulation for batches, and the R0 search oracle is plain doubling and
-bisection on the library's rho(lambda).
+bisection on the library's rho(lambda). The float loop's step and its
+dense output have list-comprehension transcriptions, value by value and
+left to right, which the generated step kernels and the after-the-loop
+interpolant must match bit for bit.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from hypothesis import strategies as st
 from perivir import (
     IntegratorConfig,
     ModelParameters,
+    NonFiniteState,
     SinusoidalCoefficient,
     build_linearization,
     rho_for_lambda,
 )
+from perivir.integrate import _A_ROWS, _C, _D_ROW, _E_ROW
 
 OMEGA = 2.0 * math.pi / 24.0
 
@@ -290,3 +295,78 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def comprehension_step(field, t, h, ys, k0, atol, rtol, width):
+    """One attempted float-loop step written as list comprehensions: the kernel's oracle.
+
+    Returns (y_new, k1, ..., k6, err) for the flat state ys in members of
+    `width` values, or raises NonFiniteState as the kernel does.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = _A_ROWS
+    e1, e2, e3, e4, e5, e6, e7 = _E_ROW
+    _, c2, c3, c4, c5, c6, c7 = _C
+    isfinite = math.isfinite
+    try:
+        k1 = field(t + c2 * h, [y + h * (a21 * p) for y, p in zip(ys, k0)])
+        k2 = field(t + c3 * h, [y + h * (a31 * p + a32 * q)
+                                for y, p, q in zip(ys, k0, k1)])
+        k3 = field(t + c4 * h, [y + h * (a41 * p + a42 * q + a43 * r)
+                                for y, p, q, r in zip(ys, k0, k1, k2)])
+        k4 = field(t + c5 * h, [y + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                                for y, p, q, r, s in zip(ys, k0, k1, k2, k3)])
+        k5 = field(t + c6 * h, [y + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
+                                for y, p, q, r, s, u in zip(ys, k0, k1, k2, k3, k4)])
+        y_new = [y + h * (a71 * p + a72 * q + a73 * r + a74 * s + a75 * u + a76 * v)
+                 for y, p, q, r, s, u, v in zip(ys, k0, k1, k2, k3, k4, k5)]
+        k6 = field(t + c7 * h, y_new)
+    except ZeroDivisionError:
+        raise NonFiniteState(f"state became non-finite near t={t}") from None
+    err_vec = [h * (e1 * p + e2 * q + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w)
+               for p, q, r, s, u, v, w in zip(k0, k1, k2, k3, k4, k5, k6)]
+    if not (all(map(isfinite, y_new)) and all(map(isfinite, err_vec))):
+        raise NonFiniteState(f"state became non-finite near t={t}")
+    ratios = [e / (atol + rtol * (y if y >= z else z))
+              for e, y, z in zip(err_vec, map(abs, ys), map(abs, y_new))]
+    worst = 0.0
+    for i in range(0, len(ratios), width):
+        acc = 0.0
+        for e in ratios[i:i + width]:
+            acc += e * e
+        if acc > worst:
+            worst = acc
+    return y_new, k1, k2, k3, k4, k5, k6, math.sqrt(worst / width)
+
+
+def dense_samples_by_hand(steps, grid) -> np.ndarray:
+    """The quartic interpolant at every sample of grid, one sample at a time.
+
+    steps are the attempted steps in order, each (t, h, ys, k0, y_new, ks,
+    err) with ks = (k1, ..., k6) as flat float lists; those with err <= 1
+    were accepted. A sample goes to the first accepted step whose end it
+    does not pass (within the loop's 1e-14 relative slack).
+    """
+    d1, d2, d3, d4, d5, d6, d7 = _D_ROW
+    grid = [float(tv) for tv in grid]
+    out, idx = [], 0
+    for t, h, ys, k0, y_new, (k1, k2, k3, k4, k5, k6), err in steps:
+        if err > 1.0:
+            continue
+        t_new = t + h
+        hi = idx
+        while hi < len(grid) and grid[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
+            hi += 1
+        ydiff = [z - y for y, z in zip(ys, y_new)]
+        bspl = [h * p - dy for p, dy in zip(k0, ydiff)]
+        r4 = [dy - h * w - b for dy, w, b in zip(ydiff, k6, bspl)]
+        r5 = [h * (d1 * p + d2 * q + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w)
+              for p, q, r, s, u, v, w in zip(k0, k1, k2, k3, k4, k5, k6)]
+        for tv in grid[idx:hi]:
+            th = (tv - t) / h
+            th1 = 1.0 - th
+            out.append([y + th * (dy + th1 * (b + th * (r + th1 * s)))
+                        for y, dy, b, r, s in zip(ys, ydiff, bspl, r4, r5)])
+        idx = hi
+    assert idx == len(grid)
+    return np.array(out)

@@ -8,9 +8,9 @@ attribute somewhere in src/perivir, tests, demos or perfbench. `perivir r0`
 must run without importing scipy or numpy.fft.
 Every function perfbench/tracer.py wraps by name must exist in perivir, and
 `integrate` must keep the signature the tracer's wrapper assumes.
-The float stepping loop and the float field formulas call neither builtin
-`sum` nor `math.fsum`: since Python 3.12 float `sum` is compensated, so a
-result would depend on the interpreter version.
+The float stepping loop, the step kernels it generates and the float field
+formulas call neither builtin `sum` nor `math.fsum`: since Python 3.12 float
+`sum` is compensated, so a result would depend on the interpreter version.
 """
 
 import ast
@@ -194,6 +194,15 @@ _FLOAT_FORMULAS = {
 @pytest.mark.parametrize("module", sorted(_FLOAT_FORMULAS))
 def test_float_sums_are_written_out(module):
     assert summing_calls((SRC / module).read_text(), _FLOAT_FORMULAS[module]) == []
+
+
+@pytest.mark.parametrize("n, width", [(4, 4), (12, 4), (20, 20), (64, 4)])
+def test_generated_step_sums_are_written_out(n, width):
+    integrate = importlib.import_module("perivir.integrate")
+    assert summing_calls(integrate._step_source(n, width)) == []
+    # a traceback through a kernel names its shape
+    assert integrate._step_kernel(n, width).__code__.co_filename == (
+        f"<perivir step kernel {n}x{width}>")
 
 
 def test_summing_detector_flags_sum_and_fsum():

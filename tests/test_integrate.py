@@ -1,9 +1,12 @@
 import contextlib
 import importlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perivir import (
     IntegratorConfig,
@@ -28,7 +31,9 @@ from perivir.reproduction import build_linearization, rho_for_lambda
 
 from .helpers import (
     baseline_params,
+    comprehension_step,
     count_calls,
+    dense_samples_by_hand,
     expm_reference,
     persistence_params,
     rhs_column_views,
@@ -119,6 +124,32 @@ def _recorded_newton_flow(params, x, cfg):
         out = periodic._flow_and_monodromy(params, np.array(x), cfg)
     assert len(sols) == 1
     return out, sols[0]
+
+
+@contextlib.contextmanager
+def recorded_steps():
+    """Record every attempted float-loop step as (t, h, ys, k0, y_new, (k1, ..., k6), err)."""
+    steps = []
+    kernel_for = _integrate_module._step_kernel
+
+    def recording(n, width):
+        kernel = kernel_for(n, width)
+
+        def step(field, t, h, ys, k0, atol, rtol):
+            y_new, *ks, err = out = kernel(field, t, h, ys, k0, atol, rtol)
+            steps.append((t, h, ys, k0, y_new, tuple(ks), err))
+            return out
+
+        return step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_integrate_module, "_step_kernel", recording)
+        yield steps
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestConfig:
@@ -483,3 +514,155 @@ class TestMatrixIntegration:
         # one field evaluation at t0, then six stages per attempted step (FSAL)
         assert calls == 1 + 6 * sol.step_count
         assert sol.step_count > sol.rejected >= 0
+
+
+def _float_keys(values):
+    """IEEE bit patterns of floats, with every nan as one key."""
+    return ["nan" if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+
+def _step_outcome(step, *args):
+    """A step's results as bit patterns, or the message of the NonFiniteState it raised."""
+    try:
+        *rows, err = step(*args)
+    except NonFiniteState as exc:
+        return str(exc)
+    return [_float_keys(row) for row in (*rows, [err])]
+
+
+def _coupled_field(a, b, raise_at):
+    """y_i' = a_i y_i - b_i y_(i-1) + t on float lists; call number raise_at raises ZeroDivisionError."""
+    calls = []
+
+    def field(t, ys):
+        calls.append(t)
+        if len(calls) == raise_at:
+            raise ZeroDivisionError
+        return [ai * y - bi * ys[i - 1] + t for i, (ai, bi, y) in enumerate(zip(a, b, ys))]
+
+    return field
+
+
+@st.composite
+def _kernel_inputs(draw):
+    n = draw(st.integers(1, 64))
+    width = draw(st.sampled_from([w for w in range(1, n + 1) if n % w == 0]))
+    finite = st.floats(-1e6, 1e6)
+    ys, k0 = (draw(st.lists(finite, min_size=n, max_size=n)) for _ in range(2))
+    special = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -0.0])
+    for row in (ys, k0):  # now and then a non-finite or overflowing value
+        if draw(st.booleans()) and draw(st.booleans()):
+            row[draw(st.integers(0, n - 1))] = draw(special)
+    coefficients = st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)
+    return dict(n=n, width=width, ys=ys, k0=k0, a=draw(coefficients), b=draw(coefficients),
+                raise_at=draw(st.sampled_from([0, 0, 0, 1, 3, 6])),
+                t=draw(st.floats(-1e3, 1e3)), h=draw(st.floats(1e-8, 5.0)),
+                atol=draw(st.floats(1e-15, 1e-3)), rtol=draw(st.floats(1e-15, 1e-2)))
+
+
+class TestStepKernel:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=_kernel_inputs())
+    def test_kernel_matches_the_comprehension_step(self, case):
+        # the generated straight-line step gives the list-comprehension step's
+        # IEEE bits (any nan for any nan) or the same NonFiniteState message
+        c = case
+        kernel = _integrate_module._step_kernel(c["n"], c["width"])
+        args = (c["t"], c["h"], c["ys"], c["k0"], c["atol"], c["rtol"])
+        got = _step_outcome(kernel, _coupled_field(c["a"], c["b"], c["raise_at"]), *args)
+        want = _step_outcome(comprehension_step, _coupled_field(c["a"], c["b"], c["raise_at"]),
+                             *args, c["width"])
+        assert got == want
+
+    def test_zero_division_in_a_stage_ends_in_non_finite_state(self, sim_cfg):
+        # the float form raises where numpy would give inf or nan; the run then
+        # stops as the array loop would, naming the step's start time
+        def f(t, y):
+            return -y
+
+        def floats(t, ys):
+            if t > 1.0:
+                raise ZeroDivisionError
+            return [-y for y in ys]
+
+        f.floats = floats
+        with pytest.raises(NonFiniteState, match=r"^state became non-finite near t=0\.\d+"):
+            integrate(f, 0.0, 2.0, np.array([1.0, 2.0]), sim_cfg)
+
+    def test_kernels_are_built_once_per_shape(self):
+        kernel = _integrate_module._step_kernel
+        assert kernel(12, 4) is kernel(12, 4)
+        assert kernel(12, 4) is not kernel(12, 12)
+
+
+class TestDenseOutput:
+    """Every sample bitwise equal to the interpolant evaluated one sample at a time."""
+
+    @staticmethod
+    def _check(f, t_end, y0, cfg, grid):
+        with recorded_steps() as steps:
+            sol = integrate(f, 0.0, t_end, np.array(y0), cfg, t_eval=grid)
+        expected = dense_samples_by_hand(steps, grid).reshape(sol.trajectory.states.shape)
+        assert _same_bits(sol.trajectory.times, grid)
+        assert _same_bits(sol.trajectory.states, expected)
+        return sol, steps
+
+    def test_validate_grid(self, sim_cfg):
+        # validate's 96 samples a period over 52 periods on classify's (3, 4)
+        # batch: more steps with samples than one evaluation takes at a time
+        params = persistence_params()
+        t_end = 52.0 * params.period
+        grid = _uniform_grid(t_end, params.period / GRID_POINTS_PER_PERIOD)
+        batch = [ic.as_array() for ic in DEFAULT_INITIAL_CONDITIONS]
+        sol, steps = self._check(vector_field(params), t_end, batch, sim_cfg, grid)
+        assert len(grid) == 52 * 96 + 1
+        assert _integrate_module._DENSE_CHUNK < sol.step_count < len(grid)
+
+    def test_sample_at_t0_reads_back_y0(self, sim_cfg):
+        params = persistence_params()
+        y0 = [10.0, 1.0, 1.0, -0.0]
+        sol, _ = self._check(vector_field(params), params.period, y0, sim_cfg,
+                             np.array([0.0, 0.5 * params.period, params.period]))
+        first = sol.trajectory.states[0]
+        assert first.tolist() == y0  # -0.0 == 0.0 ...
+        assert not np.signbit(first[3])  # ... and -0.0 reads back as 0.0
+
+    def test_sample_at_t1(self, spectral_cfg):
+        params = persistence_params()
+        sol, _ = self._check(vector_field(params), params.period, [10.0, 1.0, 1.0, 1.0],
+                             spectral_cfg, np.array([params.period / 3.0, params.period]))
+        assert np.allclose(sol.trajectory.states[-1], sol.final, rtol=1e-14, atol=0.0)
+
+    def test_warm_start_pass_grid(self, spectral_cfg):
+        # a warm-start pass samples its period's end and nothing else
+        params = persistence_params()
+        sol, steps = self._check(vector_field(params), params.period, [10.0, 1.0, 1.0, 1.0],
+                                 spectral_cfg, np.array([params.period]))
+        assert len(steps) > 20
+
+    def test_matrix_stack_on_the_array_loop(self, spectral_cfg):
+        # a (3, 3, 3) stack steps on arrays; with its sums left to right it takes
+        # the steps the float loop takes on the same values as (3, 9), and a
+        # short evaluation chunk puts several chunk boundaries into the grid
+        rng = np.random.default_rng(3)
+        base, wave = rng.uniform(-0.1, 0.1, size=(2, 3, 3, 3))
+
+        def field(t, m):
+            return (base + math.sin(0.3 * t) * wave) @ m.reshape(3, 3, 3)
+
+        y0 = np.broadcast_to(np.eye(3), (3, 3, 3))
+        grid = np.linspace(0.0, 24.0, 97)
+        with recorded_steps() as steps:
+            integrate(lambda t, y: field(t, y).reshape(3, 9), 0.0, 24.0, y0.reshape(3, 9),
+                      spectral_cfg, t_eval=grid)
+        calls = []
+        with array_loop(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_integrate_module, "_DENSE_CHUNK", 5)
+            original = _integrate_module._integrate_arrays
+            mp.setattr(_integrate_module, "_integrate_arrays",
+                       lambda *args: calls.append(args[3].shape) or original(*args))
+            sol = integrate(field, 0.0, 24.0, y0, spectral_cfg, t_eval=grid)
+        assert calls == [(3, 3, 3)]
+        assert sol.step_count == len(steps) > 20
+        expected = dense_samples_by_hand(steps, grid).reshape(sol.trajectory.states.shape)
+        assert _same_bits(sol.trajectory.states, expected)
