@@ -28,9 +28,11 @@ Two stepping loops run this one method. A small state, one (n,) vector or
 an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps on
 Python floats, through the field's float form f.floats when f has one
 (the model's is `model._field_floats` bound to its params): the model's
-(4,) state, its batches of up to 16 members, and Newton shooting's
-20-wide state-plus-variational flow take this loop. Every other state
-(the (m, n, n) monodromy stacks, larger batches) steps on numpy arrays.
+(4,) state, its batches of up to 16 members, Newton shooting's 20-wide
+state-plus-variational flow, and the monodromy stacks of at most 64
+values, which integrate_matrix hands over as (m, n*n), take this loop.
+Every other state (an R0 search round's stack of up to 8 lambdas, larger
+batches, any (m, n, n) given to integrate) steps on numpy arrays.
 Both loops use the same tableau, controller, checks and messages.
 The float loop sums every tableau product and each member's error norm
 left to right; the array loop's @ and sum do not, so the two agree to
@@ -40,7 +42,9 @@ The float loop takes each attempted step from one straight-line function
 per (values, member width), generated from the tableau and compiled on
 first use, then kept for the process (_step_kernel). Nothing is built at
 import; a build costs about 1.7 ms for 4 values, 4 ms for 12, 7 ms for
-20 and 16-21 ms for 64, almost all of it in compile. Over 52 periods of
+20, 10 ms for 27 and 16-21 ms for 64, almost all of it in compile, which
+holds the whole source's tokens and syntax tree until it is done: the
+27-value build lifts peak RSS by about 1.3 MB. Over 52 periods of
 the persistence set a step then costs 13-24 µs for (4,) and 26-43 µs for
 (3, 4), and Newton's 20-wide flow 40-69 µs (best to upper quartile of 12
 runs, 2-core host), against 22-33, 40-57 and 58-92 µs with the step
@@ -508,15 +512,32 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
 def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solution:
     """Integrate the matrix ODE M' = A(t) @ M from M0, an (n, n) matrix or an (m, n, n) stack.
 
-    The stack goes to `integrate` as it is: by the member-axis rule each of
-    its m matrices is one member on its own error norm, and a single matrix
-    is a (1, n, n) stack. Sampled at t1 only; end_matrix has M0's shape.
-    With M0 = I this yields the evolution operator over [t0, t1] (the
-    fundamental matrix when t1 - t0 is one period).
+    The stack goes to `integrate` flattened to (m, n*n): by the member-axis
+    rule each of its m matrices is one member on its own error norm, the
+    RMS over its n*n values, and a single matrix is a stack of one. So a
+    stack of at most 64 values, the (3, 3, 3) of an R0 certification
+    included, steps on the float loop, and a larger one on the array loop.
+    A.floats, when A has it, is the field's float form: A(t) @ M on a flat
+    list of floats, one row-major member after another; on arrays the
+    field then runs the same formula. Sampled at t1 only; end_matrix has
+    M0's shape. With M0 = I this yields the evolution operator over
+    [t0, t1] (the fundamental matrix when t1 - t0 is one period).
     """
     M0 = np.asarray(M0, dtype=float)
     if M0.ndim not in (2, 3) or M0.shape[-1] != M0.shape[-2]:
         raise ValueError("M0 must be a square matrix or a stack of them")
-    sol = integrate(lambda t, m: A(t) @ m, t0, t1, M0.reshape((-1,) + M0.shape[-2:]), cfg,
+    stack = M0.reshape((-1,) + M0.shape[-2:])
+    floats = getattr(A, "floats", None)
+    if floats is None:
+        def f(t, m):
+            return (A(t) @ m.reshape(stack.shape)).reshape(m.shape)
+    else:
+        def f(t, m):  # the same numbers for a caller that hides f.floats behind a wrapper
+            return np.array(floats(t, m.ravel().tolist())).reshape(m.shape)
+
+        f.floats = floats
+    sol = integrate(f, t0, t1, stack.reshape(len(stack), M0.shape[-1] ** 2), cfg,
                     t_eval=np.array([t1]))
-    return replace(sol, final=sol.final.reshape(M0.shape))
+    trajectory = replace(sol.trajectory,
+                         states=sol.trajectory.states.reshape((1,) + stack.shape))
+    return replace(sol, trajectory=trajectory, final=sol.final.reshape(M0.shape))

@@ -13,11 +13,14 @@ the unique lambda0 > 0 at which the one-period monodromy of
 w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
 is lower triangular, so the operator acts on the scalar rate of new E
 infections, and its truncated Fourier matrix gives R0 (Hill's method;
-Deconinck & Kutz 2006), which one batched monodromy integration certifies.
+Deconinck & Kutz 2006), which one batched monodromy integration certifies:
+its stack of three 3x3 monodromies is 27 values, so it steps on the
+integrator's float loop, through `combined(lam).floats`.
 Failing that, the search goes on in rounds of one `rho_for_lambda` call
 each: a ladder in log lambda until rho straddles 1, then a pair around
 the secant crossing of log rho on log lambda and evenly spaced interior
-points. sign(R0 - 1) = sign(rho(Phi_{F-G}(P)) - 1), which is reported
+points; their stacks of up to 8 lambdas (72 values) step on numpy
+arrays. sign(R0 - 1) = sign(rho(Phi_{F-G}(P)) - 1), which is reported
 too. With beta identically zero R0 is 0 by convention.
 """
 
@@ -71,20 +74,46 @@ class LinearizedSystem:
         return self.params.beta.value(t) * ts / (1.0 + self.params.c1 * ts)
 
     def combined(self, lam):
-        """t -> F(t)/lam - G(t): (3, 3) for a number lam, (m, 3, 3) for m lambdas."""
-        p, k, delta = self.params, self.params.k, self.params.delta
+        """t -> F(t)/lam - G(t): (3, 3) for a number lam, (m, 3, 3) for m lambdas.
+
+        A.floats(t, ms) is A(t) @ M on Python floats for each flat row-major
+        3x3 member M of the list ms, one lambda per member (a number lam
+        serves them all), written out on A's nonzero entries; A(t) and it
+        share one formula per entry.
+        """
+        params = self.params
+        k, delta, p, c = params.k, params.delta, params.p, params.c
         inv_lam = 1.0 / np.asarray(lam, dtype=float)
+        inverses = np.ravel(inv_lam).tolist()  # np.float64 arithmetic would take twice as long
         shape = inv_lam.shape + (3, 3)
-        constant = np.array([[0.0, 0.0, 0.0], [k, 0.0, 0.0], [0.0, p.p, -p.c]])
+        constant = np.array([[0.0, 0.0, 0.0], [k, 0.0, 0.0], [0.0, p, -c]])
+
+        def entries(t):
+            """A(t)'s entries (0, 0) and (1, 1), and F's entry (0, 2) before the 1/lam."""
+            d_t = params.d.value(t)
+            return -(k + d_t), -(delta + d_t), self.infection_entry(t)
 
         def A(t: float) -> np.ndarray:
-            d_t = p.d.value(t)
+            a00, a11, f = entries(t)
             a = np.empty(shape)
             a[...] = constant
-            a[..., 0, 0], a[..., 1, 1], a[..., 0, 2] = (
-                -(k + d_t), -(delta + d_t), inv_lam * self.infection_entry(t))
+            a[..., 0, 0], a[..., 1, 1], a[..., 0, 2] = a00, a11, inv_lam * f
             return a
 
+        def floats(t, ms):
+            a00, a11, f = entries(t)
+            a02s = [inv * f for inv in inverses]
+            if len(a02s) == 1:
+                a02s *= len(ms) // 9
+            out = []
+            for a02, i in zip(a02s, range(0, len(ms), 9)):
+                m00, m01, m02, m10, m11, m12, m20, m21, m22 = ms[i:i + 9]
+                out += (a00 * m00 + a02 * m20, a00 * m01 + a02 * m21, a00 * m02 + a02 * m22,
+                        k * m00 + a11 * m10, k * m01 + a11 * m11, k * m02 + a11 * m12,
+                        p * m10 - c * m20, p * m11 - c * m21, p * m12 - c * m22)
+            return out
+
+        A.floats = floats
         return A
 
 

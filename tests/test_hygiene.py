@@ -166,10 +166,11 @@ def test_dataclass_field_detector_flags_unread_fields():
 
 
 def summing_calls(source: str, functions=None) -> list[str]:
-    """Calls of builtin sum and any use of fsum in source, or in its named top-level functions."""
+    """Uses of builtin sum and of fsum in source, or in its named top-level defs and classes."""
     nodes = ast.parse(source).body
     if functions is not None:
-        nodes = [n for n in nodes if isinstance(n, ast.FunctionDef) and n.name in functions]
+        nodes = [n for n in nodes
+                 if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name in functions]
         assert sorted(n.name for n in nodes) == sorted(functions)
     found = []
     for node in (sub for n in nodes for sub in ast.walk(n)):
@@ -188,6 +189,7 @@ _FLOAT_FORMULAS = {
     "integrate.py": None,
     "model.py": ["incidence", "incidence_partials", "_rates_at", "_field_floats"],
     "periodic.py": ["_augmented_field"],
+    "reproduction.py": ["LinearizedSystem"],  # combined's A.floats
 }
 
 
@@ -208,10 +210,12 @@ def test_generated_step_sums_are_written_out(n, width):
 def test_summing_detector_flags_sum_and_fsum():
     source = ("import math\nfrom math import fsum\n"
               "def f(xs):\n    return sum(xs) + math.fsum(xs) + xs.sum()\n"
-              "def g(xs):\n    return sum(xs)\n")
+              "def g(xs):\n    return sum(xs)\n"
+              "class C:\n    def h(self, xs):\n        return sum(xs)\n")
     assert summing_calls(source) == [
-        "line 2: fsum", "line 4: sum", "line 4: fsum", "line 6: sum"]
+        "line 2: fsum", "line 4: sum", "line 4: fsum", "line 6: sum", "line 9: sum"]
     assert summing_calls(source, ["g"]) == ["line 6: sum"]
+    assert summing_calls(source, ["C"]) == ["line 9: sum"]
 
 
 def test_r0_imports_neither_scipy_nor_numpy_fft():

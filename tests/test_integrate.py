@@ -408,15 +408,25 @@ class TestLoopRouting:
 
     def test_orbit_runs_take_only_the_float_loop(self, monkeypatch, tmp_path, config_dir,
                                                  spectral_cfg):
-        # the warm start's (4,) passes and Newton's 20-wide flows; the R0
-        # search's (m, 3, 3) monodromy stacks stay on the array loop
-        calls = count_calls(monkeypatch, _integrate_module, "_integrate_arrays")
+        # the warm start's (4,) passes and Newton's 20-wide flows, and an R0
+        # certification's (3, 3, 3) monodromy stack as one (3, 9) run
+        arrays = count_calls(monkeypatch, _integrate_module, "_integrate_arrays")
         assert main(["orbit", "--config", str(config_dir / "persistence.ini"),
                      "--out", str(tmp_path / "orbit.csv")]) == 0
-        assert calls == []
+        assert arrays == []
+        floats = count_calls(monkeypatch, _integrate_module, "_integrate_floats")
         lin = build_linearization(persistence_params())
         rho_for_lambda(lin, np.array([0.5, 1.0, 2.0]), spectral_cfg)
-        assert len(calls) == 1 and calls[0][3].shape == (3, 3, 3)
+        assert [args[3].shape for args in floats] == [(3, 9)]
+        assert arrays == []
+
+    def test_fallback_round_stack_takes_the_array_loop(self, monkeypatch, spectral_cfg):
+        # a search round's stack of 8 lambdas is 72 values, above the float loop's 64
+        calls = count_calls(monkeypatch, _integrate_module, "_integrate_arrays")
+        lin = build_linearization(persistence_params())
+        radii = rho_for_lambda(lin, np.geomspace(0.5, 2.0, 8), spectral_cfg)
+        assert [args[3].shape for args in calls] == [(8, 9)]
+        assert radii.shape == (8,) and np.all(np.diff(radii) < 0.0)
 
     def test_hidden_float_form_gives_the_same_solution(self, spectral_cfg):
         # perfbench's tracer hands integrate a wrapper without f.floats: the
@@ -492,6 +502,37 @@ class TestMatrixIntegration:
         assert single.end_matrix.shape == (2, 2) and stack.end_matrix.shape == (1, 2, 2)
         assert np.array_equal(single.end_matrix, stack.end_matrix[0])
         assert (single.step_count, single.rejected) == (stack.step_count, stack.rejected)
+
+    @pytest.mark.parametrize("profile", ["simulation", "spectral"])
+    def test_certification_stack_matches_the_array_loop(self, profile):
+        # an R0 certification's (3, 3, 3) stack steps on floats, bit for bit as
+        # the array loop with its sums left to right steps it
+        cfg = getattr(IntegratorConfig, profile)()
+        params = persistence_params()
+        A = build_linearization(params).combined(np.array([1.0, 2.5, 2.6]))
+        eye = np.broadcast_to(np.eye(3), (3, 3, 3))
+        with recorded_steps() as steps:
+            sol = integrate_matrix(A, 0.0, params.period, eye, cfg)
+        with array_loop():
+            ref = integrate_matrix(A, 0.0, params.period, eye, cfg)
+        assert sol.step_count == len(steps) > 20
+        assert sol.end_matrix.shape == (3, 3, 3)
+        _assert_same_solution(sol, ref)
+
+    def test_hidden_float_form_gives_the_same_monodromy(self, spectral_cfg):
+        # perfbench's tracer hands integrate a wrapper of integrate_matrix's
+        # field, without f.floats: on arrays that field runs A.floats too
+        params = persistence_params()
+        A = build_linearization(params).combined(np.array([1.0, 2.5, 2.6]))
+        eye = np.broadcast_to(np.eye(3), (3, 3, 3))
+        sol = integrate_matrix(A, 0.0, params.period, eye, spectral_cfg)
+        original = _integrate_module.integrate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_integrate_module, "integrate",
+                       lambda f, *args, **kwargs: original(lambda t, y: f(t, y), *args,
+                                                           **kwargs))
+            hidden = integrate_matrix(A, 0.0, params.period, eye, spectral_cfg)
+        _assert_same_solution(sol, hidden)
 
     def test_non_square_rejected(self, sim_cfg):
         with pytest.raises(ValueError):

@@ -114,6 +114,36 @@ class TestLinearization:
             assert abs(lin.infection_entry(t + params.period)
                        - lin.infection_entry(t)) < 1e-10
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
+           t=st.floats(-100.0, 100.0), seed=st.integers(0, 2**32 - 1),
+           members=st.integers(1, 8), one_lambda=st.booleans())
+    def test_float_form_is_the_product_left_to_right(self, rates, log_r0_factor, amps, t,
+                                                      seed, members, one_lambda):
+        # A.floats(t, ms) has the bits of sum_j A(t)[i, j] * M[j, k] taken left to
+        # right over all three j, for every member M; the stack's entries are
+        # nonzero, so the products with A's zeros add nothing
+        rng = np.random.default_rng(seed)
+        lams = 10.0 ** rng.uniform(-1.0, 2.0, size=members)
+        stack = rng.uniform(-1.0, 1.0, size=(members, 3, 3)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, size=(members, 3, 3))
+        A = build_linearization(admissible_periodic(rates, log_r0_factor, amps)).combined(
+            lams[0] if one_lambda else lams)
+        got = A.floats(t, stack.ravel().tolist())
+        # Python floats, not np.float64, whose arithmetic takes about twice as long
+        assert all(type(v) is float for v in got)
+        a = np.broadcast_to(A(t), stack.shape).tolist()
+        m = stack.tolist()
+        expected = []
+        for ai, mi in zip(a, m):
+            for i in range(3):
+                for k in range(3):
+                    acc = ai[i][0] * mi[0][k]
+                    for j in (1, 2):
+                        acc = acc + ai[i][j] * mi[j][k]
+                    expected.append(acc)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
 
 class TestMonodromy:
     def test_zero_matrix_gives_identity(self, spectral_cfg):
