@@ -29,10 +29,11 @@ an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps on
 Python floats, through the field's float form f.floats when f has one
 (the model's is `model._field_floats` bound to its params): the model's
 (4,) state, its batches of up to 16 members, Newton shooting's 20-wide
-state-plus-variational flow, and the monodromy stacks of at most 64
-values, which integrate_matrix hands over as (m, n*n), take this loop.
-Every other state (an R0 search round's stack of up to 8 lambdas, larger
-batches, any (m, n, n) given to integrate) steps on numpy arrays.
+state-plus-variational flow, and the monodromy stacks of at most
+MATRIX_FLOAT_MAX_VALUES = 36 values whose field has a float form, which
+integrate_matrix hands over as (m, n*n), take this loop. Every other
+state (an R0 search round's stack of 5 to 8 lambdas, larger batches, any
+(m, n, n) given to integrate) steps on numpy arrays.
 Both loops use the same tableau, controller, checks and messages.
 The float loop sums every tableau product and each member's error norm
 left to right; the array loop's @ and sum do not, so the two agree to
@@ -149,6 +150,12 @@ class Solution:
 
 # Largest (n,) or (m, n) state, counted in values, that steps on Python floats.
 FLOAT_LOOP_MAX_VALUES = 64
+
+# Largest matrix stack, counted in values, that integrate_matrix hands to the
+# float loop. On arrays A(t) @ M costs about the same for any small stack, so
+# the float loop wins on fewer values than the model's batches: up to four
+# 3x3 members (see integrate_matrix).
+MATRIX_FLOAT_MAX_VALUES = 36
 
 # Dormand-Prince 5(4) tableau, as floats for the float loop and as arrays for the array loop.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -512,32 +519,36 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
 def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solution:
     """Integrate the matrix ODE M' = A(t) @ M from M0, an (n, n) matrix or an (m, n, n) stack.
 
-    The stack goes to `integrate` flattened to (m, n*n): by the member-axis
-    rule each of its m matrices is one member on its own error norm, the
-    RMS over its n*n values, and a single matrix is a stack of one. So a
-    stack of at most 64 values, the (3, 3, 3) of an R0 certification
-    included, steps on the float loop, and a larger one on the array loop.
-    A.floats, when A has it, is the field's float form: A(t) @ M on a flat
-    list of floats, one row-major member after another; on arrays the
-    field then runs the same formula. Sampled at t1 only; end_matrix has
-    M0's shape. With M0 = I this yields the evolution operator over
-    [t0, t1] (the fundamental matrix when t1 - t0 is one period).
+    By the member-axis rule each of the stack's m matrices is one member on
+    its own error norm, the RMS over its n*n values, and a single matrix is
+    a stack of one. A.floats, when A has it, is the field's float form:
+    A(t) @ M on a flat list of floats, one row-major member after another.
+    With it, a stack of at most MATRIX_FLOAT_MAX_VALUES values (the (3, 3, 3)
+    of an R0 certification) goes to `integrate` flattened to (m, n*n) and
+    steps on the float loop; its field on arrays runs the same formula, so
+    a caller that hides f.floats gets the same numbers. Any other stack goes
+    as it is, with the field A(t) @ M, and steps on the array loop. Over one
+    period of the persistence set's spectral profile, a step costs about
+    30 µs plus 23 µs per 3x3 member on the float loop and 125-137 µs for
+    one to eight members on the array loop (2-core host), so the float loop
+    loses from five members on. Sampled at t1 only; end_matrix has M0's
+    shape. With M0 = I this yields the evolution operator over [t0, t1]
+    (the fundamental matrix when t1 - t0 is one period).
     """
     M0 = np.asarray(M0, dtype=float)
     if M0.ndim not in (2, 3) or M0.shape[-1] != M0.shape[-2]:
         raise ValueError("M0 must be a square matrix or a stack of them")
     stack = M0.reshape((-1,) + M0.shape[-2:])
     floats = getattr(A, "floats", None)
-    if floats is None:
-        def f(t, m):
-            return (A(t) @ m.reshape(stack.shape)).reshape(m.shape)
-    else:
-        def f(t, m):  # the same numbers for a caller that hides f.floats behind a wrapper
-            return np.array(floats(t, m.ravel().tolist())).reshape(m.shape)
+    if floats is None or stack.size > MATRIX_FLOAT_MAX_VALUES:
+        sol = integrate(lambda t, m: A(t) @ m, t0, t1, stack, cfg, t_eval=np.array([t1]))
+        return replace(sol, final=sol.final.reshape(M0.shape))
 
-        f.floats = floats
-    sol = integrate(f, t0, t1, stack.reshape(len(stack), M0.shape[-1] ** 2), cfg,
-                    t_eval=np.array([t1]))
+    def f(t, m):  # the same numbers for a caller that hides f.floats behind a wrapper
+        return np.array(floats(t, m.ravel().tolist())).reshape(m.shape)
+
+    f.floats = floats
+    sol = integrate(f, t0, t1, stack.reshape(len(stack), -1), cfg, t_eval=np.array([t1]))
     trajectory = replace(sol.trajectory,
                          states=sol.trajectory.states.reshape((1,) + stack.shape))
     return replace(sol, trajectory=trajectory, final=sol.final.reshape(M0.shape))

@@ -17,11 +17,13 @@ Deconinck & Kutz 2006), which one batched monodromy integration certifies:
 its stack of three 3x3 monodromies is 27 values, so it steps on the
 integrator's float loop, through `combined(lam).floats`.
 Failing that, the search goes on in rounds of one `rho_for_lambda` call
-each: a ladder in log lambda until rho straddles 1, then a pair around
-the secant crossing of log rho on log lambda and evenly spaced interior
-points; their stacks of up to 8 lambdas (72 values) step on numpy
-arrays. sign(R0 - 1) = sign(rho(Phi_{F-G}(P)) - 1), which is reported
-too. With beta identically zero R0 is 0 by convention.
+each: a ladder of ROUND_LAMBDAS = 6 lambdas in log lambda until rho
+straddles 1, then a pair around the secant crossing of log rho on log
+lambda and 6 evenly spaced interior points, up to 8 lambdas. A stack of
+5 or more lambdas steps on numpy arrays, through `combined(lam)(t)`, and
+one of at most 4 on floats (integrate_matrix's MATRIX_FLOAT_MAX_VALUES).
+sign(R0 - 1) = sign(rho(Phi_{F-G}(P)) - 1), which is reported too. With
+beta identically zero R0 is 0 by convention.
 """
 
 from __future__ import annotations
@@ -79,7 +81,9 @@ class LinearizedSystem:
         A.floats(t, ms) is A(t) @ M on Python floats for each flat row-major
         3x3 member M of the list ms, one lambda per member (a number lam
         serves them all), written out on A's nonzero entries; A(t) and it
-        share one formula per entry.
+        share one formula per entry. integrate_matrix steps a stack of up
+        to 4 members through A.floats and a larger one through A(t) @ M;
+        A(t) is also the oracle the tests hold A.floats to.
         """
         params = self.params
         k, delta, p, c = params.k, params.delta, params.p, params.c
@@ -106,7 +110,7 @@ class LinearizedSystem:
             if len(a02s) == 1:
                 a02s *= len(ms) // 9
             out = []
-            for a02, i in zip(a02s, range(0, len(ms), 9)):
+            for a02, i in zip(a02s, range(0, len(ms), 9), strict=True):
                 m00, m01, m02, m10, m11, m12, m20, m21, m22 = ms[i:i + 9]
                 out += (a00 * m00 + a02 * m20, a00 * m01 + a02 * m21, a00 * m02 + a02 * m22,
                         k * m00 + a11 * m10, k * m01 + a11 * m11, k * m02 + a11 * m12,

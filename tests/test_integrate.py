@@ -420,13 +420,26 @@ class TestLoopRouting:
         assert [args[3].shape for args in floats] == [(3, 9)]
         assert arrays == []
 
-    def test_fallback_round_stack_takes_the_array_loop(self, monkeypatch, spectral_cfg):
-        # a search round's stack of 8 lambdas is 72 values, above the float loop's 64
-        calls = count_calls(monkeypatch, _integrate_module, "_integrate_arrays")
+    @pytest.mark.parametrize("members", [1, 4, 5, 6, 8])
+    def test_monodromy_stack_loop_follows_its_size(self, monkeypatch, spectral_cfg, members):
+        # up to four 3x3 members (MATRIX_FLOAT_MAX_VALUES) go flat to the float
+        # loop; a search round's ladder of 6 lambdas, or an interior round of
+        # 5 to 8, goes as (m, 3, 3) to the array loop, whose field is A(t) @ M
+        assert _integrate_module.MATRIX_FLOAT_MAX_VALUES == 36
+        floats = count_calls(monkeypatch, _integrate_module, "_integrate_floats")
+        arrays = count_calls(monkeypatch, _integrate_module, "_integrate_arrays")
         lin = build_linearization(persistence_params())
-        radii = rho_for_lambda(lin, np.geomspace(0.5, 2.0, 8), spectral_cfg)
-        assert [args[3].shape for args in calls] == [(8, 9)]
-        assert radii.shape == (8,) and np.all(np.diff(radii) < 0.0)
+        radii = rho_for_lambda(lin, np.geomspace(0.5, 2.0, members), spectral_cfg)
+        if members <= 4:
+            assert ([args[3].shape for args in floats], arrays) == ([(members, 9)], [])
+        else:
+            assert ([args[3].shape for args in arrays], floats) == ([(members, 3, 3)], [])
+        assert radii.shape == (members,) and np.all(np.diff(radii) < 0.0)
+
+    def test_matrix_without_float_form_takes_the_array_loop(self, monkeypatch, spectral_cfg):
+        calls = count_calls(monkeypatch, _integrate_module, "_integrate_arrays")
+        integrate_matrix(lambda t: -np.eye(3), 0.0, 24.0, np.eye(3), spectral_cfg)
+        assert [args[3].shape for args in calls] == [(1, 3, 3)]
 
     def test_hidden_float_form_gives_the_same_solution(self, spectral_cfg):
         # perfbench's tracer hands integrate a wrapper without f.floats: the

@@ -144,6 +144,15 @@ class TestLinearization:
                     expected.append(acc)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
 
+    def test_float_form_rejects_a_member_count_other_than_the_lambdas(self, spectral_cfg):
+        # three lambdas with a single 3x3 start: an error, as on the array loop,
+        # not the product for the first lambda alone
+        A = build_linearization(persistence_params()).combined(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError):
+            A.floats(0.0, np.eye(3).ravel().tolist())
+        with pytest.raises(ValueError):
+            integrate_matrix(A, 0.0, 24.0, np.eye(3), spectral_cfg)
+
 
 class TestMonodromy:
     def test_zero_matrix_gives_identity(self, spectral_cfg):
