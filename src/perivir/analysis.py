@@ -309,20 +309,21 @@ def sweep(base: ModelParameters, param_name: str, values, horizon: float,
           cfg: IntegratorConfig, initial_conditions=None) -> list[SweepRow]:
     """Classify the model across one varying parameter.
 
-    Returns one row per value, ordered by value. Values that violate the
-    model invariants produce a marked row instead of aborting the sweep.
+    Returns one row per value, ordered by value, nan last. Values that
+    violate the model invariants produce a marked row instead of aborting
+    the sweep.
     """
     if initial_conditions is None:
         initial_conditions = DEFAULT_INITIAL_CONDITIONS
     rows: list[SweepRow] = []
-    for v in sorted(values):
+    for v in sorted(map(float, values), key=lambda v: (math.isnan(v), v)):
         try:
-            params = _with_param(base, param_name, float(v))
+            params = _with_param(base, param_name, v)
         except ValueError as exc:
-            rows.append(SweepRow(value=float(v), error=f"InvalidSweepValue: {exc}"))
+            rows.append(SweepRow(value=v, error=f"InvalidSweepValue: {exc}"))
             continue
         r0 = r0_periodic(params)
         report = classify(params, initial_conditions, horizon, cfg, r0_result=r0)
-        rows.append(SweepRow(value=float(v), r0=r0.value, rho_at_one=r0.rho_at_one,
+        rows.append(SweepRow(value=v, r0=r0.value, rho_at_one=r0.rho_at_one,
                              regime=report.regime))
     return rows

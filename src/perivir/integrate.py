@@ -18,38 +18,41 @@ other axes is <= 1, so each member is held to the tolerance it would get
 alone; one RMS over the batch would dilute a member's error by sqrt(m).
 
 Off-step values come from the standard quartic dense-output interpolant
-on accepted steps, so requested output grids are hit exactly. Neither
-loop evaluates it while stepping: each step with samples records its
-coefficients, and one numpy pass (_dense_output) evaluates the samples
-of up to _DENSE_CHUNK such steps together, operation for operation as
-the per-sample formula and so bitwise equal to it.
+on accepted steps, so requested output grids are hit exactly. The loop
+does not evaluate it while stepping: each step with samples records its
+stages, and one numpy pass (_dense_output) evaluates the samples of up
+to _DENSE_CHUNK such steps together, operation for operation as the
+per-sample formula with its sums left to right, and so bitwise equal
+to it.
 
-Two stepping loops run this one method. A small state, one (n,) vector or
-an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps on
-Python floats, through the field's float form f.floats when f has one
+One stepping loop (_stepping_loop) runs this method with either of two
+step kinds, chosen by the state's shape. A small state, one (n,) vector
+or an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps
+on Python floats, through the field's float form f.floats when f has one
 (the model's is `model._field_floats` bound to its params): the model's
 (4,) state, its batches of up to 16 members, Newton shooting's 20-wide
 state-plus-variational flow, and the monodromy stacks of at most
 MATRIX_FLOAT_MAX_VALUES = 36 values whose field has a float form, which
-integrate_matrix hands over as (m, n*n), take this loop. Every other
+integrate_matrix hands over as (m, n*n), take this kind. Every other
 state (an R0 search round's stack of 5 to 8 lambdas, larger batches, any
-(m, n, n) given to integrate) steps on numpy arrays.
-Both loops use the same tableau, controller, checks and messages.
-The float loop sums every tableau product and each member's error norm
-left to right; the array loop's @ and sum do not, so the two agree to
-rounding, and bitwise once the array loop's sums run left to right too.
+(m, n, n) given to integrate) steps on a flat numpy array (_array_step).
+Both kinds share the tableau, checks and messages, and the loop holds
+the controller, the step budget and the samples for both. A float step
+sums every tableau product and each member's error norm left to right;
+an array step's @ and sum do not, so the two agree to rounding, and
+bitwise once the array step's sums run left to right too.
 
-The float loop takes each attempted step from one straight-line function
-per (values, member width), generated from the tableau and compiled on
-first use, then kept for the process (_step_kernel). Nothing is built at
-import; a build costs about 1.7 ms for 4 values, 4 ms for 12, 7 ms for
-20, 10 ms for 27 and 16-21 ms for 64, almost all of it in compile, which
-holds the whole source's tokens and syntax tree until it is done: the
-27-value build lifts peak RSS by about 1.3 MB. Over 52 periods of
-the persistence set a step then costs 13-24 µs for (4,) and 26-43 µs for
-(3, 4), and Newton's 20-wide flow 40-69 µs (best to upper quartile of 12
-runs, 2-core host), against 22-33, 40-57 and 58-92 µs with the step
-written as list comprehensions.
+Each float step is one straight-line function per (values, member
+width), generated from the tableau and compiled on first use, then kept
+for the process (_step_kernel). Nothing is built at import; a build
+costs about 1.7 ms for 4 values, 4 ms for 12, 7 ms for 20, 10 ms for 27
+and 16-21 ms for 64, almost all of it in compile, which holds the whole
+source's tokens and syntax tree until it is done: the 27-value build
+lifts peak RSS by about 1.3 MB. Over 52 periods of the persistence set
+a step then costs 13-24 µs for (4,) and 26-43 µs for (3, 4), and
+Newton's 20-wide flow 40-69 µs (best to upper quartile of 12 runs,
+2-core host), against 22-33, 40-57 and 58-92 µs with the step written
+as list comprehensions.
 """
 
 from __future__ import annotations
@@ -151,13 +154,13 @@ class Solution:
 # Largest (n,) or (m, n) state, counted in values, that steps on Python floats.
 FLOAT_LOOP_MAX_VALUES = 64
 
-# Largest matrix stack, counted in values, that integrate_matrix hands to the
-# float loop. On arrays A(t) @ M costs about the same for any small stack, so
-# the float loop wins on fewer values than the model's batches: up to four
-# 3x3 members (see integrate_matrix).
+# Largest matrix stack, counted in values, that integrate_matrix hands over to
+# step on floats. On arrays A(t) @ M costs about the same for any small stack,
+# so floats win on fewer values than the model's batches: up to four 3x3
+# members (see integrate_matrix).
 MATRIX_FLOAT_MAX_VALUES = 36
 
-# Dormand-Prince 5(4) tableau, as floats for the float loop and as arrays for the array loop.
+# Dormand-Prince 5(4) tableau, as floats for the float steps and as arrays for the array step.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _A_ROWS = (
     (1.0 / 5.0,),
@@ -180,7 +183,6 @@ _D_ROW = (
 )
 _A = tuple(np.array(row) for row in _A_ROWS)
 _E = np.array(_E_ROW)
-_D = np.array(_D_ROW)
 
 # Steps whose samples are evaluated together: bounds the stages a grid's dense output keeps.
 # The step that reaches t1 takes the grid's last sample and evaluates what is left.
@@ -201,7 +203,7 @@ def _pi_factor(err: float, err_old: float, rejected_last: bool) -> float:
 
 
 def _step_source(n: int, width: int) -> str:
-    """Source of the float loop's attempted step on n values in members of `width` values.
+    """Source of the attempted float step on n values in members of `width` values.
 
     step(field, t, h, ys, k0, atol, rtol) returns (y_new, k1, ..., k6, err):
     stages 2-7, err_vec, the error ratios and the largest member sum of
@@ -252,44 +254,59 @@ def _step_kernel(n: int, width: int):
     return namespace["step"]
 
 
-def _dense_output(out, grid, counts, t, h, y, y_new, k0, k6, r5) -> None:
+def _array_step(field, t, h, ys, k0, atol, rtol, *, width):
+    """The attempted step on a flat numpy state, with _step_kernel's contract.
+
+    The same tableau, check and message as the kernels, but each tableau
+    product is one @ on the stage matrix and each member's sum of squared
+    error ratios, over `width` values, one numpy sum.
+    """
+    K = np.empty((7, len(ys)))
+    K[0] = k0
+    for i in range(1, 7):
+        yi = ys + h * (_A[i - 1] @ K[:i])
+        K[i] = field(t + _C[i] * h, yi)
+    err_vec = h * (_E @ K)  # yi is now the 5th-order solution (FSAL)
+    if not (np.isfinite(yi).all() and np.isfinite(err_vec).all()):
+        raise NonFiniteState(f"state became non-finite near t={t}")
+    scale = atol + rtol * np.maximum(np.abs(ys), np.abs(yi))
+    # max of the member sums, then / width: the max of the member means
+    err = math.sqrt(float(((err_vec / scale) ** 2).reshape(-1, width).sum(-1).max()) / width)
+    return yi, K[1], K[2], K[3], K[4], K[5], K[6], err
+
+
+def _dense_output(out, grid, counts, starts, sizes, stages) -> None:
     """Write the quartic interpolant at the samples grid into out, one row per sample.
 
-    Row j of t and h (1-D) and of y, y_new, k0, k6 and r5 = h * (D . K) (2-D,
-    one column per value) belongs to the j-th step with samples, which takes
-    the next counts[j] samples. Each sample gets the bits of
-    y + theta*(ydiff + (1 - theta)*(bspl + theta*(r4 + (1 - theta)*r5))):
-    numpy rounds each elementwise operation as Python floats do, and the
-    in-place Horner steps below only swap the operands of + and *.
+    Step j of starts and sizes, the j-th step with samples, takes the next
+    counts[j] samples; stages holds its y, y_new and k0 .. k6, one row of
+    values each. Each sample gets the bits of
+    y + theta*(ydiff + (1 - theta)*(bspl + theta*(r4 + (1 - theta)*r5))),
+    r5 = h * (D . K) summed left to right: numpy rounds each elementwise
+    operation as Python floats do, and the in-place Horner steps below only
+    swap the operands of + and *.
     """
+    rows = np.frombuffer(stages).reshape(len(counts), 9, -1)
+    y, y_new, K = rows[:, 0], rows[:, 1], rows[:, 2:]
+    h = np.array(sizes)[:, None]
+    r5 = _D_ROW[0] * K[:, 0]
+    for j in range(1, 7):
+        r5 += _D_ROW[j] * K[:, j]
+    r5 *= h
     which = np.repeat(np.arange(len(counts)), counts)
-    theta = ((grid - t[which]) / h[which])[:, None]
+    theta = ((grid - np.array(starts)[which]) / h[which, 0])[:, None]
     theta1 = 1.0 - theta
-    h = h[:, None]
     ydiff = y_new - y
-    bspl = h * k0 - ydiff
+    bspl = h * K[:, 0] - ydiff
     np.take(r5, which, axis=0, out=out)
     out *= theta1
-    out += (ydiff - h * k6 - bspl)[which]  # r4
+    out += (ydiff - h * K[:, 6] - bspl)[which]  # r4
     out *= theta
     out += bspl[which]
     out *= theta1
     out += ydiff[which]
     out *= theta
     out += y[which]
-
-
-def _dense_floats(out, grid, counts, starts, sizes, stages) -> None:
-    """_dense_output on the float loop's record: per step, y, y_new and k0 .. k6 in stages."""
-    rows = np.frombuffer(stages).reshape(len(counts), 9, -1)
-    K = rows[:, 2:]
-    h = np.array(sizes)
-    r5 = _D_ROW[0] * K[:, 0]  # the dense-output weights' sum, left to right
-    for j in range(1, 7):
-        r5 += _D_ROW[j] * K[:, j]
-    r5 *= h[:, None]
-    _dense_output(out, grid, counts, np.array(starts), h, rows[:, 0], rows[:, 1], K[:, 0],
-                  K[:, 6], r5)
 
 
 def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -> Solution:
@@ -306,8 +323,8 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
 
     Raises StepLimitExceeded or NonFiniteState on failure.
     """
-    if np.ndim(y0) < 1:
-        raise ValueError("y0 must have at least one axis")
+    if np.ndim(y0) < 1 or np.size(y0) == 0:
+        raise ValueError("y0 must have at least one axis and at least one value")
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ValueError("need finite t0 < t1")
     t0, t1 = float(t0), float(t1)
@@ -323,132 +340,46 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
         if t_eval[0] < t0 or t_eval[-1] > t1:
             raise ValueError("t_eval must lie within [t0, t1]")
 
-    # non-finite values raise below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if y.ndim <= 2 and 0 < y.size <= FLOAT_LOOP_MAX_VALUES:
-            return _integrate_floats(f, t0, t1, y, cfg, t_eval)
-        return _integrate_arrays(f, t0, t1, y, cfg, t_eval)
-
-
-def _integrate_arrays(f, t0, t1, y, cfg, t_eval) -> Solution:
-    """The stepping loop on numpy arrays, for every state the float loop does not take."""
     shape = y.shape
-    members = shape[0] if y.ndim >= 2 else 1
-    per_member = y.size // members if y.size else 1
-    if y.ndim >= 2:
-        # the stepping loop runs on the flat state; f sees the batch shape
-        f_batch = f
-        y = y.ravel()
-
-        def f(t, y_flat):
-            return f_batch(t, y_flat.reshape(shape)).ravel()
-    if t_eval is None:
-        times, values = [t0], [y.copy()]
+    width = y.size // len(y) if y.ndim >= 2 else y.size  # one member's values
+    if y.ndim <= 2 and y.size <= FLOAT_LOOP_MAX_VALUES:
+        step, put, ys = _step_kernel(y.size, width), array.extend, y.ravel().tolist()
+        field = getattr(f, "floats", None)
+        if field is None:
+            def field(t, ys):
+                return np.ravel(f(t, np.array(ys).reshape(shape))).tolist()
     else:
-        values = np.empty((len(t_eval), y.size))
-        # steps with samples not yet in values: sample counts, (t, h, y, y_new, k0, k6, r5)
-        counts, rows = [], []
-    eval_idx = done = 0
+        step, ys = functools.partial(_array_step, width=width), y.ravel()
 
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    h = min(cfg.initial_step, t1 - t0)
-    next_step = cfg.initial_step
-    t = t0
-    n = len(y)
-    K = np.empty((7, n))
-    err_old = 1e-4
-    rejected_last = False
-    n_steps = n_rejected = 0
-    K[0] = f(t, y)
-    if not np.isfinite(K[0]).all():
-        raise NonFiniteState(f"vector field not finite at t={t}")
+        def put(buffer, row):  # extend would iterate the row's numpy scalars
+            buffer.frombytes(row.tobytes())
 
-    while t < t1:
-        if n_steps >= cfg.max_steps:
-            raise StepLimitExceeded(f"max_steps={cfg.max_steps} reached at t={t}")
-        h = min(h, cfg.max_step, t1 - t)
-        last_leg = h == t1 - t  # this step ends on t1
-        n_steps += 1
-
-        for i in range(1, 7):
-            yi = y + h * (_A[i - 1] @ K[:i])
-            K[i] = f(t + _C[i] * h, yi)
-        y_new = yi  # stage 7 state is the 5th-order solution (FSAL)
-        err_vec = h * (_E @ K)
-
-        if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
-            raise NonFiniteState(f"state became non-finite near t={t}")
-
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        # max of the member sums, then / per_member: the max of the member means
-        err = math.sqrt(float(((err_vec / scale) ** 2).reshape(members, -1).sum(-1).max())
-                        / per_member)
-
-        if err <= 1.0:
-            t_new = t + h
-            if t_eval is None:
-                times.append(t_new)
-                values.append(y_new.copy())
-            else:
-                hi = eval_idx
-                while hi < len(t_eval) and t_eval[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
-                    hi += 1
-                if hi > eval_idx:
-                    counts.append(hi - eval_idx)
-                    rows.append((t, h, y, y_new, K[0].copy(), K[6].copy(), h * (_D @ K)))
-                    eval_idx = hi
-                    if len(counts) == _DENSE_CHUNK or hi == len(t_eval):
-                        _dense_output(values[done:hi], t_eval[done:hi], counts,
-                                      *(np.array(column) for column in zip(*rows)))
-                        done = hi
-                        counts, rows = [], []
-            h *= _pi_factor(err, err_old, rejected_last)
-            if not last_leg:
-                next_step = h
-            err_old = max(err, 1e-4)
-            t, y = t_new, y_new
-            K[0] = K[6]
-            rejected_last = False
-        else:
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
-            n_rejected += 1
-            rejected_last = True
-
-    if t_eval is None:
-        times[-1] = t1  # the last accepted step lands within rounding of t1
-    else:
-        times = t_eval.copy()
-    values_arr = np.asarray(values).reshape((len(times),) + shape)
-    return Solution(Trajectory(times, values_arr), y.reshape(shape), n_steps, n_rejected,
-                    min(next_step, cfg.max_step))
-
-
-def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
-    """The stepping loop on Python floats, for small (n,) and (m, n) states.
-
-    The array loop's tableau, controller, checks and messages. Each attempted
-    step is one straight-line kernel (_step_kernel), with every coefficient
-    sum and every member's sum of squared error ratios written out left to
-    right. The field is f.floats when f has it: f on a flat list of floats,
-    returning a list, which may raise ZeroDivisionError where numpy would
-    give inf or nan. Without it, f is called on arrays of y's shape.
-    """
-    shape = y.shape
-    field = getattr(f, "floats", None)
-    if field is None:
         def field(t, ys):
-            return np.ravel(f(t, np.array(ys).reshape(shape))).tolist()
-    step = _step_kernel(y.size, shape[-1])
+            return f(t, ys.reshape(shape)).ravel()
+    # non-finite values raise in the step
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _stepping_loop(field, step, put, t0, t1, ys, shape, cfg, t_eval)
+
+
+def _stepping_loop(field, step, put, t0, t1, ys, shape, cfg, t_eval) -> Solution:
+    """The stepping loop: step size, controller, step budget and samples, for either step kind.
+
+    ys is y0 flat, as a list of floats or as an array, and field takes and
+    returns the same kind. step(field, t, h, ys, k0, atol, rtol) attempts
+    one step and returns (y_new, k1, ..., k6, err); put(buffer, row)
+    appends a row's values to an array('d'). The field may raise
+    ZeroDivisionError where numpy would give inf or nan.
+    """
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     max_steps, max_step = cfg.max_steps, cfg.max_step
     t = t0
-    ys = y.ravel().tolist()
     if t_eval is None:
         grid = None
-        times, samples = [t], array("d", ys)
+        times, samples = [t], array("d")
+        put(samples, ys)
     else:
         grid = t_eval.tolist()
-        states = np.empty((len(grid), y.size))
+        states = np.empty((len(grid), len(ys)))
         # steps with samples not yet in states: sample counts, t, h, and y, y_new, k0 .. k6
         counts, starts, sizes, stages = [], [], [], array("d")
     eval_idx = done = 0
@@ -478,7 +409,7 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
             t_new = t + h
             if grid is None:
                 times.append(t_new)
-                samples.extend(y_new)
+                put(samples, y_new)
             else:
                 hi = eval_idx
                 while hi < len(grid) and grid[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
@@ -488,10 +419,10 @@ def _integrate_floats(f, t0, t1, y, cfg, t_eval) -> Solution:
                     starts.append(t)
                     sizes.append(h)
                     for row in (ys, y_new, k0, k1, k2, k3, k4, k5, k6):
-                        stages.extend(row)
+                        put(stages, row)
                     eval_idx = hi
                     if len(counts) == _DENSE_CHUNK or hi == len(grid):
-                        _dense_floats(states[done:hi], t_eval[done:hi], counts, starts, sizes,
+                        _dense_output(states[done:hi], t_eval[done:hi], counts, starts, sizes,
                                       stages)
                         done = hi
                         counts, starts, sizes, stages = [], [], [], array("d")
@@ -525,13 +456,12 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
     A(t) @ M on a flat list of floats, one row-major member after another.
     With it, a stack of at most MATRIX_FLOAT_MAX_VALUES values (the (3, 3, 3)
     of an R0 certification) goes to `integrate` flattened to (m, n*n) and
-    steps on the float loop; its field on arrays runs the same formula, so
-    a caller that hides f.floats gets the same numbers. Any other stack goes
-    as it is, with the field A(t) @ M, and steps on the array loop. Over one
-    period of the persistence set's spectral profile, a step costs about
-    30 µs plus 23 µs per 3x3 member on the float loop and 125-137 µs for
-    one to eight members on the array loop (2-core host), so the float loop
-    loses from five members on. Sampled at t1 only; end_matrix has M0's
+    steps on floats; its field on arrays runs the same formula, so a caller
+    that hides f.floats gets the same numbers. Any other stack goes as it
+    is, with the field A(t) @ M, and steps on arrays. Over one period of the
+    persistence set's spectral profile, a step costs about 30 µs plus 23 µs
+    per 3x3 member on floats and 125-137 µs for one to eight members on
+    arrays (2-core host), so floats lose from five members on. Sampled at t1 only; end_matrix has M0's
     shape. With M0 = I this yields the evolution operator over [t0, t1]
     (the fundamental matrix when t1 - t0 is one period).
     """

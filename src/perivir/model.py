@@ -279,7 +279,7 @@ def vector_field(params: ModelParameters):
 
     f is `rhs` on one state (4,) or a batch (m, 4). f.floats is
     `_field_floats` bound to params: the same field on a flat list of
-    floats, which the integrator's float loop calls.
+    floats, which the integrator's float steps call.
     """
 
     def f(t, y):

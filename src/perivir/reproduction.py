@@ -14,14 +14,15 @@ w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
 is lower triangular, so the operator acts on the scalar rate of new E
 infections, and its truncated Fourier matrix gives R0 (Hill's method;
 Deconinck & Kutz 2006), which one batched monodromy integration certifies:
-its stack of three 3x3 monodromies is 27 values, so it steps on the
-integrator's float loop, through `combined(lam).floats`.
+its stack of three 3x3 monodromies is 27 values, so the integrator's one
+stepping loop takes it in float steps, through `combined(lam).floats`.
 Failing that, the search goes on in rounds of one `rho_for_lambda` call
 each: a ladder of ROUND_LAMBDAS = 6 lambdas in log lambda until rho
 straddles 1, then a pair around the secant crossing of log rho on log
 lambda and 6 evenly spaced interior points, up to 8 lambdas. A stack of
-5 or more lambdas steps on numpy arrays, through `combined(lam)(t)`, and
-one of at most 4 on floats (integrate_matrix's MATRIX_FLOAT_MAX_VALUES).
+5 or more lambdas takes array steps, through `combined(lam)(t)`, and a
+stack of at most 4 takes float steps (integrate_matrix's
+MATRIX_FLOAT_MAX_VALUES).
 sign(R0 - 1) = sign(rho(Phi_{F-G}(P)) - 1), which is reported too. With
 beta identically zero R0 is 0 by convention.
 """

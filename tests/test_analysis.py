@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,14 @@ class TestSweep:
         assert rows[0].error is not None and "InvalidSweepValue" in rows[0].error
         assert rows[0].r0 is None
         assert rows[1].error is None and rows[1].r0 is not None
+
+    def test_nan_values_sort_last(self, sim_cfg):
+        # sorted() alone leaves [2.0, nan, 1.0] as it is: nan compares false
+        base = baseline_params(amps=0.0, beta_scale=0.01)
+        rows = sweep(base, "beta.mean", [0.03, math.nan, 0.003], 1200.0, sim_cfg)
+        assert [r.value for r in rows[:2]] == [0.003, 0.03]
+        assert math.isnan(rows[2].value) and "InvalidSweepValue" in rows[2].error
+        assert rows[0].r0 < rows[1].r0
 
     def test_unknown_parameter_marks_row(self, sim_cfg):
         rows = sweep(baseline_params(), "nonsense", [1.0], 1200.0, sim_cfg)

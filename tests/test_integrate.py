@@ -73,18 +73,17 @@ class _LeftToRight:
 
 @contextlib.contextmanager
 def array_loop():
-    """Send every state to the numpy stepping loop, its sums all taken left to right.
+    """Send every state to array steps, their sums all taken left to right.
 
     numpy's @ on the tableau goes through BLAS, which sums in an order of its
     own, and its sum over a member's error ratios is pairwise; with these
-    rows and this error vector the two loops should agree bit for bit.
+    rows and this error vector both step kinds should agree bit for bit.
     """
     m = _integrate_module
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(m, "FLOAT_LOOP_MAX_VALUES", 0)
         mp.setattr(m, "_A", tuple(_LeftToRight(row) for row in m._A))
         mp.setattr(m, "_E", _LeftToRight(m._E, _LeftSum))
-        mp.setattr(m, "_D", _LeftToRight(m._D))
         yield
 
 
@@ -244,6 +243,11 @@ class TestVectorIntegration:
     def test_bad_interval_rejected(self, sim_cfg, t0, t1):
         with pytest.raises(ValueError):
             integrate(lambda t, y: -y, t0, t1, [1.0], sim_cfg)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 4), (3, 0, 0)])
+    def test_empty_state_rejected(self, sim_cfg, shape):
+        with pytest.raises(ValueError, match="at least one value"):
+            integrate(lambda t, y: -y, 0.0, 1.0, np.zeros(shape), sim_cfg)
 
     def test_bad_grid_rejected(self, sim_cfg):
         with pytest.raises(ValueError):
@@ -410,36 +414,42 @@ class TestLoopRouting:
                                                  spectral_cfg):
         # the warm start's (4,) passes and Newton's 20-wide flows, and an R0
         # certification's (3, 3, 3) monodromy stack as one (3, 9) run
-        arrays = count_calls(monkeypatch, _integrate_module, "_integrate_arrays")
+        arrays = count_calls(monkeypatch, _integrate_module, "_array_step")
         assert main(["orbit", "--config", str(config_dir / "persistence.ini"),
                      "--out", str(tmp_path / "orbit.csv")]) == 0
         assert arrays == []
-        floats = count_calls(monkeypatch, _integrate_module, "_integrate_floats")
+        floats = count_calls(monkeypatch, _integrate_module, "_step_kernel")
         lin = build_linearization(persistence_params())
         rho_for_lambda(lin, np.array([0.5, 1.0, 2.0]), spectral_cfg)
-        assert [args[3].shape for args in floats] == [(3, 9)]
+        assert floats == [(27, 9)]
         assert arrays == []
 
     @pytest.mark.parametrize("members", [1, 4, 5, 6, 8])
     def test_monodromy_stack_loop_follows_its_size(self, monkeypatch, spectral_cfg, members):
-        # up to four 3x3 members (MATRIX_FLOAT_MAX_VALUES) go flat to the float
-        # loop; a search round's ladder of 6 lambdas, or an interior round of
-        # 5 to 8, goes as (m, 3, 3) to the array loop, whose field is A(t) @ M
+        # up to four 3x3 members (MATRIX_FLOAT_MAX_VALUES) go flat to float
+        # steps; a search round's ladder of 6 lambdas, or an interior round of
+        # 5 to 8, goes as (m, 3, 3) to array steps, whose field is A(t) @ M
         assert _integrate_module.MATRIX_FLOAT_MAX_VALUES == 36
-        floats = count_calls(monkeypatch, _integrate_module, "_integrate_floats")
-        arrays = count_calls(monkeypatch, _integrate_module, "_integrate_arrays")
+        runs = count_calls(monkeypatch, _integrate_module, "integrate")
+        floats = count_calls(monkeypatch, _integrate_module, "_step_kernel")
+        arrays = count_calls(monkeypatch, _integrate_module, "_array_step")
         lin = build_linearization(persistence_params())
         radii = rho_for_lambda(lin, np.geomspace(0.5, 2.0, members), spectral_cfg)
         if members <= 4:
-            assert ([args[3].shape for args in floats], arrays) == ([(members, 9)], [])
+            assert [args[3].shape for args in runs] == [(members, 9)]
+            assert (floats, arrays) == ([(members * 9, 9)], [])
         else:
-            assert ([args[3].shape for args in arrays], floats) == ([(members, 3, 3)], [])
+            assert [args[3].shape for args in runs] == [(members, 3, 3)]
+            assert len(arrays) > 0 and floats == []
         assert radii.shape == (members,) and np.all(np.diff(radii) < 0.0)
 
     def test_matrix_without_float_form_takes_the_array_loop(self, monkeypatch, spectral_cfg):
-        calls = count_calls(monkeypatch, _integrate_module, "_integrate_arrays")
-        integrate_matrix(lambda t: -np.eye(3), 0.0, 24.0, np.eye(3), spectral_cfg)
-        assert [args[3].shape for args in calls] == [(1, 3, 3)]
+        runs = count_calls(monkeypatch, _integrate_module, "integrate")
+        floats = count_calls(monkeypatch, _integrate_module, "_step_kernel")
+        arrays = count_calls(monkeypatch, _integrate_module, "_array_step")
+        sol = integrate_matrix(lambda t: -np.eye(3), 0.0, 24.0, np.eye(3), spectral_cfg)
+        assert [args[3].shape for args in runs] == [(1, 3, 3)]
+        assert (len(arrays), floats) == (sol.step_count, [])
 
     def test_hidden_float_form_gives_the_same_solution(self, spectral_cfg):
         # perfbench's tracer hands integrate a wrapper without f.floats: the
@@ -709,14 +719,11 @@ class TestDenseOutput:
         with recorded_steps() as steps:
             integrate(lambda t, y: field(t, y).reshape(3, 9), 0.0, 24.0, y0.reshape(3, 9),
                       spectral_cfg, t_eval=grid)
-        calls = []
         with array_loop(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(_integrate_module, "_DENSE_CHUNK", 5)
-            original = _integrate_module._integrate_arrays
-            mp.setattr(_integrate_module, "_integrate_arrays",
-                       lambda *args: calls.append(args[3].shape) or original(*args))
+            calls = count_calls(mp, _integrate_module, "_array_step")
             sol = integrate(field, 0.0, 24.0, y0, spectral_cfg, t_eval=grid)
-        assert calls == [(3, 3, 3)]
-        assert sol.step_count == len(steps) > 20
+        assert {args[3].shape for args in calls} == {(27,)}  # the flat state
+        assert sol.step_count == len(steps) == len(calls) > 20
         expected = dense_samples_by_hand(steps, grid).reshape(sol.trajectory.states.shape)
         assert _same_bits(sol.trajectory.states, expected)
