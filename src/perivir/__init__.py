@@ -20,6 +20,7 @@ from .integrate import (
     IntegrationError,
     IntegratorConfig,
     NonFiniteState,
+    NumericalFailure,
     Solution,
     StepLimitExceeded,
     integrate,
@@ -65,7 +66,7 @@ __all__ = [
     "ModelParameters", "SinusoidalCoefficient", "State", "Trajectory",
     "incidence", "rhs", "jacobian", "vector_field",
     "IntegratorConfig", "Solution", "integrate", "integrate_matrix",
-    "IntegrationError", "StepLimitExceeded", "NonFiniteState",
+    "NumericalFailure", "IntegrationError", "StepLimitExceeded", "NonFiniteState",
     "VirusFreeSolution", "PeriodicOrbit", "virus_free_closed_form",
     "virus_free_numeric", "poincare_map", "find_periodic_orbit",
     "warm_start_guess", "floquet_multipliers",

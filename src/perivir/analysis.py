@@ -293,15 +293,14 @@ _COEFF_FIELDS = {"mean", "amplitude"}
 _SCALAR_FIELDS = {"k", "delta", "p", "c", "c1", "c2"}
 
 
-def _with_param(base: ModelParameters, name: str, value: float) -> ModelParameters:
-    """Copy of `base` with one scalar field or coefficient mean/amplitude replaced."""
+def _param_setter(name: str):
+    """(base, value) -> copy of base with field `name` replaced; ValueError if unknown."""
     if name in _SCALAR_FIELDS:
-        return replace(base, **{name: value})
-    if "." in name:
-        coeff_name, attr = name.split(".", 1)
-        if coeff_name in ("mu", "beta", "d") and attr in _COEFF_FIELDS:
-            coeff = getattr(base, coeff_name)
-            return replace(base, **{coeff_name: replace(coeff, **{attr: value})})
+        return lambda base, value: replace(base, **{name: value})
+    coeff_name, _, attr = name.partition(".")
+    if coeff_name in ("mu", "beta", "d") and attr in _COEFF_FIELDS:
+        return lambda base, value: replace(
+            base, **{coeff_name: replace(getattr(base, coeff_name), **{attr: value})})
     raise ValueError(f"unknown sweep parameter {name!r}")
 
 
@@ -311,14 +310,15 @@ def sweep(base: ModelParameters, param_name: str, values, horizon: float,
 
     Returns one row per value, ordered by value, nan last. Values that
     violate the model invariants produce a marked row instead of aborting
-    the sweep.
+    the sweep; an unknown parameter name raises ValueError before any value.
     """
+    with_value = _param_setter(param_name)
     if initial_conditions is None:
         initial_conditions = DEFAULT_INITIAL_CONDITIONS
     rows: list[SweepRow] = []
     for v in sorted(map(float, values), key=lambda v: (math.isnan(v), v)):
         try:
-            params = _with_param(base, param_name, v)
+            params = with_value(base, v)
         except ValueError as exc:
             rows.append(SweepRow(value=v, error=f"InvalidSweepValue: {exc}"))
             continue

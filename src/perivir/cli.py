@@ -6,13 +6,17 @@ pointing at a flat INI-style document with sections [mu], [beta], [d],
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 invariant
 violation (validate only). Every failure prints a one-line
-machine-parsable "<category>: <message>" to stderr.
+machine-parsable "<category>: <message>" to stderr. The exception's type
+picks the code: any NumericalFailure, and numpy's LinAlgError, exit 3;
+ParseError, ValidationError, any other ValueError (DegenerateDecay among
+them) and OSError exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -22,15 +26,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import GRID_POINTS_PER_PERIOD, monitor_invariants, simulate, sweep
-from .integrate import IntegrationError, IntegratorConfig
+from .integrate import IntegratorConfig, NumericalFailure
 from .model import ModelParameters, SinusoidalCoefficient, State, Trajectory
-from .periodic import (
-    ConvergedToBoundary,
-    NewtonDiverged,
-    find_periodic_orbit,
-    warm_start_guess,
-)
-from .reproduction import BracketFailure, r0_periodic
+from .periodic import find_periodic_orbit, warm_start_guess
+from .reproduction import r0_periodic
 from .svgplot import Panel, Series, write_panels
 
 __all__ = [
@@ -322,6 +321,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perivir",
@@ -370,15 +370,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.fn(cfg, args)
-    except (ParseError, ValidationError, ValueError) as exc:
-        # DegenerateDecay derives from ValueError: corrupted input, not numerics
-        print(f"config-error: {exc}", file=sys.stderr)
-        return 2
-    except (IntegrationError, NewtonDiverged, ConvergedToBoundary,
-            BracketFailure, np.linalg.LinAlgError) as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+        # first: LinAlgError derives from ValueError
         print(f"numerical-failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (ParseError, ValidationError, ValueError, OSError) as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,6 +67,7 @@ import numpy as np
 from .model import Trajectory
 
 __all__ = [
+    "NumericalFailure",
     "IntegrationError",
     "StepLimitExceeded",
     "NonFiniteState",
@@ -77,7 +78,11 @@ __all__ = [
 ]
 
 
-class IntegrationError(Exception):
+class NumericalFailure(RuntimeError):
+    """Base class for failures of the numerics on admissible input (CLI exit 3)."""
+
+
+class IntegrationError(NumericalFailure):
     """Base class for integration failures."""
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrate import IntegratorConfig, integrate
+from .integrate import IntegratorConfig, NumericalFailure, integrate
 from .model import (
     ModelParameters,
     State,
@@ -52,14 +52,14 @@ MAX_NEWTON_ITERS = 30
 
 
 class DegenerateDecay(ValueError):
-    """The death rate integrates to <= 0 over one period (corrupted input)."""
+    """The death rate integrates to too little over one period for T* to exist."""
 
 
-class NewtonDiverged(RuntimeError):
+class NewtonDiverged(NumericalFailure):
     """Shooting residual grew or the iteration budget ran out."""
 
 
-class ConvergedToBoundary(RuntimeError):
+class ConvergedToBoundary(NumericalFailure):
     """Newton or the warm start collapsed onto the virus-free orbit: no interior orbit found."""
 
 
@@ -75,8 +75,8 @@ class VirusFreeSolution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if np.any(self.values <= 0.0):
-            raise ValueError("T* must be strictly positive at every sample")
+        if not np.all((self.values > 0.0) & (self.values < math.inf)):  # nan fails
+            raise ValueError("T* must be finite and strictly positive at every sample")
         wrap = abs(self.values[-1] - self.values[0])
         if wrap > 1e-8 * max(1.0, abs(self.values[0])):
             raise ValueError("T* samples do not close up over one period")
@@ -155,8 +155,10 @@ def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
     """
     P = params.period
     DP = float(_death_integral(params, P))
-    if DP <= 0.0:
-        raise DegenerateDecay("death rate integrates to <= 0 over one period")
+    decay = math.exp(-DP)
+    if not decay < 1.0:  # D(P) <= 0, or too small for e^{-D(P)} to round below 1
+        raise DegenerateDecay(f"death rate integrates to D(P) = {DP!r} over one period; "
+                              "e^-D(P) does not fall below 1, so T* is unbounded")
 
     fine = np.linspace(0.0, P, 2 * TSTAR_SAMPLES + 1)
     g = params.mu.value(fine) * np.exp(_death_integral(params, fine))
@@ -164,7 +166,6 @@ def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
     panels = (h2 / 3.0) * (g[0:-1:2] + 4.0 * g[1::2] + g[2::2])
     integral = np.concatenate(([0.0], np.cumsum(panels)))
 
-    decay = math.exp(-DP)
     t0_value = decay * integral[-1] / (1.0 - decay)
     times = fine[::2]
     values = np.exp(-_death_integral(params, times)) * (integral + t0_value)

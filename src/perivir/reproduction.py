@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import IntegratorConfig, integrate_matrix
+from .integrate import IntegratorConfig, NumericalFailure, integrate_matrix
 from .model import ModelParameters
 from .periodic import VirusFreeSolution, floquet_multipliers, virus_free_closed_form
 
@@ -55,7 +55,7 @@ LADDER_STEP = 0.1     # ladder spacing in log lambda
 HILL_MAX_ORDER = 64   # highest harmonic of the Fourier truncation
 
 
-class BracketFailure(RuntimeError):
+class BracketFailure(NumericalFailure):
     """No lambda bracket found; spectral radius plateaued or broke down numerically."""
 
 

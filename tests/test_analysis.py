@@ -248,9 +248,13 @@ class TestSweep:
         assert math.isnan(rows[2].value) and "InvalidSweepValue" in rows[2].error
         assert rows[0].r0 < rows[1].r0
 
-    def test_unknown_parameter_marks_row(self, sim_cfg):
-        rows = sweep(baseline_params(), "nonsense", [1.0], 1200.0, sim_cfg)
-        assert rows[0].error is not None
+    @pytest.mark.parametrize("name", ["nonsense", "beta.maen", "mu.mean.x", "d."])
+    def test_unknown_parameter_raises_before_any_value(self, sim_cfg, monkeypatch, name):
+        # a misspelt name is the caller's error, not one value's: no row runs
+        calls = count_calls(monkeypatch, analysis, "r0_periodic")
+        with pytest.raises(ValueError, match=f"unknown sweep parameter {name!r}"):
+            sweep(baseline_params(), name, [0.1, 0.2], 1200.0, sim_cfg)
+        assert calls == []
 
     def test_empty_values_empty_table(self, sim_cfg):
         assert sweep(baseline_params(), "c", [], 1200.0, sim_cfg) == []

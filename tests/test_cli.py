@@ -2,15 +2,24 @@ import json
 import math
 import pathlib
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from perivir import (
+    BracketFailure,
+    ConvergedToBoundary,
+    DegenerateDecay,
     IntegratorConfig,
     ModelParameters,
+    NewtonDiverged,
+    NonFiniteState,
+    NumericalFailure,
     SinusoidalCoefficient,
     State,
+    StepLimitExceeded,
     analysis,
     cli,
     periodic,
@@ -393,6 +402,32 @@ class TestCliDispatch:
         assert captured.err == "config-error: sweep --values: need at least one value\n"
         assert captured.out == "" and not out.exists()
 
+    def test_sweep_unknown_param_exits_2(self, config_dir, tmp_path, capsys, monkeypatch):
+        # a misspelt --param is rejected before any R0 or simulation runs
+        out = tmp_path / "sweep.csv"
+        calls = count_calls(monkeypatch, analysis, "r0_periodic")
+        code = main(["sweep", "--config", str(config_dir / "persistence.ini"),
+                     "--param", "beta.maen", "--values", "0.1,0.2", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config-error: unknown sweep parameter 'beta.maen'\n"
+        assert captured.out == "" and not out.exists() and calls == []
+
+    def test_death_rate_too_small_for_t_star_exits_2(self, tmp_path, capsys):
+        # D(P) = 2.4e-17 rounds e^{-D(P)} to 1, so T*(0) = e^{-D(P)} I / (1 - e^{-D(P)})
+        # has no finite value: one config error, no numpy warnings
+        path = tmp_path / "cfg.ini"
+        path.write_text(GOOD_CONFIG.replace("mean = 0.01\namplitude = 0.005",
+                                            "mean = 1e-18\namplitude = 0"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["r0", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("config-error: death rate integrates to D(P) = ")
+        assert main(["validate", "--config", str(path)]) == 0
+
     @pytest.mark.parametrize("ics", ["10,1,1,1", "10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1"])
     def test_simulate_and_validate_integrate_once(self, monkeypatch, tmp_path, ics):
         path = tmp_path / "cfg.ini"
@@ -415,3 +450,36 @@ class TestCliDispatch:
             a = (tmp_path / f"a_ic{i}.csv").read_bytes()
             b = (tmp_path / f"b_ic{i}.csv").read_bytes()
             assert a == b
+
+
+class _LaterFailure(NumericalFailure):
+    """A failure type defined after cli.py was written."""
+
+
+class TestExitCodeMap:
+    """A failure's type alone decides the exit code and the stderr prefix."""
+
+    @pytest.mark.parametrize("exc, code", [
+        (NonFiniteState("state became non-finite near t=1.0"), 3),
+        (StepLimitExceeded("max_steps=10 reached at t=1.0"), 3),
+        (NewtonDiverged("residual stalled at 1e-03"), 3),
+        (ConvergedToBoundary("collapsed onto T*"), 3),
+        (BracketFailure("no bracket within 40 rounds"), 3),
+        (np.linalg.LinAlgError("Array must not contain infs or NaNs"), 3),
+        (_LaterFailure("a later failure"), 3),
+        (ValueError("tol must be finite and positive"), 2),
+        (DegenerateDecay("death rate integrates to D(P) = 0.0"), 2),
+        (ValidationError("scalars.k: not a number"), 2),
+        (ParseError("no section headers"), 2),
+        (OSError("disk full"), 2),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v))
+    def test_failure_type_picks_exit_code(self, config_dir, capsys, monkeypatch, exc, code):
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "r0_periodic", failing)
+        assert main(["r0", "--config", str(config_dir / "persistence.ini")]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = {3: "numerical-failure", 2: "config-error"}[code]
+        assert captured.err == f"{prefix}: {exc}\n"

@@ -6,6 +6,8 @@ name (a _-prefixed function, class or constant) must be read somewhere in
 src/perivir. Every field of a dataclass in src/perivir must be read as an
 attribute somewhere in src/perivir, tests, demos or perfbench. `perivir r0`
 must run without importing scipy or numpy.fft.
+Every exception class defined in src/perivir must be one that `perivir.cli.main`
+maps to an exit code: a NumericalFailure (3) or a config-clause type (2).
 Every function perfbench/tracer.py wraps by name must exist in perivir, and
 `integrate` must keep the signature the tracer's wrapper assumes.
 The float stepping loop, the step kernels it generates and the float field
@@ -229,6 +231,22 @@ def test_r0_imports_neither_scipy_nor_numpy_fft():
     out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_every_exception_class_has_an_exit_code():
+    # cli.main's numerical clause catches NumericalFailure; anything else
+    # outside its config clause would escape as a traceback with exit 1
+    from perivir.cli import ParseError, ValidationError
+    from perivir.integrate import NumericalFailure
+
+    mapped = (NumericalFailure, ParseError, ValidationError, ValueError, OSError)
+    modules = [importlib.import_module(f"perivir.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    classes = [cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == module.__name__]
+    assert len(classes) >= 10  # the ten of today, so the scan does see them
+    assert [cls.__qualname__ for cls in classes if not issubclass(cls, mapped)] == []
 
 
 def _perfbench_tracer():

@@ -11,11 +11,13 @@ from scipy.optimize import brentq
 
 from perivir import (
     ConvergedToBoundary,
+    DegenerateDecay,
     IntegratorConfig,
     ModelParameters,
     NewtonDiverged,
     SinusoidalCoefficient,
     State,
+    VirusFreeSolution,
     find_periodic_orbit,
     floquet_multipliers,
     integrate,
@@ -113,6 +115,25 @@ class TestVirusFreeClosedForm:
         for m in range(-3, 6):
             assert np.array_equal(sol.value(sol.times[:-1] + m * P), sol.values[:-1])
             assert sol.value(m * P) == sol.values[0]
+
+    @pytest.mark.parametrize("d_mean", [1e-18, 2e-18])
+    def test_death_rate_too_small_for_t_star_rejected(self, d_mean):
+        # e^{-D(P)} rounds to 1 for D(P) below about 5.6e-17: T*(0) would divide by zero
+        params = replace(constant_coefficient_params(),
+                         d=SinusoidalCoefficient(d_mean, 0.0, OMEGA))
+        assert math.exp(-params.d.mean * params.period) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDecay, match=r"death rate integrates to D\(P\) = "):
+                virus_free_closed_form(params)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_samples_rejected(self, bad):
+        values = np.full(5, 2.0)
+        values[2] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            VirusFreeSolution(t_star_initial=2.0, times=np.linspace(0.0, 24.0, 5),
+                              values=values, period=24.0)
 
 
 class TestVirusFreeNumeric:
