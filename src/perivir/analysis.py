@@ -133,16 +133,14 @@ def simulate(params: ModelParameters, initial_state, t_end: float,
              cfg: IntegratorConfig, grid_step: float | None = None) -> Trajectory:
     """Integrate the full model from t = 0 and clamp rounding-level negatives.
 
-    `initial_state` is one State or (4,) array, or an (m, 4) batch of
-    initial states integrated together (states come back shaped
+    `initial_state` is a State or array-like: one (4,) state, or an (m, 4)
+    batch of initial states integrated together (states come back shaped
     (len(times), m, 4)). Samples at accepted steps by default, shared by
     every member of a batch; `grid_step` requests a uniform output grid
     (always including 0 and t_end exactly).
     """
-    y0 = initial_state.as_array() if isinstance(initial_state, State) \
-        else np.asarray(initial_state, dtype=float)
     t_eval = None if grid_step is None else _uniform_grid(t_end, grid_step)
-    return _integrate_clamped(params, y0, t_end, cfg, t_eval)
+    return _integrate_clamped(params, initial_state, t_end, cfg, t_eval)
 
 
 def _uniform_grid(t_end: float, grid_step: float) -> np.ndarray:
@@ -157,7 +155,7 @@ def _uniform_grid(t_end: float, grid_step: float) -> np.ndarray:
     return grid
 
 
-def _integrate_clamped(params: ModelParameters, y0: np.ndarray, t_end: float,
+def _integrate_clamped(params: ModelParameters, y0, t_end: float,
                        cfg: IntegratorConfig, t_eval) -> Trajectory:
     traj, _ = integrate(vector_field(params), 0.0, t_end, y0, cfg, t_eval=t_eval)
     return Trajectory(traj.times, clamp_small_negatives(traj.states, cfg.abs_tol))
@@ -209,14 +207,13 @@ def classify(params: ModelParameters, initial_conditions, horizon: float,
     failure is not raised: its message is recorded on the evidence of
     every initial condition, and the verdict is Indeterminate.
     """
-    ics = [ic if isinstance(ic, State) else State.from_array(ic)
-           for ic in initial_conditions]
+    ics = [State.from_array(ic) for ic in initial_conditions]
     if len(ics) < 3:
         raise ValueError("need at least 3 initial conditions")
     period = params.period
     if horizon < 50.0 * period:
         raise ValueError("horizon must cover at least 50 periods")
-    y0 = np.array([ic.as_array() for ic in ics])
+    y0 = np.array(ics, dtype=float)
     if np.any(y0 <= 0.0):
         raise ValueError("initial conditions must be strictly positive componentwise")
 

@@ -76,11 +76,14 @@ def _get_float(cp: configparser.ConfigParser, section: str, key: str,
         if default is not None:
             return default
         raise ValidationError(f"missing required key {section}.{key}")
-    raw = cp.get(section, key)
+    return _to_float(cp.get(section, key), f"{section}.{key}")
+
+
+def _to_float(raw: str, name: str) -> float:
     try:
         return float(raw)
     except ValueError as exc:
-        raise ValidationError(f"{section}.{key}: not a number: {raw!r}") from exc
+        raise ValidationError(f"{name}: not a number: {raw!r}") from exc
 
 
 def _naming_key(exc: ValueError, section: str) -> ValidationError:
@@ -165,8 +168,7 @@ def parse_config(text: str) -> RunConfig:
                     raise ValidationError(
                         f"run.initial_conditions[{i}]: need 4 comma-separated values")
                 try:
-                    vals = [float(p) for p in parts]
-                    ics.append(State(*vals))
+                    ics.append(State(*map(float, parts)))
                 except ValueError as exc:
                     raise ValidationError(
                         f"run.initial_conditions[{i}]: {exc}") from exc
@@ -208,7 +210,7 @@ def _ic_batch(cfg: RunConfig, command: str) -> np.ndarray:
     """The config's initial conditions as one (m, 4) batch."""
     if not cfg.initial_conditions:
         raise ValidationError(f"run.initial_conditions: need at least one for {command}")
-    return np.array([ic.as_array() for ic in cfg.initial_conditions])
+    return np.array(cfg.initial_conditions, dtype=float)
 
 
 def _cmd_simulate(cfg: RunConfig, args) -> int:
@@ -285,7 +287,7 @@ def _cmd_orbit(cfg: RunConfig, args) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = [_to_float(v.strip(), "sweep --values") for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValidationError("sweep --values: need at least one value")
     ics = cfg.initial_conditions or None

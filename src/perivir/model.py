@@ -148,13 +148,15 @@ class State:
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t_cells, self.e_cells, self.i_cells, self.virus])
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array([self.t_cells, self.e_cells, self.i_cells, self.virus], dtype=dtype)
+
+    as_array = __array__
 
     @classmethod
     def from_array(cls, y) -> "State":
-        y = np.asarray(y, dtype=float)
-        return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
+        """The State of a State or length-4 array-like, which must lie in the cone."""
+        return cls(*np.asarray(y, dtype=float).tolist())
 
 
 @dataclass(frozen=True)
@@ -236,12 +238,11 @@ def _field_floats(params: ModelParameters, t, ys) -> list:
 def rhs(t: float, state, params: ModelParameters) -> np.ndarray:
     """Vector field of the model at time t.
 
-    `state` may be a State, a length-4 array, or a (..., 4) batch of
-    states; the result is an array of the matching shape. An array t must
-    broadcast against one component of `state.T`.
+    `state` is a State or array-like: one length-4 state or a (..., 4)
+    batch of states; the result is an array of the matching shape. An
+    array t must broadcast against one component of `state.T`.
     """
-    y = state.as_array() if isinstance(state, State) else np.asarray(state, dtype=float)
-    T, E, I, V = y.T
+    T, E, I, V = np.asarray(state, dtype=float).T
     mu_t = params.mu.value(t)
     beta_t = params.beta.value(t)
     d_t = params.d.value(t)
@@ -254,14 +255,13 @@ def rhs(t: float, state, params: ModelParameters) -> np.ndarray:
 
 
 def jacobian(t: float, state, params: ModelParameters) -> np.ndarray:
-    """Analytic 4x4 Jacobian of `rhs` with respect to the state.
+    """Analytic 4x4 Jacobian of `rhs` with respect to one state, a State or array-like.
 
     The incidence partials come from `incidence_partials`. Kept analytic
     because it feeds variational equations over full periods, where
     finite-difference noise compounds.
     """
-    y = state.as_array() if isinstance(state, State) else np.asarray(state, dtype=float)
-    T, V = float(y[0]), float(y[3])
+    T, _, _, V = np.asarray(state, dtype=float).tolist()
     beta_t = params.beta.value(t)
     d_t = params.d.value(t)
     dinc_dT, dinc_dV = incidence_partials(beta_t, T, V, params.c1, params.c2)

@@ -220,18 +220,15 @@ def virus_free_numeric(params: ModelParameters, cfg: IntegratorConfig) -> VirusF
 def poincare_map(params: ModelParameters, x0, cfg: IntegratorConfig) -> State:
     """Solution of the full system at time P started from x0 at time 0.
 
-    Small negative undershoot (within the integrator's absolute tolerance)
-    is clamped to zero before the state is rebuilt.
+    x0 is a State or array-like in the nonnegative cone. Undershoot within
+    the integrator's absolute tolerance is clamped to zero in the image.
     """
     return _period_pass(params, x0, cfg)[0]
 
 
 def _period_pass(params: ModelParameters, x0, cfg: IntegratorConfig) -> tuple[State, float]:
     """poincare_map's image of x0, and the step the integrator proposes for a next pass."""
-    y0 = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
-    if np.any(y0 < 0.0):
-        raise ValueError("initial state must lie in the nonnegative cone")
-    sol = integrate(vector_field(params), 0.0, params.period, y0, cfg,
+    sol = integrate(vector_field(params), 0.0, params.period, State.from_array(x0), cfg,
                     t_eval=np.array([params.period]))
     return State.from_array(clamp_small_negatives(sol.final, cfg.abs_tol)), sol.next_step
 
@@ -307,7 +304,7 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     """
     if not 0.0 <= newton_tol < math.inf:  # written so that nan fails
         raise ValueError("newton_tol must be finite and nonnegative")
-    x = guess.as_array() if isinstance(guess, State) else np.asarray(guess, dtype=float)
+    x = np.asarray(guess, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("guess must be strictly positive componentwise")
 
@@ -389,7 +386,8 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     and an infinite one (a component clamped to zero) is no reference for
     the next q. A start on the invariant virus-free face E = I = V = 0
     raises ValueError; a pass that lands on it (E, I and V all clamped to
-    zero) raises ConvergedToBoundary, since no later pass can leave it.
+    zero) raises ConvergedToBoundary, since no later pass can leave it, as
+    does a final iterate with a zero component, which Newton cannot start from.
     """
     if not math.isfinite(transient):
         raise ValueError("transient must be finite")
@@ -417,6 +415,8 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
         x, last = x_next, change if np.isfinite(change) else np.nan
         if settled:
             break
+    if np.any(x <= 0.0):
+        raise ConvergedToBoundary(f"warm start ended with a component at zero after {n} passes")
     return State.from_array(x)
 
 

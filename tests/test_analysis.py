@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perivir import (
     IntegratorConfig,
@@ -14,6 +16,7 @@ from perivir import (
     classify,
     monitor_invariants,
     r0_periodic,
+    rhs,
     simulate,
     sweep,
 )
@@ -21,7 +24,10 @@ from perivir import analysis
 from perivir.analysis import DEFAULT_INITIAL_CONDITIONS
 
 from .helpers import (
+    AMPS,
     OMEGA,
+    RATES,
+    admissible_periodic,
     closed_form_r0,
     baseline_params,
     count_calls,
@@ -30,6 +36,20 @@ from .helpers import (
     table_coefficients,
     zero_beta_params,
 )
+
+
+class TestPositivity:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
+           state=st.builds(State, *[st.floats(1e-6, 100.0)] * 4), t=st.floats(0.0, 48.0))
+    def test_trajectories_stay_in_the_cone(self, rates, log_r0_factor, amps, state, t):
+        # the nonnegative cone is invariant: over a few periods at simulation
+        # tolerance no sample undershoots by more than the rounding band
+        params = admissible_periodic(rates, log_r0_factor, amps)
+        assert rhs(t, state, params).tobytes() == rhs(t, state.as_array(), params).tobytes()
+        cfg = IntegratorConfig.simulation()
+        traj = simulate(params, state, 3 * params.period, cfg)
+        assert monitor_invariants(traj, params, abs_tol=cfg.abs_tol).positivity_violations == 0
 
 
 class TestSimulate:

@@ -294,6 +294,26 @@ class TestCliDispatch:
         assert code == 3
         assert "numerical-failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("transient, message", [
+        (None, "fixed point has a component below boundary_eps; "
+               "this is the virus-free orbit, not an interior one"),
+        ("3000", "warm start ended with a component at zero after 125 passes"),
+        ("4800", "warm start ended with a component at zero after 200 passes"),
+    ], ids=["default", "3000", "4800"])
+    def test_orbit_below_threshold_exits_3_at_any_transient(self, config_dir, tmp_path, capsys,
+                                                             transient, message):
+        # below threshold the virus-free orbit attracts every solution, so a
+        # warm start that ends with E clamped to zero is that outcome: a
+        # numerical verdict, not a config error
+        out = tmp_path / "orbit.csv"
+        extra = [] if transient is None else ["--transient", transient]
+        code = main(["orbit", "--config", str(config_dir / "extinction.ini"),
+                     "--out", str(out)] + extra)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical-failure: {message}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_orbit_warm_start_collapse_exits_3(self, config_dir, tmp_path, capsys,
                                                monkeypatch):
         # a warm-start pass that lands on the virus-free face is a numerical
@@ -401,6 +421,17 @@ class TestCliDispatch:
         captured = capsys.readouterr()
         assert captured.err == "config-error: sweep --values: need at least one value\n"
         assert captured.out == "" and not out.exists()
+
+    def test_sweep_non_number_value_exits_2(self, config_dir, tmp_path, capsys, monkeypatch):
+        # the bad value is named, and rejected before any value runs
+        out = tmp_path / "sweep.csv"
+        calls = count_calls(monkeypatch, analysis, "r0_periodic")
+        code = main(["sweep", "--config", str(config_dir / "persistence.ini"),
+                     "--param", "beta.mean", "--values", "0.1,abc", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config-error: sweep --values: not a number: 'abc'\n"
+        assert captured.out == "" and not out.exists() and calls == []
 
     def test_sweep_unknown_param_exits_2(self, config_dir, tmp_path, capsys, monkeypatch):
         # a misspelt --param is rejected before any R0 or simulation runs

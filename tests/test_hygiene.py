@@ -8,6 +8,8 @@ attribute somewhere in src/perivir, tests, demos or perfbench. `perivir r0`
 must run without importing scipy or numpy.fft.
 Every exception class defined in src/perivir must be one that `perivir.cli.main`
 maps to an exit code: a NumericalFailure (3) or a config-clause type (2).
+No code in src/perivir calls isinstance(..., State): a State converts itself
+through np.asarray and State.from_array, so no caller switches on its type.
 Every function perfbench/tracer.py wraps by name must exist in perivir, and
 `integrate` must keep the signature the tracer's wrapper assumes.
 The float stepping loop, the step kernels it generates and the float field
@@ -124,6 +126,35 @@ def test_detector_flags_unused_and_honours_all_and_future():
               "__all__ = ['dumps']\n"
               "x = math.pi\n")
     assert unused_imports(source) == ["line 3: os", "line 4: loads"]
+
+
+def state_isinstance_checks(source: str) -> list[str]:
+    """isinstance calls whose class argument names State, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if "State" in names:
+                found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_isinstance_state_switches(path):
+    # a State converts itself (np.asarray, State.from_array), so no caller
+    # switches on "State or array"
+    assert state_isinstance_checks(path.read_text()) == []
+
+
+def test_state_switch_detector_flags_every_spelling():
+    source = ("def f(x, y, z):\n"
+              "    a = isinstance(x, State)\n"
+              "    b = isinstance(y, (np.ndarray, model.State))\n"
+              "    return isinstance(z, StateLike) or isinstance(z, float)\n")
+    assert state_isinstance_checks(source) == ["line 2", "line 3"]
 
 
 def test_no_unreferenced_private_names():

@@ -278,6 +278,19 @@ class TestStateAndTrajectory:
         s = State(1.0, 2.0, 3.0, 4.0)
         assert State.from_array(s.as_array()) == s
 
+    def test_state_converts_as_an_array(self):
+        # np.asarray, np.array over a sequence and from_array all take a State
+        s = State(1.0, 2.0, 3.0, 4.0)
+        assert np.asarray(s, dtype=float).tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert np.array([s, State(5.0, 6.0, 7.0, 8.0)], dtype=float).shape == (2, 4)
+        assert State.from_array(s) == s
+
+    @pytest.mark.parametrize("y, field", [([1.0, -0.1, 0.0, 0.0], "e_cells"),
+                                          ([1.0, 0.0, 0.0, float("inf")], "virus")])
+    def test_from_array_checks_the_cone(self, y, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and nonnegative$"):
+            State.from_array(np.array(y))
+
     def test_trajectory_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0, 1.0]), np.zeros((3, 4)))

@@ -193,6 +193,13 @@ class TestPoincareMap:
         with pytest.raises(ValueError):
             poincare_map(baseline_params(), np.array([1.0, -1.0, 0.0, 0.0]), spectral_cfg)
 
+    def test_non_finite_start_rejected_before_integrating(self, monkeypatch, spectral_cfg):
+        # State.from_array owns the cone and finiteness rules
+        calls = count_calls(monkeypatch, periodic, "integrate")
+        with pytest.raises(ValueError, match="^virus must be finite and nonnegative$"):
+            poincare_map(baseline_params(), np.array([1.0, 0.0, 0.0, math.nan]), spectral_cfg)
+        assert calls == []
+
     def test_preserves_nonnegative_cone(self, sim_cfg):
         # random positive states, propagated as one stacked system; raw
         # (pre-clamp) output must not undershoot below -abs_tol
@@ -406,6 +413,16 @@ class TestWarmStart:
         # pass 3 changes by 1e6 after pass 2's infinite change; pass 4 repeats it
         assert len(passes) == 4
         assert s == State(10.0, 1.0, 1.0, 2.0)
+
+    def test_final_iterate_with_a_zero_component_fails(self, monkeypatch, sim_cfg):
+        # Newton needs a strictly positive guess, so a transient that ends
+        # with E clamped to zero is a numerical collapse, not a guess
+        images = iter([State(10.0, 1.0, 1.0, 1.0), State(10.0, 0.0, 1.0, 2.0)])
+        monkeypatch.setattr(periodic, "_period_pass",
+                            lambda params, x, cfg: (next(images), cfg.initial_step))
+        params = persistence_params()
+        with pytest.raises(ConvergedToBoundary, match="component at zero after 2 passes"):
+            warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2 * params.period, sim_cfg)
 
     def test_near_virus_free_start_finds_the_orbit(self, spectral_cfg):
         # R0 ~ 2.6: from next to the virus-free orbit the infection first
