@@ -25,11 +25,14 @@ import numpy as np
 
 from .integrate import IntegrationError, IntegratorConfig, integrate
 from .model import (
+    COEFF_KEYS,
+    COEFF_NAMES,
+    CONSTANT_NAMES,
+    POSITIVITY_BAND_FACTOR,
     ModelParameters,
     State,
     Trajectory,
     clamp_small_negatives,
-    positivity_band,
     vector_field,
 )
 from .periodic import VirusFreeSolution, virus_free_closed_form
@@ -267,7 +270,7 @@ def monitor_invariants(traj: Trajectory, params: ModelParameters,
     """
     states = traj.states
     worst = float(min(states.min(), 0.0))
-    band = positivity_band(abs_tol)
+    band = POSITIVITY_BAND_FACTOR * abs_tol
     violations = int(np.sum(np.any(states < -band, axis=1)))
 
     d_t = params.d.value(traj.times)
@@ -286,16 +289,12 @@ def monitor_invariants(traj: Trajectory, params: ModelParameters,
     )
 
 
-_COEFF_FIELDS = {"mean", "amplitude"}
-_SCALAR_FIELDS = {"k", "delta", "p", "c", "c1", "c2"}
-
-
 def _param_setter(name: str):
     """(base, value) -> copy of base with field `name` replaced; ValueError if unknown."""
-    if name in _SCALAR_FIELDS:
+    if name in CONSTANT_NAMES:
         return lambda base, value: replace(base, **{name: value})
     coeff_name, _, attr = name.partition(".")
-    if coeff_name in ("mu", "beta", "d") and attr in _COEFF_FIELDS:
+    if coeff_name in COEFF_NAMES and attr in COEFF_KEYS:
         return lambda base, value: replace(
             base, **{coeff_name: replace(getattr(base, coeff_name), **{attr: value})})
     raise ValueError(f"unknown sweep parameter {name!r}")

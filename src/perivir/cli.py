@@ -27,7 +27,8 @@ import numpy as np
 
 from .analysis import GRID_POINTS_PER_PERIOD, monitor_invariants, simulate, sweep
 from .integrate import IntegratorConfig, NumericalFailure
-from .model import ModelParameters, SinusoidalCoefficient, State, Trajectory
+from .model import (COEFF_KEYS, COEFF_NAMES, CONSTANT_NAMES, ModelParameters,
+                    SinusoidalCoefficient, State, Trajectory)
 from .periodic import find_periodic_orbit, warm_start_guess
 from .reproduction import r0_periodic
 from .svgplot import Panel, Series, write_panels
@@ -60,11 +61,9 @@ class RunConfig:
     horizon: float
 
 
-_COEFF_SECTIONS = ("mu", "beta", "d")
-_SCALAR_KEYS = ("k", "delta", "p", "c", "c1", "c2")
 _SECTION_KEYS = {
-    **{section: ("mean", "amplitude") for section in _COEFF_SECTIONS},
-    "scalars": ("angular_frequency",) + _SCALAR_KEYS,
+    **{section: COEFF_KEYS for section in COEFF_NAMES},
+    "scalars": ("angular_frequency",) + CONSTANT_NAMES,
     "integrator": tuple(f.name for f in fields(IntegratorConfig)),
     "run": ("horizon", "initial_conditions"),
 }
@@ -126,24 +125,22 @@ def parse_config(text: str) -> RunConfig:
         for key in cp.options(section):
             if key not in _SECTION_KEYS[section]:
                 raise ValidationError(f"{section}.{key}: unknown key")
-    for section in _COEFF_SECTIONS + ("scalars", "run"):
+    for section in COEFF_NAMES + ("scalars", "run"):
         if not cp.has_section(section):
             raise ValidationError(f"missing required section [{section}]")
 
     omega = _get_float(cp, "scalars", "angular_frequency")
     coeffs = {}
-    for section in _COEFF_SECTIONS:
-        mean = _get_float(cp, section, "mean")
-        amplitude = _get_float(cp, section, "amplitude")
+    for section in COEFF_NAMES:
+        values = {key: _get_float(cp, section, key) for key in COEFF_KEYS}
         try:
-            coeffs[section] = SinusoidalCoefficient(mean, amplitude, omega)
+            coeffs[section] = SinusoidalCoefficient(**values, angular_frequency=omega)
         except ValueError as exc:
             raise _naming_key(exc, section) from exc
 
-    scalars = {key: _get_float(cp, "scalars", key) for key in _SCALAR_KEYS}
+    scalars = {key: _get_float(cp, "scalars", key) for key in CONSTANT_NAMES}
     try:
-        params = ModelParameters(mu=coeffs["mu"], beta=coeffs["beta"], d=coeffs["d"],
-                                 **scalars)
+        params = ModelParameters(**coeffs, **scalars)
     except ValueError as exc:
         raise _naming_key(exc, "scalars") from exc
 
@@ -159,19 +156,16 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("run.horizon: must be finite and positive")
 
     ics: list[State] = []
-    if cp.has_option("run", "initial_conditions"):
-        raw = cp.get("run", "initial_conditions").strip()
-        if raw:
-            for i, chunk in enumerate(raw.split(";")):
-                parts = [p.strip() for p in chunk.split(",")]
-                if len(parts) != 4:
-                    raise ValidationError(
-                        f"run.initial_conditions[{i}]: need 4 comma-separated values")
-                try:
-                    ics.append(State(*map(float, parts)))
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"run.initial_conditions[{i}]: {exc}") from exc
+    raw = cp.get("run", "initial_conditions", fallback="").strip()
+    for i, chunk in enumerate(raw.split(";") if raw else ()):
+        name = f"run.initial_conditions[{i}]"
+        parts = chunk.split(",")
+        if len(parts) != 4:
+            raise ValidationError(f"{name}: need 4 comma-separated values")
+        try:
+            ics.append(State(*(_to_float(v.strip(), name) for v in parts)))
+        except ValueError as exc:
+            raise ValidationError(f"{name}: {exc}") from exc
 
     return RunConfig(params=params, integrator=integrator,
                      initial_conditions=tuple(ics), horizon=horizon)
@@ -186,15 +180,11 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_float(v) if isinstance(v, (int, float, np.floating))
+            fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
                               and not isinstance(v, bool) else str(v)
                               for v in row) + "\n")
 
@@ -359,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("sweep", _cmd_sweep, "classify across one varying parameter")
     sp.add_argument("--param", required=True,
-                    help="scalar field (k, delta, p, c, c1, c2) or mu/beta/d.mean|amplitude")
+                    help=f"scalar field ({', '.join(CONSTANT_NAMES)}) or "
+                         f"{'/'.join(COEFF_NAMES)}.{'|'.join(COEFF_KEYS)}")
     sp.add_argument("--values", required=True, help="comma-separated values")
     sp.add_argument("--out", required=True, help="output CSV path")
 

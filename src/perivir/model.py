@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
@@ -131,6 +132,13 @@ class ModelParameters:
     def period(self) -> float:
         """Common period of the coefficients, 2*pi/angular_frequency (hours)."""
         return self.mu.period
+
+
+# The parameter names, from the dataclasses: the config schema and sweep read these.
+_PARAM_TYPES = get_type_hints(ModelParameters)
+COEFF_NAMES = tuple(n for n, t in _PARAM_TYPES.items() if t is SinusoidalCoefficient)
+CONSTANT_NAMES = tuple(n for n, t in _PARAM_TYPES.items() if t is float)
+COEFF_KEYS = tuple(n for n in get_type_hints(SinusoidalCoefficient) if n != "angular_frequency")
 
 
 @dataclass(frozen=True)
@@ -298,11 +306,6 @@ def vector_field(params: ModelParameters):
 POSITIVITY_BAND_FACTOR = 4.0
 
 
-def positivity_band(abs_tol: float) -> float:
-    """Undershoot magnitude attributable to integration rounding."""
-    return POSITIVITY_BAND_FACTOR * abs_tol
-
-
 def clamp_small_negatives(values: np.ndarray, abs_tol: float) -> np.ndarray:
     """Zero out components within the rounding band [-4*abs_tol, 0).
 
@@ -311,6 +314,6 @@ def clamp_small_negatives(values: np.ndarray, abs_tol: float) -> np.ndarray:
     invariant monitor to flag as a genuine positivity violation.
     """
     out = np.array(values, dtype=float, copy=True)
-    mask = (out < 0.0) & (out >= -positivity_band(abs_tol))
+    mask = (out < 0.0) & (out >= -POSITIVITY_BAND_FACTOR * abs_tol)
     out[mask] = 0.0
     return out

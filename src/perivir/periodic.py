@@ -45,7 +45,6 @@ __all__ = [
     "floquet_multipliers",
 ]
 
-BOUNDARY_EPS = 1e-10
 ORBIT_SAMPLES = 256
 TSTAR_SAMPLES = 512
 MAX_NEWTON_ITERS = 30
@@ -298,9 +297,10 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     better fixed point and x is returned with its true residual.
 
     Raises ValueError unless 0 <= newton_tol < inf, ConvergedToBoundary
-    when the fixed point has a component below 1e-10 (collapse onto the
-    virus-free orbit) and NewtonDiverged when the residual stalls above the
-    integrator's error scale or the iteration budget runs out.
+    when min(E, I, V) is not above the Newton error bound max |dx|, the next
+    step's size (the virus-free orbit), and NewtonDiverged when the Jacobian
+    is singular, the residual stalls above the integrator's error scale or
+    the iteration budget runs out.
     """
     if not 0.0 <= newton_tol < math.inf:  # written so that nan fails
         raise ValueError("newton_tol must be finite and nonnegative")
@@ -314,13 +314,12 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     res = float(np.max(np.abs(g)))
     trace = []
     for _ in range(MAX_NEWTON_ITERS):
-        if res < newton_tol:
-            return _package_orbit(params, x, samples, mono, trace + [(res, 0.0)], cfg)
-
         try:
             dx = np.linalg.solve(mono - eye, -g)
         except np.linalg.LinAlgError as exc:
             raise NewtonDiverged(f"singular shooting Jacobian at residual {res:.3e}") from exc
+        if res < newton_tol:
+            return _package_orbit(params, x, dx, samples, mono, trace + [(res, 0.0)], cfg)
 
         step = 1.0
         for _ in range(9):
@@ -333,7 +332,7 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
             step *= 0.5
         else:
             if np.max(np.abs(g) / (cfg.abs_tol + cfg.rel_tol * np.abs(x))) <= 1.0:
-                return _package_orbit(params, x, samples, mono, trace + [(res, 0.0)], cfg)
+                return _package_orbit(params, x, dx, samples, mono, trace + [(res, 0.0)], cfg)
             raise NewtonDiverged(f"residual stalled at {res:.3e}")
         trace.append((res, step))
         x, samples, mono, g, res = x_try, samples_try, mono_try, g_try, res_try
@@ -341,11 +340,12 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     raise NewtonDiverged(f"no convergence within {MAX_NEWTON_ITERS} iterations")
 
 
-def _package_orbit(params: ModelParameters, x: np.ndarray, samples: np.ndarray,
+def _package_orbit(params: ModelParameters, x: np.ndarray, dx: np.ndarray, samples: np.ndarray,
                    mono: np.ndarray, trace: list, cfg: IntegratorConfig) -> PeriodicOrbit:
-    if np.any(x < BOUNDARY_EPS):
+    bound = float(np.max(np.abs(dx)))  # the next Newton step's size bounds x's error
+    if not np.min(x[1:]) > bound:  # written so that nan fails
         raise ConvergedToBoundary(
-            "fixed point has a component below boundary_eps; "
+            f"fixed point has E, I or V within its Newton error bound {bound:.1e} of zero; "
             "this is the virus-free orbit, not an interior one")
     multipliers = floquet_multipliers(mono)
     max_mod = float(np.abs(multipliers[0]))

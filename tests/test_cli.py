@@ -1,7 +1,9 @@
 import json
 import math
+import operator
 import pathlib
 import re
+import typing
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -23,6 +25,7 @@ from perivir import (
     analysis,
     cli,
     periodic,
+    r0_periodic,
 )
 from perivir.cli import (
     ParseError,
@@ -154,6 +157,49 @@ class TestParseConfig:
             cfg = load_config(str(config_dir / name))
             assert isinstance(cfg, RunConfig)
             assert len(cfg.initial_conditions) == 3
+
+
+def _scaled_beta_config(config_dir, tmp_path, r0: float) -> pathlib.Path:
+    """persistence.ini with beta's mean and amplitude scaled so that R0 = r0.
+
+    R0 is linear in beta, so one scale factor moves it to any target.
+    """
+    shipped = config_dir / "persistence.ini"
+    scale = r0 / r0_periodic(load_config(str(shipped)).params).value
+    path = tmp_path / f"r0_{r0}.ini"
+    path.write_text(shipped.read_text().replace(
+        "mean = 0.3\namplitude = 0.1",
+        f"mean = {0.3 * scale!r}\namplitude = {0.1 * scale!r}"))
+    assert r0_periodic(load_config(str(path)).params).value == pytest.approx(r0, rel=1e-7)
+    return path
+
+
+class TestSchemaFollowsModelParameters:
+    """The config keys and the sweep names are ModelParameters' fields."""
+
+    HINTS = typing.get_type_hints(ModelParameters)
+    COEFFS = tuple(n for n, t in HINTS.items() if t is SinusoidalCoefficient)
+    FLOATS = tuple(n for n, t in HINTS.items() if t is float)
+
+    def test_scalars_are_the_frequency_and_the_float_fields(self):
+        assert cli._SECTION_KEYS["scalars"] == ("angular_frequency",) + self.FLOATS
+
+    def test_coefficient_sections_are_the_coefficient_fields(self):
+        sections = {s: keys for s, keys in cli._SECTION_KEYS.items()
+                    if s not in ("scalars", "integrator", "run")}
+        assert self.COEFFS == ("mu", "beta", "d")
+        assert sections == {c: ("mean", "amplitude") for c in self.COEFFS}
+
+    def test_sweep_takes_exactly_the_plain_and_dotted_names(self):
+        base = _good_run_config().params
+        names = self.FLOATS + tuple(f"{c}.{k}" for c in self.COEFFS
+                                    for k in ("mean", "amplitude"))
+        for name in names:
+            get = operator.attrgetter(name)
+            assert get(analysis._param_setter(name)(base, 1.5 * get(base))) == 1.5 * get(base)
+        for name in ("angular_frequency", "mu.angular_frequency", "mu", "k.mean"):
+            with pytest.raises(ValueError, match="unknown sweep parameter"):
+                analysis._param_setter(name)
 
 
 class TestCliDispatch:
@@ -295,7 +341,7 @@ class TestCliDispatch:
         assert "numerical-failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("transient, message", [
-        (None, "fixed point has a component below boundary_eps; "
+        (None, "fixed point has E, I or V within its Newton error bound 7.7e-21 of zero; "
                "this is the virus-free orbit, not an interior one"),
         ("3000", "warm start ended with a component at zero after 125 passes"),
         ("4800", "warm start ended with a component at zero after 200 passes"),
@@ -313,6 +359,27 @@ class TestCliDispatch:
         captured = capsys.readouterr()
         assert captured.err == f"numerical-failure: {message}\n"
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("r0", [0.999, 0.9999])
+    def test_orbit_just_below_threshold_exits_3(self, config_dir, tmp_path, capsys, r0):
+        # Newton closes on the virus-free orbit within newton_tol, with E
+        # about 3.5e-9 but inside the next Newton step's size (9e-8): no
+        # interior orbit can be told from it
+        path = _scaled_beta_config(config_dir, tmp_path, r0)
+        out = tmp_path / "orbit.csv"
+        assert main(["orbit", "--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "numerical-failure: fixed point has E, I or V within its Newton error bound ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    def test_orbit_just_above_threshold_exits_0(self, config_dir, tmp_path, capsys):
+        path = _scaled_beta_config(config_dir, tmp_path, 1.0001)
+        out = tmp_path / "orbit.csv"
+        assert main(["orbit", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
 
     def test_orbit_warm_start_collapse_exits_3(self, config_dir, tmp_path, capsys,
                                                monkeypatch):
@@ -443,6 +510,15 @@ class TestCliDispatch:
         captured = capsys.readouterr()
         assert captured.err == "config-error: unknown sweep parameter 'beta.maen'\n"
         assert captured.out == "" and not out.exists() and calls == []
+
+    def test_non_number_initial_condition_exits_2(self, tmp_path, capsys):
+        # named like every other config number
+        path = tmp_path / "cfg.ini"
+        path.write_text(GOOD_CONFIG.replace("10,1,1,1", "10,x,1,1"))
+        assert main(["r0", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config-error: run.initial_conditions[0]: not a number: 'x'\n"
+        assert captured.out == ""
 
     def test_death_rate_too_small_for_t_star_exits_2(self, tmp_path, capsys):
         # D(P) = 2.4e-17 rounds e^{-D(P)} to 1, so T*(0) = e^{-D(P)} I / (1 - e^{-D(P)})
