@@ -37,9 +37,10 @@ INITIAL_CONDITIONS = [
 
 def build_params(beta_mean, beta_amp, delta, c):
     return ModelParameters(
-        mu=SinusoidalCoefficient(0.1, 0.05, OMEGA),
-        beta=SinusoidalCoefficient(beta_mean, beta_amp, OMEGA),
-        d=SinusoidalCoefficient(0.01, 0.005, OMEGA),
+        angular_frequency=OMEGA,
+        mu=SinusoidalCoefficient(0.1, 0.05),
+        beta=SinusoidalCoefficient(beta_mean, beta_amp),
+        d=SinusoidalCoefficient(0.01, 0.005),
         k=0.2, delta=delta, p=0.5, c=c, c1=0.1, c2=0.1)
 
 

@@ -35,9 +35,10 @@ OUT.mkdir(exist_ok=True)
 OMEGA = 2.0 * math.pi / 24.0
 
 params = ModelParameters(
-    mu=SinusoidalCoefficient(0.1, 0.05, OMEGA),
-    beta=SinusoidalCoefficient(0.3, 0.1, OMEGA),
-    d=SinusoidalCoefficient(0.01, 0.005, OMEGA),
+    angular_frequency=OMEGA,
+    mu=SinusoidalCoefficient(0.1, 0.05),
+    beta=SinusoidalCoefficient(0.3, 0.1),
+    d=SinusoidalCoefficient(0.01, 0.005),
     k=0.2, delta=0.1, p=0.5, c=0.1, c1=0.1, c2=0.1)
 
 result = r0_periodic(params)
@@ -66,9 +67,10 @@ print("wrote rho_curve.svg")
 # With the amplitudes switched off the same machinery reproduces the
 # autonomous closed form.
 autonomous = ModelParameters(
-    mu=SinusoidalCoefficient(0.1, 0.0, OMEGA),
-    beta=SinusoidalCoefficient(0.3, 0.0, OMEGA),
-    d=SinusoidalCoefficient(0.01, 0.0, OMEGA),
+    angular_frequency=OMEGA,
+    mu=SinusoidalCoefficient(0.1, 0.0),
+    beta=SinusoidalCoefficient(0.3, 0.0),
+    d=SinusoidalCoefficient(0.01, 0.0),
     k=0.2, delta=0.1, p=0.5, c=0.1, c1=0.1, c2=0.1)
 closed = r0_autonomous(mu=0.1, beta=0.3, d=0.01, k=0.2, delta=0.1,
                        p=0.5, c=0.1, c1=0.1)
@@ -79,8 +81,9 @@ print(f"autonomous closed form {closed:.8f} vs certified R0 {certified:.8f} "
 # Sweeping the mean infection rate across its critical value flips the
 # simulated regime exactly where R0 crosses 1.
 base = ModelParameters(
+    angular_frequency=OMEGA,
     mu=params.mu, d=params.d,
-    beta=SinusoidalCoefficient(0.004, 0.0004, OMEGA),
+    beta=SinusoidalCoefficient(0.004, 0.0004),
     k=0.2, delta=0.1, p=0.5, c=0.1, c1=0.1, c2=0.1)
 rows = sweep(base, "beta.mean", [0.001, 0.002, 0.01, 0.02], 2400.0,
              IntegratorConfig.simulation())

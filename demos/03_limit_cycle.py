@@ -31,9 +31,10 @@ OUT.mkdir(exist_ok=True)
 OMEGA = 2.0 * math.pi / 24.0
 
 params = ModelParameters(
-    mu=SinusoidalCoefficient(0.1, 0.05, OMEGA),
-    beta=SinusoidalCoefficient(0.3, 0.1, OMEGA),
-    d=SinusoidalCoefficient(0.01, 0.005, OMEGA),
+    angular_frequency=OMEGA,
+    mu=SinusoidalCoefficient(0.1, 0.05),
+    beta=SinusoidalCoefficient(0.3, 0.1),
+    d=SinusoidalCoefficient(0.01, 0.005),
     k=0.2, delta=0.1, p=0.5, c=0.1, c1=0.1, c2=0.1)
 
 cfg = IntegratorConfig.spectral()

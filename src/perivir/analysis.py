@@ -273,7 +273,7 @@ def monitor_invariants(traj: Trajectory, params: ModelParameters,
     band = POSITIVITY_BAND_FACTOR * abs_tol
     violations = int(np.sum(np.any(states < -band, axis=1)))
 
-    d_t = params.d.value(traj.times)
+    d_t = params.rates(traj.times)[2]
     w = (states[:, 0] + states[:, 1] + states[:, 2]
          + (params.delta + d_t) / (2.0 * params.p) * states[:, 3])
     mid = traj.times[0] + 0.5 * (traj.times[-1] - traj.times[0])

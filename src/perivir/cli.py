@@ -2,7 +2,9 @@
 
 Subcommands: simulate, r0, orbit, sweep, validate. All take a `--config`
 pointing at a flat INI-style document with sections [mu], [beta], [d],
-[scalars], [integrator], [run]; times are hours, rates per hour.
+[scalars], [integrator], [run]; times are hours, rates per hour. The
+model keys are ModelParameters' fields: [scalars] holds its float
+fields, angular_frequency (the one frequency of mu, beta and d) first.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 invariant
 violation (validate only). Every failure prints a one-line
@@ -63,7 +65,7 @@ class RunConfig:
 
 _SECTION_KEYS = {
     **{section: COEFF_KEYS for section in COEFF_NAMES},
-    "scalars": ("angular_frequency",) + CONSTANT_NAMES,
+    "scalars": CONSTANT_NAMES,
     "integrator": tuple(f.name for f in fields(IntegratorConfig)),
     "run": ("horizon", "initial_conditions"),
 }
@@ -89,15 +91,12 @@ def _naming_key(exc: ValueError, section: str) -> ValidationError:
     """A domain-type ValueError as a ValidationError that names the INI key.
 
     Domain messages start with the field they reject. A field that is
-    already dotted (mu.mean) is its own key; angular_frequency lives in
-    [scalars] whichever coefficient rejected it.
+    already dotted (mu.mean) is its own key.
     """
     msg = str(exc)
     field = msg.split(" ", 1)[0]
     if "." in field:
         return ValidationError(msg)
-    if field == "angular_frequency":
-        section = "scalars"
     return ValidationError(f"{section}.{msg}")
 
 
@@ -129,12 +128,11 @@ def parse_config(text: str) -> RunConfig:
         if not cp.has_section(section):
             raise ValidationError(f"missing required section [{section}]")
 
-    omega = _get_float(cp, "scalars", "angular_frequency")
     coeffs = {}
     for section in COEFF_NAMES:
         values = {key: _get_float(cp, section, key) for key in COEFF_KEYS}
         try:
-            coeffs[section] = SinusoidalCoefficient(**values, angular_frequency=omega)
+            coeffs[section] = SinusoidalCoefficient(**values)
         except ValueError as exc:
             raise _naming_key(exc, section) from exc
 

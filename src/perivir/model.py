@@ -10,9 +10,11 @@ single-harmonic sine around a positive mean:
     dI/dt = k*E - (delta + d(t))*I
     dV/dt = p*I - c*V
 
-All rates are per hour, time is in hours. This module holds the domain
-types, the vector field, and its analytic Jacobian; everything is
-immutable and side-effect free.
+The three share one angular frequency, a field of `ModelParameters`, whose
+`rates(t)` gives mu, beta and d at t from one sine. All rates are per
+hour, time is in hours. This module holds the domain types, the vector
+field, and its analytic Jacobian; everything is immutable and
+side-effect free.
 
 The field has one formula per number type: `rhs` on numpy arrays and
 `_field_floats` on lists of floats. `jacobian` has no caller in perivir;
@@ -46,57 +48,42 @@ __all__ = [
 class SinusoidalCoefficient:
     """One periodic rate of the form mean + amplitude*sin(angular_frequency*t).
 
-    amplitude < mean keeps the coefficient strictly positive for all t.
-    The identically-zero coefficient (mean == amplitude == 0) is admitted
-    so a model without transmission (beta == 0) stays representable; the
-    birth and death rates are required to be strictly positive at the
-    ModelParameters level.
+    The angular frequency is the one that mu, beta and d share, held by
+    ModelParameters. amplitude < mean keeps the coefficient strictly
+    positive for all t. The identically-zero coefficient (mean ==
+    amplitude == 0) is admitted so a model without transmission (beta ==
+    0) stays representable; the birth and death rates are required to be
+    strictly positive at the ModelParameters level.
     """
 
     mean: float
     amplitude: float
-    angular_frequency: float
 
     def __post_init__(self) -> None:
-        for name in ("mean", "amplitude", "angular_frequency"):
+        for name in ("mean", "amplitude"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.mean < 0.0:
             raise ValueError("mean must be nonnegative")
         if self.amplitude < 0.0:
             raise ValueError("amplitude must be nonnegative")
-        if self.amplitude >= self.mean and not (self.mean == 0.0 and self.amplitude == 0.0):
+        if self.amplitude >= self.mean and not self.is_zero:
             raise ValueError("amplitude must be strictly less than mean")
-        if self.angular_frequency <= 0.0:
-            raise ValueError("angular_frequency must be positive")
-
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.angular_frequency
 
     @property
     def is_zero(self) -> bool:
         return self.mean == 0.0 and self.amplitude == 0.0
 
-    def value(self, t):
-        """Evaluate the coefficient at time t (scalar or array, hours)."""
-        if isinstance(t, (float, int)):
-            if self.amplitude == 0.0:
-                return self.mean
-            return self.mean + self.amplitude * math.sin(self.angular_frequency * t)
-        t = np.asarray(t, dtype=float)
-        return self.mean + self.amplitude * np.sin(self.angular_frequency * t)
-
 
 @dataclass(frozen=True)
 class ModelParameters:
-    """Full parameter set: three periodic coefficients plus the constant rates.
+    """Full parameter set: the forcing frequency, three periodic coefficients, the constant rates.
 
-    mu, beta, d must share one angular frequency; the common period is
-    exposed as `period` and every period-dependent computation reads it
-    from here.
+    mu, beta and d oscillate at the one angular_frequency; the common period
+    is exposed as `period`, and their values at t as `rates(t)`.
     """
 
+    angular_frequency: float
     mu: SinusoidalCoefficient
     beta: SinusoidalCoefficient
     d: SinusoidalCoefficient
@@ -108,6 +95,10 @@ class ModelParameters:
     c2: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.angular_frequency):
+            raise ValueError("angular_frequency must be finite")
+        if self.angular_frequency <= 0.0:
+            raise ValueError("angular_frequency must be positive")
         for name in ("k", "delta", "p", "c"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
@@ -120,25 +111,26 @@ class ModelParameters:
             raise ValueError("mu.mean must be strictly positive")
         if self.d.mean <= 0.0:
             raise ValueError("d.mean must be strictly positive")
-        w = self.mu.angular_frequency
-        if self.beta.angular_frequency != w or self.d.angular_frequency != w:
-            raise ValueError("mu, beta, d must share one angular frequency")
-
-    @property
-    def angular_frequency(self) -> float:
-        return self.mu.angular_frequency
 
     @property
     def period(self) -> float:
         """Common period of the coefficients, 2*pi/angular_frequency (hours)."""
-        return self.mu.period
+        return 2.0 * math.pi / self.angular_frequency
+
+    def rates(self, t) -> tuple:
+        """(mu(t), beta(t), d(t)) from one shared sine: math.sin at a number t, else np.sin."""
+        w = self.angular_frequency
+        s = (math.sin(w * t) if isinstance(t, (float, int))
+             else np.sin(w * np.asarray(t, dtype=float)))
+        mu, beta, d = self.mu, self.beta, self.d
+        return mu.mean + mu.amplitude * s, beta.mean + beta.amplitude * s, d.mean + d.amplitude * s
 
 
 # The parameter names, from the dataclasses: the config schema and sweep read these.
 _PARAM_TYPES = get_type_hints(ModelParameters)
 COEFF_NAMES = tuple(n for n, t in _PARAM_TYPES.items() if t is SinusoidalCoefficient)
 CONSTANT_NAMES = tuple(n for n, t in _PARAM_TYPES.items() if t is float)
-COEFF_KEYS = tuple(n for n in get_type_hints(SinusoidalCoefficient) if n != "angular_frequency")
+COEFF_KEYS = tuple(get_type_hints(SinusoidalCoefficient))
 
 
 @dataclass(frozen=True)
@@ -219,20 +211,13 @@ def incidence_partials(beta_t: float, t_cells: float, virus: float, c1: float, c
     return beta_t * virus / (qT * qT * qV), beta_t * t_cells / (qT * qV * qV)
 
 
-def _rates_at(params: ModelParameters, t) -> tuple:
-    """(mu(t), beta(t), d(t)) at a number t from one shared sine, bitwise their `value(t)`."""
-    mu, beta, d = params.mu, params.beta, params.d
-    s = math.sin(mu.angular_frequency * t)
-    return mu.mean + mu.amplitude * s, beta.mean + beta.amplitude * s, d.mean + d.amplitude * s
-
-
 def _field_floats(params: ModelParameters, t, ys) -> list:
     """The vector field on a flat list of floats (T, E, I, V per member) at a number t.
 
     `rhs`'s operations in its order, so bitwise equal to it, except that a
     zero incidence denominator raises ZeroDivisionError, not inf or nan.
     """
-    mu_t, beta_t, d_t = _rates_at(params, t)
+    mu_t, beta_t, d_t = params.rates(t)
     c1, c2, k, p, c = params.c1, params.c2, params.k, params.p, params.c
     kd, dd = k + d_t, params.delta + d_t
     it = iter(ys)
@@ -251,9 +236,7 @@ def rhs(t: float, state, params: ModelParameters) -> np.ndarray:
     array t must broadcast against one component of `state.T`.
     """
     T, E, I, V = np.asarray(state, dtype=float).T
-    mu_t = params.mu.value(t)
-    beta_t = params.beta.value(t)
-    d_t = params.d.value(t)
+    mu_t, beta_t, d_t = params.rates(t)
     inc = incidence(beta_t, T, V, params.c1, params.c2)
     dT = mu_t - inc - d_t * T
     dE = inc - (params.k + d_t) * E
@@ -270,8 +253,7 @@ def jacobian(t: float, state, params: ModelParameters) -> np.ndarray:
     finite-difference noise compounds.
     """
     T, _, _, V = np.asarray(state, dtype=float).tolist()
-    beta_t = params.beta.value(t)
-    d_t = params.d.value(t)
+    _, beta_t, d_t = params.rates(t)
     dinc_dT, dinc_dV = incidence_partials(beta_t, T, V, params.c1, params.c2)
     k, delta, p, c = params.k, params.delta, params.p, params.c
     return np.array([

@@ -24,7 +24,6 @@ from .integrate import IntegratorConfig, NumericalFailure, integrate
 from .model import (
     ModelParameters,
     State,
-    _rates_at,
     clamp_small_negatives,
     incidence,
     incidence_partials,
@@ -137,8 +136,7 @@ class PeriodicOrbit:
 
 def _death_integral(params: ModelParameters, t):
     """Integral of d over [0, t]; analytic for the single-harmonic form."""
-    d = params.d
-    w = d.angular_frequency
+    d, w = params.d, params.angular_frequency
     t = np.asarray(t, dtype=float)
     return d.mean * t + (d.amplitude / w) * (1.0 - np.cos(w * t))
 
@@ -160,7 +158,7 @@ def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
                               "e^-D(P) does not fall below 1, so T* is unbounded")
 
     fine = np.linspace(0.0, P, 2 * TSTAR_SAMPLES + 1)
-    g = params.mu.value(fine) * np.exp(_death_integral(params, fine))
+    g = params.rates(fine)[0] * np.exp(_death_integral(params, fine))
     h2 = P / (2 * TSTAR_SAMPLES)
     panels = (h2 / 3.0) * (g[0:-1:2] + 4.0 * g[1::2] + g[2::2])
     integral = np.concatenate(([0.0], np.cumsum(panels)))
@@ -177,10 +175,9 @@ def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
 
 
 def _healthy_field(params: ModelParameters):
-    mu, d = params.mu, params.d
-
     def f(t, y):
-        return np.array([mu.value(t) - d.value(t) * y[0]])
+        mu_t, _, d_t = params.rates(t)
+        return np.array([mu_t - d_t * y[0]])
 
     return f
 
@@ -246,7 +243,7 @@ def _augmented_field(params: ModelParameters):
     def floats(t, ya):
         # the rows of Phi are (x0..x3), (y0..y3), (z0..z3), (w0..w3)
         T, E, I, V, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3, w0, w1, w2, w3 = ya
-        mu_t, beta_t, d_t = _rates_at(params, t)
+        mu_t, beta_t, d_t = params.rates(t)
         kd, dd = k + d_t, delta + d_t
         inc = incidence(beta_t, T, V, c1, c2)
         a, b = incidence_partials(beta_t, T, V, c1, c2)

@@ -63,18 +63,12 @@ class BracketFailure(NumericalFailure):
 class LinearizedSystem:
     """The infection subsystem linearized at the virus-free orbit T*.
 
-    F and G are those of the module docstring: F's one nonzero entry, (1,3),
-    is `infection_entry(t)`, and `combined(lam)` is t -> F(t)/lam - G(t).
-    Compartment ordering is (E, I, V) everywhere.
+    F and G are those of the module docstring, and `combined(lam)` is
+    t -> F(t)/lam - G(t). Compartment ordering is (E, I, V) everywhere.
     """
 
     t_star: VirusFreeSolution
     params: ModelParameters
-
-    def infection_entry(self, t: float) -> float:
-        """The single nonzero entry of F: beta(t) T*(t) / (1 + c1 T*(t))."""
-        ts = self.t_star.value(t)
-        return self.params.beta.value(t) * ts / (1.0 + self.params.c1 * ts)
 
     def combined(self, lam):
         """t -> F(t)/lam - G(t): (3, 3) for a number lam, (m, 3, 3) for m lambdas.
@@ -86,17 +80,18 @@ class LinearizedSystem:
         to 4 members through A.floats and a larger one through A(t) @ M;
         A(t) is also the oracle the tests hold A.floats to.
         """
-        params = self.params
-        k, delta, p, c = params.k, params.delta, params.p, params.c
+        params, t_star = self.params, self.t_star
+        k, delta, p, c, c1 = params.k, params.delta, params.p, params.c, params.c1
         inv_lam = 1.0 / np.asarray(lam, dtype=float)
         inverses = np.ravel(inv_lam).tolist()  # np.float64 arithmetic would take twice as long
         shape = inv_lam.shape + (3, 3)
         constant = np.array([[0.0, 0.0, 0.0], [k, 0.0, 0.0], [0.0, p, -c]])
 
         def entries(t):
-            """A(t)'s entries (0, 0) and (1, 1), and F's entry (0, 2) before the 1/lam."""
-            d_t = params.d.value(t)
-            return -(k + d_t), -(delta + d_t), self.infection_entry(t)
+            """A(t)'s (0, 0) and (1, 1), and F's (0, 2), beta T* / (1 + c1 T*), before 1/lam."""
+            _, beta_t, d_t = params.rates(t)
+            ts = t_star.value(t)
+            return -(k + d_t), -(delta + d_t), beta_t * ts / (1.0 + c1 * ts)
 
         def A(t: float) -> np.ndarray:
             a00, a11, f = entries(t)
@@ -225,7 +220,8 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> float:
     a top eigenvalue that is not real and positive counts as unconverged.
     """
     p, t, t_star = lin.params, lin.t_star.times[:-1], lin.t_star.values[:-1]
-    f, d = p.beta.value(t) * t_star / (1.0 + p.c1 * t_star), p.d.value(t)
+    _, beta, d = p.rates(t)
+    f = beta * t_star / (1.0 + p.c1 * t_star)
     previous, n = math.nan, 8
     while n <= HILL_MAX_ORDER:
         w, eye = p.angular_frequency * np.arange(1, n + 1), np.eye(2 * n + 1)

@@ -31,25 +31,24 @@ from perivir.integrate import _A_ROWS, _C, _D_ROW, _E_ROW
 OMEGA = 2.0 * math.pi / 24.0
 
 
-def table_coefficients(amps: float = 1.0, beta_scale: float = 1.0,
-                       omega: float = OMEGA):
+def table_coefficients(amps: float = 1.0, beta_scale: float = 1.0):
     """The standard circadian coefficient constants, optionally rescaled."""
-    mu = SinusoidalCoefficient(0.1, 0.05 * amps, omega)
-    beta = SinusoidalCoefficient(0.3 * beta_scale, 0.1 * amps * beta_scale, omega)
-    d = SinusoidalCoefficient(0.01, 0.005 * amps, omega)
+    mu = SinusoidalCoefficient(0.1, 0.05 * amps)
+    beta = SinusoidalCoefficient(0.3 * beta_scale, 0.1 * amps * beta_scale)
+    d = SinusoidalCoefficient(0.01, 0.005 * amps)
     return mu, beta, d
 
 
 def baseline_params(amps: float = 1.0, beta_scale: float = 1.0) -> ModelParameters:
     mu, beta, d = table_coefficients(amps=amps, beta_scale=beta_scale)
-    return ModelParameters(mu=mu, beta=beta, d=d, k=0.2, delta=0.09, p=0.5,
-                           c=0.18, c1=0.1, c2=0.1)
+    return ModelParameters(angular_frequency=OMEGA, mu=mu, beta=beta, d=d, k=0.2, delta=0.09,
+                           p=0.5, c=0.18, c1=0.1, c2=0.1)
 
 
 def persistence_params(amps: float = 1.0) -> ModelParameters:
     mu, beta, d = table_coefficients(amps=amps)
-    return ModelParameters(mu=mu, beta=beta, d=d, k=0.2, delta=0.1, p=0.5,
-                           c=0.1, c1=0.1, c2=0.1)
+    return ModelParameters(angular_frequency=OMEGA, mu=mu, beta=beta, d=d, k=0.2, delta=0.1,
+                           p=0.5, c=0.1, c1=0.1, c2=0.1)
 
 
 def rescaled_extinction_params() -> ModelParameters:
@@ -60,15 +59,16 @@ def rescaled_extinction_params() -> ModelParameters:
 def skewed_params() -> ModelParameters:
     """Amplitudes out of proportion so T*(t) genuinely varies over the period."""
     return ModelParameters(
-        mu=SinusoidalCoefficient(0.1, 0.03, OMEGA),
-        beta=SinusoidalCoefficient(0.3, 0.05, OMEGA),
-        d=SinusoidalCoefficient(0.01, 0.004, OMEGA),
+        angular_frequency=OMEGA,
+        mu=SinusoidalCoefficient(0.1, 0.03),
+        beta=SinusoidalCoefficient(0.3, 0.05),
+        d=SinusoidalCoefficient(0.01, 0.004),
         k=0.2, delta=0.1, p=0.5, c=0.1, c1=0.1, c2=0.1)
 
 
 def zero_beta_params() -> ModelParameters:
     mu, _, d = table_coefficients()
-    return ModelParameters(mu=mu, beta=SinusoidalCoefficient(0.0, 0.0, OMEGA),
+    return ModelParameters(angular_frequency=OMEGA, mu=mu, beta=SinusoidalCoefficient(0.0, 0.0),
                            d=d, k=0.2, delta=0.09, p=0.5, c=0.18, c1=0.1, c2=0.1)
 
 
@@ -98,9 +98,10 @@ def random_autonomous_params(rng: np.random.Generator):
                                r["c"], r["c1"])
     beta0 = beta_c * 10.0 ** rng.uniform(-1.5, 1.5)
     params = ModelParameters(
-        mu=SinusoidalCoefficient(r["mu0"], 0.0, OMEGA),
-        beta=SinusoidalCoefficient(beta0, 0.0, OMEGA),
-        d=SinusoidalCoefficient(r["d0"], 0.0, OMEGA),
+        angular_frequency=OMEGA,
+        mu=SinusoidalCoefficient(r["mu0"], 0.0),
+        beta=SinusoidalCoefficient(beta0, 0.0),
+        d=SinusoidalCoefficient(r["d0"], 0.0),
         k=r["k"], delta=r["delta"], p=r["p"], c=r["c"], c1=r["c1"], c2=r["c2"])
     return params
 
@@ -112,9 +113,10 @@ def random_periodic_params(rng: np.random.Generator) -> ModelParameters:
                                r["c"], r["c1"])
     beta0 = beta_c * 10.0 ** rng.uniform(-1.5, 1.5)
     return ModelParameters(
-        mu=SinusoidalCoefficient(r["mu0"], rng.uniform(0.0, 0.9) * r["mu0"], OMEGA),
-        beta=SinusoidalCoefficient(beta0, rng.uniform(0.0, 0.9) * beta0, OMEGA),
-        d=SinusoidalCoefficient(r["d0"], rng.uniform(0.0, 0.9) * r["d0"], OMEGA),
+        angular_frequency=OMEGA,
+        mu=SinusoidalCoefficient(r["mu0"], rng.uniform(0.0, 0.9) * r["mu0"]),
+        beta=SinusoidalCoefficient(beta0, rng.uniform(0.0, 0.9) * beta0),
+        d=SinusoidalCoefficient(r["d0"], rng.uniform(0.0, 0.9) * r["d0"]),
         k=r["k"], delta=r["delta"], p=r["p"], c=r["c"], c1=r["c1"], c2=r["c2"])
 
 
@@ -128,9 +130,10 @@ def admissible_periodic(rates: dict, log_r0_factor: float, amps) -> ModelParamet
                                r["c"], r["c1"])
     beta0 = beta_c * 10.0 ** log_r0_factor
     return ModelParameters(
-        mu=SinusoidalCoefficient(r["mu0"], amps[0] * r["mu0"], OMEGA),
-        beta=SinusoidalCoefficient(beta0, amps[1] * beta0, OMEGA),
-        d=SinusoidalCoefficient(r["d0"], amps[2] * r["d0"], OMEGA),
+        angular_frequency=OMEGA,
+        mu=SinusoidalCoefficient(r["mu0"], amps[0] * r["mu0"]),
+        beta=SinusoidalCoefficient(beta0, amps[1] * beta0),
+        d=SinusoidalCoefficient(r["d0"], amps[2] * r["d0"]),
         k=r["k"], delta=r["delta"], p=r["p"], c=r["c"], c1=r["c1"], c2=r["c2"])
 
 
@@ -248,6 +251,19 @@ def rhs_by_hand(t: float, y, params: ModelParameters):
     ])
 
 
+def _coefficient_at(coeff: SinusoidalCoefficient, w: float, t):
+    """mean + amplitude*sin(w*t) for one coefficient, with its own sine.
+
+    math.sin at a number t (the mean itself at zero amplitude), np.sin on
+    an array: independent of `ModelParameters.rates`, which it checks.
+    """
+    if isinstance(t, (float, int)):
+        if coeff.amplitude == 0.0:
+            return coeff.mean
+        return coeff.mean + coeff.amplitude * math.sin(w * t)
+    return coeff.mean + coeff.amplitude * np.sin(w * np.asarray(t, dtype=float))
+
+
 def rhs_column_views(t, y, params: ModelParameters):
     """The model vector field on (..., 4) states through per-column views.
 
@@ -261,9 +277,8 @@ def rhs_column_views(t, y, params: ModelParameters):
     E = y[..., 1]
     I = y[..., 2]
     V = y[..., 3]
-    mu_t = params.mu.value(t)
-    beta_t = params.beta.value(t)
-    d_t = params.d.value(t)
+    w = params.angular_frequency
+    mu_t, beta_t, d_t = (_coefficient_at(c, w, t) for c in (params.mu, params.beta, params.d))
     inc = beta_t * T * V / ((1.0 + params.c1 * T) * (1.0 + params.c2 * V))
     dT = mu_t - inc - d_t * T
     dE = inc - (params.k + d_t) * E

@@ -25,7 +25,6 @@ from perivir.analysis import DEFAULT_INITIAL_CONDITIONS
 
 from .helpers import (
     AMPS,
-    OMEGA,
     RATES,
     admissible_periodic,
     closed_form_r0,
@@ -239,7 +238,7 @@ class TestSweep:
     def test_threshold_flip_matches_r0(self, sim_cfg):
         # beta crossing the threshold: regime flips exactly where R0 crosses 1
         base = replace(persistence_params(),
-                       beta=SinusoidalCoefficient(0.004, 0.0004, OMEGA))
+                       beta=SinusoidalCoefficient(0.004, 0.0004))
         rows = sweep(base, "beta.mean", [0.0005, 0.002, 0.01, 0.02], 2400.0,
                      sim_cfg)
         for row in rows:

@@ -73,15 +73,11 @@ initial_conditions = 10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1
 
 def _good_run_config() -> RunConfig:
     """The run configuration that GOOD_CONFIG and the README's example spell out."""
-    omega = 2 * math.pi / 24
-
-    def coeff(mean, amplitude):
-        return SinusoidalCoefficient(mean, amplitude, omega)
-
+    coeff = SinusoidalCoefficient
     return RunConfig(
-        params=ModelParameters(mu=coeff(0.1, 0.05), beta=coeff(0.3, 0.1),
-                               d=coeff(0.01, 0.005), k=0.2, delta=0.1, p=0.5,
-                               c=0.1, c1=0.1, c2=0.1),
+        params=ModelParameters(angular_frequency=2 * math.pi / 24, mu=coeff(0.1, 0.05),
+                               beta=coeff(0.3, 0.1), d=coeff(0.01, 0.005), k=0.2, delta=0.1,
+                               p=0.5, c=0.1, c1=0.1, c2=0.1),
         integrator=IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12),
         initial_conditions=(State(10.0, 1.0, 1.0, 1.0), State(5.0, 2.0, 0.5, 3.0),
                             State(20.0, 0.1, 0.1, 0.1)),
@@ -181,8 +177,10 @@ class TestSchemaFollowsModelParameters:
     COEFFS = tuple(n for n, t in HINTS.items() if t is SinusoidalCoefficient)
     FLOATS = tuple(n for n, t in HINTS.items() if t is float)
 
-    def test_scalars_are_the_frequency_and_the_float_fields(self):
-        assert cli._SECTION_KEYS["scalars"] == ("angular_frequency",) + self.FLOATS
+    def test_scalars_are_the_float_fields(self):
+        # the one forcing frequency of mu, beta and d comes first, as in the shipped configs
+        assert cli._SECTION_KEYS["scalars"] == self.FLOATS
+        assert self.FLOATS == ("angular_frequency", "k", "delta", "p", "c", "c1", "c2")
 
     def test_coefficient_sections_are_the_coefficient_fields(self):
         sections = {s: keys for s, keys in cli._SECTION_KEYS.items()
@@ -190,14 +188,14 @@ class TestSchemaFollowsModelParameters:
         assert self.COEFFS == ("mu", "beta", "d")
         assert sections == {c: ("mean", "amplitude") for c in self.COEFFS}
 
-    def test_sweep_takes_exactly_the_plain_and_dotted_names(self):
+    def test_sweep_takes_exactly_the_float_and_dotted_names(self):
         base = _good_run_config().params
         names = self.FLOATS + tuple(f"{c}.{k}" for c in self.COEFFS
                                     for k in ("mean", "amplitude"))
         for name in names:
             get = operator.attrgetter(name)
             assert get(analysis._param_setter(name)(base, 1.5 * get(base))) == 1.5 * get(base)
-        for name in ("angular_frequency", "mu.angular_frequency", "mu", "k.mean"):
+        for name in ("mu.angular_frequency", "mu", "k.mean"):
             with pytest.raises(ValueError, match="unknown sweep parameter"):
                 analysis._param_setter(name)
 
@@ -381,6 +379,30 @@ class TestCliDispatch:
         assert capsys.readouterr().err == ""
         assert out.exists()
 
+    @pytest.mark.parametrize("case, message", [
+        ("singular", "singular shooting Jacobian at residual 1.000e+00"),
+        ("budget", "no convergence within 1 iterations"),
+    ])
+    def test_orbit_newton_divergence_exits_3(self, config_dir, tmp_path, capsys, monkeypatch,
+                                             case, message):
+        # a monodromy of I leaves Phi - I singular; newton_tol 0 cannot be met
+        # within a budget of one iteration
+        if case == "singular":
+            def identity_monodromy(params, x, cfg):
+                end = x + 1.0
+                return np.tile(end, (periodic.ORBIT_SAMPLES + 1, 1)), end, np.eye(4)
+
+            monkeypatch.setattr(periodic, "_flow_and_monodromy", identity_monodromy)
+        else:
+            monkeypatch.setattr(periodic, "MAX_NEWTON_ITERS", 1)
+        out = tmp_path / "orbit.csv"
+        code = main(["orbit", "--config", str(config_dir / "persistence.ini"),
+                     "--newton-tol", "0", "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical-failure: {message}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_orbit_warm_start_collapse_exits_3(self, config_dir, tmp_path, capsys,
                                                monkeypatch):
         # a warm-start pass that lands on the virus-free face is a numerical
@@ -511,6 +533,28 @@ class TestCliDispatch:
         assert captured.err == "config-error: unknown sweep parameter 'beta.maen'\n"
         assert captured.out == "" and not out.exists() and calls == []
 
+    def test_sweep_over_the_forcing_frequency(self, tmp_path, capsys):
+        # angular_frequency is a float field of ModelParameters, so sweep takes
+        # it like k; each row's R0 is the one r0 prints for that frequency
+        text = GOOD_CONFIG.replace("horizon = 4800", "horizon = 1300")
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        out = tmp_path / "sweep.csv"
+        values = ["0.2617993877991494", "0.5"]
+        assert main(["sweep", "--config", str(path), "--param", "angular_frequency",
+                     "--values", ",".join(values), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == values
+        capsys.readouterr()
+        for value, row in zip(values, rows):
+            path.write_text(re.sub(r"angular_frequency = .*", f"angular_frequency = {value}",
+                                   text))
+            assert main(["r0", "--config", str(path)]) == 0
+            r0 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["r0"]
+            assert float(row[1]) == r0
+            assert row[3] == "Persistence"
+        assert [round(float(row[1]), 2) for row in rows] == [64.68, 64.91]
+
     def test_non_number_initial_condition_exits_2(self, tmp_path, capsys):
         # named like every other config number
         path = tmp_path / "cfg.ini"
@@ -534,6 +578,32 @@ class TestCliDispatch:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("config-error: death rate integrates to D(P) = ")
         assert main(["validate", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("mean = 0.1\namplitude = 0.05", "mean = 0\namplitude = 0",
+         "mu.mean must be strictly positive"),
+        ("mean = 0.01\namplitude = 0.005", "mean = 0\namplitude = 0",
+         "d.mean must be strictly positive"),
+    ], ids=["mu", "d"])
+    def test_zero_birth_or_death_rate_names_its_key(self, tmp_path, capsys, old, new, message):
+        # a ModelParameters rule, raised under [scalars], whose dotted field is its own key
+        assert old in GOOD_CONFIG
+        path = tmp_path / "cfg.ini"
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        assert main(["r0", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config-error: {message}\n"
+        assert captured.out == ""
+
+    def test_coefficient_error_is_named_before_the_frequency(self, tmp_path, capsys):
+        # the coefficients are built before ModelParameters checks the
+        # frequency, so of two bad values the coefficient's is named
+        path = tmp_path / "cfg.ini"
+        path.write_text(GOOD_CONFIG.replace("angular_frequency = 0.2617993877991494",
+                                            "angular_frequency = 0")
+                        .replace("mean = 0.3", "mean = -0.3"))
+        assert main(["r0", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config-error: beta.mean must be nonnegative\n"
 
     @pytest.mark.parametrize("ics", ["10,1,1,1", "10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1"])
     def test_simulate_and_validate_integrate_once(self, monkeypatch, tmp_path, ics):

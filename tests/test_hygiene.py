@@ -220,7 +220,7 @@ def summing_calls(source: str, functions=None) -> list[str]:
 # the modules, and the functions of them, whose float sums must run left to right
 _FLOAT_FORMULAS = {
     "integrate.py": None,
-    "model.py": ["incidence", "incidence_partials", "_rates_at", "_field_floats"],
+    "model.py": ["ModelParameters", "incidence", "incidence_partials", "_field_floats"],
     "periodic.py": ["_augmented_field"],
     "reproduction.py": ["LinearizedSystem"],  # combined's A.floats
 }

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,82 +39,89 @@ _state_shapes = st.one_of(
 
 
 class TestSinusoidalCoefficient:
-    def test_zero_amplitude_is_constant(self):
-        c = SinusoidalCoefficient(0.1, 0.0, OMEGA)
-        assert c.value(5.0) == 0.1
-
-    def test_quarter_period_peak(self):
-        # sin(pi/2) = 1 at t = 6 for a 24-hour period
-        c = SinusoidalCoefficient(0.1, 0.05, OMEGA)
-        assert c.value(6.0) == pytest.approx(0.15, abs=1e-12)
-
-    def test_full_period_returns_to_mean(self):
-        c = SinusoidalCoefficient(0.1, 0.05, OMEGA)
-        assert c.value(24.0) == pytest.approx(0.1, abs=1e-12)
-
-    def test_periodicity_on_grid(self):
-        c = SinusoidalCoefficient(0.2, 0.15, OMEGA)
-        ts = np.linspace(0.0, 10.0 * c.period, 211)
-        assert np.max(np.abs(c.value(ts + c.period) - c.value(ts))) < 1e-12
-
-    def test_strict_positivity(self):
-        c = SinusoidalCoefficient(0.1, 0.0999, OMEGA)
-        ts = np.linspace(0.0, c.period, 1001)
-        assert np.min(c.value(ts)) > 0.0
-
-    @pytest.mark.parametrize("mean,amp,w", [
-        (0.1, 0.1, OMEGA),    # amplitude == mean
-        (0.1, 0.2, OMEGA),    # amplitude > mean
-        (-0.1, 0.0, OMEGA),   # negative mean
-        (0.1, -0.01, OMEGA),  # negative amplitude
-        (0.1, 0.05, 0.0),     # zero frequency
-        (0.1, 0.05, -1.0),
+    @pytest.mark.parametrize("mean,amp", [
+        (0.1, 0.1),    # amplitude == mean
+        (0.1, 0.2),    # amplitude > mean
+        (-0.1, 0.0),   # negative mean
+        (0.1, -0.01),  # negative amplitude
+        (math.nan, 0.0),
+        (0.1, math.inf),
     ])
-    def test_invalid_coefficients_rejected(self, mean, amp, w):
+    def test_invalid_coefficients_rejected(self, mean, amp):
         with pytest.raises(ValueError):
-            SinusoidalCoefficient(mean, amp, w)
+            SinusoidalCoefficient(mean, amp)
 
     def test_identically_zero_coefficient_allowed(self):
-        c = SinusoidalCoefficient(0.0, 0.0, OMEGA)
-        assert c.is_zero and c.value(3.0) == 0.0
+        assert SinusoidalCoefficient(0.0, 0.0).is_zero
+        assert not SinusoidalCoefficient(0.1, 0.0).is_zero
 
 
 class TestModelParameters:
     def test_period_derived_from_frequency(self):
         assert baseline_params().period == pytest.approx(24.0, rel=1e-15)
 
-    def test_mismatched_frequencies_rejected(self):
-        mu = SinusoidalCoefficient(0.1, 0.05, OMEGA)
-        beta = SinusoidalCoefficient(0.3, 0.1, OMEGA * 2)
-        d = SinusoidalCoefficient(0.01, 0.005, OMEGA)
-        with pytest.raises(ValueError):
-            ModelParameters(mu=mu, beta=beta, d=d, k=0.2, delta=0.09, p=0.5,
-                            c=0.18, c1=0.1, c2=0.1)
+    @pytest.mark.parametrize("w,message", [
+        (0.0, "angular_frequency must be positive"),
+        (-1.0, "angular_frequency must be positive"),
+        (math.nan, "angular_frequency must be finite"),
+        (math.inf, "angular_frequency must be finite"),
+        (-math.inf, "angular_frequency must be finite"),
+    ])
+    def test_frequency_rules(self, w, message):
+        with pytest.raises(ValueError) as exc:
+            replace(baseline_params(), angular_frequency=w)
+        assert str(exc.value) == message
+
+    def test_zero_amplitude_rate_is_constant(self):
+        params = replace(baseline_params(), mu=SinusoidalCoefficient(0.1, 0.0))
+        assert params.rates(5.0)[0] == 0.1
+
+    def test_quarter_period_peak(self):
+        # sin(pi/2) = 1 at t = 6 for a 24-hour period
+        mu_t, beta_t, d_t = baseline_params().rates(6.0)
+        assert (mu_t, beta_t, d_t) == pytest.approx((0.15, 0.4, 0.015), abs=1e-12)
+
+    def test_full_period_returns_to_mean(self):
+        assert baseline_params().rates(24.0) == pytest.approx((0.1, 0.3, 0.01), abs=1e-12)
+
+    def test_periodicity_on_grid(self):
+        params = replace(baseline_params(), d=SinusoidalCoefficient(0.2, 0.15))
+        ts = np.linspace(0.0, 10.0 * params.period, 211)
+        for now, later in zip(params.rates(ts), params.rates(ts + params.period)):
+            assert np.max(np.abs(later - now)) < 1e-12
+
+    def test_strict_positivity(self):
+        params = replace(baseline_params(), mu=SinusoidalCoefficient(0.1, 0.0999))
+        ts = np.linspace(0.0, params.period, 1001)
+        assert all(np.min(rate) > 0.0 for rate in params.rates(ts))
+
+    def test_rates_are_each_coefficient_on_one_sine(self):
+        # a number t takes math.sin, an array np.sin, as each rate's own formula would
+        params = skewed_params()
+        w = params.angular_frequency
+        coeffs = (params.mu, params.beta, params.d)
+        for t in (0.0, 3.7, 11, 30.25):
+            expected = tuple(c.mean + c.amplitude * math.sin(w * t) for c in coeffs)
+            assert params.rates(t) == expected
+            assert all(type(rate) is float for rate in params.rates(t))
+        ts = np.linspace(0.0, 48.0, 17)
+        for rate, c in zip(params.rates(ts.tolist()), coeffs, strict=True):
+            assert np.array_equal(rate, c.mean + c.amplitude * np.sin(w * ts))
 
     def test_zero_mu_or_d_rejected(self):
-        zero = SinusoidalCoefficient(0.0, 0.0, OMEGA)
-        mu, beta, d = (SinusoidalCoefficient(0.1, 0.05, OMEGA),
-                       SinusoidalCoefficient(0.3, 0.1, OMEGA),
-                       SinusoidalCoefficient(0.01, 0.005, OMEGA))
-        with pytest.raises(ValueError):
-            ModelParameters(mu=zero, beta=beta, d=d, k=0.2, delta=0.09, p=0.5,
-                            c=0.18, c1=0.1, c2=0.1)
-        with pytest.raises(ValueError):
-            ModelParameters(mu=mu, beta=beta, d=zero, k=0.2, delta=0.09, p=0.5,
-                            c=0.18, c1=0.1, c2=0.1)
+        zero = SinusoidalCoefficient(0.0, 0.0)
+        with pytest.raises(ValueError, match="mu.mean must be strictly positive"):
+            replace(baseline_params(), mu=zero)
+        with pytest.raises(ValueError, match="d.mean must be strictly positive"):
+            replace(baseline_params(), d=zero)
 
     @pytest.mark.parametrize("field,value", [
         ("k", 0.0), ("delta", -0.1), ("p", 0.0), ("c", -1.0),
         ("c1", -0.01), ("c2", -0.01),
     ])
     def test_scalar_invariants(self, field, value):
-        kwargs = dict(k=0.2, delta=0.09, p=0.5, c=0.18, c1=0.1, c2=0.1)
-        kwargs[field] = value
-        mu, beta, d = (SinusoidalCoefficient(0.1, 0.05, OMEGA),
-                       SinusoidalCoefficient(0.3, 0.1, OMEGA),
-                       SinusoidalCoefficient(0.01, 0.005, OMEGA))
         with pytest.raises(ValueError):
-            ModelParameters(mu=mu, beta=beta, d=d, **kwargs)
+            replace(baseline_params(), **{field: value})
 
 
 class TestIncidence:
@@ -155,7 +165,7 @@ class TestRhs:
         params = baseline_params()
         for t in (0.0, 3.7, 11.0):
             out = rhs(t, np.zeros(4), params)
-            assert out[0] == pytest.approx(params.mu.value(t), rel=1e-15)
+            assert out[0] == pytest.approx(params.rates(t)[0], rel=1e-15)
             assert np.all(out[1:] == 0.0)
 
     def test_matches_hand_evaluation(self):
@@ -181,8 +191,8 @@ class TestRhs:
             y = rng.uniform(0.0, 15.0, size=4)
             out = rhs(t, y, params)
             lhs = out[0] + out[1] + out[2]
-            rhs_val = (params.mu.value(t) - params.d.value(t) * (y[0] + y[1] + y[2])
-                       - params.delta * y[2])
+            mu_t, _, d_t = params.rates(t)
+            rhs_val = mu_t - d_t * (y[0] + y[1] + y[2]) - params.delta * y[2]
             assert lhs == pytest.approx(rhs_val, rel=1e-12, abs=1e-14)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -235,8 +245,7 @@ class TestJacobian:
         t = 4.2
         T = 9.0
         jac = jacobian(t, np.array([T, 0.0, 0.0, 0.0]), params)
-        d_t = params.d.value(t)
-        beta_t = params.beta.value(t)
+        _, beta_t, d_t = params.rates(t)
         assert jac[0, 3] == pytest.approx(-beta_t * T / (1.0 + params.c1 * T), rel=1e-14)
         assert jac[0, 0] == pytest.approx(-d_t, rel=1e-14)
         assert jac[1, 1] == pytest.approx(-(params.k + d_t), rel=1e-14)
@@ -245,14 +254,13 @@ class TestJacobian:
         assert np.all(jac[1:, 0] == 0.0)  # block triangular against the T direction
 
     def test_mass_action_limit(self):
-        mu, beta, d = (SinusoidalCoefficient(0.1, 0.05, OMEGA),
-                       SinusoidalCoefficient(0.3, 0.1, OMEGA),
-                       SinusoidalCoefficient(0.01, 0.005, OMEGA))
-        params = ModelParameters(mu=mu, beta=beta, d=d, k=0.2, delta=0.09,
+        params = ModelParameters(angular_frequency=OMEGA, mu=SinusoidalCoefficient(0.1, 0.05),
+                                 beta=SinusoidalCoefficient(0.3, 0.1),
+                                 d=SinusoidalCoefficient(0.01, 0.005), k=0.2, delta=0.09,
                                  p=0.5, c=0.18, c1=0.0, c2=0.0)
         t, T, V = 1.0, 8.0, 3.0
         jac = jacobian(t, np.array([T, 1.0, 1.0, V]), params)
-        beta_t = params.beta.value(t)
+        beta_t = params.rates(t)[1]
         assert jac[1, 3] == pytest.approx(beta_t * T, rel=1e-14)
         assert jac[1, 0] == pytest.approx(beta_t * V, rel=1e-14)
 

@@ -23,6 +23,7 @@ from perivir import (
     integrate,
     integrate_matrix,
     poincare_map,
+    r0_periodic,
     virus_free_closed_form,
     virus_free_numeric,
     warm_start_guess,
@@ -50,9 +51,10 @@ def constant_coefficient_params(**overrides) -> ModelParameters:
     kwargs = dict(k=0.2, delta=0.09, p=0.5, c=0.18, c1=0.1, c2=0.1)
     kwargs.update(overrides)
     return ModelParameters(
-        mu=SinusoidalCoefficient(0.1, 0.0, OMEGA),
-        beta=SinusoidalCoefficient(0.3, 0.0, OMEGA),
-        d=SinusoidalCoefficient(0.01, 0.0, OMEGA),
+        angular_frequency=OMEGA,
+        mu=SinusoidalCoefficient(0.1, 0.0),
+        beta=SinusoidalCoefficient(0.3, 0.0),
+        d=SinusoidalCoefficient(0.01, 0.0),
         **kwargs)
 
 
@@ -120,7 +122,7 @@ class TestVirusFreeClosedForm:
     def test_death_rate_too_small_for_t_star_rejected(self, d_mean):
         # e^{-D(P)} rounds to 1 for D(P) below about 5.6e-17: T*(0) would divide by zero
         params = replace(constant_coefficient_params(),
-                         d=SinusoidalCoefficient(d_mean, 0.0, OMEGA))
+                         d=SinusoidalCoefficient(d_mean, 0.0))
         assert math.exp(-params.d.mean * params.period) == 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -143,9 +145,10 @@ class TestVirusFreeNumeric:
 
     def test_zero_amplitude_any_frequency_constant(self, spectral_cfg):
         params = ModelParameters(
-            mu=SinusoidalCoefficient(0.2, 0.0, 1.7),
-            beta=SinusoidalCoefficient(0.3, 0.0, 1.7),
-            d=SinusoidalCoefficient(0.04, 0.0, 1.7),
+            angular_frequency=1.7,
+            mu=SinusoidalCoefficient(0.2, 0.0),
+            beta=SinusoidalCoefficient(0.3, 0.0),
+            d=SinusoidalCoefficient(0.04, 0.0),
             k=0.2, delta=0.09, p=0.5, c=0.18, c1=0.1, c2=0.1)
         sol = virus_free_numeric(params, spectral_cfg)
         assert np.max(np.abs(sol.values - 0.2 / 0.04)) < 1e-9
@@ -260,9 +263,10 @@ class TestFindPeriodicOrbit:
         # lowers the residual and the return goes through the stall branch:
         # weighted by the integrator's tolerances the residual is below 1
         params = ModelParameters(
-            mu=SinusoidalCoefficient(0.10801091509914085, 0.05176732810088202, OMEGA),
-            beta=SinusoidalCoefficient(0.01663690586943997, 0.0034932815317735627, OMEGA),
-            d=SinusoidalCoefficient(0.010925537047309815, 0.0036911707968849674, OMEGA),
+            angular_frequency=OMEGA,
+            mu=SinusoidalCoefficient(0.10801091509914085, 0.05176732810088202),
+            beta=SinusoidalCoefficient(0.01663690586943997, 0.0034932815317735627),
+            d=SinusoidalCoefficient(0.010925537047309815, 0.0036911707968849674),
             k=0.19905098933342835, delta=0.1069240826005271, p=0.5427658726300583,
             c=0.11730922054046482, c1=0.09679950822708207, c2=0.09208330410174287)
         guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
@@ -306,6 +310,35 @@ class TestFindPeriodicOrbit:
             assert np.array_equal(orbit.initial_state.as_array(), guess)
         assert len(flows) == 1 + 9
 
+    @pytest.mark.parametrize("newton_tol", [math.nan, -1.0, math.inf])
+    def test_bad_newton_tol_rejected_before_any_flow(self, monkeypatch, spectral_cfg,
+                                                     newton_tol):
+        flows = count_calls(monkeypatch, periodic, "_flow_and_monodromy")
+        with pytest.raises(ValueError, match="^newton_tol must be finite and nonnegative$"):
+            find_periodic_orbit(persistence_params(), np.ones(4), spectral_cfg,
+                                newton_tol=newton_tol)
+        assert flows == []
+
+    def test_singular_shooting_jacobian_diverges(self, monkeypatch, spectral_cfg):
+        # a monodromy of I makes Phi - I zero, so no Newton step exists
+        def identity_monodromy(params, x, cfg):
+            end = x + 1.0
+            return np.tile(end, (periodic.ORBIT_SAMPLES + 1, 1)), end, np.eye(4)
+
+        monkeypatch.setattr(periodic, "_flow_and_monodromy", identity_monodromy)
+        with pytest.raises(NewtonDiverged,
+                           match=r"^singular shooting Jacobian at residual 1\.000e\+00$"):
+            find_periodic_orbit(persistence_params(), np.ones(4), spectral_cfg)
+
+    def test_iteration_budget_runs_out(self, monkeypatch, spectral_cfg):
+        # newton_tol = 0 cannot be met, and one accepted step spends a budget of 1
+        monkeypatch.setattr(periodic, "MAX_NEWTON_ITERS", 1)
+        flows = count_calls(monkeypatch, periodic, "_flow_and_monodromy")
+        with pytest.raises(NewtonDiverged, match="^no convergence within 1 iterations$"):
+            find_periodic_orbit(persistence_params(), State(10.0, 1.0, 1.0, 1.0),
+                                spectral_cfg, newton_tol=0.0)
+        assert len(flows) >= 2  # the guess and at least one trial
+
     def test_trace_records_every_iterate(self, spectral_cfg):
         params = persistence_params()
         guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
@@ -327,6 +360,44 @@ class TestFindPeriodicOrbit:
         assert 1 <= len(calls) <= 3
         assert all(np.shape(args[3]) == (20,) for args in calls)
         assert orbit.states.shape == (periodic.ORBIT_SAMPLES + 1, 4)
+
+
+class TestExchangeOfStability:
+    """At R0 = 1 the endemic orbit branches off the virus-free one and the two swap stability.
+
+    To first order in R0 - 1 the endemic orbit's leading multiplier mu1 is
+    1 / rho(1), with rho(1) the `rho_at_one` of `r0_periodic` (Crandall &
+    Rabinowitz 1973), and its infection grows linearly in R0 - 1. The two
+    sides come from independent code: the 20-wide variational flow of the
+    full model, and the 3x3 monodromy of the linearization.
+    """
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_endemic_orbit_leaves_threshold_at_first_order(self, spectral_cfg, eps):
+        # persistence's rates with beta scaled to R0 = 1 + eps: R0 is linear in
+        # beta, since F is and T* does not depend on beta
+        base = persistence_params()
+        scale = (1.0 + eps) / r0_periodic(base, tol=1e-10).value
+        params = replace(base, beta=SinusoidalCoefficient(scale * base.beta.mean,
+                                                          scale * base.beta.amplitude))
+        r0 = r0_periodic(params)
+        excess = r0.value - 1.0
+        assert excess == pytest.approx(eps, rel=1e-5)
+        guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
+        orbit = find_periodic_orbit(params, guess, spectral_cfg)
+        mu1 = orbit.floquet_multipliers[0]
+        # The first-order terms cancel, leaving (R0 - 1)^2 times a coefficient
+        # measured at -2.32, -2.21 and -2.5 for R0 - 1 = 1e-2, 1e-3 and 1e-4.
+        # [-3, -1.5] holds that spread; a first-order mismatch would put the
+        # ratio near -1/(R0 - 1), -100 or beyond.
+        second_order = (math.log(abs(mu1)) + math.log(r0.rho_at_one)) / excess ** 2
+        assert -3.0 < second_order < -1.5
+        # Mean E over R0 - 1 was measured at 0.506 and 0.510: the slope of the
+        # branch, with an O(R0 - 1) correction that 10% covers at both points.
+        slope = float(orbit.states[:-1, 1].mean()) / excess
+        assert 0.46 < slope < 0.56
+        # the branch is stable, by a margin that vanishes with R0 - 1
+        assert orbit.stable and 0.0 < orbit.stability_margin < 10.0 * excess
 
 
 class TestAugmentedField:
@@ -519,8 +590,7 @@ class TestFloquetMachinery:
         params = skewed_params()
         from dataclasses import replace
         params = replace(params, beta=SinusoidalCoefficient(
-            params.beta.mean * beta_scale, params.beta.amplitude * beta_scale,
-            params.beta.angular_frequency))
+            params.beta.mean * beta_scale, params.beta.amplitude * beta_scale))
         sol = virus_free_closed_form(params)
         A_full = lambda t: jacobian(t, np.array([sol.value(t), 0.0, 0.0, 0.0]), params)
         full = integrate_matrix(A_full, 0.0, params.period, np.eye(4), spectral_cfg).end_matrix

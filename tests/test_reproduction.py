@@ -29,7 +29,6 @@ from perivir.reproduction import _hill_r0, _pair, _unit_crossing
 
 from .helpers import (
     AMPS,
-    OMEGA,
     RATES,
     admissible_periodic,
     beta_at_threshold,
@@ -49,24 +48,29 @@ from .helpers import (
 from .test_periodic import constant_coefficient_params
 
 
+def _infection_entry(lin, t: float) -> float:
+    """F's one nonzero entry, (E, V), as combined(1.0) gives it: beta(t) T*(t) / (1 + c1 T*(t))."""
+    return lin.combined(1.0)(t)[0, 2]
+
+
 class TestLinearization:
     def test_constant_coefficient_infection_entry(self, spectral_cfg):
         # T* = mu/d = 10, so F(1,3) = 0.3 * 10 / (1 + 0.1*10) = 1.5
         lin = build_linearization(constant_coefficient_params())
         for t in (0.0, 5.0, 17.3):
-            assert lin.infection_entry(t) == pytest.approx(1.5, rel=1e-10)
+            assert _infection_entry(lin, t) == pytest.approx(1.5, rel=1e-10)
             # F/1 - F/2 = F/2 has the single nonzero entry at (E, V)
             half_f = lin.combined(1.0)(t) - lin.combined(2.0)(t)
             assert np.count_nonzero(half_f) == 1
-            assert half_f[0, 2] == 0.5 * lin.infection_entry(t)
+            assert half_f[0, 2] == 0.5 * _infection_entry(lin, t)
 
     def test_saturation_off_reduces_to_beta_tstar(self, spectral_cfg):
         params = constant_coefficient_params(c1=0.0)
         sol = virus_free_closed_form(params)
         lin = build_linearization(params)
         t = 3.0
-        assert lin.infection_entry(t) == pytest.approx(
-            params.beta.value(t) * sol.value(t), rel=1e-10)
+        assert _infection_entry(lin, t) == pytest.approx(
+            params.rates(t)[1] * sol.value(t), rel=1e-10)
 
     def test_t_star_is_closed_form_of_params(self):
         params = skewed_params()
@@ -78,9 +82,10 @@ class TestLinearization:
         params = skewed_params()
         lin = build_linearization(params)
         for t in (0.0, 7.7):
-            d_t = params.d.value(t)
+            _, beta_t, d_t = params.rates(t)
+            ts = lin.t_star.value(t)
             f_minus_g = np.array([
-                [-(params.k + d_t), 0.0, lin.infection_entry(t)],
+                [-(params.k + d_t), 0.0, beta_t * ts / (1.0 + params.c1 * ts)],
                 [params.k, -(params.delta + d_t), 0.0],
                 [0.0, params.p, -params.c],
             ])
@@ -92,9 +97,9 @@ class TestLinearization:
         lin = build_linearization(params)
         for t in (0.0, 7.7):
             G = -lin.combined(3.0)(t)
-            assert G[0, 2] == pytest.approx(-lin.infection_entry(t) / 3.0, rel=1e-14)
+            assert G[0, 2] == pytest.approx(-_infection_entry(lin, t) / 3.0, rel=1e-14)
             G[0, 2] = 0.0
-            d_t = params.d.value(t)
+            d_t = params.rates(t)[2]
             assert G[0, 0] == pytest.approx(params.k + d_t, rel=1e-14)
             assert G[1, 1] == pytest.approx(params.delta + d_t, rel=1e-14)
             assert G[2, 2] == params.c
@@ -110,9 +115,9 @@ class TestLinearization:
         lin = build_linearization(params)
         ts = np.linspace(0.0, params.period, 29)
         for t in ts:
-            assert lin.infection_entry(t) >= 0.0
-            assert abs(lin.infection_entry(t + params.period)
-                       - lin.infection_entry(t)) < 1e-10
+            assert _infection_entry(lin, t) >= 0.0
+            assert abs(_infection_entry(lin, t + params.period)
+                       - _infection_entry(lin, t)) < 1e-10
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
@@ -301,8 +306,7 @@ class TestR0Periodic:
             from dataclasses import replace
             from perivir import SinusoidalCoefficient
             scaled = replace(scaled, beta=SinusoidalCoefficient(
-                base.beta.mean * s, base.beta.amplitude * s,
-                base.beta.angular_frequency))
+                base.beta.mean * s, base.beta.amplitude * s))
             r_scaled = r0_periodic(scaled, tol=1e-10)
             assert r_scaled.value == pytest.approx(s * r_base.value, rel=1e-7)
 
@@ -335,22 +339,25 @@ class TestR0Periodic:
 
 
 class TestMonodromyStartTime:
-    @settings(max_examples=10, deadline=None, derandomize=True)
+    @settings(max_examples=8, deadline=None, derandomize=True)
     @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
-           log_lam=st.floats(-1.0, 1.0), periods=st.floats(0.0, 5.0, exclude_max=True))
+           log_lam=st.floats(-2.0, 2.0),
+           periods=st.lists(st.floats(0.0, 5.0), min_size=4, max_size=4))
     def test_spectral_radius_independent_of_start(self, rates, log_r0_factor, amps,
                                                   log_lam, periods):
-        # Phi(s + P, s) is similar to Phi(P, 0), so the two share a spectrum
+        # Starting the period at s shifts the forcing phase of mu, beta and d
+        # together. Phi(s + P, s) is similar to Phi(P, 0), so its radius is
+        # rho_for_lambda's at any s in [0, 5P], and with it R0, the unit
+        # crossing of that radius. The worst deviation seen was 2.8e-10.
         params = admissible_periodic(rates, log_r0_factor, amps)
-        combined = build_linearization(params).combined(10.0 ** log_lam)
+        lin = build_linearization(params)
+        lam = 10.0 ** log_lam
         cfg = IntegratorConfig.spectral()
         P = params.period
-
-        def rho(s):
-            M = integrate_matrix(combined, s, s + P, np.eye(3), cfg).end_matrix
-            return abs(floquet_multipliers(M)[0])
-
-        assert rho(periods * P) == pytest.approx(rho(0.0), rel=1e-8)
+        expected = rho_for_lambda(lin, lam, cfg)
+        for s in periods:
+            M = integrate_matrix(lin.combined(lam), s * P, s * P + P, np.eye(3), cfg).end_matrix
+            assert abs(floquet_multipliers(M)[0]) == pytest.approx(expected, rel=1e-8)
 
 
 class TestR0Search:
@@ -433,7 +440,7 @@ class TestR0Search:
         # tol/2 of its root, hence the two sides within (1 + s)*tol/2
         params = admissible_periodic(rates, log_r0_factor, amps)
         scaled = replace(params, beta=SinusoidalCoefficient(
-            s * params.beta.mean, s * params.beta.amplitude, OMEGA))
+            s * params.beta.mean, s * params.beta.amplitude))
         tol = 1e-8
         hill = (lambda lin, tol: math.nan) if start == "mean-rate" else _hill_r0
         with mock.patch.object(reproduction, "_hill_r0", hill):
@@ -507,9 +514,10 @@ def _long_period_params():
     """P = 720 h with d swinging by 90% of its mean: N = 8 harmonics are too few."""
     omega = 2.0 * math.pi / 720.0
     return ModelParameters(
-        mu=SinusoidalCoefficient(0.1, 0.05, omega),
-        beta=SinusoidalCoefficient(0.0176, 0.0088, omega),
-        d=SinusoidalCoefficient(0.03, 0.027, omega),
+        angular_frequency=omega,
+        mu=SinusoidalCoefficient(0.1, 0.05),
+        beta=SinusoidalCoefficient(0.0176, 0.0088),
+        d=SinusoidalCoefficient(0.03, 0.027),
         k=0.2, delta=0.1, p=0.5, c=0.1, c1=0.1, c2=0.1)
 
 
