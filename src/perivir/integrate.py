@@ -28,8 +28,11 @@ to it.
 One stepping loop (_stepping_loop) runs this method with either of two
 step kinds, chosen by the state's shape. A small state, one (n,) vector
 or an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps
-on Python floats, through the field's float form f.floats when f has one
-(the model's is `model._field_floats` bound to its params): the model's
+on Python floats. When f has a float form, f.floats(n) returns the field
+on a flat list of n floats; integrate calls it once per integration,
+after the shape has picked float steps (the model's is a generated
+straight-line function per member count with its params bound, see
+`model.vector_field`). The model's
 (4,) state, its batches of up to 16 members, Newton shooting's 20-wide
 state-plus-variational flow, and the monodromy stacks of at most
 MATRIX_FLOAT_MAX_VALUES = 36 values whose field has a float form, which
@@ -53,6 +56,15 @@ a step then costs 13-24 µs for (4,) and 26-43 µs for (3, 4), and
 Newton's 20-wide flow 40-69 µs (best to upper quartile of 12 runs,
 2-core host), against 22-33, 40-57 and 58-92 µs with the step written
 as list comprehensions.
+
+The model's field and an R0 certification's A(t) @ M, which a step calls
+six times, are generated the same way: one straight-line function per
+member count (model._field_kernel, reproduction._combined_kernel), kept
+for the process, at 0.16-1.1 ms a build for 1 to 16 members. The step
+kernel does not inline them, since compile time grows with the source.
+With them a (3, 4) step costs 19-27 µs and a (3, 9) certification step
+37-59 µs, against 25-32 and 51-62 µs with the fields written as loops
+over the members (best of 7 runs, repeated three times, 2-core host).
 """
 
 from __future__ import annotations
@@ -349,8 +361,10 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
     width = y.size // len(y) if y.ndim >= 2 else y.size  # one member's values
     if y.ndim <= 2 and y.size <= FLOAT_LOOP_MAX_VALUES:
         step, put, ys = _step_kernel(y.size, width), array.extend, y.ravel().tolist()
-        field = getattr(f, "floats", None)
-        if field is None:
+        floats = getattr(f, "floats", None)
+        if floats is not None:
+            field = floats(y.size)
+        else:
             def field(t, ys):
                 return np.ravel(f(t, np.array(ys).reshape(shape))).tolist()
     else:
@@ -458,7 +472,8 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
     By the member-axis rule each of the stack's m matrices is one member on
     its own error norm, the RMS over its n*n values, and a single matrix is
     a stack of one. A.floats, when A has it, is the field's float form:
-    A(t) @ M on a flat list of floats, one row-major member after another.
+    A.floats(n) is A(t) @ M on a flat list of n floats, one row-major
+    member after another.
     With it, a stack of at most MATRIX_FLOAT_MAX_VALUES values (the (3, 3, 3)
     of an R0 certification) goes to `integrate` flattened to (m, n*n) and
     steps on floats; its field on arrays runs the same formula, so a caller
@@ -479,8 +494,10 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
         sol = integrate(lambda t, m: A(t) @ m, t0, t1, stack, cfg, t_eval=np.array([t1]))
         return replace(sol, final=sol.final.reshape(M0.shape))
 
+    field = floats(stack.size)
+
     def f(t, m):  # the same numbers for a caller that hides f.floats behind a wrapper
-        return np.array(floats(t, m.ravel().tolist())).reshape(m.shape)
+        return np.array(field(t, m.ravel().tolist())).reshape(m.shape)
 
     f.floats = floats
     sol = integrate(f, t0, t1, stack.reshape(len(stack), -1), cfg, t_eval=np.array([t1]))

@@ -233,17 +233,22 @@ def _augmented_field(params: ModelParameters):
     """Vector field for state + fundamental matrix of the variational equation.
 
     The 20-wide state is (T, E, I, V) followed by the rows of Phi. f.floats
-    takes and returns it as a list of floats: the state block is
-    `model._field_floats`, operation for operation, and the Phi block is
-    jacobian(t, y) @ Phi written out on the Jacobian's nonzero entries. f on
-    an array returns the same numbers as an array.
+    returns its one float form, written out by hand: it takes and returns
+    the state as a list of floats, the state block is `model.rhs`, operation
+    for operation, and the Phi block is jacobian(t, y) @ Phi written out on
+    the Jacobian's nonzero entries. f on an array returns the same numbers
+    as an array.
     """
+    w, mu, beta, d = params.angular_frequency, params.mu, params.beta, params.d
+    mu0, mu1, beta0, beta1, d0, d1 = (mu.mean, mu.amplitude, beta.mean, beta.amplitude,
+                                      d.mean, d.amplitude)
     k, delta, p, c, c1, c2 = params.k, params.delta, params.p, params.c, params.c1, params.c2
 
     def floats(t, ya):
         # the rows of Phi are (x0..x3), (y0..y3), (z0..z3), (w0..w3)
         T, E, I, V, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3, w0, w1, w2, w3 = ya
-        mu_t, beta_t, d_t = params.rates(t)
+        s = math.sin(w * t)  # params.rates(t), without its call and type test
+        mu_t, beta_t, d_t = mu0 + mu1 * s, beta0 + beta1 * s, d0 + d1 * s
         kd, dd = k + d_t, delta + d_t
         inc = incidence(beta_t, T, V, c1, c2)
         a, b = incidence_partials(beta_t, T, V, c1, c2)
@@ -259,7 +264,7 @@ def _augmented_field(params: ModelParameters):
     def f(t, ya):
         return np.array(floats(t, ya.tolist()))
 
-    f.floats = floats
+    f.floats = lambda n: floats
     return f
 
 

@@ -15,7 +15,8 @@ is lower triangular, so the operator acts on the scalar rate of new E
 infections, and its truncated Fourier matrix gives R0 (Hill's method;
 Deconinck & Kutz 2006), which one batched monodromy integration certifies:
 its stack of three 3x3 monodromies is 27 values, so the integrator's one
-stepping loop takes it in float steps, through `combined(lam).floats`.
+stepping loop takes it in float steps, through `combined(lam).floats`,
+a straight-line A(t) @ M generated per member count (`_combined_kernel`).
 Failing that, the search goes on in rounds of one `rho_for_lambda` call
 each: a ladder of ROUND_LAMBDAS = 6 lambdas in log lambda until rho
 straddles 1, then a pair around the secant crossing of log rho on log
@@ -32,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -73,48 +75,82 @@ class LinearizedSystem:
     def combined(self, lam):
         """t -> F(t)/lam - G(t): (3, 3) for a number lam, (m, 3, 3) for m lambdas.
 
-        A.floats(t, ms) is A(t) @ M on Python floats for each flat row-major
-        3x3 member M of the list ms, one lambda per member (a number lam
-        serves them all), written out on A's nonzero entries; A(t) and it
-        share one formula per entry. integrate_matrix steps a stack of up
-        to 4 members through A.floats and a larger one through A(t) @ M;
-        A(t) is also the oracle the tests hold A.floats to.
+        A.floats(n) is A(t) @ M on a flat list of n floats, n/9 row-major
+        3x3 members M, one lambda per member (a number lam serves them all;
+        any other count raises ValueError): `_combined_kernel(n // 9)` with
+        the rates, T*'s `value` and the members' 1/lam bound.
+        integrate_matrix steps a stack of up to 4 members through A.floats
+        and a larger one through A(t) @ M; A(t) is also the oracle the tests
+        hold A.floats to.
         """
         params, t_star = self.params, self.t_star
         k, delta, p, c, c1 = params.k, params.delta, params.p, params.c, params.c1
+        beta, d = params.beta, params.d
         inv_lam = 1.0 / np.asarray(lam, dtype=float)
         inverses = np.ravel(inv_lam).tolist()  # np.float64 arithmetic would take twice as long
         shape = inv_lam.shape + (3, 3)
         constant = np.array([[0.0, 0.0, 0.0], [k, 0.0, 0.0], [0.0, p, -c]])
 
-        def entries(t):
-            """A(t)'s (0, 0) and (1, 1), and F's (0, 2), beta T* / (1 + c1 T*), before 1/lam."""
+        def A(t: float) -> np.ndarray:
             _, beta_t, d_t = params.rates(t)
             ts = t_star.value(t)
-            return -(k + d_t), -(delta + d_t), beta_t * ts / (1.0 + c1 * ts)
-
-        def A(t: float) -> np.ndarray:
-            a00, a11, f = entries(t)
             a = np.empty(shape)
             a[...] = constant
-            a[..., 0, 0], a[..., 1, 1], a[..., 0, 2] = a00, a11, inv_lam * f
+            a[..., 0, 0], a[..., 1, 1] = -(k + d_t), -(delta + d_t)
+            a[..., 0, 2] = inv_lam * (beta_t * ts / (1.0 + c1 * ts))
             return a
 
-        def floats(t, ms):
-            a00, a11, f = entries(t)
-            a02s = [inv * f for inv in inverses]
-            if len(a02s) == 1:
-                a02s *= len(ms) // 9
-            out = []
-            for a02, i in zip(a02s, range(0, len(ms), 9), strict=True):
-                m00, m01, m02, m10, m11, m12, m20, m21, m22 = ms[i:i + 9]
-                out += (a00 * m00 + a02 * m20, a00 * m01 + a02 * m21, a00 * m02 + a02 * m22,
-                        k * m00 + a11 * m10, k * m01 + a11 * m11, k * m02 + a11 * m12,
-                        p * m10 - c * m20, p * m11 - c * m21, p * m12 - c * m22)
-            return out
+        def floats(n: int):
+            members = n // 9
+            per_member = inverses * members if len(inverses) == 1 else inverses
+            if len(per_member) != members:
+                raise ValueError(f"{len(inverses)} lambdas for a stack of {n} values")
+            return partial(_combined_kernel(members), params.angular_frequency, beta.mean,
+                           beta.amplitude, d.mean, d.amplitude, k, delta, p, c, c1,
+                           t_star.value, *per_member)
 
         A.floats = floats
         return A
+
+
+def _combined_source(m: int) -> str:
+    """Source of A(t) @ M on m flat row-major 3x3 members, each with its own 1/lam.
+
+    field(w, beta0, beta1, d0, d1, k, delta, p, c, c1, tstar, inv0, ...,
+    inv{m-1}, t, ms): the angular frequency, the mean and amplitude of beta
+    and d, the constant rates, T*(t) as a function, then a number t. A has
+    the nonzero entries a00 = -(k + d), a02 = inv * beta T* / (1 + c1 T*),
+    k, a11 = -(delta + d), p and -c; each product entry is written out on
+    them, left to right.
+    """
+    members = range(m)
+    inverses = "".join(f"inv{i}, " for i in members)
+    lines = [f"def field(w, beta0, beta1, d0, d1, k, delta, p, c, c1, tstar, {inverses}t, ms):",
+             "    s = sin(w * t)",
+             "    beta_t, d_t = beta0 + beta1 * s, d0 + d1 * s",
+             "    ts = tstar(t)",
+             "    a00, a11, f = -(k + d_t), -(delta + d_t), beta_t * ts / (1.0 + c1 * ts)",
+             "    " + " ".join(f"m{j}," for j in range(9 * m)) + " = ms"]
+    lines += [f"    a02_{i} = inv{i} * f" for i in members]
+    lines.append("    return [")
+    for i in members:
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = (f"m{9 * i + j}" for j in range(9))
+        a02 = f"a02_{i}"
+        lines += [f"        a00 * {m00} + {a02} * {m20}, a00 * {m01} + {a02} * {m21}, "
+                  f"a00 * {m02} + {a02} * {m22},",
+                  f"        k * {m00} + a11 * {m10}, k * {m01} + a11 * {m11}, "
+                  f"k * {m02} + a11 * {m12},",
+                  f"        p * {m10} - c * {m20}, p * {m11} - c * {m21}, p * {m12} - c * {m22},"]
+    lines.append("    ]")
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _combined_kernel(m: int):
+    """The compiled field of _combined_source(m), built on first use and kept for the process."""
+    namespace = {"sin": math.sin}
+    exec(compile(_combined_source(m), f"<perivir certification field {m}>", "exec"), namespace)
+    return namespace["field"]
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ No code in src/perivir calls isinstance(..., State): a State converts itself
 through np.asarray and State.from_array, so no caller switches on its type.
 Every function perfbench/tracer.py wraps by name must exist in perivir, and
 `integrate` must keep the signature the tracer's wrapper assumes.
-The float stepping loop, the step kernels it generates and the float field
-formulas call neither builtin `sum` nor `math.fsum`: since Python 3.12 float
-`sum` is compensated, so a result would depend on the interpreter version.
+The float stepping loop, the step kernels and field forms it generates and
+the float field formulas call neither builtin `sum` nor `math.fsum`: since
+Python 3.12 float `sum` is compensated, so a result would depend on the
+interpreter version.
 """
 
 import ast
@@ -217,12 +218,13 @@ def summing_calls(source: str, functions=None) -> list[str]:
     return found
 
 
-# the modules, and the functions of them, whose float sums must run left to right
+# the modules, and the functions of them, whose float sums must run left to right;
+# the generated field forms are checked on their sources below
 _FLOAT_FORMULAS = {
     "integrate.py": None,
-    "model.py": ["ModelParameters", "incidence", "incidence_partials", "_field_floats"],
+    "model.py": ["ModelParameters", "incidence", "incidence_partials"],
     "periodic.py": ["_augmented_field"],
-    "reproduction.py": ["LinearizedSystem"],  # combined's A.floats
+    "reproduction.py": ["LinearizedSystem"],  # combined's A and A.floats
 }
 
 
@@ -238,6 +240,17 @@ def test_generated_step_sums_are_written_out(n, width):
     # a traceback through a kernel names its shape
     assert integrate._step_kernel(n, width).__code__.co_filename == (
         f"<perivir step kernel {n}x{width}>")
+
+
+@pytest.mark.parametrize("members", [1, 3, 4, 16])
+@pytest.mark.parametrize("module, form, label", [
+    ("model", "field", "field"), ("reproduction", "combined", "certification field")])
+def test_generated_field_sums_are_written_out(module, form, label, members):
+    module = importlib.import_module(f"perivir.{module}")
+    assert summing_calls(getattr(module, f"_{form}_source")(members)) == []
+    # a traceback through a field names its form and member count
+    assert getattr(module, f"_{form}_kernel")(members).__code__.co_filename == (
+        f"<perivir {label} {members}>")
 
 
 def test_summing_detector_flags_sum_and_fsum():

@@ -382,15 +382,16 @@ class TestBatchIntegration:
 class TestLoopRouting:
     def test_model_runs_take_the_float_loop(self, monkeypatch, sim_cfg, spectral_cfg):
         # classify's 3-member batch and a warm-start period pass never call
-        # rhs: the float loop calls the model's float formula directly
+        # rhs: the float loop calls the model's generated field for their
+        # member counts directly
         params = persistence_params()
-        floats = count_calls(monkeypatch, model_module, "_field_floats")
+        kernels = count_calls(monkeypatch, model_module, "_field_kernel")
         arrays = count_calls(monkeypatch, model_module, "rhs")
         classify(params, DEFAULT_INITIAL_CONDITIONS, 50.0 * params.period, sim_cfg)
-        batched = len(floats)
+        batched = len(kernels)
         poincare_map(params, DEFAULT_INITIAL_CONDITIONS[0], spectral_cfg)
-        assert 0 < batched < len(floats)
-        assert [len(args[2]) for args in floats] == [12] * batched + [4] * (len(floats) - batched)
+        assert batched > 0
+        assert kernels == [(3,)] * batched + [(1,)]
         assert arrays == []
 
     def test_large_batch_takes_the_array_loop(self, monkeypatch, sim_cfg):
@@ -649,7 +650,7 @@ class TestStepKernel:
                 raise ZeroDivisionError
             return [-y for y in ys]
 
-        f.floats = floats
+        f.floats = lambda n: floats
         with pytest.raises(NonFiniteState, match=r"^state became non-finite near t=0\.\d+"):
             integrate(f, 0.0, 2.0, np.array([1.0, 2.0]), sim_cfg)
 

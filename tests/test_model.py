@@ -16,6 +16,7 @@ from perivir import (
     jacobian,
     rhs,
 )
+from perivir import model as model_module
 from perivir.integrate import FLOAT_LOOP_MAX_VALUES
 from perivir.model import clamp_small_negatives, vector_field
 
@@ -216,7 +217,7 @@ class TestRhs:
         assert np.array_equal(out, expected)
         if t_kind == "float" and y.size <= FLOAT_LOOP_MAX_VALUES:
             # the float form the integrator's float loop calls
-            floats = vector_field(params).floats(t, y.ravel().tolist())
+            floats = vector_field(params).floats(y.size)(t, y.ravel().tolist())
             assert all(type(v) is float for v in floats)
             assert np.array_equal(np.reshape(floats, shape), expected)
 
@@ -229,6 +230,28 @@ class TestRhs:
             expected = rhs_column_views(3.0, y, params)
         assert np.array_equal(out, expected, equal_nan=True)
         assert not np.isfinite(out[0, :2]).any()
+
+    @pytest.mark.parametrize("members", range(1, _FLOAT_LOOP_MEMBERS + 1))
+    def test_generated_float_form_is_rhs(self, members):
+        # every member count the float loop can meet has its own generated
+        # field, bitwise rhs's; a zero incidence denominator in any member
+        # raises ZeroDivisionError where rhs gives inf or nan
+        params = skewed_params()
+        rng = np.random.default_rng(members)
+        f = vector_field(params)
+        kernel = model_module._field_kernel(members)
+        for t in rng.uniform(-50.0, 50.0, size=5).tolist():
+            y = rng.uniform(0.0, 100.0, size=(members, 4)) * 10.0 ** rng.uniform(
+                -3.0, 3.0, size=(members, 4))
+            field = f.floats(y.size)
+            assert field.func is kernel
+            got = field(t, y.ravel().tolist())
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == rhs(t, y, params).ravel().tobytes()
+        y[rng.integers(members), 0] = -1.0 / params.c1
+        assert 1.0 + params.c1 * (-1.0 / params.c1) == 0.0
+        with pytest.raises(ZeroDivisionError):
+            field(t, y.ravel().tolist())
 
     def test_batched_matches_rowwise(self):
         params = baseline_params()

@@ -409,7 +409,7 @@ class TestAugmentedField:
         # the state block is rhs bit for bit; the Phi block is J @ Phi to
         # rounding, relative to the size of the products it sums
         params = admissible_periodic(rates, log_r0_factor, amps)
-        out = periodic._augmented_field(params).floats(t, y.tolist() + phi.ravel().tolist())
+        out = periodic._augmented_field(params).floats(20)(t, y.tolist() + phi.ravel().tolist())
         assert len(out) == 20 and all(type(v) is float for v in out)
         assert np.array_equal(out[:4], rhs(t, y, params))
         J = jacobian(t, y, params)

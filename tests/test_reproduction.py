@@ -125,7 +125,7 @@ class TestLinearization:
            members=st.integers(1, 8), one_lambda=st.booleans())
     def test_float_form_is_the_product_left_to_right(self, rates, log_r0_factor, amps, t,
                                                       seed, members, one_lambda):
-        # A.floats(t, ms) has the bits of sum_j A(t)[i, j] * M[j, k] taken left to
+        # A.floats(n)(t, ms) has the bits of sum_j A(t)[i, j] * M[j, k] taken left to
         # right over all three j, for every member M; the stack's entries are
         # nonzero, so the products with A's zeros add nothing
         rng = np.random.default_rng(seed)
@@ -134,7 +134,7 @@ class TestLinearization:
             -3.0, 3.0, size=(members, 3, 3))
         A = build_linearization(admissible_periodic(rates, log_r0_factor, amps)).combined(
             lams[0] if one_lambda else lams)
-        got = A.floats(t, stack.ravel().tolist())
+        got = A.floats(stack.size)(t, stack.ravel().tolist())
         # Python floats, not np.float64, whose arithmetic takes about twice as long
         assert all(type(v) is float for v in got)
         a = np.broadcast_to(A(t), stack.shape).tolist()
@@ -154,9 +154,29 @@ class TestLinearization:
         # not the product for the first lambda alone
         A = build_linearization(persistence_params()).combined(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
-            A.floats(0.0, np.eye(3).ravel().tolist())
+            A.floats(9)
         with pytest.raises(ValueError):
             integrate_matrix(A, 0.0, 24.0, np.eye(3), spectral_cfg)
+
+    @pytest.mark.parametrize("members", [1, 2, 3, 4])
+    @pytest.mark.parametrize("one_lambda", [False, True])
+    def test_generated_float_form_per_member_count(self, members, one_lambda):
+        # each stack a certification can step on floats (integrate_matrix's
+        # MATRIX_FLOAT_MAX_VALUES) has its own generated field: A(t) @ M with
+        # each entry summed left to right, one lambda per member or one for all
+        rng = np.random.default_rng(members)
+        lams = 10.0 ** rng.uniform(-1.0, 2.0, size=members)
+        A = build_linearization(persistence_params()).combined(lams[0] if one_lambda else lams)
+        field = A.floats(9 * members)
+        assert field.func is reproduction._combined_kernel(members)
+        for t in rng.uniform(-50.0, 50.0, size=5).tolist():
+            stack = rng.uniform(-1.0, 1.0, size=(members, 3, 3))
+            a = np.broadcast_to(A(t), stack.shape).tolist()
+            expected = [(ai[i][0] * mi[0][k] + ai[i][1] * mi[1][k]) + ai[i][2] * mi[2][k]
+                        for ai, mi in zip(a, stack.tolist()) for i in range(3) for k in range(3)]
+            got = field(t, stack.ravel().tolist())
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 class TestMonodromy:
