@@ -178,13 +178,20 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
+def _csv_value(v) -> str:
+    """A number (a bool is not one) as repr(float(v)), so never np.float64(...); else str(v)."""
+    if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool):
+        return repr(float(v))
+    return str(v)
+
+
 def _write_csv(path: str, header, rows) -> None:
+    """Write the CSV as one string; a Python float, the common value, skips _csv_value's tests."""
+    lines = [",".join(header)]
+    lines += [",".join([repr(v) if type(v) is float else _csv_value(v) for v in row])
+              for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
-                              and not isinstance(v, bool) else str(v)
-                              for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _ic_path(base: str, index: int, total: int) -> str:
@@ -208,7 +215,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
     for i in range(n_ics):
         path = _ic_path(args.out, i, n_ics)
         _write_csv(path, ("t", "T", "E", "I", "V"),
-                   zip(traj.times, *(traj.states[:, i, comp] for comp in range(4))))
+                   np.column_stack((traj.times, traj.states[:, i])).tolist())
         print(f"wrote {path}")
     if args.svg:
         names = ("T cells", "E cells", "I cells", "virus")
@@ -247,7 +254,7 @@ def _cmd_orbit(cfg: RunConfig, args) -> int:
     orbit = find_periodic_orbit(cfg.params, guess, cfg.integrator,
                                 newton_tol=args.newton_tol)
     _write_csv(args.out, ("t", "T", "E", "I", "V"),
-               zip(orbit.times, *(orbit.states[:, i] for i in range(4))))
+               np.column_stack((orbit.times, orbit.states)).tolist())
     print(f"wrote {args.out}")
     print(f"newton_residual = {orbit.newton_residual!r}")
     print(f"stable = {orbit.stable} (margin {orbit.stability_margin!r})")

@@ -25,6 +25,15 @@ to _DENSE_CHUNK such steps together, operation for operation as the
 per-sample formula with its sums left to right, and so bitwise equal
 to it.
 
+The step sequence does not depend on t_eval, so neither do the final
+state, the tallies and next_step. A t_eval of [t1] is pure cost to a
+caller that reads only those: each step tests the grid, the step that
+reaches t1 records its stages and one dense-output pass evaluates the
+sample. A 69-step period pass of the persistence set took a median of
+826 µs with it and 780 µs without (2-core host). End-state callers
+(integrate_matrix, the warm start's period passes, virus_free_numeric's
+affine map) pass none.
+
 One stepping loop (_stepping_loop) runs this method with either of two
 step kinds, chosen by the state's shape. A small state, one (n,) vector
 or an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps
@@ -481,8 +490,10 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
     is, with the field A(t) @ M, and steps on arrays. Over one period of the
     persistence set's spectral profile, a step costs about 30 µs plus 23 µs
     per 3x3 member on floats and 125-137 µs for one to eight members on
-    arrays (2-core host), so floats lose from five members on. Sampled at t1 only; end_matrix has M0's
-    shape. With M0 = I this yields the evolution operator over [t0, t1]
+    arrays (2-core host), so floats lose from five members on. No t_eval:
+    the trajectory holds t0 and every accepted step, each as a stack shaped
+    like M0's (m, n, n) (a single matrix as a stack of one); end_matrix has
+    M0's shape. With M0 = I this yields the evolution operator over [t0, t1]
     (the fundamental matrix when t1 - t0 is one period).
     """
     M0 = np.asarray(M0, dtype=float)
@@ -491,7 +502,7 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
     stack = M0.reshape((-1,) + M0.shape[-2:])
     floats = getattr(A, "floats", None)
     if floats is None or stack.size > MATRIX_FLOAT_MAX_VALUES:
-        sol = integrate(lambda t, m: A(t) @ m, t0, t1, stack, cfg, t_eval=np.array([t1]))
+        sol = integrate(lambda t, m: A(t) @ m, t0, t1, stack, cfg)
         return replace(sol, final=sol.final.reshape(M0.shape))
 
     field = floats(stack.size)
@@ -500,7 +511,7 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
         return np.array(field(t, m.ravel().tolist())).reshape(m.shape)
 
     f.floats = floats
-    sol = integrate(f, t0, t1, stack.reshape(len(stack), -1), cfg, t_eval=np.array([t1]))
+    sol = integrate(f, t0, t1, stack.reshape(len(stack), -1), cfg)
     trajectory = replace(sol.trajectory,
-                         states=sol.trajectory.states.reshape((1,) + stack.shape))
+                         states=sol.trajectory.states.reshape((-1,) + stack.shape))
     return replace(sol, trajectory=trajectory, final=sol.final.reshape(M0.shape))

@@ -21,14 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .integrate import IntegratorConfig, NumericalFailure, integrate
-from .model import (
-    ModelParameters,
-    State,
-    clamp_small_negatives,
-    incidence,
-    incidence_partials,
-    vector_field,
-)
+from .model import ModelParameters, State, clamp_small_negatives, vector_field
 
 __all__ = [
     "DegenerateDecay",
@@ -192,9 +185,8 @@ def virus_free_numeric(params: ModelParameters, cfg: IntegratorConfig) -> VirusF
     """
     P = params.period
     f = _healthy_field(params)
-    end = np.array([P])
-    _, a_vec = integrate(f, 0.0, P, [0.0], cfg, t_eval=end)
-    _, ab_vec = integrate(f, 0.0, P, [1.0], cfg, t_eval=end)
+    _, a_vec = integrate(f, 0.0, P, [0.0], cfg)
+    _, ab_vec = integrate(f, 0.0, P, [1.0], cfg)
     a = float(a_vec[0])
     b = float(ab_vec[0] - a_vec[0])
     if not 0.0 < b < 1.0:
@@ -224,8 +216,7 @@ def poincare_map(params: ModelParameters, x0, cfg: IntegratorConfig) -> State:
 
 def _period_pass(params: ModelParameters, x0, cfg: IntegratorConfig) -> tuple[State, float]:
     """poincare_map's image of x0, and the step the integrator proposes for a next pass."""
-    sol = integrate(vector_field(params), 0.0, params.period, State.from_array(x0), cfg,
-                    t_eval=np.array([params.period]))
+    sol = integrate(vector_field(params), 0.0, params.period, State.from_array(x0), cfg)
     return State.from_array(clamp_small_negatives(sol.final, cfg.abs_tol)), sol.next_step
 
 
@@ -236,8 +227,10 @@ def _augmented_field(params: ModelParameters):
     returns its one float form, written out by hand: it takes and returns
     the state as a list of floats, the state block is `model.rhs`, operation
     for operation, and the Phi block is jacobian(t, y) @ Phi written out on
-    the Jacobian's nonzero entries. f on an array returns the same numbers
-    as an array.
+    the Jacobian's nonzero entries, with `incidence` and
+    `incidence_partials` written out on one shared (1 + c1*T) and
+    (1 + c2*V), the same operations. f on an array returns the same
+    numbers as an array.
     """
     w, mu, beta, d = params.angular_frequency, params.mu, params.beta, params.d
     mu0, mu1, beta0, beta1, d0, d1 = (mu.mean, mu.amplitude, beta.mean, beta.amplitude,
@@ -250,8 +243,9 @@ def _augmented_field(params: ModelParameters):
         s = math.sin(w * t)  # params.rates(t), without its call and type test
         mu_t, beta_t, d_t = mu0 + mu1 * s, beta0 + beta1 * s, d0 + d1 * s
         kd, dd = k + d_t, delta + d_t
-        inc = incidence(beta_t, T, V, c1, c2)
-        a, b = incidence_partials(beta_t, T, V, c1, c2)
+        qT, qV = 1.0 + c1 * T, 1.0 + c2 * V
+        inc = beta_t * T * V / (qT * qV)
+        a, b = beta_t * V / (qT * qT * qV), beta_t * T / (qT * qV * qV)  # d(inc)/dT, d(inc)/dV
         j00 = -a - d_t
         # J = [[j00, 0, 0, -b], [a, -kd, 0, b], [0, k, -dd, 0], [0, 0, p, -c]]
         return [mu_t - inc - d_t * T, inc - kd * E, k * E - dd * I, p * I - c * V,
@@ -268,16 +262,21 @@ def _augmented_field(params: ModelParameters):
     return f
 
 
-def _flow_and_monodromy(params: ModelParameters, x: np.ndarray, cfg: IntegratorConfig):
+def _flow_and_monodromy(params: ModelParameters, x: np.ndarray, cfg: IntegratorConfig,
+                        sampled: bool = True):
     """One-period flow of x together with the monodromy of the variational equation.
 
     Returns (samples, end, monodromy): the state at the ORBIT_SAMPLES + 1
-    grid times over [0, P], the state at P and Phi(P; x).
+    grid times over [0, P] (None unless sampled), the state at P and
+    Phi(P; x). A sampled flow also records each step's stages for the
+    dense output. The steps are the same either way, so end and monodromy
+    are too, bit for bit, and a sampled flow from x later gives exactly
+    the samples that an unsampled one skipped.
     """
     ya0 = np.concatenate([x, np.eye(4).ravel()])
-    grid = np.linspace(0.0, params.period, ORBIT_SAMPLES + 1)
+    grid = np.linspace(0.0, params.period, ORBIT_SAMPLES + 1) if sampled else None
     traj, ya = integrate(_augmented_field(params), 0.0, params.period, ya0, cfg, t_eval=grid)
-    return traj.states[:, :4], ya[:4], ya[4:].reshape(4, 4)
+    return traj.states[:, :4] if sampled else None, ya[:4], ya[4:].reshape(4, 4)
 
 
 def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorConfig,
@@ -291,7 +290,11 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     Every trial point is integrated once, state and variational equation
     together, sampled on the orbit grid: the flow that accepts a damped
     step also supplies the next iterate's residual and Jacobian, and the
-    returned orbit's samples come from the last iterate's flow.
+    returned orbit's samples come from the last iterate's flow. The flow
+    at the guess is not sampled, since the guess is seldom returned; when
+    it is (converged at the guess, or stalled before any step), one
+    sampled flow from it supplies the samples, bitwise those the first
+    flow would have taken.
 
     Converges when max |g| < newton_tol. When no damped step decreases the
     residual but it already lies within the integrator's own error scale,
@@ -311,7 +314,7 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
         raise ValueError("guess must be strictly positive componentwise")
 
     eye = np.eye(4)
-    samples, y_end, mono = _flow_and_monodromy(params, x, cfg)
+    samples, y_end, mono = _flow_and_monodromy(params, x, cfg, sampled=False)
     g = y_end - x
     res = float(np.max(np.abs(g)))
     trace = []
@@ -342,13 +345,16 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     raise NewtonDiverged(f"no convergence within {MAX_NEWTON_ITERS} iterations")
 
 
-def _package_orbit(params: ModelParameters, x: np.ndarray, dx: np.ndarray, samples: np.ndarray,
+def _package_orbit(params: ModelParameters, x: np.ndarray, dx: np.ndarray, samples,
                    mono: np.ndarray, trace: list, cfg: IntegratorConfig) -> PeriodicOrbit:
+    """The orbit at x; samples None (x is the guess, whose flow took none) runs x's flow sampled."""
     bound = float(np.max(np.abs(dx)))  # the next Newton step's size bounds x's error
     if not np.min(x[1:]) > bound:  # written so that nan fails
         raise ConvergedToBoundary(
             f"fixed point has E, I or V within its Newton error bound {bound:.1e} of zero; "
             "this is the virus-free orbit, not an interior one")
+    if samples is None:
+        samples = _flow_and_monodromy(params, x, cfg)[0]
     multipliers = floquet_multipliers(mono)
     max_mod = float(np.abs(multipliers[0]))
     return PeriodicOrbit(

@@ -44,6 +44,9 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+_point = "{:.6g},{:.6g}".format  # one polyline point "x,y", each as _fmt writes it
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0]
@@ -117,8 +120,10 @@ def _panel_svg(panel: Panel, x0: float, y0: float) -> list[str]:
 
     for i, s in enumerate(panel.series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(tx(float(a)))},{_fmt(ty(float(b)))}"
-                       for a, b in zip(s.x, s.y))
+        # tx and ty on whole arrays run their operations in order, so each point has their bits
+        px = tx(np.asarray(s.x, dtype=float)).tolist()
+        py = ty(np.asarray(s.y, dtype=float)).tolist()
+        pts = " ".join(map(_point, px, py))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
         if s.label:
             lx = px0 + pw - 8

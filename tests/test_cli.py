@@ -9,6 +9,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perivir import (
     BracketFailure,
@@ -26,6 +28,7 @@ from perivir import (
     cli,
     periodic,
     r0_periodic,
+    svgplot,
 )
 from perivir.cli import (
     ParseError,
@@ -35,6 +38,7 @@ from perivir.cli import (
     main,
     parse_config,
 )
+from perivir.svgplot import Panel, Series
 
 from .helpers import closed_form_r0, count_calls
 
@@ -198,6 +202,99 @@ class TestSchemaFollowsModelParameters:
         for name in ("mu.angular_frequency", "mu", "k.mean"):
             with pytest.raises(ValueError, match="unknown sweep parameter"):
                 analysis._param_setter(name)
+
+
+# bounded so that a constant x series keeps x_lo + 1.0 > x_lo, a nonzero width to divide by
+_FINITE = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+
+
+@st.composite
+def _series(draw):
+    """x and y of one length: random, constant, negative, one-point and wide-range series."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    values = st.one_of(
+        st.lists(_FINITE, min_size=n, max_size=n),
+        _FINITE.map(lambda v: [v] * n),
+        st.lists(st.floats(min_value=-1e6, max_value=-1e-6), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.0, 5e-324, 1e-300, -1e-30, 1.0, 1e12]), min_size=n,
+                 max_size=n))
+    return draw(values), draw(values)
+
+
+def _points_per_point(series, x0, y0):
+    """Each series' polyline points by the per-point formula _fmt(tx(float(a))), float by float."""
+    fmt = svgplot._fmt
+    xs = [s for s in series if len(s.x)]
+    x_lo = min(float(np.min(s.x)) for s in xs)
+    x_hi = max(float(np.max(s.x)) for s in xs)
+    y_lo = min(float(np.min(s.y)) for s in xs)
+    y_hi = max(float(np.max(s.y)) for s in xs)
+    pad = max(1.0, abs(y_lo)) * 1e-3 if y_hi <= y_lo else 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
+    px0, py0 = x0 + svgplot._MARGIN_L, y0 + svgplot._MARGIN_T
+    pw = svgplot._PANEL_W - svgplot._MARGIN_L - svgplot._MARGIN_R
+    ph = svgplot._PANEL_H - svgplot._MARGIN_T - svgplot._MARGIN_B
+
+    def tx(v):
+        return px0 + (v - x_lo) / (x_hi - x_lo) * pw
+
+    def ty(v):
+        return py0 + ph - (v - y_lo) / (y_hi - y_lo) * ph
+
+    return [" ".join(f"{fmt(tx(float(a)))},{fmt(ty(float(b)))}" for a, b in zip(s.x, s.y))
+            for s in series]
+
+
+def _csv_per_value(header, rows) -> str:
+    """The CSV text by the per-value rule: numbers but bools as repr(float(v)), else str(v)."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
+                       and not isinstance(v, bool) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestOutputBytes:
+    """The bulk CSV and SVG writers give the bytes of the per-value formulas they replace."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(_series(), min_size=1, max_size=3),
+           st.sampled_from([(0.0, 0.0), (420.0, 300.0)]), st.booleans())
+    def test_svg_points_match_the_per_point_formula(self, pairs, origin, every_bit):
+        series = tuple(Series(np.array(x), np.array(y)) for x, y in pairs)
+        panel = Panel(title="t", x_label="x", y_label="y", series=series)
+        with pytest.MonkeyPatch.context() as mp:
+            if every_bit:  # repr for .6g on both sides: tx and ty must agree to the bit
+                mp.setattr(svgplot, "_fmt", repr)
+                mp.setattr(svgplot, "_point", "{!r},{!r}".format)
+            got = [re.fullmatch(r'<polyline points="(.*)" fill="none" .*', line).group(1)
+                   for line in svgplot._panel_svg(panel, *origin)
+                   if line.startswith("<polyline")]
+            assert got == _points_per_point(series, *origin)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(), st.floats().map(np.float64), st.integers(), st.booleans(),
+        st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1).map(np.int64),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)),
+        max_size=6), max_size=8))
+    def test_csv_rows_match_the_per_value_rule(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "bytes.csv"
+        cli._write_csv(str(path), ("a", "b"), rows)
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        assert text == _csv_per_value(("a", "b"), rows)
+        assert "np.float64(" not in text
+
+    def test_csv_rows_of_python_floats_from_arrays(self, tmp_path):
+        # orbit and simulate hand over np.column_stack(...).tolist(): Python floats
+        times, states = np.linspace(0.0, 24.0, 5), np.random.default_rng(3).random((5, 4))
+        rows = np.column_stack((times, states)).tolist()
+        assert all(type(v) is float for row in rows for v in row)
+        cli._write_csv(str(tmp_path / "o.csv"), ("t", "T", "E", "I", "V"), rows)
+        assert (tmp_path / "o.csv").read_text() == _csv_per_value(
+            ("t", "T", "E", "I", "V"), zip(times, *states.T))
 
 
 class TestCliDispatch:
@@ -388,7 +485,7 @@ class TestCliDispatch:
         # a monodromy of I leaves Phi - I singular; newton_tol 0 cannot be met
         # within a budget of one iteration
         if case == "singular":
-            def identity_monodromy(params, x, cfg):
+            def identity_monodromy(params, x, cfg, sampled=True):
                 end = x + 1.0
                 return np.tile(end, (periodic.ORBIT_SAMPLES + 1, 1)), end, np.eye(4)
 

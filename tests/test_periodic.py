@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 from dataclasses import replace
@@ -29,9 +30,9 @@ from perivir import (
     warm_start_guess,
 )
 from perivir import periodic
-from perivir.model import jacobian, rhs, vector_field
+from perivir.model import clamp_small_negatives, jacobian, rhs, vector_field
 from perivir.periodic import _healthy_field
-from perivir.reproduction import build_linearization
+from perivir.reproduction import build_linearization, rho_for_lambda
 
 from .helpers import (
     AMPS,
@@ -43,6 +44,7 @@ from .helpers import (
     persistence_params,
     rescaled_extinction_params,
     skewed_params,
+    spy_t_evals,
     table_coefficients,
 )
 
@@ -293,10 +295,11 @@ class TestFindPeriodicOrbit:
         offset = np.array([2.0 ** exponent, 0.0, 0.0, 0.0])
         flows = []
 
-        def shifted(params, x, cfg):
+        def shifted(params, x, cfg, sampled=True):
             flows.append(x)
             end = x + offset
-            return np.tile(end, (periodic.ORBIT_SAMPLES + 1, 1)), end, 2.0 * np.eye(4)
+            samples = np.tile(end, (periodic.ORBIT_SAMPLES + 1, 1)) if sampled else None
+            return samples, end, 2.0 * np.eye(4)
 
         monkeypatch.setattr(periodic, "_flow_and_monodromy", shifted)
         guess = np.ones(4)
@@ -308,7 +311,10 @@ class TestFindPeriodicOrbit:
                                         newton_tol=0.0)
             assert orbit.trace == ((2.0 ** exponent, 0.0),)
             assert np.array_equal(orbit.initial_state.as_array(), guess)
-        assert len(flows) == 1 + 9
+            assert np.array_equal(orbit.states, np.tile(guess + offset, (len(orbit.times), 1)))
+        # the guess, the nine failed trials, and when the guess itself is
+        # returned one more flow from it, sampled, since the first took no samples
+        assert len(flows) == 1 + 9 + (0 if diverges else 1)
 
     @pytest.mark.parametrize("newton_tol", [math.nan, -1.0, math.inf])
     def test_bad_newton_tol_rejected_before_any_flow(self, monkeypatch, spectral_cfg,
@@ -321,7 +327,7 @@ class TestFindPeriodicOrbit:
 
     def test_singular_shooting_jacobian_diverges(self, monkeypatch, spectral_cfg):
         # a monodromy of I makes Phi - I zero, so no Newton step exists
-        def identity_monodromy(params, x, cfg):
+        def identity_monodromy(params, x, cfg, sampled=True):
             end = x + 1.0
             return np.tile(end, (periodic.ORBIT_SAMPLES + 1, 1)), end, np.eye(4)
 
@@ -360,6 +366,76 @@ class TestFindPeriodicOrbit:
         assert 1 <= len(calls) <= 3
         assert all(np.shape(args[3]) == (20,) for args in calls)
         assert orbit.states.shape == (periodic.ORBIT_SAMPLES + 1, 4)
+
+    def test_only_the_returned_flow_is_sampled(self, monkeypatch, spectral_cfg):
+        # the guess's flow takes no samples and the trial that is returned
+        # does; its samples are bitwise a fresh sampled flow at the orbit's state
+        params = persistence_params()
+        guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
+        t_evals = spy_t_evals(monkeypatch, periodic)
+        orbit = find_periodic_orbit(params, guess, spectral_cfg)
+        assert t_evals[0] is None
+        assert sum(t is not None for t in t_evals) == 1 == len(t_evals) - 1
+        x = orbit.initial_state.as_array()
+        samples, _, _ = periodic._flow_and_monodromy(params, x, spectral_cfg)
+        assert np.array_equal(orbit.states, clamp_small_negatives(samples, spectral_cfg.abs_tol))
+
+    @pytest.mark.parametrize("path", ["converged", "stalled"])
+    def test_a_returned_guess_gets_one_sampled_flow(self, monkeypatch, spectral_cfg, path):
+        # converged: a newton_tol that the guess already meets; stalled: a
+        # guess polished to rounding, where newton_tol = 0 finds no damped
+        # step that lowers the residual and the weighted residual is below 1
+        params = persistence_params()
+        guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
+        if path == "converged":
+            newton_tol = 1.0
+        else:
+            newton_tol = 0.0
+            guess = find_periodic_orbit(params, guess, spectral_cfg,
+                                        newton_tol=0.0).initial_state
+        flows = count_calls(monkeypatch, periodic, "_flow_and_monodromy")
+        orbit = find_periodic_orbit(params, guess, spectral_cfg, newton_tol=newton_tol)
+        assert len(orbit.trace) == 1
+        assert np.array_equal(orbit.initial_state.as_array(), guess.as_array())
+        # the unsampled flow at the guess, the failed trials, then the guess sampled
+        assert len(flows) == 1 + (0 if path == "converged" else 9) + 1
+        assert np.array_equal(flows[-1][1], guess.as_array())
+        samples, _, _ = periodic._flow_and_monodromy(params, guess.as_array(), spectral_cfg)
+        assert np.array_equal(orbit.states, clamp_small_negatives(samples, spectral_cfg.abs_tol))
+
+
+class TestEndStateIntegrations:
+    """Integrations that read only the end state take no samples, and lose no bit by it."""
+
+    @staticmethod
+    def _run(monkeypatch, spectral_cfg, sample_the_end):
+        """The warm start, T* and rho on float and array steps; t_evals as integrate saw them.
+
+        With sample_the_end, each t_eval of None becomes [t1], as these calls once passed.
+        """
+        params = persistence_params()
+        lin = build_linearization(params)
+        with monkeypatch.context() as mp:
+            calls = spy_t_evals(mp, periodic, sample_the_end)
+            guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
+            n_passes = len(calls)
+            tstar = virus_free_numeric(params, spectral_cfg)
+            monodromies = spy_t_evals(mp, importlib.import_module("perivir.integrate"),
+                                      sample_the_end)
+            radii = [rho_for_lambda(lin, lam, spectral_cfg)  # 1, 3 and 6 members
+                     for lam in (0.9, np.array([0.8, 1.0, 1.2]), np.geomspace(0.5, 2.0, 6))]
+        results = (guess.as_array(), tstar.t_star_initial, tstar.values, *radii)
+        return (calls[:n_passes], calls[n_passes:], monodromies), results
+
+    def test_end_state_callers_pass_no_t_eval(self, monkeypatch, spectral_cfg):
+        (passes, t_star, monodromies), results = self._run(monkeypatch, spectral_cfg, False)
+        assert len(passes) >= 2 and all(t is None for t in passes)
+        assert t_star[:2] == [None, None]  # the affine map; then the samples
+        assert len(t_star) == 3 and len(t_star[2]) == periodic.TSTAR_SAMPLES + 1
+        assert len(monodromies) == 3 and all(t is None for t in monodromies)
+        _, reference = self._run(monkeypatch, spectral_cfg, True)
+        for got, want in zip(results, reference, strict=True):
+            assert np.array_equal(got, want)
 
 
 class TestExchangeOfStability:

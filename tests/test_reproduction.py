@@ -200,6 +200,18 @@ class TestMonodromy:
         r0 = r0_periodic(params)
         assert (abs(floquet_multipliers(M)[..., 0]) > 1.0) == (r0.value > 1.0)
 
+    @pytest.mark.parametrize("members", [1, 3, 6])  # float steps up to 4, then array steps
+    def test_trajectory_holds_every_accepted_step_as_a_stack(self, spectral_cfg, members):
+        params = persistence_params()
+        lams = np.geomspace(0.5, 2.0, members)
+        eye = np.broadcast_to(np.eye(3), (members, 3, 3))
+        sol = integrate_matrix(build_linearization(params).combined(lams), 0.0, params.period,
+                               eye, spectral_cfg)
+        states = sol.trajectory.states
+        assert states.shape == (sol.step_count - sol.rejected + 1, members, 3, 3)
+        assert sol.trajectory.times[0] == 0.0 and sol.trajectory.times[-1] == params.period
+        assert np.array_equal(states[0], eye) and np.array_equal(states[-1], sol.end_matrix)
+
 
 class TestSpectralRadius:
     """abs(floquet_multipliers(M)[..., 0]) is the largest eigenvalue modulus."""
