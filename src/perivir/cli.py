@@ -178,17 +178,11 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _csv_value(v) -> str:
-    """A number (a bool is not one) as repr(float(v)), so never np.float64(...); else str(v)."""
-    if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_csv(path: str, header, rows) -> None:
-    """Write the CSV as one string; a Python float, the common value, skips _csv_value's tests."""
+    """Write the CSV as one string; a number (a bool is not one) as repr(float(v)), else str(v)."""
     lines = [",".join(header)]
-    lines += [",".join([repr(v) if type(v) is float else _csv_value(v) for v in row])
+    lines += [",".join([repr(float(v)) if isinstance(v, (int, float, np.floating))
+                        and not isinstance(v, bool) else str(v) for v in row])
               for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

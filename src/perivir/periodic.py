@@ -21,7 +21,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .integrate import IntegratorConfig, NumericalFailure, integrate
-from .model import ModelParameters, State, clamp_small_negatives, vector_field
+from .model import (
+    ModelParameters,
+    State,
+    clamp_small_negatives,
+    incidence,
+    incidence_partials,
+    vector_field,
+)
 
 __all__ = [
     "DegenerateDecay",
@@ -227,10 +234,8 @@ def _augmented_field(params: ModelParameters):
     returns its one float form, written out by hand: it takes and returns
     the state as a list of floats, the state block is `model.rhs`, operation
     for operation, and the Phi block is jacobian(t, y) @ Phi written out on
-    the Jacobian's nonzero entries, with `incidence` and
-    `incidence_partials` written out on one shared (1 + c1*T) and
-    (1 + c2*V), the same operations. f on an array returns the same
-    numbers as an array.
+    the Jacobian's nonzero entries. f on an array returns the same numbers
+    as an array.
     """
     w, mu, beta, d = params.angular_frequency, params.mu, params.beta, params.d
     mu0, mu1, beta0, beta1, d0, d1 = (mu.mean, mu.amplitude, beta.mean, beta.amplitude,
@@ -243,9 +248,8 @@ def _augmented_field(params: ModelParameters):
         s = math.sin(w * t)  # params.rates(t), without its call and type test
         mu_t, beta_t, d_t = mu0 + mu1 * s, beta0 + beta1 * s, d0 + d1 * s
         kd, dd = k + d_t, delta + d_t
-        qT, qV = 1.0 + c1 * T, 1.0 + c2 * V
-        inc = beta_t * T * V / (qT * qV)
-        a, b = beta_t * V / (qT * qT * qV), beta_t * T / (qT * qV * qV)  # d(inc)/dT, d(inc)/dV
+        inc = incidence(beta_t, T, V, c1, c2)
+        a, b = incidence_partials(beta_t, T, V, c1, c2)
         j00 = -a - d_t
         # J = [[j00, 0, 0, -b], [a, -kd, 0, b], [0, k, -dd, 0], [0, 0, p, -c]]
         return [mu_t - inc - d_t * T, inc - kd * E, k * E - dd * I, p * I - c * V,
