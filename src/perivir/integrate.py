@@ -26,13 +26,13 @@ per-sample formula with its sums left to right, and so bitwise equal
 to it.
 
 The step sequence does not depend on t_eval, so neither do the final
-state, the tallies and next_step. A t_eval of [t1] is pure cost to a
-caller that reads only those: each step tests the grid, the step that
-reaches t1 records its stages and one dense-output pass evaluates the
-sample. A 69-step period pass of the persistence set took a median of
-826 µs with it and 780 µs without (2-core host). End-state callers
-(integrate_matrix, the warm start's period passes, virus_free_numeric's
-affine map) pass none.
+state, the tallies and next_step. An empty t_eval records nothing, and
+every caller that reads only those passes one: integrate_matrix, the
+warm start's period passes, Newton's 20-wide flows and
+virus_free_numeric's affine map. A 131-step period pass of the
+persistence orbit took a median of 1.77 ms with an empty t_eval, 1.89 ms
+with none (every step recorded) and 1.96 ms with [t1] (200 interleaved
+runs, 2-core host).
 
 One stepping loop (_stepping_loop) runs this method with either of two
 step kinds, chosen by the state's shape. A small state, one (n,) vector
@@ -181,9 +181,9 @@ class Solution:
 FLOAT_LOOP_MAX_VALUES = 64
 
 # Largest matrix stack, counted in values, that integrate_matrix hands over to
-# step on floats. On arrays A(t) @ M costs about the same for any small stack,
-# so floats win on fewer values than the model's batches: up to four 3x3
-# members (see integrate_matrix).
+# step on floats: four 3x3 members. On arrays A(t) @ M costs about the same for
+# any small stack, so floats win on fewer values than the model's batches; the
+# measured crossover is at six members (see integrate_matrix).
 MATRIX_FLOAT_MAX_VALUES = 36
 
 # Dormand-Prince 5(4) tableau, as floats for the float steps and as arrays for the array step.
@@ -345,7 +345,8 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
     the trajectory is sampled at t0 and every accepted step (t1 included
     exactly); with t_eval, strictly increasing and within [t0, t1] exactly,
     it is sampled at those times via the dense-output interpolant (at
-    theta = 0 that is the step's start state, so t0 reads back y0).
+    theta = 0 that is the step's start state, so t0 reads back y0). An
+    empty t_eval samples nothing and changes no other field of the result.
 
     Raises StepLimitExceeded or NonFiniteState on failure.
     """
@@ -359,11 +360,11 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
         raise NonFiniteState("initial state is not finite")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.ndim != 1 or len(t_eval) == 0:
-            raise ValueError("t_eval must be a nonempty 1-D array")
+        if t_eval.ndim != 1:
+            raise ValueError("t_eval must be a 1-D array")
         if np.any(np.diff(t_eval) <= 0.0):
             raise ValueError("t_eval must be strictly increasing")
-        if t_eval[0] < t0 or t_eval[-1] > t1:
+        if len(t_eval) and (t_eval[0] < t0 or t_eval[-1] > t1):
             raise ValueError("t_eval must lie within [t0, t1]")
 
     shape = y.shape
@@ -488,13 +489,13 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
     steps on floats; its field on arrays runs the same formula, so a caller
     that hides f.floats gets the same numbers. Any other stack goes as it
     is, with the field A(t) @ M, and steps on arrays. Over one period of the
-    persistence set's spectral profile, a step costs about 30 µs plus 23 µs
-    per 3x3 member on floats and 125-137 µs for one to eight members on
-    arrays (2-core host), so floats lose from five members on. No t_eval:
-    the trajectory holds t0 and every accepted step, each as a stack shaped
-    like M0's (m, n, n) (a single matrix as a stack of one); end_matrix has
-    M0's shape. With M0 = I this yields the evolution operator over [t0, t1]
-    (the fundamental matrix when t1 - t0 is one period).
+    persistence set's certification field (191 steps), a step costs about
+    11 µs plus 11 µs per 3x3 member on floats and 64-83 µs for one to seven
+    members on arrays: floats take 0.55-0.86 of the array time up to five
+    members, break even at six and lose at seven (best of 7, 2-core host),
+    and a first run pays its kernel's build, 12-24 ms. The trajectory is
+    empty; end_matrix has M0's shape. With M0 = I this yields the evolution
+    operator over [t0, t1] (the fundamental matrix over one period).
     """
     M0 = np.asarray(M0, dtype=float)
     if M0.ndim not in (2, 3) or M0.shape[-1] != M0.shape[-2]:
@@ -502,16 +503,13 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
     stack = M0.reshape((-1,) + M0.shape[-2:])
     floats = getattr(A, "floats", None)
     if floats is None or stack.size > MATRIX_FLOAT_MAX_VALUES:
-        sol = integrate(lambda t, m: A(t) @ m, t0, t1, stack, cfg)
-        return replace(sol, final=sol.final.reshape(M0.shape))
+        sol = integrate(lambda t, m: A(t) @ m, t0, t1, stack, cfg, t_eval=())
+    else:
+        field = floats(stack.size)
 
-    field = floats(stack.size)
+        def f(t, m):  # the same numbers for a caller that hides f.floats behind a wrapper
+            return np.array(field(t, m.ravel().tolist())).reshape(m.shape)
 
-    def f(t, m):  # the same numbers for a caller that hides f.floats behind a wrapper
-        return np.array(field(t, m.ravel().tolist())).reshape(m.shape)
-
-    f.floats = floats
-    sol = integrate(f, t0, t1, stack.reshape(len(stack), -1), cfg)
-    trajectory = replace(sol.trajectory,
-                         states=sol.trajectory.states.reshape((-1,) + stack.shape))
-    return replace(sol, trajectory=trajectory, final=sol.final.reshape(M0.shape))
+        f.floats = floats
+        sol = integrate(f, t0, t1, stack.reshape(len(stack), -1), cfg, t_eval=())
+    return replace(sol, final=sol.final.reshape(M0.shape))

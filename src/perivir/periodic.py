@@ -115,7 +115,8 @@ class PeriodicOrbit:
     state-plus-variational integration that Newton shooting runs: it says
     how well that one discretisation closes on itself, not how far x is
     from the true orbit (the README's numerical notes compare it with the
-    closure of poincare_map).
+    closure of poincare_map). states are the clamped 4-wide flow of the
+    model from initial_state at times: they close as the plain flow does.
 
     trace holds one (residual, damping_step) pair per Newton iterate, in
     order: max |flow_P(x) - x| at the iterate and the damping factor s of
@@ -192,8 +193,8 @@ def virus_free_numeric(params: ModelParameters, cfg: IntegratorConfig) -> VirusF
     """
     P = params.period
     f = _healthy_field(params)
-    _, a_vec = integrate(f, 0.0, P, [0.0], cfg)
-    _, ab_vec = integrate(f, 0.0, P, [1.0], cfg)
+    _, a_vec = integrate(f, 0.0, P, [0.0], cfg, t_eval=())
+    _, ab_vec = integrate(f, 0.0, P, [1.0], cfg, t_eval=())
     a = float(a_vec[0])
     b = float(ab_vec[0] - a_vec[0])
     if not 0.0 < b < 1.0:
@@ -223,7 +224,7 @@ def poincare_map(params: ModelParameters, x0, cfg: IntegratorConfig) -> State:
 
 def _period_pass(params: ModelParameters, x0, cfg: IntegratorConfig) -> tuple[State, float]:
     """poincare_map's image of x0, and the step the integrator proposes for a next pass."""
-    sol = integrate(vector_field(params), 0.0, params.period, State.from_array(x0), cfg)
+    sol = integrate(vector_field(params), 0.0, params.period, State.from_array(x0), cfg, t_eval=())
     return State.from_array(clamp_small_negatives(sol.final, cfg.abs_tol)), sol.next_step
 
 
@@ -266,21 +267,15 @@ def _augmented_field(params: ModelParameters):
     return f
 
 
-def _flow_and_monodromy(params: ModelParameters, x: np.ndarray, cfg: IntegratorConfig,
-                        sampled: bool = True):
+def _flow_and_monodromy(params: ModelParameters, x: np.ndarray, cfg: IntegratorConfig):
     """One-period flow of x together with the monodromy of the variational equation.
 
-    Returns (samples, end, monodromy): the state at the ORBIT_SAMPLES + 1
-    grid times over [0, P] (None unless sampled), the state at P and
-    Phi(P; x). A sampled flow also records each step's stages for the
-    dense output. The steps are the same either way, so end and monodromy
-    are too, bit for bit, and a sampled flow from x later gives exactly
-    the samples that an unsampled one skipped.
+    Returns (end, monodromy): the state at P and Phi(P; x), from one
+    20-wide integration that takes no samples.
     """
     ya0 = np.concatenate([x, np.eye(4).ravel()])
-    grid = np.linspace(0.0, params.period, ORBIT_SAMPLES + 1) if sampled else None
-    traj, ya = integrate(_augmented_field(params), 0.0, params.period, ya0, cfg, t_eval=grid)
-    return traj.states[:, :4] if sampled else None, ya[:4], ya[4:].reshape(4, 4)
+    _, ya = integrate(_augmented_field(params), 0.0, params.period, ya0, cfg, t_eval=())
+    return ya[:4], ya[4:].reshape(4, 4)
 
 
 def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorConfig,
@@ -292,13 +287,11 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     Newton step up to 8 times when the residual does not decrease.
 
     Every trial point is integrated once, state and variational equation
-    together, sampled on the orbit grid: the flow that accepts a damped
-    step also supplies the next iterate's residual and Jacobian, and the
-    returned orbit's samples come from the last iterate's flow. The flow
-    at the guess is not sampled, since the guess is seldom returned; when
-    it is (converged at the guess, or stalled before any step), one
-    sampled flow from it supplies the samples, bitwise those the first
-    flow would have taken.
+    together, for its end state and monodromy only: the flow that accepts
+    a damped step also supplies the next iterate's residual and Jacobian.
+    The returned orbit's samples come from one plain 4-wide flow of the
+    model from the returned state (_package_orbit), the only sampled
+    integration here.
 
     Converges when max |g| < newton_tol. When no damped step decreases the
     residual but it already lies within the integrator's own error scale,
@@ -318,7 +311,7 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
         raise ValueError("guess must be strictly positive componentwise")
 
     eye = np.eye(4)
-    samples, y_end, mono = _flow_and_monodromy(params, x, cfg, sampled=False)
+    y_end, mono = _flow_and_monodromy(params, x, cfg)
     g = y_end - x
     res = float(np.max(np.abs(g)))
     trace = []
@@ -328,12 +321,12 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
         except np.linalg.LinAlgError as exc:
             raise NewtonDiverged(f"singular shooting Jacobian at residual {res:.3e}") from exc
         if res < newton_tol:
-            return _package_orbit(params, x, dx, samples, mono, trace + [(res, 0.0)], cfg)
+            return _package_orbit(params, x, dx, mono, trace + [(res, 0.0)], cfg)
 
         step = 1.0
         for _ in range(9):
             x_try = x + step * dx
-            samples_try, y_try, mono_try = _flow_and_monodromy(params, x_try, cfg)
+            y_try, mono_try = _flow_and_monodromy(params, x_try, cfg)
             g_try = y_try - x_try
             res_try = float(np.max(np.abs(g_try)))
             if res_try < res:
@@ -341,30 +334,31 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
             step *= 0.5
         else:
             if np.max(np.abs(g) / (cfg.abs_tol + cfg.rel_tol * np.abs(x))) <= 1.0:
-                return _package_orbit(params, x, dx, samples, mono, trace + [(res, 0.0)], cfg)
+                return _package_orbit(params, x, dx, mono, trace + [(res, 0.0)], cfg)
             raise NewtonDiverged(f"residual stalled at {res:.3e}")
         trace.append((res, step))
-        x, samples, mono, g, res = x_try, samples_try, mono_try, g_try, res_try
+        x, mono, g, res = x_try, mono_try, g_try, res_try
 
     raise NewtonDiverged(f"no convergence within {MAX_NEWTON_ITERS} iterations")
 
 
-def _package_orbit(params: ModelParameters, x: np.ndarray, dx: np.ndarray, samples,
+def _package_orbit(params: ModelParameters, x: np.ndarray, dx: np.ndarray,
                    mono: np.ndarray, trace: list, cfg: IntegratorConfig) -> PeriodicOrbit:
-    """The orbit at x; samples None (x is the guess, whose flow took none) runs x's flow sampled."""
+    """The orbit at x, sampled by one 4-wide flow of the model from its initial state."""
     bound = float(np.max(np.abs(dx)))  # the next Newton step's size bounds x's error
     if not np.min(x[1:]) > bound:  # written so that nan fails
         raise ConvergedToBoundary(
             f"fixed point has E, I or V within its Newton error bound {bound:.1e} of zero; "
             "this is the virus-free orbit, not an interior one")
-    if samples is None:
-        samples = _flow_and_monodromy(params, x, cfg)[0]
+    x = clamp_small_negatives(x, cfg.abs_tol)
+    times = np.linspace(0.0, params.period, ORBIT_SAMPLES + 1)
+    traj, _ = integrate(vector_field(params), 0.0, params.period, x, cfg, t_eval=times)
     multipliers = floquet_multipliers(mono)
     max_mod = float(np.abs(multipliers[0]))
     return PeriodicOrbit(
-        initial_state=State.from_array(clamp_small_negatives(x, cfg.abs_tol)),
-        times=np.linspace(0.0, params.period, ORBIT_SAMPLES + 1),
-        states=clamp_small_negatives(samples, cfg.abs_tol),
+        initial_state=State.from_array(x),
+        times=times,
+        states=clamp_small_negatives(traj.states, cfg.abs_tol),
         newton_residual=trace[-1][0],
         floquet_multipliers=multipliers,
         stable=max_mod < 1.0,

@@ -63,6 +63,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     v = first
     while v <= hi + 0.5 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:  # a step under half an ulp of v: a range of an ulp or two
+            break
         v += step
     return ticks
 

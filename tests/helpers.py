@@ -313,13 +313,13 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
 
 def spy_t_evals(monkeypatch, module, sample_the_end: bool = False) -> list:
-    """Wrap module.integrate; each call appends its t_eval. sample_the_end turns None into [t1]."""
+    """Wrap module.integrate; each call appends its t_eval. sample_the_end turns () into [t1]."""
     t_evals = []
     original = module.integrate
 
     def spy(f, t0, t1, y0, cfg, t_eval=None):
         t_evals.append(t_eval)
-        if sample_the_end and t_eval is None:
+        if sample_the_end and t_eval is not None and len(t_eval) == 0:
             t_eval = np.array([t1])
         return original(f, t0, t1, y0, cfg, t_eval=t_eval)
 

@@ -297,6 +297,29 @@ class TestOutputBytes:
             ("t", "T", "E", "I", "V"), zip(times, *states.T))
 
 
+class TestTicks:
+    """Axis ticks on ranges as narrow as one ulp: a step under half an ulp moves no tick."""
+
+    @pytest.mark.parametrize("lo", [0.1, 1.0, 4.34, 10.0, 1e6, -3.0, 1e-300, 1e300])
+    @pytest.mark.parametrize("ulps", [1, 2, 3])
+    def test_ticks_on_a_range_of_a_few_ulps(self, lo, ulps):
+        hi = lo
+        for _ in range(ulps):
+            hi = math.nextafter(hi, math.inf)
+        ticks = svgplot._nice_ticks(lo, hi)
+        assert 1 <= len(ticks) <= 2 * svgplot._TICK_TARGET
+        assert ticks == sorted(ticks)
+        slack = 4.0 * max(math.ulp(lo), math.ulp(hi))
+        assert lo - slack <= ticks[0] and ticks[-1] <= hi + slack
+
+    def test_panels_of_series_an_ulp_wide(self):
+        one_up = math.nextafter(1.0, 2.0)
+        narrow = Series(np.array([1.0, one_up]), np.array([1.0, one_up]))
+        doc = svgplot.render_panels([Panel(title="t", x_label="x", y_label="y",
+                                           series=(narrow,))])
+        assert doc.count("<polyline") == 1
+
+
 class TestCliDispatch:
     def test_simulate_writes_csv_and_svg(self, config_dir, tmp_path):
         out = tmp_path / "run.csv"
@@ -485,9 +508,8 @@ class TestCliDispatch:
         # a monodromy of I leaves Phi - I singular; newton_tol 0 cannot be met
         # within a budget of one iteration
         if case == "singular":
-            def identity_monodromy(params, x, cfg, sampled=True):
-                end = x + 1.0
-                return np.tile(end, (periodic.ORBIT_SAMPLES + 1, 1)), end, np.eye(4)
+            def identity_monodromy(params, x, cfg):
+                return x + 1.0, np.eye(4)
 
             monkeypatch.setattr(periodic, "_flow_and_monodromy", identity_monodromy)
         else:

@@ -111,7 +111,7 @@ def _assert_loops_agree(params, y0, cfg, t_end, t_eval):
 
 
 def _recorded_newton_flow(params, x, cfg):
-    """_flow_and_monodromy's (samples, end, monodromy) and the Solution behind them."""
+    """_flow_and_monodromy's (end, monodromy) and the Solution behind them."""
     sols = []
 
     def recorded(*args, **kwargs):
@@ -354,13 +354,22 @@ class TestBatchIntegration:
         # products and the 20-wide error norm) takes the same steps
         params = persistence_params()
         cfg = getattr(IntegratorConfig, profile)()
-        (samples, end, mono), sol = _recorded_newton_flow(params, x, cfg)
+        (end, mono), sol = _recorded_newton_flow(params, x, cfg)
         with array_loop():
-            (samples_ref, end_ref, mono_ref), ref = _recorded_newton_flow(params, x, cfg)
+            (end_ref, mono_ref), ref = _recorded_newton_flow(params, x, cfg)
         assert sol.step_count > 40
         _assert_same_solution(sol, ref)
-        assert np.array_equal(samples, samples_ref)
         assert np.array_equal(end, end_ref) and np.array_equal(mono, mono_ref)
+        # the 20-wide dense output too, on the orbit grid; the samples leave
+        # the steps, and so the end state, as they were
+        f = periodic._augmented_field(params)
+        ya0 = np.concatenate([x, np.eye(4).ravel()])
+        grid = np.linspace(0.0, params.period, periodic.ORBIT_SAMPLES + 1)
+        dense = integrate(f, 0.0, params.period, ya0, cfg, t_eval=grid)
+        with array_loop():
+            dense_ref = integrate(f, 0.0, params.period, ya0, cfg, t_eval=grid)
+        _assert_same_solution(dense, dense_ref)
+        assert np.array_equal(dense.final[:4], end)
 
     def test_member_error_not_diluted_by_batch(self, sim_cfg):
         # 199 members rest on the virus-free state (T* = 10 for the table
@@ -660,6 +669,46 @@ class TestStepKernel:
         assert kernel(12, 4) is not kernel(12, 12)
 
 
+@st.composite
+def _end_state_runs(draw):
+    """A linear field on a state of shape (n,), (m, n) or (m, n, n), its start and its span."""
+    shape = draw(st.sampled_from([(4,), (1,), (3, 4), (2, 5), (3, 3, 3), (2, 2, 2)]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if len(shape) == 3:
+        base, wave = rng.uniform(-0.5, 0.5, size=(2,) + shape)
+
+        def f(t, y):
+            return (base + math.sin(t) * wave) @ y
+    else:
+        a, b = rng.uniform(-0.5, 0.5, size=(2,) + shape)
+
+        def f(t, y):
+            return a * y - b * np.roll(y, 1, axis=-1) + math.sin(t)
+    y0 = rng.uniform(-2.0, 2.0, size=shape)
+    rel_tol = draw(st.sampled_from([1e-4, 1e-6, 1e-9]))
+    return f, y0, draw(st.floats(0.1, 5.0)), IntegratorConfig(rel_tol=rel_tol,
+                                                              abs_tol=1e-3 * rel_tol)
+
+
+class TestEmptyGrid:
+    """An empty t_eval samples nothing and changes no bit of the end state or the tallies."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(run=_end_state_runs(), arrays=st.booleans())
+    def test_empty_t_eval_matches_no_t_eval(self, run, arrays):
+        f, y0, t1, cfg = run
+        with array_loop() if arrays else contextlib.nullcontext():
+            sol = integrate(f, 0.0, t1, y0, cfg, t_eval=())
+            ref = integrate(f, 0.0, t1, y0, cfg)
+        assert sol.trajectory.times.shape == (0,)
+        assert sol.trajectory.states.shape == (0,) + y0.shape
+        assert len(ref.trajectory) == ref.step_count - ref.rejected + 1
+        assert _same_bits(sol.final, ref.final)
+        assert (sol.step_count, sol.rejected, sol.next_step) == (
+            ref.step_count, ref.rejected, ref.next_step)
+
+
 class TestDenseOutput:
     """Every sample bitwise equal to the interpolant evaluated one sample at a time."""
 
@@ -699,7 +748,7 @@ class TestDenseOutput:
         assert np.allclose(sol.trajectory.states[-1], sol.final, rtol=1e-14, atol=0.0)
 
     def test_warm_start_pass_grid(self, spectral_cfg):
-        # a warm-start pass samples its period's end and nothing else
+        # one sample, at t1
         params = persistence_params()
         sol, steps = self._check(vector_field(params), params.period, [10.0, 1.0, 1.0, 1.0],
                                  spectral_cfg, np.array([params.period]))

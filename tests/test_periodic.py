@@ -29,6 +29,7 @@ from perivir import (
     virus_free_numeric,
     warm_start_guess,
 )
+from perivir import cli as cli_module
 from perivir import periodic
 from perivir.model import clamp_small_negatives, jacobian, rhs, vector_field
 from perivir.periodic import _healthy_field
@@ -295,26 +296,27 @@ class TestFindPeriodicOrbit:
         offset = np.array([2.0 ** exponent, 0.0, 0.0, 0.0])
         flows = []
 
-        def shifted(params, x, cfg, sampled=True):
+        def shifted(params, x, cfg):
             flows.append(x)
-            end = x + offset
-            samples = np.tile(end, (periodic.ORBIT_SAMPLES + 1, 1)) if sampled else None
-            return samples, end, 2.0 * np.eye(4)
+            return x + offset, 2.0 * np.eye(4)
 
         monkeypatch.setattr(periodic, "_flow_and_monodromy", shifted)
+        params = persistence_params()
         guess = np.ones(4)
         if diverges:
             with pytest.raises(NewtonDiverged, match="stalled"):
-                find_periodic_orbit(persistence_params(), guess, spectral_cfg, newton_tol=0.0)
+                find_periodic_orbit(params, guess, spectral_cfg, newton_tol=0.0)
         else:
-            orbit = find_periodic_orbit(persistence_params(), guess, spectral_cfg,
-                                        newton_tol=0.0)
+            orbit = find_periodic_orbit(params, guess, spectral_cfg, newton_tol=0.0)
             assert orbit.trace == ((2.0 ** exponent, 0.0),)
             assert np.array_equal(orbit.initial_state.as_array(), guess)
-            assert np.array_equal(orbit.states, np.tile(guess + offset, (len(orbit.times), 1)))
-        # the guess, the nine failed trials, and when the guess itself is
-        # returned one more flow from it, sampled, since the first took no samples
-        assert len(flows) == 1 + 9 + (0 if diverges else 1)
+            # the samples are the model's own flow from the returned state
+            traj, _ = integrate(vector_field(params), 0.0, params.period, guess, spectral_cfg,
+                                t_eval=orbit.times)
+            assert np.array_equal(orbit.states,
+                                  clamp_small_negatives(traj.states, spectral_cfg.abs_tol))
+        # the guess and the nine failed trials; a returned guess costs no further flow
+        assert len(flows) == 1 + 9
 
     @pytest.mark.parametrize("newton_tol", [math.nan, -1.0, math.inf])
     def test_bad_newton_tol_rejected_before_any_flow(self, monkeypatch, spectral_cfg,
@@ -327,9 +329,8 @@ class TestFindPeriodicOrbit:
 
     def test_singular_shooting_jacobian_diverges(self, monkeypatch, spectral_cfg):
         # a monodromy of I makes Phi - I zero, so no Newton step exists
-        def identity_monodromy(params, x, cfg, sampled=True):
-            end = x + 1.0
-            return np.tile(end, (periodic.ORBIT_SAMPLES + 1, 1)), end, np.eye(4)
+        def identity_monodromy(params, x, cfg):
+            return x + 1.0, np.eye(4)
 
         monkeypatch.setattr(periodic, "_flow_and_monodromy", identity_monodromy)
         with pytest.raises(NewtonDiverged,
@@ -357,34 +358,66 @@ class TestFindPeriodicOrbit:
         assert orbit.trace[-1][1] == 0.0
 
     def test_only_augmented_flows(self, monkeypatch, spectral_cfg):
-        # every integration is the 20-wide state-plus-variational flow: no
-        # 4-wide line-search flows and no separate pass for the orbit samples
+        # every Newton flow is the 20-wide state-plus-variational flow with
+        # an empty t_eval: no 4-wide line-search flows; the orbit's samples
+        # come from exactly one 4-wide flow of the model, on the orbit grid
         params = persistence_params()
         guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
         calls = count_calls(monkeypatch, periodic, "integrate")
+        t_evals = spy_t_evals(monkeypatch, periodic)
         orbit = find_periodic_orbit(params, guess, spectral_cfg)
-        assert 1 <= len(calls) <= 3
-        assert all(np.shape(args[3]) == (20,) for args in calls)
+        assert 2 <= len(calls) <= 4
+        assert all(np.shape(args[3]) == (20,) for args in calls[:-1])
+        assert all(len(t) == 0 for t in t_evals[:-1])
+        assert np.size(calls[-1][3]) == 4
+        assert np.array_equal(t_evals[-1], orbit.times)
         assert orbit.states.shape == (periodic.ORBIT_SAMPLES + 1, 4)
 
     def test_only_the_returned_flow_is_sampled(self, monkeypatch, spectral_cfg):
-        # the guess's flow takes no samples and the trial that is returned
-        # does; its samples are bitwise a fresh sampled flow at the orbit's state
+        # no 20-wide flow is sampled; the one sampled flow is the model's
+        # from the orbit's state, and the orbit's samples are bitwise a fresh
+        # such flow
         params = persistence_params()
         guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
+        flows = count_calls(monkeypatch, periodic, "_flow_and_monodromy")
         t_evals = spy_t_evals(monkeypatch, periodic)
         orbit = find_periodic_orbit(params, guess, spectral_cfg)
-        assert t_evals[0] is None
-        assert sum(t is not None for t in t_evals) == 1 == len(t_evals) - 1
-        x = orbit.initial_state.as_array()
-        samples, _, _ = periodic._flow_and_monodromy(params, x, spectral_cfg)
-        assert np.array_equal(orbit.states, clamp_small_negatives(samples, spectral_cfg.abs_tol))
+        assert [len(t) for t in t_evals] == [0] * len(flows) + [periodic.ORBIT_SAMPLES + 1]
+        traj, _ = integrate(vector_field(params), 0.0, params.period, orbit.initial_state,
+                            spectral_cfg, t_eval=orbit.times)
+        assert np.array_equal(orbit.states,
+                              clamp_small_negatives(traj.states, spectral_cfg.abs_tol))
+
+    @pytest.mark.parametrize("name", ["persistence", "baseline"])
+    def test_orbit_samples_are_the_model_flow_on_shipped_configs(self, monkeypatch, tmp_path,
+                                                                 config_dir, name):
+        # what `perivir orbit` writes is the clamped 4-wide flow of the model
+        # from the orbit's initial state, bitwise
+        orbits = []
+
+        def recorded(*args, **kwargs):
+            orbits.append(find_periodic_orbit(*args, **kwargs))
+            return orbits[-1]
+
+        monkeypatch.setattr(cli_module, "find_periodic_orbit", recorded)
+        path = config_dir / f"{name}.ini"
+        out = tmp_path / "orbit.csv"
+        assert cli_module.main(["orbit", "--config", str(path), "--out", str(out)]) == 0
+        (orbit,) = orbits
+        cfg = cli_module.load_config(str(path))
+        traj, _ = integrate(vector_field(cfg.params), 0.0, cfg.params.period,
+                            orbit.initial_state, cfg.integrator, t_eval=orbit.times)
+        assert np.array_equal(orbit.states,
+                              clamp_small_negatives(traj.states, cfg.integrator.abs_tol))
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(rows, np.column_stack((orbit.times, orbit.states)))
 
     @pytest.mark.parametrize("path", ["converged", "stalled"])
     def test_a_returned_guess_gets_one_sampled_flow(self, monkeypatch, spectral_cfg, path):
         # converged: a newton_tol that the guess already meets; stalled: a
         # guess polished to rounding, where newton_tol = 0 finds no damped
-        # step that lowers the residual and the weighted residual is below 1
+        # step that lowers the residual and the weighted residual is below 1;
+        # either way the one sampled flow is the model's, as for any orbit
         params = persistence_params()
         guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
         if path == "converged":
@@ -394,14 +427,18 @@ class TestFindPeriodicOrbit:
             guess = find_periodic_orbit(params, guess, spectral_cfg,
                                         newton_tol=0.0).initial_state
         flows = count_calls(monkeypatch, periodic, "_flow_and_monodromy")
+        t_evals = spy_t_evals(monkeypatch, periodic)
         orbit = find_periodic_orbit(params, guess, spectral_cfg, newton_tol=newton_tol)
         assert len(orbit.trace) == 1
         assert np.array_equal(orbit.initial_state.as_array(), guess.as_array())
-        # the unsampled flow at the guess, the failed trials, then the guess sampled
-        assert len(flows) == 1 + (0 if path == "converged" else 9) + 1
-        assert np.array_equal(flows[-1][1], guess.as_array())
-        samples, _, _ = periodic._flow_and_monodromy(params, guess.as_array(), spectral_cfg)
-        assert np.array_equal(orbit.states, clamp_small_negatives(samples, spectral_cfg.abs_tol))
+        # the flow at the guess and the failed trials, none of them sampled,
+        # then the model's flow from the guess: no second 20-wide flow
+        assert len(flows) == 1 + (0 if path == "converged" else 9)
+        assert [len(t) for t in t_evals] == [0] * len(flows) + [periodic.ORBIT_SAMPLES + 1]
+        traj, _ = integrate(vector_field(params), 0.0, params.period, guess, spectral_cfg,
+                            t_eval=orbit.times)
+        assert np.array_equal(orbit.states,
+                              clamp_small_negatives(traj.states, spectral_cfg.abs_tol))
 
 
 class TestEndStateIntegrations:
@@ -411,7 +448,7 @@ class TestEndStateIntegrations:
     def _run(monkeypatch, spectral_cfg, sample_the_end):
         """The warm start, T* and rho on float and array steps; t_evals as integrate saw them.
 
-        With sample_the_end, each t_eval of None becomes [t1], as these calls once passed.
+        With sample_the_end, each empty t_eval becomes [t1], as these calls once passed.
         """
         params = persistence_params()
         lin = build_linearization(params)
@@ -429,10 +466,9 @@ class TestEndStateIntegrations:
 
     def test_end_state_callers_pass_no_t_eval(self, monkeypatch, spectral_cfg):
         (passes, t_star, monodromies), results = self._run(monkeypatch, spectral_cfg, False)
-        assert len(passes) >= 2 and all(t is None for t in passes)
-        assert t_star[:2] == [None, None]  # the affine map; then the samples
-        assert len(t_star) == 3 and len(t_star[2]) == periodic.TSTAR_SAMPLES + 1
-        assert len(monodromies) == 3 and all(t is None for t in monodromies)
+        assert len(passes) >= 2 and all(len(t) == 0 for t in passes)
+        assert [len(t) for t in t_star] == [0, 0, periodic.TSTAR_SAMPLES + 1]  # the affine map
+        assert len(monodromies) == 3 and all(len(t) == 0 for t in monodromies)
         _, reference = self._run(monkeypatch, spectral_cfg, True)
         for got, want in zip(results, reference, strict=True):
             assert np.array_equal(got, want)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import warnings
@@ -46,6 +47,9 @@ from .helpers import (
     zero_beta_params,
 )
 from .test_periodic import constant_coefficient_params
+
+# the package attribute perivir.integrate is the function
+integrate_module = importlib.import_module("perivir.integrate")
 
 
 def _infection_entry(lin, t: float) -> float:
@@ -201,16 +205,30 @@ class TestMonodromy:
         assert (abs(floquet_multipliers(M)[..., 0]) > 1.0) == (r0.value > 1.0)
 
     @pytest.mark.parametrize("members", [1, 3, 6])  # float steps up to 4, then array steps
-    def test_trajectory_holds_every_accepted_step_as_a_stack(self, spectral_cfg, members):
+    def test_trajectory_is_empty_and_the_end_unchanged(self, monkeypatch, spectral_cfg,
+                                                         members):
+        # integrate_matrix samples nothing, and loses no bit by it: the end,
+        # the tallies and next_step are those of a run that records every step
         params = persistence_params()
         lams = np.geomspace(0.5, 2.0, members)
         eye = np.broadcast_to(np.eye(3), (members, 3, 3))
-        sol = integrate_matrix(build_linearization(params).combined(lams), 0.0, params.period,
-                               eye, spectral_cfg)
-        states = sol.trajectory.states
-        assert states.shape == (sol.step_count - sol.rejected + 1, members, 3, 3)
-        assert sol.trajectory.times[0] == 0.0 and sol.trajectory.times[-1] == params.period
-        assert np.array_equal(states[0], eye) and np.array_equal(states[-1], sol.end_matrix)
+        A = build_linearization(params).combined(lams)
+        sol = integrate_matrix(A, 0.0, params.period, eye, spectral_cfg)
+        assert len(sol.trajectory) == 0
+        recorded = []
+        original = integrate_module.integrate
+
+        def every_step(f, t0, t1, y0, cfg, t_eval=None):
+            recorded.append(original(f, t0, t1, y0, cfg))
+            return recorded[-1]
+
+        monkeypatch.setattr(integrate_module, "integrate", every_step)
+        integrate_matrix(A, 0.0, params.period, eye, spectral_cfg)
+        (ref,) = recorded
+        assert len(ref.trajectory) == ref.step_count - ref.rejected + 1
+        assert np.array_equal(sol.end_matrix, ref.final.reshape(eye.shape))
+        assert (sol.step_count, sol.rejected, sol.next_step) == (
+            ref.step_count, ref.rejected, ref.next_step)
 
 
 class TestSpectralRadius:
