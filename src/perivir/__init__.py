@@ -4,6 +4,15 @@ Simulation of the four-compartment (T, E, I, V) model under sinusoidal
 birth, death, and infection rates; the virus-free periodic solution; the
 periodic basic reproduction number via monodromy spectral analysis; and
 endemic periodic orbits by Newton shooting on the Poincare map.
+
+`perivir.integrate` is the integrator function, not its module: the
+import of the function below rebinds the package attribute, so
+`import perivir.integrate as m` and `from perivir import integrate` both
+give the function. The module is reached through
+`importlib.import_module("perivir.integrate")` (or `sys.modules`), and
+`from perivir.integrate import NAME` still reads the module's names. The
+binding stays, since the acceptance tests import the function from the
+package.
 """
 
 from .model import (

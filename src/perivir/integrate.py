@@ -45,7 +45,9 @@ straight-line function per member count with its params bound, see
 (4,) state, its batches of up to 16 members, Newton shooting's 20-wide
 state-plus-variational flow, and the monodromy stacks of at most
 MATRIX_FLOAT_MAX_VALUES = 36 values whose field has a float form, which
-integrate_matrix hands over as (m, n*n), take this kind. Every other
+integrate_matrix hands over as (m, n*n), take this kind: r0's one 3x3 at
+lambda = 1 as (1, 9), and the fallback certification's three as (3, 9).
+Every other
 state (an R0 search round's stack of 5 to 8 lambdas, larger batches, any
 (m, n, n) given to integrate) steps on a flat numpy array (_array_step).
 Both kinds share the tableau, checks and messages, and the loop holds
@@ -71,8 +73,8 @@ six times, are generated the same way: one straight-line function per
 member count (model._field_kernel, reproduction._combined_kernel), kept
 for the process, at 0.16-1.1 ms a build for 1 to 16 members. The step
 kernel does not inline them, since compile time grows with the source.
-With them a (3, 4) step costs 19-27 µs and a (3, 9) certification step
-37-59 µs, against 25-32 and 51-62 µs with the fields written as loops
+With them a (3, 4) step costs 19-27 µs and a (3, 9) fallback
+certification step 37-59 µs, against 25-32 and 51-62 µs with the fields written as loops
 over the members (best of 7 runs, repeated three times, 2-core host).
 """
 
@@ -181,7 +183,8 @@ class Solution:
 FLOAT_LOOP_MAX_VALUES = 64
 
 # Largest matrix stack, counted in values, that integrate_matrix hands over to
-# step on floats: four 3x3 members. On arrays A(t) @ M costs about the same for
+# step on floats: four 3x3 members, so r0's one member at lambda = 1 and the
+# fallback certification's three. On arrays A(t) @ M costs about the same for
 # any small stack, so floats win on fewer values than the model's batches; the
 # measured crossover is at six members (see integrate_matrix).
 MATRIX_FLOAT_MAX_VALUES = 36
@@ -484,8 +487,9 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
     a stack of one. A.floats, when A has it, is the field's float form:
     A.floats(n) is A(t) @ M on a flat list of n floats, one row-major
     member after another.
-    With it, a stack of at most MATRIX_FLOAT_MAX_VALUES values (the (3, 3, 3)
-    of an R0 certification) goes to `integrate` flattened to (m, n*n) and
+    With it, a stack of at most MATRIX_FLOAT_MAX_VALUES values (r0's one
+    3x3 at lambda = 1, or the fallback certification's (3, 3, 3)) goes to
+    `integrate` flattened to (m, n*n) and
     steps on floats; its field on arrays runs the same formula, so a caller
     that hides f.floats gets the same numbers. Any other stack goes as it
     is, with the field A(t) @ M, and steps on arrays. Over one period of the

@@ -11,19 +11,27 @@ negative is cooperative:
 R0 is the spectral radius of F (d/dt + G)^{-1} on P-periodic functions,
 the unique lambda0 > 0 at which the one-period monodromy of
 w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
-is lower triangular, so the operator acts on the scalar rate of new E
-infections, and its truncated Fourier matrix gives R0 (Hill's method;
-Deconinck & Kutz 2006), which one batched monodromy integration certifies:
-its stack of three 3x3 monodromies is 27 values, so the integrator's one
-stepping loop takes it in float steps, through `combined(lam).floats`,
+is lower triangular, so the operator acts on one scalar function, the
+virus load, as K = p k S_V^-1 S_I^-1 S_E^-1 (f .), and its truncated
+Fourier matrix gives R0 (Hill's method; Deconinck & Kutz 2006).
+
+K certifies that value itself: K is positive, so for Hill's top
+eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
+Thieme 2009, SIAM J. Appl. Math. 70:188; Bacaer & Guernaoui 2006,
+J. Math. Biol. 53:421), taken on ENCLOSURE_NODES of the T* nodes
+(`_collatz_wielandt`). When these bounds lie inside value -+ tol/2, that
+pair is the bracket, and the one monodromy integrated is the 3x3 at
+lambda = 1 for rho_at_one, in float steps through `combined(lam).floats`,
 a straight-line A(t) @ M generated per member count (`_combined_kernel`).
-Failing that, the search goes on in rounds of one `rho_for_lambda` call
-each: a ladder of ROUND_LAMBDAS = 6 lambdas in log lambda until rho
-straddles 1, then a pair around the secant crossing of log rho on log
-lambda and 6 evenly spaced interior points, up to 8 lambdas. A stack of
-5 or more lambdas takes array steps, through `combined(lam)(t)`, and a
-stack of at most 4 takes float steps (integrate_matrix's
-MATRIX_FLOAT_MAX_VALUES).
+Otherwise one batched integration of three 3x3 members, at lambda = 1 and
+at the pair, certifies the pair by the monodromy. Failing that, the
+search goes on in rounds of one
+`rho_for_lambda` call each: a ladder of ROUND_LAMBDAS = 6 lambdas in log
+lambda until rho straddles 1, then a pair around the secant crossing of
+log rho on log lambda and 6 evenly spaced interior points, up to 8
+lambdas. A stack of 5 or more lambdas takes array steps, through
+`combined(lam)(t)`, and a stack of at most 4 takes float steps
+(integrate_matrix's MATRIX_FLOAT_MAX_VALUES).
 sign(R0 - 1) = sign(rho(Phi_{F-G}(P)) - 1), which is reported too. With
 beta identically zero R0 is 0 by convention.
 """
@@ -55,6 +63,8 @@ MAX_ROUNDS = 40       # search rounds after the first
 ROUND_LAMBDAS = 6     # ladder or evenly spaced lambdas of a search round
 LADDER_STEP = 0.1     # ladder spacing in log lambda
 HILL_MAX_ORDER = 64   # highest harmonic of the Fourier truncation
+ENCLOSURE_NODES = 128          # T* nodes the Collatz-Wielandt bounds are taken on
+ENCLOSURE_RESOLUTION = 1e-12   # largest top-quarter DFT coefficient / largest, at most
 
 
 class BracketFailure(NumericalFailure):
@@ -161,9 +171,12 @@ class R0Result:
     spectral radius) or "no-infection-term" (beta identically zero; value
     0 by convention). bracket straddles the root: rho at bracket[0] >= 1 >=
     rho at bracket[1], and value is its midpoint. trace holds every
-    (lambda, rho) evaluation in order, and iterations == len(trace) (3 when
-    the first bracket is certified).
-    rho_at_one is rho(Phi_{F-G}(P)); sign(value - 1) == sign(rho_at_one - 1).
+    (lambda, rho) evaluation in order, and iterations == len(trace): 1 when
+    the enclosure certifies the first bracket, 3 when the monodromy stack
+    does. rho_at_one is rho(Phi_{F-G}(P)); sign(value - 1) ==
+    sign(rho_at_one - 1). enclosure is (min, max) of (K u)/u, the
+    Collatz-Wielandt bounds that certified the bracket, and None on every
+    other route.
     """
 
     value: float
@@ -172,6 +185,7 @@ class R0Result:
     iterations: int
     rho_at_one: float
     trace: tuple[tuple[float, float], ...]
+    enclosure: tuple[float, float] | None = None
 
 
 def build_linearization(params: ModelParameters) -> LinearizedSystem:
@@ -199,14 +213,21 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
                 cfg: IntegratorConfig | None = None) -> R0Result:
     """Reproduction number of the periodic model: the unit crossing of rho(lambda).
 
-    The first value is R0_H of `_hill_r0`, or the autonomous R0 of the
-    coefficient means (at least tol) when R0_H did not converge or is not
-    above tol. One `rho_for_lambda` call on a stack of three evaluates rho
-    at lambda = 1, value - tol/2 and value + tol/2; the last two are the
-    bracket (at most `tol` wide, an absolute width) when rho straddles 1
-    across them. Otherwise `_unit_crossing` searches on from those two
-    points in rounds of one `rho_for_lambda` call each; lambda = 1 only
-    gives rho_at_one and is never a bracket end.
+    The first value is R0_H of `_hill_r0`. When it is above tol and the
+    `_collatz_wielandt` bounds of its eigenfunction lie inside its `_pair`,
+    value -+ tol/2, that pair is the bracket (at most `tol` wide, an
+    absolute width), and one `rho_for_lambda` call at lambda = 1 gives
+    rho_at_one. The bounds are K's own, so they hold at a tol the
+    monodromy cannot resolve: at rel_tol 1e-9 its radius errs by 8.8e-12
+    at the persistence set's R0, 5.6e-10 in lambda.
+
+    On every other route the first value is R0_H, or the autonomous R0 of
+    the coefficient means (at least tol) when R0_H did not converge or is
+    not above tol. One `rho_for_lambda` call on a stack of three evaluates
+    rho at lambda = 1 and at the pair; the pair is the bracket when rho
+    straddles 1 across it. Otherwise `_unit_crossing` searches on from
+    those two points in rounds of one `rho_for_lambda` call each; lambda = 1
+    only gives rho_at_one and is never a bracket end.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
     when no bracket is found within MAX_ROUNDS further rounds.
@@ -220,7 +241,14 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
         rho_at_one = rho_for_lambda(lin, 1.0, cfg)  # F == 0, so this is rho(Phi_{-G})
         return R0Result(value=0.0, method="no-infection-term", bracket=(0.0, 0.0),
                         iterations=1, rho_at_one=rho_at_one, trace=((1.0, rho_at_one),))
-    guess = _hill_r0(lin, tol)
+    guess, u = _hill_r0(lin, tol)
+    lo, hi = _pair(guess, tol)
+    enclosure = _collatz_wielandt(lin, u)
+    if guess > tol and enclosure is not None and lo <= enclosure[0] and enclosure[1] <= hi:
+        rho_at_one = rho_for_lambda(lin, 1.0, cfg)
+        return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
+                        iterations=1, rho_at_one=rho_at_one, trace=((1.0, rho_at_one),),
+                        enclosure=enclosure)
     if not guess > tol:
         guess = max(tol, r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean,
                                        params.k, params.delta, params.p, params.c, params.c1))
@@ -246,14 +274,17 @@ def _pair(center: float, tol: float) -> list[float]:
     return [lo, hi]
 
 
-def _hill_r0(lin: LinearizedSystem, tol: float) -> float:
-    """R0 from the truncated Fourier next-generation matrix, or nan if unconverged.
+def _hill_r0(lin: LinearizedSystem, tol: float) -> tuple[float, np.ndarray | None]:
+    """R0 from the truncated Fourier next-generation matrix, with its eigenfunction.
 
-    On the E infection rate the operator is f p S_V^-1 k S_I^-1 S_E^-1, with
-    S_x = d/dt + x + d(t) and S_V = d/dt + c, each factor projected onto
-    {1, cos n w t, sin n w t}, n <= N, by quadrature on the T* nodes. N
+    On the virus load the operator is K = p k S_V^-1 S_I^-1 S_E^-1 (f .),
+    with S_x = d/dt + x + d(t) and S_V = d/dt + c, each factor projected
+    onto {1, cos n w t, sin n w t}, n <= N, by quadrature on the T* nodes. N
     doubles from 8 until two values agree within tol/4, up to HILL_MAX_ORDER;
     a top eigenvalue that is not real and positive counts as unconverged.
+    Returns (value, u), u the top eigenfunction on the T* nodes from one
+    inverse-iteration solve at the last order, with its sum made positive,
+    or None when that solve fails; (nan, None) when unconverged.
     """
     p, t, t_star = lin.params, lin.t_star.times[:-1], lin.t_star.values[:-1]
     _, beta, d = p.rates(t)
@@ -269,13 +300,69 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> float:
         x = weights * (phi.T @ (f[:, None] * phi))
         for s in (s_d + p.k * eye, s_d + p.delta * eye, deriv + p.c * eye):
             x = np.linalg.solve(s, x)
-        eig = np.linalg.eigvals(p.p * p.k * x)
+        x *= p.p * p.k
+        eig = np.linalg.eigvals(x)
         top = eig[np.argmax(np.abs(eig))]
         value = float(top.real) if top.imag == 0.0 and top.real > 0.0 else math.nan
         if abs(value - previous) <= 0.25 * tol:
-            return value
+            try:  # from the constant function; a shift at the eigenvalue itself is fine
+                u = phi @ np.linalg.solve(x - value * eye, eye[0])
+            except np.linalg.LinAlgError:
+                return value, None
+            return value, (u if u.sum() > 0.0 else -u)
         previous, n = value, 2 * n
-    return math.nan
+    return math.nan, None
+
+
+@cache
+def _dft_table() -> np.ndarray:
+    """cos(m theta_j) over sin(m theta_j), m = 0..N/2, theta_j = 2 pi j/N, N = ENCLOSURE_NODES."""
+    n = ENCLOSURE_NODES
+    theta = (2.0 * math.pi / n) * (np.outer(np.arange(n // 2 + 1), np.arange(n)) % n)
+    return np.vstack([np.cos(theta), np.sin(theta)])
+
+
+def _periodic_solve(h: np.ndarray, rate: float, w: float) -> np.ndarray:
+    """The periodic y with y' + rate y = h on ENCLOSURE_NODES nodes over one period.
+
+    One real DFT of h (a = sum h cos, b = sum h sin), each harmonic divided
+    by i m w + rate, and the inverse transform. All nan when a coefficient
+    of h's top quarter exceeds ENCLOSURE_RESOLUTION of its largest.
+    """
+    table, n = _dft_table(), ENCLOSURE_NODES
+    a, b = np.split(table @ h, 2)
+    size = np.hypot(a, b)
+    if not size[3 * n // 8:].max() <= ENCLOSURE_RESOLUTION * size.max():
+        return np.full(n, math.nan)
+    freq = w * np.arange(n // 2 + 1)
+    scale = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] / (n * (rate * rate + freq * freq))
+    return np.concatenate([(a * rate - b * freq) * scale, (a * freq + b * rate) * scale]) @ table
+
+
+def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None) -> tuple[float, float] | None:
+    """(min, max) of (K u)/u on ENCLOSURE_NODES of the T* nodes, or None.
+
+    K is `_hill_r0`'s operator and u > 0, so the two enclose R0
+    (Collatz-Wielandt; Thieme 2009). With q = exp((d1/w)(1 - cos w t)) for
+    d = d0 + d1 sin w t, (d/dt + x + d(t)) y = g is (d/dt + x + d0)(q y) = q g,
+    so K u = p R_c(R_{delta+d0}(k R_{k+d0}(q f u)) / q), each
+    R_a = (d/dt + a)^-1 a `_periodic_solve`. None unless u is positive on
+    the nodes and all three spectra are resolved.
+    """
+    if u is None:
+        return None
+    params, w = lin.params, lin.params.angular_frequency
+    stride = (len(lin.t_star.times) - 1) // ENCLOSURE_NODES
+    t, t_star, u = lin.t_star.times[:-1:stride], lin.t_star.values[:-1:stride], u[::stride]
+    _, beta, _ = params.rates(t)
+    d0, k = params.d.mean, params.k
+    with np.errstate(all="ignore"):
+        q = np.exp((params.d.amplitude / w) * (1.0 - _dft_table()[1]))
+        y = k * _periodic_solve(q * beta * t_star / (1.0 + params.c1 * t_star) * u, k + d0, w)
+        y = params.p * _periodic_solve(y, params.delta + d0, w) / q
+        ratio = _periodic_solve(y, params.c, w) / u
+        bounds = float(ratio.min()), float(ratio.max())
+        return bounds if np.all(u > 0.0) and np.all(np.isfinite(bounds)) else None
 
 
 def _unit_crossing(rho, points: list[tuple[float, float]], tol: float) -> tuple[float, float]:

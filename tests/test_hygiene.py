@@ -323,7 +323,7 @@ def test_tracer_counts_monodromy_steps(monkeypatch):
 
     from .helpers import persistence_params
 
-    monkeypatch.setattr(reproduction, "_hill_r0", lambda lin, tol: math.nan)
+    monkeypatch.setattr(reproduction, "_hill_r0", lambda lin, tol: (math.nan, None))
     tracer = _perfbench_tracer().Tracer()
     tracer.install()
     try:

@@ -15,6 +15,7 @@ from perivir import (
     IntegratorConfig,
     ModelParameters,
     NonFiniteState,
+    R0Result,
     SinusoidalCoefficient,
     build_linearization,
     floquet_multipliers,
@@ -24,8 +25,8 @@ from perivir import (
     rho_for_lambda,
     virus_free_closed_form,
 )
-from perivir import reproduction
-from perivir.cli import main
+from perivir import periodic, reproduction
+from perivir.cli import load_config, main
 from perivir.reproduction import _hill_r0, _pair, _unit_crossing
 
 from .helpers import (
@@ -50,6 +51,24 @@ from .test_periodic import constant_coefficient_params
 
 # the package attribute perivir.integrate is the function
 integrate_module = importlib.import_module("perivir.integrate")
+
+SHIPPED = ("baseline", "extinction", "persistence")
+
+
+def _unconverged_hill(lin, tol):
+    """A `_hill_r0` that never converges: the search starts from the mean-rate R0."""
+    return math.nan, None
+
+
+def _shifted_hill(shift):
+    """`_hill_r0` with its value moved by shift and its eigenfunction kept."""
+    hill = reproduction._hill_r0
+
+    def shifted(lin, tol):
+        value, u = hill(lin, tol)
+        return value + shift, u
+
+    return shifted
 
 
 def _infection_entry(lin, t: float) -> float:
@@ -411,15 +430,12 @@ class TestMonodromyStartTime:
 
 
 class TestR0Search:
-    def test_trace_holds_every_evaluation_and_both_bracket_ends(self):
-        res = r0_periodic(persistence_params())
+    def test_trace_holds_every_evaluation_and_the_bracket_straddles_the_root(self):
+        params = persistence_params()
+        res = r0_periodic(params)
         assert res.iterations == len(res.trace)
         assert res.trace[0] == (1.0, res.rho_at_one)
-        rho = dict(res.trace)
-        lo, hi = res.bracket
-        assert rho[lo] >= 1.0
-        assert rho[hi] <= 1.0
-        assert hi - lo <= 1e-8
+        assert _certified(params, res, 1e-8)
 
     def test_zero_beta_trace_is_the_single_evaluation(self):
         res = r0_periodic(zero_beta_params())
@@ -427,16 +443,18 @@ class TestR0Search:
         assert res.iterations == 1
 
     def test_certified_path_is_one_batched_integration(self, monkeypatch):
+        # the enclosure certifies the bracket, so the one integration is lambda = 1's
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(persistence_params())
         assert len(rho_calls) == len(matrix_calls) == 1
-        assert res.iterations == 3
-        assert np.shape(matrix_calls[0][3]) == (3, 3, 3)
+        assert res.iterations == 1 and res.trace == ((1.0, res.rho_at_one),)
+        assert rho_calls[0][1] == 1.0
+        assert np.shape(matrix_calls[0][3]) == (3, 3)
 
     def test_each_round_is_one_stacked_integration(self, monkeypatch):
         # with the Fourier value unconverged the search starts from the mean-rate R0
-        monkeypatch.setattr(reproduction, "_hill_r0", lambda lin, tol: math.nan)
+        monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(persistence_params())
@@ -470,7 +488,7 @@ class TestR0Search:
         # the autonomous R0 of the coefficient means
         params = admissible_periodic(rates, log_r0_factor, amps)
         tol = 1e-6
-        hill = (lambda lin, tol: math.nan) if start == "mean-rate" else _hill_r0
+        hill = _unconverged_hill if start == "mean-rate" else _hill_r0
         with mock.patch.object(reproduction, "_hill_r0", hill):
             res = r0_periodic(params, tol=tol)
         oracle, _, _ = bisection_r0(params, tol=tol)
@@ -481,18 +499,21 @@ class TestR0Search:
         assert lo <= res.value <= hi and hi - lo <= tol
         assert rho_for_lambda(lin, lo, cfg) >= 1.0 >= rho_for_lambda(lin, hi, cfg)
 
+    @pytest.mark.parametrize("scaled_rate", ["beta", "p"])
     @pytest.mark.parametrize("start", ["fourier", "mean-rate"])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
            s=st.floats(0.1, 10.0))
-    def test_scale_covariance(self, start, rates, log_r0_factor, amps, s):
-        # beta -> s*beta scales F, so R0 scales by s; each value lies within
-        # tol/2 of its root, hence the two sides within (1 + s)*tol/2
+    def test_scale_covariance(self, scaled_rate, start, rates, log_r0_factor, amps, s):
+        # beta -> s*beta scales F and p -> s*p scales K = p k S_V^-1 S_I^-1 S_E^-1 f,
+        # so either scales R0 by s; each value lies within tol/2 of its root,
+        # hence the two sides within (1 + s)*tol/2
         params = admissible_periodic(rates, log_r0_factor, amps)
-        scaled = replace(params, beta=SinusoidalCoefficient(
-            s * params.beta.mean, s * params.beta.amplitude))
+        scaled = (replace(params, beta=SinusoidalCoefficient(
+            s * params.beta.mean, s * params.beta.amplitude)) if scaled_rate == "beta"
+            else replace(params, p=s * params.p))
         tol = 1e-8
-        hill = (lambda lin, tol: math.nan) if start == "mean-rate" else _hill_r0
+        hill = _unconverged_hill if start == "mean-rate" else _hill_r0
         with mock.patch.object(reproduction, "_hill_r0", hill):
             base, covariant = r0_periodic(params, tol=tol), r0_periodic(scaled, tol=tol)
         assert abs(covariant.value - s * base.value) <= (1.0 + s) * tol
@@ -543,6 +564,137 @@ class TestUnitCrossing:
             assert len(rounds) == reproduction.MAX_ROUNDS
 
 
+class TestMonotonicity:
+    # K grows pointwise with beta.mean (amplitude fixed) and with mu.mean
+    # (through T*), and shrinks with c, delta and c1, so R0 does too, by the
+    # monotonicity of the spectral radius of positive operators; each value
+    # lies within tol/2 of its root
+    @pytest.mark.parametrize("start", ["fourier", "mean-rate"])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
+           rate=st.sampled_from(["beta", "mu", "c", "delta", "c1"]), growth=st.floats(1.01, 3.0))
+    def test_r0_moves_with_each_rate(self, start, rates, log_r0_factor, amps, rate, growth):
+        params = admissible_periodic(rates, log_r0_factor, amps)
+        if rate in ("beta", "mu"):
+            coef = getattr(params, rate)
+            grown = replace(params, **{rate: SinusoidalCoefficient(growth * coef.mean,
+                                                                   coef.amplitude)})
+        else:
+            grown = replace(params, **{rate: growth * getattr(params, rate) + 0.01})
+        tol = 1e-8
+        hill = _unconverged_hill if start == "mean-rate" else _hill_r0
+        with mock.patch.object(reproduction, "_hill_r0", hill):
+            base, moved = r0_periodic(params, tol=tol), r0_periodic(grown, tol=tol)
+        assert (base.enclosure is None) == (moved.enclosure is None) == (start == "mean-rate")
+        if rate in ("beta", "mu"):
+            assert moved.value >= base.value - tol
+        else:
+            assert moved.value <= base.value + tol
+
+
+def _parent_protocol(params, guess, tol):
+    """The R0Result of the three-member certification from guess, then the search.
+
+    This is the route that precedes the enclosure: one stack at lambda = 1
+    and the `_pair` around guess, then `_unit_crossing` from the pair.
+    """
+    lin, cfg, trace = build_linearization(params), IntegratorConfig.spectral(), []
+
+    def rho(lams):
+        radii = rho_for_lambda(lin, np.array(lams), cfg).tolist()
+        trace.extend(zip(lams, radii))
+        return radii
+
+    rho_at_one = rho([1.0, *_pair(guess, tol)])[0]
+    lo, hi = _unit_crossing(rho, trace[1:], tol)
+    return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
+                    iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace))
+
+
+class TestEnclosure:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS)
+    def test_encloses_r0_inside_the_certified_bracket(self, rates, log_r0_factor, amps):
+        params = admissible_periodic(rates, log_r0_factor, amps)
+        res = r0_periodic(params)
+        assert res.enclosure is not None and res.iterations == 1
+        assert _certified(params, res, 1e-8)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_configs_take_the_enclosure_route(self, config_dir, name):
+        cfg = load_config(str(config_dir / f"{name}.ini"))
+        res = r0_periodic(cfg.params, cfg=cfg.integrator)
+        assert res.enclosure is not None
+        assert res.trace == ((1.0, res.rho_at_one),) and res.iterations == 1
+        lo, hi = res.bracket
+        assert lo <= res.enclosure[0] <= res.enclosure[1] <= hi
+
+    def test_eigenfunction_is_positive_with_its_sum(self):
+        lin = build_linearization(skewed_params())
+        value, u = _hill_r0(lin, 1e-8)
+        assert u.shape == lin.t_star.values[:-1].shape and np.all(u > 0.0)
+        low, high = reproduction._collatz_wielandt(lin, u)
+        # Hill's value and the enclosure's come from two discretizations of K
+        assert 0.0 <= high - low <= 1e-10 * value
+        assert abs(0.5 * (low + high) - value) <= 1e-12 * value
+
+    @pytest.mark.parametrize("fallback", ["u-not-positive", "enclosure-outside", "hill-nan"])
+    def test_forced_fallback_is_the_three_member_protocol(self, monkeypatch, fallback):
+        params, tol = persistence_params(), 1e-8
+        value, _ = _hill_r0(build_linearization(params), tol)
+        if fallback == "u-not-positive":
+            guess = value
+            monkeypatch.setattr(reproduction, "_hill_r0",
+                                lambda lin, tol: (value, -_hill_r0(lin, tol)[1]))
+        elif fallback == "enclosure-outside":
+            guess = value + 3.0 * tol
+            monkeypatch.setattr(reproduction, "_hill_r0", _shifted_hill(3.0 * tol))
+        else:
+            guess = r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean, params.k,
+                                  params.delta, params.p, params.c, params.c1)
+            monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
+        res = r0_periodic(params, tol=tol)
+        assert res.enclosure is None
+        assert res == _parent_protocol(params, guess, tol)
+
+    def test_unresolved_spectrum_gives_no_enclosure(self, monkeypatch):
+        lin = build_linearization(persistence_params())
+        _, u = _hill_r0(lin, 1e-8)
+        assert reproduction._collatz_wielandt(lin, u) is not None
+        monkeypatch.setattr(reproduction, "ENCLOSURE_RESOLUTION", 0.0)
+        assert reproduction._collatz_wielandt(lin, u) is None
+        assert reproduction._collatz_wielandt(lin, None) is None
+
+
+class TestLiouville:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_log_det_of_the_monodromy_at_one(self, config_dir, name):
+        # F has a zero diagonal, so tr(F - G) = -(k + delta + c) - 2 d(t) and
+        # log det Phi_{F-G}(P) = -(k + delta + c) P - 2 D(P)
+        cfg = load_config(str(config_dir / f"{name}.ini"))
+        params, P = cfg.params, cfg.params.period
+        lin = build_linearization(params)
+        M = integrate_matrix(lin.combined(1.0), 0.0, P, np.eye(3), cfg.integrator).end_matrix
+        assert abs(floquet_multipliers(M)[0]) == rho_for_lambda(lin, 1.0, cfg.integrator)
+        sign, log_det = np.linalg.slogdet(M)
+        expected = (-(params.k + params.delta + params.c) * P
+                    - 2.0 * float(periodic._death_integral(params, P)))
+        assert sign == 1.0
+        assert abs(log_det - expected) <= 100.0 * cfg.integrator.rel_tol
+
+
+def _certified(params, res, tol):
+    """res's bracket is at most tol wide, holds value and any enclosure, and straddles 1.
+
+    The straddle is checked by two independent monodromies, at lo and at hi.
+    """
+    lo, hi = res.bracket
+    lin, cfg = build_linearization(params), IntegratorConfig.spectral()
+    inside = res.enclosure is None or lo <= res.enclosure[0] <= res.enclosure[1] <= hi
+    return (hi - lo <= tol and lo <= res.value <= hi and inside
+            and rho_for_lambda(lin, lo, cfg) >= 1.0 >= rho_for_lambda(lin, hi, cfg))
+
+
 def _assert_one_integration_a_round(rho_calls, matrix_calls, res):
     """Each search round is one rho_for_lambda call on one stacked integrate_matrix."""
     stacks = [np.shape(call[3]) for call in matrix_calls]
@@ -578,18 +730,20 @@ class TestHill:
         for _ in range(8):
             params = random_periodic_params(rng)
             oracle, _, _ = bisection_r0(params, tol=tol)
-            hill = _hill_r0(build_linearization(params), tol)
+            hill, _ = _hill_r0(build_linearization(params), tol)
             assert abs(hill - oracle) <= tol + 1e-8 * oracle
 
     def test_long_period_doubles_the_truncation(self, monkeypatch):
         params = _long_period_params()
         res = r0_periodic(params, tol=1e-8)
-        assert res.iterations == 3
+        assert res.iterations == 1 and res.enclosure is not None
+        assert _certified(params, res, 1e-8)
         oracle, _, _ = bisection_r0(params, tol=1e-6)
         assert abs(res.value - oracle) <= 1e-6 + 1e-8 * oracle
         # capped at 16 harmonics, the values at N = 8 and N = 16 still differ by more than tol/4
         monkeypatch.setattr(reproduction, "HILL_MAX_ORDER", 16)
-        assert math.isnan(_hill_r0(build_linearization(params), 1e-8))
+        value, u = _hill_r0(build_linearization(params), 1e-8)
+        assert math.isnan(value) and u is None
 
     @pytest.mark.parametrize("name, parent", [
         ("baseline", 39.469662417860675),
@@ -605,7 +759,7 @@ class TestHill:
 
 class TestFallback:
     def test_unconverged_fourier_value_falls_back_to_the_search(self, monkeypatch):
-        monkeypatch.setattr(reproduction, "_hill_r0", lambda lin, tol: math.nan)
+        monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
         res = r0_periodic(persistence_params())
         assert res.trace[0] == (1.0, res.rho_at_one)
         assert res.iterations > 3 and _straddles(res, 1e-8)
@@ -614,9 +768,7 @@ class TestFallback:
         params = persistence_params()
         tol = 1e-8
         certified = r0_periodic(params, tol=tol)
-        hill = reproduction._hill_r0
-        monkeypatch.setattr(reproduction, "_hill_r0",
-                            lambda lin, tol: hill(lin, tol) + 3.0 * tol)
+        monkeypatch.setattr(reproduction, "_hill_r0", _shifted_hill(3.0 * tol))
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(params, tol=tol)
@@ -625,14 +777,22 @@ class TestFallback:
         assert _straddles(res, tol)
         assert abs(res.value - certified.value) <= tol + 1e-8 * certified.value
 
-    def test_tolerance_below_the_fourier_accuracy(self):
+    def test_tolerance_below_the_fourier_accuracy(self, monkeypatch):
+        # the enclosure is about 1e-15 wide here and still certifies Hill's value
         res = r0_periodic(persistence_params(), tol=1e-12)
-        assert res.trace[0] == (1.0, res.rho_at_one)
-        assert _straddles(res, 1e-12)
+        lo, hi = res.bracket
+        assert hi - lo <= 1e-12 and lo <= res.enclosure[0] <= res.enclosure[1] <= hi
+        # without it the monodromy at rel_tol 1e-9, whose radius errs by 8.8e-12
+        # there, cannot certify the first pair, and the search goes on from it
+        monkeypatch.setattr(reproduction, "_collatz_wielandt", lambda lin, u: None)
+        searched = r0_periodic(persistence_params(), tol=1e-12)
+        assert searched.trace[0] == (1.0, searched.rho_at_one)
+        assert searched.iterations > 3 and _straddles(searched, 1e-12)
 
     @pytest.mark.parametrize("beta_scale", [0.0253, 0.0254])
     def test_bracket_width_near_threshold(self, beta_scale):
         # at R0 near 1, R0 - tol/2 + tol and R0 + tol/2 - (R0 - tol/2) can round above tol
-        res = r0_periodic(baseline_params(beta_scale=beta_scale), tol=1e-6)
+        params = baseline_params(beta_scale=beta_scale)
+        res = r0_periodic(params, tol=1e-6)
         assert abs(res.value - 1.0) < 3e-3
-        assert _straddles(res, 1e-6)
+        assert _certified(params, res, 1e-6)
