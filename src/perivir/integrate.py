@@ -39,17 +39,12 @@ step kinds, chosen by the state's shape. A small state, one (n,) vector
 or an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps
 on Python floats. When f has a float form, f.floats(n) returns the field
 on a flat list of n floats; integrate calls it once per integration,
-after the shape has picked float steps (the model's is a generated
-straight-line function per member count with its params bound, see
-`model.vector_field`). The model's
-(4,) state, its batches of up to 16 members, Newton shooting's 20-wide
-state-plus-variational flow, and the monodromy stacks of at most
-MATRIX_FLOAT_MAX_VALUES = 36 values whose field has a float form, which
-integrate_matrix hands over as (m, n*n), take this kind: r0's one 3x3 at
-lambda = 1 as (1, 9), and the fallback certification's three as (3, 9).
-Every other
-state (an R0 search round's stack of 5 to 8 lambdas, larger batches, any
-(m, n, n) given to integrate) steps on a flat numpy array (_array_step).
+after the shape has picked float steps. The model's (4,) state, its
+batches of up to 16 members, Newton shooting's 20-wide
+state-plus-variational flow and r0's one 3x3 monodromy at lambda = 1,
+which integrate_matrix hands over as (1, 9), take this kind. Every other
+state (a stack of R0 lambdas, larger batches, any (m, n, n) given to
+integrate) steps on a flat numpy array (_array_step).
 Both kinds share the tableau, checks and messages, and the loop holds
 the controller, the step budget and the samples for both. A float step
 sums every tableau product and each member's error norm left to right;
@@ -59,23 +54,19 @@ bitwise once the array step's sums run left to right too.
 Each float step is one straight-line function per (values, member
 width), generated from the tableau and compiled on first use, then kept
 for the process (_step_kernel). Nothing is built at import; a build
-costs about 1.7 ms for 4 values, 4 ms for 12, 7 ms for 20, 10 ms for 27
-and 16-21 ms for 64, almost all of it in compile, which holds the whole
-source's tokens and syntax tree until it is done: the 27-value build
-lifts peak RSS by about 1.3 MB. Over 52 periods of the persistence set
-a step then costs 13-24 µs for (4,) and 26-43 µs for (3, 4), and
+costs about 1.7 ms for 4 values, 2.4-3.4 ms for 9, 4 ms for 12, 7 ms
+for 20 and 16-21 ms for 64, almost all of it in compile, which holds the
+whole source's tokens and syntax tree until it is done: the 20-value
+build lifts peak RSS by about 0.9 MB. Over 52 periods of the persistence
+set a step then costs 13-24 µs for (4,) and 26-43 µs for (3, 4), and
 Newton's 20-wide flow 40-69 µs (best to upper quartile of 12 runs,
 2-core host), against 22-33, 40-57 and 58-92 µs with the step written
 as list comprehensions.
 
-The model's field and an R0 certification's A(t) @ M, which a step calls
-six times, are generated the same way: one straight-line function per
-member count (model._field_kernel, reproduction._combined_kernel), kept
-for the process, at 0.16-1.1 ms a build for 1 to 16 members. The step
-kernel does not inline them, since compile time grows with the source.
-With them a (3, 4) step costs 19-27 µs and a (3, 9) fallback
-certification step 37-59 µs, against 25-32 and 51-62 µs with the fields written as loops
-over the members (best of 7 runs, repeated three times, 2-core host).
+The model's field, which a step calls six times, is generated the same
+way: one straight-line function per member count (model._field_kernel),
+kept for the process, at 0.16-1.1 ms a build for 1 to 16 members. The
+step kernel does not inline it, since compile time grows with the source.
 """
 
 from __future__ import annotations
@@ -181,13 +172,6 @@ class Solution:
 
 # Largest (n,) or (m, n) state, counted in values, that steps on Python floats.
 FLOAT_LOOP_MAX_VALUES = 64
-
-# Largest matrix stack, counted in values, that integrate_matrix hands over to
-# step on floats: four 3x3 members, so r0's one member at lambda = 1 and the
-# fallback certification's three. On arrays A(t) @ M costs about the same for
-# any small stack, so floats win on fewer values than the model's batches; the
-# measured crossover is at six members (see integrate_matrix).
-MATRIX_FLOAT_MAX_VALUES = 36
 
 # Dormand-Prince 5(4) tableau, as floats for the float steps and as arrays for the array step.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -485,28 +469,21 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
     By the member-axis rule each of the stack's m matrices is one member on
     its own error norm, the RMS over its n*n values, and a single matrix is
     a stack of one. A.floats, when A has it, is the field's float form:
-    A.floats(n) is A(t) @ M on a flat list of n floats, one row-major
-    member after another.
-    With it, a stack of at most MATRIX_FLOAT_MAX_VALUES values (r0's one
-    3x3 at lambda = 1, or the fallback certification's (3, 3, 3)) goes to
-    `integrate` flattened to (m, n*n) and
-    steps on floats; its field on arrays runs the same formula, so a caller
-    that hides f.floats gets the same numbers. Any other stack goes as it
-    is, with the field A(t) @ M, and steps on arrays. Over one period of the
-    persistence set's certification field (191 steps), a step costs about
-    11 µs plus 11 µs per 3x3 member on floats and 64-83 µs for one to seven
-    members on arrays: floats take 0.55-0.86 of the array time up to five
-    members, break even at six and lose at seven (best of 7, 2-core host),
-    and a first run pays its kernel's build, 12-24 ms. The trajectory is
-    empty; end_matrix has M0's shape. With M0 = I this yields the evolution
-    operator over [t0, t1] (the fundamental matrix over one period).
+    A.floats(n) is A(t) @ M on one row-major matrix M, a flat list of n
+    floats. With it, a stack of one (r0's 3x3 at lambda = 1) goes to
+    `integrate` flattened to (1, n*n) and steps on floats; its field on
+    arrays runs the same formula, so a caller that hides f.floats gets the
+    same numbers. Any other stack goes as it is, with the field A(t) @ M,
+    and steps on arrays. The trajectory is empty; end_matrix has M0's
+    shape. With M0 = I this yields the evolution operator over [t0, t1]
+    (the fundamental matrix over one period).
     """
     M0 = np.asarray(M0, dtype=float)
     if M0.ndim not in (2, 3) or M0.shape[-1] != M0.shape[-2]:
         raise ValueError("M0 must be a square matrix or a stack of them")
     stack = M0.reshape((-1,) + M0.shape[-2:])
     floats = getattr(A, "floats", None)
-    if floats is None or stack.size > MATRIX_FLOAT_MAX_VALUES:
+    if floats is None or len(stack) > 1:
         sol = integrate(lambda t, m: A(t) @ m, t0, t1, stack, cfg, t_eval=())
     else:
         field = floats(stack.size)
@@ -515,5 +492,5 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
             return np.array(field(t, m.ravel().tolist())).reshape(m.shape)
 
         f.floats = floats
-        sol = integrate(f, t0, t1, stack.reshape(len(stack), -1), cfg, t_eval=())
+        sol = integrate(f, t0, t1, stack.reshape(1, -1), cfg, t_eval=())
     return replace(sol, final=sol.final.reshape(M0.shape))

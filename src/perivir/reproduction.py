@@ -21,19 +21,16 @@ Thieme 2009, SIAM J. Appl. Math. 70:188; Bacaer & Guernaoui 2006,
 J. Math. Biol. 53:421), taken on ENCLOSURE_NODES of the T* nodes
 (`_collatz_wielandt`). When these bounds lie inside value -+ tol/2, that
 pair is the bracket, and the one monodromy integrated is the 3x3 at
-lambda = 1 for rho_at_one, in float steps through `combined(lam).floats`,
-a straight-line A(t) @ M generated per member count (`_combined_kernel`).
-Otherwise one batched integration of three 3x3 members, at lambda = 1 and
-at the pair, certifies the pair by the monodromy. Failing that, the
-search goes on in rounds of one
-`rho_for_lambda` call each: a ladder of ROUND_LAMBDAS = 6 lambdas in log
-lambda until rho straddles 1, then a pair around the secant crossing of
-log rho on log lambda and 6 evenly spaced interior points, up to 8
-lambdas. A stack of 5 or more lambdas takes array steps, through
-`combined(lam)(t)`, and a stack of at most 4 takes float steps
-(integrate_matrix's MATRIX_FLOAT_MAX_VALUES).
-sign(R0 - 1) = sign(rho(Phi_{F-G}(P)) - 1), which is reported too. With
-beta identically zero R0 is 0 by convention.
+lambda = 1 for rho_at_one, in float steps through `combined(1.0).floats`,
+the hand-written A(t) @ M of `_combined_field`. Otherwise one batched
+integration of three 3x3 members, at lambda = 1 and at the pair,
+certifies the pair by the monodromy. Failing that, the search goes on in
+rounds of one `rho_for_lambda` call each: a ladder of ROUND_LAMBDAS = 6
+lambdas in log lambda until rho straddles 1, then a pair around the
+secant crossing of log rho on log lambda and 6 evenly spaced interior
+points, up to 8 lambdas. Every such stack of lambdas steps on arrays,
+through `combined(lam)(t)`. sign(R0 - 1) = sign(rho(Phi_{F-G}(P)) - 1),
+which is reported too. With beta identically zero R0 is 0 by convention.
 """
 
 from __future__ import annotations
@@ -85,19 +82,16 @@ class LinearizedSystem:
     def combined(self, lam):
         """t -> F(t)/lam - G(t): (3, 3) for a number lam, (m, 3, 3) for m lambdas.
 
-        A.floats(n) is A(t) @ M on a flat list of n floats, n/9 row-major
-        3x3 members M, one lambda per member (a number lam serves them all;
-        any other count raises ValueError): `_combined_kernel(n // 9)` with
-        the rates, T*'s `value` and the members' 1/lam bound.
-        integrate_matrix steps a stack of up to 4 members through A.floats
-        and a larger one through A(t) @ M; A(t) is also the oracle the tests
-        hold A.floats to.
+        For a number lam, A.floats(9) is A(t) @ M on one flat row-major 3x3
+        M: `_combined_field` with the rates, T*'s `value` and 1/lam bound.
+        integrate_matrix steps a single matrix through it. m lambdas give no
+        float form, so their stack steps on arrays through A(t) @ M; A(t) is
+        also the oracle the tests hold A.floats to.
         """
         params, t_star = self.params, self.t_star
         k, delta, p, c, c1 = params.k, params.delta, params.p, params.c, params.c1
         beta, d = params.beta, params.d
         inv_lam = 1.0 / np.asarray(lam, dtype=float)
-        inverses = np.ravel(inv_lam).tolist()  # np.float64 arithmetic would take twice as long
         shape = inv_lam.shape + (3, 3)
         constant = np.array([[0.0, 0.0, 0.0], [k, 0.0, 0.0], [0.0, p, -c]])
 
@@ -110,57 +104,30 @@ class LinearizedSystem:
             a[..., 0, 2] = inv_lam * (beta_t * ts / (1.0 + c1 * ts))
             return a
 
-        def floats(n: int):
-            members = n // 9
-            per_member = inverses * members if len(inverses) == 1 else inverses
-            if len(per_member) != members:
-                raise ValueError(f"{len(inverses)} lambdas for a stack of {n} values")
-            return partial(_combined_kernel(members), params.angular_frequency, beta.mean,
-                           beta.amplitude, d.mean, d.amplitude, k, delta, p, c, c1,
-                           t_star.value, *per_member)
-
-        A.floats = floats
+        if inv_lam.ndim == 0:  # a Python float: np.float64 arithmetic takes twice as long
+            A.floats = lambda n: partial(_combined_field, params.angular_frequency, beta.mean,
+                                         beta.amplitude, d.mean, d.amplitude, k, delta, p, c,
+                                         c1, t_star.value, float(inv_lam))
         return A
 
 
-def _combined_source(m: int) -> str:
-    """Source of A(t) @ M on m flat row-major 3x3 members, each with its own 1/lam.
+def _combined_field(w, beta0, beta1, d0, d1, k, delta, p, c, c1, tstar, inv, t, ms):
+    """A(t) @ M on one flat row-major 3x3 M: `combined(lam).floats` for a number lam.
 
-    field(w, beta0, beta1, d0, d1, k, delta, p, c, c1, tstar, inv0, ...,
-    inv{m-1}, t, ms): the angular frequency, the mean and amplitude of beta
-    and d, the constant rates, T*(t) as a function, then a number t. A has
-    the nonzero entries a00 = -(k + d), a02 = inv * beta T* / (1 + c1 T*),
-    k, a11 = -(delta + d), p and -c; each product entry is written out on
-    them, left to right.
+    w is the angular frequency, beta0, beta1, d0 and d1 the mean and
+    amplitude of beta and d, tstar T*(t) as a function and inv 1/lam; t is a
+    number. A has the nonzero entries a00 = -(k + d), a02 = inv * beta T* /
+    (1 + c1 T*), k, a11 = -(delta + d), p and -c, and each product entry is
+    written out on them, left to right.
     """
-    members = range(m)
-    inverses = "".join(f"inv{i}, " for i in members)
-    lines = [f"def field(w, beta0, beta1, d0, d1, k, delta, p, c, c1, tstar, {inverses}t, ms):",
-             "    s = sin(w * t)",
-             "    beta_t, d_t = beta0 + beta1 * s, d0 + d1 * s",
-             "    ts = tstar(t)",
-             "    a00, a11, f = -(k + d_t), -(delta + d_t), beta_t * ts / (1.0 + c1 * ts)",
-             "    " + " ".join(f"m{j}," for j in range(9 * m)) + " = ms"]
-    lines += [f"    a02_{i} = inv{i} * f" for i in members]
-    lines.append("    return [")
-    for i in members:
-        m00, m01, m02, m10, m11, m12, m20, m21, m22 = (f"m{9 * i + j}" for j in range(9))
-        a02 = f"a02_{i}"
-        lines += [f"        a00 * {m00} + {a02} * {m20}, a00 * {m01} + {a02} * {m21}, "
-                  f"a00 * {m02} + {a02} * {m22},",
-                  f"        k * {m00} + a11 * {m10}, k * {m01} + a11 * {m11}, "
-                  f"k * {m02} + a11 * {m12},",
-                  f"        p * {m10} - c * {m20}, p * {m11} - c * {m21}, p * {m12} - c * {m22},"]
-    lines.append("    ]")
-    return "\n".join(lines) + "\n"
-
-
-@cache
-def _combined_kernel(m: int):
-    """The compiled field of _combined_source(m), built on first use and kept for the process."""
-    namespace = {"sin": math.sin}
-    exec(compile(_combined_source(m), f"<perivir certification field {m}>", "exec"), namespace)
-    return namespace["field"]
+    s = math.sin(w * t)
+    beta_t, d_t = beta0 + beta1 * s, d0 + d1 * s
+    ts = tstar(t)
+    a00, a11, a02 = -(k + d_t), -(delta + d_t), inv * (beta_t * ts / (1.0 + c1 * ts))
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = ms
+    return [a00 * m0 + a02 * m6, a00 * m1 + a02 * m7, a00 * m2 + a02 * m8,
+            k * m0 + a11 * m3, k * m1 + a11 * m4, k * m2 + a11 * m5,
+            p * m3 - c * m6, p * m4 - c * m7, p * m5 - c * m8]
 
 
 @dataclass(frozen=True)
@@ -227,7 +194,9 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
     rho at lambda = 1 and at the pair; the pair is the bracket when rho
     straddles 1 across it. Otherwise `_unit_crossing` searches on from
     those two points in rounds of one `rho_for_lambda` call each; lambda = 1
-    only gives rho_at_one and is never a bracket end.
+    only gives rho_at_one and is never a bracket end. It stays in the
+    stack, on the step sequence of the pair: alone, a monodromy that decays
+    below abs_tol loses its radius.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
     when no bracket is found within MAX_ROUNDS further rounds.

@@ -422,36 +422,38 @@ class TestLoopRouting:
 
     def test_orbit_runs_take_only_the_float_loop(self, monkeypatch, tmp_path, config_dir,
                                                  spectral_cfg):
-        # the warm start's (4,) passes and Newton's 20-wide flows, and an R0
-        # certification's (3, 3, 3) monodromy stack as one (3, 9) run
+        # the warm start's (4,) passes and Newton's 20-wide flows, and r0's
+        # one 3x3 monodromy at lambda = 1 as one (1, 9) run
         arrays = count_calls(monkeypatch, _integrate_module, "_array_step")
         assert main(["orbit", "--config", str(config_dir / "persistence.ini"),
                      "--out", str(tmp_path / "orbit.csv")]) == 0
         assert arrays == []
         floats = count_calls(monkeypatch, _integrate_module, "_step_kernel")
         lin = build_linearization(persistence_params())
-        rho_for_lambda(lin, np.array([0.5, 1.0, 2.0]), spectral_cfg)
-        assert floats == [(27, 9)]
+        rho_for_lambda(lin, 1.0, spectral_cfg)
+        assert floats == [(9, 9)]
         assert arrays == []
 
-    @pytest.mark.parametrize("members", [1, 4, 5, 6, 8])
+    @pytest.mark.parametrize("members", [None, 1, 3, 4, 5, 6, 8])
     def test_monodromy_stack_loop_follows_its_size(self, monkeypatch, spectral_cfg, members):
-        # up to four 3x3 members (MATRIX_FLOAT_MAX_VALUES) go flat to float
-        # steps; a search round's ladder of 6 lambdas, or an interior round of
-        # 5 to 8, goes as (m, 3, 3) to array steps, whose field is A(t) @ M
-        assert _integrate_module.MATRIX_FLOAT_MAX_VALUES == 36
+        # a number lam, whose combined has a float form, goes flat to float
+        # steps; every stack of lambdas (the fallback certification's three,
+        # a search round's 5 to 8) goes as (m, 3, 3) to array steps, whose
+        # field is A(t) @ M
         runs = count_calls(monkeypatch, _integrate_module, "integrate")
         floats = count_calls(monkeypatch, _integrate_module, "_step_kernel")
         arrays = count_calls(monkeypatch, _integrate_module, "_array_step")
         lin = build_linearization(persistence_params())
-        radii = rho_for_lambda(lin, np.geomspace(0.5, 2.0, members), spectral_cfg)
-        if members <= 4:
-            assert [args[3].shape for args in runs] == [(members, 9)]
-            assert (floats, arrays) == ([(members * 9, 9)], [])
+        lams = 1.0 if members is None else np.geomspace(0.5, 2.0, members)
+        radii = rho_for_lambda(lin, lams, spectral_cfg)
+        if members is None:
+            assert [args[3].shape for args in runs] == [(1, 9)]
+            assert (floats, arrays) == ([(9, 9)], [])
+            assert isinstance(radii, float) and radii > 1.0
         else:
             assert [args[3].shape for args in runs] == [(members, 3, 3)]
             assert len(arrays) > 0 and floats == []
-        assert radii.shape == (members,) and np.all(np.diff(radii) < 0.0)
+            assert radii.shape == (members,) and np.all(np.diff(radii) < 0.0)
 
     def test_matrix_without_float_form_takes_the_array_loop(self, monkeypatch, spectral_cfg):
         runs = count_calls(monkeypatch, _integrate_module, "integrate")
@@ -537,34 +539,32 @@ class TestMatrixIntegration:
         assert (single.step_count, single.rejected) == (stack.step_count, stack.rejected)
 
     @pytest.mark.parametrize("profile", ["simulation", "spectral"])
-    def test_certification_stack_matches_the_array_loop(self, profile):
-        # an R0 certification's (3, 3, 3) stack steps on floats, bit for bit as
-        # the array loop with its sums left to right steps it
+    def test_monodromy_at_one_matches_the_array_loop(self, profile):
+        # r0's 3x3 monodromy at lambda = 1 steps on floats, bit for bit as the
+        # array loop with its sums left to right steps it
         cfg = getattr(IntegratorConfig, profile)()
         params = persistence_params()
-        A = build_linearization(params).combined(np.array([1.0, 2.5, 2.6]))
-        eye = np.broadcast_to(np.eye(3), (3, 3, 3))
+        A = build_linearization(params).combined(1.0)
         with recorded_steps() as steps:
-            sol = integrate_matrix(A, 0.0, params.period, eye, cfg)
+            sol = integrate_matrix(A, 0.0, params.period, np.eye(3), cfg)
         with array_loop():
-            ref = integrate_matrix(A, 0.0, params.period, eye, cfg)
+            ref = integrate_matrix(A, 0.0, params.period, np.eye(3), cfg)
         assert sol.step_count == len(steps) > 20
-        assert sol.end_matrix.shape == (3, 3, 3)
+        assert sol.end_matrix.shape == (3, 3)
         _assert_same_solution(sol, ref)
 
     def test_hidden_float_form_gives_the_same_monodromy(self, spectral_cfg):
         # perfbench's tracer hands integrate a wrapper of integrate_matrix's
         # field, without f.floats: on arrays that field runs A.floats too
         params = persistence_params()
-        A = build_linearization(params).combined(np.array([1.0, 2.5, 2.6]))
-        eye = np.broadcast_to(np.eye(3), (3, 3, 3))
-        sol = integrate_matrix(A, 0.0, params.period, eye, spectral_cfg)
+        A = build_linearization(params).combined(1.0)
+        sol = integrate_matrix(A, 0.0, params.period, np.eye(3), spectral_cfg)
         original = _integrate_module.integrate
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_integrate_module, "integrate",
                        lambda f, *args, **kwargs: original(lambda t, y: f(t, y), *args,
                                                            **kwargs))
-            hidden = integrate_matrix(A, 0.0, params.period, eye, spectral_cfg)
+            hidden = integrate_matrix(A, 0.0, params.period, np.eye(3), spectral_cfg)
         _assert_same_solution(sol, hidden)
 
     def test_non_square_rejected(self, sim_cfg):
