@@ -177,6 +177,35 @@ class TestLinearization:
         with pytest.raises(ValueError):
             integrate_matrix(A, 0.0, 24.0, np.eye(3), spectral_cfg)
 
+    @pytest.mark.parametrize("members", [1, 2, 3, 4])
+    @pytest.mark.parametrize("one_lambda", [False, True])
+    def test_stack_per_member_count_steps_each_member(self, monkeypatch, spectral_cfg,
+                                                      members, one_lambda):
+        # only a number lam has a float form, `_combined_field` bound, and only
+        # a single matrix steps on it; a stack of lambdas, or a stack of starts
+        # under one lambda, steps on arrays, and each member ends at the
+        # monodromy its own lambda gives alone
+        params = persistence_params()
+        lin = build_linearization(params)
+        lams = np.geomspace(0.5, 2.0, members) if members > 1 else np.array([0.8])
+        A = lin.combined(lams[0] if one_lambda else lams)
+        assert hasattr(A, "floats") == one_lambda
+        if one_lambda:
+            assert A.floats(9).func is reproduction._combined_field
+        floats = count_calls(monkeypatch, integrate_module, "_step_kernel")
+        arrays = count_calls(monkeypatch, integrate_module, "_array_step")
+        eye = np.broadcast_to(np.eye(3), (members, 3, 3))
+        ends = integrate_matrix(A, 0.0, params.period, eye, spectral_cfg).end_matrix
+        assert ends.shape == (members, 3, 3)
+        if one_lambda and members == 1:
+            assert floats == [(9, 9)] and arrays == []
+        else:
+            assert floats == [] and len(arrays) > 0
+        for end, lam in zip(ends, lams[:1].repeat(members) if one_lambda else lams):
+            alone = integrate_matrix(lin.combined(float(lam)), 0.0, params.period, np.eye(3),
+                                     spectral_cfg).end_matrix
+            assert np.allclose(end, alone, rtol=1e-6, atol=1e-9 * np.abs(alone).max())
+
 
 class TestMonodromy:
     def test_zero_matrix_gives_identity(self, spectral_cfg):
