@@ -20,25 +20,25 @@ eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
 Thieme 2009, SIAM J. Appl. Math. 70:188; Bacaer & Guernaoui 2006,
 J. Math. Biol. 53:421), taken on ENCLOSURE_NODES of the T* nodes
 (`_collatz_wielandt`). When these bounds lie inside value -+ tol/2, that
-pair is the bracket, and the one monodromy integrated is the 3x3 at
-lambda = 1 for rho_at_one, in float steps through `combined(1.0).floats`,
-the hand-written A(t) @ M of `_combined_field`. Otherwise one batched
-integration of three 3x3 members, at lambda = 1 and at the pair,
-certifies the pair by the monodromy. Failing that, the search goes on in
+pair is the bracket. Otherwise one batched integration of the pair
+certifies it by the monodromy, and failing that the search goes on in
 rounds of one `rho_for_lambda` call each: a ladder of ROUND_LAMBDAS = 6
 lambdas in log lambda until rho straddles 1, then a pair around the
 secant crossing of log rho on log lambda and 6 evenly spaced interior
-points, up to 8 lambdas. Every such stack of lambdas steps on arrays,
-through `combined(lam)(t)`. sign(R0 - 1) = sign(rho(Phi_{F-G}(P)) - 1),
-which is reported too. With beta identically zero R0 is 0 by convention.
+points, up to 8 lambdas, each stack stepping on arrays through
+`combined(lam)(t)`. Every route reports rho(Phi_{F-G}(P)), whose side of
+1 is R0's, from one 3x3 monodromy at lambda = 1 in float steps through
+`combined(1.0).floats` (`_combined_field`). A monodromy's error is
+relative to each entry, so one that decays keeps its radius. With beta
+identically zero R0 is 0 by convention.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cache, partial
+from dataclasses import dataclass, replace
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -110,6 +110,13 @@ class LinearizedSystem:
                                          c1, t_star.value, float(inv_lam))
         return A
 
+    @cached_property
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """t, d(t) and F's entry f = beta T*/(1 + c1 T*) on T*'s nodes, one period."""
+        t, t_star = self.t_star.times[:-1], self.t_star.values[:-1]
+        _, beta, d = self.params.rates(t)
+        return t, d, beta * t_star / (1.0 + self.params.c1 * t_star)
+
 
 def _combined_field(w, beta0, beta1, d0, d1, k, delta, p, c, c1, tstar, inv, t, ms):
     """A(t) @ M on one flat row-major 3x3 M: `combined(lam).floats` for a number lam.
@@ -138,12 +145,12 @@ class R0Result:
     spectral radius) or "no-infection-term" (beta identically zero; value
     0 by convention). bracket straddles the root: rho at bracket[0] >= 1 >=
     rho at bracket[1], and value is its midpoint. trace holds every
-    (lambda, rho) evaluation in order, and iterations == len(trace): 1 when
-    the enclosure certifies the first bracket, 3 when the monodromy stack
-    does. rho_at_one is rho(Phi_{F-G}(P)); sign(value - 1) ==
-    sign(rho_at_one - 1). enclosure is (min, max) of (K u)/u, the
-    Collatz-Wielandt bounds that certified the bracket, and None on every
-    other route.
+    (lambda, rho) evaluation in order, lambda = 1 first, and iterations ==
+    len(trace): 1 when the enclosure certifies the first bracket, 3 when
+    the monodromy of the pair does. rho_at_one is rho(Phi_{F-G}(P));
+    sign(value - 1) == sign(rho_at_one - 1). enclosure is (min, max) of
+    (K u)/u, the Collatz-Wielandt bounds that certified the bracket, and
+    None on every other route.
     """
 
     value: float
@@ -169,8 +176,10 @@ def rho_for_lambda(lin: LinearizedSystem, lam: float | np.ndarray,
     """rho of the one-period monodromy of w' = (F/lam - G) w.
 
     A float for a number lam; a 1-D array of m lambdas gives m radii from one integration.
+    cfg's abs_tol is replaced by the smallest normal float: each entry's error is relative.
     """
     eye = np.broadcast_to(np.eye(3), np.shape(lam) + (3, 3))
+    cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
     end = integrate_matrix(lin.combined(lam), 0.0, lin.params.period, eye, cfg).end_matrix
     radius = np.abs(floquet_multipliers(end)[..., 0])
     return float(radius) if radius.ndim == 0 else radius
@@ -180,23 +189,20 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
                 cfg: IntegratorConfig | None = None) -> R0Result:
     """Reproduction number of the periodic model: the unit crossing of rho(lambda).
 
-    The first value is R0_H of `_hill_r0`. When it is above tol and the
-    `_collatz_wielandt` bounds of its eigenfunction lie inside its `_pair`,
-    value -+ tol/2, that pair is the bracket (at most `tol` wide, an
-    absolute width), and one `rho_for_lambda` call at lambda = 1 gives
-    rho_at_one. The bounds are K's own, so they hold at a tol the
-    monodromy cannot resolve: at rel_tol 1e-9 its radius errs by 8.8e-12
-    at the persistence set's R0, 5.6e-10 in lambda.
+    One `rho_for_lambda` call at lambda = 1 gives rho_at_one, first, on
+    every route. The first value is R0_H of `_hill_r0`. When it is above
+    tol and the `_collatz_wielandt` bounds of its eigenfunction lie inside
+    its `_pair`, value -+ tol/2, that pair is the bracket (at most `tol`
+    wide, an absolute width). The bounds are K's own, so they hold at a tol
+    the monodromy cannot resolve: at rel_tol 1e-9 its radius errs by
+    8.8e-12 at the persistence set's R0, 5.6e-10 in lambda.
 
     On every other route the first value is R0_H, or the autonomous R0 of
     the coefficient means (at least tol) when R0_H did not converge or is
-    not above tol. One `rho_for_lambda` call on a stack of three evaluates
-    rho at lambda = 1 and at the pair; the pair is the bracket when rho
-    straddles 1 across it. Otherwise `_unit_crossing` searches on from
-    those two points in rounds of one `rho_for_lambda` call each; lambda = 1
-    only gives rho_at_one and is never a bracket end. It stays in the
-    stack, on the step sequence of the pair: alone, a monodromy that decays
-    below abs_tol loses its radius.
+    not above tol. One `rho_for_lambda` call on the pair evaluates rho
+    there; the pair is the bracket when rho straddles 1 across it.
+    Otherwise `_unit_crossing` searches on from those two points in rounds
+    of one `rho_for_lambda` call each.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
     when no bracket is found within MAX_ROUNDS further rounds.
@@ -206,32 +212,30 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
     if cfg is None:
         cfg = IntegratorConfig.spectral()
     lin = build_linearization(params)
-    if params.beta.is_zero:
-        rho_at_one = rho_for_lambda(lin, 1.0, cfg)  # F == 0, so this is rho(Phi_{-G})
+    rho_at_one = rho_for_lambda(lin, 1.0, cfg)
+    trace = [(1.0, rho_at_one)]
+    if params.beta.is_zero:  # F == 0, so rho_at_one is rho(Phi_{-G})
         return R0Result(value=0.0, method="no-infection-term", bracket=(0.0, 0.0),
-                        iterations=1, rho_at_one=rho_at_one, trace=((1.0, rho_at_one),))
+                        iterations=1, rho_at_one=rho_at_one, trace=tuple(trace))
     guess, u = _hill_r0(lin, tol)
     lo, hi = _pair(guess, tol)
     enclosure = _collatz_wielandt(lin, u)
-    if guess > tol and enclosure is not None and lo <= enclosure[0] and enclosure[1] <= hi:
-        rho_at_one = rho_for_lambda(lin, 1.0, cfg)
-        return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
-                        iterations=1, rho_at_one=rho_at_one, trace=((1.0, rho_at_one),),
-                        enclosure=enclosure)
-    if not guess > tol:
-        guess = max(tol, r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean,
-                                       params.k, params.delta, params.p, params.c, params.c1))
-    trace = []
+    if not (guess > tol and enclosure is not None and lo <= enclosure[0] and enclosure[1] <= hi):
+        enclosure = None
+        if not guess > tol:
+            guess = max(tol, r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean,
+                                           params.k, params.delta, params.p, params.c, params.c1))
 
-    def rho(lams: list[float]) -> list[float]:
-        radii = rho_for_lambda(lin, np.array(lams), cfg).tolist()
-        trace.extend(zip(lams, radii))
-        return radii
+        def rho(lams: list[float]) -> list[float]:
+            radii = rho_for_lambda(lin, np.array(lams), cfg).tolist()
+            trace.extend(zip(lams, radii))
+            return radii
 
-    rho_at_one = rho([1.0, *_pair(guess, tol)])[0]
-    lo, hi = _unit_crossing(rho, trace[1:], tol)
+        rho(_pair(guess, tol))
+        lo, hi = _unit_crossing(rho, trace[1:], tol)
     return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
-                    iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace))
+                    iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace),
+                    enclosure=enclosure)
 
 
 def _pair(center: float, tol: float) -> list[float]:
@@ -255,9 +259,7 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> tuple[float, np.ndarray | Non
     inverse-iteration solve at the last order, with its sum made positive,
     or None when that solve fails; (nan, None) when unconverged.
     """
-    p, t, t_star = lin.params, lin.t_star.times[:-1], lin.t_star.values[:-1]
-    _, beta, d = p.rates(t)
-    f = beta * t_star / (1.0 + p.c1 * t_star)
+    p, (t, d, f) = lin.params, lin._nodes
     previous, n = math.nan, 8
     while n <= HILL_MAX_ORDER:
         w, eye = p.angular_frequency * np.arange(1, n + 1), np.eye(2 * n + 1)
@@ -320,14 +322,12 @@ def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None) -> tuple[floa
     """
     if u is None:
         return None
-    params, w = lin.params, lin.params.angular_frequency
-    stride = (len(lin.t_star.times) - 1) // ENCLOSURE_NODES
-    t, t_star, u = lin.t_star.times[:-1:stride], lin.t_star.values[:-1:stride], u[::stride]
-    _, beta, _ = params.rates(t)
+    params, w, stride = lin.params, lin.params.angular_frequency, len(u) // ENCLOSURE_NODES
+    f, u = lin._nodes[2][::stride], u[::stride]
     d0, k = params.d.mean, params.k
     with np.errstate(all="ignore"):
         q = np.exp((params.d.amplitude / w) * (1.0 - _dft_table()[1]))
-        y = k * _periodic_solve(q * beta * t_star / (1.0 + params.c1 * t_star) * u, k + d0, w)
+        y = k * _periodic_solve(q * f * u, k + d0, w)
         y = params.p * _periodic_solve(y, params.delta + d0, w) / q
         ratio = _periodic_solve(y, params.c, w) / u
         bounds = float(ratio.min()), float(ratio.max())

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import sys
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -69,6 +70,12 @@ def _shifted_hill(shift):
         return value + shift, u
 
     return shifted
+
+
+def _negated_hill(lin, tol):
+    """`_hill_r0` with its eigenfunction negated: the enclosure cannot be taken."""
+    value, u = _hill_r0(lin, tol)
+    return value, -u
 
 
 def _infection_entry(lin, t: float) -> float:
@@ -598,23 +605,24 @@ class TestMonotonicity:
             assert moved.value <= base.value + tol
 
 
-def _parent_protocol(params, guess, tol):
-    """The R0Result of the three-member certification from guess, then the search.
+def _pair_protocol(params, guess, tol):
+    """The R0Result of the pair's certification from guess, then the search.
 
-    This is the route that precedes the enclosure: one stack at lambda = 1
-    and the `_pair` around guess, then `_unit_crossing` from the pair.
+    This is the route that precedes the enclosure: lambda = 1 alone, one
+    stack of the `_pair` around guess, then `_unit_crossing` from the pair.
     """
-    lin, cfg, trace = build_linearization(params), IntegratorConfig.spectral(), []
+    lin, cfg = build_linearization(params), IntegratorConfig.spectral()
+    trace = [(1.0, rho_for_lambda(lin, 1.0, cfg))]
 
     def rho(lams):
         radii = rho_for_lambda(lin, np.array(lams), cfg).tolist()
         trace.extend(zip(lams, radii))
         return radii
 
-    rho_at_one = rho([1.0, *_pair(guess, tol)])[0]
+    rho(_pair(guess, tol))
     lo, hi = _unit_crossing(rho, trace[1:], tol)
     return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
-                    iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace))
+                    iterations=len(trace), rho_at_one=trace[0][1], trace=tuple(trace))
 
 
 class TestEnclosure:
@@ -645,13 +653,12 @@ class TestEnclosure:
         assert abs(0.5 * (low + high) - value) <= 1e-12 * value
 
     @pytest.mark.parametrize("fallback", ["u-not-positive", "enclosure-outside", "hill-nan"])
-    def test_forced_fallback_is_the_three_member_protocol(self, monkeypatch, fallback):
+    def test_forced_fallback_is_the_pair_protocol(self, monkeypatch, fallback):
         params, tol = persistence_params(), 1e-8
         value, _ = _hill_r0(build_linearization(params), tol)
         if fallback == "u-not-positive":
             guess = value
-            monkeypatch.setattr(reproduction, "_hill_r0",
-                                lambda lin, tol: (value, -_hill_r0(lin, tol)[1]))
+            monkeypatch.setattr(reproduction, "_hill_r0", _negated_hill)
         elif fallback == "enclosure-outside":
             guess = value + 3.0 * tol
             monkeypatch.setattr(reproduction, "_hill_r0", _shifted_hill(3.0 * tol))
@@ -661,7 +668,7 @@ class TestEnclosure:
             monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
         res = r0_periodic(params, tol=tol)
         assert res.enclosure is None
-        assert res == _parent_protocol(params, guess, tol)
+        assert res == _pair_protocol(params, guess, tol)
 
     def test_unresolved_spectrum_gives_no_enclosure(self, monkeypatch):
         lin = build_linearization(persistence_params())
@@ -680,7 +687,9 @@ class TestLiouville:
         cfg = load_config(str(config_dir / f"{name}.ini"))
         params, P = cfg.params, cfg.params.period
         lin = build_linearization(params)
-        M = integrate_matrix(lin.combined(1.0), 0.0, P, np.eye(3), cfg.integrator).end_matrix
+        # rho_for_lambda's error control: relative to each entry, whatever abs_tol
+        relative = replace(cfg.integrator, abs_tol=sys.float_info.min)
+        M = integrate_matrix(lin.combined(1.0), 0.0, P, np.eye(3), relative).end_matrix
         assert abs(floquet_multipliers(M)[0]) == rho_for_lambda(lin, 1.0, cfg.integrator)
         sign, log_det = np.linalg.slogdet(M)
         expected = (-(params.k + params.delta + params.c) * P
@@ -702,13 +711,14 @@ def _certified(params, res, tol):
 
 
 def _assert_one_integration_a_round(rho_calls, matrix_calls, res):
-    """Each search round is one rho_for_lambda call on one stacked integrate_matrix."""
+    """lambda = 1 alone, then one stacked integration a search round, the pair first."""
     stacks = [np.shape(call[3]) for call in matrix_calls]
-    assert len(rho_calls) == len(matrix_calls) > 1
-    assert [np.size(call[1]) for call in rho_calls] == [shape[0] for shape in stacks]
-    assert stacks[0] == (3, 3, 3)
-    assert all(shape[0] <= reproduction.ROUND_LAMBDAS + 2 for shape in stacks[1:])
-    assert sum(shape[0] for shape in stacks) == res.iterations
+    assert len(rho_calls) == len(matrix_calls) > 2
+    assert rho_calls[0][1] == 1.0 and stacks[0] == (3, 3)
+    assert [np.size(call[1]) for call in rho_calls[1:]] == [shape[0] for shape in stacks[1:]]
+    assert stacks[1] == (2, 3, 3)
+    assert all(shape[0] <= reproduction.ROUND_LAMBDAS + 2 for shape in stacks[2:])
+    assert 1 + sum(shape[0] for shape in stacks[1:]) == res.iterations
 
 
 def _straddles(res, tol):
@@ -795,19 +805,6 @@ class TestFallback:
         assert searched.trace[0] == (1.0, searched.rho_at_one)
         assert searched.iterations > 3 and _straddles(searched, 1e-12)
 
-    def test_rho_at_one_of_a_decaying_long_period_monodromy(self, monkeypatch, config_dir):
-        # lambda = 1 rides in the first stack, on the steps its bracket members
-        # set; integrated alone, this monodromy decays below abs_tol and its
-        # radius is no longer resolved (ROADMAP item 13)
-        cfg = load_config(str(config_dir / "extinction.ini"))
-        params = replace(cfg.params, angular_frequency=2.0 * math.pi / 720.0)
-        monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
-        res = r0_periodic(params, cfg=cfg.integrator)
-        reference = rho_for_lambda(build_linearization(params), 1.0,
-                                   IntegratorConfig(rel_tol=1e-12, abs_tol=1e-300))
-        assert res.enclosure is None and res.rho_at_one < 1.0
-        assert abs(res.rho_at_one - reference) <= 100.0 * cfg.integrator.rel_tol * reference
-
     @pytest.mark.parametrize("beta_scale", [0.0253, 0.0254])
     def test_bracket_width_near_threshold(self, beta_scale):
         # at R0 near 1, R0 - tol/2 + tol and R0 + tol/2 - (R0 - tol/2) can round above tol
@@ -815,3 +812,80 @@ class TestFallback:
         res = r0_periodic(params, tol=1e-6)
         assert abs(res.value - 1.0) < 3e-3
         assert _certified(params, res, 1e-6)
+
+
+def _with_period(params, period):
+    """params with its forcing period set to period hours."""
+    return replace(params, angular_frequency=2.0 * math.pi / period)
+
+
+class TestRhoAtOne:
+    @pytest.mark.parametrize("route", ["no-infection-term", "enclosure", "u-not-positive",
+                                       "enclosure-outside", "hill-nan"])
+    def test_one_unstacked_call_on_every_route(self, monkeypatch, route):
+        params = zero_beta_params() if route == "no-infection-term" else persistence_params()
+        if route == "u-not-positive":
+            monkeypatch.setattr(reproduction, "_hill_r0", _negated_hill)
+        elif route == "enclosure-outside":
+            monkeypatch.setattr(reproduction, "_hill_r0", _shifted_hill(3e-8))
+        elif route == "hill-nan":
+            monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
+        rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
+        res = r0_periodic(params)
+        lams = [call[1] for call in rho_calls]
+        assert lams[0] == 1.0 and np.ndim(lams[0]) == 0
+        assert all(np.ndim(lam) == 1 and 1.0 not in lam for lam in lams[1:])
+        assert (len(lams) == 1) == (route in ("no-infection-term", "enclosure"))
+        lin, cfg = build_linearization(params), IntegratorConfig.spectral()
+        assert res.trace[0] == (1.0, res.rho_at_one)
+        assert res.rho_at_one == rho_for_lambda(lin, 1.0, cfg)
+
+    @pytest.mark.parametrize("period", [24.0, 720.0, 2190.0])
+    def test_zero_beta_matches_the_closed_form(self, period):
+        # F = 0, so Phi_{-G}(P) is lower triangular with D(P) = d0 P on its diagonal
+        params = _with_period(zero_beta_params(), period)
+        res = r0_periodic(params)
+        d0, rel_tol = params.d.mean, IntegratorConfig.spectral().rel_tol
+        exact = max(math.exp(-(params.k + d0) * period), math.exp(-(params.delta + d0) * period),
+                    math.exp(-params.c * period))
+        assert abs(res.rho_at_one - exact) <= 100.0 * rel_tol * exact
+
+    @pytest.mark.parametrize("period", [720.0, 2190.0])
+    @pytest.mark.parametrize("route", ["enclosure", "fallback"])
+    def test_decaying_monodromy_on_both_routes(self, monkeypatch, config_dir, route, period):
+        # ROADMAP item 13: rho_at_one is 7e-13 at 720 h and 1e-37 at 2190 h, far
+        # below the config's abs_tol 1e-9
+        cfg = load_config(str(config_dir / "extinction.ini"))
+        params = _with_period(cfg.params, period)
+        if route == "fallback":
+            monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
+        res = r0_periodic(params, cfg=cfg.integrator)
+        reference = rho_for_lambda(build_linearization(params), 1.0,
+                                   IntegratorConfig(rel_tol=1e-12, abs_tol=1e-300))
+        assert (res.enclosure is None) == (route == "fallback") and res.rho_at_one < 1e-12
+        assert abs(res.rho_at_one - reference) <= 100.0 * cfg.integrator.rel_tol * reference
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
+           lam=st.floats(0.1, 10.0), abs_tols=st.lists(st.floats(1e-300, 1e-3),
+                                                       min_size=2, max_size=2))
+    def test_abs_tol_does_not_apply(self, rates, log_r0_factor, amps, lam, abs_tols):
+        lin = build_linearization(admissible_periodic(rates, log_r0_factor, amps))
+        first, second = (IntegratorConfig(rel_tol=1e-8, abs_tol=a) for a in abs_tols)
+        assert rho_for_lambda(lin, lam, first) == rho_for_lambda(lin, lam, second)
+        stack = np.array([lam, 2.0 * lam])
+        assert np.array_equal(rho_for_lambda(lin, stack, first),
+                              rho_for_lambda(lin, stack, second))
+
+    def test_long_periods_end(self, config_dir):
+        # P = 30,000 h: the lambda = 1 monodromy decays below 1e-300 under relative
+        # error control, in 4,225 steps on extinction's rates and 17,922 with beta = 0
+        zero = _with_period(zero_beta_params(), 30_000.0)
+        res = r0_periodic(zero, cfg=replace(IntegratorConfig.spectral(), max_steps=50_000))
+        assert res.method == "no-infection-term" and 0.0 <= res.rho_at_one < 1e-300
+        # the search that follows there overflows at lambda 0.22 (ROADMAP item 5),
+        # so this takes the monodromy that r0_periodic integrates first
+        cfg = load_config(str(config_dir / "extinction.ini"))
+        lin = build_linearization(_with_period(cfg.params, 30_000.0))
+        rho = rho_for_lambda(lin, 1.0, replace(cfg.integrator, max_steps=50_000))
+        assert 0.0 < rho < 1e-300
