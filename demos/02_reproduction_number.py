@@ -47,7 +47,7 @@ print(f"periodic R0 = {result.value:.6f}")
 print(f"rho(Phi_F-G(P)) = {result.rho_at_one:.4f} "
       f"(same side of 1 as R0: {(result.value > 1) == (result.rho_at_one > 1)})")
 # one evaluation, at lambda = 1, when the enclosure certifies the bracket;
-# three, lambda = 1 and one batched integration of the pair, when the monodromy has to
+# otherwise lambda = 1, then a search from K's bounds in batched rounds
 print(f"bracket width {result.bracket[1] - result.bracket[0]:.1e} "
       f"after {result.iterations} spectral-radius evaluations")
 print(f"Collatz-Wielandt enclosure {result.enclosure}")

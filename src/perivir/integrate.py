@@ -29,7 +29,7 @@ The step sequence does not depend on t_eval, so neither do the final
 state, the tallies and next_step. An empty t_eval records nothing, and
 every caller that reads only those passes one: integrate_matrix, the
 warm start's period passes, Newton's 20-wide flows and
-virus_free_numeric's affine map. A 131-step period pass of the
+virus_free_numeric's image of 0 under the period map. A 131-step period pass of the
 persistence orbit took a median of 1.77 ms with an empty t_eval, 1.89 ms
 with none (every step recorded) and 1.96 ms with [t1] (200 interleaved
 runs, 2-core host).

@@ -186,19 +186,17 @@ def _healthy_field(params: ModelParameters):
 def virus_free_numeric(params: ModelParameters, cfg: IntegratorConfig) -> VirusFreeSolution:
     """T*(t) as the fixed point of the scalar period map.
 
-    The map T(0) -> T(P) of dT/dt = mu(t) - d(t)T is affine, so two
-    integrations (from 0 and from 1) determine it exactly:
-    T* (0) = a / (1 - b) with a the image of 0 and b the contraction factor
-    e^{-int_0^P d}. One more pass over the period collects the samples.
+    The map T(0) -> T(P) of dT/dt = mu(t) - d(t)T is affine: T(P) = a + b T(0)
+    with a the image of 0, one integration, and the contraction factor
+    b = e^{-D(P)} in closed form (`_death_integral`), so
+    T*(0) = a / (1 - b). One more pass over the period collects the samples.
     """
     P = params.period
     f = _healthy_field(params)
-    _, a_vec = integrate(f, 0.0, P, [0.0], cfg, t_eval=())
-    _, ab_vec = integrate(f, 0.0, P, [1.0], cfg, t_eval=())
-    a = float(a_vec[0])
-    b = float(ab_vec[0] - a_vec[0])
-    if not 0.0 < b < 1.0:
-        raise DegenerateDecay(f"period map contraction factor {b} outside (0, 1)")
+    a = float(integrate(f, 0.0, P, [0.0], cfg, t_eval=()).final[0])
+    b = math.exp(-float(_death_integral(params, P)))
+    if not b < 1.0:
+        raise DegenerateDecay(f"period map contraction factor {b} outside [0, 1)")
     t0_value = a / (1.0 - b)
 
     grid = np.linspace(0.0, P, TSTAR_SAMPLES + 1)

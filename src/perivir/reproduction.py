@@ -20,12 +20,14 @@ eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
 Thieme 2009, SIAM J. Appl. Math. 70:188; Bacaer & Guernaoui 2006,
 J. Math. Biol. 53:421), taken on ENCLOSURE_NODES of the T* nodes
 (`_collatz_wielandt`). When these bounds lie inside value -+ tol/2, that
-pair is the bracket. Otherwise one batched integration of the pair
-certifies it by the monodromy, and failing that the search goes on in
-rounds of one `rho_for_lambda` call each: a ladder of ROUND_LAMBDAS = 6
-lambdas in log lambda until rho straddles 1, then a pair around the
-secant crossing of log rho on log lambda and 6 evenly spaced interior
-points, up to 8 lambdas, each stack stepping on arrays through
+pair is the bracket. Otherwise the search starts from K 1: its bounds
+on the T* nodes bracket R0 by the same theorem (`_operator_bounds`), and
+one `rho_for_lambda` call evaluates them, with Hill's pair between them
+when it lies there. Rounds of one call each then narrow the bracket,
+using that log rho is convex in log lambda (Kingman 1961, Quart. J.
+Math. 12:283): the chord across the bracket crosses 1 right of R0, and a
+chord through an end and its outer neighbour crosses 1 left of it
+(`_unit_crossing`). Each stack steps on arrays through
 `combined(lam)(t)`. Every route reports rho(Phi_{F-G}(P)), whose side of
 1 is R0's, from one 3x3 monodromy at lambda = 1 in float steps through
 `combined(1.0).floats` (`_combined_field`). A monodromy's error is
@@ -35,7 +37,6 @@ identically zero R0 is 0 by convention.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
@@ -57,8 +58,6 @@ __all__ = [
 ]
 
 MAX_ROUNDS = 40       # search rounds after the first
-ROUND_LAMBDAS = 6     # ladder or evenly spaced lambdas of a search round
-LADDER_STEP = 0.1     # ladder spacing in log lambda
 HILL_MAX_ORDER = 64   # highest harmonic of the Fourier truncation
 ENCLOSURE_NODES = 128          # T* nodes the Collatz-Wielandt bounds are taken on
 ENCLOSURE_RESOLUTION = 1e-12   # largest top-quarter DFT coefficient / largest, at most
@@ -146,8 +145,9 @@ class R0Result:
     0 by convention). bracket straddles the root: rho at bracket[0] >= 1 >=
     rho at bracket[1], and value is its midpoint. trace holds every
     (lambda, rho) evaluation in order, lambda = 1 first, and iterations ==
-    len(trace): 1 when the enclosure certifies the first bracket, 3 when
-    the monodromy of the pair does. rho_at_one is rho(Phi_{F-G}(P));
+    len(trace): 1 when the enclosure certifies the first bracket; on the
+    search, 3 after its first stack (5 with Hill's pair inside K's bounds)
+    plus each round's lambdas. rho_at_one is rho(Phi_{F-G}(P));
     sign(value - 1) == sign(rho_at_one - 1). enclosure is (min, max) of
     (K u)/u, the Collatz-Wielandt bounds that certified the bracket, and
     None on every other route.
@@ -197,15 +197,15 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
     the monodromy cannot resolve: at rel_tol 1e-9 its radius errs by
     8.8e-12 at the persistence set's R0, 5.6e-10 in lambda.
 
-    On every other route the first value is R0_H, or the autonomous R0 of
-    the coefficient means (at least tol) when R0_H did not converge or is
-    not above tol. One `rho_for_lambda` call on the pair evaluates rho
-    there; the pair is the bracket when rho straddles 1 across it.
-    Otherwise `_unit_crossing` searches on from those two points in rounds
-    of one `rho_for_lambda` call each.
+    On every other route one `rho_for_lambda` call evaluates
+    `_operator_bounds`, which bracket R0 before any monodromy, with the pair
+    between them when it lies strictly inside. `_unit_crossing` narrows the
+    narrowest straddling pair of those points in rounds of one
+    `rho_for_lambda` call each.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
-    when no bracket is found within MAX_ROUNDS further rounds.
+    when rho does not straddle 1 across the first stack or no bracket is
+    found within MAX_ROUNDS further rounds.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
@@ -222,16 +222,14 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
     enclosure = _collatz_wielandt(lin, u)
     if not (guess > tol and enclosure is not None and lo <= enclosure[0] and enclosure[1] <= hi):
         enclosure = None
-        if not guess > tol:
-            guess = max(tol, r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean,
-                                           params.k, params.delta, params.p, params.c, params.c1))
 
         def rho(lams: list[float]) -> list[float]:
             radii = rho_for_lambda(lin, np.array(lams), cfg).tolist()
             trace.extend(zip(lams, radii))
             return radii
 
-        rho(_pair(guess, tol))
+        low, high = _operator_bounds(lin, tol)
+        rho([low] + [lam for lam in (lo, hi) if low < lo and hi < high] + [high])
         lo, hi = _unit_crossing(rho, trace[1:], tol)
     return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
                     iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace),
@@ -334,42 +332,64 @@ def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None) -> tuple[floa
         return bounds if np.all(u > 0.0) and np.all(np.isfinite(bounds)) else None
 
 
+def _operator_bounds(lin: LinearizedSystem, tol: float) -> tuple[float, float]:
+    """Bounds on R0 from K 1 alone, each end widened by tol/2 and the lower kept above 0.
+
+    The periodic solution of (d/dt + a + d(t)) y = g lies within
+    [inf g/(a + sup d), sup g/(a + inf d)], so K 1 lies within
+    [p k f_min / (c (k + d_max)(delta + d_max)), p k f_max / (c (k + d_min)(delta + d_min))],
+    f on the T* nodes, and min K 1 <= R0 <= max K 1 (Collatz-Wielandt).
+    """
+    params, f = lin.params, lin._nodes[2]
+    d_min, d_max = params.d.mean - params.d.amplitude, params.d.mean + params.d.amplitude
+    scale = params.p * params.k / params.c
+    low = scale * float(f.min()) / ((params.k + d_max) * (params.delta + d_max))
+    high = scale * float(f.max()) / ((params.k + d_min) * (params.delta + d_min))
+    return max(low - 0.5 * tol, 0.5 * low), high + 0.5 * tol
+
+
+def _chord_zero(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """log lambda where the chord through (lambda, rho) points a and b crosses rho = 1.
+
+    The chord is the line through a and b in log rho against log lambda;
+    inf unless rho is finite, positive and falling from a to b.
+    """
+    if not 0.0 < b[1] < a[1] < math.inf:
+        return math.inf
+    return math.log(a[0]) + math.log(a[1]) / math.log(a[1] / b[1]) * math.log(b[0] / a[0])
+
+
 def _unit_crossing(rho, points: list[tuple[float, float]], tol: float) -> tuple[float, float]:
     """Bracket (lo, hi), hi - lo <= tol, with rho(lo) >= 1 >= rho(hi).
 
     rho maps a list of lambdas to their radii in one call, a round; the
-    radius is positive and nonincreasing in lambda > 0. points are the
-    (lambda, rho) pairs already evaluated, at two or more distinct lambdas.
-    The bracket is the narrowest pair of neighbouring points straddling 1.
-
-    Without one, a round continues a ladder of ROUND_LAMBDAS steps of
-    LADDER_STEP in log lambda beyond the outermost point, on the root's
-    side. With one wider than tol, a round takes the `_pair` around the
-    secant crossing of log rho against log lambda (clamped to [lo + tol/2,
-    hi - tol/2]), which ends the search once the secant is within tol/2 of
-    the root, and ROUND_LAMBDAS evenly spaced interior lambdas, which
-    shrink the bracket at least (ROUND_LAMBDAS + 1)-fold whatever rho's
-    shape. A bracket with no float strictly inside is returned as it is.
+    radius is positive and nonincreasing in lambda > 0, and log rho is
+    convex in log lambda. points are the (lambda, rho) pairs already
+    evaluated, and some neighbouring two of them straddle 1; the bracket is
+    the narrowest such pair. A round evaluates, inside it, the crossing of
+    its chord in log rho against log lambda, where rho <= 1 by convexity,
+    and the crossings of the chords through each end and its outer
+    neighbour, where rho >= 1; and, when the last round (the first time,
+    the one that gave points) did not halve the bracket or no crossing
+    falls inside it, its thirds in log lambda, which keep a rho that is
+    not log-convex within MAX_ROUNDS. A bracket with no
+    float strictly inside is returned as it is. Raises BracketFailure
+    without a round when no two neighbouring points straddle 1.
     """
-    points = sorted(points)
-    for rounds in itertools.count():
-        brackets = [(a, b) for a, b in zip(points, points[1:]) if a[1] >= 1.0 >= b[1]]
-        if brackets:
-            (lo, rho_lo), (hi, rho_hi) = min(brackets, key=lambda ab: ab[1][0] - ab[0][0])
-            if hi - lo <= tol:
-                return lo, hi
-            y_lo, y_hi = math.log(rho_lo), math.log(rho_hi)
-            share = y_lo / (y_lo - y_hi) if y_lo > y_hi else 0.5  # secant zero in log(hi / lo)
-            est = min(max(lo * (hi / lo) ** share, lo + 0.5 * tol), hi - 0.5 * tol)
-            inner = [lo + (hi - lo) * j / (ROUND_LAMBDAS + 1)
-                     for j in range(1, ROUND_LAMBDAS + 1)]
-            lams = sorted({lam for lam in _pair(est, tol) + inner if lo < lam < hi})
-            if not lams:  # bracket at floating resolution
-                return lo, hi
-        else:  # rho is above 1 at the largest lambda, or below 1 at the smallest
-            step = LADDER_STEP if points[-1][1] > 1.0 else -LADDER_STEP
-            x = math.log(points[-1 if step > 0.0 else 0][0])
-            lams = [math.exp(x + step * j) for j in range(1, ROUND_LAMBDAS + 1)]
+    points, width = sorted(points), 0.0  # the points' round halved no bracket
+    for rounds in range(MAX_ROUNDS + 1):
+        straddles = [i for i, (a, b) in enumerate(zip(points, points[1:])) if a[1] >= 1.0 >= b[1]]
+        if not straddles:
+            raise BracketFailure("rho does not straddle 1 across the evaluated lambdas")
+        i = min(straddles, key=lambda i: points[i + 1][0] - points[i][0])
+        lo, hi, ends = points[i][0], points[i + 1][0], points[max(i - 1, 0):i + 3]
+        # a crossing beyond log hi is no candidate, and its exp could overflow
+        lams = [math.exp(x) for x in map(_chord_zero, ends, ends[1:]) if x < math.log(hi)]
+        if not any(lo < lam < hi for lam in lams) or hi - lo > 0.5 * width:
+            lams += [lo * (hi / lo) ** (1.0 / 3.0), lo * (hi / lo) ** (2.0 / 3.0)]
+        width, lams = hi - lo, sorted({lam for lam in lams if lo < lam < hi})
+        if hi - lo <= tol or not lams:  # not lams: the bracket is at floating resolution
+            return lo, hi
         if rounds == MAX_ROUNDS:
             raise BracketFailure(f"no bracket within {MAX_ROUNDS} rounds")
         points = sorted(points + list(zip(lams, rho(lams))))

@@ -2,9 +2,10 @@
 
 Every name a module in src/perivir imports must be used in that module,
 listed in its __all__, or come from __future__. Every module-level private
-name (a _-prefixed function, class or constant) must be read somewhere in
-src/perivir. Every field of a dataclass in src/perivir must be read as an
-attribute somewhere in src/perivir, tests, demos or perfbench. `perivir r0`
+name (a _-prefixed function, class or constant) and every module-level
+UPPER_CASE constant must be read somewhere in src/perivir. Every field of
+a dataclass in src/perivir must be read as an attribute somewhere in
+src/perivir, tests, demos or perfbench. `perivir r0`
 must run without importing scipy or numpy.fft.
 Every exception class defined in src/perivir must be one that `perivir.cli.main`
 maps to an exit code: a NumericalFailure (3) or a config-clause type (2).
@@ -55,11 +56,11 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level _-prefixed definitions that no module of `sources` reads.
+def _unread_definitions(sources: dict[str, str], chosen) -> list[str]:
+    """Module-level definitions chosen(node, name) selects that no module of `sources` reads.
 
-    sources maps a module name to its text. A read is a loaded name, an
-    attribute or an imported name; dunders are not private names.
+    sources maps a module name to its text; node is the defining statement.
+    A read is a loaded name, an attribute or an imported name.
     """
     defined = []
     used = set()
@@ -73,8 +74,7 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            defined += [(module, node.lineno, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+            defined += [(module, node.lineno, name) for name in names if chosen(node, name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -84,6 +84,18 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 used.add(node.name)
     return [f"{module} line {line}: {name}" for module, line, name in defined
             if name not in used]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level _-prefixed definitions that no module of `sources` reads; dunders are not private."""
+    return _unread_definitions(
+        sources, lambda node, name: name.startswith("_") and not name.startswith("__"))
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE assignments that no module of `sources` reads."""
+    return _unread_definitions(sources, lambda node, name: (
+        isinstance(node, (ast.Assign, ast.AnnAssign)) and name.isupper()))
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -176,6 +188,22 @@ def test_private_name_detector_flags_unread_definitions():
     }
     assert unreferenced_private_names(sources) == [
         "a.py line 2: _UNUSED", "a.py line 7: _orphan", "a.py line 9: _Cls"]
+
+
+def test_no_unread_constants():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_constants(sources) == []
+
+
+def test_constant_detector_flags_unread_constants():
+    sources = {
+        "a.py": ("MAX_ROUNDS = 40\nLADDER_STEP = 0.1\nSTEP: float = 0.5\n"
+                 "_PRIVATE = 1\nlower = 2\n"
+                 "def SHOUT():\n    pass\n"
+                 "def search():\n    return MAX_ROUNDS\n"),
+        "b.py": "import a\nfrom a import _PRIVATE\nx = a.STEP\n",
+    }
+    assert unread_constants(sources) == ["a.py line 2: LADDER_STEP"]
 
 
 def test_every_dataclass_field_is_read():

@@ -165,6 +165,17 @@ class TestVirusFreeNumeric:
         rel = np.abs(closed.value(g) - numeric.value(g)) / np.abs(numeric.value(g))
         assert np.max(rel) < 1e-7
 
+    def test_long_period_contraction_in_closed_form(self, monkeypatch, config_dir, spectral_cfg):
+        # P = 30,000 h on extinction's rates: e^{-D(P)} = e^{-300}, which an integrated
+        # T(P; 1) - T(P; 0) cannot resolve
+        params = replace(cli_module.load_config(str(config_dir / "extinction.ini")).params,
+                         angular_frequency=2.0 * math.pi / 30_000.0)
+        numeric = virus_free_numeric(params, spectral_cfg)
+        monkeypatch.setattr(periodic, "TSTAR_SAMPLES", 8192)
+        closed = virus_free_closed_form(params)
+        assert abs(numeric.t_star_initial / closed.t_star_initial - 1.0) <= 1e-8
+        assert np.max(np.abs(numeric.values / closed.value(numeric.times) - 1.0)) <= 1e-8
+
     def test_one_period_return(self, spectral_cfg):
         params = skewed_params()
         sol = virus_free_numeric(params, spectral_cfg)
@@ -467,7 +478,7 @@ class TestEndStateIntegrations:
     def test_end_state_callers_pass_no_t_eval(self, monkeypatch, spectral_cfg):
         (passes, t_star, monodromies), results = self._run(monkeypatch, spectral_cfg, False)
         assert len(passes) >= 2 and all(len(t) == 0 for t in passes)
-        assert [len(t) for t in t_star] == [0, 0, periodic.TSTAR_SAMPLES + 1]  # the affine map
+        assert [len(t) for t in t_star] == [0, periodic.TSTAR_SAMPLES + 1]  # the image of 0
         assert len(monodromies) == 3 and all(len(t) == 0 for t in monodromies)
         _, reference = self._run(monkeypatch, spectral_cfg, True)
         for got, want in zip(results, reference, strict=True):

@@ -57,7 +57,7 @@ SHIPPED = ("baseline", "extinction", "persistence")
 
 
 def _unconverged_hill(lin, tol):
-    """A `_hill_r0` that never converges: the search starts from the mean-rate R0."""
+    """A `_hill_r0` that never converges: the search starts from K's bounds alone."""
     return math.nan, None
 
 
@@ -466,12 +466,12 @@ class TestR0Search:
         assert np.shape(matrix_calls[0][3]) == (3, 3)
 
     def test_each_round_is_one_stacked_integration(self, monkeypatch):
-        # with the Fourier value unconverged the search starts from the mean-rate R0
+        # with the Fourier value unconverged the search starts from K's two bounds
         monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(persistence_params())
-        _assert_one_integration_a_round(rho_calls, matrix_calls, res)
+        _assert_one_integration_a_round(rho_calls, matrix_calls, res, first=2)
 
     def test_evaluation_budget_persistence(self):
         assert r0_periodic(persistence_params()).iterations <= 12
@@ -488,7 +488,7 @@ class TestR0Search:
         counts = [r0_periodic(random_periodic_params(rng)).iterations for _ in range(30)]
         assert max(counts) <= 12
 
-    @pytest.mark.parametrize("start", ["fourier", "mean-rate"])
+    @pytest.mark.parametrize("start", ["fourier", "bounds"])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS)
     # R0 = 1: a stacked rho(1) can fall on the other side of 1 from a scalar one,
@@ -497,11 +497,11 @@ class TestR0Search:
                     "c": 0.5, "c1": 0.25, "c2": 0.0},
              log_r0_factor=0.0, amps=(0.0, 0.0, 0.0))
     def test_matches_bisection_oracle(self, start, rates, log_r0_factor, amps):
-        # "mean-rate": with the Fourier value unconverged, the search starts from
-        # the autonomous R0 of the coefficient means
+        # "bounds": with the Fourier value unconverged, the search starts from
+        # K's bounds alone
         params = admissible_periodic(rates, log_r0_factor, amps)
         tol = 1e-6
-        hill = _unconverged_hill if start == "mean-rate" else _hill_r0
+        hill = _unconverged_hill if start == "bounds" else _hill_r0
         with mock.patch.object(reproduction, "_hill_r0", hill):
             res = r0_periodic(params, tol=tol)
         oracle, _, _ = bisection_r0(params, tol=tol)
@@ -513,7 +513,7 @@ class TestR0Search:
         assert rho_for_lambda(lin, lo, cfg) >= 1.0 >= rho_for_lambda(lin, hi, cfg)
 
     @pytest.mark.parametrize("scaled_rate", ["beta", "p"])
-    @pytest.mark.parametrize("start", ["fourier", "mean-rate"])
+    @pytest.mark.parametrize("start", ["fourier", "bounds"])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
            s=st.floats(0.1, 10.0))
@@ -526,7 +526,7 @@ class TestR0Search:
             s * params.beta.mean, s * params.beta.amplitude)) if scaled_rate == "beta"
             else replace(params, p=s * params.p))
         tol = 1e-8
-        hill = _unconverged_hill if start == "mean-rate" else _hill_r0
+        hill = _unconverged_hill if start == "bounds" else _hill_r0
         with mock.patch.object(reproduction, "_hill_r0", hill):
             base, covariant = r0_periodic(params, tol=tol), r0_periodic(scaled, tol=tol)
         assert abs(covariant.value - s * base.value) <= (1.0 + s) * tol
@@ -542,30 +542,53 @@ def _step_at(root):
     return lambda lam: 2.0 if lam < root else 0.5
 
 
+def _log_convex_at(root):
+    """A positive sum of powers of root/lam, so log rho is convex in log lam."""
+    return lambda lam: 0.5 * (root / lam) + 0.5 * (root / lam) ** 3
+
+
+def _search(rho, root, guess_factor, tol):
+    """`_unit_crossing` from root/20, 20 root and the `_pair` at root * guess_factor.
+
+    Returns the bracket and the number of lambdas of each round.
+    """
+    rounds = []
+
+    def stacked(lams):
+        rounds.append(len(lams))
+        return [rho(lam) for lam in lams]
+
+    lams = [root / 20.0, 20.0 * root] + _pair(root * guess_factor, tol)
+    return _unit_crossing(stacked, [(lam, rho(lam)) for lam in lams], tol), rounds
+
+
 class TestUnitCrossing:
     @pytest.mark.parametrize("shape", [_steep_after, _step_at], ids=["flat-steep", "step"])
     @pytest.mark.parametrize("root", [0.37, 3.7, 123.4])
     @pytest.mark.parametrize("guess_factor", [1.0, 1.01, 5.0, 1.0 / 7.0])
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
-    def test_pathological_rho_within_half_the_bisections(self, shape, root, guess_factor,
-                                                          tol):
+    def test_pathological_rho_within_max_rounds(self, shape, root, guess_factor, tol):
+        # neither shape is log-convex: the thirds carry the search
         rho = shape(root)
-        rounds = []
+        (lo, hi), rounds = _search(rho, root, guess_factor, tol)
+        assert rho(lo) >= 1.0 >= rho(hi)
+        assert 0.0 <= hi - lo <= tol
+        # a round: three chord crossings and two thirds at most
+        assert len(rounds) <= reproduction.MAX_ROUNDS and max(rounds, default=0) <= 5
 
-        def stacked(lams):
-            rounds.append(len(lams))
-            return [rho(lam) for lam in lams]
-
-        points = [(lam, rho(lam)) for lam in _pair(root * guess_factor, tol)]
-        lo, hi = _unit_crossing(stacked, points, tol)
+    @pytest.mark.parametrize("root", [0.37, 3.7, 123.4])
+    @pytest.mark.parametrize("guess_factor", [1.0, 1.01, 5.0, 1.0 / 7.0])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_log_convex_rho_within_a_quarter_of_the_bisections(self, root, guess_factor, tol):
+        rho = _log_convex_at(root)
+        (lo, hi), rounds = _search(rho, root, guess_factor, tol)
         _, _, bisections = bisection_root(rho, tol)
         assert rho(lo) >= 1.0 >= rho(hi)
         assert 0.0 <= hi - lo <= tol
-        assert len(rounds) + 1 <= bisections / 2  # plus the round that gave the points
-        assert max(rounds, default=0) <= reproduction.ROUND_LAMBDAS + 2
+        assert len(rounds) + 1 <= bisections / 4  # plus the round that gave the points
 
     def test_bracket_failure_when_rho_never_crosses(self):
-        for radius in (2.0, 0.5):  # a ladder up, then a ladder down
+        for radius in (2.0, 0.5):
             rounds = []
 
             def stacked(lams):
@@ -574,7 +597,7 @@ class TestUnitCrossing:
 
             with pytest.raises(BracketFailure):
                 _unit_crossing(stacked, [(1.0, radius), (3.0, radius)], 1e-8)
-            assert len(rounds) == reproduction.MAX_ROUNDS
+            assert rounds == []
 
 
 class TestMonotonicity:
@@ -582,7 +605,7 @@ class TestMonotonicity:
     # (through T*), and shrinks with c, delta and c1, so R0 does too, by the
     # monotonicity of the spectral radius of positive operators; each value
     # lies within tol/2 of its root
-    @pytest.mark.parametrize("start", ["fourier", "mean-rate"])
+    @pytest.mark.parametrize("start", ["fourier", "bounds"])
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
            rate=st.sampled_from(["beta", "mu", "c", "delta", "c1"]), growth=st.floats(1.01, 3.0))
@@ -595,21 +618,23 @@ class TestMonotonicity:
         else:
             grown = replace(params, **{rate: growth * getattr(params, rate) + 0.01})
         tol = 1e-8
-        hill = _unconverged_hill if start == "mean-rate" else _hill_r0
+        hill = _unconverged_hill if start == "bounds" else _hill_r0
         with mock.patch.object(reproduction, "_hill_r0", hill):
             base, moved = r0_periodic(params, tol=tol), r0_periodic(grown, tol=tol)
-        assert (base.enclosure is None) == (moved.enclosure is None) == (start == "mean-rate")
+        assert (base.enclosure is None) == (moved.enclosure is None) == (start == "bounds")
         if rate in ("beta", "mu"):
             assert moved.value >= base.value - tol
         else:
             assert moved.value <= base.value + tol
 
 
-def _pair_protocol(params, guess, tol):
-    """The R0Result of the pair's certification from guess, then the search.
+def _bounds_protocol(params, guess, tol):
+    """The R0Result of the search from K's bounds, with guess's `_pair` when inside them.
 
-    This is the route that precedes the enclosure: lambda = 1 alone, one
-    stack of the `_pair` around guess, then `_unit_crossing` from the pair.
+    lambda = 1 alone, then one stack: p k f_min / (c (k + d_max)(delta + d_max))
+    - tol/2, the pair, and p k f_max / (c (k + d_min)(delta + d_min)) + tol/2,
+    with f = beta T*/(1 + c1 T*) on the T* nodes; then `_unit_crossing` from
+    those points.
     """
     lin, cfg = build_linearization(params), IntegratorConfig.spectral()
     trace = [(1.0, rho_for_lambda(lin, 1.0, cfg))]
@@ -619,7 +644,14 @@ def _pair_protocol(params, guess, tol):
         trace.extend(zip(lams, radii))
         return radii
 
-    rho(_pair(guess, tol))
+    t_star = lin.t_star.values[:-1]
+    f = params.rates(lin.t_star.times[:-1])[1] * t_star / (1.0 + params.c1 * t_star)
+    d_min, d_max = params.d.mean - params.d.amplitude, params.d.mean + params.d.amplitude
+    scale = params.p * params.k / params.c
+    low = scale * float(f.min()) / ((params.k + d_max) * (params.delta + d_max)) - 0.5 * tol
+    high = scale * float(f.max()) / ((params.k + d_min) * (params.delta + d_min)) + 0.5 * tol
+    pair = _pair(guess, tol)
+    rho([low] + (pair if low < pair[0] and pair[1] < high else []) + [high])
     lo, hi = _unit_crossing(rho, trace[1:], tol)
     return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
                     iterations=len(trace), rho_at_one=trace[0][1], trace=tuple(trace))
@@ -653,7 +685,7 @@ class TestEnclosure:
         assert abs(0.5 * (low + high) - value) <= 1e-12 * value
 
     @pytest.mark.parametrize("fallback", ["u-not-positive", "enclosure-outside", "hill-nan"])
-    def test_forced_fallback_is_the_pair_protocol(self, monkeypatch, fallback):
+    def test_forced_fallback_is_the_bounds_protocol(self, monkeypatch, fallback):
         params, tol = persistence_params(), 1e-8
         value, _ = _hill_r0(build_linearization(params), tol)
         if fallback == "u-not-positive":
@@ -663,12 +695,11 @@ class TestEnclosure:
             guess = value + 3.0 * tol
             monkeypatch.setattr(reproduction, "_hill_r0", _shifted_hill(3.0 * tol))
         else:
-            guess = r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean, params.k,
-                                  params.delta, params.p, params.c, params.c1)
+            guess = math.nan
             monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
         res = r0_periodic(params, tol=tol)
         assert res.enclosure is None
-        assert res == _pair_protocol(params, guess, tol)
+        assert res == _bounds_protocol(params, guess, tol)
 
     def test_unresolved_spectrum_gives_no_enclosure(self, monkeypatch):
         lin = build_linearization(persistence_params())
@@ -710,14 +741,15 @@ def _certified(params, res, tol):
             and rho_for_lambda(lin, lo, cfg) >= 1.0 >= rho_for_lambda(lin, hi, cfg))
 
 
-def _assert_one_integration_a_round(rho_calls, matrix_calls, res):
-    """lambda = 1 alone, then one stacked integration a search round, the pair first."""
+def _assert_one_integration_a_round(rho_calls, matrix_calls, res, first):
+    """lambda = 1 alone, then one stacked integration a round: first lambdas, then at most 5."""
     stacks = [np.shape(call[3]) for call in matrix_calls]
     assert len(rho_calls) == len(matrix_calls) > 2
     assert rho_calls[0][1] == 1.0 and stacks[0] == (3, 3)
     assert [np.size(call[1]) for call in rho_calls[1:]] == [shape[0] for shape in stacks[1:]]
-    assert stacks[1] == (2, 3, 3)
-    assert all(shape[0] <= reproduction.ROUND_LAMBDAS + 2 for shape in stacks[2:])
+    assert stacks[1] == (first, 3, 3)
+    # three chord crossings and two thirds
+    assert all(shape[0] <= 5 for shape in stacks[2:])
     assert 1 + sum(shape[0] for shape in stacks[1:]) == res.iterations
 
 
@@ -784,12 +816,15 @@ class TestFallback:
         params = persistence_params()
         tol = 1e-8
         certified = r0_periodic(params, tol=tol)
+        value, _ = _hill_r0(build_linearization(params), tol)
         monkeypatch.setattr(reproduction, "_hill_r0", _shifted_hill(3.0 * tol))
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(params, tol=tol)
         assert res.trace[0] == (1.0, res.rho_at_one)
-        _assert_one_integration_a_round(rho_calls, matrix_calls, res)
+        # K's two bounds with the shifted pair between them
+        _assert_one_integration_a_round(rho_calls, matrix_calls, res, first=4)
+        assert [lam for lam, _ in res.trace[2:4]] == _pair(value + 3.0 * tol, tol)
         assert _straddles(res, tol)
         assert abs(res.value - certified.value) <= tol + 1e-8 * certified.value
 
@@ -805,6 +840,29 @@ class TestFallback:
         assert searched.trace[0] == (1.0, searched.rho_at_one)
         assert searched.iterations > 3 and _straddles(searched, 1e-12)
 
+    def test_unconverged_sets_take_half_the_evaluations(self, monkeypatch):
+        # the first 10 sets of the criterion-3 sample with Hill forced to nan; a
+        # search from the mean-rate R0 by a ladder of lambdas and 6 evenly spaced
+        # interior lambdas a round takes 319 evaluations beyond lambda = 1 on them
+        monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
+        rng = np.random.default_rng(20240103)
+        results = [r0_periodic(random_periodic_params(rng)) for _ in range(10)]
+        assert all(_straddles(res, 1e-8) for res in results)
+        assert sum(res.iterations - 1 for res in results) <= 319 // 2
+
+    def test_r0_below_tol_still_brackets(self, monkeypatch):
+        # R0 = 6.5e-10, so the lower bound less tol/2 is negative: the start keeps half of it
+        params, tol = persistence_params(), 1e-8
+        scaled = replace(params, beta=SinusoidalCoefficient(1e-11 * params.beta.mean,
+                                                            1e-11 * params.beta.amplitude))
+        reference = 1e-11 * r0_periodic(params, tol=tol).value
+        monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
+        res = r0_periodic(scaled, tol=tol)
+        assert res.bracket[0] > 0.0 and _straddles(res, tol)
+        assert abs(res.value - reference) <= tol
+        assert all(type(lam) is float for lam in res.bracket)
+        assert "np.float64" not in repr(res)
+
     @pytest.mark.parametrize("beta_scale", [0.0253, 0.0254])
     def test_bracket_width_near_threshold(self, beta_scale):
         # at R0 near 1, R0 - tol/2 + tol and R0 + tol/2 - (R0 - tol/2) can round above tol
@@ -817,6 +875,38 @@ class TestFallback:
 def _with_period(params, period):
     """params with its forcing period set to period hours."""
     return replace(params, angular_frequency=2.0 * math.pi / period)
+
+
+class TestConvexity:
+    def test_log_rho_is_convex_in_log_lambda(self, spectral_cfg):
+        # the search's chord bounds rest on it (Kingman 1961): 21 lambdas evenly
+        # spaced in log lambda over R0 e^-1 .. R0 e^1, one stack a set
+        rng = np.random.default_rng(20240103)
+        for _ in range(10):
+            params = random_periodic_params(rng)
+            lams = r0_periodic(params).value * np.exp(np.linspace(-1.0, 1.0, 21))
+            log_rho = np.log(rho_for_lambda(build_linearization(params), lams, spectral_cfg))
+            assert np.all(np.diff(log_rho, 2) > 0.0)
+
+
+class TestFastForcingLimit:
+    # as P -> 0, T* -> mu0/d0 and K averages, so R0 tends to the mean-rate R0 at O(P^2)
+    @pytest.mark.parametrize("factory, constant", [(persistence_params, 1.5748e-4),
+                                                   (baseline_params, 1.6317e-4)])
+    def test_r0_tends_to_the_mean_rate_r0(self, factory, constant):
+        params, tol = factory(), 1e-10
+        mean = r0_autonomous(params.mu.mean, params.beta.mean, params.d.mean, params.k,
+                             params.delta, params.p, params.c, params.c1)
+
+        def gap(period):
+            res = r0_periodic(_with_period(params, period), tol=tol)
+            assert res.enclosure is not None
+            return res.value - mean
+
+        fitted = gap(0.24) / 0.24 ** 2
+        assert fitted == pytest.approx(constant, rel=1e-3)
+        assert gap(0.024) / 0.024 ** 2 == pytest.approx(fitted, rel=0.01)
+        assert abs(gap(0.0024) - fitted * 0.0024 ** 2) <= 0.5 * tol
 
 
 class TestRhoAtOne:
@@ -883,8 +973,9 @@ class TestRhoAtOne:
         zero = _with_period(zero_beta_params(), 30_000.0)
         res = r0_periodic(zero, cfg=replace(IntegratorConfig.spectral(), max_steps=50_000))
         assert res.method == "no-infection-term" and 0.0 <= res.rho_at_one < 1e-300
-        # the search that follows there overflows at lambda 0.22 (ROADMAP item 5),
-        # so this takes the monodromy that r0_periodic integrates first
+        # the search that follows there overflows in its first stack, on K's
+        # bounds (ROADMAP item 5), so this takes the monodromy that r0_periodic
+        # integrates first
         cfg = load_config(str(config_dir / "extinction.ini"))
         lin = build_linearization(_with_period(cfg.params, 30_000.0))
         rho = rho_for_lambda(lin, 1.0, replace(cfg.integrator, max_steps=50_000))
