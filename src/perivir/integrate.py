@@ -42,9 +42,9 @@ on a flat list of n floats; integrate calls it once per integration,
 after the shape has picked float steps. The model's (4,) state, its
 batches of up to 16 members, Newton shooting's 20-wide
 state-plus-variational flow and r0's one 3x3 monodromy at lambda = 1,
-which integrate_matrix hands over as (1, 9), take this kind. Every other
-state (a stack of R0 lambdas, larger batches, any (m, n, n) given to
-integrate) steps on a flat numpy array (_array_step).
+which reproduction carries with T as one (1, 10) state, take this kind.
+Every other state (any (m, n, n), so every stack integrate_matrix hands
+over, and larger batches) steps on a flat numpy array (_array_step).
 Both kinds share the tableau, checks and messages, and the loop holds
 the controller, the step budget and the samples for both. A float step
 sums every tableau product and each member's error norm left to right;
@@ -54,7 +54,7 @@ bitwise once the array step's sums run left to right too.
 Each float step is one straight-line function per (values, member
 width), generated from the tableau and compiled on first use, then kept
 for the process (_step_kernel). Nothing is built at import; a build
-costs about 1.7 ms for 4 values, 2.4-3.4 ms for 9, 4 ms for 12, 7 ms
+costs about 1.7 ms for 4 values, 2.0-3.4 ms for 10, 4 ms for 12, 7 ms
 for 20 and 16-21 ms for 64, almost all of it in compile, which holds the
 whole source's tokens and syntax tree until it is done: the 20-value
 build lifts peak RSS by about 0.9 MB. Over 52 periods of the persistence
@@ -267,7 +267,7 @@ def _step_kernel(n: int, width: int):
     return namespace["step"]
 
 
-def _array_step(field, t, h, ys, k0, atol, rtol, *, width):
+def _array_step(width, field, t, h, ys, k0, atol, rtol):
     """The attempted step on a flat numpy state, with _step_kernel's contract.
 
     The same tableau, check and message as the kernels, but each tableau
@@ -365,7 +365,7 @@ def integrate(f, t0: float, t1: float, y0, cfg: IntegratorConfig, t_eval=None) -
             def field(t, ys):
                 return np.ravel(f(t, np.array(ys).reshape(shape))).tolist()
     else:
-        step, ys = functools.partial(_array_step, width=width), y.ravel()
+        step, ys = functools.partial(_array_step, width), y.ravel()
 
         def put(buffer, row):  # extend would iterate the row's numpy scalars
             buffer.frombytes(row.tobytes())
@@ -468,29 +468,14 @@ def integrate_matrix(A, t0: float, t1: float, M0, cfg: IntegratorConfig) -> Solu
 
     By the member-axis rule each of the stack's m matrices is one member on
     its own error norm, the RMS over its n*n values, and a single matrix is
-    a stack of one. A.floats, when A has it, is the field's float form:
-    A.floats(n) is A(t) @ M on one row-major matrix M, a flat list of n
-    floats. With it, a stack of one (r0's 3x3 at lambda = 1) goes to
-    `integrate` flattened to (1, n*n) and steps on floats; its field on
-    arrays runs the same formula, so a caller that hides f.floats gets the
-    same numbers. Any other stack goes as it is, with the field A(t) @ M,
-    and steps on arrays. The trajectory is empty; end_matrix has M0's
-    shape. With M0 = I this yields the evolution operator over [t0, t1]
-    (the fundamental matrix over one period).
+    a stack of one. Every stack goes to `integrate` as it is, with the field
+    A(t) @ M, and steps on arrays. The trajectory is empty; end_matrix has
+    M0's shape. With M0 = I this yields the evolution operator over
+    [t0, t1] (the fundamental matrix over one period).
     """
     M0 = np.asarray(M0, dtype=float)
     if M0.ndim not in (2, 3) or M0.shape[-1] != M0.shape[-2]:
         raise ValueError("M0 must be a square matrix or a stack of them")
     stack = M0.reshape((-1,) + M0.shape[-2:])
-    floats = getattr(A, "floats", None)
-    if floats is None or len(stack) > 1:
-        sol = integrate(lambda t, m: A(t) @ m, t0, t1, stack, cfg, t_eval=())
-    else:
-        field = floats(stack.size)
-
-        def f(t, m):  # the same numbers for a caller that hides f.floats behind a wrapper
-            return np.array(field(t, m.ravel().tolist())).reshape(m.shape)
-
-        f.floats = floats
-        sol = integrate(f, t0, t1, stack.reshape(1, -1), cfg, t_eval=())
+    sol = integrate(lambda t, m: A(t) @ m, t0, t1, stack, cfg, t_eval=())
     return replace(sol, final=sol.final.reshape(M0.shape))

@@ -29,10 +29,11 @@ Math. 12:283): the chord across the bracket crosses 1 right of R0, and a
 chord through an end and its outer neighbour crosses 1 left of it
 (`_unit_crossing`). Each stack steps on arrays through
 `combined(lam)(t)`. Every route reports rho(Phi_{F-G}(P)), whose side of
-1 is R0's, from one 3x3 monodromy at lambda = 1 in float steps through
-`combined(1.0).floats` (`_combined_field`). A monodromy's error is
-relative to each entry, so one that decays keeps its radius. With beta
-identically zero R0 is 0 by convention.
+1 is R0's, from one 3x3 monodromy at lambda = 1 in float steps, with T
+carried alongside it as one (1, 10) state, T' = mu - d T from T*(0)
+(`_combined_field`). A monodromy's error is relative to each entry, so
+one that decays keeps its radius. With beta identically zero R0 is 0 by
+convention.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .integrate import IntegratorConfig, NumericalFailure, integrate_matrix
+from .integrate import IntegratorConfig, NumericalFailure, integrate, integrate_matrix
 from .model import ModelParameters
 from .periodic import VirusFreeSolution, floquet_multipliers, virus_free_closed_form
 
@@ -81,15 +82,12 @@ class LinearizedSystem:
     def combined(self, lam):
         """t -> F(t)/lam - G(t): (3, 3) for a number lam, (m, 3, 3) for m lambdas.
 
-        For a number lam, A.floats(9) is A(t) @ M on one flat row-major 3x3
-        M: `_combined_field` with the rates, T*'s `value` and 1/lam bound.
-        integrate_matrix steps a single matrix through it. m lambdas give no
-        float form, so their stack steps on arrays through A(t) @ M; A(t) is
-        also the oracle the tests hold A.floats to.
+        A stack of lambdas steps on arrays through A(t) @ M, with T* from
+        its `value`; a number lam's radius comes from `_combined_field`
+        instead, and A(t) is the oracle the tests hold that field to.
         """
         params, t_star = self.params, self.t_star
         k, delta, p, c, c1 = params.k, params.delta, params.p, params.c, params.c1
-        beta, d = params.beta, params.d
         inv_lam = 1.0 / np.asarray(lam, dtype=float)
         shape = inv_lam.shape + (3, 3)
         constant = np.array([[0.0, 0.0, 0.0], [k, 0.0, 0.0], [0.0, p, -c]])
@@ -103,10 +101,6 @@ class LinearizedSystem:
             a[..., 0, 2] = inv_lam * (beta_t * ts / (1.0 + c1 * ts))
             return a
 
-        if inv_lam.ndim == 0:  # a Python float: np.float64 arithmetic takes twice as long
-            A.floats = lambda n: partial(_combined_field, params.angular_frequency, beta.mean,
-                                         beta.amplitude, d.mean, d.amplitude, k, delta, p, c,
-                                         c1, t_star.value, float(inv_lam))
         return A
 
     @cached_property
@@ -117,23 +111,22 @@ class LinearizedSystem:
         return t, d, beta * t_star / (1.0 + self.params.c1 * t_star)
 
 
-def _combined_field(w, beta0, beta1, d0, d1, k, delta, p, c, c1, tstar, inv, t, ms):
-    """A(t) @ M on one flat row-major 3x3 M: `combined(lam).floats` for a number lam.
+def _combined_field(w, mu0, mu1, beta0, beta1, d0, d1, k, delta, p, c, c1, inv, t, ys):
+    """(A(t) @ M, T') on one flat row-major 3x3 M followed by T: the field of a number lam.
 
-    w is the angular frequency, beta0, beta1, d0 and d1 the mean and
-    amplitude of beta and d, tstar T*(t) as a function and inv 1/lam; t is a
-    number. A has the nonzero entries a00 = -(k + d), a02 = inv * beta T* /
-    (1 + c1 T*), k, a11 = -(delta + d), p and -c, and each product entry is
-    written out on them, left to right.
+    w is the angular frequency, mu0 .. d1 the means and amplitudes of mu,
+    beta and d, and inv 1/lam; t is a number. T is carried in the state, so
+    T' = mu - d T takes the place of a T* lookup. A has the nonzero entries
+    a00 = -(k + d), a02 = inv * beta T / (1 + c1 T), k, a11 = -(delta + d),
+    p and -c, and each entry is written out on them, left to right.
     """
     s = math.sin(w * t)
     beta_t, d_t = beta0 + beta1 * s, d0 + d1 * s
-    ts = tstar(t)
+    m0, m1, m2, m3, m4, m5, m6, m7, m8, ts = ys
     a00, a11, a02 = -(k + d_t), -(delta + d_t), inv * (beta_t * ts / (1.0 + c1 * ts))
-    m0, m1, m2, m3, m4, m5, m6, m7, m8 = ms
     return [a00 * m0 + a02 * m6, a00 * m1 + a02 * m7, a00 * m2 + a02 * m8,
             k * m0 + a11 * m3, k * m1 + a11 * m4, k * m2 + a11 * m5,
-            p * m3 - c * m6, p * m4 - c * m7, p * m5 - c * m8]
+            p * m3 - c * m6, p * m4 - c * m7, p * m5 - c * m8, (mu0 + mu1 * s) - d_t * ts]
 
 
 @dataclass(frozen=True)
@@ -175,14 +168,36 @@ def rho_for_lambda(lin: LinearizedSystem, lam: float | np.ndarray,
                    cfg: IntegratorConfig) -> float | np.ndarray:
     """rho of the one-period monodromy of w' = (F/lam - G) w.
 
-    A float for a number lam; a 1-D array of m lambdas gives m radii from one integration.
-    cfg's abs_tol is replaced by the smallest normal float: each entry's error is relative.
+    A float for a number lam (`_end_state`); m radii for a 1-D array of m lambdas, from one
+    `integrate_matrix` run. cfg's abs_tol becomes the smallest normal float: errors are relative.
     """
     eye = np.broadcast_to(np.eye(3), np.shape(lam) + (3, 3))
     cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
-    end = integrate_matrix(lin.combined(lam), 0.0, lin.params.period, eye, cfg).end_matrix
+    end = (integrate_matrix(lin.combined(lam), 0.0, lin.params.period, eye, cfg).end_matrix
+           if np.ndim(lam) else _end_state(lin, float(lam), cfg)[:9].reshape(3, 3))
     radius = np.abs(floquet_multipliers(end)[..., 0])
     return float(radius) if radius.ndim == 0 else radius
+
+
+def _end_state(lin: LinearizedSystem, lam: float, cfg: IntegratorConfig) -> np.ndarray:
+    """The monodromy at a number lam, row-major, then T(P): one (1, 10) float run from I, T*(0)."""
+    y0 = np.array([np.eye(3).ravel().tolist() + [lin.t_star.t_star_initial]])
+    sol = integrate(_monodromy_field(lin, lam), 0.0, lin.params.period, y0, cfg, t_eval=())
+    return sol.final[0]
+
+
+def _monodromy_field(lin: LinearizedSystem, lam: float):
+    """f.floats is `_combined_field` with lin's rates and 1/lam bound; f on (1, 10) runs it too."""
+    p = lin.params
+    field = partial(_combined_field, p.angular_frequency, p.mu.mean, p.mu.amplitude, p.beta.mean,
+                    p.beta.amplitude, p.d.mean, p.d.amplitude, p.k, p.delta, p.p, p.c, p.c1,
+                    1.0 / lam)
+
+    def f(t, y):  # the same numbers for a caller that hides f.floats
+        return np.array([field(t, y[0].tolist())])
+
+    f.floats = lambda n: field
+    return f
 
 
 def r0_periodic(params: ModelParameters, tol: float = 1e-8,

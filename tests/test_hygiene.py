@@ -252,7 +252,7 @@ _FLOAT_FORMULAS = {
     "integrate.py": None,
     "model.py": ["ModelParameters", "incidence", "incidence_partials"],
     "periodic.py": ["_augmented_field"],
-    "reproduction.py": ["LinearizedSystem", "_combined_field"],  # combined's A and A.floats
+    "reproduction.py": ["LinearizedSystem", "_combined_field"],  # combined's A, the (1, 10) field
 }
 
 
@@ -261,7 +261,7 @@ def test_float_sums_are_written_out(module):
     assert summing_calls((SRC / module).read_text(), _FLOAT_FORMULAS[module]) == []
 
 
-@pytest.mark.parametrize("n, width", [(4, 4), (12, 4), (20, 20), (64, 4)])
+@pytest.mark.parametrize("n, width", [(4, 4), (10, 10), (12, 4), (20, 20), (64, 4)])
 def test_generated_step_sums_are_written_out(n, width):
     integrate = importlib.import_module("perivir.integrate")
     assert summing_calls(integrate._step_source(n, width)) == []

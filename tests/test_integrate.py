@@ -16,7 +16,7 @@ from perivir import (
     integrate_matrix,
 )
 from perivir import model as model_module
-from perivir import periodic
+from perivir import periodic, reproduction
 from perivir.analysis import (
     DEFAULT_INITIAL_CONDITIONS,
     EVIDENCE_PERIODS,
@@ -123,6 +123,21 @@ def _recorded_newton_flow(params, x, cfg):
         out = periodic._flow_and_monodromy(params, np.array(x), cfg)
     assert len(sols) == 1
     return out, sols[0]
+
+
+def _recorded_monodromy(lin, cfg, hide=False):
+    """reproduction._end_state at lambda = 1 and the Solution behind it; hide drops f.floats."""
+    sols = []
+
+    def recorded(f, *args, **kwargs):
+        sols.append(integrate((lambda t, y: f(t, y)) if hide else f, *args, **kwargs))
+        return sols[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reproduction, "integrate", recorded)
+        end = reproduction._end_state(lin, 1.0, cfg)
+    assert len(sols) == 1
+    return end, sols[0]
 
 
 @contextlib.contextmanager
@@ -423,7 +438,7 @@ class TestLoopRouting:
     def test_orbit_runs_take_only_the_float_loop(self, monkeypatch, tmp_path, config_dir,
                                                  spectral_cfg):
         # the warm start's (4,) passes and Newton's 20-wide flows, and r0's
-        # one 3x3 monodromy at lambda = 1 as one (1, 9) run
+        # one 3x3 monodromy at lambda = 1, with T, as one (1, 10) run
         arrays = count_calls(monkeypatch, _integrate_module, "_array_step")
         assert main(["orbit", "--config", str(config_dir / "persistence.ini"),
                      "--out", str(tmp_path / "orbit.csv")]) == 0
@@ -431,15 +446,16 @@ class TestLoopRouting:
         floats = count_calls(monkeypatch, _integrate_module, "_step_kernel")
         lin = build_linearization(persistence_params())
         rho_for_lambda(lin, 1.0, spectral_cfg)
-        assert floats == [(9, 9)]
+        assert floats == [(10, 10)]
         assert arrays == []
 
     @pytest.mark.parametrize("members", [None, 1, 3, 4, 5, 6, 8])
     def test_monodromy_stack_loop_follows_its_size(self, monkeypatch, spectral_cfg, members):
-        # a number lam, whose combined has a float form, goes flat to float
-        # steps; every stack of lambdas (the fallback certification's three,
-        # a search round's 5 to 8) goes as (m, 3, 3) to array steps, whose
-        # field is A(t) @ M
+        # a number lam goes straight to integrate as one (1, 10) state, the
+        # monodromy with T, and steps on floats; every stack of lambdas (the
+        # fallback's first stack, a search round's) goes through
+        # integrate_matrix as (m, 3, 3) to array steps, whose field is A(t) @ M
+        direct = count_calls(monkeypatch, reproduction, "integrate")
         runs = count_calls(monkeypatch, _integrate_module, "integrate")
         floats = count_calls(monkeypatch, _integrate_module, "_step_kernel")
         arrays = count_calls(monkeypatch, _integrate_module, "_array_step")
@@ -447,11 +463,11 @@ class TestLoopRouting:
         lams = 1.0 if members is None else np.geomspace(0.5, 2.0, members)
         radii = rho_for_lambda(lin, lams, spectral_cfg)
         if members is None:
-            assert [args[3].shape for args in runs] == [(1, 9)]
-            assert (floats, arrays) == ([(9, 9)], [])
+            assert [args[3].shape for args in direct] == [(1, 10)] and runs == []
+            assert (floats, arrays) == ([(10, 10)], [])
             assert isinstance(radii, float) and radii > 1.0
         else:
-            assert [args[3].shape for args in runs] == [(members, 3, 3)]
+            assert [args[3].shape for args in runs] == [(members, 3, 3)] and direct == []
             assert len(arrays) > 0 and floats == []
             assert radii.shape == (members,) and np.all(np.diff(radii) < 0.0)
 
@@ -540,32 +556,27 @@ class TestMatrixIntegration:
 
     @pytest.mark.parametrize("profile", ["simulation", "spectral"])
     def test_monodromy_at_one_matches_the_array_loop(self, profile):
-        # r0's 3x3 monodromy at lambda = 1 steps on floats, bit for bit as the
-        # array loop with its sums left to right steps it
+        # r0's 3x3 monodromy at lambda = 1, with T, steps on floats, bit for
+        # bit as the array loop with its sums left to right steps it
         cfg = getattr(IntegratorConfig, profile)()
-        params = persistence_params()
-        A = build_linearization(params).combined(1.0)
+        lin = build_linearization(persistence_params())
         with recorded_steps() as steps:
-            sol = integrate_matrix(A, 0.0, params.period, np.eye(3), cfg)
+            end, sol = _recorded_monodromy(lin, cfg)
         with array_loop():
-            ref = integrate_matrix(A, 0.0, params.period, np.eye(3), cfg)
+            end_ref, ref = _recorded_monodromy(lin, cfg)
         assert sol.step_count == len(steps) > 20
-        assert sol.end_matrix.shape == (3, 3)
+        assert sol.final.shape == (1, 10)
         _assert_same_solution(sol, ref)
+        assert np.array_equal(end, end_ref)
 
     def test_hidden_float_form_gives_the_same_monodromy(self, spectral_cfg):
-        # perfbench's tracer hands integrate a wrapper of integrate_matrix's
-        # field, without f.floats: on arrays that field runs A.floats too
-        params = persistence_params()
-        A = build_linearization(params).combined(1.0)
-        sol = integrate_matrix(A, 0.0, params.period, np.eye(3), spectral_cfg)
-        original = _integrate_module.integrate
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_integrate_module, "integrate",
-                       lambda f, *args, **kwargs: original(lambda t, y: f(t, y), *args,
-                                                           **kwargs))
-            hidden = integrate_matrix(A, 0.0, params.period, np.eye(3), spectral_cfg)
+        # perfbench's tracer hands integrate a wrapper of the monodromy's
+        # field, without f.floats: on arrays that field runs the float form too
+        lin = build_linearization(persistence_params())
+        end, sol = _recorded_monodromy(lin, spectral_cfg)
+        hidden_end, hidden = _recorded_monodromy(lin, spectral_cfg, hide=True)
         _assert_same_solution(sol, hidden)
+        assert np.array_equal(end, hidden_end)
 
     def test_non_square_rejected(self, sim_cfg):
         with pytest.raises(ValueError):
@@ -773,7 +784,7 @@ class TestDenseOutput:
             mp.setattr(_integrate_module, "_DENSE_CHUNK", 5)
             calls = count_calls(mp, _integrate_module, "_array_step")
             sol = integrate(field, 0.0, 24.0, y0, spectral_cfg, t_eval=grid)
-        assert {args[3].shape for args in calls} == {(27,)}  # the flat state
+        assert {args[4].shape for args in calls} == {(27,)}  # the flat state, after width
         assert sol.step_count == len(steps) == len(calls) > 20
         expected = dense_samples_by_hand(steps, grid).reshape(sol.trajectory.states.shape)
         assert _same_bits(sol.trajectory.states, expected)

@@ -30,7 +30,7 @@ from perivir import (
     warm_start_guess,
 )
 from perivir import cli as cli_module
-from perivir import periodic
+from perivir import periodic, reproduction
 from perivir.model import clamp_small_negatives, jacobian, rhs, vector_field
 from perivir.periodic import _healthy_field
 from perivir.reproduction import build_linearization, rho_for_lambda
@@ -468,18 +468,22 @@ class TestEndStateIntegrations:
             guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
             n_passes = len(calls)
             tstar = virus_free_numeric(params, spectral_cfg)
-            monodromies = spy_t_evals(mp, importlib.import_module("perivir.integrate"),
-                                      sample_the_end)
+            # a number lam goes to integrate directly, a stack through integrate_matrix
+            direct = spy_t_evals(mp, reproduction, sample_the_end)
+            stacks = spy_t_evals(mp, importlib.import_module("perivir.integrate"),
+                                 sample_the_end)
             radii = [rho_for_lambda(lin, lam, spectral_cfg)  # 1, 3 and 6 members
                      for lam in (0.9, np.array([0.8, 1.0, 1.2]), np.geomspace(0.5, 2.0, 6))]
         results = (guess.as_array(), tstar.t_star_initial, tstar.values, *radii)
-        return (calls[:n_passes], calls[n_passes:], monodromies), results
+        return (calls[:n_passes], calls[n_passes:], (direct, stacks)), results
 
     def test_end_state_callers_pass_no_t_eval(self, monkeypatch, spectral_cfg):
         (passes, t_star, monodromies), results = self._run(monkeypatch, spectral_cfg, False)
         assert len(passes) >= 2 and all(len(t) == 0 for t in passes)
         assert [len(t) for t in t_star] == [0, periodic.TSTAR_SAMPLES + 1]  # the image of 0
-        assert len(monodromies) == 3 and all(len(t) == 0 for t in monodromies)
+        direct, stacks = monodromies
+        assert (len(direct), len(stacks)) == (1, 2)
+        assert all(len(t) == 0 for t in direct + stacks)
         _, reference = self._run(monkeypatch, spectral_cfg, True)
         for got, want in zip(results, reference, strict=True):
             assert np.array_equal(got, want)

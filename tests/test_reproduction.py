@@ -155,18 +155,21 @@ class TestLinearization:
            seed=st.integers(0, 2**32 - 1))
     def test_float_form_is_the_product_left_to_right(self, rates, log_r0_factor, amps, t,
                                                       log_lam, seed):
-        # A.floats(9)(t, m) has the bits of sum_j A(t)[i, j] * M[j, k] taken left to
-        # right over all three j; M's entries are nonzero, so the products with
-        # A's zeros add nothing
+        # at T = T*(t), the monodromy field's float form has, for M, the bits of
+        # sum_j A(t)[i, j] * M[j, k] taken left to right over all three j (M's
+        # entries are nonzero, so the products with A's zeros add nothing), and
+        # for T those of mu(t) - d(t) T; its array form has the same bits
         rng = np.random.default_rng(seed)
         matrix = rng.uniform(-1.0, 1.0, size=(3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0,
                                                                             size=(3, 3))
-        A = build_linearization(admissible_periodic(rates, log_r0_factor, amps)).combined(
-            10.0 ** log_lam)
-        got = A.floats(9)(t, matrix.ravel().tolist())
+        lin = build_linearization(admissible_periodic(rates, log_r0_factor, amps))
+        lam = 10.0 ** log_lam
+        ts = lin.t_star.value(t)
+        f = reproduction._monodromy_field(lin, lam)
+        got = f.floats(10)(t, matrix.ravel().tolist() + [ts])
         # Python floats, not np.float64, whose arithmetic takes about twice as long
         assert all(type(v) is float for v in got)
-        a, m = A(t).tolist(), matrix.tolist()
+        a, m = lin.combined(lam)(t).tolist(), matrix.tolist()
         expected = []
         for i in range(3):
             for k in range(3):
@@ -174,7 +177,11 @@ class TestLinearization:
                 for j in (1, 2):
                     acc = acc + a[i][j] * m[j][k]
                 expected.append(acc)
+        mu_t, _, d_t = lin.params.rates(t)
+        expected.append(mu_t - d_t * ts)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
+        on_arrays = f(t, np.array([matrix.ravel().tolist() + [ts]]))
+        assert on_arrays.shape == (1, 10) and on_arrays.tobytes() == np.array(got).tobytes()
 
     def test_float_form_rejects_a_member_count_other_than_the_lambdas(self, spectral_cfg):
         # a stack of lambdas has no float form; three lambdas with a single 3x3
@@ -188,26 +195,21 @@ class TestLinearization:
     @pytest.mark.parametrize("one_lambda", [False, True])
     def test_stack_per_member_count_steps_each_member(self, monkeypatch, spectral_cfg,
                                                       members, one_lambda):
-        # only a number lam has a float form, `_combined_field` bound, and only
-        # a single matrix steps on it; a stack of lambdas, or a stack of starts
-        # under one lambda, steps on arrays, and each member ends at the
+        # combined has no float form, for a number lam or a stack of them: a
+        # stack of lambdas, or a stack of starts under one lambda, a single
+        # matrix included, steps on arrays, and each member ends at the
         # monodromy its own lambda gives alone
         params = persistence_params()
         lin = build_linearization(params)
         lams = np.geomspace(0.5, 2.0, members) if members > 1 else np.array([0.8])
         A = lin.combined(lams[0] if one_lambda else lams)
-        assert hasattr(A, "floats") == one_lambda
-        if one_lambda:
-            assert A.floats(9).func is reproduction._combined_field
+        assert not hasattr(A, "floats")
         floats = count_calls(monkeypatch, integrate_module, "_step_kernel")
         arrays = count_calls(monkeypatch, integrate_module, "_array_step")
         eye = np.broadcast_to(np.eye(3), (members, 3, 3))
         ends = integrate_matrix(A, 0.0, params.period, eye, spectral_cfg).end_matrix
         assert ends.shape == (members, 3, 3)
-        if one_lambda and members == 1:
-            assert floats == [(9, 9)] and arrays == []
-        else:
-            assert floats == [] and len(arrays) > 0
+        assert floats == [] and len(arrays) > 0
         for end, lam in zip(ends, lams[:1].repeat(members) if one_lambda else lams):
             alone = integrate_matrix(lin.combined(float(lam)), 0.0, params.period, np.eye(3),
                                      spectral_cfg).end_matrix
@@ -235,7 +237,7 @@ class TestMonodromy:
         r0 = r0_periodic(params)
         assert (abs(floquet_multipliers(M)[..., 0]) > 1.0) == (r0.value > 1.0)
 
-    # a number lam steps on floats, every stack of lambdas on arrays
+    # a single matrix and every stack of lambdas step on arrays
     @pytest.mark.parametrize("members", [None, 1, 3, 6])
     def test_trajectory_is_empty_and_the_end_unchanged(self, monkeypatch, spectral_cfg,
                                                          members):
@@ -458,20 +460,22 @@ class TestR0Search:
     def test_certified_path_is_one_batched_integration(self, monkeypatch):
         # the enclosure certifies the bracket, so the one integration is lambda = 1's
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
+        direct_calls = count_calls(monkeypatch, reproduction, "integrate")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(persistence_params())
-        assert len(rho_calls) == len(matrix_calls) == 1
+        assert len(rho_calls) == len(direct_calls) == 1 and matrix_calls == []
         assert res.iterations == 1 and res.trace == ((1.0, res.rho_at_one),)
         assert rho_calls[0][1] == 1.0
-        assert np.shape(matrix_calls[0][3]) == (3, 3)
+        assert np.shape(direct_calls[0][3]) == (1, 10)
 
     def test_each_round_is_one_stacked_integration(self, monkeypatch):
         # with the Fourier value unconverged the search starts from K's two bounds
         monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
+        direct_calls = count_calls(monkeypatch, reproduction, "integrate")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(persistence_params())
-        _assert_one_integration_a_round(rho_calls, matrix_calls, res, first=2)
+        _assert_one_integration_a_round(rho_calls, direct_calls, matrix_calls, res, first=2)
 
     def test_evaluation_budget_persistence(self):
         assert r0_periodic(persistence_params()).iterations <= 12
@@ -720,7 +724,7 @@ class TestLiouville:
         lin = build_linearization(params)
         # rho_for_lambda's error control: relative to each entry, whatever abs_tol
         relative = replace(cfg.integrator, abs_tol=sys.float_info.min)
-        M = integrate_matrix(lin.combined(1.0), 0.0, P, np.eye(3), relative).end_matrix
+        M = reproduction._end_state(lin, 1.0, relative)[:9].reshape(3, 3)
         assert abs(floquet_multipliers(M)[0]) == rho_for_lambda(lin, 1.0, cfg.integrator)
         sign, log_det = np.linalg.slogdet(M)
         expected = (-(params.k + params.delta + params.c) * P
@@ -741,16 +745,20 @@ def _certified(params, res, tol):
             and rho_for_lambda(lin, lo, cfg) >= 1.0 >= rho_for_lambda(lin, hi, cfg))
 
 
-def _assert_one_integration_a_round(rho_calls, matrix_calls, res, first):
-    """lambda = 1 alone, then one stacked integration a round: first lambdas, then at most 5."""
+def _assert_one_integration_a_round(rho_calls, direct_calls, matrix_calls, res, first):
+    """lambda = 1 alone, as (1, 10), then one stacked integration a round.
+
+    The first stack has `first` lambdas, and each later one at most 5.
+    """
     stacks = [np.shape(call[3]) for call in matrix_calls]
-    assert len(rho_calls) == len(matrix_calls) > 2
-    assert rho_calls[0][1] == 1.0 and stacks[0] == (3, 3)
-    assert [np.size(call[1]) for call in rho_calls[1:]] == [shape[0] for shape in stacks[1:]]
-    assert stacks[1] == (first, 3, 3)
+    assert [np.shape(call[3]) for call in direct_calls] == [(1, 10)]
+    assert len(rho_calls) == 1 + len(matrix_calls) > 2
+    assert rho_calls[0][1] == 1.0
+    assert [np.size(call[1]) for call in rho_calls[1:]] == [shape[0] for shape in stacks]
+    assert stacks[0] == (first, 3, 3)
     # three chord crossings and two thirds
-    assert all(shape[0] <= 5 for shape in stacks[2:])
-    assert 1 + sum(shape[0] for shape in stacks[1:]) == res.iterations
+    assert all(shape[0] <= 5 for shape in stacks[1:])
+    assert 1 + sum(shape[0] for shape in stacks) == res.iterations
 
 
 def _straddles(res, tol):
@@ -819,11 +827,12 @@ class TestFallback:
         value, _ = _hill_r0(build_linearization(params), tol)
         monkeypatch.setattr(reproduction, "_hill_r0", _shifted_hill(3.0 * tol))
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
+        direct_calls = count_calls(monkeypatch, reproduction, "integrate")
         matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
         res = r0_periodic(params, tol=tol)
         assert res.trace[0] == (1.0, res.rho_at_one)
         # K's two bounds with the shifted pair between them
-        _assert_one_integration_a_round(rho_calls, matrix_calls, res, first=4)
+        _assert_one_integration_a_round(rho_calls, direct_calls, matrix_calls, res, first=4)
         assert [lam for lam, _ in res.trace[2:4]] == _pair(value + 3.0 * tol, tol)
         assert _straddles(res, tol)
         assert abs(res.value - certified.value) <= tol + 1e-8 * certified.value
@@ -929,6 +938,37 @@ class TestRhoAtOne:
         lin, cfg = build_linearization(params), IntegratorConfig.spectral()
         assert res.trace[0] == (1.0, res.rho_at_one)
         assert res.rho_at_one == rho_for_lambda(lin, 1.0, cfg)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_matches_the_interpolated_t_star_route(self, config_dir, name):
+        # an independent route: a stack of one steps on arrays with T* from
+        # Simpson's nodes by cubic interpolation; at rel_tol 1e-12 it is the
+        # oracle for rho_at_one at r0_periodic's default tolerance, which was
+        # within 1.1e-9, 5.9e-12 and 1.3e-9 of it (at extinction.ini's own
+        # rel_tol 1e-6, 4.2e-9)
+        cfg = load_config(str(config_dir / f"{name}.ini"))
+        lin = build_linearization(cfg.params)
+        oracle = rho_for_lambda(lin, np.array([1.0]), IntegratorConfig(rel_tol=1e-12))[0]
+        assert abs(r0_periodic(cfg.params).rho_at_one - oracle) <= 2e-9 * oracle
+        # the carried T closes on T*(0) over the period, at the config's tolerance
+        relative = replace(cfg.integrator, abs_tol=sys.float_info.min)
+        t_end, t0 = reproduction._end_state(lin, 1.0, relative)[9], lin.t_star.t_star_initial
+        assert abs(t_end - t0) <= 1e-12 * t0
+
+    @pytest.mark.parametrize("period", [720.0, 1200.0, 1800.0])
+    def test_long_periods_near_a_refined_t_star(self, monkeypatch, period):
+        # ROADMAP item 14: Simpson's T* errs like (P d / 512)^4 and the carried T
+        # as the integrator does. Against a stack on a 4096-node T* at rel_tol
+        # 1e-12, the carried-T radius was off by 4.4e-8, 7.5e-8 and 1.2e-7, a
+        # stack on the 512-node T* by 4.3e-8, 9.0e-8 and 2.65e-7
+        params = _with_period(replace(persistence_params(),
+                                      beta=SinusoidalCoefficient(0.3, 0.15)), period)
+        with monkeypatch.context() as mp:
+            mp.setattr(periodic, "TSTAR_SAMPLES", 4096)
+            fine = build_linearization(params)
+        reference = rho_for_lambda(fine, np.array([1.0]), IntegratorConfig(rel_tol=1e-12))[0]
+        carried = rho_for_lambda(build_linearization(params), 1.0, IntegratorConfig.spectral())
+        assert abs(carried - reference) <= 2e-7 * reference
 
     @pytest.mark.parametrize("period", [24.0, 720.0, 2190.0])
     def test_zero_beta_matches_the_closed_form(self, period):
