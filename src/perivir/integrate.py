@@ -41,10 +41,10 @@ on Python floats. When f has a float form, f.floats(n) returns the field
 on a flat list of n floats; integrate calls it once per integration,
 after the shape has picked float steps. The model's (4,) state, its
 batches of up to 16 members, Newton shooting's 20-wide
-state-plus-variational flow and r0's one 3x3 monodromy at lambda = 1,
-which reproduction carries with T as one (1, 10) state, take this kind.
-Every other state (any (m, n, n), so every stack integrate_matrix hands
-over, and larger batches) steps on a flat numpy array (_array_step).
+state-plus-variational flow and reproduction's monodromies, each 3x3
+carried with T, as one (m, 10) state up to 6 lambdas, take this kind.
+Every other state (any (m, n, n), so every integrate_matrix stack, and
+larger batches) steps on a flat numpy array (_array_step).
 Both kinds share the tableau, checks and messages, and the loop holds
 the controller, the step budget and the samples for both. A float step
 sums every tableau product and each member's error norm left to right;

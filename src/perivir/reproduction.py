@@ -27,13 +27,12 @@ when it lies there. Rounds of one call each then narrow the bracket,
 using that log rho is convex in log lambda (Kingman 1961, Quart. J.
 Math. 12:283): the chord across the bracket crosses 1 right of R0, and a
 chord through an end and its outer neighbour crosses 1 left of it
-(`_unit_crossing`). Each stack steps on arrays through
-`combined(lam)(t)`. Every route reports rho(Phi_{F-G}(P)), whose side of
-1 is R0's, from one 3x3 monodromy at lambda = 1 in float steps, with T
-carried alongside it as one (1, 10) state, T' = mu - d T from T*(0)
-(`_combined_field`). A monodromy's error is relative to each entry, so
-one that decays keeps its radius. With beta identically zero R0 is 0 by
-convention.
+(`_unit_crossing`). Each of m lambdas, m = 1 at lambda = 1, is a 3x3
+monodromy with T carried after it, T' = mu - d T from T*(0), in one
+(m, 10) state (`_combined_field`); rho(Phi_{F-G}(P)), whose side of 1 is
+R0's, is the radius at lambda = 1 on every route. A monodromy's error is
+relative to each entry, so one that decays keeps its radius. With beta
+identically zero R0 is 0 by convention.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .integrate import IntegratorConfig, NumericalFailure, integrate, integrate_matrix
+from .integrate import IntegratorConfig, NumericalFailure, integrate
 from .model import ModelParameters
 from .periodic import VirusFreeSolution, floquet_multipliers, virus_free_closed_form
 
@@ -82,9 +81,8 @@ class LinearizedSystem:
     def combined(self, lam):
         """t -> F(t)/lam - G(t): (3, 3) for a number lam, (m, 3, 3) for m lambdas.
 
-        A stack of lambdas steps on arrays through A(t) @ M, with T* from
-        its `value`; a number lam's radius comes from `_combined_field`
-        instead, and A(t) is the oracle the tests hold that field to.
+        No radius reads it: A(t), with T* from its `value`, is the oracle the
+        tests hold `_combined_field` and the radii that carry T to.
         """
         params, t_star = self.params, self.t_star
         k, delta, p, c, c1 = params.k, params.delta, params.p, params.c, params.c1
@@ -112,7 +110,7 @@ class LinearizedSystem:
 
 
 def _combined_field(w, mu0, mu1, beta0, beta1, d0, d1, k, delta, p, c, c1, inv, t, ys):
-    """(A(t) @ M, T') on one flat row-major 3x3 M followed by T: the field of a number lam.
+    """(A(t) @ M, T') on one flat row-major 3x3 M followed by T: one lam's member's field.
 
     w is the angular frequency, mu0 .. d1 the means and amplitudes of mu,
     beta and d, and inv 1/lam; t is a number. T is carried in the state, so
@@ -168,33 +166,35 @@ def rho_for_lambda(lin: LinearizedSystem, lam: float | np.ndarray,
                    cfg: IntegratorConfig) -> float | np.ndarray:
     """rho of the one-period monodromy of w' = (F/lam - G) w.
 
-    A float for a number lam (`_end_state`); m radii for a 1-D array of m lambdas, from one
-    `integrate_matrix` run. cfg's abs_tol becomes the smallest normal float: errors are relative.
+    A float for a number lam, m radii for a 1-D array of m lambdas: one `_end_state` run
+    either way. cfg's abs_tol becomes the smallest normal float: errors are relative.
     """
-    eye = np.broadcast_to(np.eye(3), np.shape(lam) + (3, 3))
     cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
-    end = (integrate_matrix(lin.combined(lam), 0.0, lin.params.period, eye, cfg).end_matrix
-           if np.ndim(lam) else _end_state(lin, float(lam), cfg)[:9].reshape(3, 3))
+    end = _end_state(lin, np.ravel(lam).tolist(), cfg)[:, :9].reshape(np.shape(lam) + (3, 3))
     radius = np.abs(floquet_multipliers(end)[..., 0])
     return float(radius) if radius.ndim == 0 else radius
 
 
-def _end_state(lin: LinearizedSystem, lam: float, cfg: IntegratorConfig) -> np.ndarray:
-    """The monodromy at a number lam, row-major, then T(P): one (1, 10) float run from I, T*(0)."""
-    y0 = np.array([np.eye(3).ravel().tolist() + [lin.t_star.t_star_initial]])
-    sol = integrate(_monodromy_field(lin, lam), 0.0, lin.params.period, y0, cfg, t_eval=())
-    return sol.final[0]
+def _end_state(lin: LinearizedSystem, lams: list[float], cfg: IntegratorConfig) -> np.ndarray:
+    """Each lam's monodromy, row-major, then T(P): one (m, 10) run, each member from I, T*(0)."""
+    y0 = np.tile(np.eye(3).ravel().tolist() + [lin.t_star.t_star_initial], (len(lams), 1))
+    return integrate(_monodromy_field(lin, lams), 0.0, lin.params.period, y0, cfg, t_eval=()).final
 
 
-def _monodromy_field(lin: LinearizedSystem, lam: float):
-    """f.floats is `_combined_field` with lin's rates and 1/lam bound; f on (1, 10) runs it too."""
+def _monodromy_field(lin: LinearizedSystem, lams: list[float]):
+    """f.floats runs `_combined_field` per lam, 1/lam and lin's rates bound, on its 10 values."""
     p = lin.params
-    field = partial(_combined_field, p.angular_frequency, p.mu.mean, p.mu.amplitude, p.beta.mean,
-                    p.beta.amplitude, p.d.mean, p.d.amplitude, p.k, p.delta, p.p, p.c, p.c1,
-                    1.0 / lam)
+    fields = [partial(_combined_field, p.angular_frequency, p.mu.mean, p.mu.amplitude,
+                      p.beta.mean, p.beta.amplitude, p.d.mean, p.d.amplitude, p.k, p.delta,
+                      p.p, p.c, p.c1, 1.0 / lam) for lam in lams]
 
-    def f(t, y):  # the same numbers for a caller that hides f.floats
-        return np.array([field(t, y[0].tolist())])
+    def stacked(t, ys):
+        return [v for i, one in enumerate(fields) for v in one(t, ys[10 * i:10 * i + 10])]
+
+    field = fields[0] if len(fields) == 1 else stacked
+
+    def f(t, y):  # for a caller that hides f.floats, and for stacks past the float loop
+        return np.reshape(field(t, np.ravel(y).tolist()), np.shape(y))
 
     f.floats = lambda n: field
     return f

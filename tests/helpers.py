@@ -2,18 +2,21 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 matrix exponential is plain scaling-and-squaring Taylor summation, the
-spectral radius oracle is power iteration, the vector-field oracles are
-a scalar transcription of the four model equations and a per-column-view
-formulation for batches, and the R0 search oracle is plain doubling and
-bisection on the library's rho(lambda). The float loop's step and its
-dense output have list-comprehension transcriptions, value by value and
-left to right, which the generated step kernels and the after-the-loop
-interpolant must match bit for bit.
+spectral radius oracle is power iteration, the monodromy radius oracle
+reads T* from its interpolant where the library carries T in the state,
+the vector-field oracles are a scalar transcription of the four model
+equations and a per-column-view formulation for batches, and the R0
+search oracle is plain doubling and bisection on the library's
+rho(lambda). The float loop's step and its dense output have
+list-comprehension transcriptions, value by value and left to right,
+which the generated step kernels and the after-the-loop interpolant must
+match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -24,6 +27,8 @@ from perivir import (
     NonFiniteState,
     SinusoidalCoefficient,
     build_linearization,
+    floquet_multipliers,
+    integrate_matrix,
     rho_for_lambda,
 )
 from perivir.integrate import _A_ROWS, _C, _D_ROW, _E_ROW
@@ -200,6 +205,21 @@ def bisection_r0(params: ModelParameters, tol: float = 1e-8, cfg=None):
     lin = build_linearization(params)
     lo, hi, evals = bisection_root(lambda lam: rho_for_lambda(lin, lam, cfg), tol)
     return 0.5 * (lo + hi), (lo, hi), evals
+
+
+def interpolated_t_star_radii(lin, lams, cfg: IntegratorConfig) -> np.ndarray:
+    """rho of the one-period monodromy at each of lams, with T* from its cubic interpolant.
+
+    One integrate_matrix stack on lin.combined(lams), which reads T* from
+    Simpson's nodes, and floquet_multipliers: an oracle apart from
+    rho_for_lambda, which carries T in its state. abs_tol is the smallest
+    normal float, as there, so errors are relative.
+    """
+    lams = np.asarray(lams, dtype=float)
+    eye = np.broadcast_to(np.eye(3), lams.shape + (3, 3))
+    cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
+    end = integrate_matrix(lin.combined(lams), 0.0, lin.params.period, eye, cfg).end_matrix
+    return np.abs(floquet_multipliers(end)[..., 0])
 
 
 def expm_reference(A: np.ndarray) -> np.ndarray:

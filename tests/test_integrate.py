@@ -126,7 +126,7 @@ def _recorded_newton_flow(params, x, cfg):
 
 
 def _recorded_monodromy(lin, cfg, hide=False):
-    """reproduction._end_state at lambda = 1 and the Solution behind it; hide drops f.floats."""
+    """reproduction._end_state at lambda = 1, (1, 10), and its Solution; hide drops f.floats."""
     sols = []
 
     def recorded(f, *args, **kwargs):
@@ -135,7 +135,7 @@ def _recorded_monodromy(lin, cfg, hide=False):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reproduction, "integrate", recorded)
-        end = reproduction._end_state(lin, 1.0, cfg)
+        end = reproduction._end_state(lin, [1.0], cfg)
     assert len(sols) == 1
     return end, sols[0]
 
@@ -451,10 +451,10 @@ class TestLoopRouting:
 
     @pytest.mark.parametrize("members", [None, 1, 3, 4, 5, 6, 8])
     def test_monodromy_stack_loop_follows_its_size(self, monkeypatch, spectral_cfg, members):
-        # a number lam goes straight to integrate as one (1, 10) state, the
-        # monodromy with T, and steps on floats; every stack of lambdas (the
-        # fallback's first stack, a search round's) goes through
-        # integrate_matrix as (m, 3, 3) to array steps, whose field is A(t) @ M
+        # a number lam, or a stack of m lambdas (the fallback's first stack, a
+        # search round's), goes straight to integrate as one (m, 10) state,
+        # each member its monodromy with T: on floats up to 6 members (60
+        # values), past that on arrays; none goes through integrate_matrix
         direct = count_calls(monkeypatch, reproduction, "integrate")
         runs = count_calls(monkeypatch, _integrate_module, "integrate")
         floats = count_calls(monkeypatch, _integrate_module, "_step_kernel")
@@ -462,13 +462,15 @@ class TestLoopRouting:
         lin = build_linearization(persistence_params())
         lams = 1.0 if members is None else np.geomspace(0.5, 2.0, members)
         radii = rho_for_lambda(lin, lams, spectral_cfg)
+        m = members or 1
+        assert [args[3].shape for args in direct] == [(m, 10)] and runs == []
+        if m <= 6:
+            assert (floats, arrays) == ([(10 * m, 10)], [])
+        else:
+            assert len(arrays) > 0 and floats == []
         if members is None:
-            assert [args[3].shape for args in direct] == [(1, 10)] and runs == []
-            assert (floats, arrays) == ([(10, 10)], [])
             assert isinstance(radii, float) and radii > 1.0
         else:
-            assert [args[3].shape for args in runs] == [(members, 3, 3)] and direct == []
-            assert len(arrays) > 0 and floats == []
             assert radii.shape == (members,) and np.all(np.diff(radii) < 0.0)
 
     def test_matrix_without_float_form_takes_the_array_loop(self, monkeypatch, spectral_cfg):

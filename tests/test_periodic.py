@@ -468,7 +468,8 @@ class TestEndStateIntegrations:
             guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
             n_passes = len(calls)
             tstar = virus_free_numeric(params, spectral_cfg)
-            # a number lam goes to integrate directly, a stack through integrate_matrix
+            # a number lam and a stack both go to integrate directly, none through
+            # integrate_matrix
             direct = spy_t_evals(mp, reproduction, sample_the_end)
             stacks = spy_t_evals(mp, importlib.import_module("perivir.integrate"),
                                  sample_the_end)
@@ -482,7 +483,7 @@ class TestEndStateIntegrations:
         assert len(passes) >= 2 and all(len(t) == 0 for t in passes)
         assert [len(t) for t in t_star] == [0, periodic.TSTAR_SAMPLES + 1]  # the image of 0
         direct, stacks = monodromies
-        assert (len(direct), len(stacks)) == (1, 2)
+        assert (len(direct), len(stacks)) == (3, 0)
         assert all(len(t) == 0 for t in direct + stacks)
         _, reference = self._run(monkeypatch, spectral_cfg, True)
         for got, want in zip(results, reference, strict=True):

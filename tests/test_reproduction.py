@@ -41,6 +41,7 @@ from .helpers import (
     count_calls,
     expm_reference,
     baseline_params,
+    interpolated_t_star_radii,
     persistence_params,
     power_iteration_radius,
     random_autonomous_params,
@@ -165,7 +166,7 @@ class TestLinearization:
         lin = build_linearization(admissible_periodic(rates, log_r0_factor, amps))
         lam = 10.0 ** log_lam
         ts = lin.t_star.value(t)
-        f = reproduction._monodromy_field(lin, lam)
+        f = reproduction._monodromy_field(lin, [lam])
         got = f.floats(10)(t, matrix.ravel().tolist() + [ts])
         # Python floats, not np.float64, whose arithmetic takes about twice as long
         assert all(type(v) is float for v in got)
@@ -182,6 +183,35 @@ class TestLinearization:
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         on_arrays = f(t, np.array([matrix.ravel().tolist() + [ts]]))
         assert on_arrays.shape == (1, 10) and on_arrays.tobytes() == np.array(got).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
+           t=st.floats(-100.0, 100.0),
+           log_lams=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_member_is_the_field_of_its_own_lambda(self, rates, log_r0_factor, amps, t,
+                                                        log_lams, seed):
+        # m lambdas, m = 1..8: the float form gives each member's 10 values the
+        # bits of `_combined_field` at that member's lambda on its own slice,
+        # and the array form, which stacks past the float loop take, the same
+        lin = build_linearization(admissible_periodic(rates, log_r0_factor, amps))
+        p = lin.params
+        lams = [10.0 ** x for x in log_lams]
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(-1.0, 1.0, size=(len(lams), 10)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, size=(len(lams), 10))
+        y[:, 9] = rng.uniform(0.0, 100.0, size=len(lams))  # T
+        f = reproduction._monodromy_field(lin, lams)
+        got = f.floats(y.size)(t, y.ravel().tolist())
+        assert len(got) == y.size and all(type(v) is float for v in got)
+        on_arrays = f(t, y)
+        assert on_arrays.shape == y.shape and on_arrays.tobytes() == np.array(got).tobytes()
+        for i, lam in enumerate(lams):
+            alone = reproduction._combined_field(
+                p.angular_frequency, p.mu.mean, p.mu.amplitude, p.beta.mean, p.beta.amplitude,
+                p.d.mean, p.d.amplitude, p.k, p.delta, p.p, p.c, p.c1, 1.0 / lam, t,
+                y[i].tolist())
+            assert np.array(got[10 * i:10 * i + 10]).tobytes() == np.array(alone).tobytes()
 
     def test_float_form_rejects_a_member_count_other_than_the_lambdas(self, spectral_cfg):
         # a stack of lambdas has no float form; three lambdas with a single 3x3
@@ -461,9 +491,10 @@ class TestR0Search:
         # the enclosure certifies the bracket, so the one integration is lambda = 1's
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         direct_calls = count_calls(monkeypatch, reproduction, "integrate")
-        matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
+        # integrate_matrix's runs: no radius reads T* through its interpolant
+        matrix_runs = count_calls(monkeypatch, integrate_module, "integrate")
         res = r0_periodic(persistence_params())
-        assert len(rho_calls) == len(direct_calls) == 1 and matrix_calls == []
+        assert len(rho_calls) == len(direct_calls) == 1 and matrix_runs == []
         assert res.iterations == 1 and res.trace == ((1.0, res.rho_at_one),)
         assert rho_calls[0][1] == 1.0
         assert np.shape(direct_calls[0][3]) == (1, 10)
@@ -473,9 +504,9 @@ class TestR0Search:
         monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         direct_calls = count_calls(monkeypatch, reproduction, "integrate")
-        matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
+        matrix_runs = count_calls(monkeypatch, integrate_module, "integrate")
         res = r0_periodic(persistence_params())
-        _assert_one_integration_a_round(rho_calls, direct_calls, matrix_calls, res, first=2)
+        _assert_one_integration_a_round(rho_calls, direct_calls, matrix_runs, res, first=2)
 
     def test_evaluation_budget_persistence(self):
         assert r0_periodic(persistence_params()).iterations <= 12
@@ -724,7 +755,7 @@ class TestLiouville:
         lin = build_linearization(params)
         # rho_for_lambda's error control: relative to each entry, whatever abs_tol
         relative = replace(cfg.integrator, abs_tol=sys.float_info.min)
-        M = reproduction._end_state(lin, 1.0, relative)[:9].reshape(3, 3)
+        M = reproduction._end_state(lin, [1.0], relative)[0, :9].reshape(3, 3)
         assert abs(floquet_multipliers(M)[0]) == rho_for_lambda(lin, 1.0, cfg.integrator)
         sign, log_det = np.linalg.slogdet(M)
         expected = (-(params.k + params.delta + params.c) * P
@@ -745,19 +776,20 @@ def _certified(params, res, tol):
             and rho_for_lambda(lin, lo, cfg) >= 1.0 >= rho_for_lambda(lin, hi, cfg))
 
 
-def _assert_one_integration_a_round(rho_calls, direct_calls, matrix_calls, res, first):
-    """lambda = 1 alone, as (1, 10), then one stacked integration a round.
+def _assert_one_integration_a_round(rho_calls, direct_calls, matrix_runs, res, first):
+    """lambda = 1 alone, as (1, 10), then one stacked (m, 10) integration a round.
 
-    The first stack has `first` lambdas, and each later one at most 5.
+    The first stack has `first` lambdas, and each later one at most 5, so
+    every stack steps on floats; none goes through integrate_matrix.
     """
-    stacks = [np.shape(call[3]) for call in matrix_calls]
-    assert [np.shape(call[3]) for call in direct_calls] == [(1, 10)]
-    assert len(rho_calls) == 1 + len(matrix_calls) > 2
+    stacks = [np.shape(call[3]) for call in direct_calls[1:]]
+    assert np.shape(direct_calls[0][3]) == (1, 10) and matrix_runs == []
+    assert len(rho_calls) == 1 + len(stacks) > 2
     assert rho_calls[0][1] == 1.0
     assert [np.size(call[1]) for call in rho_calls[1:]] == [shape[0] for shape in stacks]
-    assert stacks[0] == (first, 3, 3)
+    assert stacks[0] == (first, 10)
     # three chord crossings and two thirds
-    assert all(shape[0] <= 5 for shape in stacks[1:])
+    assert all(shape[0] <= 5 and shape[1:] == (10,) for shape in stacks[1:])
     assert 1 + sum(shape[0] for shape in stacks) == res.iterations
 
 
@@ -828,11 +860,11 @@ class TestFallback:
         monkeypatch.setattr(reproduction, "_hill_r0", _shifted_hill(3.0 * tol))
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         direct_calls = count_calls(monkeypatch, reproduction, "integrate")
-        matrix_calls = count_calls(monkeypatch, reproduction, "integrate_matrix")
+        matrix_runs = count_calls(monkeypatch, integrate_module, "integrate")
         res = r0_periodic(params, tol=tol)
         assert res.trace[0] == (1.0, res.rho_at_one)
         # K's two bounds with the shifted pair between them
-        _assert_one_integration_a_round(rho_calls, direct_calls, matrix_calls, res, first=4)
+        _assert_one_integration_a_round(rho_calls, direct_calls, matrix_runs, res, first=4)
         assert [lam for lam, _ in res.trace[2:4]] == _pair(value + 3.0 * tol, tol)
         assert _straddles(res, tol)
         assert abs(res.value - certified.value) <= tol + 1e-8 * certified.value
@@ -872,6 +904,23 @@ class TestFallback:
         assert all(type(lam) is float for lam in res.bracket)
         assert "np.float64" not in repr(res)
 
+    @pytest.mark.parametrize("period", [1200.0, 1800.0])
+    def test_long_period_bracket_holds_a_refined_t_stars_r0(self, monkeypatch, period):
+        # ROADMAP item 14: every radius carries T, so no search round reads
+        # Simpson's 512-node T* through its interpolant. The reference is
+        # r0_periodic on 4096 nodes, which K's enclosure certifies at 1200 h.
+        # Stacks on the interpolant gave [62.1567646872526, 62.156764691449766]
+        # at 1200 h and [62.15562747962978, 62.15562748382665] at 1800 h, both
+        # above it
+        params = _wide_beta_params(period)
+        with monkeypatch.context() as mp:
+            mp.setattr(periodic, "TSTAR_SAMPLES", 4096)
+            fine = r0_periodic(params).value
+        monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
+        res = r0_periodic(params)
+        assert res.enclosure is None and _straddles(res, 1e-8)
+        assert res.bracket[0] <= fine <= res.bracket[1]
+
     @pytest.mark.parametrize("beta_scale", [0.0253, 0.0254])
     def test_bracket_width_near_threshold(self, beta_scale):
         # at R0 near 1, R0 - tol/2 + tol and R0 + tol/2 - (R0 - tol/2) can round above tol
@@ -884,6 +933,12 @@ class TestFallback:
 def _with_period(params, period):
     """params with its forcing period set to period hours."""
     return replace(params, angular_frequency=2.0 * math.pi / period)
+
+
+def _wide_beta_params(period):
+    """The persistence set with beta's amplitude at 0.15 and a period of period hours."""
+    return _with_period(replace(persistence_params(), beta=SinusoidalCoefficient(0.3, 0.15)),
+                        period)
 
 
 class TestConvexity:
@@ -948,11 +1003,12 @@ class TestRhoAtOne:
         # rel_tol 1e-6, 4.2e-9)
         cfg = load_config(str(config_dir / f"{name}.ini"))
         lin = build_linearization(cfg.params)
-        oracle = rho_for_lambda(lin, np.array([1.0]), IntegratorConfig(rel_tol=1e-12))[0]
+        oracle = interpolated_t_star_radii(lin, [1.0], IntegratorConfig(rel_tol=1e-12))[0]
         assert abs(r0_periodic(cfg.params).rho_at_one - oracle) <= 2e-9 * oracle
         # the carried T closes on T*(0) over the period, at the config's tolerance
         relative = replace(cfg.integrator, abs_tol=sys.float_info.min)
-        t_end, t0 = reproduction._end_state(lin, 1.0, relative)[9], lin.t_star.t_star_initial
+        t_end = reproduction._end_state(lin, [1.0], relative)[0, 9]
+        t0 = lin.t_star.t_star_initial
         assert abs(t_end - t0) <= 1e-12 * t0
 
     @pytest.mark.parametrize("period", [720.0, 1200.0, 1800.0])
@@ -961,12 +1017,11 @@ class TestRhoAtOne:
         # as the integrator does. Against a stack on a 4096-node T* at rel_tol
         # 1e-12, the carried-T radius was off by 4.4e-8, 7.5e-8 and 1.2e-7, a
         # stack on the 512-node T* by 4.3e-8, 9.0e-8 and 2.65e-7
-        params = _with_period(replace(persistence_params(),
-                                      beta=SinusoidalCoefficient(0.3, 0.15)), period)
+        params = _wide_beta_params(period)
         with monkeypatch.context() as mp:
             mp.setattr(periodic, "TSTAR_SAMPLES", 4096)
             fine = build_linearization(params)
-        reference = rho_for_lambda(fine, np.array([1.0]), IntegratorConfig(rel_tol=1e-12))[0]
+        reference = interpolated_t_star_radii(fine, [1.0], IntegratorConfig(rel_tol=1e-12))[0]
         carried = rho_for_lambda(build_linearization(params), 1.0, IntegratorConfig.spectral())
         assert abs(carried - reference) <= 2e-7 * reference
 
