@@ -182,21 +182,24 @@ def _end_state(lin: LinearizedSystem, lams: list[float], cfg: IntegratorConfig) 
 
 
 def _monodromy_field(lin: LinearizedSystem, lams: list[float]):
-    """f.floats runs `_combined_field` per lam, 1/lam and lin's rates bound, on its 10 values."""
+    """f.floats runs `_combined_field` per lam, 1/lam and lin's rates bound, on its 10 values.
+
+    f on an (m, 10) array makes one `_combined_field` call on its columns,
+    with inv the array of the 1/lam: the same operations, member by member.
+    """
     p = lin.params
-    fields = [partial(_combined_field, p.angular_frequency, p.mu.mean, p.mu.amplitude,
-                      p.beta.mean, p.beta.amplitude, p.d.mean, p.d.amplitude, p.k, p.delta,
-                      p.p, p.c, p.c1, 1.0 / lam) for lam in lams]
+    rates = (p.angular_frequency, p.mu.mean, p.mu.amplitude, p.beta.mean, p.beta.amplitude,
+             p.d.mean, p.d.amplitude, p.k, p.delta, p.p, p.c, p.c1)
+    fields = [partial(_combined_field, *rates, 1.0 / lam) for lam in lams]
+    columns = partial(_combined_field, *rates, 1.0 / np.asarray(lams, dtype=float))
 
     def stacked(t, ys):
         return [v for i, one in enumerate(fields) for v in one(t, ys[10 * i:10 * i + 10])]
 
-    field = fields[0] if len(fields) == 1 else stacked
-
     def f(t, y):  # for a caller that hides f.floats, and for stacks past the float loop
-        return np.reshape(field(t, np.ravel(y).tolist()), np.shape(y))
+        return np.reshape(np.stack(columns(t, np.reshape(y, (-1, 10)).T), axis=-1), np.shape(y))
 
-    f.floats = lambda n: field
+    f.floats = lambda n: fields[0] if len(fields) == 1 else stacked
     return f
 
 

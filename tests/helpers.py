@@ -22,15 +22,18 @@ import numpy as np
 from hypothesis import strategies as st
 
 from perivir import (
+    ConvergedToBoundary,
     IntegratorConfig,
     ModelParameters,
     NonFiniteState,
     SinusoidalCoefficient,
+    State,
     build_linearization,
     floquet_multipliers,
     integrate_matrix,
     rho_for_lambda,
 )
+from perivir import periodic
 from perivir.integrate import _A_ROWS, _C, _D_ROW, _E_ROW
 
 OMEGA = 2.0 * math.pi / 24.0
@@ -220,6 +223,39 @@ def interpolated_t_star_radii(lin, lams, cfg: IntegratorConfig) -> np.ndarray:
     cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
     end = integrate_matrix(lin.combined(lams), 0.0, lin.params.period, eye, cfg).end_matrix
     return np.abs(floquet_multipliers(end)[..., 0])
+
+
+def plain_warm_start(params: ModelParameters, ic: State, transient: float,
+                     cfg: IntegratorConfig) -> State:
+    """warm_start_guess's guess by plain iteration: each pass starts from the last image.
+
+    The same passes, tolerances, step carry, stop rule and boundary exits as
+    warm_start_guess, without its extrapolation or its change <= 1 stop
+    condition: the iteration the accelerated route must not do worse than.
+    """
+    periods = math.floor(transient / params.period)
+    loose = IntegratorConfig.simulation()
+    cfg = replace(cfg, rel_tol=max(cfg.rel_tol, loose.rel_tol),
+                  abs_tol=max(cfg.abs_tol, loose.abs_tol))
+    x = ic.as_array()
+    last = np.nan
+    for n in range(1, periods + 1):
+        image, step = periodic._period_pass(params, x, cfg)
+        if image.e_cells == image.i_cells == image.virus == 0.0:
+            raise ConvergedToBoundary(
+                f"warm-start pass {n} landed on the virus-free face E = I = V = 0")
+        x_next = image.as_array()
+        cfg = replace(cfg, initial_step=step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            change = np.max(np.abs(x_next - x) / (cfg.rel_tol * np.abs(x_next)))
+            q = change / last
+            settled = q < 1.0 and change * q / (1.0 - q) <= 1.0
+        x, last = x_next, change if np.isfinite(change) else np.nan
+        if settled:
+            break
+    if np.any(x <= 0.0):
+        raise ConvergedToBoundary(f"warm start ended with a component at zero after {n} passes")
+    return State.from_array(x)
 
 
 def expm_reference(A: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@ import importlib
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
@@ -41,8 +42,10 @@ from .helpers import (
     RATES,
     admissible_periodic,
     baseline_params,
+    closed_form_r0,
     count_calls,
     persistence_params,
+    plain_warm_start,
     rescaled_extinction_params,
     skewed_params,
     spy_t_evals,
@@ -558,24 +561,27 @@ class TestWarmStart:
         b = warm_start_guess(params, ic, 2000.0, sim_cfg).as_array()
         assert np.array_equal(a, b)
 
-    def test_looser_tolerance_and_step_limits_kept(self, sim_cfg):
-        # a looser config, max_step included, is used as given: the guess is
-        # bitwise that of 4 successive Poincare maps at that config, each
-        # after the first started from the step the one before it proposed
+    def test_looser_tolerance_and_step_limits_kept(self, monkeypatch, sim_cfg):
+        # a looser config, max_step included, is used as given: every pass
+        # runs at its tolerances and step limits, each after the first
+        # started from the step the one before it proposed
         params = persistence_params()
-        ic = State(10.0, 1.0, 1.0, 1.0)
         loose = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-7, max_step=0.5)
-        x, cfg, steps = ic, loose, []
-        for _ in range(4):
-            sol = integrate(vector_field(params), 0.0, params.period, x.as_array(), cfg,
-                            t_eval=np.array([params.period]))
-            assert np.array_equal(poincare_map(params, x, cfg).as_array(), sol.final)
-            x = State.from_array(sol.final)
-            cfg = replace(cfg, initial_step=sol.next_step)
-            steps.append(sol.next_step)
-        assert max(steps) == 0.5  # capped at max_step
-        s = warm_start_guess(params, ic, 4 * params.period, loose)
-        assert np.array_equal(s.as_array(), x.as_array())
+        passes = []
+        original = periodic._period_pass
+
+        def spied(params, x, cfg):
+            image, step = original(params, x, cfg)
+            passes.append((cfg, step))
+            return image, step
+
+        monkeypatch.setattr(periodic, "_period_pass", spied)
+        warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 4 * params.period, loose)
+        assert len(passes) == 4
+        assert [cfg.initial_step for cfg, _ in passes] == (
+            [loose.initial_step] + [step for _, step in passes[:-1]])
+        assert all(replace(cfg, initial_step=loose.initial_step) == loose for cfg, _ in passes)
+        assert max(step for _, step in passes) == 0.5  # capped at max_step
 
     def test_passes_carry_the_proposed_step(self, monkeypatch, sim_cfg):
         # the first pass starts from initial_step, every later one from the
@@ -636,12 +642,82 @@ class TestWarmStart:
         assert np.max(np.abs(orbits[0] - orbits[1]) / np.abs(orbits[1])) < 1e-9
 
     def test_stops_once_settled(self, monkeypatch, spectral_cfg):
-        # 83 periods of budget; the period map settles after 9
+        # 83 periods of budget; the accelerated iteration settles after 8
         calls = count_calls(monkeypatch, periodic, "integrate")
         warm_start_guess(persistence_params(), State(10.0, 1.0, 1.0, 1.0), 2000.0,
                          spectral_cfg)
         assert 2 <= len(calls) <= 15
         assert all(args[1:3] == (0.0, 24.0) for args in calls)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(jitter=st.lists(st.floats(-0.1, 0.1), min_size=8, max_size=8),
+           amps=st.tuples(*(st.floats(0.2, 0.6) for _ in range(3))),
+           r0=st.one_of(st.tuples(st.just("closed-form"), st.floats(2.0, 20.0)),
+                        st.tuples(st.just("periodic"), st.floats(1.0001, 1.5))))
+    @example(jitter=[0.0] * 8, amps=(0.4, 0.4, 0.4), r0=("periodic", 1.0001))
+    @example(jitter=[0.0] * 8, amps=(0.4, 0.4, 0.4), r0=("periodic", 1.005))
+    def test_no_worse_than_plain_iteration(self, jitter, amps, r0):
+        # sets shaped like the orbit_shoot benchmark's: rates within 10% of the
+        # shipped magnitudes, amplitudes 0.2-0.6 of their means, beta placed at
+        # a closed-form R0 of 2-20 or a periodic R0 of 1.0001-1.5 (R0 is
+        # linear in beta)
+        mu, d, k, delta, p, c, c1, c2 = (
+            m * math.exp(j) for m, j in zip((0.1, 0.01, 0.2, 0.1, 0.5, 0.12, 0.1, 0.1), jitter))
+        params = ModelParameters(
+            angular_frequency=OMEGA, mu=SinusoidalCoefficient(mu, amps[0] * mu),
+            beta=SinusoidalCoefficient(1.0, amps[1]), d=SinusoidalCoefficient(d, amps[2] * d),
+            k=k, delta=delta, p=p, c=c, c1=c1, c2=c2)
+        kind, target = r0
+        scale = target / (closed_form_r0(params) if kind == "closed-form"
+                          else r0_periodic(params, tol=1e-10).value)
+        params = replace(params, beta=SinusoidalCoefficient(scale, scale * amps[1]))
+        cfg = IntegratorConfig.spectral()
+        routes = []
+        for route in (warm_start_guess, plain_warm_start):
+            passes = []
+            original = periodic._period_pass
+
+            def counted(*args):
+                passes.append(args)
+                return original(*args)
+
+            with mock.patch.object(periodic, "_period_pass", counted):
+                guess = route(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, cfg)
+            routes.append((len(passes), find_periodic_orbit(params, guess, cfg)))
+        (passes, orbit), (plain_passes, plain) = routes
+        assert passes <= plain_passes and orbit.iterations <= plain.iterations
+        # two Newton solutions with residuals r and r' differ by at most
+        # |(Phi - I)^-1| (|r| + |r'|) to first order; near threshold Phi has a
+        # multiplier next to 1 and that bound dominates 1e-9 relative
+        x, x_plain = orbit.initial_state.as_array(), plain.initial_state.as_array()
+        _, mono = periodic._flow_and_monodromy(params, x_plain, cfg)
+        newton_bound = (np.linalg.norm(np.linalg.inv(mono - np.eye(4)), np.inf)
+                        * (orbit.newton_residual + plain.newton_residual))
+        assert np.all(np.abs(x - x_plain) <= 1e-9 * np.abs(x_plain) + newton_bound)
+        assert orbit.stable == plain.stable
+
+    def test_slowest_benchmark_set_settles_in_few_passes(self, monkeypatch, spectral_cfg):
+        # the orbit_shoot set of seed 901 with the slowest plain iteration: its
+        # dominant multipliers are a complex pair of modulus 0.746, which the
+        # extrapolation removes
+        params = ModelParameters(
+            angular_frequency=OMEGA,
+            mu=SinusoidalCoefficient(0.09991936649255895, 0.05158583006397471),
+            beta=SinusoidalCoefficient(0.010247007366334614, 0.0035535413417264825),
+            d=SinusoidalCoefficient(0.00910058605983472, 0.0038560941713638216),
+            k=0.1838474467086469, delta=0.09686296653400062, p=0.5379924265473827,
+            c=0.1214985490178569, c1=0.10260336902964673, c2=0.10508307748597526)
+        ic = State(10.0, 1.0, 1.0, 1.0)
+        calls = count_calls(monkeypatch, periodic, "_period_pass")
+        plain_warm_start(params, ic, 2000.0, spectral_cfg)
+        assert len(calls) == 49
+        calls.clear()
+        guess = warm_start_guess(params, ic, 2000.0, spectral_cfg)
+        assert len(calls) <= 15
+        orbit = find_periodic_orbit(params, guess, spectral_cfg)
+        assert orbit.iterations == 2
+        m = orbit.floquet_multipliers
+        assert m[0] == np.conj(m[1]) and abs(m[0]) == pytest.approx(0.746, abs=5e-4)
 
     def test_unsettled_run_uses_the_whole_budget(self, monkeypatch, sim_cfg):
         params = persistence_params()
