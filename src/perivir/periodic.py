@@ -63,7 +63,7 @@ class ConvergedToBoundary(NumericalFailure):
 
 @dataclass(frozen=True)
 class VirusFreeSolution:
-    """One-period sampling of T*(t) on a uniform grid over [0, P]."""
+    """One-period sampling of T*(t) on a uniform grid over [0, P]; ValueError on any other grid."""
 
     t_star_initial: float
     times: np.ndarray
@@ -73,6 +73,11 @@ class VirusFreeSolution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        times, period = self.times, self.period
+        grid = np.linspace(0.0, period, len(times))  # _at, Hill and the enclosure index on it
+        if not (len(times) >= 2 and times[0] == 0.0 and times[-1] == period
+                and np.all(np.abs(times - grid) <= 2.0 * np.finfo(float).eps * period)):
+            raise ValueError("T* times must be uniform from 0 to the period, both ends included")
         if not np.all((self.values > 0.0) & (self.values < math.inf)):  # nan fails
             raise ValueError("T* must be finite and strictly positive at every sample")
         wrap = abs(self.values[-1] - self.values[0])

@@ -13,7 +13,10 @@ the unique lambda0 > 0 at which the one-period monodromy of
 w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
 is lower triangular, so the operator acts on one scalar function, the
 virus load, as K = p k S_V^-1 S_I^-1 S_E^-1 (f .), and its truncated
-Fourier matrix gives R0 (Hill's method; Deconinck & Kutz 2006).
+Fourier matrix gives R0 (Hill's method; Deconinck & Kutz 2006). T*'s M
+nodes are uniform, so w t_j is the phase 2 pi j/M at every period: the
+Fourier basis on them depends on M and the order only, and is built once
+per process (`_hill_basis`), read-only.
 
 K certifies that value itself: K is positive, so for Hill's top
 eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
@@ -102,11 +105,11 @@ class LinearizedSystem:
         return A
 
     @cached_property
-    def _nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """t, d(t) and F's entry f = beta T*/(1 + c1 T*) on T*'s nodes, one period."""
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """d(t) and F's entry f = beta T*/(1 + c1 T*) on T*'s nodes, one period."""
         t, t_star = self.t_star.times[:-1], self.t_star.values[:-1]
         _, beta, d = self.params.rates(t)
-        return t, d, beta * t_star / (1.0 + self.params.c1 * t_star)
+        return d, beta * t_star / (1.0 + self.params.c1 * t_star)
 
 
 def _combined_field(w, mu0, mu1, beta0, beta1, d0, d1, k, delta, p, c, c1, inv, t, ys):
@@ -268,21 +271,20 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> tuple[float, np.ndarray | Non
 
     On the virus load the operator is K = p k S_V^-1 S_I^-1 S_E^-1 (f .),
     with S_x = d/dt + x + d(t) and S_V = d/dt + c, each factor projected
-    onto {1, cos n w t, sin n w t}, n <= N, by quadrature on the T* nodes. N
-    doubles from 8 until two values agree within tol/4, up to HILL_MAX_ORDER;
-    a top eigenvalue that is not real and positive counts as unconverged.
-    Returns (value, u), u the top eigenfunction on the T* nodes from one
-    inverse-iteration solve at the last order, with its sum made positive,
-    or None when that solve fails; (nan, None) when unconverged.
+    onto {1, cos n w t, sin n w t}, n <= N, by quadrature on the M T* nodes.
+    They are uniform, t_j = j P/M, so w t_j = 2 pi j/M for every period: the
+    basis depends on M and N only (`_hill_basis`), and w scales only d/dt.
+    N doubles from 8 until two values agree within tol/4, up to
+    HILL_MAX_ORDER; a top eigenvalue that is not real and positive counts as
+    unconverged. Returns (value, u), u the top eigenfunction on the T* nodes
+    from one inverse-iteration solve at the last order, with its sum made
+    positive, or None when that solve fails; (nan, None) when unconverged.
     """
-    p, (t, d, f) = lin.params, lin._nodes
+    p, (d, f) = lin.params, lin._nodes
     previous, n = math.nan, 8
     while n <= HILL_MAX_ORDER:
-        w, eye = p.angular_frequency * np.arange(1, n + 1), np.eye(2 * n + 1)
-        phi = np.hstack([np.ones((len(t), 1)), np.cos(np.outer(t, w)), np.sin(np.outer(t, w))])
-        weights = np.r_[1.0, np.full(2 * n, 2.0)][:, None] / len(t)
-        deriv = np.zeros_like(eye)
-        deriv[1:n + 1, n + 1:], deriv[n + 1:, 1:n + 1] = np.diag(w), -np.diag(w)
+        phi, eye, weights, deriv = _hill_basis(len(d), n)
+        deriv = p.angular_frequency * deriv
         s_d = deriv + weights * (phi.T @ (d[:, None] * phi))
         x = weights * (phi.T @ (f[:, None] * phi))
         for s in (s_d + p.k * eye, s_d + p.delta * eye, deriv + p.c * eye):
@@ -301,12 +303,40 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> tuple[float, np.ndarray | Non
     return math.nan, None
 
 
+def _phases(nodes: int, order: int) -> np.ndarray:
+    """m theta_j on the phase grid theta_j = 2 pi j/nodes, m = 0..order rows; jm mod nodes first."""
+    return (2.0 * math.pi / nodes) * (np.outer(np.arange(order + 1), np.arange(nodes)) % nodes)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """arrays, made unwritable: a process cache hands the same ones to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@cache
+def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, ...]:
+    """(phi, I, weights, unit d/dt) of `_hill_r0` at order on nodes phases; read-only.
+
+    phi = [1, cos m theta, sin m theta], m = 1..order, is filled in place
+    (a stacked copy lifted r0_scan's peak RSS); the weights are 1/nodes and
+    2/nodes, and d/dt acts on the coefficients at unit angular frequency.
+    """
+    theta, phi = _phases(nodes, order).T, np.empty((nodes, 2 * order + 1))
+    np.cos(theta, out=phi[:, :order + 1])
+    np.sin(theta[:, 1:], out=phi[:, order + 1:])
+    weights = np.r_[1.0, np.full(2 * order, 2.0)][:, None] / nodes
+    m, deriv = np.diag(np.arange(1.0, order + 1)), np.zeros((2 * order + 1, 2 * order + 1))
+    deriv[1:order + 1, order + 1:], deriv[order + 1:, 1:order + 1] = m, -m
+    return _read_only(phi, np.eye(2 * order + 1), weights, deriv)
+
+
 @cache
 def _dft_table() -> np.ndarray:
-    """cos(m theta_j) over sin(m theta_j), m = 0..N/2, theta_j = 2 pi j/N, N = ENCLOSURE_NODES."""
-    n = ENCLOSURE_NODES
-    theta = (2.0 * math.pi / n) * (np.outer(np.arange(n // 2 + 1), np.arange(n)) % n)
-    return np.vstack([np.cos(theta), np.sin(theta)])
+    """cos(m theta_j) over sin(m theta_j), m = 0..N/2, N = ENCLOSURE_NODES; read-only."""
+    theta = _phases(ENCLOSURE_NODES, ENCLOSURE_NODES // 2)
+    return _read_only(np.vstack([np.cos(theta), np.sin(theta)]))[0]
 
 
 def _periodic_solve(h: np.ndarray, rate: float, w: float) -> np.ndarray:
@@ -339,7 +369,7 @@ def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None) -> tuple[floa
     if u is None:
         return None
     params, w, stride = lin.params, lin.params.angular_frequency, len(u) // ENCLOSURE_NODES
-    f, u = lin._nodes[2][::stride], u[::stride]
+    f, u = lin._nodes[1][::stride], u[::stride]
     d0, k = params.d.mean, params.k
     with np.errstate(all="ignore"):
         q = np.exp((params.d.amplitude / w) * (1.0 - _dft_table()[1]))
@@ -358,7 +388,7 @@ def _operator_bounds(lin: LinearizedSystem, tol: float) -> tuple[float, float]:
     [p k f_min / (c (k + d_max)(delta + d_max)), p k f_max / (c (k + d_min)(delta + d_min))],
     f on the T* nodes, and min K 1 <= R0 <= max K 1 (Collatz-Wielandt).
     """
-    params, f = lin.params, lin._nodes[2]
+    params, f = lin.params, lin._nodes[1]
     d_min, d_max = params.d.mean - params.d.amplitude, params.d.mean + params.d.amplitude
     scale = params.p * params.k / params.c
     low = scale * float(f.min()) / ((params.k + d_max) * (params.delta + d_max))

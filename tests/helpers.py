@@ -4,6 +4,7 @@ The oracles here deliberately avoid the library's own code paths: the
 matrix exponential is plain scaling-and-squaring Taylor summation, the
 spectral radius oracle is power iteration, the monodromy radius oracle
 reads T* from its interpolant where the library carries T in the state,
+Hill's R0 computes its Fourier basis per call on the times themselves,
 the vector-field oracles are a scalar transcription of the four model
 equations and a per-column-view formulation for batches, and the R0
 search oracle is plain doubling and bisection on the library's
@@ -223,6 +224,42 @@ def interpolated_t_star_radii(lin, lams, cfg: IntegratorConfig) -> np.ndarray:
     cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
     end = integrate_matrix(lin.combined(lams), 0.0, lin.params.period, eye, cfg).end_matrix
     return np.abs(floquet_multipliers(end)[..., 0])
+
+
+def hill_on_time_grid(lin, tol: float, max_order: int = 64):
+    """Hill's R0 with its basis computed per call from cos(outer(t, w m)) on T*'s times.
+
+    The same truncations, convergence test and inverse-iteration solve as
+    reproduction._hill_r0, with no cached basis and no phase grid: f and d
+    come from lin's T* samples and rates. Returns (value, u, order), order
+    the last one tried; (nan, None, order) when unconverged.
+    """
+    p, t, t_star = lin.params, lin.t_star.times[:-1], lin.t_star.values[:-1]
+    _, beta, d = p.rates(t)
+    f = beta * t_star / (1.0 + p.c1 * t_star)
+    previous, n = math.nan, 8
+    while n <= max_order:
+        w, eye = p.angular_frequency * np.arange(1, n + 1), np.eye(2 * n + 1)
+        phi = np.hstack([np.ones((len(t), 1)), np.cos(np.outer(t, w)), np.sin(np.outer(t, w))])
+        weights = np.r_[1.0, np.full(2 * n, 2.0)][:, None] / len(t)
+        deriv = np.zeros_like(eye)
+        deriv[1:n + 1, n + 1:], deriv[n + 1:, 1:n + 1] = np.diag(w), -np.diag(w)
+        s_d = deriv + weights * (phi.T @ (d[:, None] * phi))
+        x = weights * (phi.T @ (f[:, None] * phi))
+        for s in (s_d + p.k * eye, s_d + p.delta * eye, deriv + p.c * eye):
+            x = np.linalg.solve(s, x)
+        x *= p.p * p.k
+        eig = np.linalg.eigvals(x)
+        top = eig[np.argmax(np.abs(eig))]
+        value = float(top.real) if top.imag == 0.0 and top.real > 0.0 else math.nan
+        if abs(value - previous) <= 0.25 * tol:
+            try:
+                u = phi @ np.linalg.solve(x - value * eye, eye[0])
+            except np.linalg.LinAlgError:
+                return value, None, n
+            return value, (u if u.sum() > 0.0 else -u), n
+        previous, n = value, 2 * n
+    return math.nan, None, n // 2
 
 
 def plain_warm_start(params: ModelParameters, ic: State, transient: float,

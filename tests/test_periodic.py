@@ -143,6 +143,18 @@ class TestVirusFreeClosedForm:
             VirusFreeSolution(t_star_initial=2.0, times=np.linspace(0.0, 24.0, 5),
                               values=values, period=24.0)
 
+    @pytest.mark.parametrize("times", [(0.0, 1.0, 10.0, 24.0), (0.0, 4.0, 8.0, 12.0, 16.0)],
+                             ids=["not-uniform", "short-of-the-period"])
+    def test_grid_other_than_uniform_over_the_period_rejected(self, times):
+        # the interpolant's index arithmetic, Hill's basis and the enclosure's
+        # stride all read sample j as T*(j P/n): unchecked, the first grid
+        # gave value(1.0) = 2.13 for its sample 3.0 at t = 1
+        values = np.full(len(times), 2.0)
+        values[1] = 3.0
+        with pytest.raises(ValueError, match="uniform from 0 to the period"):
+            VirusFreeSolution(t_star_initial=2.0, times=np.array(times), values=values,
+                              period=24.0)
+
 
 class TestVirusFreeNumeric:
     def test_constant_coefficients(self, spectral_cfg):

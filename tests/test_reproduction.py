@@ -1,6 +1,9 @@
 import importlib
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -24,6 +27,7 @@ from perivir import (
     r0_autonomous,
     r0_periodic,
     rho_for_lambda,
+    sweep,
     virus_free_closed_form,
 )
 from perivir import periodic, reproduction
@@ -41,6 +45,7 @@ from .helpers import (
     count_calls,
     expm_reference,
     baseline_params,
+    hill_on_time_grid,
     interpolated_t_star_radii,
     persistence_params,
     power_iteration_radius,
@@ -53,6 +58,7 @@ from .test_periodic import constant_coefficient_params
 
 # the package attribute perivir.integrate is the function
 integrate_module = importlib.import_module("perivir.integrate")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SHIPPED = ("baseline", "extinction", "persistence")
 
@@ -832,6 +838,80 @@ class TestHill:
         monkeypatch.setattr(reproduction, "HILL_MAX_ORDER", 16)
         value, u = _hill_r0(build_linearization(params), 1e-8)
         assert math.isnan(value) and u is None
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
+           period=st.floats(0.24, 24.0))
+    def test_phase_grid_matches_the_time_grid_oracle(self, rates, log_r0_factor, amps, period):
+        params = replace(admissible_periodic(rates, log_r0_factor, amps),
+                         angular_frequency=2.0 * math.pi / period)
+        lin = build_linearization(params)
+        value, u = _hill_r0(lin, 1e-8)
+        oracle, u_oracle, _ = hill_on_time_grid(lin, 1e-8)
+        # w t_j m rounds several times on arguments up to about 100, 2 pi jm/N once
+        assert abs(value - oracle) <= 1e-14 * oracle
+        shape, shape_oracle = u / u.sum(), u_oracle / u_oracle.sum()
+        assert np.max(np.abs(shape - shape_oracle)) <= 1e-14 * np.max(np.abs(shape_oracle))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
+           period=st.floats(240.0, 1800.0))
+    def test_long_periods_match_the_oracle_at_one_order(self, rates, log_r0_factor, amps,
+                                                        period):
+        # a set at the edge of the tol/4 test may settle at another order on
+        # either route, and where the enclosure cannot certify Hill's value,
+        # which the search then replaces, the two differed by up to 2.4e-8
+        params = replace(admissible_periodic(rates, log_r0_factor, amps),
+                         angular_frequency=2.0 * math.pi / period)
+        lin = build_linearization(params)
+        build = reproduction._hill_basis
+        orders = []
+
+        def spied(nodes, order):
+            orders.append(order)
+            return build(nodes, order)
+
+        with mock.patch.object(reproduction, "_hill_basis", spied):
+            value, u = _hill_r0(lin, 1e-8)
+        oracle, _, order = hill_on_time_grid(lin, 1e-8)
+        enclosure, (lo, hi) = reproduction._collatz_wielandt(lin, u), _pair(value, 1e-8)
+        if enclosure is not None and lo <= enclosure[0] and enclosure[1] <= hi:
+            if math.isfinite(oracle) and orders[-1] == order:
+                assert abs(value - oracle) <= 1e-9 * oracle
+
+    def test_result_independent_of_what_the_process_built_before(self):
+        # the basis is keyed by node count and order alone, so entries another
+        # period built serve this one bit for bit
+        probe = ("from perivir import r0_periodic\n"
+                 "from tests.helpers import persistence_params\n"
+                 "print(repr(r0_periodic(persistence_params())))\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        fresh = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                               capture_output=True, text=True, timeout=120, check=True)
+        reproduction._hill_basis.cache_clear()
+        for params in (_long_period_params(),
+                       replace(persistence_params(), angular_frequency=2.0 * math.pi / 2.4)):
+            r0_periodic(params)
+        assert reproduction._hill_basis.cache_info().currsize >= 2
+        assert repr(r0_periodic(persistence_params())) == fresh.stdout.strip().splitlines()[-1]
+
+    def test_sweep_builds_the_basis_on_its_first_value_only(self, sim_cfg):
+        basis = reproduction._hill_basis
+        basis.cache_clear()
+        sweep(persistence_params(), "beta.mean", [0.3], 1200.0, sim_cfg)
+        first = basis.cache_info()
+        basis.cache_clear()
+        sweep(persistence_params(), "beta.mean", [0.3, 0.32, 0.34], 1200.0, sim_cfg)
+        info = basis.cache_info()
+        assert first.misses >= 1 and info.misses == first.misses
+        assert info.hits == 2 * first.misses
+
+    def test_process_caches_are_read_only(self):
+        basis = reproduction._hill_basis(periodic.TSTAR_SAMPLES, 8)
+        for table in (reproduction._dft_table(), *basis):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table *= 2.0
 
     @pytest.mark.parametrize("name, parent", [
         ("baseline", 39.469662417860675),
