@@ -63,12 +63,18 @@ class ConvergedToBoundary(NumericalFailure):
 
 @dataclass(frozen=True)
 class VirusFreeSolution:
-    """One-period sampling of T*(t) on a uniform grid over [0, P]; ValueError on any other grid."""
+    """One-period sampling of T*(t) on a uniform grid over [0, P]; ValueError on any other grid.
+
+    errors estimates each sample's relative error from the quadrature that
+    produced it, signed so that T* is about values (1 + errors); None where
+    none is estimated.
+    """
 
     t_star_initial: float
     times: np.ndarray
     values: np.ndarray
     period: float
+    errors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -155,6 +161,10 @@ def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
     T*(0) = e^{-D(P)} int_0^P mu e^{D} / (1 - e^{-D(P)}). D is analytic
     for sinusoidal d; the remaining integral is composite Simpson on
     2*TSTAR_SAMPLES panels, cumulated at the TSTAR_SAMPLES+1 sample nodes.
+    Simpson on panels twice as wide errs 16 times as much, so a fifteenth of
+    the two's difference (Richardson's estimate), carried into T*(0), gives
+    errors at every other sample; TSTAR_SAMPLES is even, and the samples
+    between take their neighbours' mean.
     """
     P = params.period
     DP = float(_death_integral(params, P))
@@ -168,15 +178,21 @@ def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
     h2 = P / (2 * TSTAR_SAMPLES)
     panels = (h2 / 3.0) * (g[0:-1:2] + 4.0 * g[1::2] + g[2::2])
     integral = np.concatenate(([0.0], np.cumsum(panels)))
+    wide = (2.0 * h2 / 3.0) * (g[0:-1:4] + 4.0 * g[2::4] + g[4::4])
+    error = (integral[::2] - np.concatenate(([0.0], np.cumsum(wide)))) / 15.0
 
     t0_value = decay * integral[-1] / (1.0 - decay)
     times = fine[::2]
     values = np.exp(-_death_integral(params, times)) * (integral + t0_value)
+    errors = np.empty(len(times))
+    errors[::2] = (error + decay * error[-1] / (1.0 - decay)) / (integral[::2] + t0_value)
+    errors[1::2] = 0.5 * (errors[:-1:2] + errors[2::2])
     return VirusFreeSolution(
         t_star_initial=float(t0_value),
         times=times,
         values=values,
         period=P,
+        errors=errors,
     )
 
 

@@ -16,14 +16,15 @@ virus load, as K = p k S_V^-1 S_I^-1 S_E^-1 (f .), and its truncated
 Fourier matrix gives R0 (Hill's method; Deconinck & Kutz 2006). T*'s M
 nodes are uniform, so w t_j is the phase 2 pi j/M at every period: the
 Fourier basis on them depends on M and the order only, and is built once
-per process (`_hill_basis`), read-only.
+per process (`_hill_basis`), read-only, from one period of cos and sin.
 
 K certifies that value itself: K is positive, so for Hill's top
 eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
 Thieme 2009, SIAM J. Appl. Math. 70:188; Bacaer & Guernaoui 2006,
 J. Math. Biol. 53:421), taken on ENCLOSURE_NODES of the T* nodes
-(`_collatz_wielandt`). When these bounds lie inside value -+ tol/2, that
-pair is the bracket. Otherwise the search starts from K 1: its bounds
+(`_collatz_wielandt`). When these bounds lie inside value -+ tol/2, and
+so do they with T*'s quadrature error taken into account (`_holds_r0`),
+that pair is the bracket. Otherwise the search starts from K 1: its bounds
 on the T* nodes bracket R0 by the same theorem (`_operator_bounds`), and
 one `rho_for_lambda` call evaluates them, with Hill's pair between them
 when it lies there. Rounds of one call each then narrow the bracket,
@@ -216,7 +217,9 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
     its `_pair`, value -+ tol/2, that pair is the bracket (at most `tol`
     wide, an absolute width). The bounds are K's own, so they hold at a tol
     the monodromy cannot resolve: at rel_tol 1e-9 its radius errs by
-    8.8e-12 at the persistence set's R0, 5.6e-10 in lambda.
+    8.8e-12 at the persistence set's R0, 5.6e-10 in lambda. K is built on
+    T*'s samples, though, so `_holds_r0` also asks that T*'s quadrature
+    error does not carry R0 out of the pair.
 
     On every other route one `rho_for_lambda` call evaluates
     `_operator_bounds`, which bracket R0 before any monodromy, with the pair
@@ -241,7 +244,7 @@ def r0_periodic(params: ModelParameters, tol: float = 1e-8,
     guess, u = _hill_r0(lin, tol)
     lo, hi = _pair(guess, tol)
     enclosure = _collatz_wielandt(lin, u)
-    if not (guess > tol and enclosure is not None and lo <= enclosure[0] and enclosure[1] <= hi):
+    if not (guess > tol and enclosure is not None and _holds_r0(lin, tol, enclosure, [lo, hi])):
         enclosure = None
 
         def rho(lams: list[float]) -> list[float]:
@@ -273,7 +276,8 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> tuple[float, np.ndarray | Non
     with S_x = d/dt + x + d(t) and S_V = d/dt + c, each factor projected
     onto {1, cos n w t, sin n w t}, n <= N, by quadrature on the M T* nodes.
     They are uniform, t_j = j P/M, so w t_j = 2 pi j/M for every period: the
-    basis depends on M and N only (`_hill_basis`), and w scales only d/dt.
+    basis depends on M and N only (`_hill_basis`, built from M evaluations
+    each of cos and sin by `_harmonics`), and w scales only d/dt.
     N doubles from 8 until two values agree within tol/4, up to
     HILL_MAX_ORDER; a top eigenvalue that is not real and positive counts as
     unconverged. Returns (value, u), u the top eigenfunction on the T* nodes
@@ -303,9 +307,16 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> tuple[float, np.ndarray | Non
     return math.nan, None
 
 
-def _phases(nodes: int, order: int) -> np.ndarray:
-    """m theta_j on the phase grid theta_j = 2 pi j/nodes, m = 0..order rows; jm mod nodes first."""
-    return (2.0 * math.pi / nodes) * (np.outer(np.arange(order + 1), np.arange(nodes)) % nodes)
+def _harmonics(nodes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(m theta_j) and sin(m theta_j), rows m = 0..order, on theta_j = 2 pi j/nodes.
+
+    m theta_j is 2 pi (j m mod nodes)/nodes, so every entry is taken from
+    cos and sin at the nodes' own phases: nodes evaluations of each, at any
+    order, and the bits of cos(2 pi (j m mod nodes)/nodes).
+    """
+    turn = (2.0 * math.pi / nodes) * np.arange(nodes)
+    jm = np.outer(np.arange(order + 1), np.arange(nodes))
+    return np.take(np.cos(turn), jm, mode="wrap"), np.take(np.sin(turn), jm, mode="wrap")
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -323,9 +334,8 @@ def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, ...]:
     (a stacked copy lifted r0_scan's peak RSS); the weights are 1/nodes and
     2/nodes, and d/dt acts on the coefficients at unit angular frequency.
     """
-    theta, phi = _phases(nodes, order).T, np.empty((nodes, 2 * order + 1))
-    np.cos(theta, out=phi[:, :order + 1])
-    np.sin(theta[:, 1:], out=phi[:, order + 1:])
+    (cos, sin), phi = _harmonics(nodes, order), np.empty((nodes, 2 * order + 1))
+    phi[:, :order + 1], phi[:, order + 1:] = cos.T, sin[1:].T
     weights = np.r_[1.0, np.full(2 * order, 2.0)][:, None] / nodes
     m, deriv = np.diag(np.arange(1.0, order + 1)), np.zeros((2 * order + 1, 2 * order + 1))
     deriv[1:order + 1, order + 1:], deriv[order + 1:, 1:order + 1] = m, -m
@@ -335,8 +345,7 @@ def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, ...]:
 @cache
 def _dft_table() -> np.ndarray:
     """cos(m theta_j) over sin(m theta_j), m = 0..N/2, N = ENCLOSURE_NODES; read-only."""
-    theta = _phases(ENCLOSURE_NODES, ENCLOSURE_NODES // 2)
-    return _read_only(np.vstack([np.cos(theta), np.sin(theta)]))[0]
+    return _read_only(np.vstack(_harmonics(ENCLOSURE_NODES, ENCLOSURE_NODES // 2)))[0]
 
 
 def _periodic_solve(h: np.ndarray, rate: float, w: float) -> np.ndarray:
@@ -378,6 +387,32 @@ def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None) -> tuple[floa
         ratio = _periodic_solve(y, params.c, w) / u
         bounds = float(ratio.min()), float(ratio.max())
         return bounds if np.all(u > 0.0) and np.all(np.isfinite(bounds)) else None
+
+
+def _holds_r0(lin: LinearizedSystem, tol: float, enclosure: tuple[float, float],
+              pair: list[float]) -> bool:
+    """Whether pair holds R0 for the model's T*, given K's enclosure on T*'s samples.
+
+    T* is about values (1 + e), e its samples' `errors`; f = beta T*/(1 + c1 T*)
+    moves by no more, relative, and R0 is monotone and linear in f. So with
+    m = max |e|, [(1 - m) min, (1 + m) max] encloses R0, and it is enough
+    that it lies in pair. Failing that, the enclosure of K on T* (1 + e),
+    from its own Hill eigenfunction, must lie in pair as well: T*'s error is
+    that estimate's to within Simpson's next order. Without errors, the
+    enclosure alone decides.
+    """
+    (lo, hi), e = pair, lin.t_star.errors
+    if not lo <= enclosure[0] <= enclosure[1] <= hi:
+        return False
+    m = 0.0 if e is None else float(np.max(np.abs(e)))
+    if lo <= enclosure[0] * (1.0 - m) and enclosure[1] * (1.0 + m) <= hi:
+        return True
+    if not m < 1.0:  # no correct digit in T*, or nan
+        return False
+    t_star = replace(lin.t_star, values=lin.t_star.values * (1.0 + e), errors=None)
+    moved = replace(lin, t_star=t_star)
+    bounds = _collatz_wielandt(moved, _hill_r0(moved, tol)[1])
+    return bounds is not None and lo <= bounds[0] and bounds[1] <= hi
 
 
 def _operator_bounds(lin: LinearizedSystem, tol: float) -> tuple[float, float]:
