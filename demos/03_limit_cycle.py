@@ -3,7 +3,8 @@
 Above the threshold, trajectories converge to a periodic infected state.
 Iterating the period map until it settles provides the warm start;
 Newton iteration on g(x) = flow_P(x) - x, with the Jacobian from the
-variational equation, then pins the cycle to near machine precision.
+variational equation, then closes the model's own period map on the
+cycle to near machine precision.
 Floquet multipliers inside the unit circle confirm its linear stability.
 Phase-plane SVGs (I-V, T-V, E-V) go to demos/output/.
 """
@@ -55,8 +56,9 @@ for m in orbit.floquet_multipliers:
 print(f"stable: {orbit.stable} (margin {orbit.stability_margin:.4f})")
 
 # 3. The fixed-point property, checked through the public Poincare map. The
-#    Newton residual above is the closure of the 20-wide state-plus-
-#    variational flow on itself; the plain 4-wide flow closes less tightly.
+#    Newton residual above is the closure of the model's own 4-wide flow
+#    from the orbit's state, so the public map reads the same number; the
+#    orbit's first and last samples differ by it too.
 ret = poincare_map(params, orbit.initial_state, cfg).as_array()
 print(f"|P(x*) - x*| = {np.max(np.abs(ret - orbit.initial_state.as_array())):.2e}")
 

@@ -341,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          "at a time at simulation tolerance or looser; an upper bound, "
                          "it stops once the period map has settled")
     sp.add_argument("--newton-tol", type=float, default=1e-10,
-                    help="shooting residual target: how well the state-plus-variational "
-                         "flow over one period closes on itself")
+                    help="shooting residual target: how well the model's flow over one "
+                         "period closes on the returned state")
     sp.add_argument("--out", required=True, help="one-period samples CSV path")
     sp.add_argument("--svg", help="optional phase-plane SVG path prefix")
 

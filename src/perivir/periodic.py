@@ -122,12 +122,10 @@ class VirusFreeSolution:
 class PeriodicOrbit:
     """A located periodic solution of the full system.
 
-    newton_residual is max |flow_P(x) - x| where flow_P is the 20-wide
-    state-plus-variational integration that Newton shooting runs: it says
-    how well that one discretisation closes on itself, not how far x is
-    from the true orbit (the README's numerical notes compare it with the
-    closure of poincare_map). states are the clamped 4-wide flow of the
-    model from initial_state at times: they close as the plain flow does.
+    newton_residual is max |flow_P(x) - x| for x = initial_state, flow_P the
+    model's 4-wide flow at the caller's tolerance (poincare_map's); states
+    are that flow at times, clamped. One state-plus-variational flow from x
+    at that tolerance gives floquet_multipliers.
 
     trace holds one (residual, damping_step) pair per Newton iterate, in
     order: max |flow_P(x) - x| at the iterate and the damping factor s of
@@ -243,7 +241,8 @@ def poincare_map(params: ModelParameters, x0, cfg: IntegratorConfig) -> State:
 
 def _period_pass(params: ModelParameters, x0, cfg: IntegratorConfig) -> tuple[State, float]:
     """poincare_map's image of x0, and the step the integrator proposes for a next pass."""
-    sol = integrate(vector_field(params), 0.0, params.period, State.from_array(x0), cfg, t_eval=())
+    x0 = State.from_array(x0).as_array()  # in the cone; an array, as every start here
+    sol = integrate(vector_field(params), 0.0, params.period, x0, cfg, t_eval=())
     return State.from_array(clamp_small_negatives(sol.final, cfg.abs_tol)), sol.next_step
 
 
@@ -297,20 +296,33 @@ def _flow_and_monodromy(params: ModelParameters, x: np.ndarray, cfg: IntegratorC
     return ya[:4], ya[4:].reshape(4, 4)
 
 
+def _loosened(cfg: IntegratorConfig) -> IntegratorConfig:
+    """cfg with rel_tol and abs_tol raised to at least those of IntegratorConfig.simulation()."""
+    s = IntegratorConfig.simulation()
+    return replace(cfg, rel_tol=max(cfg.rel_tol, s.rel_tol), abs_tol=max(cfg.abs_tol, s.abs_tol))
+
+
+def _newton_step(params: ModelParameters, x: np.ndarray, g: np.ndarray, cfg: IntegratorConfig):
+    """The Newton step dx = -(Phi(P; x) - I)^-1 g, and Phi(P; x) from one flow at cfg."""
+    _, mono = _flow_and_monodromy(params, x, cfg)
+    try:
+        return np.linalg.solve(mono - np.eye(4), -g), mono
+    except np.linalg.LinAlgError as exc:
+        raise NewtonDiverged(
+            f"singular shooting Jacobian at residual {np.max(np.abs(g)):.3e}") from exc
+
+
 def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorConfig,
                         newton_tol: float = 1e-10) -> PeriodicOrbit:
     """Newton shooting for a fixed point of the Poincare map.
 
-    Solves g(x) = flow_P(x) - x = 0 with Jacobian Dg = Phi(P; x) - I from
-    the variational equation along the trajectory. Damping halves the
-    Newton step up to 8 times when the residual does not decrease.
-
-    Every trial point is integrated once, state and variational equation
-    together, for its end state and monodromy only: the flow that accepts
-    a damped step also supplies the next iterate's residual and Jacobian.
-    The returned orbit's samples come from one plain 4-wide flow of the
-    model from the returned state (_package_orbit), the only sampled
-    integration here.
+    Solves g(x) = flow_P(x) - x = 0, flow_P the model's 4-wide flow at cfg
+    on the orbit grid, whose samples at the returned point are the orbit's.
+    The Jacobian Dg = Phi(P; x) - I is taken at the warm start's tolerance
+    (`_loosened`), which slows convergence but does not move the fixed
+    point; one variational flow at cfg from the returned point gives the
+    multipliers and the error bound. Damping halves the Newton step up to 8
+    times when the residual does not decrease.
 
     Converges when max |g| < newton_tol. When no damped step decreases the
     residual but it already lies within the integrator's own error scale,
@@ -329,56 +341,47 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     if np.any(x <= 0.0):
         raise ValueError("guess must be strictly positive componentwise")
 
-    eye = np.eye(4)
-    y_end, mono = _flow_and_monodromy(params, x, cfg)
-    g = y_end - x
-    res = float(np.max(np.abs(g)))
+    field, times = vector_field(params), np.linspace(0.0, params.period, ORBIT_SAMPLES + 1)
+
+    def closure(x):  # the samples of x's flow, its residual g and max |g|
+        traj, end = integrate(field, 0.0, params.period, x, cfg, t_eval=times)
+        return traj.states, end - x, float(np.max(np.abs(end - x)))
+
+    states, g, res = closure(x)
     trace = []
     for _ in range(MAX_NEWTON_ITERS):
-        try:
-            dx = np.linalg.solve(mono - eye, -g)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"singular shooting Jacobian at residual {res:.3e}") from exc
         if res < newton_tol:
-            return _package_orbit(params, x, dx, mono, trace + [(res, 0.0)], cfg)
-
+            break
+        dx, _ = _newton_step(params, x, g, _loosened(cfg))
         step = 1.0
         for _ in range(9):
             x_try = x + step * dx
-            y_try, mono_try = _flow_and_monodromy(params, x_try, cfg)
-            g_try = y_try - x_try
-            res_try = float(np.max(np.abs(g_try)))
+            states_try, g_try, res_try = closure(x_try)
             if res_try < res:
                 break
             step *= 0.5
         else:
             if np.max(np.abs(g) / (cfg.abs_tol + cfg.rel_tol * np.abs(x))) <= 1.0:
-                return _package_orbit(params, x, dx, mono, trace + [(res, 0.0)], cfg)
+                break
             raise NewtonDiverged(f"residual stalled at {res:.3e}")
         trace.append((res, step))
-        x, mono, g, res = x_try, mono_try, g_try, res_try
-
-    raise NewtonDiverged(f"no convergence within {MAX_NEWTON_ITERS} iterations")
-
-
-def _package_orbit(params: ModelParameters, x: np.ndarray, dx: np.ndarray,
-                   mono: np.ndarray, trace: list, cfg: IntegratorConfig) -> PeriodicOrbit:
-    """The orbit at x, sampled by one 4-wide flow of the model from its initial state."""
+        x, states, g, res = x_try, states_try, g_try, res_try
+    else:
+        raise NewtonDiverged(f"no convergence within {MAX_NEWTON_ITERS} iterations")
+    trace.append((res, 0.0))
+    dx, mono = _newton_step(params, x, g, cfg)
     bound = float(np.max(np.abs(dx)))  # the next Newton step's size bounds x's error
     if not np.min(x[1:]) > bound:  # written so that nan fails
         raise ConvergedToBoundary(
             f"fixed point has E, I or V within its Newton error bound {bound:.1e} of zero; "
             "this is the virus-free orbit, not an interior one")
-    x = clamp_small_negatives(x, cfg.abs_tol)
-    times = np.linspace(0.0, params.period, ORBIT_SAMPLES + 1)
-    traj, _ = integrate(vector_field(params), 0.0, params.period, x, cfg, t_eval=times)
     multipliers = floquet_multipliers(mono)
     max_mod = float(np.abs(multipliers[0]))
     return PeriodicOrbit(
         initial_state=State.from_array(x),
         times=times,
-        states=clamp_small_negatives(traj.states, cfg.abs_tol),
-        newton_residual=trace[-1][0],
+        states=clamp_small_negatives(states, cfg.abs_tol),
+        newton_residual=res,
         floquet_multipliers=multipliers,
         stable=max_mod < 1.0,
         stability_margin=1.0 - max_mod,
@@ -394,10 +397,8 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     In the persistence regime trajectories approach the endemic orbit, so
     the iterates enter the Newton basin. They only have to reach that
     basin, since Newton shooting polishes the fixed point at the caller's
-    tolerance, so the transient runs at simulation tolerance or looser:
-    rel_tol and abs_tol are raised to at least those of
-    IntegratorConfig.simulation(), while the step limits stay as given
-    (max_steps applies to each pass).
+    tolerance, so the transient runs at `_loosened(cfg)`, the step limits
+    as given (max_steps applies to each pass).
 
     Each pass is one poincare_map G over [0, P], at most floor(transient / P)
     of them; every pass after the first starts from the step size the pass
@@ -433,9 +434,7 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     periods = math.floor(transient / params.period)
     if periods < 1:
         raise ValueError("transient must cover at least one period")
-    loose = IntegratorConfig.simulation()
-    cfg = replace(cfg, rel_tol=max(cfg.rel_tol, loose.rel_tol),
-                  abs_tol=max(cfg.abs_tol, loose.abs_tol))
+    cfg = _loosened(cfg)
     x = ic.as_array()
     xs, rs = [], []  # the last three starts and their residuals G(x) - x, oldest first
     last = np.nan  # no change before the first pass, so q is nan after it

@@ -12,7 +12,9 @@ maps to an exit code: a NumericalFailure (3) or a config-clause type (2).
 No code in src/perivir calls isinstance(..., State): a State converts itself
 through np.asarray and State.from_array, so no caller switches on its type.
 Every function perfbench/tracer.py wraps by name must exist in perivir, and
-`integrate` must keep the signature the tracer's wrapper assumes.
+`integrate` must keep the signature the tracer's wrapper assumes. Every
+`integrate` call of the warm start and of Newton shooting starts from an
+ndarray, since the tracer takes the state width as len(y0).
 The float stepping loop, the step kernels and field forms it generates and
 the float field formulas call neither builtin `sum` nor `math.fsum`: since
 Python 3.12 float `sum` is compensated, so a result would depend on the
@@ -29,6 +31,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -341,6 +344,30 @@ def test_integrate_signature_matches_tracer_wrapper():
     assert list(params) == ["f", "t0", "t1", "y0", "cfg", "t_eval"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
     assert [p.default for p in params.values()] == [inspect.Parameter.empty] * 5 + [None]
+
+
+def test_orbit_integrations_start_from_arrays(monkeypatch):
+    # inside find_periodic_orbit the tracer reads len(y0), which a State
+    # lacks: a State start would pass untraced and fail under --trace 1
+    from perivir import IntegratorConfig, State, periodic
+
+    from .helpers import persistence_params
+
+    starts = []
+    original = periodic.integrate
+
+    def spy(f, t0, t1, y0, cfg, t_eval=None):
+        starts.append(type(y0))
+        return original(f, t0, t1, y0, cfg, t_eval=t_eval)
+
+    monkeypatch.setattr(periodic, "integrate", spy)
+    params, cfg = persistence_params(), IntegratorConfig.spectral()
+    guess = periodic.warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, cfg)
+    passes = len(starts)
+    # newton_tol = 0 runs the trials of a stall as well as a converging step
+    periodic.find_periodic_orbit(params, guess, cfg, newton_tol=0.0)
+    assert passes >= 2 and len(starts) - passes >= 10
+    assert set(starts) == {np.ndarray}
 
 
 def test_tracer_counts_monodromy_steps(monkeypatch):

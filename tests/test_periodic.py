@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from perivir import (
@@ -32,7 +34,7 @@ from perivir import (
 )
 from perivir import cli as cli_module
 from perivir import periodic, reproduction
-from perivir.model import clamp_small_negatives, jacobian, rhs, vector_field
+from perivir.model import Trajectory, clamp_small_negatives, jacobian, rhs, vector_field
 from perivir.periodic import _healthy_field
 from perivir.reproduction import build_linearization, rho_for_lambda
 
@@ -85,6 +87,46 @@ def autonomous_endemic_equilibrium(params: ModelParameters):
     I = k * E / (delta + d)
     V = gamma * (mu - d * T)
     return np.array([T, E, I, V])
+
+
+def dop853_flow(params: ModelParameters, x: np.ndarray):
+    """x's flow over one period and its monodromy, by scipy's DOP853 at rtol 1e-13.
+
+    The state and the variational equation are integrated together, as
+    perfbench's orbit reference does, with the model's rhs and Jacobian.
+    """
+    def f(t, y):
+        return np.concatenate((rhs(t, y[:4], params),
+                               (jacobian(t, y[:4], params) @ y[4:].reshape(4, 4)).ravel()))
+
+    sol = solve_ivp(f, (0.0, params.period), np.concatenate((x, np.eye(4).ravel())),
+                    method="DOP853", rtol=1e-13, atol=1e-16)
+    assert sol.success
+    return sol.y[:4, -1], sol.y[4:, -1].reshape(4, 4)
+
+
+def dop853_fixed_point(params: ModelParameters, x: np.ndarray) -> np.ndarray:
+    """The fixed point of dop853_flow's period map, by three Newton steps from x."""
+    for _ in range(3):
+        end, mono = dop853_flow(params, x)
+        x = x + np.linalg.solve(mono - np.eye(4), x - end)
+    return x
+
+
+def shipped_orbit(config_dir, name: str, r0: float | None = None):
+    """params and the orbit as `perivir orbit` finds it on a shipped config.
+
+    With r0, the config's beta is scaled so that the periodic R0 is r0.
+    """
+    cfg = cli_module.load_config(str(config_dir / f"{name}.ini"))
+    params = cfg.params
+    if r0 is not None:
+        scale = r0 / r0_periodic(params, tol=1e-10).value
+        params = replace(params, beta=SinusoidalCoefficient(scale * params.beta.mean,
+                                                            scale * params.beta.amplitude))
+    guess = warm_start_guess(params, State.from_array(cfg.initial_conditions[0]), 2000.0,
+                             cfg.integrator)
+    return params, cfg.integrator, find_periodic_orbit(params, guess, cfg.integrator)
 
 
 class TestVirusFreeClosedForm:
@@ -258,6 +300,12 @@ class TestPoincareMap:
             assert np.all(out.as_array() >= 0.0)
 
 
+@pytest.fixture
+def loose_cfg(spectral_cfg, sim_cfg):
+    """spectral_cfg at simulation tolerance: the warm start's, and Newton's Jacobians'."""
+    return replace(spectral_cfg, rel_tol=sim_cfg.rel_tol, abs_tol=sim_cfg.abs_tol)
+
+
 class TestFindPeriodicOrbit:
     def test_extinction_regime_collapses_to_boundary(self, spectral_cfg):
         params = rescaled_extinction_params()
@@ -300,7 +348,8 @@ class TestFindPeriodicOrbit:
             find_periodic_orbit(persistence_params(), np.array([10.0, 0.0, 1.0, 1.0]),
                                 spectral_cfg)
 
-    def test_stall_within_integration_error_returns_orbit(self, monkeypatch, spectral_cfg):
+    def test_stall_within_integration_error_returns_orbit(self, monkeypatch, spectral_cfg,
+                                                          loose_cfg):
         # newton_tol = 0 cannot be beaten, so Newton runs until no damped step
         # lowers the residual and the return goes through the stall branch:
         # weighted by the integrator's tolerances the residual is below 1
@@ -313,11 +362,17 @@ class TestFindPeriodicOrbit:
             c=0.11730922054046482, c1=0.09679950822708207, c2=0.09208330410174287)
         guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
         flows = count_calls(monkeypatch, periodic, "_flow_and_monodromy")
+        calls = count_calls(monkeypatch, periodic, "integrate")
         orbit = find_periodic_orbit(params, guess, spectral_cfg, newton_tol=0.0)
-        # one flow at the guess, one per trial of every accepted step, and
-        # the nine failed trials of the stall
+        # residuals: one model flow at the guess, one per trial of every
+        # accepted step, and the nine failed trials of the stall
         steps = [s for _, s in orbit.trace[:-1]]
-        assert len(flows) == 1 + sum(1 + round(-math.log2(s)) for s in steps) + 9
+        residual_flows = [args for args in calls if np.size(args[3]) == 4]
+        assert len(residual_flows) == 1 + sum(1 + round(-math.log2(s)) for s in steps) + 9
+        # a loosened Jacobian at every iterate, the stalled one too, then one
+        # monodromy at cfg from the returned state
+        assert [args[2] for args in flows] == [loose_cfg] * len(orbit.trace) + [spectral_cfg]
+        assert np.array_equal(flows[-1][1], orbit.initial_state.as_array())
         assert orbit.trace[-1] == (orbit.newton_residual, 0.0)
         x = orbit.initial_state.as_array()
         g = poincare_map(params, orbit.initial_state, spectral_cfg).as_array() - x
@@ -327,35 +382,42 @@ class TestFindPeriodicOrbit:
         assert orbit.stable
 
     @pytest.mark.parametrize("exponent, diverges", [(-20, True), (-43, False)])
-    def test_stall_branch_on_a_shifted_flow(self, monkeypatch, spectral_cfg, exponent, diverges):
-        # a flow that shifts every state by the same power of two: g is the
-        # same at every trial point (exactly, from a guess of ones), so every
-        # halving fails and the weighted residual alone decides the outcome:
-        # 2^-20 / (abs_tol + rel_tol) ~ 1e3 raises, 2^-43 / ... ~ 1e-4 returns
+    def test_stall_branch_on_a_shifted_flow(self, monkeypatch, spectral_cfg, loose_cfg, exponent,
+                                            diverges):
+        # a model flow that shifts every state by the same power of two: g is
+        # the same at every trial point (exactly, from a guess of ones), so
+        # every halving fails and the weighted residual alone decides the
+        # outcome: 2^-20 / (abs_tol + rel_tol) ~ 1e3 raises, 2^-43 / ... ~ 1e-4
+        # returns
         offset = np.array([2.0 ** exponent, 0.0, 0.0, 0.0])
-        flows = []
+        residual_flows, monodromies = [], []
 
-        def shifted(params, x, cfg):
-            flows.append(x)
-            return x + offset, 2.0 * np.eye(4)
+        def shifted(f, t0, t1, x, cfg, t_eval=None):
+            residual_flows.append(x)
+            return Trajectory(t_eval, np.tile(x + offset, (len(t_eval), 1))), x + offset
 
-        monkeypatch.setattr(periodic, "_flow_and_monodromy", shifted)
+        def doubling(params, x, cfg):
+            monodromies.append(cfg)
+            return x, 2.0 * np.eye(4)
+
+        monkeypatch.setattr(periodic, "integrate", shifted)
+        monkeypatch.setattr(periodic, "_flow_and_monodromy", doubling)
         params = persistence_params()
         guess = np.ones(4)
         if diverges:
             with pytest.raises(NewtonDiverged, match="stalled"):
                 find_periodic_orbit(params, guess, spectral_cfg, newton_tol=0.0)
+            assert monodromies == [loose_cfg]
         else:
             orbit = find_periodic_orbit(params, guess, spectral_cfg, newton_tol=0.0)
             assert orbit.trace == ((2.0 ** exponent, 0.0),)
             assert np.array_equal(orbit.initial_state.as_array(), guess)
-            # the samples are the model's own flow from the returned state
-            traj, _ = integrate(vector_field(params), 0.0, params.period, guess, spectral_cfg,
-                                t_eval=orbit.times)
-            assert np.array_equal(orbit.states,
-                                  clamp_small_negatives(traj.states, spectral_cfg.abs_tol))
-        # the guess and the nine failed trials; a returned guess costs no further flow
-        assert len(flows) == 1 + 9
+            # the samples are the residual flow's from the returned state
+            assert np.array_equal(orbit.states, np.tile(guess + offset, (len(orbit.times), 1)))
+            # the Jacobian at the guess, then one monodromy at cfg for the multipliers
+            assert monodromies == [loose_cfg, spectral_cfg]
+        # the guess and the nine failed trials
+        assert len(residual_flows) == 1 + 9
 
     @pytest.mark.parametrize("newton_tol", [math.nan, -1.0, math.inf])
     def test_bad_newton_tol_rejected_before_any_flow(self, monkeypatch, spectral_cfg,
@@ -372,18 +434,26 @@ class TestFindPeriodicOrbit:
             return x + 1.0, np.eye(4)
 
         monkeypatch.setattr(periodic, "_flow_and_monodromy", identity_monodromy)
+        # the message carries the residual of the model's own flow
+        params = persistence_params()
+        end = integrate(vector_field(params), 0.0, params.period, np.ones(4), spectral_cfg).final
+        residual = f"{np.max(np.abs(end - 1.0)):.3e}"
         with pytest.raises(NewtonDiverged,
-                           match=r"^singular shooting Jacobian at residual 1\.000e\+00$"):
-            find_periodic_orbit(persistence_params(), np.ones(4), spectral_cfg)
+                           match=f"^singular shooting Jacobian at residual {re.escape(residual)}$"):
+            find_periodic_orbit(params, np.ones(4), spectral_cfg)
 
-    def test_iteration_budget_runs_out(self, monkeypatch, spectral_cfg):
+    def test_iteration_budget_runs_out(self, monkeypatch, spectral_cfg, loose_cfg):
         # newton_tol = 0 cannot be met, and one accepted step spends a budget of 1
         monkeypatch.setattr(periodic, "MAX_NEWTON_ITERS", 1)
         flows = count_calls(monkeypatch, periodic, "_flow_and_monodromy")
+        calls = count_calls(monkeypatch, periodic, "integrate")
         with pytest.raises(NewtonDiverged, match="^no convergence within 1 iterations$"):
             find_periodic_orbit(persistence_params(), State(10.0, 1.0, 1.0, 1.0),
                                 spectral_cfg, newton_tol=0.0)
-        assert len(flows) >= 2  # the guess and at least one trial
+        # the guess's loosened Jacobian alone: no orbit, so no monodromy at cfg
+        assert [args[2] for args in flows] == [loose_cfg]
+        # residual flows at the guess and at least one trial
+        assert sum(np.size(args[3]) == 4 for args in calls) >= 2
 
     def test_trace_records_every_iterate(self, spectral_cfg):
         params = persistence_params()
@@ -396,32 +466,32 @@ class TestFindPeriodicOrbit:
         assert all(0.0 < s <= 1.0 for _, s in orbit.trace[:-1])
         assert orbit.trace[-1][1] == 0.0
 
-    def test_only_augmented_flows(self, monkeypatch, spectral_cfg):
-        # every Newton flow is the 20-wide state-plus-variational flow with
-        # an empty t_eval: no 4-wide line-search flows; the orbit's samples
-        # come from exactly one 4-wide flow of the model, on the orbit grid
+    def test_each_flow_has_its_width_and_tolerance(self, monkeypatch, spectral_cfg, loose_cfg):
+        # residuals come from the model's 4-wide flow at cfg, Jacobians from
+        # the 20-wide state-plus-variational flow at the warm start's
+        # loosened tolerance, and exactly one 20-wide flow runs at cfg: the
+        # last, from the returned state; one full Newton step from the warm start
         params = persistence_params()
         guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
         calls = count_calls(monkeypatch, periodic, "integrate")
-        t_evals = spy_t_evals(monkeypatch, periodic)
         orbit = find_periodic_orbit(params, guess, spectral_cfg)
-        assert 2 <= len(calls) <= 4
-        assert all(np.shape(args[3]) == (20,) for args in calls[:-1])
-        assert all(len(t) == 0 for t in t_evals[:-1])
-        assert np.size(calls[-1][3]) == 4
-        assert np.array_equal(t_evals[-1], orbit.times)
-        assert orbit.states.shape == (periodic.ORBIT_SAMPLES + 1, 4)
+        assert orbit.trace[0][1] == 1.0 and len(orbit.trace) == 2
+        assert [(np.size(args[3]), args[4]) for args in calls] == [
+            (4, spectral_cfg), (20, loose_cfg), (4, spectral_cfg), (20, spectral_cfg)]
+        assert np.array_equal(calls[-1][3][:4], orbit.initial_state.as_array())
+        assert np.array_equal(calls[-2][3], orbit.initial_state.as_array())
 
-    def test_only_the_returned_flow_is_sampled(self, monkeypatch, spectral_cfg):
-        # no 20-wide flow is sampled; the one sampled flow is the model's
-        # from the orbit's state, and the orbit's samples are bitwise a fresh
-        # such flow
+    def test_every_residual_flow_is_sampled_on_the_orbit_grid(self, monkeypatch, spectral_cfg):
+        # no 20-wide flow is sampled; every residual flow is sampled on the
+        # orbit grid, and the last one, from the orbit's state, is its
+        # samples: bitwise a fresh model flow from there
         params = persistence_params()
         guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
         flows = count_calls(monkeypatch, periodic, "_flow_and_monodromy")
         t_evals = spy_t_evals(monkeypatch, periodic)
         orbit = find_periodic_orbit(params, guess, spectral_cfg)
-        assert [len(t) for t in t_evals] == [0] * len(flows) + [periodic.ORBIT_SAMPLES + 1]
+        assert [len(t) for t in t_evals] == [periodic.ORBIT_SAMPLES + 1, 0] * len(flows)
+        assert all(np.array_equal(t, orbit.times) for t in t_evals[::2])
         traj, _ = integrate(vector_field(params), 0.0, params.period, orbit.initial_state,
                             spectral_cfg, t_eval=orbit.times)
         assert np.array_equal(orbit.states,
@@ -452,11 +522,13 @@ class TestFindPeriodicOrbit:
         assert np.array_equal(rows, np.column_stack((orbit.times, orbit.states)))
 
     @pytest.mark.parametrize("path", ["converged", "stalled"])
-    def test_a_returned_guess_gets_one_sampled_flow(self, monkeypatch, spectral_cfg, path):
+    def test_a_returned_guess_gets_one_monodromy_at_cfg(self, monkeypatch, spectral_cfg, loose_cfg,
+                                                        path):
         # converged: a newton_tol that the guess already meets; stalled: a
         # guess polished to rounding, where newton_tol = 0 finds no damped
         # step that lowers the residual and the weighted residual is below 1;
-        # either way the one sampled flow is the model's, as for any orbit
+        # either way the guess's residual flow is the orbit's samples, and one
+        # 20-wide flow at cfg gives its multipliers
         params = persistence_params()
         guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
         if path == "converged":
@@ -470,14 +542,55 @@ class TestFindPeriodicOrbit:
         orbit = find_periodic_orbit(params, guess, spectral_cfg, newton_tol=newton_tol)
         assert len(orbit.trace) == 1
         assert np.array_equal(orbit.initial_state.as_array(), guess.as_array())
-        # the flow at the guess and the failed trials, none of them sampled,
-        # then the model's flow from the guess: no second 20-wide flow
-        assert len(flows) == 1 + (0 if path == "converged" else 9)
-        assert [len(t) for t in t_evals] == [0] * len(flows) + [periodic.ORBIT_SAMPLES + 1]
+        # the guess's residual flow, then, when stalled, its loosened Jacobian
+        # and the nine failed trials; last the monodromy at cfg, unsampled
+        sampled = periodic.ORBIT_SAMPLES + 1
+        if path == "converged":
+            assert [args[2] for args in flows] == [spectral_cfg]
+            assert [len(t) for t in t_evals] == [sampled, 0]
+        else:
+            assert [args[2] for args in flows] == [loose_cfg, spectral_cfg]
+            assert [len(t) for t in t_evals] == [sampled, 0] + [sampled] * 9 + [0]
         traj, _ = integrate(vector_field(params), 0.0, params.period, guess, spectral_cfg,
                             t_eval=orbit.times)
         assert np.array_equal(orbit.states,
                               clamp_small_negatives(traj.states, spectral_cfg.abs_tol))
+
+
+class TestAgainstDop853:
+    """The returned orbit against the variational system integrated by DOP853 at rtol 1e-13."""
+
+    # Near threshold the leading multiplier is next to 1, so the fixed point
+    # amplifies the flow's error by about 1 / (R0 - 1): 7.6e-8 relative at
+    # R0 = 1.001, against 8.1e-11 and 2.8e-10 on the shipped sets. Tightening
+    # the near-threshold bound is ROADMAP item 20's.
+    @pytest.mark.parametrize("name, r0, bound", [
+        ("persistence", None, 1e-9), ("baseline", None, 1e-9), ("persistence", 1.001, 1e-7)])
+    def test_initial_state_is_the_fixed_point(self, config_dir, name, r0, bound):
+        params, _, orbit = shipped_orbit(config_dir, name, r0)
+        x = orbit.initial_state.as_array()
+        reference = dop853_fixed_point(params, x)
+        assert np.max(np.abs(x - reference) / reference) <= bound
+
+    @pytest.mark.parametrize("name", ["persistence", "baseline"])
+    def test_multipliers_are_the_reference_spectrum(self, config_dir, name):
+        # 2.2e-13 and 5.1e-13 off: the one monodromy at cfg keeps Phi in its
+        # error norm
+        params, _, orbit = shipped_orbit(config_dir, name)
+        _, mono = dop853_flow(params, orbit.initial_state.as_array())
+        reference = floquet_multipliers(mono)
+        assert np.max(np.abs(orbit.floquet_multipliers - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["persistence", "baseline"])
+    def test_residual_is_the_model_flows_closure(self, config_dir, name):
+        # newton_residual is the closure of the model's own 4-wide flow from
+        # the returned state, bitwise, so the public map closes it within
+        # newton_tol
+        params, cfg, orbit = shipped_orbit(config_dir, name)
+        x = orbit.initial_state.as_array()
+        end = integrate(vector_field(params), 0.0, params.period, x, cfg).final
+        assert orbit.newton_residual == np.max(np.abs(end - x))
+        assert np.max(np.abs(poincare_map(params, x, cfg).as_array() - x)) < 1e-10
 
 
 class TestEndStateIntegrations:
