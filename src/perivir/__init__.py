@@ -40,6 +40,7 @@ from .periodic import (
     DegenerateDecay,
     NewtonDiverged,
     PeriodicOrbit,
+    UnresolvedTStar,
     VirusFreeSolution,
     find_periodic_orbit,
     floquet_multipliers,
@@ -79,7 +80,7 @@ __all__ = [
     "VirusFreeSolution", "PeriodicOrbit", "virus_free_closed_form",
     "virus_free_numeric", "poincare_map", "find_periodic_orbit",
     "warm_start_guess", "floquet_multipliers",
-    "DegenerateDecay", "NewtonDiverged", "ConvergedToBoundary",
+    "DegenerateDecay", "UnresolvedTStar", "NewtonDiverged", "ConvergedToBoundary",
     "LinearizedSystem", "R0Result", "build_linearization",
     "rho_for_lambda", "r0_periodic", "r0_autonomous", "BracketFailure",
     "ClassificationReport", "InvariantLog", "Regime", "SweepRow",

@@ -3,9 +3,10 @@
 With no virus present the healthy-cell density obeys the scalar linear
 equation dT/dt = mu(t) - d(t)*T, which has exactly one periodic solution
 T*(t); (T*(t), 0, 0, 0) is the virus-free periodic orbit of the full
-model. T* is computed both in closed form (integrating factor plus
-quadrature) and numerically (fixed point of the scalar period map), and
-the two routes cross-check each other.
+model. T* is computed both spectrally (one Galerkin solve on the Fourier
+basis of Hill's method, `_hill_basis`, which the reproduction number's
+operator shares) and numerically (fixed point of the scalar period map),
+and the two routes cross-check each other.
 
 Interior (endemic) periodic orbits are located as fixed points of the
 full Poincare map by Newton shooting, with the Newton Jacobian taken from
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .model import (
 
 __all__ = [
     "DegenerateDecay",
+    "UnresolvedTStar",
     "NewtonDiverged",
     "ConvergedToBoundary",
     "VirusFreeSolution",
@@ -46,11 +49,18 @@ __all__ = [
 
 ORBIT_SAMPLES = 256
 TSTAR_SAMPLES = 512
+TSTAR_MAX_ORDER = 128       # highest harmonic of T*'s Galerkin solve; 2N+1 < TSTAR_SAMPLES
+TSTAR_RESOLUTION = 1e-15    # largest top-quarter harmonic / mean, at most
 MAX_NEWTON_ITERS = 30
+FACE_PASSES = 5  # warm-start passes in a row within abs_tol of E = I = V = 0 that end it
 
 
 class DegenerateDecay(ValueError):
     """The death rate integrates to too little over one period for T* to exist."""
+
+
+class UnresolvedTStar(NumericalFailure):
+    """T*'s harmonics have not decayed by the highest order its Galerkin solve takes."""
 
 
 class NewtonDiverged(NumericalFailure):
@@ -63,18 +73,12 @@ class ConvergedToBoundary(NumericalFailure):
 
 @dataclass(frozen=True)
 class VirusFreeSolution:
-    """One-period sampling of T*(t) on a uniform grid over [0, P]; ValueError on any other grid.
-
-    errors estimates each sample's relative error from the quadrature that
-    produced it, signed so that T* is about values (1 + errors); None where
-    none is estimated.
-    """
+    """One-period sampling of T*(t) on a uniform grid over [0, P]; ValueError on any other grid."""
 
     t_star_initial: float
     times: np.ndarray
     values: np.ndarray
     period: float
-    errors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -151,47 +155,84 @@ def _death_integral(params: ModelParameters, t):
     return d.mean * t + (d.amplitude / w) * (1.0 - np.cos(w * t))
 
 
-def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
-    """T*(t) by the integrating-factor formula.
+def _harmonics(nodes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(m theta_j) and sin(m theta_j), rows m = 0..order, on theta_j = 2 pi j/nodes.
 
-    T*(t) = e^{-D(t)} (int_0^t mu(s) e^{D(s)} ds + T*(0)) with
-    D(t) = int_0^t d and the periodic initial value
-    T*(0) = e^{-D(P)} int_0^P mu e^{D} / (1 - e^{-D(P)}). D is analytic
-    for sinusoidal d; the remaining integral is composite Simpson on
-    2*TSTAR_SAMPLES panels, cumulated at the TSTAR_SAMPLES+1 sample nodes.
-    Simpson on panels twice as wide errs 16 times as much, so a fifteenth of
-    the two's difference (Richardson's estimate), carried into T*(0), gives
-    errors at every other sample; TSTAR_SAMPLES is even, and the samples
-    between take their neighbours' mean.
+    m theta_j is 2 pi (j m mod nodes)/nodes, so every entry is taken from
+    cos and sin at the nodes' own phases: nodes evaluations of each, at any
+    order, and the bits of cos(2 pi (j m mod nodes)/nodes).
+    """
+    turn = (2.0 * math.pi / nodes) * np.arange(nodes)
+    jm = np.outer(np.arange(order + 1), np.arange(nodes))
+    return np.take(np.cos(turn), jm, mode="wrap"), np.take(np.sin(turn), jm, mode="wrap")
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """arrays, made unwritable: a process cache hands the same ones to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@cache
+def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, ...]:
+    """(phi, I, weights, unit d/dt) of Hill's method at order on nodes phases; read-only.
+
+    phi = [1, cos m theta, sin m theta], m = 1..order, is filled in place
+    (a stacked copy lifted r0_scan's peak RSS); the weights are 1/nodes and
+    2/nodes, and d/dt acts on the coefficients at unit angular frequency.
+    """
+    (cos, sin), phi = _harmonics(nodes, order), np.empty((nodes, 2 * order + 1))
+    phi[:, :order + 1], phi[:, order + 1:] = cos.T, sin[1:].T
+    weights = np.r_[1.0, np.full(2 * order, 2.0)][:, None] / nodes
+    m, deriv = np.diag(np.arange(1.0, order + 1)), np.zeros((2 * order + 1, 2 * order + 1))
+    deriv[1:order + 1, order + 1:], deriv[order + 1:, 1:order + 1] = m, -m
+    return _read_only(phi, np.eye(2 * order + 1), weights, deriv)
+
+
+def _death_operator(w: float, d: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
+    """(S_d, w d/dt) on `_hill_basis` coefficients: S_d = d/dt + d(t), d on the basis's nodes."""
+    phi, _, weights, deriv = basis
+    deriv = w * deriv
+    return deriv + weights * (phi.T @ (d[:, None] * phi)), deriv
+
+
+def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
+    """T*(t) from one Galerkin solve of T' + d(t) T = mu(t) on Hill's basis.
+
+    T*'s coefficients c on `_hill_basis` at order N solve S_d c = mu-hat,
+    S_d the `_death_operator` on the TSTAR_SAMPLES uniform nodes and mu-hat
+    mu's mean and amplitude at 1 and sin w t, with no quadrature. N doubles
+    from 8 until the largest harmonic of c's top quarter is at most
+    TSTAR_RESOLUTION of c0, up to TSTAR_MAX_ORDER, which the nodes resolve;
+    the samples are phi c. The coefficients decay geometrically, so the
+    solve is exact to rounding at any period (Boyd 2001, ch. 2).
+
+    Raises DegenerateDecay unless e^{-D(P)}, D(P) = int_0^P d, rounds below
+    1, and UnresolvedTStar when the top quarter is still above that at
+    TSTAR_MAX_ORDER.
     """
     P = params.period
     DP = float(_death_integral(params, P))
-    decay = math.exp(-DP)
-    if not decay < 1.0:  # D(P) <= 0, or too small for e^{-D(P)} to round below 1
+    if not math.exp(-DP) < 1.0:  # D(P) <= 0, or too small for e^{-D(P)} to round below 1
         raise DegenerateDecay(f"death rate integrates to D(P) = {DP!r} over one period; "
                               "e^-D(P) does not fall below 1, so T* is unbounded")
-
-    fine = np.linspace(0.0, P, 2 * TSTAR_SAMPLES + 1)
-    g = params.rates(fine)[0] * np.exp(_death_integral(params, fine))
-    h2 = P / (2 * TSTAR_SAMPLES)
-    panels = (h2 / 3.0) * (g[0:-1:2] + 4.0 * g[1::2] + g[2::2])
-    integral = np.concatenate(([0.0], np.cumsum(panels)))
-    wide = (2.0 * h2 / 3.0) * (g[0:-1:4] + 4.0 * g[2::4] + g[4::4])
-    error = (integral[::2] - np.concatenate(([0.0], np.cumsum(wide)))) / 15.0
-
-    t0_value = decay * integral[-1] / (1.0 - decay)
-    times = fine[::2]
-    values = np.exp(-_death_integral(params, times)) * (integral + t0_value)
-    errors = np.empty(len(times))
-    errors[::2] = (error + decay * error[-1] / (1.0 - decay)) / (integral[::2] + t0_value)
-    errors[1::2] = 0.5 * (errors[:-1:2] + errors[2::2])
-    return VirusFreeSolution(
-        t_star_initial=float(t0_value),
-        times=times,
-        values=values,
-        period=P,
-        errors=errors,
-    )
+    times = np.linspace(0.0, P, TSTAR_SAMPLES + 1)
+    d, order = params.rates(times[:-1])[2], 8
+    while True:
+        basis = _hill_basis(TSTAR_SAMPLES, order)
+        mu_hat = np.zeros(2 * order + 1)
+        mu_hat[0], mu_hat[order + 1] = params.mu.mean, params.mu.amplitude
+        c = np.linalg.solve(_death_operator(params.angular_frequency, d, basis)[0], mu_hat)
+        top = float(np.hypot(c[1:order + 1], c[order + 1:])[3 * order // 4:].max() / abs(c[0]))
+        if top <= TSTAR_RESOLUTION:
+            values = basis[0] @ c
+            return VirusFreeSolution(t_star_initial=float(values[0]), times=times,
+                                     values=np.append(values, values[0]), period=P)
+        if order == TSTAR_MAX_ORDER:
+            raise UnresolvedTStar(f"T* is not resolved at period {P!r} h: at order {order} "
+                                  f"its top harmonics reach {top:.1e} of its mean")
+        order *= 2
 
 
 def _healthy_field(params: ModelParameters):
@@ -424,8 +465,11 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
 
     A start on the invariant virus-free face E = I = V = 0 raises
     ValueError; a pass that lands on it (E, I and V all clamped to zero)
-    raises ConvergedToBoundary, since no later pass can leave it, as does
-    a final image with a zero component, which Newton cannot start from.
+    raises ConvergedToBoundary, since no later pass can leave it, as do
+    FACE_PASSES passes in a row whose E, I and V all lie within the
+    transient's abs_tol of zero, where the flow cannot tell them from the
+    face (below threshold they flicker between 0 and noise there), and a
+    final image with a zero component, which Newton cannot start from.
     """
     if not math.isfinite(transient):
         raise ValueError("transient must be finite")
@@ -438,11 +482,17 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     x = ic.as_array()
     xs, rs = [], []  # the last three starts and their residuals G(x) - x, oldest first
     last = np.nan  # no change before the first pass, so q is nan after it
+    near_face = 0  # passes in a row with E, I and V within abs_tol of zero
     for n in range(1, periods + 1):
         image, step = _period_pass(params, x, cfg)
         if image.e_cells == image.i_cells == image.virus == 0.0:
             raise ConvergedToBoundary(
                 f"warm-start pass {n} landed on the virus-free face E = I = V = 0")
+        near_face = near_face + 1 if max(image.as_array()[1:]) <= cfg.abs_tol else 0
+        if near_face == FACE_PASSES:
+            raise ConvergedToBoundary(
+                f"warm start settled on the virus-free orbit: E, I and V stayed within "
+                f"abs_tol {cfg.abs_tol:g} of zero for passes {n - FACE_PASSES + 1}-{n}")
         x_next = image.as_array()
         cfg = replace(cfg, initial_step=step)
         with np.errstate(divide="ignore", invalid="ignore"):

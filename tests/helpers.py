@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -25,16 +26,19 @@ from hypothesis import strategies as st
 from perivir import (
     ConvergedToBoundary,
     IntegratorConfig,
+    LinearizedSystem,
     ModelParameters,
     NonFiniteState,
+    R0Result,
     SinusoidalCoefficient,
     State,
+    VirusFreeSolution,
     build_linearization,
     floquet_multipliers,
     integrate_matrix,
     rho_for_lambda,
 )
-from perivir import periodic
+from perivir import periodic, reproduction
 from perivir.integrate import _A_ROWS, _C, _D_ROW, _E_ROW
 
 OMEGA = 2.0 * math.pi / 24.0
@@ -215,7 +219,7 @@ def interpolated_t_star_radii(lin, lams, cfg: IntegratorConfig) -> np.ndarray:
     """rho of the one-period monodromy at each of lams, with T* from its cubic interpolant.
 
     One integrate_matrix stack on lin.combined(lams), which reads T* from
-    Simpson's nodes, and floquet_multipliers: an oracle apart from
+    its nodes, and floquet_multipliers: an oracle apart from
     rho_for_lambda, which carries T in its state. abs_tol is the smallest
     normal float, as there, so errors are relative.
     """
@@ -224,6 +228,54 @@ def interpolated_t_star_radii(lin, lams, cfg: IntegratorConfig) -> np.ndarray:
     cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
     end = integrate_matrix(lin.combined(lams), 0.0, lin.params.period, eye, cfg).end_matrix
     return np.abs(floquet_multipliers(end)[..., 0])
+
+
+def galerkin_t_star(params: ModelParameters, order: int) -> VirusFreeSolution:
+    """T* from a Galerkin solve on e^{i k w t}, |k| <= order, sampled on the TSTAR_SAMPLES nodes.
+
+    An oracle apart from virus_free_closed_form's real basis and projected
+    S_d: d = d0 + d1 sin couples neighbouring k exactly, so the system is
+    (i k w + d0) c_k + d1 (c_{k-1} - c_{k+1}) / 2i = mu_k, tridiagonal.
+    """
+    w, (m0, m1), (d0, d1) = (params.angular_frequency, (params.mu.mean, params.mu.amplitude),
+                             (params.d.mean, params.d.amplitude))
+    k = np.arange(-order, order + 1)
+    system = (np.diag(d0 + 1j * w * k) + np.diag(np.full(2 * order, d1 / 2j), -1)
+              + np.diag(np.full(2 * order, -d1 / 2j), 1))
+    mu_hat = np.zeros(2 * order + 1, dtype=complex)
+    mu_hat[order], mu_hat[order + 1], mu_hat[order - 1] = m0, m1 / 2j, -m1 / 2j
+    c = np.linalg.solve(system, mu_hat)
+    nodes = periodic.TSTAR_SAMPLES
+    times = np.linspace(0.0, params.period, nodes + 1)
+    values = np.exp(1j * np.outer(2.0 * np.pi * np.arange(nodes) / nodes, k)) @ c
+    return VirusFreeSolution(t_star_initial=float(values[0].real), times=times,
+                             values=np.append(values.real, values[0].real), period=params.period)
+
+
+def t_star_order(params: ModelParameters) -> int:
+    """The order at which virus_free_closed_form settles for params."""
+    orders, build = [], periodic._hill_basis
+
+    def spied(nodes, order):
+        orders.append(order)
+        return build(nodes, order)
+
+    with mock.patch.object(periodic, "_hill_basis", spied):
+        periodic.virus_free_closed_form(params)
+    return orders[-1]
+
+
+def refined_linearization(params: ModelParameters) -> LinearizedSystem:
+    """params linearized at the galerkin_t_star of twice virus_free_closed_form's order."""
+    return LinearizedSystem(t_star=galerkin_t_star(params, 2 * t_star_order(params)),
+                            params=params)
+
+
+def refined_r0(params: ModelParameters, **kwargs) -> R0Result:
+    """r0_periodic(params, **kwargs) with its T* replaced by refined_linearization's."""
+    t_star = refined_linearization(params).t_star
+    with mock.patch.object(reproduction, "virus_free_closed_form", lambda _: t_star):
+        return reproduction.r0_periodic(params, **kwargs)
 
 
 def hill_on_time_grid(lin, tol: float, max_order: int = 64):

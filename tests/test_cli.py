@@ -1,8 +1,11 @@
 import json
 import math
 import operator
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import typing
 import warnings
 import xml.etree.ElementTree as ET
@@ -44,6 +47,7 @@ from perivir.svgplot import Panel, Series
 
 from .helpers import closed_form_r0, count_calls
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 GOOD_CONFIG = f"""
 [mu]
@@ -159,6 +163,18 @@ class TestParseConfig:
             cfg = load_config(str(config_dir / name))
             assert isinstance(cfg, RunConfig)
             assert len(cfg.initial_conditions) == 3
+
+
+def _growing_bound_config() -> str:
+    """GOOD_CONFIG from a near-empty start, d relaxing over 1000 h, validated for 120 h."""
+    return (GOOD_CONFIG
+            .replace("horizon = 4800", "horizon = 120")
+            .replace("mean = 0.01", "mean = 0.001")        # d: 1000 h relaxation
+            .replace("amplitude = 0.005", "amplitude = 0.0005")
+            .replace("mean = 0.3", "mean = 0.001")         # beta: no ignition
+            .replace("amplitude = 0.1\n", "amplitude = 0.0001\n")
+            .replace("initial_conditions = 10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1",
+                     "initial_conditions = 0.01,0.01,0.01,0.01"))
 
 
 def _scaled_beta_config(config_dir, tmp_path, r0: float) -> pathlib.Path:
@@ -460,26 +476,22 @@ class TestCliDispatch:
         assert code == 3
         assert "numerical-failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("transient, message", [
-        (None, "warm start ended with a component at zero after 83 passes"),
-        ("3000", "fixed point has E, I or V within its Newton error bound 1.6e-10 of zero; "
-                 "this is the virus-free orbit, not an interior one"),
-        ("4800", "fixed point has E, I or V within its Newton error bound 1.5e-10 of zero; "
-                 "this is the virus-free orbit, not an interior one"),
-    ], ids=["default", "3000", "4800"])
+    @pytest.mark.parametrize("transient", [None, "3000", "4800"], ids=["default", "3000", "4800"])
     def test_orbit_below_threshold_exits_3_at_any_transient(self, config_dir, tmp_path, capsys,
-                                                             transient, message):
+                                                             transient):
         # below threshold the virus-free orbit attracts every solution, so a
-        # warm start that ends with E clamped to zero, or a Newton solve that
-        # closes on that orbit, is that outcome: a numerical verdict, not a
-        # config error
+        # warm start whose E, I and V settle within abs_tol of zero is that
+        # outcome: a numerical verdict, not a config error. Every budget runs
+        # the same passes up to the stop, so the message is one
         out = tmp_path / "orbit.csv"
         extra = [] if transient is None else ["--transient", transient]
         code = main(["orbit", "--config", str(config_dir / "extinction.ini"),
                      "--out", str(out)] + extra)
         assert code == 3
         captured = capsys.readouterr()
-        assert captured.err == f"numerical-failure: {message}\n"
+        assert captured.err == ("numerical-failure: warm start settled on the virus-free orbit: "
+                                "E, I and V stayed within abs_tol 1e-09 of zero for passes "
+                                "24-28\n")
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("r0", [0.999, 0.9999])
@@ -605,16 +617,8 @@ class TestCliDispatch:
         # near-empty start with a 1000-hour relaxation time: over a 120-hour
         # horizon W(t) is still climbing in the second half, so the
         # boundedness check must fail and validate must exit 4
-        cfg_text = (GOOD_CONFIG
-                    .replace("horizon = 4800", "horizon = 120")
-                    .replace("mean = 0.01", "mean = 0.001")        # d: 1000 h relaxation
-                    .replace("amplitude = 0.005", "amplitude = 0.0005")
-                    .replace("mean = 0.3", "mean = 0.001")         # beta: no ignition
-                    .replace("amplitude = 0.1\n", "amplitude = 0.0001\n")
-                    .replace("initial_conditions = 10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1",
-                             "initial_conditions = 0.01,0.01,0.01,0.01"))
         path = tmp_path / "growing.ini"
-        path.write_text(cfg_text)
+        path.write_text(_growing_bound_config())
         assert main(["validate", "--config", str(path)]) == 4
         assert "invariant-violation" in capsys.readouterr().err
 
@@ -789,3 +793,46 @@ class TestExitCodeMap:
         assert captured.out == ""
         prefix = {3: "numerical-failure", 2: "config-error"}[code]
         assert captured.err == f"{prefix}: {exc}\n"
+
+
+def _extinction_at(config_dir, period: float, d: str | None = None) -> str:
+    """extinction.ini with a period of period hours and, given d = "mean amplitude", that d."""
+    text = re.sub(r"angular_frequency = .*", f"angular_frequency = {2 * math.pi / period!r}",
+                  (config_dir / "extinction.ini").read_text())
+    if d is not None:
+        mean, amplitude = d.split()
+        text = text.replace("[d]\nmean = 0.01\namplitude = 0.005",
+                            f"[d]\nmean = {mean}\namplitude = {amplitude}")
+    return text
+
+
+class TestStderrContract:
+    """Every failing exit writes one "<category>: <message>" line to stderr and nothing else.
+
+    Each case runs `python -m perivir.cli` in a fresh interpreter, so numpy's
+    RuntimeWarnings reach stderr as they would for a user, and are not
+    turned into errors by the test run's filter.
+    """
+
+    @pytest.mark.parametrize("case, command, code", [
+        ("bad-key", "r0", 2),
+        ("extinction-at-30000-h", "r0", 3),    # NonFiniteState in the lambda = 1 monodromy
+        ("growing-bound", "validate", 4),
+        ("wide-d-at-30000-h", "r0", 3),  # d = 0.03 + 0.027 sin: e^{D(t)} overflowed Simpson's T*
+        ("t-star-unresolved", "r0", 3),  # UnresolvedTStar at 100,000 h, d = 0.05 + 0.0495 sin
+    ])
+    def test_one_line_per_failure(self, config_dir, tmp_path, case, command, code):
+        text = {"bad-key": lambda: GOOD_CONFIG.replace("rel_tol = 1e-9", "rel_tl = 1e-9"),
+                "extinction-at-30000-h": lambda: _extinction_at(config_dir, 30_000.0),
+                "growing-bound": _growing_bound_config,
+                "wide-d-at-30000-h": lambda: _extinction_at(config_dir, 30_000.0, "0.03 0.027"),
+                "t-star-unresolved": lambda: _extinction_at(config_dir, 1e5, "0.05 0.0495"),
+                }[case]()
+        path = tmp_path / "case.ini"
+        path.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run([sys.executable, "-m", "perivir.cli", command, "--config", str(path)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        category = {2: "config-error", 3: "numerical-failure", 4: "invariant-violation"}[code]
+        assert run.returncode == code
+        assert re.fullmatch(f"{category}: [^\n]+\n", run.stderr), run.stderr

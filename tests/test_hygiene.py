@@ -11,6 +11,9 @@ Every exception class defined in src/perivir must be one that `perivir.cli.main`
 maps to an exit code: a NumericalFailure (3) or a config-clause type (2).
 No code in src/perivir calls isinstance(..., State): a State converts itself
 through np.asarray and State.from_array, so no caller switches on its type.
+Imports run one way: a module imports only perivir modules below it in
+model < integrate < periodic < reproduction < analysis < cli, and
+svgplot imports none, inside functions as at the top.
 Every function perfbench/tracer.py wraps by name must exist in perivir, and
 `integrate` must keep the signature the tracer's wrapper assumes. Every
 `integrate` call of the warm start and of Newton shooting starts from an
@@ -142,6 +145,64 @@ def test_detector_flags_unused_and_honours_all_and_future():
               "__all__ = ['dumps']\n"
               "x = math.pi\n")
     assert unused_imports(source) == ["line 3: os", "line 4: loads"]
+
+
+LAYERS = ("model", "integrate", "periodic", "reproduction", "analysis", "cli")
+
+
+def perivir_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) for each perivir module an import anywhere in source names, nested too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+            names = ["perivir." + name for name in
+                     ([node.module] if node.module else [alias.name for alias in node.names])]
+        elif isinstance(node, ast.ImportFrom):
+            names = ([f"perivir.{alias.name}" for alias in node.names]
+                     if node.module == "perivir" else [node.module])
+        else:
+            continue
+        found += [(node.lineno, name.split(".")[1]) for name in names
+                  if name.startswith("perivir.")]
+    return found
+
+
+def layering_violations(sources: dict[str, str]) -> list[str]:
+    """Imports of perivir modules that a module's layer does not allow.
+
+    sources maps a module's name to its text. A module of LAYERS may import
+    the modules before it and svgplot; svgplot imports none. Any other name
+    raises ValueError, so a new module has to be given its place.
+    """
+    bad = []
+    for module, source in sources.items():
+        allowed = set() if module == "svgplot" else {"svgplot", *LAYERS[:LAYERS.index(module)]}
+        bad += [f"{module} line {line}: {name}" for line, name in perivir_imports(source)
+                if name not in allowed]
+    return bad
+
+
+def test_imports_follow_the_layers():
+    # model < integrate < periodic < reproduction < analysis < cli: a module
+    # reads only those below it, so moving a helper up a layer is the fix
+    # for a cycle, never an import inside a function
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path.stem != "__init__"}
+    assert set(sources) == {*LAYERS, "svgplot"}
+    assert layering_violations(sources) == []
+
+
+def test_layering_detector_flags_lazy_and_upward_imports():
+    assert layering_violations({
+        "periodic": "from .integrate import integrate\n"
+                    "def t_star():\n    from .reproduction import _hill_basis\n",
+        "svgplot": "from . import model\n",
+        "model": "import perivir.integrate\nfrom perivir import cli\n",
+        "cli": "from perivir.analysis import sweep\nfrom .svgplot import Panel\nimport json\n",
+    }) == ["periodic line 3: reproduction", "svgplot line 1: model",
+           "model line 1: integrate", "model line 2: cli"]
 
 
 def state_isinstance_checks(source: str) -> list[str]:

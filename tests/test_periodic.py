@@ -21,6 +21,7 @@ from perivir import (
     NewtonDiverged,
     SinusoidalCoefficient,
     State,
+    UnresolvedTStar,
     VirusFreeSolution,
     find_periodic_orbit,
     floquet_multipliers,
@@ -177,18 +178,45 @@ class TestVirusFreeClosedForm:
             with pytest.raises(DegenerateDecay, match=r"death rate integrates to D\(P\) = "):
                 virus_free_closed_form(params)
 
-    @pytest.mark.parametrize("period", [24.0, 720.0, 1800.0])
-    def test_errors_are_simpsons_against_a_refined_t_star(self, monkeypatch, period):
-        # Richardson's estimate, signed: T*'s relative error against a T* on 8x
-        # the panels is errors to within 1.4% of its largest here, for errors
-        # from 9.4e-14 at 24 h to 2.0e-9 at 1800 h
-        params = replace(skewed_params(), angular_frequency=2.0 * math.pi / period)
+    @pytest.mark.parametrize("d_mean", [1e-8, 1e-10, 1e-12])
+    def test_small_death_integral_gives_mu_over_d(self, d_mean):
+        # Simpson's T*(0) = e^{-D(P)} I / (1 - e^{-D(P)}) cancelled to about
+        # 1e-16/D(P) relative: 1.2e-10, 8.6e-9 and 1.0e-6 off mu/d here
+        params = replace(constant_coefficient_params(), d=SinusoidalCoefficient(d_mean, 0.0))
         sol = virus_free_closed_form(params)
-        with monkeypatch.context() as mp:
-            mp.setattr(periodic, "TSTAR_SAMPLES", 4096)
-            fine = virus_free_closed_form(params).values[::8]
-        error = fine / sol.values - 1.0
-        assert np.max(np.abs(error - sol.errors)) <= 0.05 * np.max(np.abs(error))
+        assert abs(sol.t_star_initial * d_mean / 0.1 - 1.0) <= 1e-12
+        assert np.max(np.abs(sol.values * d_mean / 0.1 - 1.0)) <= 1e-12
+
+    def test_unresolved_at_the_top_order_names_the_period(self):
+        # at 100,000 h with d = 0.05 + 0.0495 sin the harmonics have not
+        # decayed by order 128 (8.4e-12 of the mean there): a numerical failure
+        params = replace(skewed_params(), angular_frequency=2.0 * math.pi / 1e5,
+                         d=SinusoidalCoefficient(0.05, 0.0495))
+        with pytest.raises(UnresolvedTStar, match=r"T\* is not resolved at period 1000.* h: "
+                                                  r"at order 128 its top harmonics reach"):
+            virus_free_closed_form(params)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(rates=RATES, amps=AMPS, d_ratio=st.sampled_from([None, 0.9, 0.99]),
+           period=st.floats(24.0, 8760.0))
+    @example(rates={"mu0": 0.3, "d0": 0.05, "k": 0.2, "delta": 0.1, "p": 0.5, "c": 0.1,
+                    "c1": 0.1, "c2": 0.1}, amps=(0.9, 0.5, 0.9), d_ratio=0.99, period=8760.0)
+    def test_matches_the_period_map_fixed_point(self, rates, amps, d_ratio, period):
+        # T*(0) and T*(P/2) against end states of virus_free_numeric's flow at
+        # rel_tol 1e-12, whose dense samples err by up to 9e-11: 5.8e-13 at most
+        # over 40 draws at 24-8760 h, half of them with d's amplitude at 0.9
+        # or 0.99 of its mean
+        params = replace(admissible_periodic(rates, 0.0, amps),
+                         angular_frequency=2.0 * math.pi / period)
+        if d_ratio is not None:
+            params = replace(params, d=SinusoidalCoefficient(params.d.mean,
+                                                             d_ratio * params.d.mean))
+        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-300)
+        numeric, sol = virus_free_numeric(params, cfg), virus_free_closed_form(params)
+        half = integrate(_healthy_field(params), 0.0, 0.5 * period, [numeric.t_star_initial],
+                         cfg, t_eval=()).final[0]
+        assert abs(sol.t_star_initial / numeric.t_star_initial - 1.0) <= 1e-12
+        assert abs(sol.values[periodic.TSTAR_SAMPLES // 2] / half - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_samples_rejected(self, bad):
@@ -235,13 +263,12 @@ class TestVirusFreeNumeric:
         rel = np.abs(closed.value(g) - numeric.value(g)) / np.abs(numeric.value(g))
         assert np.max(rel) < 1e-7
 
-    def test_long_period_contraction_in_closed_form(self, monkeypatch, config_dir, spectral_cfg):
+    def test_long_period_contraction_in_closed_form(self, config_dir, spectral_cfg):
         # P = 30,000 h on extinction's rates: e^{-D(P)} = e^{-300}, which an integrated
         # T(P; 1) - T(P; 0) cannot resolve
         params = replace(cli_module.load_config(str(config_dir / "extinction.ini")).params,
                          angular_frequency=2.0 * math.pi / 30_000.0)
         numeric = virus_free_numeric(params, spectral_cfg)
-        monkeypatch.setattr(periodic, "TSTAR_SAMPLES", 8192)
         closed = virus_free_closed_form(params)
         assert abs(numeric.t_star_initial / closed.t_star_initial - 1.0) <= 1e-8
         assert np.max(np.abs(numeric.values / closed.value(numeric.times) - 1.0)) <= 1e-8
@@ -766,6 +793,20 @@ class TestWarmStart:
         params = persistence_params()
         with pytest.raises(ConvergedToBoundary, match="component at zero after 2 passes"):
             warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2 * params.period, sim_cfg)
+
+    def test_passes_within_abs_tol_of_the_face_end_it(self, monkeypatch, sim_cfg):
+        # FACE_PASSES passes in a row with E, I and V within abs_tol of zero
+        # end the transient; one pass above it starts the count again
+        n, tiny = periodic.FACE_PASSES, 0.5 * sim_cfg.abs_tol
+        near = [State(10.0, tiny, 0.0, tiny)] * (n - 1)
+        images = iter(near + [State(10.0, 2.0 * sim_cfg.abs_tol, tiny, tiny)] + near
+                      + [State(10.0, tiny, tiny, tiny), State(10.0, 1.0, 1.0, 1.0)])
+        monkeypatch.setattr(periodic, "_period_pass",
+                            lambda params, x, cfg: (next(images), cfg.initial_step))
+        params = persistence_params()
+        with pytest.raises(ConvergedToBoundary,
+                           match=f"abs_tol 1e-09 of zero for passes {n + 1}-{2 * n}$"):
+            warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 100 * params.period, sim_cfg)
 
     def test_near_virus_free_start_finds_the_orbit(self, spectral_cfg):
         # R0 ~ 2.6: from next to the virus-free orbit the infection first

@@ -51,6 +51,8 @@ from .helpers import (
     power_iteration_radius,
     random_autonomous_params,
     random_periodic_params,
+    refined_linearization,
+    refined_r0,
     skewed_params,
     zero_beta_params,
 )
@@ -899,7 +901,8 @@ class TestHill:
         assert repr(r0_periodic(persistence_params())) == fresh.stdout.strip().splitlines()[-1]
 
     def test_sweep_builds_the_basis_on_its_first_value_only(self, sim_cfg):
-        basis = reproduction._hill_basis
+        # T* and Hill read the one cache, so each value reads it as often as the first
+        basis = periodic._hill_basis
         basis.cache_clear()
         sweep(persistence_params(), "beta.mean", [0.3], 1200.0, sim_cfg)
         first = basis.cache_info()
@@ -907,10 +910,10 @@ class TestHill:
         sweep(persistence_params(), "beta.mean", [0.3, 0.32, 0.34], 1200.0, sim_cfg)
         info = basis.cache_info()
         assert first.misses >= 1 and info.misses == first.misses
-        assert info.hits == 2 * first.misses
+        assert info.hits == first.hits + 2 * (first.hits + first.misses)
 
     def test_process_caches_are_read_only(self):
-        basis = reproduction._hill_basis(periodic.TSTAR_SAMPLES, 8)
+        basis = periodic._hill_basis(periodic.TSTAR_SAMPLES, 8)
         for table in (reproduction._dft_table(), *basis):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -990,31 +993,29 @@ class TestFallback:
     @pytest.mark.parametrize("period", [1200.0, 1800.0])
     def test_long_period_bracket_holds_a_refined_t_stars_r0(self, monkeypatch, period):
         # ROADMAP item 14: every radius carries T, so no search round reads
-        # Simpson's 512-node T* through its interpolant. The reference is
-        # r0_periodic on 4096 nodes, which K's enclosure certifies at 1200 h.
-        # Stacks on the interpolant gave [62.1567646872526, 62.156764691449766]
-        # at 1200 h and [62.15562747962978, 62.15562748382665] at 1800 h, both
-        # above it
+        # the T* interpolant. The reference is r0_periodic on the oracle T*
+        # at twice the order, which K's enclosure certifies at 1200 h.
+        # Stacks on the interpolant of Simpson's 512-node T* gave
+        # [62.1567646872526, 62.156764691449766] at 1200 h and
+        # [62.15562747962978, 62.15562748382665] at 1800 h, both above it
         params = _wide_beta_params(period)
-        with monkeypatch.context() as mp:
-            mp.setattr(periodic, "TSTAR_SAMPLES", 4096)
-            fine = r0_periodic(params).value
+        fine = refined_r0(params).value
         monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
         res = r0_periodic(params)
         assert res.enclosure is None and _straddles(res, 1e-8)
         assert res.bracket[0] <= fine <= res.bracket[1]
 
     @pytest.mark.parametrize("name, certified", [
-        ("draw-23-of-seed-720", False), ("wide-beta-1200", False), ("baseline-1800", False),
-        ("long-period", True), ("baseline-1200", True),
+        ("draw-23-of-seed-720", True), ("wide-beta-1200", True), ("wide-beta-1800", False),
+        ("baseline-1800", True), ("long-period", True), ("baseline-1200", True),
     ])
-    def test_long_period_r0_within_tol_of_a_refined_t_stars(self, monkeypatch, name, certified):
-        # ROADMAP item 14: the enclosure certifies K on Simpson's 512-node T*.
-        # Taken alone it certified R0s off the 4096-node R0 by 2.0e-8 for
-        # baseline at 1800 h and 6.2e-9 for wide beta at 1200 h, and, with
-        # the cached basis's rounding, 3.9e-8 for draw 23 (d's amplitude 0.82
-        # of its mean). `_holds_r0` sends those to the search; the sets whose
-        # T* error leaves the pair holding R0 keep the enclosure
+    def test_long_period_r0_within_tol_of_a_refined_t_stars(self, name, certified):
+        # ROADMAP item 14: on Simpson's 512-node T* the enclosure alone
+        # certified R0s off a 4096-node Simpson R0 by 2.0e-8 for baseline at
+        # 1800 h, 6.2e-9 for wide beta at 1200 h and 3.9e-8 for draw 23 (d's
+        # amplitude 0.82 of its mean), so those took the search. On the
+        # Galerkin T* they are certified again, and every bracket holds the
+        # R0 of the oracle T* at twice the order
         if name == "draw-23-of-seed-720":
             rng = np.random.default_rng(720)
             params = _with_period([random_periodic_params(rng) for _ in range(23)][-1], 720.0)
@@ -1024,14 +1025,11 @@ class TestFallback:
             params = _with_period(baseline_params(), float(name.rsplit("-", 1)[1]))
         else:
             params = _wide_beta_params(float(name.rsplit("-", 1)[1]))
-        with monkeypatch.context() as mp:
-            mp.setattr(periodic, "TSTAR_SAMPLES", 4096)
-            fine = r0_periodic(params).value
+        fine = refined_r0(params).value
         res = r0_periodic(params)
         assert abs(res.value - fine) <= 1e-8
         assert (res.enclosure is not None) == certified
-        if certified:
-            assert res.bracket[0] <= fine <= res.bracket[1]
+        assert res.bracket[0] <= fine <= res.bracket[1]
 
     @pytest.mark.parametrize("beta_scale", [0.0253, 0.0254])
     def test_bracket_width_near_threshold(self, beta_scale):
@@ -1109,7 +1107,7 @@ class TestRhoAtOne:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_matches_the_interpolated_t_star_route(self, config_dir, name):
         # an independent route: a stack of one steps on arrays with T* from
-        # Simpson's nodes by cubic interpolation; at rel_tol 1e-12 it is the
+        # its nodes by cubic interpolation; at rel_tol 1e-12 it is the
         # oracle for rho_at_one at r0_periodic's default tolerance, which was
         # within 1.1e-9, 5.9e-12 and 1.3e-9 of it (at extinction.ini's own
         # rel_tol 1e-6, 4.2e-9)
@@ -1124,15 +1122,15 @@ class TestRhoAtOne:
         assert abs(t_end - t0) <= 1e-12 * t0
 
     @pytest.mark.parametrize("period", [720.0, 1200.0, 1800.0])
-    def test_long_periods_near_a_refined_t_star(self, monkeypatch, period):
-        # ROADMAP item 14: Simpson's T* errs like (P d / 512)^4 and the carried T
-        # as the integrator does. Against a stack on a 4096-node T* at rel_tol
-        # 1e-12, the carried-T radius was off by 4.4e-8, 7.5e-8 and 1.2e-7, a
-        # stack on the 512-node T* by 4.3e-8, 9.0e-8 and 2.65e-7
+    def test_long_periods_near_a_refined_t_star(self, period):
+        # ROADMAP item 14: the carried T errs as the integrator does. Against a
+        # stack at rel_tol 1e-12 on the oracle T* at twice the order, the
+        # carried-T radius is off by 4.4e-8, 7.3e-8 and 1.1e-7 (at rel_tol
+        # 1e-12, by 2e-12 to 7e-12); against a 4096-node Simpson T* it read
+        # 4.4e-8, 7.5e-8 and 1.2e-7, a stack on Simpson's 512 nodes 4.3e-8,
+        # 9.0e-8 and 2.65e-7
         params = _wide_beta_params(period)
-        with monkeypatch.context() as mp:
-            mp.setattr(periodic, "TSTAR_SAMPLES", 4096)
-            fine = build_linearization(params)
+        fine = refined_linearization(params)
         reference = interpolated_t_star_radii(fine, [1.0], IntegratorConfig(rel_tol=1e-12))[0]
         carried = rho_for_lambda(build_linearization(params), 1.0, IntegratorConfig.spectral())
         assert abs(carried - reference) <= 2e-7 * reference
