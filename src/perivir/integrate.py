@@ -47,9 +47,12 @@ Every other state (any (m, n, n), so every integrate_matrix stack, and
 larger batches) steps on a flat numpy array (_array_step).
 Both kinds share the tableau, checks and messages, and the loop holds
 the controller, the step budget and the samples for both. A float step
-sums every tableau product and each member's error norm left to right;
-an array step's @ and sum do not, so the two agree to rounding, and
-bitwise once the array step's sums run left to right too.
+writes no term for a zero tableau weight and sums the other tableau
+products and each member's error norm left to right; an array step's @
+and sum do not, so the two agree to rounding. Once the array step's sums
+run left to right too they agree bit for bit on finite stages, up to the
+sign of a zero: the array step keeps its zero columns, and adding
+0.0 * k to a sum of -0.0 gives +0.0.
 
 Each float step is one straight-line function per (values, member
 width), generated from the tableau and compiled on first use, then kept
@@ -58,10 +61,14 @@ costs about 1.7 ms for 4 values, 2.0-3.4 ms for 10, 4 ms for 12, 7 ms
 for 20 and 16-21 ms for 64, almost all of it in compile, which holds the
 whole source's tokens and syntax tree until it is done: the 20-value
 build lifts peak RSS by about 0.9 MB. Over 52 periods of the persistence
-set a step then costs 13-24 µs for (4,) and 26-43 µs for (3, 4), and
-Newton's 20-wide flow 40-69 µs (best to upper quartile of 12 runs,
-2-core host), against 22-33, 40-57 and 58-92 µs with the step written
-as list comprehensions.
+set, every step sampled, a step then costs 5.5-5.7 µs for (4,) and
+11.8-12.0 µs for (3, 4), and one period of Newton's 20-wide flow
+16.8-17.5 µs a step (best to upper quartile of 12 runs, each the best of
+3, 2-core host), against 10.7-10.9, 19.3-19.5 and 26.3-27.0 µs with the
+step written as list comprehensions. Writing no zero-weight term, and
+the controller, the step's clamps and its sample edge inline in the
+loop, took about 0.5, 0.8 and 1.4 µs off them (6.0-6.2, 12.6-12.8 and
+18.3-18.5 µs before).
 
 The model's field, which a step calls six times, is generated the same
 way: one straight-line function per member count (model._field_kernel),
@@ -201,6 +208,9 @@ _E = np.array(_E_ROW)
 # The step that reaches t1 takes the grid's last sample and evaluates what is left.
 _DENSE_CHUNK = 256
 
+# The PI controller, inline in _stepping_loop: an accepted step scales h by
+# SAFETY * err_old^BETA / err^ALPHA in [MIN_FACTOR, MAX_FACTOR], at most 1 after a
+# rejection; a rejected one by SAFETY * err^-ALPHA, at least MIN_FACTOR.
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -208,21 +218,16 @@ _PI_BETA = 0.04
 _PI_ALPHA = 0.2 - 0.75 * _PI_BETA
 
 
-def _pi_factor(err: float, err_old: float, rejected_last: bool) -> float:
-    """Step-size factor after an accepted step; at most 1 right after a rejection."""
-    fac = (err ** _PI_ALPHA) / (err_old ** _PI_BETA)
-    fac = max(_MIN_FACTOR, min(_MAX_FACTOR, _SAFETY / fac if fac > 0.0 else _MAX_FACTOR))
-    return min(fac, 1.0) if rejected_last else fac
-
-
 def _step_source(n: int, width: int) -> str:
     """Source of the attempted float step on n values in members of `width` values.
 
     step(field, t, h, ys, k0, atol, rtol) returns (y_new, k1, ..., k6, err):
     stages 2-7, err_vec, the error ratios and the largest member sum of
-    squared ratios, each written out value by value with every sum left to
-    right, as the tableau rows read. The step raises NonFiniteState when the
-    field raises ZeroDivisionError or y_new or err_vec is not finite.
+    squared ratios, each written out value by value. A zero tableau weight
+    gets no term, so k1 enters neither y_new nor err_vec; the terms of the
+    nonzero weights are summed left to right, as the tableau rows read.
+    The step raises NonFiniteState when the field raises ZeroDivisionError
+    or y_new or err_vec is not finite.
     """
     letters = "pqrsuvw"  # k0 .. k6; y is the state, z the new state, e the error, x the ratio
 
@@ -230,7 +235,7 @@ def _step_source(n: int, width: int) -> str:
         return ", ".join(f"{letter}{i}" for i in range(n)) + ","
 
     def row(coefficients, i):  # never regrouped: h * (a*p + b*q) is not h*a*p + h*b*q
-        return " + ".join(f"{a!r} * {letters[j]}{i}" for j, a in enumerate(coefficients))
+        return " + ".join(f"{a!r} * {letters[j]}{i}" for j, a in enumerate(coefficients) if a)
 
     def states(coefficients):
         return ", ".join(f"y{i} + h * ({row(coefficients, i)})" for i in range(n))
@@ -384,10 +389,14 @@ def _stepping_loop(field, step, put, t0, t1, ys, shape, cfg, t_eval) -> Solution
     returns the same kind. step(field, t, h, ys, k0, atol, rtol) attempts
     one step and returns (y_new, k1, ..., k6, err); put(buffer, row)
     appends a row's values to an array('d'). The field may raise
-    ZeroDivisionError where numpy would give inf or nan.
+    ZeroDivisionError where numpy would give inf or nan. Each attempted
+    step computes only what it uses: the controller inline on local
+    names, and the sample edge only while samples are left.
     """
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     max_steps, max_step = cfg.max_steps, cfg.max_step
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    alpha, beta = _PI_ALPHA, _PI_BETA
     t = t0
     if t_eval is None:
         grid = None
@@ -395,7 +404,8 @@ def _stepping_loop(field, step, put, t0, t1, ys, shape, cfg, t_eval) -> Solution
         put(samples, ys)
     else:
         grid = t_eval.tolist()
-        states = np.empty((len(grid), len(ys)))
+        n_grid = len(grid)
+        states = np.empty((n_grid, len(ys)))
         # steps with samples not yet in states: sample counts, t, h, and y, y_new, k0 .. k6
         counts, starts, sizes, stages = [], [], [], array("d")
     eval_idx = done = 0
@@ -412,11 +422,17 @@ def _stepping_loop(field, step, put, t0, t1, ys, shape, cfg, t_eval) -> Solution
     if not all(map(math.isfinite, k0)):
         raise NonFiniteState(f"vector field not finite at t={t}")
 
+    # min and max are written out as comparisons, with no builtin call, each picking
+    # the operand min or max would pick, ties and nan included
     while t < t1:
         if n_steps >= max_steps:
             raise StepLimitExceeded(f"max_steps={max_steps} reached at t={t}")
-        h = min(h, max_step, t1 - t)
-        last_leg = h == t1 - t  # this step ends on t1
+        if max_step < h:
+            h = max_step
+        rest = t1 - t
+        if rest < h:
+            h = rest
+        last_leg = h == rest  # this step ends on t1
         n_steps += 1
 
         y_new, k1, k2, k3, k4, k5, k6, err = step(field, t, h, ys, k0, atol, rtol)
@@ -426,9 +442,10 @@ def _stepping_loop(field, step, put, t0, t1, ys, shape, cfg, t_eval) -> Solution
             if grid is None:
                 times.append(t_new)
                 put(samples, y_new)
-            else:
+            elif eval_idx < n_grid:
+                edge = t_new + 1e-14 * (a if (a := abs(t_new)) > 1.0 else 1.0)
                 hi = eval_idx
-                while hi < len(grid) and grid[hi] <= t_new + 1e-14 * max(1.0, abs(t_new)):
+                while hi < n_grid and grid[hi] <= edge:
                     hi += 1
                 if hi > eval_idx:
                     counts.append(hi - eval_idx)
@@ -437,20 +454,24 @@ def _stepping_loop(field, step, put, t0, t1, ys, shape, cfg, t_eval) -> Solution
                     for row in (ys, y_new, k0, k1, k2, k3, k4, k5, k6):
                         put(stages, row)
                     eval_idx = hi
-                    if len(counts) == _DENSE_CHUNK or hi == len(grid):
+                    if len(counts) == _DENSE_CHUNK or hi == n_grid:
                         _dense_output(states[done:hi], t_eval[done:hi], counts, starts, sizes,
                                       stages)
                         done = hi
                         counts, starts, sizes, stages = [], [], [], array("d")
-            h *= _pi_factor(err, err_old, rejected_last)
+            fac = err ** alpha / err_old ** beta
+            fac = safety / fac if fac > 0.0 else max_factor
+            fac = (fac if fac > min_factor else min_factor) if fac < max_factor else max_factor
+            h *= 1.0 if rejected_last and 1.0 < fac else fac
             if not last_leg:
                 next_step = h
-            err_old = max(err, 1e-4)
+            err_old = 1e-4 if 1e-4 > err else err
             t, ys = t_new, y_new
             k0 = k6
             rejected_last = False
         else:
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
+            fac = safety * err ** -alpha
+            h *= fac if fac > min_factor else min_factor
             n_rejected += 1
             rejected_last = True
 

@@ -470,6 +470,9 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     transient's abs_tol of zero, where the flow cannot tell them from the
     face (below threshold they flicker between 0 and noise there), and a
     final image with a zero component, which Newton cannot start from.
+    When those are the first FACE_PASSES passes, no pass has resolved the
+    infection at all, and the message says so: from a start that close
+    to the face, growth above threshold is integrator noise too.
     """
     if not math.isfinite(transient):
         raise ValueError("transient must be finite")
@@ -490,6 +493,12 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
                 f"warm-start pass {n} landed on the virus-free face E = I = V = 0")
         near_face = near_face + 1 if max(image.as_array()[1:]) <= cfg.abs_tol else 0
         if near_face == FACE_PASSES:
+            if n == FACE_PASSES:  # no pass has risen above abs_tol
+                raise ConvergedToBoundary(
+                    f"warm start never resolved the infection: E, I and V stayed within "
+                    f"abs_tol {cfg.abs_tol:g} of zero for passes 1-{n}, and growth from a start "
+                    f"this close to the virus-free face is below what the loosened transient "
+                    f"resolves")
             raise ConvergedToBoundary(
                 f"warm start settled on the virus-free orbit: E, I and V stayed within "
                 f"abs_tol {cfg.abs_tol:g} of zero for passes {n - FACE_PASSES + 1}-{n}")

@@ -11,7 +11,9 @@ search oracle is plain doubling and bisection on the library's
 rho(lambda). The float loop's step and its dense output have
 list-comprehension transcriptions, value by value and left to right,
 which the generated step kernels and the after-the-loop interpolant must
-match bit for bit.
+match bit for bit, and the step-size controller a transcription with
+min and max and its constants written out, which the stepping loop's
+step sizes must match bit for bit.
 """
 
 from __future__ import annotations
@@ -512,6 +514,47 @@ def comprehension_step(field, t, h, ys, k0, atol, rtol, width):
         if acc > worst:
             worst = acc
     return y_new, k1, k2, k3, k4, k5, k6, math.sqrt(worst / width)
+
+
+# the step-size controller's constants, as the integrator sets them
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _PI_BETA = 0.9, 0.2, 10.0, 0.04
+_PI_ALPHA = 0.2 - 0.75 * _PI_BETA
+
+
+def _pi_factor(err: float, err_old: float, rejected_last: bool) -> float:
+    """Step-size factor after an accepted step; at most 1 right after a rejection."""
+    fac = (err ** _PI_ALPHA) / (err_old ** _PI_BETA)
+    fac = max(_MIN_FACTOR, min(_MAX_FACTOR, _SAFETY / fac if fac > 0.0 else _MAX_FACTOR))
+    return min(fac, 1.0) if rejected_last else fac
+
+
+def controlled_steps(errs, t0: float, t1: float, cfg: IntegratorConfig):
+    """The (t, h) of every attempted step, and next_step, by the step-size rule.
+
+    errs are the attempts' error norms in order, each accepted when <= 1.
+    The first step tries initial_step; every one is cut to max_step and to
+    what is left of [t0, t1]; after it h grows by _pi_factor when accepted
+    and by max(0.2, 0.9 * err**-0.17) when rejected. next_step is the h
+    proposed after the last accepted step that did not end on t1, at most
+    max_step, and initial_step when there was none.
+    """
+    attempts = []
+    t, h = t0, min(cfg.initial_step, t1 - t0)
+    next_step, err_old, rejected_last = cfg.initial_step, 1e-4, False
+    for err in errs:
+        h = min(h, cfg.max_step, t1 - t)
+        attempts.append((t, h))
+        if err <= 1.0:
+            last_leg = h == t1 - t
+            t += h
+            h *= _pi_factor(err, err_old, rejected_last)
+            if not last_leg:
+                next_step = h
+            err_old, rejected_last = max(err, 1e-4), False
+        else:
+            h *= max(_MIN_FACTOR, _SAFETY * err ** (-_PI_ALPHA))
+            rejected_last = True
+    return attempts, min(next_step, cfg.max_step)
 
 
 def dense_samples_by_hand(steps, grid) -> np.ndarray:

@@ -508,6 +508,22 @@ class TestCliDispatch:
         assert captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
 
+    def test_orbit_from_below_abs_tol_exits_3_unresolved(self, config_dir, tmp_path, capsys):
+        # above threshold, but a start at E = I = V = 1e-12 grows below the
+        # transient's abs_tol 1e-9 for its first passes: the message names
+        # that, not the virus-free orbit that extinction.ini's decay settles on
+        path = _scaled_beta_config(config_dir, tmp_path, 1.29)
+        path.write_text(path.read_text().replace(
+            "initial_conditions = 10,1,1,1;", "initial_conditions = 10,1e-12,1e-12,1e-12;"))
+        out = tmp_path / "orbit.csv"
+        assert main(["orbit", "--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "numerical-failure: warm start never resolved the infection: E, I and V stayed "
+            "within abs_tol 1e-09 of zero for passes 1-5, and growth from a start this close "
+            "to the virus-free face is below what the loosened transient resolves\n")
+        assert captured.out == "" and not out.exists()
+
     def test_orbit_just_above_threshold_exits_0(self, config_dir, tmp_path, capsys):
         path = _scaled_beta_config(config_dir, tmp_path, 1.0001)
         out = tmp_path / "orbit.csv"

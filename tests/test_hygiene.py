@@ -310,6 +310,21 @@ def summing_calls(source: str, functions=None) -> list[str]:
     return found
 
 
+def _is_literal_zero(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and node.value == 0
+
+
+def zero_products(source: str) -> list[str]:
+    """Products in source with a literal zero factor, which only cost time (and a zero's sign)."""
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+             and (_is_literal_zero(node.left) or _is_literal_zero(node.right))]
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
 # the modules, and the functions of them, whose float sums must run left to right;
 # the model's generated field forms are checked on their sources below
 _FLOAT_FORMULAS = {
@@ -330,6 +345,8 @@ def test_float_sums_are_written_out(module):
 def test_generated_step_sums_are_written_out(n, width):
     integrate = importlib.import_module("perivir.integrate")
     assert summing_calls(integrate._step_source(n, width)) == []
+    # a zero tableau weight gets no term: stage 2 is in neither y_new nor err
+    assert zero_products(integrate._step_source(n, width)) == []
     # a traceback through a kernel names its shape
     assert integrate._step_kernel(n, width).__code__.co_filename == (
         f"<perivir step kernel {n}x{width}>")
@@ -352,6 +369,12 @@ def test_summing_detector_flags_sum_and_fsum():
         "line 2: fsum", "line 4: sum", "line 4: fsum", "line 6: sum", "line 9: sum"]
     assert summing_calls(source, ["g"]) == ["line 6: sum"]
     assert summing_calls(source, ["C"]) == ["line 9: sum"]
+
+
+def test_zero_product_detector_flags_literal_zero_factors():
+    source = ("def f(p, q):\n    return 0.5 * p + 0.0 * q + q * 0 + p * 0.25 + 0\n"
+              "def g(p):\n    return -0.0 * p + p * -2.0\n")
+    assert zero_products(source) == ["line 2: 0.0 * q", "line 2: q * 0", "line 4: -0.0 * p"]
 
 
 def test_r0_imports_neither_scipy_nor_numpy_fft():

@@ -32,6 +32,7 @@ from perivir.reproduction import build_linearization, rho_for_lambda
 from .helpers import (
     baseline_params,
     comprehension_step,
+    controlled_steps,
     count_calls,
     dense_samples_by_hand,
     expm_reference,
@@ -680,6 +681,51 @@ class TestStepKernel:
         kernel = _integrate_module._step_kernel
         assert kernel(12, 4) is kernel(12, 4)
         assert kernel(12, 4) is not kernel(12, 12)
+
+
+def _controller_runs():
+    """TestController's runs, each pytest.param(run() -> Solution, t1, cfg)."""
+    params = persistence_params()
+    t_end = 52.0 * params.period
+    # the cap binds on 81 of the (4,) run's 1,843 steps (52 rejected); uncapped they reach 1.2 h
+    capped = IntegratorConfig(max_step=1.0)
+    batch = np.array([ic.as_array() for ic in DEFAULT_INITIAL_CONDITIONS])
+    grid = _uniform_grid(t_end, params.period / GRID_POINTS_PER_PERIOD)
+    sim, spectral = IntegratorConfig.simulation(), IntegratorConfig.spectral()
+    lin = build_linearization(params)
+    return [
+        pytest.param(lambda: integrate(vector_field(params), 0.0, t_end,
+                                       np.array([10.0, 1.0, 1.0, 1.0]), capped),
+                     t_end, capped, id="(4,)"),
+        pytest.param(lambda: integrate(vector_field(params), 0.0, t_end, batch, sim, t_eval=grid),
+                     t_end, sim, id="(3, 4)"),
+        pytest.param(lambda: _recorded_monodromy(lin, spectral)[1], params.period, spectral,
+                     id="(1, 10)"),
+        # the cap of 1 on the factor after a rejection binds in none of the
+        # runs above; a pulse that the step sizes have grown past binds it twice
+        pytest.param(lambda: integrate(lambda t, y: np.exp(-(t - 10.0) ** 2) - 0.01 * y,
+                                       0.0, 20.0, np.array([1.0]), sim),
+                     20.0, sim, id="pulse"),
+    ]
+
+
+class TestController:
+    """Every step size the loop tries, and next_step, are the step-size rule's, bit for bit.
+
+    The rule (controlled_steps in tests/helpers.py) is the PI controller
+    written with min and max and its constants spelled out, replayed on the
+    recorded error norms: a change to the loop's controller that moves one
+    h fails here, although both step kinds would still agree.
+    """
+
+    @pytest.mark.parametrize("run, t1, cfg", _controller_runs())
+    def test_step_sizes_follow_the_rule(self, run, t1, cfg):
+        with recorded_steps() as steps:
+            sol = run()
+        attempts, next_step = controlled_steps([err for *_, err in steps], 0.0, t1, cfg)
+        assert [(t, h) for t, h, *_ in steps] == attempts
+        assert sol.step_count == len(steps) and sol.next_step == next_step
+        assert sol.rejected == sum(err > 1.0 for *_, err in steps)
 
 
 @st.composite

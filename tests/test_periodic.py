@@ -35,7 +35,14 @@ from perivir import (
 )
 from perivir import cli as cli_module
 from perivir import periodic, reproduction
-from perivir.model import Trajectory, clamp_small_negatives, jacobian, rhs, vector_field
+from perivir.model import (
+    Trajectory,
+    clamp_small_negatives,
+    incidence_partials,
+    jacobian,
+    rhs,
+    vector_field,
+)
 from perivir.periodic import _healthy_field
 from perivir.reproduction import build_linearization, rho_for_lambda
 
@@ -620,6 +627,29 @@ class TestAgainstDop853:
         assert np.max(np.abs(poincare_map(params, x, cfg).as_array() - x)) < 1e-10
 
 
+class TestLiouville:
+    """The returned multipliers against Liouville's formula, an identity of the model.
+
+    det Phi(P) = exp(int_0^P tr J dt), and the multipliers are Phi's
+    eigenvalues, so log of their product is the integral of
+    tr J = -d(inc)/dT - d - (k + d) - (delta + d) - c along the orbit, here
+    by the periodic trapezoid on the orbit's own samples.
+    """
+
+    @pytest.mark.parametrize("name", ["persistence", "baseline"])
+    def test_log_product_of_multipliers_is_the_trace_integral(self, config_dir, name):
+        params, cfg, orbit = shipped_orbit(config_dir, name)
+        T, V = orbit.states[:-1, 0], orbit.states[:-1, 3]  # the last sample repeats the first
+        _, beta_t, d_t = params.rates(orbit.times[:-1])
+        dinc_dT, _ = incidence_partials(beta_t, T, V, params.c1, params.c2)
+        trace = -dinc_dT - d_t - (params.k + d_t) - (params.delta + d_t) - params.c
+        assert len(orbit.times) == periodic.ORBIT_SAMPLES + 1 == 257
+        integral = params.period * np.mean(trace)
+        log_det = np.log(np.prod(orbit.floquet_multipliers)).real
+        # 4.7 and 1.05 times rel_tol off (persistence, baseline)
+        assert abs(log_det - integral) <= 20.0 * cfg.rel_tol * abs(integral)
+
+
 class TestEndStateIntegrations:
     """Integrations that read only the end state take no samples, and lose no bit by it."""
 
@@ -807,6 +837,20 @@ class TestWarmStart:
         with pytest.raises(ConvergedToBoundary,
                            match=f"abs_tol 1e-09 of zero for passes {n + 1}-{2 * n}$"):
             warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 100 * params.period, sim_cfg)
+
+    def test_start_below_abs_tol_is_unresolved_growth(self, spectral_cfg):
+        # R0 ~ 1.29 from E = I = V = 1e-12: the infection grows, but no pass
+        # lifts it above the transient's abs_tol 1e-9, so the first
+        # FACE_PASSES passes end the warm start as growth it cannot resolve
+        params = replace(persistence_params(), beta=table_coefficients(beta_scale=0.02)[1])
+        assert 1.29 < r0_periodic(params).value < 1.3
+        t0 = virus_free_closed_form(params).t_star_initial
+        with pytest.raises(ConvergedToBoundary, match=(
+                "^warm start never resolved the infection: E, I and V stayed within abs_tol "
+                f"1e-09 of zero for passes 1-{periodic.FACE_PASSES}, and growth from a start "
+                "this close to the virus-free face is below what the loosened transient "
+                "resolves$")):
+            warm_start_guess(params, State(t0, 1e-12, 1e-12, 1e-12), 2000.0, spectral_cfg)
 
     def test_near_virus_free_start_finds_the_orbit(self, spectral_cfg):
         # R0 ~ 2.6: from next to the virus-free orbit the infection first
