@@ -300,7 +300,8 @@ def _dense_output(out, grid, counts, starts, sizes, stages) -> None:
     counts[j] samples; stages holds its y, y_new and k0 .. k6, one row of
     values each. Each sample gets the bits of
     y + theta*(ydiff + (1 - theta)*(bspl + theta*(r4 + (1 - theta)*r5))),
-    r5 = h * (D . K) summed left to right: numpy rounds each elementwise
+    r5 = h * (D . K) summed left to right over D's nonzero weights (k1 gets
+    no term, as in the step kernels): numpy rounds each elementwise
     operation as Python floats do, and the in-place Horner steps below only
     swap the operands of + and *.
     """
@@ -308,7 +309,7 @@ def _dense_output(out, grid, counts, starts, sizes, stages) -> None:
     y, y_new, K = rows[:, 0], rows[:, 1], rows[:, 2:]
     h = np.array(sizes)[:, None]
     r5 = _D_ROW[0] * K[:, 0]
-    for j in range(1, 7):
+    for j in range(2, 7):
         r5 += _D_ROW[j] * K[:, j]
     r5 *= h
     which = np.repeat(np.arange(len(counts)), counts)

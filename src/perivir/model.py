@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from operator import attrgetter
 from typing import get_type_hints
 
 import numpy as np
@@ -129,12 +130,20 @@ class ModelParameters:
         mu, beta, d = self.mu, self.beta, self.d
         return mu.mean + mu.amplitude * s, beta.mean + beta.amplitude * s, d.mean + d.amplitude * s
 
+    @property
+    def flat(self) -> tuple[float, ...]:
+        """The 13 rates in field order, a coefficient as its mean and amplitude."""
+        return _flat_rates(self)
+
 
 # The parameter names, from the dataclasses: the config schema and sweep read these.
 _PARAM_TYPES = get_type_hints(ModelParameters)
 COEFF_NAMES = tuple(n for n, t in _PARAM_TYPES.items() if t is SinusoidalCoefficient)
 CONSTANT_NAMES = tuple(n for n, t in _PARAM_TYPES.items() if t is float)
 COEFF_KEYS = tuple(get_type_hints(SinusoidalCoefficient))
+# ModelParameters.flat, the arguments that the float forms of the fields bind
+_flat_rates = attrgetter(*(n for name, t in _PARAM_TYPES.items() for n in (
+    [f"{name}.{key}" for key in COEFF_KEYS] if t is SinusoidalCoefficient else [name])))
 
 
 @dataclass(frozen=True)
@@ -292,15 +301,10 @@ def vector_field(params: ModelParameters):
     rates are bound when f.floats is called, never compiled in, so one
     kernel serves every parameter set.
     """
-    mu, beta, d = params.mu, params.beta, params.d
-    constants = (params.angular_frequency, mu.mean, mu.amplitude, beta.mean, beta.amplitude,
-                 d.mean, d.amplitude, params.k, params.delta, params.p, params.c,
-                 params.c1, params.c2)
-
     def f(t, y):
         return rhs(t, y, params)
 
-    f.floats = lambda n: partial(_field_kernel(n // 4), *constants)
+    f.floats = lambda n: partial(_field_kernel(n // 4), *params.flat)
     return f
 
 

@@ -73,53 +73,43 @@ class ConvergedToBoundary(NumericalFailure):
 
 @dataclass(frozen=True)
 class VirusFreeSolution:
-    """One-period sampling of T*(t) on a uniform grid over [0, P]; ValueError on any other grid."""
+    """T* over one period, read-only: values[j] = T*(j P/M), M = len(values); T*(P) = values[0]."""
 
-    t_star_initial: float
-    times: np.ndarray
     values: np.ndarray
     period: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        times, period = self.times, self.period
-        grid = np.linspace(0.0, period, len(times))  # _at, Hill and the enclosure index on it
-        if not (len(times) >= 2 and times[0] == 0.0 and times[-1] == period
-                and np.all(np.abs(times - grid) <= 2.0 * np.finfo(float).eps * period)):
-            raise ValueError("T* times must be uniform from 0 to the period, both ends included")
-        if not np.all((self.values > 0.0) & (self.values < math.inf)):  # nan fails
+        values = np.array(self.values, dtype=float)
+        if not np.all((values > 0.0) & (values < math.inf)):  # nan fails
             raise ValueError("T* must be finite and strictly positive at every sample")
-        wrap = abs(self.values[-1] - self.values[0])
-        if wrap > 1e-8 * max(1.0, abs(self.values[0])):
-            raise ValueError("T* samples do not close up over one period")
-        object.__setattr__(self, "_samples", tuple(self.values.tolist()))
+        object.__setattr__(self, "values", *_read_only(values))
+
+    @property
+    def times(self) -> np.ndarray:
+        """The sample times j P/M, j = 0 .. M-1."""
+        return np.linspace(0.0, self.period, len(self.values) + 1)[:-1]
+
+    @property
+    def t_star_initial(self) -> float:
+        """T*(0)."""
+        return float(self.values[0])
 
     def value(self, t):
-        """T*(t) by cubic Lagrange interpolation, extended periodically.
+        """T*(t) by cubic Lagrange interpolation on four samples around t, extended periodically.
 
-        A number or a 0-d array gives a float. Any other array-like gives
-        an array of its shape, each element through the same formula.
+        A float for a number or a 0-d array, else an array of t's shape.
         """
-        if not isinstance(t, (float, int)):
-            t = np.asarray(t, dtype=float)
-            if t.ndim:
-                return np.array([self._at(x) for x in t.ravel().tolist()]).reshape(t.shape)
-            t = float(t)
-        return self._at(t)
-
-    def _at(self, t: float) -> float:
-        values = self._samples
-        n = len(values) - 1
-        s = (t % self.period) * (n / self.period)
-        i = min(int(s), n - 1)
+        values, n = self.values, len(self.values)
+        s = np.mod(np.asarray(t, dtype=float), self.period) * (n / self.period)
+        i = np.minimum(s.astype(int), n - 1)
         th = s - i
         w_m1 = -th * (th - 1.0) * (th - 2.0) / 6.0
         w_0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
         w_1 = -(th + 1.0) * th * (th - 2.0) / 2.0
         w_2 = (th + 1.0) * th * (th - 1.0) / 6.0
-        return (w_m1 * values[(i - 1) % n] + w_0 * values[i]
-                + w_1 * values[(i + 1) % n] + w_2 * values[(i + 2) % n])
+        out = (w_m1 * values[(i - 1) % n] + w_0 * values[i]
+               + w_1 * values[(i + 1) % n] + w_2 * values[(i + 2) % n])
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -168,7 +158,7 @@ def _harmonics(nodes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """arrays, made unwritable: a process cache hands the same ones to every caller."""
+    """arrays, made unwritable: one copy is read by every caller that holds it."""
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -217,8 +207,7 @@ def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
     if not math.exp(-DP) < 1.0:  # D(P) <= 0, or too small for e^{-D(P)} to round below 1
         raise DegenerateDecay(f"death rate integrates to D(P) = {DP!r} over one period; "
                               "e^-D(P) does not fall below 1, so T* is unbounded")
-    times = np.linspace(0.0, P, TSTAR_SAMPLES + 1)
-    d, order = params.rates(times[:-1])[2], 8
+    d, order = params.rates(np.linspace(0.0, P, TSTAR_SAMPLES + 1)[:-1])[2], 8
     while True:
         basis = _hill_basis(TSTAR_SAMPLES, order)
         mu_hat = np.zeros(2 * order + 1)
@@ -226,9 +215,7 @@ def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
         c = np.linalg.solve(_death_operator(params.angular_frequency, d, basis)[0], mu_hat)
         top = float(np.hypot(c[1:order + 1], c[order + 1:])[3 * order // 4:].max() / abs(c[0]))
         if top <= TSTAR_RESOLUTION:
-            values = basis[0] @ c
-            return VirusFreeSolution(t_star_initial=float(values[0]), times=times,
-                                     values=np.append(values, values[0]), period=P)
+            return VirusFreeSolution(basis[0] @ c, P)
         if order == TSTAR_MAX_ORDER:
             raise UnresolvedTStar(f"T* is not resolved at period {P!r} h: at order {order} "
                                   f"its top harmonics reach {top:.1e} of its mean")
@@ -249,7 +236,7 @@ def virus_free_numeric(params: ModelParameters, cfg: IntegratorConfig) -> VirusF
     The map T(0) -> T(P) of dT/dt = mu(t) - d(t)T is affine: T(P) = a + b T(0)
     with a the image of 0, one integration, and the contraction factor
     b = e^{-D(P)} in closed form (`_death_integral`), so
-    T*(0) = a / (1 - b). One more pass over the period collects the samples.
+    T*(0) = a / (1 - b). One more pass from T*(0) samples the period's nodes.
     """
     P = params.period
     f = _healthy_field(params)
@@ -257,18 +244,9 @@ def virus_free_numeric(params: ModelParameters, cfg: IntegratorConfig) -> VirusF
     b = math.exp(-float(_death_integral(params, P)))
     if not b < 1.0:
         raise DegenerateDecay(f"period map contraction factor {b} outside [0, 1)")
-    t0_value = a / (1.0 - b)
-
-    grid = np.linspace(0.0, P, TSTAR_SAMPLES + 1)
-    traj, _ = integrate(f, 0.0, P, [t0_value], cfg, t_eval=grid)
-    values = traj.states[:, 0].copy()
-    values[-1] = values[0]  # closes up to integration accuracy; make it exact
-    return VirusFreeSolution(
-        t_star_initial=t0_value,
-        times=grid,
-        values=values,
-        period=P,
-    )
+    grid = np.linspace(0.0, P, TSTAR_SAMPLES + 1)[:-1]
+    traj, _ = integrate(f, 0.0, P, [a / (1.0 - b)], cfg, t_eval=grid)
+    return VirusFreeSolution(traj.states[:, 0], P)
 
 
 def poincare_map(params: ModelParameters, x0, cfg: IntegratorConfig) -> State:
@@ -297,10 +275,7 @@ def _augmented_field(params: ModelParameters):
     the Jacobian's nonzero entries. f on an array returns the same numbers
     as an array.
     """
-    w, mu, beta, d = params.angular_frequency, params.mu, params.beta, params.d
-    mu0, mu1, beta0, beta1, d0, d1 = (mu.mean, mu.amplitude, beta.mean, beta.amplitude,
-                                      d.mean, d.amplitude)
-    k, delta, p, c, c1, c2 = params.k, params.delta, params.p, params.c, params.c1, params.c2
+    w, mu0, mu1, beta0, beta1, d0, d1, k, delta, p, c, c1, c2 = params.flat
 
     def floats(t, ya):
         # the rows of Phi are (x0..x3), (y0..y3), (z0..z3), (w0..w3)

@@ -77,52 +77,30 @@ class BracketFailure(NumericalFailure):
 class LinearizedSystem:
     """The infection subsystem linearized at the virus-free orbit T*.
 
-    F and G are those of the module docstring, and `combined(lam)` is
-    t -> F(t)/lam - G(t). Compartment ordering is (E, I, V) everywhere.
+    F and G are those of the module docstring. Compartment ordering is
+    (E, I, V) everywhere.
     """
 
     t_star: VirusFreeSolution
     params: ModelParameters
 
-    def combined(self, lam):
-        """t -> F(t)/lam - G(t): (3, 3) for a number lam, (m, 3, 3) for m lambdas.
-
-        No radius reads it: A(t), with T* from its `value`, is the oracle the
-        tests hold `_combined_field` and the radii that carry T to.
-        """
-        params, t_star = self.params, self.t_star
-        k, delta, p, c, c1 = params.k, params.delta, params.p, params.c, params.c1
-        inv_lam = 1.0 / np.asarray(lam, dtype=float)
-        shape = inv_lam.shape + (3, 3)
-        constant = np.array([[0.0, 0.0, 0.0], [k, 0.0, 0.0], [0.0, p, -c]])
-
-        def A(t: float) -> np.ndarray:
-            _, beta_t, d_t = params.rates(t)
-            ts = t_star.value(t)
-            a = np.empty(shape)
-            a[...] = constant
-            a[..., 0, 0], a[..., 1, 1] = -(k + d_t), -(delta + d_t)
-            a[..., 0, 2] = inv_lam * (beta_t * ts / (1.0 + c1 * ts))
-            return a
-
-        return A
-
     @cached_property
     def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """d(t) and F's entry f = beta T*/(1 + c1 T*) on T*'s nodes, one period."""
-        t, t_star = self.t_star.times[:-1], self.t_star.values[:-1]
+        t, t_star = self.t_star.times, self.t_star.values
         _, beta, d = self.params.rates(t)
         return d, beta * t_star / (1.0 + self.params.c1 * t_star)
 
 
-def _combined_field(w, mu0, mu1, beta0, beta1, d0, d1, k, delta, p, c, c1, inv, t, ys):
+def _combined_field(w, mu0, mu1, beta0, beta1, d0, d1, k, delta, p, c, c1, c2, inv, t, ys):
     """(A(t) @ M, T') on one flat row-major 3x3 M followed by T: one lam's member's field.
 
-    w is the angular frequency, mu0 .. d1 the means and amplitudes of mu,
-    beta and d, and inv 1/lam; t is a number. T is carried in the state, so
-    T' = mu - d T takes the place of a T* lookup. A has the nonzero entries
-    a00 = -(k + d), a02 = inv * beta T / (1 + c1 T), k, a11 = -(delta + d),
-    p and -c, and each entry is written out on them, left to right.
+    w .. c2 are `ModelParameters.flat`, c2 unused (the linearization is
+    taken at V = 0), and inv is 1/lam; t is a number. T is carried in the
+    state, so T' = mu - d T takes the place of a T* lookup. A has the
+    nonzero entries a00 = -(k + d), a02 = inv * beta T / (1 + c1 T), k,
+    a11 = -(delta + d), p and -c, and each entry is written out on them,
+    left to right.
     """
     s = math.sin(w * t)
     beta_t, d_t = beta0 + beta1 * s, d0 + d1 * s
@@ -193,9 +171,7 @@ def _monodromy_field(lin: LinearizedSystem, lams: list[float]):
     f on an (m, 10) array makes one `_combined_field` call on its columns,
     with inv the array of the 1/lam: the same operations, member by member.
     """
-    p = lin.params
-    rates = (p.angular_frequency, p.mu.mean, p.mu.amplitude, p.beta.mean, p.beta.amplitude,
-             p.d.mean, p.d.amplitude, p.k, p.delta, p.p, p.c, p.c1)
+    rates = lin.params.flat
     fields = [partial(_combined_field, *rates, 1.0 / lam) for lam in lams]
     columns = partial(_combined_field, *rates, 1.0 / np.asarray(lams, dtype=float))
 

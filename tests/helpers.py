@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's own code paths: the
 matrix exponential is plain scaling-and-squaring Taylor summation, the
 spectral radius oracle is power iteration, the monodromy radius oracle
-reads T* from its interpolant where the library carries T in the state,
+reads T* from its interpolant (`combined`) where the library carries T in
+the state, T*'s interpolant has a scalar transcription on Python floats,
 Hill's R0 computes its Fourier basis per call on the times themselves,
+R0's slow-forcing limit is a frozen-time growth rate found by bisection,
 the vector-field oracles are a scalar transcription of the four model
 equations and a per-column-view formulation for batches, and the R0
 search oracle is plain doubling and bisection on the library's
@@ -169,6 +171,31 @@ def closed_form_r0(params: ModelParameters) -> float:
         params.c * (d0 + params.delta) * (d0 + params.k) * (d0 + params.c1 * mu0))
 
 
+def adiabatic_r0(params: ModelParameters, phases: int = 2048) -> float:
+    """lambda_ad, R0's slow-forcing limit: the root of mean_t s(F(t)/lam - G(t)) = 0.
+
+    s is the spectral abscissa of the 3x3 with T* frozen at mu(t)/d(t),
+    taken by numpy's eigvals at `phases` uniform times of one period; the
+    mean falls as lam grows, and bisection_root finds where exp(mean s)
+    crosses 1. No integrator, T* solve or Hill matrix of the library.
+    """
+    w = params.angular_frequency
+    t = np.linspace(0.0, params.period, phases + 1)[:-1]
+    mu, beta, d = (_coefficient_at(c, w, t) for c in (params.mu, params.beta, params.d))
+    t_star = mu / d
+    f = beta * t_star / (1.0 + params.c1 * t_star)
+    a = np.zeros((phases, 3, 3))
+    a[:, 0, 0], a[:, 1, 1] = -(params.k + d), -(params.delta + d)
+    a[:, 1, 0], a[:, 2, 1], a[:, 2, 2] = params.k, params.p, -params.c
+
+    def growth(lam: float) -> float:
+        a[:, 0, 2] = f / lam
+        return math.exp(float(np.linalg.eigvals(a).real.max(axis=-1).mean()))
+
+    lo, hi, _ = bisection_root(growth, 1e-10)
+    return 0.5 * (lo + hi)
+
+
 def bisection_root(rho, tol: float, max_steps: int = 60):
     """Unit crossing of a nonincreasing rho by doubling from 1, then bisection.
 
@@ -217,10 +244,35 @@ def bisection_r0(params: ModelParameters, tol: float = 1e-8, cfg=None):
     return 0.5 * (lo + hi), (lo, hi), evals
 
 
+def combined(lin: LinearizedSystem, lam):
+    """t -> F(t)/lam - G(t) of lin: (3, 3) for a number lam, (m, 3, 3) for m lambdas.
+
+    A(t), with T* from its `value`, is the oracle that
+    `reproduction._combined_field`, which carries T in its state, and the
+    radii built on it are held to.
+    """
+    params, t_star = lin.params, lin.t_star
+    k, delta, p, c, c1 = params.k, params.delta, params.p, params.c, params.c1
+    inv_lam = 1.0 / np.asarray(lam, dtype=float)
+    shape = inv_lam.shape + (3, 3)
+    constant = np.array([[0.0, 0.0, 0.0], [k, 0.0, 0.0], [0.0, p, -c]])
+
+    def A(t: float) -> np.ndarray:
+        _, beta_t, d_t = params.rates(t)
+        ts = t_star.value(t)
+        a = np.empty(shape)
+        a[...] = constant
+        a[..., 0, 0], a[..., 1, 1] = -(k + d_t), -(delta + d_t)
+        a[..., 0, 2] = inv_lam * (beta_t * ts / (1.0 + c1 * ts))
+        return a
+
+    return A
+
+
 def interpolated_t_star_radii(lin, lams, cfg: IntegratorConfig) -> np.ndarray:
     """rho of the one-period monodromy at each of lams, with T* from its cubic interpolant.
 
-    One integrate_matrix stack on lin.combined(lams), which reads T* from
+    One integrate_matrix stack on combined(lin, lams), which reads T* from
     its nodes, and floquet_multipliers: an oracle apart from
     rho_for_lambda, which carries T in its state. abs_tol is the smallest
     normal float, as there, so errors are relative.
@@ -228,7 +280,7 @@ def interpolated_t_star_radii(lin, lams, cfg: IntegratorConfig) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     eye = np.broadcast_to(np.eye(3), lams.shape + (3, 3))
     cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
-    end = integrate_matrix(lin.combined(lams), 0.0, lin.params.period, eye, cfg).end_matrix
+    end = integrate_matrix(combined(lin, lams), 0.0, lin.params.period, eye, cfg).end_matrix
     return np.abs(floquet_multipliers(end)[..., 0])
 
 
@@ -248,10 +300,27 @@ def galerkin_t_star(params: ModelParameters, order: int) -> VirusFreeSolution:
     mu_hat[order], mu_hat[order + 1], mu_hat[order - 1] = m0, m1 / 2j, -m1 / 2j
     c = np.linalg.solve(system, mu_hat)
     nodes = periodic.TSTAR_SAMPLES
-    times = np.linspace(0.0, params.period, nodes + 1)
     values = np.exp(1j * np.outer(2.0 * np.pi * np.arange(nodes) / nodes, k)) @ c
-    return VirusFreeSolution(t_star_initial=float(values[0].real), times=times,
-                             values=np.append(values.real, values[0].real), period=params.period)
+    return VirusFreeSolution(values.real, params.period)
+
+
+def t_star_by_hand(t_star: VirusFreeSolution, t: float) -> float:
+    """T*(t) from t_star's samples on Python floats: one t, one cubic Lagrange formula.
+
+    Sample j is T*(j P/n) and the grid wraps, so t lands in cell i of the
+    period and the weights of samples i-1 .. i+2 are taken at theta = s - i.
+    """
+    values, period = t_star.values.tolist(), t_star.period
+    n = len(values)
+    s = (t % period) * (n / period)
+    i = min(int(s), n - 1)
+    th = s - i
+    w_m1 = -th * (th - 1.0) * (th - 2.0) / 6.0
+    w_0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
+    w_1 = -(th + 1.0) * th * (th - 2.0) / 2.0
+    w_2 = (th + 1.0) * th * (th - 1.0) / 6.0
+    return (w_m1 * values[(i - 1) % n] + w_0 * values[i]
+            + w_1 * values[(i + 1) % n] + w_2 * values[(i + 2) % n])
 
 
 def t_star_order(params: ModelParameters) -> int:
@@ -288,7 +357,7 @@ def hill_on_time_grid(lin, tol: float, max_order: int = 64):
     come from lin's T* samples and rates. Returns (value, u, order), order
     the last one tried; (nan, None, order) when unconverged.
     """
-    p, t, t_star = lin.params, lin.t_star.times[:-1], lin.t_star.values[:-1]
+    p, t, t_star = lin.params, lin.t_star.times, lin.t_star.values
     _, beta, d = p.rates(t)
     f = beta * t_star / (1.0 + p.c1 * t_star)
     previous, n = math.nan, 8
@@ -565,10 +634,10 @@ def dense_samples_by_hand(steps, grid) -> np.ndarray:
     were accepted. A sample goes to the first accepted step whose end it
     does not pass (within the loop's 1e-14 relative slack).
     """
-    d1, d2, d3, d4, d5, d6, d7 = _D_ROW
+    d1, _, d3, d4, d5, d6, d7 = _D_ROW  # k1's weight is zero: no term
     grid = [float(tv) for tv in grid]
     out, idx = [], 0
-    for t, h, ys, k0, y_new, (k1, k2, k3, k4, k5, k6), err in steps:
+    for t, h, ys, k0, y_new, (_, k2, k3, k4, k5, k6), err in steps:
         if err > 1.0:
             continue
         t_new = t + h
@@ -578,8 +647,8 @@ def dense_samples_by_hand(steps, grid) -> np.ndarray:
         ydiff = [z - y for y, z in zip(ys, y_new)]
         bspl = [h * p - dy for p, dy in zip(k0, ydiff)]
         r4 = [dy - h * w - b for dy, w, b in zip(ydiff, k6, bspl)]
-        r5 = [h * (d1 * p + d2 * q + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w)
-              for p, q, r, s, u, v, w in zip(k0, k1, k2, k3, k4, k5, k6)]
+        r5 = [h * (d1 * p + d3 * r + d4 * s + d5 * u + d6 * v + d7 * w)
+              for p, r, s, u, v, w in zip(k0, k2, k3, k4, k5, k6)]
         for tv in grid[idx:hi]:
             th = (tv - t) / h
             th1 = 1.0 - th

@@ -331,7 +331,7 @@ _FLOAT_FORMULAS = {
     "integrate.py": None,
     "model.py": ["ModelParameters", "incidence", "incidence_partials"],
     "periodic.py": ["_augmented_field"],
-    # combined's A, a member's (1, 10) field and the (m, 10) stack of them
+    # F's entry on T*'s nodes, a member's (1, 10) field and the (m, 10) stack of them
     "reproduction.py": ["LinearizedSystem", "_combined_field", "_monodromy_field"],
 }
 

@@ -31,6 +31,7 @@ from perivir.reproduction import build_linearization, rho_for_lambda
 
 from .helpers import (
     baseline_params,
+    combined,
     comprehension_step,
     controlled_steps,
     count_calls,
@@ -539,7 +540,7 @@ class TestMatrixIntegration:
         # A(t) = -G(t), the transfer part of the linearized infection subsystem:
         # F/lam vanishes at lam = inf
         params = persistence_params()
-        A = build_linearization(params).combined(math.inf)
+        A = combined(build_linearization(params), math.inf)
         sol = integrate_matrix(A, 0.0, params.period, np.eye(3), spectral_cfg)
         f = lambda t, y: A(t) @ y
         for j in range(3):

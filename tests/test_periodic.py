@@ -53,7 +53,9 @@ from .helpers import (
     admissible_periodic,
     baseline_params,
     closed_form_r0,
+    combined,
     count_calls,
+    t_star_by_hand,
     persistence_params,
     plain_warm_start,
     rescaled_extinction_params,
@@ -143,10 +145,13 @@ class TestVirusFreeClosedForm:
         assert np.max(np.abs(sol.values - 10.0)) < 1e-12
         assert sol.t_star_initial == pytest.approx(10.0, abs=1e-12)
 
-    def test_periodicity_defining_property(self):
+    def test_periodicity_defining_property(self, spectral_cfg):
+        # the healthy-cell flow over one period returns T*(0) to itself
         for params in (baseline_params(), skewed_params()):
             sol = virus_free_closed_form(params)
-            assert abs(sol.values[-1] - sol.values[0]) < 1e-9 * abs(sol.values[0])
+            _, end = integrate(_healthy_field(params), 0.0, params.period,
+                               [sol.t_star_initial], spectral_cfg)
+            assert abs(end[0] - sol.t_star_initial) < 1e-9 * sol.t_star_initial
 
     def test_positive_everywhere(self):
         sol = virus_free_closed_form(skewed_params())
@@ -171,8 +176,43 @@ class TestVirusFreeClosedForm:
         sol = virus_free_closed_form(skewed_params())
         P = sol.period
         for m in range(-3, 6):
-            assert np.array_equal(sol.value(sol.times[:-1] + m * P), sol.values[:-1])
+            assert np.array_equal(sol.value(sol.times + m * P), sol.values)
             assert sol.value(m * P) == sol.values[0]
+
+    def test_one_period_of_read_only_samples(self):
+        # M samples at j P/M, j < M: T*(P) is sample 0, not a stored endpoint
+        sol = virus_free_closed_form(skewed_params())
+        assert len(sol.values) == periodic.TSTAR_SAMPLES
+        assert np.array_equal(sol.times, np.linspace(0.0, sol.period, len(sol.values) + 1)[:-1])
+        assert sol.t_star_initial == sol.values[0] and type(sol.t_star_initial) is float
+        with pytest.raises(ValueError):
+            sol.values[0] = 1.0
+        # the caller's array is copied, not held
+        values = np.full(8, 2.0)
+        held = VirusFreeSolution(values, 24.0)
+        values[0] = 5.0
+        assert held.values[0] == 2.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(samples=st.integers(4, 40), period=st.floats(0.5, 1e4), seed=st.integers(0, 2**32 - 1),
+           t=hnp.arrays(float, hnp.array_shapes(max_dims=3, max_side=5),
+                        elements=st.floats(-1e6, 1e6)),
+           nodes=st.lists(st.integers(-5, 45), max_size=8), periods=st.integers(-4, 4))
+    def test_value_is_the_scalar_formula_bit_for_bit(self, samples, period, seed, t, nodes,
+                                                     periods):
+        # every element of an array, and a number, gets the bits of
+        # t_star_by_hand: random t, whole periods k P either way, and nodes j P/M
+        values = np.random.default_rng(seed).uniform(0.1, 10.0, samples)
+        sol = VirusFreeSolution(values, period)
+        at_nodes = np.array([j * period / samples + periods * period for j in nodes])
+        for times in (t, -t, sol.times, at_nodes, np.arange(-4, 5) * period):
+            got = sol.value(times)
+            assert got.shape == times.shape
+            want = [t_star_by_hand(sol, x) for x in times.ravel().tolist()]
+            assert got.ravel().tobytes() == np.array(want, dtype=float).tobytes()
+            for x, w in zip(times.ravel().tolist(), want):
+                one = sol.value(x)
+                assert type(one) is float and np.array(one).tobytes() == np.array(w).tobytes()
 
     @pytest.mark.parametrize("d_mean", [1e-18, 2e-18])
     def test_death_rate_too_small_for_t_star_rejected(self, d_mean):
@@ -230,20 +270,7 @@ class TestVirusFreeClosedForm:
         values = np.full(5, 2.0)
         values[2] = bad
         with pytest.raises(ValueError, match="finite and strictly positive"):
-            VirusFreeSolution(t_star_initial=2.0, times=np.linspace(0.0, 24.0, 5),
-                              values=values, period=24.0)
-
-    @pytest.mark.parametrize("times", [(0.0, 1.0, 10.0, 24.0), (0.0, 4.0, 8.0, 12.0, 16.0)],
-                             ids=["not-uniform", "short-of-the-period"])
-    def test_grid_other_than_uniform_over_the_period_rejected(self, times):
-        # the interpolant's index arithmetic, Hill's basis and the enclosure's
-        # stride all read sample j as T*(j P/n): unchecked, the first grid
-        # gave value(1.0) = 2.13 for its sample 3.0 at t = 1
-        values = np.full(len(times), 2.0)
-        values[1] = 3.0
-        with pytest.raises(ValueError, match="uniform from 0 to the period"):
-            VirusFreeSolution(t_star_initial=2.0, times=np.array(times), values=values,
-                              period=24.0)
+            VirusFreeSolution(values, 24.0)
 
 
 class TestVirusFreeNumeric:
@@ -679,7 +706,8 @@ class TestEndStateIntegrations:
     def test_end_state_callers_pass_no_t_eval(self, monkeypatch, spectral_cfg):
         (passes, t_star, monodromies), results = self._run(monkeypatch, spectral_cfg, False)
         assert len(passes) >= 2 and all(len(t) == 0 for t in passes)
-        assert [len(t) for t in t_star] == [0, periodic.TSTAR_SAMPLES + 1]  # the image of 0
+        # the image of 0, then the one-period samples
+        assert [len(t) for t in t_star] == [0, periodic.TSTAR_SAMPLES]
         direct, stacks = monodromies
         assert (len(direct), len(stacks)) == (3, 0)
         assert all(len(t) == 0 for t in direct + stacks)
@@ -1022,7 +1050,7 @@ class TestFloquetMachinery:
         A_full = lambda t: jacobian(t, np.array([sol.value(t), 0.0, 0.0, 0.0]), params)
         full = integrate_matrix(A_full, 0.0, params.period, np.eye(4), spectral_cfg).end_matrix
 
-        sub = integrate_matrix(build_linearization(params).combined(1.0), 0.0, params.period,
+        sub = integrate_matrix(combined(build_linearization(params), 1.0), 0.0, params.period,
                                np.eye(3), spectral_cfg).end_matrix
         d_mult = math.exp(-(params.d.mean * params.period))  # sine integrates to 0
         expected = np.sort_complex(np.concatenate([[d_mult], floquet_multipliers(sub)]))

@@ -37,11 +37,13 @@ from perivir.reproduction import _hill_r0, _pair, _unit_crossing
 from .helpers import (
     AMPS,
     RATES,
+    adiabatic_r0,
     admissible_periodic,
     beta_at_threshold,
     bisection_r0,
     bisection_root,
     closed_form_r0,
+    combined,
     count_calls,
     expm_reference,
     baseline_params,
@@ -88,8 +90,8 @@ def _negated_hill(lin, tol):
 
 
 def _infection_entry(lin, t: float) -> float:
-    """F's one nonzero entry, (E, V), as combined(1.0) gives it: beta(t) T*(t) / (1 + c1 T*(t))."""
-    return lin.combined(1.0)(t)[0, 2]
+    """F's one nonzero entry, (E, V), of combined(lin, 1.0): beta(t) T*(t) / (1 + c1 T*(t))."""
+    return combined(lin, 1.0)(t)[0, 2]
 
 
 class TestLinearization:
@@ -99,7 +101,7 @@ class TestLinearization:
         for t in (0.0, 5.0, 17.3):
             assert _infection_entry(lin, t) == pytest.approx(1.5, rel=1e-10)
             # F/1 - F/2 = F/2 has the single nonzero entry at (E, V)
-            half_f = lin.combined(1.0)(t) - lin.combined(2.0)(t)
+            half_f = combined(lin, 1.0)(t) - combined(lin, 2.0)(t)
             assert np.count_nonzero(half_f) == 1
             assert half_f[0, 2] == 0.5 * _infection_entry(lin, t)
 
@@ -128,14 +130,14 @@ class TestLinearization:
                 [params.k, -(params.delta + d_t), 0.0],
                 [0.0, params.p, -params.c],
             ])
-            assert np.array_equal(lin.combined(1.0)(t), f_minus_g)
+            assert np.array_equal(combined(lin, 1.0)(t), f_minus_g)
 
     def test_transfer_matrix_layout(self):
-        # G is -combined(lam) everywhere but at (E, V), where F sits
+        # G is -combined(lin, lam) everywhere but at (E, V), where F sits
         params = skewed_params()
         lin = build_linearization(params)
         for t in (0.0, 7.7):
-            G = -lin.combined(3.0)(t)
+            G = -combined(lin, 3.0)(t)
             assert G[0, 2] == pytest.approx(-_infection_entry(lin, t) / 3.0, rel=1e-14)
             G[0, 2] = 0.0
             d_t = params.rates(t)[2]
@@ -178,7 +180,7 @@ class TestLinearization:
         got = f.floats(10)(t, matrix.ravel().tolist() + [ts])
         # Python floats, not np.float64, whose arithmetic takes about twice as long
         assert all(type(v) is float for v in got)
-        a, m = lin.combined(lam)(t).tolist(), matrix.tolist()
+        a, m = combined(lin, lam)(t).tolist(), matrix.tolist()
         expected = []
         for i in range(3):
             for k in range(3):
@@ -217,14 +219,14 @@ class TestLinearization:
         for i, lam in enumerate(lams):
             alone = reproduction._combined_field(
                 p.angular_frequency, p.mu.mean, p.mu.amplitude, p.beta.mean, p.beta.amplitude,
-                p.d.mean, p.d.amplitude, p.k, p.delta, p.p, p.c, p.c1, 1.0 / lam, t,
+                p.d.mean, p.d.amplitude, p.k, p.delta, p.p, p.c, p.c1, p.c2, 1.0 / lam, t,
                 y[i].tolist())
             assert np.array(got[10 * i:10 * i + 10]).tobytes() == np.array(alone).tobytes()
 
     def test_float_form_rejects_a_member_count_other_than_the_lambdas(self, spectral_cfg):
         # a stack of lambdas has no float form; three lambdas with a single 3x3
         # start are an error, not the product for the first lambda alone
-        A = build_linearization(persistence_params()).combined(np.array([1.0, 2.0, 3.0]))
+        A = combined(build_linearization(persistence_params()), np.array([1.0, 2.0, 3.0]))
         assert not hasattr(A, "floats")
         with pytest.raises(ValueError):
             integrate_matrix(A, 0.0, 24.0, np.eye(3), spectral_cfg)
@@ -240,7 +242,7 @@ class TestLinearization:
         params = persistence_params()
         lin = build_linearization(params)
         lams = np.geomspace(0.5, 2.0, members) if members > 1 else np.array([0.8])
-        A = lin.combined(lams[0] if one_lambda else lams)
+        A = combined(lin, lams[0] if one_lambda else lams)
         assert not hasattr(A, "floats")
         floats = count_calls(monkeypatch, integrate_module, "_step_kernel")
         arrays = count_calls(monkeypatch, integrate_module, "_array_step")
@@ -249,7 +251,7 @@ class TestLinearization:
         assert ends.shape == (members, 3, 3)
         assert floats == [] and len(arrays) > 0
         for end, lam in zip(ends, lams[:1].repeat(members) if one_lambda else lams):
-            alone = integrate_matrix(lin.combined(float(lam)), 0.0, params.period, np.eye(3),
+            alone = integrate_matrix(combined(lin, float(lam)), 0.0, params.period, np.eye(3),
                                      spectral_cfg).end_matrix
             assert np.allclose(end, alone, rtol=1e-6, atol=1e-9 * np.abs(alone).max())
 
@@ -270,7 +272,7 @@ class TestMonodromy:
     def test_threshold_sign_agreement_baseline(self, spectral_cfg):
         params = baseline_params()
         lin = build_linearization(params)
-        M = integrate_matrix(lin.combined(1.0), 0.0, params.period, np.eye(3),
+        M = integrate_matrix(combined(lin, 1.0), 0.0, params.period, np.eye(3),
                              spectral_cfg).end_matrix
         r0 = r0_periodic(params)
         assert (abs(floquet_multipliers(M)[..., 0]) > 1.0) == (r0.value > 1.0)
@@ -284,7 +286,7 @@ class TestMonodromy:
         params = persistence_params()
         lams = 1.0 if members is None else np.geomspace(0.5, 2.0, members)
         eye = np.broadcast_to(np.eye(3), np.shape(lams) + (3, 3))
-        A = build_linearization(params).combined(lams)
+        A = combined(build_linearization(params), lams)
         sol = integrate_matrix(A, 0.0, params.period, eye, spectral_cfg)
         assert len(sol.trajectory) == 0
         recorded = []
@@ -478,7 +480,7 @@ class TestMonodromyStartTime:
         P = params.period
         expected = rho_for_lambda(lin, lam, cfg)
         for s in periods:
-            M = integrate_matrix(lin.combined(lam), s * P, s * P + P, np.eye(3), cfg).end_matrix
+            M = integrate_matrix(combined(lin, lam), s * P, s * P + P, np.eye(3), cfg).end_matrix
             assert abs(floquet_multipliers(M)[0]) == pytest.approx(expected, rel=1e-8)
 
 
@@ -687,8 +689,8 @@ def _bounds_protocol(params, guess, tol):
         trace.extend(zip(lams, radii))
         return radii
 
-    t_star = lin.t_star.values[:-1]
-    f = params.rates(lin.t_star.times[:-1])[1] * t_star / (1.0 + params.c1 * t_star)
+    t_star = lin.t_star.values
+    f = params.rates(lin.t_star.times)[1] * t_star / (1.0 + params.c1 * t_star)
     d_min, d_max = params.d.mean - params.d.amplitude, params.d.mean + params.d.amplitude
     scale = params.p * params.k / params.c
     low = scale * float(f.min()) / ((params.k + d_max) * (params.delta + d_max)) - 0.5 * tol
@@ -721,7 +723,7 @@ class TestEnclosure:
     def test_eigenfunction_is_positive_with_its_sum(self):
         lin = build_linearization(skewed_params())
         value, u = _hill_r0(lin, 1e-8)
-        assert u.shape == lin.t_star.values[:-1].shape and np.all(u > 0.0)
+        assert u.shape == lin.t_star.values.shape and np.all(u > 0.0)
         low, high = reproduction._collatz_wielandt(lin, u)
         # Hill's value and the enclosure's come from two discretizations of K
         assert 0.0 <= high - low <= 1e-10 * value
@@ -1081,6 +1083,22 @@ class TestFastForcingLimit:
         assert fitted == pytest.approx(constant, rel=1e-3)
         assert gap(0.024) / 0.024 ** 2 == pytest.approx(fitted, rel=0.01)
         assert abs(gap(0.0024) - fitted * 0.0024 ** 2) <= 0.5 * tol
+
+
+class TestSlowForcingLimit:
+    # as P -> inf the infection subsystem follows its frozen-time growth rate, so R0
+    # tends to lambda_ad, the root of mean_t s(F(t)/lam - G(t)) with T* = mu/d, at O(1/P^2).
+    # Periods from 2190 h on wait for radii in log form.
+    @pytest.mark.parametrize("factory, lam_ad", [(lambda: _wide_beta_params(24.0), 62.1547173037),
+                                                 (baseline_params, 38.9981693647)],
+                             ids=["wide-beta", "baseline"])
+    def test_r0_tends_to_the_adiabatic_root(self, factory, lam_ad):
+        params = factory()
+        lam = adiabatic_r0(params)
+        assert lam == pytest.approx(lam_ad, rel=1e-10)
+        scaled = [(r0_periodic(_with_period(params, period)).value - lam) * period ** 2
+                  for period in (720.0, 1200.0, 1800.0)]
+        assert scaled[1:] == pytest.approx([scaled[0]] * 2, rel=0.01)
 
 
 class TestRhoAtOne:
