@@ -259,7 +259,7 @@ def classify(params: ModelParameters, initial_conditions, horizon: float,
 
 
 def monitor_invariants(traj: Trajectory, params: ModelParameters,
-                       abs_tol: float = 1e-9) -> InvariantLog:
+                       abs_tol: float = IntegratorConfig().abs_tol) -> InvariantLog:
     """Scan a trajectory for positivity violations and a growing population bound.
 
     A sample violates positivity when any component lies below the
@@ -318,8 +318,7 @@ def sweep(base: ModelParameters, param_name: str, values, horizon: float,
         except ValueError as exc:
             rows.append(SweepRow(value=v, error=f"InvalidSweepValue: {exc}"))
             continue
-        r0 = r0_periodic(params)
-        report = classify(params, initial_conditions, horizon, cfg, r0_result=r0)
-        rows.append(SweepRow(value=v, r0=r0.value, rho_at_one=r0.rho_at_one,
+        report = classify(params, initial_conditions, horizon, cfg)
+        rows.append(SweepRow(value=v, r0=report.r0.value, rho_at_one=report.r0.rho_at_one,
                              regime=report.regime))
     return rows

@@ -31,8 +31,8 @@ from .analysis import GRID_POINTS_PER_PERIOD, monitor_invariants, simulate, swee
 from .integrate import IntegratorConfig, NumericalFailure
 from .model import (COEFF_KEYS, COEFF_NAMES, CONSTANT_NAMES, ModelParameters,
                     SinusoidalCoefficient, State, Trajectory)
-from .periodic import find_periodic_orbit, warm_start_guess
-from .reproduction import r0_periodic
+from .periodic import NEWTON_TOL, find_periodic_orbit, warm_start_guess
+from .reproduction import R0_TOL, r0_periodic
 from .svgplot import Panel, Series, write_panels
 
 __all__ = [
@@ -333,14 +333,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="uniform output grid step (hours); default: accepted steps")
 
     sp = add("r0", _cmd_r0, "compute the periodic reproduction number")
-    sp.add_argument("--tol", type=float, default=1e-8, help="absolute bracket width")
+    sp.add_argument("--tol", type=float, default=R0_TOL, help="absolute bracket width")
 
     sp = add("orbit", _cmd_orbit, "locate an endemic periodic orbit by Newton shooting")
     sp.add_argument("--transient", type=float, default=2000.0,
                     help="warm-start transient length (hours), integrated one period "
                          "at a time at simulation tolerance or looser; an upper bound, "
                          "it stops once the period map has settled")
-    sp.add_argument("--newton-tol", type=float, default=1e-10,
+    sp.add_argument("--newton-tol", type=float, default=NEWTON_TOL,
                     help="shooting residual target: how well the model's flow over one "
                          "period closes on the returned state")
     sp.add_argument("--out", required=True, help="one-period samples CSV path")

@@ -27,24 +27,16 @@ to it.
 
 The step sequence does not depend on t_eval, so neither do the final
 state, the tallies and next_step. An empty t_eval records nothing, and
-every caller that reads only those passes one: integrate_matrix, the
-warm start's period passes, Newton's 20-wide flows and
-virus_free_numeric's image of 0 under the period map. A 131-step period pass of the
-persistence orbit took a median of 1.77 ms with an empty t_eval, 1.89 ms
-with none (every step recorded) and 1.96 ms with [t1] (200 interleaved
-runs, 2-core host).
+every caller that reads only those passes one.
 
 One stepping loop (_stepping_loop) runs this method with either of two
 step kinds, chosen by the state's shape. A small state, one (n,) vector
 or an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps
 on Python floats. When f has a float form, f.floats(n) returns the field
 on a flat list of n floats; integrate calls it once per integration,
-after the shape has picked float steps. The model's (4,) state, its
-batches of up to 16 members, Newton shooting's 20-wide
-state-plus-variational flow and reproduction's monodromies, each 3x3
-carried with T, as one (m, 10) state up to 6 lambdas, take this kind.
-Every other state (any (m, n, n), so every integrate_matrix stack, and
-larger batches) steps on a flat numpy array (_array_step).
+after the shape has picked float steps. Every other state (any
+(m, n, n), so every integrate_matrix stack, and larger batches) steps on
+a flat numpy array (_array_step).
 Both kinds share the tableau, checks and messages, and the loop holds
 the controller, the step budget and the samples for both. A float step
 writes no term for a zero tableau weight and sums the other tableau
@@ -56,24 +48,11 @@ sign of a zero: the array step keeps its zero columns, and adding
 
 Each float step is one straight-line function per (values, member
 width), generated from the tableau and compiled on first use, then kept
-for the process (_step_kernel). Nothing is built at import; a build
-costs about 1.7 ms for 4 values, 2.0-3.4 ms for 10, 4 ms for 12, 7 ms
-for 20 and 16-21 ms for 64, almost all of it in compile, which holds the
-whole source's tokens and syntax tree until it is done: the 20-value
-build lifts peak RSS by about 0.9 MB. Over 52 periods of the persistence
-set, every step sampled, a step then costs 5.5-5.7 µs for (4,) and
-11.8-12.0 µs for (3, 4), and one period of Newton's 20-wide flow
-16.8-17.5 µs a step (best to upper quartile of 12 runs, each the best of
-3, 2-core host), against 10.7-10.9, 19.3-19.5 and 26.3-27.0 µs with the
-step written as list comprehensions. Writing no zero-weight term, and
-the controller, the step's clamps and its sample edge inline in the
-loop, took about 0.5, 0.8 and 1.4 µs off them (6.0-6.2, 12.6-12.8 and
-18.3-18.5 µs before).
-
-The model's field, which a step calls six times, is generated the same
-way: one straight-line function per member count (model._field_kernel),
-kept for the process, at 0.16-1.1 ms a build for 1 to 16 members. The
-step kernel does not inline it, since compile time grows with the source.
+for the process (_step_kernel): on states this small a step's cost is
+per-call overhead. Nothing is built at import, since a build is almost
+all compile, whose time and peak RSS grow with the source. The model's
+field, which a step calls six times, is generated the same way
+(model._field_kernel); the step kernel does not inline it for that reason.
 """
 
 from __future__ import annotations

@@ -19,10 +19,8 @@ side-effect free.
 The field has one formula per number type: `rhs` on numpy arrays and,
 on flat lists of floats, `_field_source`'s generated straight-line form,
 one compiled function per member count (`_field_kernel`), built on first
-use like the integrator's step kernels: 0.16-1.1 ms a build, and a
-3-member call of 0.96-1.35 µs where a loop over the members took
-1.9-2.9 µs. `jacobian` has no caller in perivir; it is the analytic
-oracle for the Phi block of `periodic._augmented_field`.
+use like the integrator's step kernels. `jacobian` has no caller in
+perivir; it is the oracle of `periodic._augmented_field`'s Phi block.
 """
 
 from __future__ import annotations

@@ -52,6 +52,7 @@ TSTAR_SAMPLES = 512
 TSTAR_MAX_ORDER = 128       # highest harmonic of T*'s Galerkin solve; 2N+1 < TSTAR_SAMPLES
 TSTAR_RESOLUTION = 1e-15    # largest top-quarter harmonic / mean, at most
 MAX_NEWTON_ITERS = 30
+NEWTON_TOL = 1e-10  # find_periodic_orbit's default shooting residual target
 FACE_PASSES = 5  # warm-start passes in a row within abs_tol of E = I = V = 0 that end it
 
 
@@ -138,11 +139,15 @@ class PeriodicOrbit:
     trace: tuple[tuple[float, float], ...]
 
 
-def _death_integral(params: ModelParameters, t):
-    """Integral of d over [0, t]; analytic for the single-harmonic form."""
-    d, w = params.d, params.angular_frequency
-    t = np.asarray(t, dtype=float)
-    return d.mean * t + (d.amplitude / w) * (1.0 - np.cos(w * t))
+def _period_decay(params: ModelParameters) -> float:
+    """e^{-D(P)}, D(P) = int_0^P d, T's period map contraction; DegenerateDecay unless < 1."""
+    d, w, P = params.d, params.angular_frequency, params.period
+    DP = float(d.mean * P + (d.amplitude / w) * (1.0 - np.cos(w * P)))
+    decay = math.exp(-DP)
+    if not decay < 1.0:
+        raise DegenerateDecay(f"death rate integrates to D(P) = {DP!r} over one period; "
+                              "e^-D(P) does not fall below 1, so T* is unbounded")
+    return decay
 
 
 def _harmonics(nodes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,15 +203,11 @@ def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
     the samples are phi c. The coefficients decay geometrically, so the
     solve is exact to rounding at any period (Boyd 2001, ch. 2).
 
-    Raises DegenerateDecay unless e^{-D(P)}, D(P) = int_0^P d, rounds below
-    1, and UnresolvedTStar when the top quarter is still above that at
-    TSTAR_MAX_ORDER.
+    Raises DegenerateDecay (`_period_decay`, first) and UnresolvedTStar
+    when the top quarter is still above that at TSTAR_MAX_ORDER.
     """
+    _period_decay(params)
     P = params.period
-    DP = float(_death_integral(params, P))
-    if not math.exp(-DP) < 1.0:  # D(P) <= 0, or too small for e^{-D(P)} to round below 1
-        raise DegenerateDecay(f"death rate integrates to D(P) = {DP!r} over one period; "
-                              "e^-D(P) does not fall below 1, so T* is unbounded")
     d, order = params.rates(np.linspace(0.0, P, TSTAR_SAMPLES + 1)[:-1])[2], 8
     while True:
         basis = _hill_basis(TSTAR_SAMPLES, order)
@@ -235,15 +236,12 @@ def virus_free_numeric(params: ModelParameters, cfg: IntegratorConfig) -> VirusF
 
     The map T(0) -> T(P) of dT/dt = mu(t) - d(t)T is affine: T(P) = a + b T(0)
     with a the image of 0, one integration, and the contraction factor
-    b = e^{-D(P)} in closed form (`_death_integral`), so
+    b = e^{-D(P)} in closed form (`_period_decay`, first), so
     T*(0) = a / (1 - b). One more pass from T*(0) samples the period's nodes.
     """
-    P = params.period
+    b, P = _period_decay(params), params.period
     f = _healthy_field(params)
     a = float(integrate(f, 0.0, P, [0.0], cfg, t_eval=()).final[0])
-    b = math.exp(-float(_death_integral(params, P)))
-    if not b < 1.0:
-        raise DegenerateDecay(f"period map contraction factor {b} outside [0, 1)")
     grid = np.linspace(0.0, P, TSTAR_SAMPLES + 1)[:-1]
     traj, _ = integrate(f, 0.0, P, [a / (1.0 - b)], cfg, t_eval=grid)
     return VirusFreeSolution(traj.states[:, 0], P)
@@ -329,7 +327,7 @@ def _newton_step(params: ModelParameters, x: np.ndarray, g: np.ndarray, cfg: Int
 
 
 def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorConfig,
-                        newton_tol: float = 1e-10) -> PeriodicOrbit:
+                        newton_tol: float = NEWTON_TOL) -> PeriodicOrbit:
     """Newton shooting for a fixed point of the Poincare map.
 
     Solves g(x) = flow_P(x) - x = 0, flow_P the model's 4-wide flow at cfg
@@ -492,7 +490,7 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
             if len(xs) > 1:
                 dx, dr = np.diff(xs, axis=0), np.diff(rs, axis=0)  # one difference a row
                 w = dr / np.abs(x_next)  # relative to the image
-                # sums, not @: a first matmul maps BLAS buffers, 0.2 MB of peak RSS
+                # sums, not @: a first matmul maps BLAS buffers, which lifts peak RSS
                 normal = (w[:, None] * w[None, :]).sum(axis=-1)
                 try:
                     gamma = np.linalg.solve(normal, (w * (r / np.abs(x_next))).sum(axis=-1))

@@ -13,12 +13,8 @@ the unique lambda0 > 0 at which the one-period monodromy of
 w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
 is lower triangular, so the operator acts on one scalar function, the
 virus load, as K = p k S_V^-1 S_I^-1 S_E^-1 (f .), and its truncated
-Fourier matrix gives R0 (Hill's method; Deconinck & Kutz 2006). T*'s M
-nodes are uniform, so w t_j is the phase 2 pi j/M at every period: the
-Fourier basis on them depends on M and the order only, and is built once
-per process (`periodic._hill_basis`), read-only, from one period of cos
-and sin. T* itself is one Galerkin solve with S_d on that basis
-(`periodic._death_operator`), exact to rounding at any period.
+Fourier matrix gives R0 (Hill's method on `periodic._hill_basis`, which
+T*'s Galerkin solve shares; Deconinck & Kutz 2006).
 
 K certifies that value itself: K is positive, so for Hill's top
 eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
@@ -63,6 +59,7 @@ __all__ = [
     "r0_autonomous",
 ]
 
+R0_TOL = 1e-8         # r0_periodic's default bracket width
 MAX_ROUNDS = 40       # search rounds after the first
 HILL_MAX_ORDER = 64   # highest harmonic of the Fourier truncation
 ENCLOSURE_NODES = 128          # T* nodes the Collatz-Wielandt bounds are taken on
@@ -185,7 +182,7 @@ def _monodromy_field(lin: LinearizedSystem, lams: list[float]):
     return f
 
 
-def r0_periodic(params: ModelParameters, tol: float = 1e-8,
+def r0_periodic(params: ModelParameters, tol: float = R0_TOL,
                 cfg: IntegratorConfig | None = None) -> R0Result:
     """Reproduction number of the periodic model: the unit crossing of rho(lambda).
 
@@ -254,8 +251,7 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> tuple[float, np.ndarray | Non
     with S_x = d/dt + x + d(t) and S_V = d/dt + c, each factor projected
     onto {1, cos n w t, sin n w t}, n <= N, by quadrature on the M T* nodes.
     They are uniform, t_j = j P/M, so w t_j = 2 pi j/M for every period: the
-    basis depends on M and N only (`_hill_basis`, built from M evaluations
-    each of cos and sin by `_harmonics`), and w scales only d/dt.
+    basis depends on M and N only (`_hill_basis`), and w scales only d/dt.
     N doubles from 8 until two values agree within tol/4, up to
     HILL_MAX_ORDER; a top eigenvalue that is not real and positive counts as
     unconverged. Returns (value, u), u the top eigenfunction on the T* nodes

@@ -247,11 +247,11 @@ def bisection_r0(params: ModelParameters, tol: float = 1e-8, cfg=None):
 def combined(lin: LinearizedSystem, lam):
     """t -> F(t)/lam - G(t) of lin: (3, 3) for a number lam, (m, 3, 3) for m lambdas.
 
-    A(t), with T* from its `value`, is the oracle that
-    `reproduction._combined_field`, which carries T in its state, and the
-    radii built on it are held to.
+    A(t), with T* from `t_star_by_hand` (bitwise its `value`), is the
+    oracle that `reproduction._combined_field`, which carries T in its
+    state, and the radii built on it are held to.
     """
-    params, t_star = lin.params, lin.t_star
+    params, t_star = lin.params, t_star_by_hand(lin.t_star)
     k, delta, p, c, c1 = params.k, params.delta, params.p, params.c, params.c1
     inv_lam = 1.0 / np.asarray(lam, dtype=float)
     shape = inv_lam.shape + (3, 3)
@@ -259,7 +259,7 @@ def combined(lin: LinearizedSystem, lam):
 
     def A(t: float) -> np.ndarray:
         _, beta_t, d_t = params.rates(t)
-        ts = t_star.value(t)
+        ts = t_star(t)
         a = np.empty(shape)
         a[...] = constant
         a[..., 0, 0], a[..., 1, 1] = -(k + d_t), -(delta + d_t)
@@ -304,23 +304,28 @@ def galerkin_t_star(params: ModelParameters, order: int) -> VirusFreeSolution:
     return VirusFreeSolution(values.real, params.period)
 
 
-def t_star_by_hand(t_star: VirusFreeSolution, t: float) -> float:
-    """T*(t) from t_star's samples on Python floats: one t, one cubic Lagrange formula.
+def t_star_by_hand(t_star: VirusFreeSolution):
+    """t -> T*(t) from t_star's samples on Python floats: one t, one cubic Lagrange formula.
 
     Sample j is T*(j P/n) and the grid wraps, so t lands in cell i of the
     period and the weights of samples i-1 .. i+2 are taken at theta = s - i.
+    The samples are made a list once, here, not at every t.
     """
     values, period = t_star.values.tolist(), t_star.period
     n = len(values)
-    s = (t % period) * (n / period)
-    i = min(int(s), n - 1)
-    th = s - i
-    w_m1 = -th * (th - 1.0) * (th - 2.0) / 6.0
-    w_0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
-    w_1 = -(th + 1.0) * th * (th - 2.0) / 2.0
-    w_2 = (th + 1.0) * th * (th - 1.0) / 6.0
-    return (w_m1 * values[(i - 1) % n] + w_0 * values[i]
-            + w_1 * values[(i + 1) % n] + w_2 * values[(i + 2) % n])
+
+    def at(t: float) -> float:
+        s = (t % period) * (n / period)
+        i = min(int(s), n - 1)
+        th = s - i
+        w_m1 = -th * (th - 1.0) * (th - 2.0) / 6.0
+        w_0 = (th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0
+        w_1 = -(th + 1.0) * th * (th - 2.0) / 2.0
+        w_2 = (th + 1.0) * th * (th - 1.0) / 6.0
+        return (w_m1 * values[(i - 1) % n] + w_0 * values[i]
+                + w_1 * values[(i + 1) % n] + w_2 * values[(i + 2) % n])
+
+    return at
 
 
 def t_star_order(params: ModelParameters) -> int:

@@ -21,7 +21,7 @@ from perivir import (
     sweep,
 )
 from perivir import analysis
-from perivir.analysis import DEFAULT_INITIAL_CONDITIONS
+from perivir.analysis import DEFAULT_INITIAL_CONDITIONS, ClassificationReport, TrajectoryEvidence
 
 from .helpers import (
     AMPS,
@@ -118,6 +118,17 @@ class TestClassify:
         report = classify(persistence_params(), DEFAULT_INITIAL_CONDITIONS, 1200.0, tiny)
         assert report.regime == Regime.INDETERMINATE
         assert all(ev.error is not None for ev in report.evidence)
+        assert report.eta_relative_variation is None  # no floors to spread
+
+    def test_floors_with_a_zero_median_spread_without_bound(self):
+        r0 = R0Result(value=2.0, method="periodic-monodromy", bracket=(2.0, 2.0),
+                      iterations=0, rho_at_one=2.0, trace=())
+        evidence = tuple(TrajectoryEvidence(initial_state=ic, period_floors=floors)
+                         for ic, floors in zip(DEFAULT_INITIAL_CONDITIONS,
+                                               [(1.0, 1.1), (0.0, 0.0, 1e-3), (2.0, 2.0)]))
+        report = ClassificationReport(r0=r0, regime=Regime.INDETERMINATE, evidence=evidence,
+                                      horizon=1200.0)
+        assert report.eta_relative_variation == math.inf
 
     def test_one_integration_whatever_the_ic_count(self, monkeypatch, sim_cfg):
         params = persistence_params()

@@ -158,6 +158,11 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="initial_conditions"):
             parse_config(bad)
 
+    def test_negative_initial_condition_named(self):
+        bad = GOOD_CONFIG.replace("10,1,1,1", "-1,1,1,1")
+        with pytest.raises(ValidationError, match=r"^run\.initial_conditions\[0\]: t_cells "):
+            parse_config(bad)
+
     def test_shipped_configs_parse(self, config_dir):
         for name in ("baseline.ini", "persistence.ini", "extinction.ini"):
             cfg = load_config(str(config_dir / name))
@@ -329,6 +334,27 @@ class TestTicks:
         assert ticks == sorted(ticks)
         slack = 4.0 * max(math.ulp(lo), math.ulp(hi))
         assert lo - slack <= ticks[0] and ticks[-1] <= hi + slack
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.inf)])
+    def test_ticks_on_a_non_finite_range(self, lo, hi):
+        assert svgplot._nice_ticks(lo, hi) == [0.0]
+
+    @pytest.mark.parametrize("lo", [0.0, 3.0, -250.0])
+    def test_ticks_on_an_empty_range(self, lo):
+        width = 1e-3 * max(1.0, abs(lo))  # hi == lo widens the range to this above lo
+        ticks = svgplot._nice_ticks(lo, lo)
+        assert 1 <= len(ticks) <= 2 * svgplot._TICK_TARGET and ticks == sorted(ticks)
+        assert lo - math.ulp(lo) <= ticks[0] and ticks[-1] <= lo + 1.25 * width
+
+    def test_panel_of_empty_series_takes_the_unit_square(self):
+        # no point gives a range, so the axes are those of series on [0, 1] x [0, 1]
+        def axes(*series):
+            panel = Panel(title="t", x_label="x", y_label="y", series=series)
+            return [line for line in svgplot._panel_svg(panel, 0.0, 0.0)
+                    if not line.startswith("<polyline")]
+
+        empty = Series(np.array([]), np.array([]))
+        assert axes(empty, empty) == axes(Series(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
 
     def test_panels_of_series_an_ulp_wide(self):
         one_up = math.nextafter(1.0, 2.0)

@@ -22,17 +22,23 @@ The float stepping loop, the step kernels and field forms it generates and
 the float field formulas call neither builtin `sum` nor `math.fsum`: since
 Python 3.12 float `sum` is compensated, so a result would depend on the
 interpreter version.
+No docstring or comment in src/perivir states a timing or a memory figure
+(a number followed by µs, us, ms, KB or MB): README's numerical notes are
+their one home, so a performance change edits them in one place.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import io
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tokenize
 
 import numpy as np
 import pytest
@@ -375,6 +381,38 @@ def test_zero_product_detector_flags_literal_zero_factors():
     source = ("def f(p, q):\n    return 0.5 * p + 0.0 * q + q * 0 + p * 0.25 + 0\n"
               "def g(p):\n    return -0.0 * p + p * -2.0\n")
     assert zero_products(source) == ["line 2: 0.0 * q", "line 2: q * 0", "line 4: -0.0 * p"]
+
+
+_TIMING = re.compile(r"\d+(?:\.\d+)?\s*(?:µs|us|ms|[kKM]B)\b")
+
+
+def timings(source: str) -> list[str]:
+    """Figures with a time or memory unit in source's docstrings and comments."""
+    texts = [(tok.start[0], tok.string)
+             for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.COMMENT]
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            texts.append((node.body[0].lineno, node.body[0].value.value))
+    found = sorted((line + text.count("\n", 0, m.start()), m.start(), m.group())
+                   for line, text in texts for m in _TIMING.finditer(text))
+    return [f"line {line}: {figure}" for line, _, figure in found]
+
+
+def test_src_holds_no_timings():
+    found = {path.name: timings(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_timing_detector_flags_figures_in_docstrings_and_comments():
+    source = ('"""Module.\n\nA step costs 5.5 µs; a build 1.7 ms and 0.9 MB."""\n'
+              "def f():\n"
+              '    """3 KB, and 2 us."""\n'
+              "    x = '4 ms'  # 12 us a call; 16 members, 2 msgs\n"
+              "    return x\n")
+    assert timings(source) == ["line 3: 5.5 µs", "line 3: 1.7 ms", "line 3: 0.9 MB",
+                               "line 5: 3 KB", "line 5: 2 us", "line 6: 12 us"]
 
 
 def test_r0_imports_neither_scipy_nor_numpy_fft():

@@ -280,6 +280,9 @@ class TestVectorIntegration:
         with pytest.raises(ValueError):
             integrate(lambda t, y: -y, 0.0, 1.0, [1.0], sim_cfg,
                       t_eval=np.array([-1e-13, 0.5]))
+        with pytest.raises(ValueError, match="^t_eval must be a 1-D array$"):
+            integrate(lambda t, y: -y, 0.0, 1.0, [1.0], sim_cfg,
+                      t_eval=np.array([[0.25, 0.5]]))
 
     def test_deterministic_reruns(self, sim_cfg):
         f = vector_field(persistence_params())

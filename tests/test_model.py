@@ -322,6 +322,14 @@ class TestStateAndTrajectory:
         with pytest.raises(ValueError, match=f"^{field} must be finite and nonnegative$"):
             State.from_array(np.array(y))
 
+    @pytest.mark.parametrize("times, states, message", [
+        (np.zeros((2, 1)), np.zeros((2, 4)), "times must be 1-D and states at least 2-D"),
+        (np.arange(2.0), np.zeros(2), "times must be 1-D and states at least 2-D"),
+        (np.arange(3.0), np.zeros((2, 4)), "times and states must have equal length")])
+    def test_trajectory_shapes_checked(self, times, states, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Trajectory(times, states)
+
     def test_trajectory_requires_increasing_times(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0, 1.0]), np.zeros((3, 4)))

@@ -204,11 +204,12 @@ class TestVirusFreeClosedForm:
         # t_star_by_hand: random t, whole periods k P either way, and nodes j P/M
         values = np.random.default_rng(seed).uniform(0.1, 10.0, samples)
         sol = VirusFreeSolution(values, period)
+        by_hand = t_star_by_hand(sol)
         at_nodes = np.array([j * period / samples + periods * period for j in nodes])
         for times in (t, -t, sol.times, at_nodes, np.arange(-4, 5) * period):
             got = sol.value(times)
             assert got.shape == times.shape
-            want = [t_star_by_hand(sol, x) for x in times.ravel().tolist()]
+            want = [by_hand(x) for x in times.ravel().tolist()]
             assert got.ravel().tobytes() == np.array(want, dtype=float).tobytes()
             for x, w in zip(times.ravel().tolist(), want):
                 one = sol.value(x)
@@ -306,6 +307,14 @@ class TestVirusFreeNumeric:
         closed = virus_free_closed_form(params)
         assert abs(numeric.t_star_initial / closed.t_star_initial - 1.0) <= 1e-8
         assert np.max(np.abs(numeric.values / closed.value(numeric.times) - 1.0)) <= 1e-8
+
+    def test_death_rate_too_small_for_t_star_rejected_before_any_flow(self, monkeypatch,
+                                                                         spectral_cfg):
+        params = replace(constant_coefficient_params(), d=SinusoidalCoefficient(1e-18, 0.0))
+        calls = count_calls(monkeypatch, periodic, "integrate")
+        with pytest.raises(DegenerateDecay, match=r"death rate integrates to D\(P\) = "):
+            virus_free_numeric(params, spectral_cfg)
+        assert calls == []
 
     def test_one_period_return(self, spectral_cfg):
         params = skewed_params()

@@ -372,6 +372,12 @@ class TestR0Autonomous:
             r0_autonomous(mu=0.0, beta=0.3, d=0.01, k=0.2, delta=0.09,
                           p=0.5, c=0.18, c1=0.1)
 
+    @pytest.mark.parametrize("beta, c1", [(-0.3, 0.1), (0.3, -0.1)])
+    def test_negative_beta_or_c1_rejected(self, beta, c1):
+        with pytest.raises(ValueError, match="^beta and c1 must be nonnegative$"):
+            r0_autonomous(mu=0.1, beta=beta, d=0.01, k=0.2, delta=0.09,
+                          p=0.5, c=0.18, c1=c1)
+
 
 class TestR0Periodic:
     def test_autonomous_matches_closed_form_above_one(self):
@@ -644,6 +650,19 @@ class TestUnitCrossing:
                 _unit_crossing(stacked, [(1.0, radius), (3.0, radius)], 1e-8)
             assert rounds == []
 
+    def test_bracket_failure_when_the_rounds_run_out(self, monkeypatch):
+        # rho = 1/lam straddles 1 on [0.5, 2], 1.5 wide: no round is left to narrow it
+        monkeypatch.setattr(reproduction, "MAX_ROUNDS", 0)
+        rounds = []
+
+        def stacked(lams):
+            rounds.append(lams)
+            return [1.0 / lam for lam in lams]
+
+        with pytest.raises(BracketFailure, match="^no bracket within 0 rounds$"):
+            _unit_crossing(stacked, [(0.5, 2.0), (2.0, 0.5)], 1e-8)
+        assert rounds == []
+
 
 class TestMonotonicity:
     # K grows pointwise with beta.mean (amplitude fixed) and with mu.mean
@@ -759,7 +778,7 @@ class TestLiouville:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_log_det_of_the_monodromy_at_one(self, config_dir, name):
         # F has a zero diagonal, so tr(F - G) = -(k + delta + c) - 2 d(t) and
-        # log det Phi_{F-G}(P) = -(k + delta + c) P - 2 D(P)
+        # log det Phi_{F-G}(P) = -(k + delta + c) P - 2 D(P), D(P) = -log e^{-D(P)}
         cfg = load_config(str(config_dir / f"{name}.ini"))
         params, P = cfg.params, cfg.params.period
         lin = build_linearization(params)
@@ -769,7 +788,7 @@ class TestLiouville:
         assert abs(floquet_multipliers(M)[0]) == rho_for_lambda(lin, 1.0, cfg.integrator)
         sign, log_det = np.linalg.slogdet(M)
         expected = (-(params.k + params.delta + params.c) * P
-                    - 2.0 * float(periodic._death_integral(params, P)))
+                    + 2.0 * math.log(periodic._period_decay(params)))
         assert sign == 1.0
         assert abs(log_det - expected) <= 100.0 * cfg.integrator.rel_tol
 
