@@ -150,18 +150,6 @@ def _period_decay(params: ModelParameters) -> float:
     return decay
 
 
-def _harmonics(nodes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(m theta_j) and sin(m theta_j), rows m = 0..order, on theta_j = 2 pi j/nodes.
-
-    m theta_j is 2 pi (j m mod nodes)/nodes, so every entry is taken from
-    cos and sin at the nodes' own phases: nodes evaluations of each, at any
-    order, and the bits of cos(2 pi (j m mod nodes)/nodes).
-    """
-    turn = (2.0 * math.pi / nodes) * np.arange(nodes)
-    jm = np.outer(np.arange(order + 1), np.arange(nodes))
-    return np.take(np.cos(turn), jm, mode="wrap"), np.take(np.sin(turn), jm, mode="wrap")
-
-
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """arrays, made unwritable: one copy is read by every caller that holds it."""
     for a in arrays:
@@ -170,26 +158,28 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @cache
-def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, ...]:
-    """(phi, I, weights, unit d/dt) of Hill's method at order on nodes phases; read-only.
+def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, weights) of Hill's method at order on theta_j = 2 pi j/nodes; read-only.
 
-    phi = [1, cos m theta, sin m theta], m = 1..order, is filled in place
-    (a stacked copy lifted r0_scan's peak RSS); the weights are 1/nodes and
-    2/nodes, and d/dt acts on the coefficients at unit angular frequency.
+    phi = [1, cos m theta, sin m theta], m = 1..order, is the process's one
+    trig table: T* and `_hill_r0` read it on the T* nodes, `_periodic_solve`
+    on the enclosure's. m theta_j is 2 pi (j m mod nodes)/nodes, so phi is
+    gathered in place from cos and sin at the nodes' own phases (a stacked
+    copy lifted r0_scan's peak RSS). g's coefficients are weights * (g @ phi).
     """
-    (cos, sin), phi = _harmonics(nodes, order), np.empty((nodes, 2 * order + 1))
-    phi[:, :order + 1], phi[:, order + 1:] = cos.T, sin[1:].T
-    weights = np.r_[1.0, np.full(2 * order, 2.0)][:, None] / nodes
-    m, deriv = np.diag(np.arange(1.0, order + 1)), np.zeros((2 * order + 1, 2 * order + 1))
-    deriv[1:order + 1, order + 1:], deriv[order + 1:, 1:order + 1] = m, -m
-    return _read_only(phi, np.eye(2 * order + 1), weights, deriv)
+    turn, phi = (2.0 * math.pi / nodes) * np.arange(nodes), np.empty((nodes, 2 * order + 1))
+    jm = np.outer(np.arange(nodes), np.arange(order + 1))
+    phi[:, :order + 1] = np.take(np.cos(turn), jm, mode="wrap")
+    phi[:, order + 1:] = np.take(np.sin(turn), jm[:, 1:], mode="wrap")
+    return _read_only(phi, np.r_[1.0, np.full(2 * order, 2.0)] / nodes)
 
 
 def _death_operator(w: float, d: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
-    """(S_d, w d/dt) on `_hill_basis` coefficients: S_d = d/dt + d(t), d on the basis's nodes."""
-    phi, _, weights, deriv = basis
-    deriv = w * deriv
-    return deriv + weights * (phi.T @ (d[:, None] * phi)), deriv
+    """(S_d, w d/dt), built per call for T* and `_hill_r0`: S_d = d/dt + d(t), d on the nodes."""
+    (phi, weights), n = basis, len(basis[1]) // 2
+    m, deriv = np.diag(w * np.arange(1.0, n + 1)), np.zeros((2 * n + 1, 2 * n + 1))
+    deriv[1:n + 1, n + 1:], deriv[n + 1:, 1:n + 1] = m, -m
+    return deriv + weights[:, None] * (phi.T @ (d[:, None] * phi)), deriv
 
 
 def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
@@ -435,6 +425,9 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     whenever q is not below 1, so a rising infection is never extrapolated,
     and the pass starts from G(x_n) itself when the normal equations are
     singular or the extrapolate moves a component by more than half its value.
+    After the second pass from an extrapolate that lowered E, I and V
+    together and did not shrink the change the passes run plain: such
+    extrapolates aim at the map's other fixed point, the virus-free orbit.
 
     A start on the invariant virus-free face E = I = V = 0 raises
     ValueError; a pass that lands on it (E, I and V all clamped to zero)
@@ -459,6 +452,7 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     xs, rs = [], []  # the last three starts and their residuals G(x) - x, oldest first
     last = np.nan  # no change before the first pass, so q is nan after it
     near_face = 0  # passes in a row with E, I and V within abs_tol of zero
+    kept, strikes = None, 0  # the image the extrapolate x replaced; failed ones aimed at the face
     for n in range(1, periods + 1):
         image, step = _period_pass(params, x, cfg)
         if image.e_cells == image.i_cells == image.virus == 0.0:
@@ -485,9 +479,10 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
                 break
             if not q < 1.0:  # a first or rising change: nothing to extrapolate from
                 xs, rs = [], []
+                strikes += kept is not None and bool(np.all(x[1:] < kept[1:]))
             xs, rs = (xs + [x])[-3:], (rs + [r])[-3:]
-            x = x_next
-            if len(xs) > 1:
+            x, kept = x_next, None
+            if strikes < 2 and len(xs) > 1:
                 dx, dr = np.diff(xs, axis=0), np.diff(rs, axis=0)  # one difference a row
                 w = dr / np.abs(x_next)  # relative to the image
                 # sums, not @: a first matmul maps BLAS buffers, which lifts peak RSS
@@ -496,7 +491,7 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
                     gamma = np.linalg.solve(normal, (w * (r / np.abs(x_next))).sum(axis=-1))
                     trial = x_next - ((dx + dr) * gamma[:, None]).sum(axis=0)
                     if np.all(np.abs(trial - x_next) <= 0.5 * x_next):
-                        x = trial
+                        x, kept = trial, x_next
                 except np.linalg.LinAlgError:
                     pass
         last = change if np.isfinite(change) else np.nan

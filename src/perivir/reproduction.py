@@ -13,8 +13,10 @@ the unique lambda0 > 0 at which the one-period monodromy of
 w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
 is lower triangular, so the operator acts on one scalar function, the
 virus load, as K = p k S_V^-1 S_I^-1 S_E^-1 (f .), and its truncated
-Fourier matrix gives R0 (Hill's method on `periodic._hill_basis`, which
-T*'s Galerkin solve shares; Deconinck & Kutz 2006).
+Fourier matrix gives R0 (Hill's method; Deconinck & Kutz 2006).
+`periodic._hill_basis` is the one trig table: `_hill_r0` reads it on the
+T* nodes, as T*'s Galerkin solve does, each building w d/dt per call, and
+`_periodic_solve` at order ENCLOSURE_NODES/2 - 1 on ENCLOSURE_NODES nodes.
 
 K certifies that value itself: K is positive, so for Hill's top
 eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
@@ -40,14 +42,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .integrate import IntegratorConfig, NumericalFailure, integrate
 from .model import ModelParameters
-from .periodic import (VirusFreeSolution, _death_operator, _harmonics, _hill_basis, _read_only,
-                       floquet_multipliers, virus_free_closed_form)
+from .periodic import (VirusFreeSolution, _death_operator, _hill_basis, floquet_multipliers,
+                       virus_free_closed_form)
 
 __all__ = [
     "BracketFailure",
@@ -196,11 +198,8 @@ def r0_periodic(params: ModelParameters, tol: float = R0_TOL,
     T*'s samples, which the Galerkin solve gives to rounding, so the
     enclosure alone decides.
 
-    On every other route one `rho_for_lambda` call evaluates
-    `_operator_bounds`, which bracket R0 before any monodromy, with the pair
-    between them when it lies strictly inside. `_unit_crossing` narrows the
-    narrowest straddling pair of those points in rounds of one
-    `rho_for_lambda` call each.
+    On every other route the search of the module docstring runs: one
+    `rho_for_lambda` call at `_operator_bounds`, then `_unit_crossing`.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
     when rho does not straddle 1 across the first stack or no bracket is
@@ -261,9 +260,9 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> tuple[float, np.ndarray | Non
     p, (d, f) = lin.params, lin._nodes
     previous, n = math.nan, 8
     while n <= HILL_MAX_ORDER:
-        basis = phi, eye, weights, _ = _hill_basis(len(d), n)
+        basis = phi, weights = _hill_basis(len(d), n)
         s_d, deriv = _death_operator(p.angular_frequency, d, basis)
-        x = weights * (phi.T @ (f[:, None] * phi))
+        x, eye = weights[:, None] * (phi.T @ (f[:, None] * phi)), np.eye(2 * n + 1)
         for s in (s_d + p.k * eye, s_d + p.delta * eye, deriv + p.c * eye):
             x = np.linalg.solve(s, x)
         x *= p.p * p.k
@@ -280,27 +279,22 @@ def _hill_r0(lin: LinearizedSystem, tol: float) -> tuple[float, np.ndarray | Non
     return math.nan, None
 
 
-@cache
-def _dft_table() -> np.ndarray:
-    """cos(m theta_j) over sin(m theta_j), m = 0..N/2, N = ENCLOSURE_NODES; read-only."""
-    return _read_only(np.vstack(_harmonics(ENCLOSURE_NODES, ENCLOSURE_NODES // 2)))[0]
-
-
 def _periodic_solve(h: np.ndarray, rate: float, w: float) -> np.ndarray:
     """The periodic y with y' + rate y = h on ENCLOSURE_NODES nodes over one period.
 
-    One real DFT of h (a = sum h cos, b = sum h sin), each harmonic divided
-    by i m w + rate, and the inverse transform. All nan when a coefficient
-    of h's top quarter exceeds ENCLOSURE_RESOLUTION of its largest.
+    h's coefficients on `_hill_basis` at order ENCLOSURE_NODES/2 - 1, each
+    harmonic divided by i m w + rate, back through phi; all nan when one of
+    the top quarter exceeds ENCLOSURE_RESOLUTION of the largest.
     """
-    table, n = _dft_table(), ENCLOSURE_NODES
-    a, b = np.split(table @ h, 2)
-    size = np.hypot(a, b)
-    if not size[3 * n // 8:].max() <= ENCLOSURE_RESOLUTION * size.max():
-        return np.full(n, math.nan)
-    freq = w * np.arange(n // 2 + 1)
-    scale = np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] / (n * (rate * rate + freq * freq))
-    return np.concatenate([(a * rate - b * freq) * scale, (a * freq + b * rate) * scale]) @ table
+    phi, weights = _hill_basis(ENCLOSURE_NODES, ENCLOSURE_NODES // 2 - 1)
+    c, order = weights * (h @ phi), phi.shape[1] // 2
+    a, b = c[1:order + 1], c[order + 1:]
+    size = np.r_[abs(c[0]), np.hypot(a, b)]
+    if not size[3 * order // 4:].max() <= ENCLOSURE_RESOLUTION * size.max():
+        return np.full(ENCLOSURE_NODES, math.nan)
+    freq = w * np.arange(1, order + 1)
+    scale = 1.0 / (rate * rate + freq * freq)
+    return phi @ np.r_[c[0] / rate, (a * rate - b * freq) * scale, (a * freq + b * rate) * scale]
 
 
 def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None) -> tuple[float, float] | None:
@@ -319,7 +313,8 @@ def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None) -> tuple[floa
     f, u = lin._nodes[1][::stride], u[::stride]
     d0, k = params.d.mean, params.k
     with np.errstate(all="ignore"):
-        q = np.exp((params.d.amplitude / w) * (1.0 - _dft_table()[1]))
+        cos = _hill_basis(ENCLOSURE_NODES, ENCLOSURE_NODES // 2 - 1)[0][:, 1]
+        q = np.exp((params.d.amplitude / w) * (1.0 - cos))
         y = k * _periodic_solve(q * f * u, k + d0, w)
         y = params.p * _periodic_solve(y, params.delta + d0, w) / q
         ratio = _periodic_solve(y, params.c, w) / u

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perivir import (
+    ConvergedToBoundary,
     IntegratorConfig,
     R0Result,
     Regime,
@@ -14,11 +15,13 @@ from perivir import (
     State,
     Trajectory,
     classify,
+    find_periodic_orbit,
     monitor_invariants,
     r0_periodic,
     rhs,
     simulate,
     sweep,
+    warm_start_guess,
 )
 from perivir import analysis
 from perivir.analysis import DEFAULT_INITIAL_CONDITIONS, ClassificationReport, TrajectoryEvidence
@@ -200,6 +203,49 @@ class TestClassify:
             traj = simulate(params, ic, 2400.0, sim_cfg, grid_step=0.25)
             log = monitor_invariants(traj, params, abs_tol=sim_cfg.abs_tol)
             assert log.positivity_violations == 0
+
+
+def _extinct(ev: TrajectoryEvidence) -> bool:
+    """classify's extinction test on one trajectory's evidence."""
+    return (ev.final_infection_max < analysis.EXTINCTION_EPS
+            and ev.t_star_sup_distance < analysis.TSTAR_EPS)
+
+
+def _persists(ev: TrajectoryEvidence) -> bool:
+    """classify's persistence test on one trajectory's evidence: a floor, held steady."""
+    return (ev.infection_floor > analysis.PERSISTENCE_FLOOR_MIN
+            and ev.period_floors[-1] >= analysis.FLOOR_TREND_MIN * ev.period_floors[0])
+
+
+class TestThresholdTheorem:
+    # R0 < 1: the virus-free orbit attracts every start; R0 > 1: the infection
+    # persists and every start reaches one positive periodic orbit (Wang &
+    # Zhao 2008). The evidence is read before classify's guard, which turns a
+    # verdict against R0's bracket into Indeterminate and so could not fail;
+    # at R0 = 1 exactly neither claim is decidable, hence the margin
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rates=RATES, amps=AMPS, decades=st.floats(0.08, 1.5), above=st.booleans())
+    def test_evidence_and_orbits_side_with_r0(self, sim_cfg, rates, amps, decades, above):
+        params = admissible_periodic(rates, decades if above else -decades, amps)
+        r0 = r0_periodic(params)
+        report = classify(params, DEFAULT_INITIAL_CONDITIONS, 50 * params.period, sim_cfg,
+                          r0_result=r0)
+        assert all(ev.error is None for ev in report.evidence)
+        lo, hi = r0.bracket
+        assert hi < 1.0 or lo > 1.0  # the margin keeps R0 off 1
+        if hi < 1.0:
+            assert not any(_persists(ev) for ev in report.evidence)
+            for ic in DEFAULT_INITIAL_CONDITIONS:
+                with pytest.raises(ConvergedToBoundary):
+                    guess = warm_start_guess(params, ic, 2000.0, sim_cfg)
+                    find_periodic_orbit(params, guess, sim_cfg)
+        else:
+            assert not any(_extinct(ev) for ev in report.evidence)
+            orbits = [find_periodic_orbit(params, warm_start_guess(params, ic, 2000.0, sim_cfg),
+                                          sim_cfg) for ic in DEFAULT_INITIAL_CONDITIONS]
+            assert all(orbit.stable for orbit in orbits)
+            starts = np.array([orbit.initial_state.as_array() for orbit in orbits])
+            assert np.all(np.abs(starts - starts[0]) <= 1e-9 * np.abs(starts[0]))
 
 
 class TestMonitorInvariants:

@@ -25,6 +25,8 @@ interpreter version.
 No docstring or comment in src/perivir states a timing or a memory figure
 (a number followed by µs, us, ms, KB or MB): README's numerical notes are
 their one home, so a performance change edits them in one place.
+Every functools.cache or lru_cache in src/perivir is one of the process
+caches named here: whatever is held for the process is held on purpose.
 """
 
 import ast
@@ -413,6 +415,51 @@ def test_timing_detector_flags_figures_in_docstrings_and_comments():
               "    return x\n")
     assert timings(source) == ["line 3: 5.5 µs", "line 3: 1.7 ms", "line 3: 0.9 MB",
                                "line 5: 3 KB", "line 5: 2 us", "line 6: 12 us"]
+
+
+def process_caches(source: str) -> list[str]:
+    """Functions source decorates with functools.cache or lru_cache, and each other use of them.
+
+    A decorated function is named; any other use, a call such as
+    cache(f) included, is given as its line.
+    """
+    def caching(node) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        return (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in (
+            "cache", "lru_cache")
+
+    tree, found, decorators = ast.parse(source), [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in filter(caching, node.decorator_list):
+                found.append((dec.lineno, node.name))
+                decorators |= {id(sub) for sub in ast.walk(dec)}
+    found += [(node.lineno, f"line {node.lineno}: {ast.unparse(node)}")
+              for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+              and caching(node) and id(node) not in decorators]
+    return [name for _, name in sorted(found)]
+
+
+# each module's caches held for the process: Hill's trig tables, the
+# generated step kernels and model fields, and the CLI's parser
+PROCESS_CACHES = {"periodic.py": ["_hill_basis"], "integrate.py": ["_step_kernel"],
+                  "model.py": ["_field_kernel"], "cli.py": ["_build_parser"]}
+
+
+def test_every_process_cache_is_named():
+    found = {path.name: process_caches(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: caches for name, caches in found.items() if caches} == PROCESS_CACHES
+
+
+def test_process_cache_detector_flags_every_spelling():
+    source = ("import functools\nfrom functools import cache, cached_property, lru_cache\n"
+              "@cache\ndef _table(n):\n    return n\n"
+              "@functools.lru_cache(maxsize=None)\ndef _kernel(n):\n    return n\n"
+              "class C:\n    @functools.cache\n    def m(self):\n        return 1\n"
+              "    @cached_property\n    def p(self):\n        return 2\n"
+              "_held = lru_cache(lambda: 1)\n_other = functools.cache(len)\n")
+    assert process_caches(source) == ["_table", "_kernel", "m", "line 16: lru_cache",
+                                      "line 17: functools.cache"]
 
 
 def test_r0_imports_neither_scipy_nor_numpy_fft():

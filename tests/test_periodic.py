@@ -35,6 +35,7 @@ from perivir import (
 )
 from perivir import cli as cli_module
 from perivir import periodic, reproduction
+from perivir.analysis import DEFAULT_INITIAL_CONDITIONS
 from perivir.model import (
     Trajectory,
     clamp_small_negatives,
@@ -900,6 +901,22 @@ class TestWarmStart:
                                 spectral_cfg).initial_state.as_array()
             for ic in (State(t0, 1e-12, 1e-12, 1e-12), State(10.0, 1.0, 1.0, 1.0))]
         assert np.max(np.abs(orbits[0] - orbits[1]) / np.abs(orbits[1])) < 1e-9
+
+    def test_extrapolates_aimed_at_the_virus_free_orbit_stop(self, sim_cfg):
+        # R0 = 1.20 with delta and p at the low ends of RATES: from
+        # (10, 1, 1, 1) the infection dips, then rises slowly, and each
+        # extrapolate undid more of the rise than its pass restored, until
+        # after all 83 passes Newton met the virus-free orbit
+        rates = {"mu0": 0.11204077013475551, "d0": 0.025135275272130293,
+                 "k": 0.22416933360101593, "delta": 0.02, "p": 0.1, "c": 0.4373719395401639,
+                 "c1": 0.17465707671781192, "c2": 0.025364579389871522}
+        params = admissible_periodic(rates, 0.08, (0.025364579389871522, 0.025135275272130293,
+                                                   1.8998851556783938e-97))
+        orbits = [find_periodic_orbit(params, warm_start_guess(params, ic, 2000.0, sim_cfg),
+                                      sim_cfg) for ic in DEFAULT_INITIAL_CONDITIONS]
+        starts = np.array([orbit.initial_state.as_array() for orbit in orbits])
+        assert all(orbit.stable for orbit in orbits) and np.all(starts[:, 1:] > 0.1)
+        assert np.max(np.abs(starts - starts[0]) / starts[0]) < 1e-9
 
     def test_stops_once_settled(self, monkeypatch, spectral_cfg):
         # 83 periods of budget; the accelerated iteration settles after 8

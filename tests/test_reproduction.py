@@ -773,6 +773,33 @@ class TestEnclosure:
         assert reproduction._collatz_wielandt(lin, u) is None
         assert reproduction._collatz_wielandt(lin, None) is None
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(degree=st.integers(0, 40), rate=st.floats(1e-3, 2.0), period=st.floats(2.4, 2400.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_periodic_solve_is_exact_on_a_trig_polynomial(self, degree, rate, period, seed):
+        # y' + rate y = h for h = c0 + sum a_m cos m w t + b_m sin m w t has the
+        # periodic solution c0/rate + sum of each harmonic divided by i m w + rate
+        rng, n, w = np.random.default_rng(seed), reproduction.ENCLOSURE_NODES, 2 * math.pi / period
+        c0, a, b = rng.normal(), rng.normal(size=degree), rng.normal(size=degree)
+        mw = w * np.arange(1, degree + 1)
+        wt = np.outer(2 * math.pi * np.arange(n) / n, np.arange(1, degree + 1))
+        h = c0 + np.cos(wt) @ a + np.sin(wt) @ b
+        den = rate ** 2 + mw ** 2
+        y = (c0 / rate + np.cos(wt) @ ((a * rate - b * mw) / den)
+             + np.sin(wt) @ ((a * mw + b * rate) / den))
+        got = reproduction._periodic_solve(h, rate, w)
+        assert np.max(np.abs(got - y)) <= 1e-13 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("m, resolved", [(46, True), (47, False), (63, False)])
+    def test_periodic_solve_rejects_an_unresolved_top_quarter(self, m, resolved):
+        # the top quarter of harmonics 0-63 on 128 nodes is 47-63; a harmonic
+        # there above ENCLOSURE_RESOLUTION of the largest makes every value nan
+        n = reproduction.ENCLOSURE_NODES
+        theta = 2 * math.pi * np.arange(n) / n
+        h = 1.0 + np.cos(theta) + 2.0 * reproduction.ENCLOSURE_RESOLUTION * np.sin(m * theta)
+        got = reproduction._periodic_solve(h, 0.3, 2 * math.pi / 24.0)
+        assert np.all(np.isfinite(got)) if resolved else np.all(np.isnan(got))
+
 
 class TestLiouville:
     @pytest.mark.parametrize("name", SHIPPED)
@@ -934,8 +961,9 @@ class TestHill:
         assert info.hits == first.hits + 2 * (first.hits + first.misses)
 
     def test_process_caches_are_read_only(self):
-        basis = periodic._hill_basis(periodic.TSTAR_SAMPLES, 8)
-        for table in (reproduction._dft_table(), *basis):
+        nodes = reproduction.ENCLOSURE_NODES
+        enclosure = periodic._hill_basis(nodes, nodes // 2 - 1)
+        for table in (*enclosure, *periodic._hill_basis(periodic.TSTAR_SAMPLES, 8)):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table *= 2.0
