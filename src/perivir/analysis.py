@@ -13,7 +13,7 @@ weighted population
 
     W(t) = T + E + I + (delta + d(t)) / (2 p) * V
 
-stays bounded with no growth trend.
+stays below its analytic ceiling.
 """
 
 from __future__ import annotations
@@ -121,6 +121,7 @@ class InvariantLog:
     worst_undershoot: float
     bound_estimate: float
     bounded: bool
+    ceiling: float  # W's analytic ceiling; inf when none follows
 
 
 @dataclass(frozen=True)
@@ -260,13 +261,19 @@ def classify(params: ModelParameters, initial_conditions, horizon: float,
 
 def monitor_invariants(traj: Trajectory, params: ModelParameters,
                        abs_tol: float = IntegratorConfig().abs_tol) -> InvariantLog:
-    """Scan a trajectory for positivity violations and a growing population bound.
+    """Scan a trajectory for positivity violations and W above its analytic ceiling.
 
     A sample violates positivity when any component lies below the
     rounding band -4*abs_tol (undershoot inside the band is integration
-    rounding and was already clamped). The trajectory counts as bounded
-    when the running max of W(t) over the second half exceeds the
-    first-half max by no more than 1%.
+    rounding and was already clamped). Along the model's flow
+
+        W' = mu - d T - d E - (delta + d)/2 I - (c - d'/(delta + d)) (delta + d)/(2 p) V
+           <= mu - m W,  m(t) = min(d, (delta + d)/2, c - d'/(delta + d)),
+
+    so W never exceeds max(W(0), sup mu / m_low), where for d = d0 + d1 sin w t
+    m_low = min(d0 - d1, (delta + d0 - d1)/2, c - d1 w/(delta + d0 - d1)) <= inf m.
+    The trajectory counts as bounded when W's max lies within that ceiling
+    plus the rounding band; when m_low <= 0 no ceiling follows, and it does.
     """
     states = traj.states
     worst = float(min(states.min(), 0.0))
@@ -276,16 +283,17 @@ def monitor_invariants(traj: Trajectory, params: ModelParameters,
     d_t = params.rates(traj.times)[2]
     w = (states[:, 0] + states[:, 1] + states[:, 2]
          + (params.delta + d_t) / (2.0 * params.p) * states[:, 3])
-    mid = traj.times[0] + 0.5 * (traj.times[-1] - traj.times[0])
-    first = w[traj.times <= mid]
-    second = w[traj.times >= mid]
-    first_max = float(first.max()) if len(first) else 0.0
-    second_max = float(second.max()) if len(second) else 0.0
+    d_low = params.d.mean - params.d.amplitude
+    m_low = min(d_low, 0.5 * (params.delta + d_low),
+                params.c - params.d.amplitude * params.angular_frequency / (params.delta + d_low))
+    ceiling = (max(float(w[0]), (params.mu.mean + params.mu.amplitude) / m_low)
+               if m_low > 0.0 else math.inf)
     return InvariantLog(
         positivity_violations=violations,
         worst_undershoot=worst,
         bound_estimate=float(w.max()),
-        bounded=second_max <= 1.01 * first_max,
+        bounded=float(w.max()) <= ceiling + band,
+        ceiling=ceiling,
     )
 
 

@@ -22,13 +22,15 @@ K certifies that value itself: K is positive, so for Hill's top
 eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
 Thieme 2009, SIAM J. Appl. Math. 70:188; Bacaer & Guernaoui 2006,
 J. Math. Biol. 53:421), taken on ENCLOSURE_NODES of the T* nodes
-(`_collatz_wielandt`). When these bounds lie inside value -+ tol/2, that
-pair is the bracket. Otherwise the search starts from K 1: its bounds
-on the T* nodes bracket R0 by the same theorem (`_operator_bounds`), and
-one `rho_for_lambda` call evaluates them, with Hill's pair between them
-when it lies there. Rounds of one call each then narrow the bracket,
-using that log rho is convex in log lambda (Kingman 1961, Quart. J.
-Math. 12:283): the chord across the bracket crosses 1 right of R0, and a
+(`_collatz_wielandt`). The order doubles from 4 and stops at the first
+whose bounds lie inside value -+ tol/2: that pair is the bracket. When no
+order up to HILL_MAX_ORDER certifies, the search starts from K 1: its
+bounds on the T* nodes bracket R0 by the same theorem (`_operator_bounds`),
+and one `rho_for_lambda` call evaluates them, with the pair of the first
+value from order 16 on that agrees with the order before it within tol/4
+between them when it lies there. Rounds of one call each then narrow the
+bracket, using that log rho is convex in log lambda (Kingman 1961, Quart.
+J. Math. 12:283): the chord across the bracket crosses 1 right of R0, and a
 chord through an end and its outer neighbour crosses 1 left of it
 (`_unit_crossing`). Each of m lambdas, m = 1 at lambda = 1, is a 3x3
 monodromy with T carried after it, T' = mu - d T from T*(0), in one
@@ -119,7 +121,7 @@ class R0Result:
     0 by convention). bracket straddles the root: rho at bracket[0] >= 1 >=
     rho at bracket[1], and value is its midpoint. trace holds every
     (lambda, rho) evaluation in order, lambda = 1 first, and iterations ==
-    len(trace): 1 when the enclosure certifies the first bracket; on the
+    len(trace): 1 when the enclosure certifies an order's bracket; on the
     search, 3 after its first stack (5 with Hill's pair inside K's bounds)
     plus each round's lambdas. rho_at_one is rho(Phi_{F-G}(P));
     sign(value - 1) == sign(rho_at_one - 1). enclosure is (min, max) of
@@ -189,16 +191,16 @@ def r0_periodic(params: ModelParameters, tol: float = R0_TOL,
     """Reproduction number of the periodic model: the unit crossing of rho(lambda).
 
     One `rho_for_lambda` call at lambda = 1 gives rho_at_one, first, on
-    every route. The first value is R0_H of `_hill_r0`. When it is above
-    tol and the `_collatz_wielandt` bounds of its eigenfunction lie inside
-    its `_pair`, value -+ tol/2, that pair is the bracket (at most `tol`
-    wide, an absolute width). The bounds are K's own, so they hold at a tol
-    the monodromy cannot resolve: at rel_tol 1e-9 its radius errs by
-    8.8e-12 at the persistence set's R0, 5.6e-10 in lambda. K is built on
-    T*'s samples, which the Galerkin solve gives to rounding, so the
-    enclosure alone decides.
+    every route. `_hill_r0` then walks orders 4, 8, ..., HILL_MAX_ORDER and
+    stops at the first whose value is above tol and whose eigenfunction's
+    `_collatz_wielandt` bounds lie inside its `_pair`, value -+ tol/2: that
+    pair is the bracket (at most `tol` wide, an absolute width). The bounds
+    are K's own, so they hold at a tol the monodromy cannot resolve: at
+    rel_tol 1e-9 its radius errs by 8.8e-12 at the persistence set's R0,
+    5.6e-10 in lambda. K is built on T*'s samples, which the Galerkin solve
+    gives to rounding, so the enclosure alone decides.
 
-    On every other route the search of the module docstring runs: one
+    When no order certifies, the search of the module docstring runs: one
     `rho_for_lambda` call at `_operator_bounds`, then `_unit_crossing`.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
@@ -215,11 +217,18 @@ def r0_periodic(params: ModelParameters, tol: float = R0_TOL,
     if params.beta.is_zero:  # F == 0, so rho_at_one is rho(Phi_{-G})
         return R0Result(value=0.0, method="no-infection-term", bracket=(0.0, 0.0),
                         iterations=1, rho_at_one=rho_at_one, trace=tuple(trace))
-    guess, u = _hill_r0(lin, tol)
-    lo, hi = _pair(guess, tol)
-    enclosure = _collatz_wielandt(lin, u)
-    if not (guess > tol and enclosure is not None and lo <= enclosure[0] and enclosure[1] <= hi):
-        enclosure = None
+    guess, previous, n = math.nan, math.nan, 4
+    while n <= HILL_MAX_ORDER:
+        value, u = _hill_r0(lin, n)
+        lo, hi = _pair(value, tol)
+        enclosure = _collatz_wielandt(lin, u) if value > tol else None
+        if enclosure is not None and lo <= enclosure[0] and enclosure[1] <= hi:
+            break
+        if n > 8 and math.isnan(guess) and abs(value - previous) <= 0.25 * tol:
+            guess = value
+        previous, n = value, 2 * n
+    else:
+        enclosure, (lo, hi) = None, _pair(guess, tol)
 
         def rho(lams: list[float]) -> list[float]:
             radii = rho_for_lambda(lin, np.array(lams), cfg).tolist()
@@ -243,40 +252,36 @@ def _pair(center: float, tol: float) -> list[float]:
     return [lo, hi]
 
 
-def _hill_r0(lin: LinearizedSystem, tol: float) -> tuple[float, np.ndarray | None]:
-    """R0 from the truncated Fourier next-generation matrix, with its eigenfunction.
+def _hill_r0(lin: LinearizedSystem, order: int) -> tuple[float, np.ndarray | None]:
+    """R0 from the next-generation matrix truncated at order harmonics, with its eigenfunction.
 
     On the virus load the operator is K = p k S_V^-1 S_I^-1 S_E^-1 (f .),
     with S_x = d/dt + x + d(t) and S_V = d/dt + c, each factor projected
-    onto {1, cos n w t, sin n w t}, n <= N, by quadrature on the M T* nodes.
-    They are uniform, t_j = j P/M, so w t_j = 2 pi j/M for every period: the
-    basis depends on M and N only (`_hill_basis`), and w scales only d/dt.
-    N doubles from 8 until two values agree within tol/4, up to
-    HILL_MAX_ORDER; a top eigenvalue that is not real and positive counts as
-    unconverged. Returns (value, u), u the top eigenfunction on the T* nodes
-    from one inverse-iteration solve at the last order, with its sum made
-    positive, or None when that solve fails; (nan, None) when unconverged.
+    onto {1, cos n w t, sin n w t}, n <= order, by quadrature on the M T*
+    nodes. They are uniform, t_j = j P/M, so w t_j = 2 pi j/M for every
+    period: the basis depends on M and order only (`_hill_basis`), and w
+    scales only d/dt. Returns (value, u): value the top eigenvalue when it
+    is real and positive, else nan; u its eigenfunction on the T* nodes from
+    one inverse-iteration solve, with its sum made positive, or None when
+    value is nan or that solve fails.
     """
     p, (d, f) = lin.params, lin._nodes
-    previous, n = math.nan, 8
-    while n <= HILL_MAX_ORDER:
-        basis = phi, weights = _hill_basis(len(d), n)
-        s_d, deriv = _death_operator(p.angular_frequency, d, basis)
-        x, eye = weights[:, None] * (phi.T @ (f[:, None] * phi)), np.eye(2 * n + 1)
-        for s in (s_d + p.k * eye, s_d + p.delta * eye, deriv + p.c * eye):
-            x = np.linalg.solve(s, x)
-        x *= p.p * p.k
-        eig = np.linalg.eigvals(x)
-        top = eig[np.argmax(np.abs(eig))]
-        value = float(top.real) if top.imag == 0.0 and top.real > 0.0 else math.nan
-        if abs(value - previous) <= 0.25 * tol:
-            try:  # from the constant function; a shift at the eigenvalue itself is fine
-                u = phi @ np.linalg.solve(x - value * eye, eye[0])
-            except np.linalg.LinAlgError:
-                return value, None
-            return value, (u if u.sum() > 0.0 else -u)
-        previous, n = value, 2 * n
-    return math.nan, None
+    basis = phi, weights = _hill_basis(len(d), order)
+    s_d, deriv = _death_operator(p.angular_frequency, d, basis)
+    x, eye = weights[:, None] * (phi.T @ (f[:, None] * phi)), np.eye(2 * order + 1)
+    for s in (s_d + p.k * eye, s_d + p.delta * eye, deriv + p.c * eye):
+        x = np.linalg.solve(s, x)
+    x *= p.p * p.k
+    eig = np.linalg.eigvals(x)
+    top = eig[np.argmax(np.abs(eig))]
+    if not (top.imag == 0.0 and top.real > 0.0):
+        return math.nan, None
+    value = float(top.real)
+    try:  # from the constant function; a shift at the eigenvalue itself is fine
+        u = phi @ np.linalg.solve(x - value * eye, eye[0])
+    except np.linalg.LinAlgError:
+        return value, None
+    return value, (u if u.sum() > 0.0 else -u)
 
 
 def _periodic_solve(h: np.ndarray, rate: float, w: float) -> np.ndarray:

@@ -15,7 +15,8 @@ list-comprehension transcriptions, value by value and left to right,
 which the generated step kernels and the after-the-loop interpolant must
 match bit for bit, and the step-size controller a transcription with
 min and max and its constants written out, which the stepping loop's
-step sizes must match bit for bit.
+step sizes must match bit for bit. MP_R0 pins R0 at 30 digits from
+`tests/mp_references.py`, which needs mpmath and is run by hand.
 """
 
 from __future__ import annotations
@@ -66,6 +67,22 @@ def persistence_params(amps: float = 1.0) -> ModelParameters:
     mu, beta, d = table_coefficients(amps=amps)
     return ModelParameters(angular_frequency=OMEGA, mu=mu, beta=beta, d=d, k=0.2, delta=0.1,
                            p=0.5, c=0.1, c1=0.1, c2=0.1)
+
+
+def flat_mu_wide_d_params() -> ModelParameters:
+    """persistence's rates with mu constant and d's amplitude 0.9 of its mean: T* varies."""
+    return replace(persistence_params(), mu=SinusoidalCoefficient(0.1, 0.0),
+                   d=SinusoidalCoefficient(0.01, 0.009))
+
+
+# R0 to 30 digits from tests/mp_references.py (32-digit Hill's method in
+# mpmath): the three shipped configs and flat_mu_wide_d_params()
+MP_R0 = {
+    "baseline": "39.4696624197224135218550612428",
+    "extinction": "0.394696624197224158474699535558",
+    "persistence": "64.6809593984312507691449164467",
+    "flat-mu-wide-d": "64.7077802124499240890122547872",
+}
 
 
 def rescaled_extinction_params() -> ModelParameters:

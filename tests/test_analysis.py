@@ -279,6 +279,61 @@ class TestMonitorInvariants:
         assert log.worst_undershoot == -1.0
 
 
+def _w_rows(t_values):
+    """States at times 0, 1, 2 with E = I = V = 0, so W = T: t_values."""
+    return Trajectory(np.arange(3.0), [[t, 0.0, 0.0, 0.0] for t in t_values])
+
+
+class TestAnalyticCeiling:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
+           period=st.floats(0.24, 2400.0), t=st.floats(0.0, 2400.0),
+           state=st.lists(st.floats(0.0, 100.0), min_size=4, max_size=4))
+    def test_w_falls_at_the_rate_m(self, rates, log_r0_factor, amps, period, t, state):
+        # W' = mu - d T - d E - (delta + d)/2 I - (c - d'/(delta + d)) (delta + d)/(2 p) V,
+        # so W' <= mu - m W with m = min(d, (delta + d)/2, c - d'/(delta + d)), and
+        # m_low <= m
+        params = replace(admissible_periodic(rates, log_r0_factor, amps),
+                         angular_frequency=2.0 * math.pi / period)
+        mu_t, _, d_t = params.rates(t)
+        d_prime = params.d.amplitude * params.angular_frequency * math.cos(
+            params.angular_frequency * t)
+        scale = (params.delta + d_t) / (2.0 * params.p)
+        T, E, I, V = state
+        dT, dE, dI, dV = rhs(t, state, params)
+        w_prime = dT + dE + dI + scale * dV + d_prime / (2.0 * params.p) * V
+        m = min(d_t, 0.5 * (params.delta + d_t), params.c - d_prime / (params.delta + d_t))
+        w = T + E + I + scale * V
+        assert w_prime <= mu_t - m * w + 1e-12 * (mu_t + abs(m) * w)
+        d_low = params.d.mean - params.d.amplitude
+        m_low = min(d_low, 0.5 * (params.delta + d_low), params.c - params.d.amplitude
+                    * params.angular_frequency / (params.delta + d_low))
+        assert m_low <= m * (1.0 + 1e-12)
+
+    def test_persistence_ceiling_is_30(self):
+        # sup mu / m_low = 0.15 / (d0 - d1) = 0.15 / 0.005
+        params = persistence_params()
+        log = monitor_invariants(_w_rows([10.0, 20.0, 10.0]), params)
+        assert log.ceiling == pytest.approx(30.0, rel=1e-14) and log.bounded
+        # W(0) above sup mu / m_low is the ceiling itself
+        assert monitor_invariants(_w_rows([50.0, 40.0, 30.0]), params).ceiling == 50.0
+
+    @pytest.mark.parametrize("peak, bounded", [(30.0, True), (30.0 + 4e-9, True),
+                                               (30.0 + 5e-9, False), (40.0, False)])
+    def test_rounding_band_is_the_only_slack(self, peak, bounded):
+        # abs_tol 1e-9: the band is POSITIVITY_BAND_FACTOR * 1e-9 = 4e-9
+        params = persistence_params()
+        log = monitor_invariants(_w_rows([10.0, peak, 10.0]), params, abs_tol=1e-9)
+        assert log.bounded is bounded and log.bound_estimate == peak
+
+    def test_no_ceiling_when_m_low_is_not_positive(self):
+        # c = 0.01 < d1 w / (delta + d0 - d1) = 0.009 * 2 pi / 2.4 / 0.101: W may grow
+        params = replace(persistence_params(), c=0.01, angular_frequency=2.0 * math.pi / 2.4,
+                         d=SinusoidalCoefficient(0.01, 0.009))
+        log = monitor_invariants(_w_rows([10.0, 1e300, 10.0]), params)
+        assert log.ceiling == math.inf and log.bounded
+
+
 class TestSweep:
     def test_autonomous_beta_sweep_scales_linearly(self, sim_cfg):
         base = baseline_params(amps=0.0, beta_scale=0.01)  # beta 0.003, amplitude 0

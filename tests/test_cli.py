@@ -42,7 +42,7 @@ from perivir.cli import (
     main,
     parse_config,
 )
-from perivir.model import vector_field
+from perivir.model import Trajectory, vector_field
 from perivir.svgplot import Panel, Series
 
 from .helpers import closed_form_r0, count_calls
@@ -170,7 +170,7 @@ class TestParseConfig:
             assert len(cfg.initial_conditions) == 3
 
 
-def _growing_bound_config() -> str:
+def _slow_relaxation_config() -> str:
     """GOOD_CONFIG from a near-empty start, d relaxing over 1000 h, validated for 120 h."""
     return (GOOD_CONFIG
             .replace("horizon = 4800", "horizon = 120")
@@ -180,6 +180,17 @@ def _growing_bound_config() -> str:
             .replace("amplitude = 0.1\n", "amplitude = 0.0001\n")
             .replace("initial_conditions = 10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1",
                      "initial_conditions = 0.01,0.01,0.01,0.01"))
+
+
+# GOOD_CONFIG's W ceiling is max(W(0), sup mu / m_low) = 0.15 / 0.005 = 30: W = T
+# from 10 up to 40 exceeds it, and a dip of E to -1 is a positivity violation
+ABOVE_THE_CEILING = [[10.0, 0.0, 0.0, 0.0], [40.0, 0.0, 0.0, 0.0], [20.0, 0.0, 0.0, 0.0]]
+NEGATIVE_E = [[10.0, 1.0, 1.0, 1.0], [10.0, -1.0, 1.0, 1.0], [10.0, 1.0, 1.0, 1.0]]
+
+
+def _fabricated_simulate(rows):
+    """A `simulate` that returns one member through rows at t = 0, 1, 2, whatever it is asked."""
+    return lambda *args, **kwargs: Trajectory(np.arange(3.0), np.array(rows)[:, None, :])
 
 
 def _scaled_beta_config(config_dir, tmp_path, r0: float) -> pathlib.Path:
@@ -655,14 +666,29 @@ class TestCliDispatch:
         path.write_text(cfg_text)
         assert main(["validate", "--config", str(path)]) == 0
 
-    def test_validate_growing_bound_exits_4(self, tmp_path, capsys):
+    def test_validate_slow_relaxation_below_its_ceiling_exits_0(self, tmp_path, capsys):
         # near-empty start with a 1000-hour relaxation time: over a 120-hour
-        # horizon W(t) is still climbing in the second half, so the
-        # boundedness check must fail and validate must exit 4
-        path = tmp_path / "growing.ini"
-        path.write_text(_growing_bound_config())
+        # horizon W(t) still climbs in the second half, which the 1.01 trend
+        # heuristic took for growth (exit 4), but it stays far below its
+        # analytic ceiling sup mu / m_low = 0.15 / 0.0005 = 300
+        path = tmp_path / "slow.ini"
+        path.write_text(_slow_relaxation_config())
+        assert main(["validate", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("ic0: violations=0 worst_undershoot=0.0 bound=11.31")
+        assert "bounded=True" in captured.out and captured.err == ""
+
+    @pytest.mark.parametrize("rows, summary", [
+        (ABOVE_THE_CEILING, "0 positivity violations, bounded=False"),
+        (NEGATIVE_E, "1 positivity violations, bounded=True"),
+    ], ids=["above-the-ceiling", "negative-e"])
+    def test_validate_fabricated_violation_exits_4(self, tmp_path, capsys, monkeypatch,
+                                                   rows, summary):
+        monkeypatch.setattr(cli, "simulate", _fabricated_simulate(rows))
+        path = tmp_path / "ok.ini"
+        path.write_text(GOOD_CONFIG)
         assert main(["validate", "--config", str(path)]) == 4
-        assert "invariant-violation" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"invariant-violation: {summary}\n"
 
     def test_sweep_writes_table(self, config_dir, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -853,27 +879,34 @@ class TestStderrContract:
 
     Each case runs `python -m perivir.cli` in a fresh interpreter, so numpy's
     RuntimeWarnings reach stderr as they would for a user, and are not
-    turned into errors by the test run's filter.
+    turned into errors by the test run's filter. No config makes W exceed
+    its analytic ceiling, so "above-the-ceiling" runs `cli.main` there with
+    `simulate` returning ABOVE_THE_CEILING.
     """
 
     @pytest.mark.parametrize("case, command, code", [
         ("bad-key", "r0", 2),
         ("extinction-at-30000-h", "r0", 3),    # NonFiniteState in the lambda = 1 monodromy
-        ("growing-bound", "validate", 4),
+        ("above-the-ceiling", "validate", 4),
         ("wide-d-at-30000-h", "r0", 3),  # d = 0.03 + 0.027 sin: e^{D(t)} overflowed Simpson's T*
         ("t-star-unresolved", "r0", 3),  # UnresolvedTStar at 100,000 h, d = 0.05 + 0.0495 sin
     ])
     def test_one_line_per_failure(self, config_dir, tmp_path, case, command, code):
         text = {"bad-key": lambda: GOOD_CONFIG.replace("rel_tol = 1e-9", "rel_tl = 1e-9"),
                 "extinction-at-30000-h": lambda: _extinction_at(config_dir, 30_000.0),
-                "growing-bound": _growing_bound_config,
+                "above-the-ceiling": lambda: GOOD_CONFIG,
                 "wide-d-at-30000-h": lambda: _extinction_at(config_dir, 30_000.0, "0.03 0.027"),
                 "t-star-unresolved": lambda: _extinction_at(config_dir, 1e5, "0.05 0.0495"),
                 }[case]()
         path = tmp_path / "case.ini"
         path.write_text(text)
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        run = subprocess.run([sys.executable, "-m", "perivir.cli", command, "--config", str(path)],
+        launch = ["-m", "perivir.cli"] if case != "above-the-ceiling" else ["-c", (
+            "import numpy as np\nfrom perivir import cli\nfrom perivir.model import Trajectory\n"
+            f"rows = np.array({ABOVE_THE_CEILING!r})[:, None, :]\n"
+            "cli.simulate = lambda *args, **kwargs: Trajectory(np.arange(3.0), rows)\n"
+            "raise SystemExit(cli.main())\n")]
+        run = subprocess.run([sys.executable, *launch, command, "--config", str(path)],
                              env=env, capture_output=True, text=True, timeout=120)
         category = {2: "config-error", 3: "numerical-failure", 4: "invariant-violation"}[code]
         assert run.returncode == code

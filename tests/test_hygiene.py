@@ -27,6 +27,8 @@ No docstring or comment in src/perivir states a timing or a memory figure
 their one home, so a performance change edits them in one place.
 Every functools.cache or lru_cache in src/perivir is one of the process
 caches named here: whatever is held for the process is held on purpose.
+No module that pytest collects or loads imports mpmath or
+tests/mp_references.py, since CI installs no mpmath.
 """
 
 import ast
@@ -473,6 +475,29 @@ def test_r0_imports_neither_scipy_nor_numpy_fft():
     out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def _imported_names(source: str) -> set[str]:
+    """Every module an import statement in source names, and every name it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+def test_no_tier1_module_imports_mpmath():
+    # tests/mp_references.py is the one module that does, and no test_*.py
+    # name makes pytest collect it
+    tests = ROOT / "tests"
+    loaded = sorted(tests.glob("test_*.py")) + [tests / "helpers.py", tests / "conftest.py"]
+    assert len(loaded) >= 11 and "mpmath" in _imported_names((tests / "mp_references.py")
+                                                              .read_text())
+    assert [path.name for path in loaded
+            if any({"mpmath", "mp_references"} & set(name.split("."))
+                   for name in _imported_names(path.read_text()))] == []
 
 
 def test_every_exception_class_has_an_exit_code():
