@@ -4,9 +4,9 @@ With no virus present the healthy-cell density obeys the scalar linear
 equation dT/dt = mu(t) - d(t)*T, which has exactly one periodic solution
 T*(t); (T*(t), 0, 0, 0) is the virus-free periodic orbit of the full
 model. T* is computed both spectrally (one Galerkin solve on the Fourier
-basis of Hill's method, `_hill_basis`, which the reproduction number's
-operator shares) and numerically (fixed point of the scalar period map),
-and the two routes cross-check each other.
+basis of Hill's method, `_hill_basis`, whose `_death_operator` the
+reproduction number's operator shares) and numerically (fixed point of
+the scalar period map), and the two routes cross-check each other.
 
 Interior (endemic) periodic orbits are located as fixed points of the
 full Poincare map by Newton shooting, with the Newton Jacobian taken from
@@ -162,8 +162,8 @@ def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """(phi, weights) of Hill's method at order on theta_j = 2 pi j/nodes; read-only.
 
     phi = [1, cos m theta, sin m theta], m = 1..order, is the process's one
-    trig table: T* and `_hill_r0` read it on the T* nodes, `_periodic_solve`
-    on the enclosure's. m theta_j is 2 pi (j m mod nodes)/nodes, so phi is
+    trig table: T*, Hill's R0 and its enclosure (some orders higher) read it
+    on the T* nodes. m theta_j is 2 pi (j m mod nodes)/nodes, so phi is
     gathered in place from cos and sin at the nodes' own phases (a stacked
     copy lifted r0_scan's peak RSS). g's coefficients are weights * (g @ phi).
     """
@@ -175,7 +175,7 @@ def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _death_operator(w: float, d: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
-    """(S_d, w d/dt), built per call for T* and `_hill_r0`: S_d = d/dt + d(t), d on the nodes."""
+    """(S_d, w d/dt), built per call for T* and for K: S_d = d/dt + d(t), d on the nodes."""
     (phi, weights), n = basis, len(basis[1]) // 2
     m, deriv = np.diag(w * np.arange(1.0, n + 1)), np.zeros((2 * n + 1, 2 * n + 1))
     deriv[1:n + 1, n + 1:], deriv[n + 1:, 1:n + 1] = m, -m

@@ -14,14 +14,14 @@ w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
 is lower triangular, so the operator acts on one scalar function, the
 virus load, as K = p k S_V^-1 S_I^-1 S_E^-1 (f .), and its truncated
 Fourier matrix gives R0 (Hill's method; Deconinck & Kutz 2006).
-`periodic._hill_basis` is the one trig table: `_hill_r0` reads it on the
-T* nodes, as T*'s Galerkin solve does, each building w d/dt per call, and
-`_periodic_solve` at order ENCLOSURE_NODES/2 - 1 on ENCLOSURE_NODES nodes.
+`periodic._hill_basis` on the T* nodes is the one trig table, as for T*'s
+Galerkin solve, and `_apply_k` the one application of K to coefficients.
 
 K certifies that value itself: K is positive, so for Hill's top
 eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
 Thieme 2009, SIAM J. Appl. Math. 70:188; Bacaer & Guernaoui 2006,
-J. Math. Biol. 53:421), taken on ENCLOSURE_NODES of the T* nodes
+J. Math. Biol. 53:421) for any u > 0 once K u is accurate: it is taken
+ENCLOSURE_MARGIN harmonics above u's order, on the T* nodes
 (`_collatz_wielandt`). The order doubles from 4 and stops at the first
 whose bounds lie inside value -+ tol/2: that pair is the bracket. When no
 order up to HILL_MAX_ORDER certifies, the search starts from K 1: its
@@ -66,8 +66,8 @@ __all__ = [
 R0_TOL = 1e-8         # r0_periodic's default bracket width
 MAX_ROUNDS = 40       # search rounds after the first
 HILL_MAX_ORDER = 64   # highest harmonic of the Fourier truncation
-ENCLOSURE_NODES = 128          # T* nodes the Collatz-Wielandt bounds are taken on
-ENCLOSURE_RESOLUTION = 1e-12   # largest top-quarter DFT coefficient / largest, at most
+ENCLOSURE_MARGIN = 16          # harmonics K u is taken at beyond u's order
+ENCLOSURE_RESOLUTION = 1e-12   # largest top-quarter harmonic of f u / largest, at most
 
 
 class BracketFailure(NumericalFailure):
@@ -221,7 +221,7 @@ def r0_periodic(params: ModelParameters, tol: float = R0_TOL,
     while n <= HILL_MAX_ORDER:
         value, u = _hill_r0(lin, n)
         lo, hi = _pair(value, tol)
-        enclosure = _collatz_wielandt(lin, u) if value > tol else None
+        enclosure = _collatz_wielandt(lin, u, n) if value > tol else None
         if enclosure is not None and lo <= enclosure[0] and enclosure[1] <= hi:
             break
         if n > 8 and math.isnan(guess) and abs(value - previous) <= 0.25 * tol:
@@ -255,23 +255,19 @@ def _pair(center: float, tol: float) -> list[float]:
 def _hill_r0(lin: LinearizedSystem, order: int) -> tuple[float, np.ndarray | None]:
     """R0 from the next-generation matrix truncated at order harmonics, with its eigenfunction.
 
-    On the virus load the operator is K = p k S_V^-1 S_I^-1 S_E^-1 (f .),
-    with S_x = d/dt + x + d(t) and S_V = d/dt + c, each factor projected
-    onto {1, cos n w t, sin n w t}, n <= order, by quadrature on the M T*
-    nodes. They are uniform, t_j = j P/M, so w t_j = 2 pi j/M for every
-    period: the basis depends on M and order only (`_hill_basis`), and w
-    scales only d/dt. Returns (value, u): value the top eigenvalue when it
-    is real and positive, else nan; u its eigenfunction on the T* nodes from
-    one inverse-iteration solve, with its sum made positive, or None when
-    value is nan or that solve fails.
+    The matrix is `_apply_k` on F's, f's multiplication projected onto
+    {1, cos n w t, sin n w t}, n <= order, by quadrature on the M T* nodes.
+    They are uniform, t_j = j P/M, so w t_j = 2 pi j/M for every period:
+    the basis depends on M and order only (`_hill_basis`), and w scales
+    only d/dt. Returns (value, u): value the top eigenvalue when it is real
+    and positive, else nan; u its eigenfunction on the T* nodes from one
+    inverse-iteration solve, with its sum made positive, or None when value
+    is nan or that solve fails.
     """
-    p, (d, f) = lin.params, lin._nodes
-    basis = phi, weights = _hill_basis(len(d), order)
-    s_d, deriv = _death_operator(p.angular_frequency, d, basis)
-    x, eye = weights[:, None] * (phi.T @ (f[:, None] * phi)), np.eye(2 * order + 1)
-    for s in (s_d + p.k * eye, s_d + p.delta * eye, deriv + p.c * eye):
-        x = np.linalg.solve(s, x)
-    x *= p.p * p.k
+    f = lin._nodes[1]
+    basis = phi, weights = _hill_basis(len(f), order)
+    x = _apply_k(lin, weights[:, None] * (phi.T @ (f[:, None] * phi)), basis)
+    eye = np.eye(2 * order + 1)
     eig = np.linalg.eigvals(x)
     top = eig[np.argmax(np.abs(eig))]
     if not (top.imag == 0.0 and top.real > 0.0):
@@ -284,47 +280,40 @@ def _hill_r0(lin: LinearizedSystem, order: int) -> tuple[float, np.ndarray | Non
     return value, (u if u.sum() > 0.0 else -u)
 
 
-def _periodic_solve(h: np.ndarray, rate: float, w: float) -> np.ndarray:
-    """The periodic y with y' + rate y = h on ENCLOSURE_NODES nodes over one period.
+def _apply_k(lin: LinearizedSystem, g: np.ndarray, basis) -> np.ndarray:
+    """p k S_V^-1 S_I^-1 S_E^-1 g: K on coefficients g (a vector, or a matrix's columns) on basis.
 
-    h's coefficients on `_hill_basis` at order ENCLOSURE_NODES/2 - 1, each
-    harmonic divided by i m w + rate, back through phi; all nan when one of
-    the top quarter exceeds ENCLOSURE_RESOLUTION of the largest.
+    S_x = d/dt + x + d(t) for x = k, delta, and S_V = d/dt + c, each the
+    `_death_operator` on basis, d on the T* nodes.
     """
-    phi, weights = _hill_basis(ENCLOSURE_NODES, ENCLOSURE_NODES // 2 - 1)
-    c, order = weights * (h @ phi), phi.shape[1] // 2
-    a, b = c[1:order + 1], c[order + 1:]
-    size = np.r_[abs(c[0]), np.hypot(a, b)]
-    if not size[3 * order // 4:].max() <= ENCLOSURE_RESOLUTION * size.max():
-        return np.full(ENCLOSURE_NODES, math.nan)
-    freq = w * np.arange(1, order + 1)
-    scale = 1.0 / (rate * rate + freq * freq)
-    return phi @ np.r_[c[0] / rate, (a * rate - b * freq) * scale, (a * freq + b * rate) * scale]
+    p = lin.params
+    s_d, deriv = _death_operator(p.angular_frequency, lin._nodes[0], basis)
+    eye = np.eye(len(basis[1]))
+    for s in (s_d + p.k * eye, s_d + p.delta * eye, deriv + p.c * eye):
+        g = np.linalg.solve(s, g)
+    return p.p * p.k * g
 
 
-def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None) -> tuple[float, float] | None:
-    """(min, max) of (K u)/u on ENCLOSURE_NODES of the T* nodes, or None.
+def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None,
+                      order: int) -> tuple[float, float] | None:
+    """(min, max) of (K u)/u on the T* nodes, or None.
 
     K is `_hill_r0`'s operator and u > 0, so the two enclose R0
-    (Collatz-Wielandt; Thieme 2009). With q = exp((d1/w)(1 - cos w t)) for
-    d = d0 + d1 sin w t, (d/dt + x + d(t)) y = g is (d/dt + x + d0)(q y) = q g,
-    so K u = p R_c(R_{delta+d0}(k R_{k+d0}(q f u)) / q), each
-    R_a = (d/dt + a)^-1 a `_periodic_solve`. None unless u is positive on
-    the nodes and all three spectra are resolved.
+    (Collatz-Wielandt; Thieme 2009). K u is `_apply_k` on f u's
+    coefficients at order + ENCLOSURE_MARGIN, back through phi. None unless
+    u is positive on the nodes and no harmonic of f u's top quarter there
+    exceeds ENCLOSURE_RESOLUTION of the largest.
     """
     if u is None:
         return None
-    params, w, stride = lin.params, lin.params.angular_frequency, len(u) // ENCLOSURE_NODES
-    f, u = lin._nodes[1][::stride], u[::stride]
-    d0, k = params.d.mean, params.k
-    with np.errstate(all="ignore"):
-        cos = _hill_basis(ENCLOSURE_NODES, ENCLOSURE_NODES // 2 - 1)[0][:, 1]
-        q = np.exp((params.d.amplitude / w) * (1.0 - cos))
-        y = k * _periodic_solve(q * f * u, k + d0, w)
-        y = params.p * _periodic_solve(y, params.delta + d0, w) / q
-        ratio = _periodic_solve(y, params.c, w) / u
-        bounds = float(ratio.min()), float(ratio.max())
-        return bounds if np.all(u > 0.0) and np.all(np.isfinite(bounds)) else None
+    n = order + ENCLOSURE_MARGIN
+    basis = phi, weights = _hill_basis(len(u), n)
+    c = weights * ((lin._nodes[1] * u) @ phi)
+    size = np.r_[abs(c[0]), np.hypot(c[1:n + 1], c[n + 1:])]
+    if not (np.all(u > 0.0) and size[3 * n // 4:].max() <= ENCLOSURE_RESOLUTION * size.max()):
+        return None
+    ratio = (phi @ _apply_k(lin, c, basis)) / u
+    return float(ratio.min()), float(ratio.max())
 
 
 def _operator_bounds(lin: LinearizedSystem, tol: float) -> tuple[float, float]:

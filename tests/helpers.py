@@ -6,17 +6,19 @@ spectral radius oracle is power iteration, the monodromy radius oracle
 reads T* from its interpolant (`combined`) where the library carries T in
 the state, T*'s interpolant has a scalar transcription on Python floats,
 Hill's R0 computes its Fourier basis per call on the times themselves,
-R0's slow-forcing limit is a frozen-time growth rate found by bisection,
-the vector-field oracles are a scalar transcription of the four model
-equations and a per-column-view formulation for batches, and the R0
-search oracle is plain doubling and bisection on the library's
+the Collatz-Wielandt bounds take K u through an integrating factor and
+numpy's FFT, R0's slow-forcing limit is a frozen-time growth rate found
+by bisection, the vector-field oracles are a scalar transcription of the
+four model equations and a per-column-view formulation for batches, and
+the R0 search oracle is plain doubling and bisection on the library's
 rho(lambda). The float loop's step and its dense output have
 list-comprehension transcriptions, value by value and left to right,
 which the generated step kernels and the after-the-loop interpolant must
 match bit for bit, and the step-size controller a transcription with
 min and max and its constants written out, which the stepping loop's
 step sizes must match bit for bit. MP_R0 pins R0 at 30 digits from
-`tests/mp_references.py`, which needs mpmath and is run by hand.
+`tests/mp_references.py`, which needs mpmath; CI checks that it still
+prints them.
 """
 
 from __future__ import annotations
@@ -405,6 +407,35 @@ def hill_on_time_grid(lin, tol: float, max_order: int = 64):
             return value, (u if u.sum() > 0.0 else -u), n
         previous, n = value, 2 * n
     return math.nan, None, n // 2
+
+
+def periodic_solve(h: np.ndarray, rate: float, w: float) -> np.ndarray:
+    """The periodic y with y' + rate y = h, both on len(h) uniform nodes of one period.
+
+    Each harmonic m of h's DFT is divided by i m w + rate: exact for a trig
+    polynomial of degree below len(h)/2.
+    """
+    m = np.arange(len(h) // 2 + 1)
+    return np.fft.irfft(np.fft.rfft(h) / (rate + 1j * w * m), len(h))
+
+
+def integrating_factor_bounds(lin: LinearizedSystem, u: np.ndarray) -> tuple[float, float]:
+    """(min, max) of (K u)/u on lin's T* nodes, K u through an integrating factor.
+
+    With q = exp((d1/w)(1 - cos w t)) for d = d0 + d1 sin w t,
+    (d/dt + x + d(t)) y = g is (d/dt + x + d0)(q y) = q g, so
+    K u = p R_c(R_{delta+d0}(k R_{k+d0}(q f u)) / q), each R_a = (d/dt + a)^-1
+    a `periodic_solve`: no Galerkin operator of the library. q spans
+    e^{2 d1/w}, so rounding grows with the period.
+    """
+    params, t, t_star = lin.params, lin.t_star.times, lin.t_star.values
+    w, d0, k = params.angular_frequency, params.d.mean, params.k
+    f = params.rates(t)[1] * t_star / (1.0 + params.c1 * t_star)
+    q = np.exp((params.d.amplitude / w) * (1.0 - np.cos(w * t)))
+    y = k * periodic_solve(q * f * u, k + d0, w)
+    y = params.p * periodic_solve(y, params.delta + d0, w) / q
+    ratio = periodic_solve(y, params.c, w) / u
+    return float(ratio.min()), float(ratio.max())
 
 
 def plain_warm_start(params: ModelParameters, ic: State, transient: float,

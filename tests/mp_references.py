@@ -1,9 +1,11 @@
-"""30-digit reference values of R0 from Hill's method in mpmath, run by hand.
+"""30-digit reference values of R0 from Hill's method in mpmath.
 
     PYTHONPATH=src python -m tests.mp_references
 
 prints `tests/helpers.py`'s MP_R0 and each set's time. pytest does not
-collect this module, and no tier-1 test imports it: CI installs no mpmath.
+collect this module, and no tier-1 test imports it: CI installs mpmath
+only for the step that runs it, on one Python version, and checks that
+its MP_R0 is `tests/helpers.py`'s literal for literal.
 
 The method, at 32 digits, on the exponential basis e^{i n w t}, |n| <= N:
 - d = d0 + d1 sin w t multiplies by a tridiagonal matrix, so each

@@ -28,7 +28,8 @@ their one home, so a performance change edits them in one place.
 Every functools.cache or lru_cache in src/perivir is one of the process
 caches named here: whatever is held for the process is held on purpose.
 No module that pytest collects or loads imports mpmath or
-tests/mp_references.py, since CI installs no mpmath.
+tests/mp_references.py, since CI installs mpmath only for the step that
+runs that module.
 """
 
 import ast

@@ -50,7 +50,9 @@ from .helpers import (
     baseline_params,
     flat_mu_wide_d_params,
     hill_on_time_grid,
+    integrating_factor_bounds,
     interpolated_t_star_radii,
+    periodic_solve,
     persistence_params,
     power_iteration_radius,
     random_autonomous_params,
@@ -771,8 +773,8 @@ class TestEnclosure:
         lin = build_linearization(skewed_params())
         value, u = _hill_r0(lin, 4)
         assert u.shape == lin.t_star.values.shape and np.all(u > 0.0)
-        low, high = reproduction._collatz_wielandt(lin, u)
-        # Hill's value and the enclosure's come from two discretizations of K
+        low, high = reproduction._collatz_wielandt(lin, u, 4)
+        # Hill's value is K's truncation at order 4, the enclosure's K u at order 20
         assert 0.0 <= high - low <= 1e-10 * value
         assert abs(0.5 * (low + high) - value) <= 1e-12 * value
 
@@ -796,10 +798,10 @@ class TestEnclosure:
     def test_unresolved_spectrum_gives_no_enclosure(self, monkeypatch):
         lin = build_linearization(persistence_params())
         _, u = _hill_r0(lin, 4)
-        assert reproduction._collatz_wielandt(lin, u) is not None
+        assert reproduction._collatz_wielandt(lin, u, 4) is not None
         monkeypatch.setattr(reproduction, "ENCLOSURE_RESOLUTION", 0.0)
-        assert reproduction._collatz_wielandt(lin, u) is None
-        assert reproduction._collatz_wielandt(lin, None) is None
+        assert reproduction._collatz_wielandt(lin, u, 4) is None
+        assert reproduction._collatz_wielandt(lin, None, 4) is None
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(degree=st.integers(0, 40), rate=st.floats(1e-3, 2.0), period=st.floats(2.4, 2400.0),
@@ -807,7 +809,7 @@ class TestEnclosure:
     def test_periodic_solve_is_exact_on_a_trig_polynomial(self, degree, rate, period, seed):
         # y' + rate y = h for h = c0 + sum a_m cos m w t + b_m sin m w t has the
         # periodic solution c0/rate + sum of each harmonic divided by i m w + rate
-        rng, n, w = np.random.default_rng(seed), reproduction.ENCLOSURE_NODES, 2 * math.pi / period
+        rng, n, w = np.random.default_rng(seed), 128, 2 * math.pi / period
         c0, a, b = rng.normal(), rng.normal(size=degree), rng.normal(size=degree)
         mw = w * np.arange(1, degree + 1)
         wt = np.outer(2 * math.pi * np.arange(n) / n, np.arange(1, degree + 1))
@@ -815,18 +817,43 @@ class TestEnclosure:
         den = rate ** 2 + mw ** 2
         y = (c0 / rate + np.cos(wt) @ ((a * rate - b * mw) / den)
              + np.sin(wt) @ ((a * mw + b * rate) / den))
-        got = reproduction._periodic_solve(h, rate, w)
+        got = periodic_solve(h, rate, w)
         assert np.max(np.abs(got - y)) <= 1e-13 * np.max(np.abs(y))
 
-    @pytest.mark.parametrize("m, resolved", [(46, True), (47, False), (63, False)])
-    def test_periodic_solve_rejects_an_unresolved_top_quarter(self, m, resolved):
-        # the top quarter of harmonics 0-63 on 128 nodes is 47-63; a harmonic
-        # there above ENCLOSURE_RESOLUTION of the largest makes every value nan
-        n = reproduction.ENCLOSURE_NODES
+    @pytest.mark.parametrize("m, resolved", [(14, True), (15, False), (20, False)])
+    def test_collatz_wielandt_rejects_an_unresolved_top_quarter(self, m, resolved):
+        # at order 4 f u is taken at order 20, whose top quarter is harmonics
+        # 15-20; a harmonic there above ENCLOSURE_RESOLUTION of the largest
+        # gives no bounds
+        lin = build_linearization(persistence_params())
+        n = len(lin.t_star.values)
         theta = 2 * math.pi * np.arange(n) / n
-        h = 1.0 + np.cos(theta) + 2.0 * reproduction.ENCLOSURE_RESOLUTION * np.sin(m * theta)
-        got = reproduction._periodic_solve(h, 0.3, 2 * math.pi / 24.0)
-        assert np.all(np.isfinite(got)) if resolved else np.all(np.isnan(got))
+        fu = 2.0 + np.cos(theta) + 2.0 * reproduction.ENCLOSURE_RESOLUTION * np.sin(m * theta)
+        got = reproduction._collatz_wielandt(lin, fu / lin._nodes[1], 4)
+        assert (got is not None) == resolved
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
+           period=st.sampled_from([24.0, 240.0]))
+    def test_bounds_match_the_integrating_factor_oracle(self, rates, log_r0_factor, amps,
+                                                        period):
+        # K u on Hill's own operator, ENCLOSURE_MARGIN orders above u's,
+        # against K u through q and the FFT, on the same u and nodes: within
+        # 1e-12 relative while u's range is within 10. Rounding in K u is
+        # relative to its largest values, so it grows with u's range in the
+        # ratio at u's minimum: at 240 h u can span 1e-6, and the two then
+        # differ by up to 9.4e-10 (2.8e-15 times u's range on 900 draws)
+        params = _with_period(admissible_periodic(rates, log_r0_factor, amps), period)
+        lin = build_linearization(params)
+        for order in (4, 8, 16, 32, 64):
+            _, u = _hill_r0(lin, order)
+            bounds = reproduction._collatz_wielandt(lin, u, order)
+            if bounds is not None:
+                break
+        assume(bounds is not None)
+        oracle = integrating_factor_bounds(lin, u)
+        scale = 1e-13 * max(10.0, u.max() / u.min())
+        assert np.max(np.abs(np.subtract(bounds, oracle))) <= scale * oracle[1]
 
 
 class TestLiouville:
@@ -954,7 +981,7 @@ class TestHill:
         oracle, _, order = hill_on_time_grid(lin, 1e-8)
         assume(math.isfinite(oracle))
         value, u = _hill_r0(lin, order)
-        enclosure, (lo, hi) = reproduction._collatz_wielandt(lin, u), _pair(value, 1e-8)
+        enclosure, (lo, hi) = reproduction._collatz_wielandt(lin, u, order), _pair(value, 1e-8)
         assume(enclosure is not None and lo <= enclosure[0] and enclosure[1] <= hi)
         assert abs(value - oracle) <= 1e-9 * oracle
 
@@ -987,8 +1014,7 @@ class TestHill:
         assert info.hits == first.hits + 2 * (first.hits + first.misses)
 
     def test_process_caches_are_read_only(self):
-        nodes = reproduction.ENCLOSURE_NODES
-        enclosure = periodic._hill_basis(nodes, nodes // 2 - 1)
+        enclosure = periodic._hill_basis(periodic.TSTAR_SAMPLES, 4 + reproduction.ENCLOSURE_MARGIN)
         for table in (*enclosure, *periodic._hill_basis(periodic.TSTAR_SAMPLES, 8)):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -1064,11 +1090,27 @@ class TestCertifiedWalk:
         orders = _hill_orders(monkeypatch)
         res = r0_periodic(params)
         assert orders == [4, 8, 16, 32] and res.enclosure is not None and res.iterations == 1
-        monkeypatch.setattr(reproduction, "_collatz_wielandt", lambda lin, u: None)
+        monkeypatch.setattr(reproduction, "_collatz_wielandt", lambda lin, u, order: None)
         searched = r0_periodic(params)
         pair = _pair(_search_seed(build_linearization(params), 1e-8), 1e-8)
         assert [lam for lam, _ in searched.trace[2:4]] == pair
         assert searched.bracket[0] <= res.value <= searched.bracket[1]
+
+    @pytest.mark.parametrize("draw", [69, 89])
+    def test_long_period_draws_certify_at_order_32(self, monkeypatch, draw):
+        # draws 69 and 89 of seed 4545, each followed by P = 24 50^U h (727.7
+        # and 1114.7 h, R0 near 30): their lambda = 1 monodromy overflows
+        # (ROADMAP item 15), so it is stubbed; orders 4-16 have a complex top
+        # eigenvalue
+        rng = np.random.default_rng(4545)
+        for _ in range(draw + 1):
+            params, period = random_periodic_params(rng), 24.0 * 50.0 ** rng.uniform()
+        params, tol = _with_period(params, period), 1e-8
+        orders = _hill_orders(monkeypatch)
+        with mock.patch.object(reproduction, "rho_for_lambda", _radius_at_one_only):
+            res = r0_periodic(params, tol=tol)
+        assert orders == [4, 8, 16, 32] and res.enclosure is not None
+        assert abs(res.value - _hill_r0(build_linearization(params), 64)[0]) <= tol
 
     def test_a_singular_inverse_iteration_skips_its_order(self, monkeypatch):
         # the solve from the constant function raises at order 4 alone (the
@@ -1134,7 +1176,7 @@ class TestFallback:
         assert hi - lo <= 1e-12 and lo <= res.enclosure[0] <= res.enclosure[1] <= hi
         # without it the monodromy at rel_tol 1e-9, whose radius errs by 8.8e-12
         # there, cannot certify the first pair, and the search goes on from it
-        monkeypatch.setattr(reproduction, "_collatz_wielandt", lambda lin, u: None)
+        monkeypatch.setattr(reproduction, "_collatz_wielandt", lambda lin, u, order: None)
         searched = r0_periodic(persistence_params(), tol=1e-12)
         assert searched.trace[0] == (1.0, searched.rho_at_one)
         assert searched.iterations > 3 and _straddles(searched, 1e-12)
@@ -1178,7 +1220,7 @@ class TestFallback:
         assert res.bracket[0] <= fine <= res.bracket[1]
 
     @pytest.mark.parametrize("name, certified", [
-        ("draw-23-of-seed-720", True), ("wide-beta-1200", True), ("wide-beta-1800", False),
+        ("draw-23-of-seed-720", True), ("wide-beta-1200", True), ("wide-beta-1800", True),
         ("baseline-1800", True), ("long-period", True), ("baseline-1200", True),
     ])
     def test_long_period_r0_within_tol_of_a_refined_t_stars(self, name, certified):
