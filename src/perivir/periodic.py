@@ -3,10 +3,10 @@
 With no virus present the healthy-cell density obeys the scalar linear
 equation dT/dt = mu(t) - d(t)*T, which has exactly one periodic solution
 T*(t); (T*(t), 0, 0, 0) is the virus-free periodic orbit of the full
-model. T* is computed both spectrally (one Galerkin solve on the Fourier
-basis of Hill's method, `_hill_basis`, whose `_death_operator` the
-reproduction number's operator shares) and numerically (fixed point of
-the scalar period map), and the two routes cross-check each other.
+model. T* is computed both spectrally (one Galerkin solve of d/dt + d(t),
+the `_periodic_operator` K's three solves share, on Hill's basis
+`_hill_basis`) and numerically (fixed point of the scalar period map), and
+the two routes cross-check each other.
 
 Interior (endemic) periodic orbits are located as fixed points of the
 full Poincare map by Newton shooting, with the Newton Jacobian taken from
@@ -158,52 +158,54 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @cache
-def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, weights) of Hill's method at order on theta_j = 2 pi j/nodes; read-only.
+def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, ...]:
+    """(phi, weights, deriv, sine) of Hill's method at order on theta_j = 2 pi j/nodes; read-only.
 
     phi = [1, cos m theta, sin m theta], m = 1..order, is the process's one
     trig table: T*, Hill's R0 and its enclosure (some orders higher) read it
     on the T* nodes. m theta_j is 2 pi (j m mod nodes)/nodes, so phi is
     gathered in place from cos and sin at the nodes' own phases (a stacked
     copy lifted r0_scan's peak RSS). g's coefficients are weights * (g @ phi).
+    deriv (d/dtheta, the band +-m) and sine (times sin theta, projected
+    once: the band 1, +-1/2) build every `_periodic_operator`.
     """
     turn, phi = (2.0 * math.pi / nodes) * np.arange(nodes), np.empty((nodes, 2 * order + 1))
     jm = np.outer(np.arange(nodes), np.arange(order + 1))
     phi[:, :order + 1] = np.take(np.cos(turn), jm, mode="wrap")
     phi[:, order + 1:] = np.take(np.sin(turn), jm[:, 1:], mode="wrap")
-    return _read_only(phi, np.r_[1.0, np.full(2 * order, 2.0)] / nodes)
+    weights, m = np.r_[1.0, np.full(2 * order, 2.0)] / nodes, np.arange(order + 1.0)
+    deriv = np.diag(m, order) - np.diag(m, -order)
+    sine = weights[:, None] * (phi.T @ (phi[:, order + 1, None] * phi))
+    return _read_only(phi, weights, deriv, sine)
 
 
-def _death_operator(w: float, d: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
-    """(S_d, w d/dt), built per call for T* and for K: S_d = d/dt + d(t), d on the nodes."""
-    (phi, weights), n = basis, len(basis[1]) // 2
-    m, deriv = np.diag(w * np.arange(1.0, n + 1)), np.zeros((2 * n + 1, 2 * n + 1))
-    deriv[1:n + 1, n + 1:], deriv[n + 1:, 1:n + 1] = m, -m
-    return deriv + weights[:, None] * (phi.T @ (d[:, None] * phi)), deriv
+def _periodic_operator(w: float, mean: float, amplitude: float, basis) -> np.ndarray:
+    """The matrix of d/dt + mean + amplitude sin(w t) on basis: every periodic solve's S."""
+    _, weights, deriv, sine = basis
+    return w * deriv + mean * np.eye(len(weights)) + amplitude * sine
 
 
 def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
     """T*(t) from one Galerkin solve of T' + d(t) T = mu(t) on Hill's basis.
 
-    T*'s coefficients c on `_hill_basis` at order N solve S_d c = mu-hat,
-    S_d the `_death_operator` on the TSTAR_SAMPLES uniform nodes and mu-hat
-    mu's mean and amplitude at 1 and sin w t, with no quadrature. N doubles
-    from 8 until the largest harmonic of c's top quarter is at most
-    TSTAR_RESOLUTION of c0, up to TSTAR_MAX_ORDER, which the nodes resolve;
-    the samples are phi c. The coefficients decay geometrically, so the
+    T*'s coefficients c on `_hill_basis` at order N solve S_d c = mu-hat:
+    S_d is the `_periodic_operator` of d's mean and amplitude, and mu-hat
+    mu's at 1 and sin w t, with no quadrature. N doubles from 8 until the
+    largest harmonic of c's top quarter is at most TSTAR_RESOLUTION of c0,
+    up to TSTAR_MAX_ORDER, which the TSTAR_SAMPLES nodes resolve; the
+    samples are phi c on them. The coefficients decay geometrically, so the
     solve is exact to rounding at any period (Boyd 2001, ch. 2).
 
     Raises DegenerateDecay (`_period_decay`, first) and UnresolvedTStar
     when the top quarter is still above that at TSTAR_MAX_ORDER.
     """
     _period_decay(params)
-    P = params.period
-    d, order = params.rates(np.linspace(0.0, P, TSTAR_SAMPLES + 1)[:-1])[2], 8
+    P, w, d, order = params.period, params.angular_frequency, params.d, 8
     while True:
         basis = _hill_basis(TSTAR_SAMPLES, order)
         mu_hat = np.zeros(2 * order + 1)
         mu_hat[0], mu_hat[order + 1] = params.mu.mean, params.mu.amplitude
-        c = np.linalg.solve(_death_operator(params.angular_frequency, d, basis)[0], mu_hat)
+        c = np.linalg.solve(_periodic_operator(w, d.mean, d.amplitude, basis), mu_hat)
         top = float(np.hypot(c[1:order + 1], c[order + 1:])[3 * order // 4:].max() / abs(c[0]))
         if top <= TSTAR_RESOLUTION:
             return VirusFreeSolution(basis[0] @ c, P)

@@ -12,10 +12,10 @@ R0 is the spectral radius of F (d/dt + G)^{-1} on P-periodic functions,
 the unique lambda0 > 0 at which the one-period monodromy of
 w' = (F(t)/lambda - G(t)) w has spectral radius 1 (Wang & Zhao 2008). G
 is lower triangular, so the operator acts on one scalar function, the
-virus load, as K = p k S_V^-1 S_I^-1 S_E^-1 (f .), and its truncated
-Fourier matrix gives R0 (Hill's method; Deconinck & Kutz 2006).
-`periodic._hill_basis` on the T* nodes is the one trig table, as for T*'s
-Galerkin solve, and `_apply_k` the one application of K to coefficients.
+virus load, as K = p k S_V^-1 S_I^-1 S_E^-1 (f .), each S one
+`periodic._periodic_operator` d/dt + a + b sin(w t), as T*'s, and its
+truncated Fourier matrix on T*'s basis, `periodic._hill_basis`, gives R0
+(Hill's method; Deconinck & Kutz 2006); `_apply_k` is K on coefficients.
 
 K certifies that value itself: K is positive, so for Hill's top
 eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
@@ -50,7 +50,7 @@ import numpy as np
 
 from .integrate import IntegratorConfig, NumericalFailure, integrate
 from .model import ModelParameters
-from .periodic import (VirusFreeSolution, _death_operator, _hill_basis, floquet_multipliers,
+from .periodic import (VirusFreeSolution, _hill_basis, _periodic_operator, floquet_multipliers,
                        virus_free_closed_form)
 
 __all__ = [
@@ -86,11 +86,10 @@ class LinearizedSystem:
     params: ModelParameters
 
     @cached_property
-    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """d(t) and F's entry f = beta T*/(1 + c1 T*) on T*'s nodes, one period."""
-        t, t_star = self.t_star.times, self.t_star.values
-        _, beta, d = self.params.rates(t)
-        return d, beta * t_star / (1.0 + self.params.c1 * t_star)
+    def _f(self) -> np.ndarray:
+        """F's entry f = beta T*/(1 + c1 T*) on T*'s nodes, one period."""
+        t_star = self.t_star.values
+        return self.params.rates(self.t_star.times)[1] * t_star / (1.0 + self.params.c1 * t_star)
 
 
 def _combined_field(w, mu0, mu1, beta0, beta1, d0, d1, k, delta, p, c, c1, c2, inv, t, ys):
@@ -264,8 +263,8 @@ def _hill_r0(lin: LinearizedSystem, order: int) -> tuple[float, np.ndarray | Non
     inverse-iteration solve, with its sum made positive, or None when value
     is nan or that solve fails.
     """
-    f = lin._nodes[1]
-    basis = phi, weights = _hill_basis(len(f), order)
+    f = lin._f
+    basis = phi, weights, *_ = _hill_basis(len(f), order)
     x = _apply_k(lin, weights[:, None] * (phi.T @ (f[:, None] * phi)), basis)
     eye = np.eye(2 * order + 1)
     eig = np.linalg.eigvals(x)
@@ -283,14 +282,13 @@ def _hill_r0(lin: LinearizedSystem, order: int) -> tuple[float, np.ndarray | Non
 def _apply_k(lin: LinearizedSystem, g: np.ndarray, basis) -> np.ndarray:
     """p k S_V^-1 S_I^-1 S_E^-1 g: K on coefficients g (a vector, or a matrix's columns) on basis.
 
-    S_x = d/dt + x + d(t) for x = k, delta, and S_V = d/dt + c, each the
-    `_death_operator` on basis, d on the T* nodes.
+    S_x = d/dt + x + d(t) for x = k, delta, and S_V = d/dt + c: each one
+    `periodic._periodic_operator` on basis, of (x + d's mean, d's amplitude) or (c, 0).
     """
-    p = lin.params
-    s_d, deriv = _death_operator(p.angular_frequency, lin._nodes[0], basis)
-    eye = np.eye(len(basis[1]))
-    for s in (s_d + p.k * eye, s_d + p.delta * eye, deriv + p.c * eye):
-        g = np.linalg.solve(s, g)
+    p, d = lin.params, lin.params.d
+    for mean, amplitude in ((p.k + d.mean, d.amplitude), (p.delta + d.mean, d.amplitude),
+                            (p.c, 0.0)):
+        g = np.linalg.solve(_periodic_operator(p.angular_frequency, mean, amplitude, basis), g)
     return p.p * p.k * g
 
 
@@ -307,8 +305,8 @@ def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None,
     if u is None:
         return None
     n = order + ENCLOSURE_MARGIN
-    basis = phi, weights = _hill_basis(len(u), n)
-    c = weights * ((lin._nodes[1] * u) @ phi)
+    basis = phi, weights, *_ = _hill_basis(len(u), n)
+    c = weights * ((lin._f * u) @ phi)
     size = np.r_[abs(c[0]), np.hypot(c[1:n + 1], c[n + 1:])]
     if not (np.all(u > 0.0) and size[3 * n // 4:].max() <= ENCLOSURE_RESOLUTION * size.max()):
         return None
@@ -324,7 +322,7 @@ def _operator_bounds(lin: LinearizedSystem, tol: float) -> tuple[float, float]:
     [p k f_min / (c (k + d_max)(delta + d_max)), p k f_max / (c (k + d_min)(delta + d_min))],
     f on the T* nodes, and min K 1 <= R0 <= max K 1 (Collatz-Wielandt).
     """
-    params, f = lin.params, lin._nodes[1]
+    params, f = lin.params, lin._f
     d_min, d_max = params.d.mean - params.d.amplitude, params.d.mean + params.d.amplitude
     scale = params.p * params.k / params.c
     low = scale * float(f.min()) / ((params.k + d_max) * (params.delta + d_max))

@@ -6,6 +6,7 @@ spectral radius oracle is power iteration, the monodromy radius oracle
 reads T* from its interpolant (`combined`) where the library carries T in
 the state, T*'s interpolant has a scalar transcription on Python floats,
 Hill's R0 computes its Fourier basis per call on the times themselves,
+T* and K's solves are tridiagonal on e^{i k w t} (`exponential_operator`),
 the Collatz-Wielandt bounds take K u through an integrating factor and
 numpy's FFT, R0's slow-forcing limit is a frozen-time growth rate found
 by bisection, the vector-field oracles are a scalar transcription of the
@@ -303,22 +304,31 @@ def interpolated_t_star_radii(lin, lams, cfg: IntegratorConfig) -> np.ndarray:
     return np.abs(floquet_multipliers(end)[..., 0])
 
 
+def exponential_operator(w: float, mean: float, amplitude: float, order: int) -> np.ndarray:
+    """d/dt + mean + amplitude sin(w t) on e^{i k w t}, |k| <= order: tridiagonal.
+
+    An oracle apart from `periodic._periodic_operator`'s real basis and
+    projected sine: sin couples neighbouring k exactly, so row k is
+    (i k w + mean) c_k + amplitude (c_{k-1} - c_{k+1}) / 2i.
+    """
+    k = np.arange(-order, order + 1)
+    return (np.diag(mean + 1j * w * k) + np.diag(np.full(2 * order, amplitude / 2j), -1)
+            + np.diag(np.full(2 * order, -amplitude / 2j), 1))
+
+
 def galerkin_t_star(params: ModelParameters, order: int) -> VirusFreeSolution:
     """T* from a Galerkin solve on e^{i k w t}, |k| <= order, sampled on the TSTAR_SAMPLES nodes.
 
-    An oracle apart from virus_free_closed_form's real basis and projected
-    S_d: d = d0 + d1 sin couples neighbouring k exactly, so the system is
-    (i k w + d0) c_k + d1 (c_{k-1} - c_{k+1}) / 2i = mu_k, tridiagonal.
+    The system is `exponential_operator` of d's mean and amplitude, with
+    mu's coefficients on the right.
     """
-    w, (m0, m1), (d0, d1) = (params.angular_frequency, (params.mu.mean, params.mu.amplitude),
-                             (params.d.mean, params.d.amplitude))
-    k = np.arange(-order, order + 1)
-    system = (np.diag(d0 + 1j * w * k) + np.diag(np.full(2 * order, d1 / 2j), -1)
-              + np.diag(np.full(2 * order, -d1 / 2j), 1))
+    system = exponential_operator(params.angular_frequency, params.d.mean, params.d.amplitude,
+                                  order)
+    m0, m1 = params.mu.mean, params.mu.amplitude
     mu_hat = np.zeros(2 * order + 1, dtype=complex)
     mu_hat[order], mu_hat[order + 1], mu_hat[order - 1] = m0, m1 / 2j, -m1 / 2j
     c = np.linalg.solve(system, mu_hat)
-    nodes = periodic.TSTAR_SAMPLES
+    nodes, k = periodic.TSTAR_SAMPLES, np.arange(-order, order + 1)
     values = np.exp(1j * np.outer(2.0 * np.pi * np.arange(nodes) / nodes, k)) @ c
     return VirusFreeSolution(values.real, params.period)
 

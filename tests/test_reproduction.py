@@ -47,6 +47,7 @@ from .helpers import (
     combined,
     count_calls,
     expm_reference,
+    exponential_operator,
     baseline_params,
     flat_mu_wide_d_params,
     hill_on_time_grid,
@@ -829,7 +830,7 @@ class TestEnclosure:
         n = len(lin.t_star.values)
         theta = 2 * math.pi * np.arange(n) / n
         fu = 2.0 + np.cos(theta) + 2.0 * reproduction.ENCLOSURE_RESOLUTION * np.sin(m * theta)
-        got = reproduction._collatz_wielandt(lin, fu / lin._nodes[1], 4)
+        got = reproduction._collatz_wielandt(lin, fu / lin._f, 4)
         assert (got is not None) == resolved
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -1015,10 +1016,73 @@ class TestHill:
 
     def test_process_caches_are_read_only(self):
         enclosure = periodic._hill_basis(periodic.TSTAR_SAMPLES, 4 + reproduction.ENCLOSURE_MARGIN)
-        for table in (*enclosure, *periodic._hill_basis(periodic.TSTAR_SAMPLES, 8)):
+        t_star = periodic._hill_basis(periodic.TSTAR_SAMPLES, 8)
+        assert len(enclosure) == len(t_star) == 4
+        for table in (*enclosure, *t_star):
             assert not table.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 table *= 2.0
+
+    @pytest.mark.parametrize("order", [4, 8, 20, 64, 128])
+    def test_band_tables_are_the_closed_form_bands(self, order):
+        # index 0 is 1, m is cos m theta and order + m sin m theta; d/dtheta
+        # maps sin m to m cos m and cos m to -m sin m, and sin theta times
+        # cos m is (sin (m+1) - sin (m-1))/2, times sin m (cos (m-1) - cos (m+1))/2;
+        # sine is a 512-term quadrature of those, a few ulps off (7.8e-16 measured)
+        _, _, deriv, sine = periodic._hill_basis(periodic.TSTAR_SAMPLES, order)
+        band, expected, ms = np.zeros_like(deriv), np.zeros_like(sine), np.arange(1, order + 1)
+        band[ms, order + ms], band[order + ms, ms] = ms, -ms
+        assert np.array_equal(deriv, band)
+        expected[order + 1, 0] = 1.0
+        for m in range(1, order + 1):
+            expected[m - 1, order + m] = 0.5
+            if m > 1:
+                expected[order + m - 1, m] = -0.5
+            if m < order:
+                expected[order + m + 1, m], expected[m + 1, order + m] = 0.5, -0.5
+        assert np.max(np.abs(sine - expected)) <= 1e-15
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
+           period=st.sampled_from([24.0, 240.0]), order=st.sampled_from([4, 20]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_apply_k_matches_the_exponential_basis(self, rates, log_r0_factor, amps, period,
+                                                   order, seed):
+        # g = a_0 + sum a_m cos + b_m sin has c_{+-m} = (a_m -+ i b_m)/2 on
+        # e^{i m w t}; there S_E, S_I and S_V are tridiagonal, exact
+        params = _with_period(admissible_periodic(rates, log_r0_factor, amps), period)
+        g = np.random.default_rng(seed).standard_normal(2 * order + 1)
+        basis = periodic._hill_basis(periodic.TSTAR_SAMPLES, order)
+        got = reproduction._apply_k(build_linearization(params), g, basis)
+        a, b = g[1:order + 1], g[order + 1:]
+        c = np.r_[(a + 1j * b)[::-1] / 2.0, g[0], (a - 1j * b) / 2.0]
+        p, d, w = params, params.d, params.angular_frequency
+        for mean, amplitude in ((p.k + d.mean, d.amplitude), (p.delta + d.mean, d.amplitude),
+                                (p.c, 0.0)):
+            c = np.linalg.solve(exponential_operator(w, mean, amplitude, order), c)
+        c *= p.p * p.k
+        expected = np.r_[c[order].real, 2.0 * c[order + 1:].real, -2.0 * c[order + 1:].imag]
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_dense_systems_of_a_24_h_r0_are_at_most_41_wide(self, monkeypatch, config_dir):
+        # every solve and eigen-solve of r0 on a shipped config: the 3x3
+        # monodromy, Hill at order 4 (9), T* at order 8 (17) and the enclosure
+        # at order 4 + ENCLOSURE_MARGIN (41); a dense solve from n = 100 on
+        # can cost 100 ms on a multithreaded BLAS (ROADMAP)
+        widths, solve, eigvals = set(), np.linalg.solve, np.linalg.eigvals
+
+        def spied(original):
+            def call(a, *args):
+                widths.add(np.shape(a)[-1])
+                return original(a, *args)
+            return call
+
+        monkeypatch.setattr(np.linalg, "solve", spied(solve))
+        monkeypatch.setattr(np.linalg, "eigvals", spied(eigvals))
+        for name in SHIPPED:
+            loaded = load_config(str(config_dir / f"{name}.ini"))
+            r0_periodic(loaded.params, cfg=loaded.integrator)
+        assert sorted(widths) == [3, 9, 17, 41]
 
     @pytest.mark.parametrize("name, parent", [
         ("baseline", 39.469662417860675),
