@@ -39,10 +39,6 @@ from .periodic import VirusFreeSolution, virus_free_closed_form
 from .reproduction import R0Result, r0_periodic
 
 __all__ = [
-    "EXTINCTION_EPS",
-    "TSTAR_EPS",
-    "PERSISTENCE_FLOOR_MIN",
-    "DEFAULT_INITIAL_CONDITIONS",
     "Regime",
     "TrajectoryEvidence",
     "ClassificationReport",

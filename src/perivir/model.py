@@ -39,11 +39,9 @@ __all__ = [
     "State",
     "Trajectory",
     "incidence",
-    "incidence_partials",
     "rhs",
     "jacobian",
     "vector_field",
-    "clamp_small_negatives",
 ]
 
 

@@ -1,9 +1,13 @@
 """Source hygiene checks that stand in for a linter.
 
 Every name a module in src/perivir imports must be used in that module,
-listed in its __all__, or come from __future__. Every module-level private
-name (a _-prefixed function, class or constant) and every module-level
-UPPER_CASE constant must be read somewhere in src/perivir. Every field of
+listed in its __all__, or come from __future__. A star import appears only
+in __init__.py and only from a sibling whose literal __all__ lists names
+that sibling defines, so each public name is declared once, in its module,
+and the package's public names are its compute modules' __all__ and the
+submodules. Every module-level private name (a _-prefixed function, class
+or constant) and every module-level UPPER_CASE constant must be read
+somewhere in src/perivir. Every field of
 a dataclass in src/perivir must be read as an attribute somewhere in
 src/perivir, tests, demos or perfbench. `perivir r0`
 must run without importing scipy or numpy.fft.
@@ -62,7 +66,8 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
+                if name != "*":  # binds the names star_imports checks
+                    imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
@@ -71,6 +76,17 @@ def unused_imports(source: str) -> list[str]:
                      if isinstance(elt, ast.Constant) and isinstance(elt.value, str)}
     return sorted(f"line {line}: {name}" for name, line in imported.items()
                   if name not in used)
+
+
+def _top_level_definitions(tree: ast.Module):
+    """(statement, name) for each name a module's top-level def, class or assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node, n.id) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
 
 
 def _unread_definitions(sources: dict[str, str], chosen) -> list[str]:
@@ -83,15 +99,8 @@ def _unread_definitions(sources: dict[str, str], chosen) -> list[str]:
     used = set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            defined += [(module, node.lineno, name) for name in names if chosen(node, name)]
+        defined += [(module, node.lineno, name) for node, name in _top_level_definitions(tree)
+                    if chosen(node, name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
@@ -156,6 +165,84 @@ def test_detector_flags_unused_and_honours_all_and_future():
               "__all__ = ['dumps']\n"
               "x = math.pi\n")
     assert unused_imports(source) == ["line 3: os", "line 4: loads"]
+
+
+def _literal_all(tree: ast.Module) -> list[str] | None:
+    """The module's `__all__` if it is one literal list or tuple of strings, else None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names = node.value
+            if isinstance(names, (ast.List, ast.Tuple)) and all(
+                    isinstance(e, ast.Constant) and isinstance(e.value, str) for e in names.elts):
+                return [e.value for e in names.elts]
+    return None
+
+
+def star_imports(sources: dict[str, str]) -> list[str]:
+    """Star imports other than __init__.py's from a sibling whose __all__ it defines.
+
+    sources maps a file name of one package to its text. A star import is
+    allowed only in __init__.py, only from a sibling in sources, and only
+    when that sibling's `__all__` is a literal list of names it defines.
+    """
+    bad = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.ImportFrom) and node.names[0].name == "*"):
+                continue
+            where = f"{name} line {node.lineno}: from {'.' * node.level}{node.module or ''}"
+            sibling = sources.get(f"{node.module}.py") if node.level == 1 else None
+            if name != "__init__.py":
+                bad.append(f"{where}: outside __init__.py")
+            elif sibling is None:
+                bad.append(f"{where}: not a sibling module")
+            elif (names := _literal_all(ast.parse(sibling))) is None:
+                bad.append(f"{where}: no literal __all__")
+            else:
+                defined = {n for _, n in _top_level_definitions(ast.parse(sibling))}
+                bad += [f"{where}: {n} is not defined there" for n in names if n not in defined]
+    return bad
+
+
+def test_star_imports_republish_siblings_only_in_init():
+    assert star_imports({path.name: path.read_text() for path in SRC.glob("*.py")}) == []
+
+
+def test_star_import_detector_flags_every_misuse():
+    assert unused_imports("from .model import *\n") == []
+    assert star_imports({
+        "__init__.py": "from .model import *\nfrom numpy import *\nfrom .util import *\n"
+                       "from .periodic import *\nfrom .sub.x import *\n",
+        "model.py": "from math import pi\n__all__ = ['State', 'pi', 'rhs']\n"
+                    "class State:\n    pass\ndef rhs():\n    pass\n",
+        "util.py": "__all__ = [name for name in dir()]\n",
+        "periodic.py": "from .model import *\n__all__ = ('T_STAR',)\nT_STAR: float = 1.0\n",
+    }) == ["__init__.py line 1: from .model: pi is not defined there",
+           "__init__.py line 2: from numpy: not a sibling module",
+           "__init__.py line 3: from .util: no literal __all__",
+           "__init__.py line 5: from .sub.x: not a sibling module",
+           "periodic.py line 1: from .model: outside __init__.py"]
+
+
+def test_package_namespace_is_the_modules_all():
+    # in a fresh interpreter, since the tests import cli and svgplot too:
+    # the package's public names are its compute modules' __all__ and the
+    # four submodules the star imports load, each the module's own object,
+    # and perivir.integrate is the function, not its module
+    probe = ("import importlib, perivir\n"
+             "mods = [importlib.import_module('perivir.' + m) for m in "
+             "('model', 'integrate', 'periodic', 'reproduction', 'analysis')]\n"
+             "public = {n for n in dir(perivir) if not n.startswith('_')}\n"
+             "declared = {n for m in mods for n in m.__all__}\n"
+             "assert public == declared | {'model', 'periodic', 'reproduction', 'analysis'}\n"
+             "assert all(getattr(perivir, n) is getattr(m, n) for m in mods for n in m.__all__)\n"
+             "assert perivir.integrate is mods[1].integrate and callable(perivir.integrate)\n"
+             "print(len(public))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout == "48\n"
 
 
 LAYERS = ("model", "integrate", "periodic", "reproduction", "analysis", "cli")

@@ -918,6 +918,32 @@ class TestWarmStart:
         assert all(orbit.stable for orbit in orbits) and np.all(starts[:, 1:] > 0.1)
         assert np.max(np.abs(starts - starts[0]) / starts[0]) < 1e-9
 
+    def test_singular_normal_equations_leave_plain_passes(self, monkeypatch, spectral_cfg):
+        # an extrapolation whose normal equations the solve rejects as
+        # singular is skipped: every pass starts from the image of the one
+        # before it, and Newton from the guess still closes the orbit
+        params = persistence_params()
+        passes, solves = [], []
+        original = periodic._period_pass
+
+        def spied(params, x, cfg):
+            image, step = original(params, x, cfg)
+            passes.append((np.array(x), image.as_array()))
+            return image, step
+
+        def singular(a, b):
+            solves.append(a)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        with monkeypatch.context() as m:
+            m.setattr(periodic, "_period_pass", spied)
+            m.setattr(periodic.np.linalg, "solve", singular)
+            guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
+        assert solves and len(passes) > len(solves)
+        assert all(np.array_equal(x, image) for (x, _), (_, image) in zip(passes[1:], passes))
+        orbit = find_periodic_orbit(params, guess, spectral_cfg)
+        assert orbit.newton_residual <= periodic.NEWTON_TOL
+
     def test_stops_once_settled(self, monkeypatch, spectral_cfg):
         # 83 periods of budget; the accelerated iteration settles after 8
         calls = count_calls(monkeypatch, periodic, "integrate")
