@@ -25,19 +25,20 @@ ENCLOSURE_MARGIN harmonics above u's order, on the T* nodes
 (`_collatz_wielandt`). The order doubles from 4 and stops at the first
 whose bounds lie inside value -+ tol/2: that pair is the bracket. When no
 order up to HILL_MAX_ORDER certifies, the search starts from K 1: its
-bounds on the T* nodes bracket R0 by the same theorem (`_operator_bounds`),
-and one `rho_for_lambda` call evaluates them, with the pair of the first
-value from order 16 on that agrees with the order before it within tol/4
-between them when it lies there. Rounds of one call each then narrow the
+bounds on the T* nodes bracket R0 by the same theorem (`_operator_bounds`).
+One `rho_for_lambda` call evaluates the pair of the first value from order
+16 on that agrees with the order before it within tol/4, when it lies
+between the bounds; when it straddles 1 it is the bracket, and otherwise
+one more call evaluates the bounds. Rounds of one call each then narrow the
 bracket, using that log rho is convex in log lambda (Kingman 1961, Quart.
 J. Math. 12:283): the chord across the bracket crosses 1 right of R0, and a
 chord through an end and its outer neighbour crosses 1 left of it
-(`_unit_crossing`). Each of m lambdas, m = 1 at lambda = 1, is a 3x3
-monodromy with T carried after it, T' = mu - d T from T*(0), in one
-(m, 10) state (`_combined_field`); rho(Phi_{F-G}(P)), whose side of 1 is
-R0's, is the radius at lambda = 1 on every route. A monodromy's error is
-relative to each entry, so one that decays keeps its radius. With beta
-identically zero R0 is 0 by convention.
+(`_unit_crossing`). Each lambda is one 10-wide integration, its 3x3
+monodromy with T carried after it, T' = mu - d T from T*(0)
+(`_combined_field`); rho(Phi_{F-G}(P)), whose side of 1 is R0's, is the
+radius at lambda = 1 on every route. A monodromy's error is relative to
+each entry, so one that decays keeps its radius. With beta identically
+zero R0 is 0 by convention.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class LinearizedSystem:
 
 
 def _combined_field(w, mu0, mu1, beta0, beta1, d0, d1, k, delta, p, c, c1, c2, inv, t, ys):
-    """(A(t) @ M, T') on one flat row-major 3x3 M followed by T: one lam's member's field.
+    """(A(t) @ M, T') on one flat row-major 3x3 M followed by T: lam's monodromy field.
 
     w .. c2 are `ModelParameters.flat`, c2 unused (the linearization is
     taken at V = 0), and inv is 1/lam; t is a number. T is carried in the
@@ -121,11 +122,11 @@ class R0Result:
     rho at bracket[1], and value is its midpoint. trace holds every
     (lambda, rho) evaluation in order, lambda = 1 first, and iterations ==
     len(trace): 1 when the enclosure certifies an order's bracket; on the
-    search, 3 after its first stack (5 with Hill's pair inside K's bounds)
-    plus each round's lambdas. rho_at_one is rho(Phi_{F-G}(P));
-    sign(value - 1) == sign(rho_at_one - 1). enclosure is (min, max) of
-    (K u)/u, the Collatz-Wielandt bounds that certified the bracket, and
-    None on every other route.
+    search, 3 when Hill's pair straddles 1, else 3 after K's bounds (5 with
+    Hill's pair inside them) plus each round's lambdas. rho_at_one is
+    rho(Phi_{F-G}(P)); sign(value - 1) == sign(rho_at_one - 1). enclosure
+    is (min, max) of (K u)/u, the Collatz-Wielandt bounds that certified
+    the bracket, and None on every other route.
     """
 
     value: float
@@ -150,38 +151,29 @@ def rho_for_lambda(lin: LinearizedSystem, lam: float | np.ndarray,
                    cfg: IntegratorConfig) -> float | np.ndarray:
     """rho of the one-period monodromy of w' = (F/lam - G) w.
 
-    A float for a number lam, m radii for a 1-D array of m lambdas: one `_end_state` run
-    either way. cfg's abs_tol becomes the smallest normal float: errors are relative.
+    A float for a number lam, an array of radii for a 1-D array of lambdas: one `_end_state`
+    run per lambda. cfg's abs_tol becomes the smallest normal float: errors are relative.
     """
     cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
-    end = _end_state(lin, np.ravel(lam).tolist(), cfg)[:, :9].reshape(np.shape(lam) + (3, 3))
-    radius = np.abs(floquet_multipliers(end)[..., 0])
-    return float(radius) if radius.ndim == 0 else radius
+    radii = [float(np.abs(floquet_multipliers(_end_state(lin, x, cfg)[:9].reshape(3, 3))[0]))
+             for x in np.ravel(lam).tolist()]
+    return radii[0] if np.ndim(lam) == 0 else np.array(radii)
 
 
-def _end_state(lin: LinearizedSystem, lams: list[float], cfg: IntegratorConfig) -> np.ndarray:
-    """Each lam's monodromy, row-major, then T(P): one (m, 10) run, each member from I, T*(0)."""
-    y0 = np.tile(np.eye(3).ravel().tolist() + [lin.t_star.t_star_initial], (len(lams), 1))
-    return integrate(_monodromy_field(lin, lams), 0.0, lin.params.period, y0, cfg, t_eval=()).final
+def _end_state(lin: LinearizedSystem, lam: float, cfg: IntegratorConfig) -> np.ndarray:
+    """lam's monodromy, row-major, then T(P): one 10-wide run from I, T*(0)."""
+    y0 = np.eye(3).ravel().tolist() + [lin.t_star.t_star_initial]
+    return integrate(_monodromy_field(lin, lam), 0.0, lin.params.period, y0, cfg, t_eval=()).final
 
 
-def _monodromy_field(lin: LinearizedSystem, lams: list[float]):
-    """f.floats runs `_combined_field` per lam, 1/lam and lin's rates bound, on its 10 values.
+def _monodromy_field(lin: LinearizedSystem, lam: float):
+    """f.floats is `_combined_field` with lin's rates and 1/lam bound, on its 10 values."""
+    field = partial(_combined_field, *lin.params.flat, 1.0 / lam)
 
-    f on an (m, 10) array makes one `_combined_field` call on its columns,
-    with inv the array of the 1/lam: the same operations, member by member.
-    """
-    rates = lin.params.flat
-    fields = [partial(_combined_field, *rates, 1.0 / lam) for lam in lams]
-    columns = partial(_combined_field, *rates, 1.0 / np.asarray(lams, dtype=float))
+    def f(t, y):  # for a caller that hides f.floats
+        return np.array(field(t, y.tolist()))
 
-    def stacked(t, ys):
-        return [v for i, one in enumerate(fields) for v in one(t, ys[10 * i:10 * i + 10])]
-
-    def f(t, y):  # for a caller that hides f.floats, and for stacks past the float loop
-        return np.reshape(np.stack(columns(t, np.reshape(y, (-1, 10)).T), axis=-1), np.shape(y))
-
-    f.floats = lambda n: fields[0] if len(fields) == 1 else stacked
+    f.floats = lambda n: field
     return f
 
 
@@ -200,10 +192,12 @@ def r0_periodic(params: ModelParameters, tol: float = R0_TOL,
     gives to rounding, so the enclosure alone decides.
 
     When no order certifies, the search of the module docstring runs: one
-    `rho_for_lambda` call at `_operator_bounds`, then `_unit_crossing`.
+    `rho_for_lambda` call at Hill's pair when it lies inside
+    `_operator_bounds`, one at those bounds unless the pair straddles 1,
+    then `_unit_crossing`.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
-    when rho does not straddle 1 across the first stack or no bracket is
+    when rho does not straddle 1 across the first lambdas or no bracket is
     found within MAX_ROUNDS further rounds.
     """
     if not (math.isfinite(tol) and tol > 0.0):
@@ -235,7 +229,8 @@ def r0_periodic(params: ModelParameters, tol: float = R0_TOL,
             return radii
 
         low, high = _operator_bounds(lin, tol)
-        rho([low] + [lam for lam in (lo, hi) if low < lo and hi < high] + [high])
+        if not (low < lo and hi < high and (pair := rho([lo, hi]))[0] >= 1.0 >= pair[1]):
+            rho([low, high])
         lo, hi = _unit_crossing(rho, trace[1:], tol)
     return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
                     iterations=len(trace), rho_at_one=rho_at_one, trace=tuple(trace),

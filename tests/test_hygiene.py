@@ -429,7 +429,7 @@ _FLOAT_FORMULAS = {
     "integrate.py": None,
     "model.py": ["ModelParameters", "incidence", "incidence_partials"],
     "periodic.py": ["_augmented_field"],
-    # F's entry on T*'s nodes, a member's (1, 10) field and the (m, 10) stack of them
+    # F's entry on T*'s nodes, and one lambda's 10-wide field in its float and array forms
     "reproduction.py": ["LinearizedSystem", "_combined_field", "_monodromy_field"],
 }
 
@@ -672,7 +672,7 @@ def test_tracer_counts_monodromy_steps(monkeypatch):
         return (counts["integrate.integrate.fcalls"] - counts["integrate.integrate.calls"]) / 6
 
     alone = integrate_steps(traced_counts())  # certified: the lambda = 1 monodromy alone
-    # with Hill unconverged the search's stacks reach the tracer through integrate too
+    # with Hill unconverged the search's runs reach the tracer through integrate too
     monkeypatch.setattr(reproduction, "_hill_r0", lambda lin, tol: (math.nan, None))
     searched = traced_counts()
     assert integrate_steps(searched) > alone > 0

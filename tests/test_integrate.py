@@ -128,7 +128,7 @@ def _recorded_newton_flow(params, x, cfg):
 
 
 def _recorded_monodromy(lin, cfg, hide=False):
-    """reproduction._end_state at lambda = 1, (1, 10), and its Solution; hide drops f.floats."""
+    """reproduction._end_state at lambda = 1, (10,), and its Solution; hide drops f.floats."""
     sols = []
 
     def recorded(f, *args, **kwargs):
@@ -137,7 +137,7 @@ def _recorded_monodromy(lin, cfg, hide=False):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reproduction, "integrate", recorded)
-        end = reproduction._end_state(lin, [1.0], cfg)
+        end = reproduction._end_state(lin, 1.0, cfg)
     assert len(sols) == 1
     return end, sols[0]
 
@@ -443,7 +443,7 @@ class TestLoopRouting:
     def test_orbit_runs_take_only_the_float_loop(self, monkeypatch, tmp_path, config_dir,
                                                  spectral_cfg):
         # the warm start's (4,) passes and Newton's 20-wide flows, and r0's
-        # one 3x3 monodromy at lambda = 1, with T, as one (1, 10) run
+        # one 3x3 monodromy at lambda = 1, with T, as one 10-wide run
         arrays = count_calls(monkeypatch, _integrate_module, "_array_step")
         assert main(["orbit", "--config", str(config_dir / "persistence.ini"),
                      "--out", str(tmp_path / "orbit.csv")]) == 0
@@ -455,11 +455,11 @@ class TestLoopRouting:
         assert arrays == []
 
     @pytest.mark.parametrize("members", [None, 1, 3, 4, 5, 6, 8])
-    def test_monodromy_stack_loop_follows_its_size(self, monkeypatch, spectral_cfg, members):
-        # a number lam, or a stack of m lambdas (the fallback's first stack, a
-        # search round's), goes straight to integrate as one (m, 10) state,
-        # each member its monodromy with T: on floats up to 6 members (60
-        # values), past that on arrays; none goes through integrate_matrix
+    def test_each_lambda_is_one_float_run(self, monkeypatch, spectral_cfg, members):
+        # a number lam, or an array of m lambdas (the search's rounds), goes
+        # straight to integrate as one 10-wide state a lambda, its monodromy
+        # with T, on float steps; none steps on arrays or goes through
+        # integrate_matrix
         direct = count_calls(monkeypatch, reproduction, "integrate")
         runs = count_calls(monkeypatch, _integrate_module, "integrate")
         floats = count_calls(monkeypatch, _integrate_module, "_step_kernel")
@@ -468,11 +468,8 @@ class TestLoopRouting:
         lams = 1.0 if members is None else np.geomspace(0.5, 2.0, members)
         radii = rho_for_lambda(lin, lams, spectral_cfg)
         m = members or 1
-        assert [args[3].shape for args in direct] == [(m, 10)] and runs == []
-        if m <= 6:
-            assert (floats, arrays) == ([(10 * m, 10)], [])
-        else:
-            assert len(arrays) > 0 and floats == []
+        assert [np.shape(args[3]) for args in direct] == [(10,)] * m and runs == []
+        assert (floats, arrays) == ([(10, 10)] * m, [])
         if members is None:
             assert isinstance(radii, float) and radii > 1.0
         else:
@@ -572,7 +569,7 @@ class TestMatrixIntegration:
         with array_loop():
             end_ref, ref = _recorded_monodromy(lin, cfg)
         assert sol.step_count == len(steps) > 20
-        assert sol.final.shape == (1, 10)
+        assert sol.final.shape == (10,)
         _assert_same_solution(sol, ref)
         assert np.array_equal(end, end_ref)
 
@@ -704,7 +701,7 @@ def _controller_runs():
         pytest.param(lambda: integrate(vector_field(params), 0.0, t_end, batch, sim, t_eval=grid),
                      t_end, sim, id="(3, 4)"),
         pytest.param(lambda: _recorded_monodromy(lin, spectral)[1], params.period, spectral,
-                     id="(1, 10)"),
+                     id="(10,)"),
         # the cap of 1 on the factor after a rejection binds in none of the
         # runs above; a pulse that the step sizes have grown past binds it twice
         pytest.param(lambda: integrate(lambda t, y: np.exp(-(t - 10.0) ** 2) - 0.01 * y,

@@ -703,24 +703,24 @@ class TestEndStateIntegrations:
             guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, spectral_cfg)
             n_passes = len(calls)
             tstar = virus_free_numeric(params, spectral_cfg)
-            # a number lam and a stack both go to integrate directly, none through
-            # integrate_matrix
+            # a number lam and each of an array's go to integrate directly, none
+            # through integrate_matrix
             direct = spy_t_evals(mp, reproduction, sample_the_end)
-            stacks = spy_t_evals(mp, importlib.import_module("perivir.integrate"),
-                                 sample_the_end)
-            radii = [rho_for_lambda(lin, lam, spectral_cfg)  # 1, 3 and 6 members
+            matrix_runs = spy_t_evals(mp, importlib.import_module("perivir.integrate"),
+                                      sample_the_end)
+            radii = [rho_for_lambda(lin, lam, spectral_cfg)  # 1, 3 and 6 lambdas
                      for lam in (0.9, np.array([0.8, 1.0, 1.2]), np.geomspace(0.5, 2.0, 6))]
         results = (guess.as_array(), tstar.t_star_initial, tstar.values, *radii)
-        return (calls[:n_passes], calls[n_passes:], (direct, stacks)), results
+        return (calls[:n_passes], calls[n_passes:], (direct, matrix_runs)), results
 
     def test_end_state_callers_pass_no_t_eval(self, monkeypatch, spectral_cfg):
         (passes, t_star, monodromies), results = self._run(monkeypatch, spectral_cfg, False)
         assert len(passes) >= 2 and all(len(t) == 0 for t in passes)
         # the image of 0, then the one-period samples
         assert [len(t) for t in t_star] == [0, periodic.TSTAR_SAMPLES]
-        direct, stacks = monodromies
-        assert (len(direct), len(stacks)) == (3, 0)
-        assert all(len(t) == 0 for t in direct + stacks)
+        direct, matrix_runs = monodromies
+        assert (len(direct), len(matrix_runs)) == (10, 0)
+        assert all(len(t) == 0 for t in direct)
         _, reference = self._run(monkeypatch, spectral_cfg, True)
         for got, want in zip(results, reference, strict=True):
             assert np.array_equal(got, want)

@@ -207,7 +207,7 @@ class TestLinearization:
         lin = build_linearization(admissible_periodic(rates, log_r0_factor, amps))
         lam = 10.0 ** log_lam
         ts = lin.t_star.value(t)
-        f = reproduction._monodromy_field(lin, [lam])
+        f = reproduction._monodromy_field(lin, lam)
         got = f.floats(10)(t, matrix.ravel().tolist() + [ts])
         # Python floats, not np.float64, whose arithmetic takes about twice as long
         assert all(type(v) is float for v in got)
@@ -222,37 +222,32 @@ class TestLinearization:
         mu_t, _, d_t = lin.params.rates(t)
         expected.append(mu_t - d_t * ts)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
-        on_arrays = f(t, np.array([matrix.ravel().tolist() + [ts]]))
-        assert on_arrays.shape == (1, 10) and on_arrays.tobytes() == np.array(got).tobytes()
+        on_arrays = f(t, np.array(matrix.ravel().tolist() + [ts]))
+        assert on_arrays.shape == (10,) and on_arrays.tobytes() == np.array(got).tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
-           t=st.floats(-100.0, 100.0),
-           log_lams=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=8),
+           t=st.floats(-100.0, 100.0), log_lam=st.floats(-1.0, 2.0),
            seed=st.integers(0, 2**32 - 1))
-    def test_each_member_is_the_field_of_its_own_lambda(self, rates, log_r0_factor, amps, t,
-                                                        log_lams, seed):
-        # m lambdas, m = 1..8: the float form gives each member's 10 values the
-        # bits of `_combined_field` at that member's lambda on its own slice,
-        # and the array form, which stacks past the float loop take, the same
+    def test_float_form_is_the_combined_field_at_one_over_lambda(self, rates, log_r0_factor,
+                                                                 amps, t, log_lam, seed):
+        # on any 10 values, T off T* included, the float form has the bits of
+        # `_combined_field` with lin's rates and 1/lam, and the array form,
+        # which a caller that hides f.floats gets, the same
         lin = build_linearization(admissible_periodic(rates, log_r0_factor, amps))
-        p = lin.params
-        lams = [10.0 ** x for x in log_lams]
+        p, lam = lin.params, 10.0 ** log_lam
         rng = np.random.default_rng(seed)
-        y = rng.uniform(-1.0, 1.0, size=(len(lams), 10)) * 10.0 ** rng.uniform(
-            -3.0, 3.0, size=(len(lams), 10))
-        y[:, 9] = rng.uniform(0.0, 100.0, size=len(lams))  # T
-        f = reproduction._monodromy_field(lin, lams)
-        got = f.floats(y.size)(t, y.ravel().tolist())
-        assert len(got) == y.size and all(type(v) is float for v in got)
+        y = rng.uniform(-1.0, 1.0, size=10) * 10.0 ** rng.uniform(-3.0, 3.0, size=10)
+        y[9] = rng.uniform(0.0, 100.0)  # T
+        f = reproduction._monodromy_field(lin, lam)
+        got = f.floats(10)(t, y.tolist())
+        assert len(got) == 10 and all(type(v) is float for v in got)
         on_arrays = f(t, y)
         assert on_arrays.shape == y.shape and on_arrays.tobytes() == np.array(got).tobytes()
-        for i, lam in enumerate(lams):
-            alone = reproduction._combined_field(
-                p.angular_frequency, p.mu.mean, p.mu.amplitude, p.beta.mean, p.beta.amplitude,
-                p.d.mean, p.d.amplitude, p.k, p.delta, p.p, p.c, p.c1, p.c2, 1.0 / lam, t,
-                y[i].tolist())
-            assert np.array(got[10 * i:10 * i + 10]).tobytes() == np.array(alone).tobytes()
+        alone = reproduction._combined_field(
+            p.angular_frequency, p.mu.mean, p.mu.amplitude, p.beta.mean, p.beta.amplitude,
+            p.d.mean, p.d.amplitude, p.k, p.delta, p.p, p.c, p.c1, p.c2, 1.0 / lam, t, y.tolist())
+        assert np.array(got).tobytes() == np.array(alone).tobytes()
 
     def test_float_form_rejects_a_member_count_other_than_the_lambdas(self, spectral_cfg):
         # a stack of lambdas has no float form; three lambdas with a single 3x3
@@ -450,13 +445,16 @@ class TestR0Periodic:
             assert a >= b - 1e-9
 
     def test_stacked_lambdas_match_scalar_calls(self, spectral_cfg):
+        # each lambda of an array is its own integration, so its radius has the
+        # bits of a call on that lambda alone
         lin = build_linearization(persistence_params())
-        lams = np.geomspace(0.5, 500.0, 5)
-        stacked = rho_for_lambda(lin, lams, spectral_cfg)
-        assert stacked.shape == (5,)
-        scalar = [rho_for_lambda(lin, lam, spectral_cfg) for lam in lams]
-        assert all(isinstance(r, float) for r in scalar)
-        np.testing.assert_allclose(stacked, scalar, rtol=1e-7, atol=0.0)
+        for m in (1, 3, 6, 8):
+            lams = np.geomspace(0.5, 500.0, m)
+            stacked = rho_for_lambda(lin, lams, spectral_cfg)
+            assert stacked.shape == (m,)
+            scalar = [rho_for_lambda(lin, lam, spectral_cfg) for lam in lams]
+            assert all(isinstance(r, float) for r in scalar)
+            assert stacked.tobytes() == np.array(scalar).tobytes()
 
     def test_scale_covariance_of_infection_term(self):
         # scaling beta scales F, and the root characterization scales with it
@@ -534,7 +532,7 @@ class TestR0Search:
         assert res.trace == ((1.0, res.rho_at_one),)
         assert res.iterations == 1
 
-    def test_certified_path_is_one_batched_integration(self, monkeypatch):
+    def test_certified_path_is_one_integration(self, monkeypatch):
         # the enclosure certifies the bracket, so the one integration is lambda = 1's
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         direct_calls = count_calls(monkeypatch, reproduction, "integrate")
@@ -544,16 +542,14 @@ class TestR0Search:
         assert len(rho_calls) == len(direct_calls) == 1 and matrix_runs == []
         assert res.iterations == 1 and res.trace == ((1.0, res.rho_at_one),)
         assert rho_calls[0][1] == 1.0
-        assert np.shape(direct_calls[0][3]) == (1, 10)
+        assert np.shape(direct_calls[0][3]) == (10,)
 
-    def test_each_round_is_one_stacked_integration(self, monkeypatch):
+    def test_each_round_is_one_call_of_one_integration_a_lambda(self, monkeypatch):
         # with the Fourier value unconverged the search starts from K's two bounds
         monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
-        rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
-        direct_calls = count_calls(monkeypatch, reproduction, "integrate")
-        matrix_runs = count_calls(monkeypatch, integrate_module, "integrate")
+        calls = _spy_search(monkeypatch)
         res = r0_periodic(persistence_params())
-        _assert_one_integration_a_round(rho_calls, direct_calls, matrix_runs, res, first=2)
+        _assert_one_integration_a_lambda(*calls, res, first=[2])
 
     def test_evaluation_budget_persistence(self):
         assert r0_periodic(persistence_params()).iterations <= 12
@@ -573,8 +569,6 @@ class TestR0Search:
     @pytest.mark.parametrize("start", ["fourier", "bounds"])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS)
-    # R0 = 1: a stacked rho(1) can fall on the other side of 1 from a scalar one,
-    # so lambda = 1 must never be a bracket end
     @example(rates={"mu0": 0.25, "d0": 0.0234375, "k": 0.5, "delta": 0.5, "p": 0.5,
                     "c": 0.5, "c1": 0.25, "c2": 0.0},
              log_r0_factor=0.0, amps=(0.0, 0.0, 0.0))
@@ -724,12 +718,13 @@ class TestMonotonicity:
 
 
 def _bounds_protocol(params, guess, tol):
-    """The R0Result of the search from K's bounds, with guess's `_pair` when inside them.
+    """The R0Result of the search from guess's `_pair` when inside K's bounds, and the bounds.
 
-    lambda = 1 alone, then one stack: p k f_min / (c (k + d_max)(delta + d_max))
-    - tol/2, the pair, and p k f_max / (c (k + d_min)(delta + d_min)) + tol/2,
-    with f = beta T*/(1 + c1 T*) on the T* nodes; then `_unit_crossing` from
-    those points.
+    lambda = 1 alone; then the pair when it lies inside the bounds
+    p k f_min / (c (k + d_max)(delta + d_max)) - tol/2 and
+    p k f_max / (c (k + d_min)(delta + d_min)) + tol/2, with
+    f = beta T*/(1 + c1 T*) on the T* nodes; then the bounds unless the pair
+    straddles 1; then `_unit_crossing` from those points.
     """
     lin, cfg = build_linearization(params), IntegratorConfig.spectral()
     trace = [(1.0, rho_for_lambda(lin, 1.0, cfg))]
@@ -745,8 +740,12 @@ def _bounds_protocol(params, guess, tol):
     scale = params.p * params.k / params.c
     low = scale * float(f.min()) / ((params.k + d_max) * (params.delta + d_max)) - 0.5 * tol
     high = scale * float(f.max()) / ((params.k + d_min) * (params.delta + d_min)) + 0.5 * tol
-    pair = _pair(guess, tol)
-    rho([low] + (pair if low < pair[0] and pair[1] < high else []) + [high])
+    pair, straddles = _pair(guess, tol), False
+    if low < pair[0] and pair[1] < high:
+        radii = rho(pair)
+        straddles = radii[0] >= 1.0 >= radii[1]
+    if not straddles:
+        rho([low, high])
     lo, hi = _unit_crossing(rho, trace[1:], tol)
     return R0Result(value=0.5 * (lo + hi), method="periodic-monodromy", bracket=(lo, hi),
                     iterations=len(trace), rho_at_one=trace[0][1], trace=tuple(trace))
@@ -867,7 +866,7 @@ class TestLiouville:
         lin = build_linearization(params)
         # rho_for_lambda's error control: relative to each entry, whatever abs_tol
         relative = replace(cfg.integrator, abs_tol=sys.float_info.min)
-        M = reproduction._end_state(lin, [1.0], relative)[0, :9].reshape(3, 3)
+        M = reproduction._end_state(lin, 1.0, relative)[:9].reshape(3, 3)
         assert abs(floquet_multipliers(M)[0]) == rho_for_lambda(lin, 1.0, cfg.integrator)
         sign, log_det = np.linalg.slogdet(M)
         expected = (-(params.k + params.delta + params.c) * P
@@ -888,21 +887,28 @@ def _certified(params, res, tol):
             and rho_for_lambda(lin, lo, cfg) >= 1.0 >= rho_for_lambda(lin, hi, cfg))
 
 
-def _assert_one_integration_a_round(rho_calls, direct_calls, matrix_runs, res, first):
-    """lambda = 1 alone, as (1, 10), then one stacked (m, 10) integration a round.
+def _spy_search(monkeypatch):
+    """count_calls lists: rho_for_lambda, integrate, `_monodromy_field`, integrate_matrix runs."""
+    return [count_calls(monkeypatch, module, name) for module, name in (
+        (reproduction, "rho_for_lambda"), (reproduction, "integrate"),
+        (reproduction, "_monodromy_field"), (integrate_module, "integrate"))]
 
-    The first stack has `first` lambdas, and each later one at most 5, so
-    every stack steps on floats; none goes through integrate_matrix.
+
+def _assert_one_integration_a_lambda(rho_calls, direct_calls, fields, matrix_runs, res, first):
+    """lambda = 1 alone, then one rho_for_lambda call a round, each lambda one 10-wide run.
+
+    The first calls have `first` lambdas, each later one at most 5, and the
+    runs' lambdas are the trace's, in its order; none goes through
+    integrate_matrix.
     """
-    stacks = [np.shape(call[3]) for call in direct_calls[1:]]
-    assert np.shape(direct_calls[0][3]) == (1, 10) and matrix_runs == []
-    assert len(rho_calls) == 1 + len(stacks) > 2
-    assert rho_calls[0][1] == 1.0
-    assert [np.size(call[1]) for call in rho_calls[1:]] == [shape[0] for shape in stacks]
-    assert stacks[0] == (first, 10)
+    sizes = [np.size(call[1]) for call in rho_calls[1:]]
+    assert [np.shape(call[3]) for call in direct_calls] == [(10,)] * res.iterations
+    assert [call[1] for call in fields] == [lam for lam, _ in res.trace] and matrix_runs == []
+    assert rho_calls[0][1] == 1.0 and np.ndim(rho_calls[0][1]) == 0
+    assert len(sizes) > len(first) and sizes[:len(first)] == first
     # three chord crossings and two thirds
-    assert all(shape[0] <= 5 and shape[1:] == (10,) for shape in stacks[1:])
-    assert 1 + sum(shape[0] for shape in stacks) == res.iterations
+    assert all(size <= 5 for size in sizes[len(first):])
+    assert 1 + sum(sizes) == res.iterations
 
 
 def _straddles(res, tol):
@@ -1097,11 +1103,11 @@ class TestHill:
 
 
 class _Searched(Exception):
-    """A search stack reached `_radius_at_one_only`."""
+    """A search round reached `_radius_at_one_only`."""
 
 
 def _radius_at_one_only(lin, lam, cfg):
-    """A `rho_for_lambda` for the certified route: nan at lambda = 1, _Searched for a stack."""
+    """A `rho_for_lambda` for the certified route: nan at lambda = 1, _Searched for an array."""
     if np.ndim(lam):
         raise _Searched
     return math.nan
@@ -1149,7 +1155,8 @@ class TestCertifiedWalk:
         # flat mu and d's amplitude 0.9 of its mean at 720 h: orders 8 and 16
         # agree within tol/4, but only order 32's enclosure certifies, where
         # stopping at the first agreement took the search; the certified R0
-        # lies in the bracket of that search, seeded with order 16's pair
+        # lies in the bracket of that search, whose first lambdas after
+        # lambda = 1 are order 16's pair
         params = _with_period(flat_mu_wide_d_params(), 720.0)
         orders = _hill_orders(monkeypatch)
         res = r0_periodic(params)
@@ -1157,7 +1164,7 @@ class TestCertifiedWalk:
         monkeypatch.setattr(reproduction, "_collatz_wielandt", lambda lin, u, order: None)
         searched = r0_periodic(params)
         pair = _pair(_search_seed(build_linearization(params), 1e-8), 1e-8)
-        assert [lam for lam, _ in searched.trace[2:4]] == pair
+        assert [lam for lam, _ in searched.trace[1:3]] == pair
         assert searched.bracket[0] <= res.value <= searched.bracket[1]
 
     @pytest.mark.parametrize("draw", [69, 89])
@@ -1222,16 +1229,31 @@ class TestFallback:
         certified = r0_periodic(params, tol=tol)
         value = _search_seed(build_linearization(params), tol)
         monkeypatch.setattr(reproduction, "_hill_r0", _shifted_hill(3.0 * tol))
-        rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
-        direct_calls = count_calls(monkeypatch, reproduction, "integrate")
-        matrix_runs = count_calls(monkeypatch, integrate_module, "integrate")
+        calls = _spy_search(monkeypatch)
         res = r0_periodic(params, tol=tol)
         assert res.trace[0] == (1.0, res.rho_at_one)
-        # K's two bounds with the shifted pair between them
-        _assert_one_integration_a_round(rho_calls, direct_calls, matrix_runs, res, first=4)
-        assert [lam for lam, _ in res.trace[2:4]] == _pair(value + 3.0 * tol, tol)
+        # the shifted pair, inside K's bounds, lies above R0, so the bounds follow it
+        _assert_one_integration_a_lambda(*calls, res, first=[2, 2])
+        assert [lam for lam, _ in res.trace[1:3]] == _pair(value + 3.0 * tol, tol)
+        assert [lam for lam, _ in res.trace[3:5]] == list(
+            reproduction._operator_bounds(build_linearization(params), tol))
         assert _straddles(res, tol)
         assert abs(res.value - certified.value) <= tol + 1e-8 * certified.value
+
+    @pytest.mark.parametrize("params", [persistence_params(), baseline_params()],
+                             ids=["persistence", "baseline"])
+    def test_a_straddling_pair_is_the_bracket_without_k_bounds(self, monkeypatch, params):
+        # with no enclosure Hill's pair, inside K's bounds, is evaluated first;
+        # it straddles 1, so it is the bracket and no radius is taken at the bounds
+        tol = 1e-8
+        pair = _pair(_search_seed(build_linearization(params), tol), tol)
+        monkeypatch.setattr(reproduction, "_collatz_wielandt", lambda lin, u, order: None)
+        bounds = count_calls(monkeypatch, reproduction, "_operator_bounds")
+        rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
+        res = r0_periodic(params, tol=tol)
+        assert res.iterations == 3 and [lam for lam, _ in res.trace[1:]] == pair
+        assert list(res.bracket) == pair and _straddles(res, tol)
+        assert len(bounds) == 1 and [np.size(call[1]) for call in rho_calls] == [1, 2]
 
     def test_tolerance_below_the_fourier_accuracy(self, monkeypatch):
         # the enclosure is about 1e-15 wide here and still certifies Hill's value
@@ -1271,17 +1293,20 @@ class TestFallback:
     @pytest.mark.parametrize("period", [1200.0, 1800.0])
     def test_long_period_bracket_holds_a_refined_t_stars_r0(self, monkeypatch, period):
         # ROADMAP item 14: every radius carries T, so no search round reads
-        # the T* interpolant. The reference is r0_periodic on the oracle T*
-        # at twice the order, which K's enclosure certifies at 1200 h.
-        # Stacks on the interpolant of Simpson's 512-node T* gave
-        # [62.1567646872526, 62.156764691449766] at 1200 h and
-        # [62.15562747962978, 62.15562748382665] at 1800 h, both above it
+        # the T* interpolant. The search's bracket and the enclosure that
+        # certifies r0_periodic's own value both hold the operator's R0, so
+        # they meet. A certified pair's midpoint is no such reference: at
+        # 1800 h the refined T*'s fell outside the bracket on one BLAS thread
+        # and inside it on the default threads. Stacks on the interpolant of
+        # Simpson's 512-node T* gave [62.1567646872526, 62.156764691449766]
+        # at 1200 h and [62.15562747962978, 62.15562748382665] at 1800 h,
+        # both above the enclosure
         params = _wide_beta_params(period)
-        fine = refined_r0(params).value
+        low, high = r0_periodic(params).enclosure
         monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
         res = r0_periodic(params)
         assert res.enclosure is None and _straddles(res, 1e-8)
-        assert res.bracket[0] <= fine <= res.bracket[1]
+        assert res.bracket[0] <= high and low <= res.bracket[1]
 
     @pytest.mark.parametrize("name, certified", [
         ("draw-23-of-seed-720", True), ("wide-beta-1200", True), ("wide-beta-1800", True),
@@ -1332,7 +1357,7 @@ def _wide_beta_params(period):
 class TestConvexity:
     def test_log_rho_is_convex_in_log_lambda(self, spectral_cfg):
         # the search's chord bounds rest on it (Kingman 1961): 21 lambdas evenly
-        # spaced in log lambda over R0 e^-1 .. R0 e^1, one stack a set
+        # spaced in log lambda over R0 e^-1 .. R0 e^1, one call a set
         rng = np.random.default_rng(20240103)
         for _ in range(10):
             params = random_periodic_params(rng)
@@ -1411,7 +1436,7 @@ class TestRhoAtOne:
         assert abs(r0_periodic(cfg.params).rho_at_one - oracle) <= 2e-9 * oracle
         # the carried T closes on T*(0) over the period, at the config's tolerance
         relative = replace(cfg.integrator, abs_tol=sys.float_info.min)
-        t_end = reproduction._end_state(lin, [1.0], relative)[0, 9]
+        t_end = reproduction._end_state(lin, 1.0, relative)[9]
         t0 = lin.t_star.t_star_initial
         assert abs(t_end - t0) <= 1e-12 * t0
 
@@ -1472,9 +1497,8 @@ class TestRhoAtOne:
         zero = _with_period(zero_beta_params(), 30_000.0)
         res = r0_periodic(zero, cfg=replace(IntegratorConfig.spectral(), max_steps=50_000))
         assert res.method == "no-infection-term" and 0.0 <= res.rho_at_one < 1e-300
-        # the search that follows there overflows in its first stack, on K's
-        # bounds (ROADMAP item 5), so this takes the monodromy that r0_periodic
-        # integrates first
+        # the search that follows there overflows at K's bounds (ROADMAP
+        # item 5), so this takes the monodromy that r0_periodic integrates first
         cfg = load_config(str(config_dir / "extinction.ini"))
         lin = build_linearization(_with_period(cfg.params, 30_000.0))
         rho = rho_for_lambda(lin, 1.0, replace(cfg.integrator, max_steps=50_000))
