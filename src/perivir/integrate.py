@@ -34,9 +34,10 @@ step kinds, chosen by the state's shape. A small state, one (n,) vector
 or an (m, n) batch of at most FLOAT_LOOP_MAX_VALUES = 64 values, steps
 on Python floats. When f has a float form, f.floats(n) returns the field
 on a flat list of n floats; integrate calls it once per integration,
-after the shape has picked float steps. Every other state (any
-(m, n, n), so every integrate_matrix stack, and larger batches) steps on
-a flat numpy array (_array_step).
+after the shape has picked float steps. A field written by hand on
+lists of floats is its own float form, f.floats(n) returning f. Every
+other state (any (m, n, n), so every integrate_matrix stack, and larger
+batches) steps on a flat numpy array (_array_step).
 Both kinds share the tableau, checks and messages, and the loop holds
 the controller, the step budget and the samples for both. A float step
 writes no term for a zero tableau weight and sums the other tableau

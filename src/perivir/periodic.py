@@ -258,16 +258,15 @@ def _period_pass(params: ModelParameters, x0, cfg: IntegratorConfig) -> tuple[St
 def _augmented_field(params: ModelParameters):
     """Vector field for state + fundamental matrix of the variational equation.
 
-    The 20-wide state is (T, E, I, V) followed by the rows of Phi. f.floats
-    returns its one float form, written out by hand: it takes and returns
-    the state as a list of floats, the state block is `model.rhs`, operation
-    for operation, and the Phi block is jacobian(t, y) @ Phi written out on
-    the Jacobian's nonzero entries. f on an array returns the same numbers
-    as an array.
+    The 20-wide state is (T, E, I, V) followed by the rows of Phi. The
+    field is written out by hand and is its own float form, f.floats(n) is
+    f: it takes and returns the state as a list of floats, the state block
+    is `model.rhs`, operation for operation, and the Phi block is
+    jacobian(t, y) @ Phi written out on the Jacobian's nonzero entries.
     """
     w, mu0, mu1, beta0, beta1, d0, d1, k, delta, p, c, c1, c2 = params.flat
 
-    def floats(t, ya):
+    def f(t, ya):
         # the rows of Phi are (x0..x3), (y0..y3), (z0..z3), (w0..w3)
         T, E, I, V, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3, w0, w1, w2, w3 = ya
         s = math.sin(w * t)  # params.rates(t), without its call and type test
@@ -284,10 +283,7 @@ def _augmented_field(params: ModelParameters):
                 k * y0 - dd * z0, k * y1 - dd * z1, k * y2 - dd * z2, k * y3 - dd * z3,
                 p * z0 - c * w0, p * z1 - c * w1, p * z2 - c * w2, p * z3 - c * w3]
 
-    def f(t, ya):
-        return np.array(floats(t, ya.tolist()))
-
-    f.floats = lambda n: floats
+    f.floats = lambda n: f
     return f
 
 

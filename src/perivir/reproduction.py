@@ -26,14 +26,14 @@ ENCLOSURE_MARGIN harmonics above u's order, on the T* nodes
 whose bounds lie inside value -+ tol/2: that pair is the bracket. When no
 order up to HILL_MAX_ORDER certifies, the search starts from K 1: its
 bounds on the T* nodes bracket R0 by the same theorem (`_operator_bounds`).
-One `rho_for_lambda` call evaluates the pair of the first value from order
-16 on that agrees with the order before it within tol/4, when it lies
-between the bounds; when it straddles 1 it is the bracket, and otherwise
-one more call evaluates the bounds. Rounds of one call each then narrow the
-bracket, using that log rho is convex in log lambda (Kingman 1961, Quart.
-J. Math. 12:283): the chord across the bracket crosses 1 right of R0, and a
-chord through an end and its outer neighbour crosses 1 left of it
-(`_unit_crossing`). Each lambda is one 10-wide integration, its 3x3
+The search evaluates the pair of the first value from order 16 on that
+agrees with the order before it within tol/4, when it lies between the
+bounds; when it straddles 1 it is the bracket, and otherwise the bounds
+are evaluated too. Rounds then narrow the bracket, using that log rho is
+convex in log lambda (Kingman 1961, Quart. J. Math. 12:283): the chord
+across the bracket crosses 1 right of R0, and a chord through an end and
+its outer neighbour crosses 1 left of it (`_unit_crossing`). Each lambda
+is one `rho_for_lambda` call, one 10-wide integration of its 3x3
 monodromy with T carried after it, T' = mu - d T from T*(0)
 (`_combined_field`); rho(Phi_{F-G}(P)), whose side of 1 is R0's, is the
 radius at lambda = 1 on every route. A monodromy's error is relative to
@@ -147,34 +147,24 @@ def build_linearization(params: ModelParameters) -> LinearizedSystem:
     return LinearizedSystem(t_star=virus_free_closed_form(params), params=params)
 
 
-def rho_for_lambda(lin: LinearizedSystem, lam: float | np.ndarray,
-                   cfg: IntegratorConfig) -> float | np.ndarray:
-    """rho of the one-period monodromy of w' = (F/lam - G) w.
+def rho_for_lambda(lin: LinearizedSystem, lam: float, cfg: IntegratorConfig) -> float:
+    """rho of the one-period monodromy of w' = (F/lam - G) w, for one number lam.
 
-    A float for a number lam, an array of radii for a 1-D array of lambdas: one `_end_state`
-    run per lambda. cfg's abs_tol becomes the smallest normal float: errors are relative.
+    One 10-wide run from I, row-major, then T*(0), with cfg's abs_tol the
+    smallest normal float: errors are relative.
     """
-    cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
-    radii = [float(np.abs(floquet_multipliers(_end_state(lin, x, cfg)[:9].reshape(3, 3))[0]))
-             for x in np.ravel(lam).tolist()]
-    return radii[0] if np.ndim(lam) == 0 else np.array(radii)
-
-
-def _end_state(lin: LinearizedSystem, lam: float, cfg: IntegratorConfig) -> np.ndarray:
-    """lam's monodromy, row-major, then T(P): one 10-wide run from I, T*(0)."""
+    field = _monodromy_field(lin, float(lam))
     y0 = np.eye(3).ravel().tolist() + [lin.t_star.t_star_initial]
-    return integrate(_monodromy_field(lin, lam), 0.0, lin.params.period, y0, cfg, t_eval=()).final
+    cfg = replace(cfg, abs_tol=np.finfo(float).tiny)
+    end = integrate(field, 0.0, lin.params.period, y0, cfg, t_eval=()).final
+    return float(np.abs(floquet_multipliers(end[:9].reshape(3, 3))[0]))
 
 
 def _monodromy_field(lin: LinearizedSystem, lam: float):
-    """f.floats is `_combined_field` with lin's rates and 1/lam bound, on its 10 values."""
+    """`_combined_field` with lin's rates and 1/lam bound, on its 10 values; its own float form."""
     field = partial(_combined_field, *lin.params.flat, 1.0 / lam)
-
-    def f(t, y):  # for a caller that hides f.floats
-        return np.array(field(t, y.tolist()))
-
-    f.floats = lambda n: field
-    return f
+    field.floats = lambda n: field
+    return field
 
 
 def r0_periodic(params: ModelParameters, tol: float = R0_TOL,
@@ -191,10 +181,10 @@ def r0_periodic(params: ModelParameters, tol: float = R0_TOL,
     5.6e-10 in lambda. K is built on T*'s samples, which the Galerkin solve
     gives to rounding, so the enclosure alone decides.
 
-    When no order certifies, the search of the module docstring runs: one
-    `rho_for_lambda` call at Hill's pair when it lies inside
-    `_operator_bounds`, one at those bounds unless the pair straddles 1,
-    then `_unit_crossing`.
+    When no order certifies, the search of the module docstring runs, one
+    `rho_for_lambda` call per lambda: Hill's pair when it lies inside
+    `_operator_bounds`, those bounds unless the pair straddles 1, then
+    `_unit_crossing`'s rounds.
 
     Raises ValueError unless tol is finite and positive, and BracketFailure
     when rho does not straddle 1 across the first lambdas or no bracket is
@@ -224,7 +214,7 @@ def r0_periodic(params: ModelParameters, tol: float = R0_TOL,
         enclosure, (lo, hi) = None, _pair(guess, tol)
 
         def rho(lams: list[float]) -> list[float]:
-            radii = rho_for_lambda(lin, np.array(lams), cfg).tolist()
+            radii = [rho_for_lambda(lin, lam, cfg) for lam in lams]
             trace.extend(zip(lams, radii))
             return radii
 
@@ -339,19 +329,19 @@ def _chord_zero(a: tuple[float, float], b: tuple[float, float]) -> float:
 def _unit_crossing(rho, points: list[tuple[float, float]], tol: float) -> tuple[float, float]:
     """Bracket (lo, hi), hi - lo <= tol, with rho(lo) >= 1 >= rho(hi).
 
-    rho maps a list of lambdas to their radii in one call, a round; the
-    radius is positive and nonincreasing in lambda > 0, and log rho is
-    convex in log lambda. points are the (lambda, rho) pairs already
-    evaluated, and some neighbouring two of them straddle 1; the bracket is
-    the narrowest such pair. A round evaluates, inside it, the crossing of
-    its chord in log rho against log lambda, where rho <= 1 by convexity,
-    and the crossings of the chords through each end and its outer
-    neighbour, where rho >= 1; and, when the last round (the first time,
-    the one that gave points) did not halve the bracket or no crossing
-    falls inside it, its thirds in log lambda, which keep a rho that is
-    not log-convex within MAX_ROUNDS. A bracket with no
-    float strictly inside is returned as it is. Raises BracketFailure
-    without a round when no two neighbouring points straddle 1.
+    rho maps a round's list of lambdas to their radii; the radius is
+    positive and nonincreasing in lambda > 0, and log rho is convex in log
+    lambda. points are the (lambda, rho) pairs already evaluated, and some
+    neighbouring two of them straddle 1; the bracket is the narrowest such
+    pair. A round evaluates, inside it, the crossing of its chord in log
+    rho against log lambda, where rho <= 1 by convexity, and the crossings
+    of the chords through each end and its outer neighbour, where
+    rho >= 1; and, when the last round (the first time, the one that gave
+    points) did not halve the bracket or no crossing falls inside it, its
+    thirds in log lambda, which keep a rho that is not log-convex within
+    MAX_ROUNDS. A bracket with no float strictly inside is returned as it
+    is. Raises BracketFailure without a round when no two neighbouring
+    points straddle 1.
     """
     points, width = sorted(points), 0.0  # the points' round halved no bracket
     for rounds in range(MAX_ROUNDS + 1):

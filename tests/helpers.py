@@ -289,6 +289,26 @@ def combined(lin: LinearizedSystem, lam):
     return A
 
 
+def recorded_monodromy(lin: LinearizedSystem, lam: float, cfg: IntegratorConfig, wrap=None):
+    """(rho, Solution) of one `rho_for_lambda` call; the Solution's final is its end state.
+
+    The end state is lam's monodromy, row-major, then T(P), read by spying
+    on `reproduction.integrate` during the call. wrap, when given, hands
+    integrate wrap(f) for the run's field f, as perfbench's tracer hands it
+    a wrapper without f.floats.
+    """
+    sols, run = [], reproduction.integrate
+
+    def recorded(f, *args, **kwargs):
+        sols.append(run(f if wrap is None else wrap(f), *args, **kwargs))
+        return sols[-1]
+
+    with mock.patch.object(reproduction, "integrate", recorded):
+        rho = rho_for_lambda(lin, lam, cfg)
+    (sol,) = sols
+    return rho, sol
+
+
 def interpolated_t_star_radii(lin, lams, cfg: IntegratorConfig) -> np.ndarray:
     """rho of the one-period monodromy at each of lams, with T* from its cubic interpolant.
 
@@ -589,6 +609,22 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def hide_float_forms(monkeypatch, module) -> list:
+    """Wrap module.integrate so that each field reaches integrate without f.floats.
+
+    perfbench's tracer wraps fields so; the float loop then calls the field
+    on a numpy array. Each call appends its y0 to the returned list.
+    """
+    starts, run = [], module.integrate
+
+    def hidden(f, t0, t1, y0, *args, **kwargs):
+        starts.append(y0)
+        return run(lambda t, y: f(t, y), t0, t1, y0, *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", hidden)
+    return starts
 
 
 def spy_t_evals(monkeypatch, module, sample_the_end: bool = False) -> list:

@@ -429,7 +429,7 @@ _FLOAT_FORMULAS = {
     "integrate.py": None,
     "model.py": ["ModelParameters", "incidence", "incidence_partials"],
     "periodic.py": ["_augmented_field"],
-    # F's entry on T*'s nodes, and one lambda's 10-wide field in its float and array forms
+    # F's entry on T*'s nodes, and one lambda's 10-wide field, its own float form, as bound
     "reproduction.py": ["LinearizedSystem", "_combined_field", "_monodromy_field"],
 }
 

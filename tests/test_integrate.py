@@ -38,6 +38,7 @@ from .helpers import (
     dense_samples_by_hand,
     expm_reference,
     persistence_params,
+    recorded_monodromy,
     rhs_column_views,
 )
 
@@ -112,12 +113,27 @@ def _assert_loops_agree(params, y0, cfg, t_end, t_eval):
     _assert_same_solution(sol, ref)
 
 
-def _recorded_newton_flow(params, x, cfg):
-    """_flow_and_monodromy's (end, monodromy) and the Solution behind them."""
+def _hidden(f):
+    """f without f.floats, as perfbench's tracer hands integrate its fields."""
+    return lambda t, y: f(t, y)
+
+
+def _on_arrays(f):
+    """f as an array step calls a field: on the state, returning an array.
+
+    A field written on lists of floats is its own float form and returns a
+    list, which an array step cannot take; only `array_loop` sends such a
+    field, at most 64 values wide, to array steps, so the test wraps it.
+    """
+    return lambda t, y: np.array(f(t, y))
+
+
+def _recorded_newton_flow(params, x, cfg, wrap=None):
+    """_flow_and_monodromy's (end, monodromy) and the Solution behind them; integrate gets wrap(f)."""
     sols = []
 
-    def recorded(*args, **kwargs):
-        sols.append(integrate(*args, **kwargs))
+    def recorded(f, *args, **kwargs):
+        sols.append(integrate(f if wrap is None else wrap(f), *args, **kwargs))
         return sols[-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -125,21 +141,6 @@ def _recorded_newton_flow(params, x, cfg):
         out = periodic._flow_and_monodromy(params, np.array(x), cfg)
     assert len(sols) == 1
     return out, sols[0]
-
-
-def _recorded_monodromy(lin, cfg, hide=False):
-    """reproduction._end_state at lambda = 1, (10,), and its Solution; hide drops f.floats."""
-    sols = []
-
-    def recorded(f, *args, **kwargs):
-        sols.append(integrate((lambda t, y: f(t, y)) if hide else f, *args, **kwargs))
-        return sols[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reproduction, "integrate", recorded)
-        end = reproduction._end_state(lin, 1.0, cfg)
-    assert len(sols) == 1
-    return end, sols[0]
 
 
 @contextlib.contextmanager
@@ -376,7 +377,7 @@ class TestBatchIntegration:
         cfg = getattr(IntegratorConfig, profile)()
         (end, mono), sol = _recorded_newton_flow(params, x, cfg)
         with array_loop():
-            (end_ref, mono_ref), ref = _recorded_newton_flow(params, x, cfg)
+            (end_ref, mono_ref), ref = _recorded_newton_flow(params, x, cfg, _on_arrays)
         assert sol.step_count > 40
         _assert_same_solution(sol, ref)
         assert np.array_equal(end, end_ref) and np.array_equal(mono, mono_ref)
@@ -387,7 +388,7 @@ class TestBatchIntegration:
         grid = np.linspace(0.0, params.period, periodic.ORBIT_SAMPLES + 1)
         dense = integrate(f, 0.0, params.period, ya0, cfg, t_eval=grid)
         with array_loop():
-            dense_ref = integrate(f, 0.0, params.period, ya0, cfg, t_eval=grid)
+            dense_ref = integrate(_on_arrays(f), 0.0, params.period, ya0, cfg, t_eval=grid)
         _assert_same_solution(dense, dense_ref)
         assert np.array_equal(dense.final[:4], end)
 
@@ -454,26 +455,23 @@ class TestLoopRouting:
         assert floats == [(10, 10)]
         assert arrays == []
 
-    @pytest.mark.parametrize("members", [None, 1, 3, 4, 5, 6, 8])
-    def test_each_lambda_is_one_float_run(self, monkeypatch, spectral_cfg, members):
-        # a number lam, or an array of m lambdas (the search's rounds), goes
-        # straight to integrate as one 10-wide state a lambda, its monodromy
-        # with T, on float steps; none steps on arrays or goes through
-        # integrate_matrix
+    @pytest.mark.parametrize("lam", [2.0, np.float64(2.0), 2], ids=["float", "float64", "int"])
+    def test_each_lambda_is_one_float_run(self, monkeypatch, spectral_cfg, lam):
+        # a number lam goes straight to integrate as one 10-wide state, its
+        # monodromy with T, on float steps; none steps on arrays or goes
+        # through integrate_matrix. The field binds a Python float 1/lam
+        # whatever lam's type, so the steps' arithmetic stays on Python floats
         direct = count_calls(monkeypatch, reproduction, "integrate")
+        fields = count_calls(monkeypatch, reproduction, "_monodromy_field")
         runs = count_calls(monkeypatch, _integrate_module, "integrate")
         floats = count_calls(monkeypatch, _integrate_module, "_step_kernel")
         arrays = count_calls(monkeypatch, _integrate_module, "_array_step")
         lin = build_linearization(persistence_params())
-        lams = 1.0 if members is None else np.geomspace(0.5, 2.0, members)
-        radii = rho_for_lambda(lin, lams, spectral_cfg)
-        m = members or 1
-        assert [np.shape(args[3]) for args in direct] == [(10,)] * m and runs == []
-        assert (floats, arrays) == ([(10, 10)] * m, [])
-        if members is None:
-            assert isinstance(radii, float) and radii > 1.0
-        else:
-            assert radii.shape == (members,) and np.all(np.diff(radii) < 0.0)
+        radius = rho_for_lambda(lin, lam, spectral_cfg)
+        assert [np.shape(args[3]) for args in direct] == [(10,)] and runs == []
+        assert (floats, arrays) == ([(10, 10)], [])
+        assert [type(args[1]) for args in fields] == [float]
+        assert type(radius) is float and radius > 1.0  # persistence's R0 is near 65
 
     def test_matrix_without_float_form_takes_the_array_loop(self, monkeypatch, spectral_cfg):
         runs = count_calls(monkeypatch, _integrate_module, "integrate")
@@ -492,8 +490,7 @@ class TestLoopRouting:
         for f, y0 in [(periodic._augmented_field(params), np.concatenate([x, np.eye(4).ravel()])),
                       (vector_field(params), x)]:
             sol = integrate(f, 0.0, params.period, y0, spectral_cfg, t_eval=grid)
-            hidden = integrate(lambda t, y: f(t, y), 0.0, params.period, y0, spectral_cfg,
-                               t_eval=grid)
+            hidden = integrate(_hidden(f), 0.0, params.period, y0, spectral_cfg, t_eval=grid)
             _assert_same_solution(sol, hidden)
 
     @pytest.mark.parametrize("case", ["step-limit", "blow-up", "zero-denominator"])
@@ -565,22 +562,23 @@ class TestMatrixIntegration:
         cfg = getattr(IntegratorConfig, profile)()
         lin = build_linearization(persistence_params())
         with recorded_steps() as steps:
-            end, sol = _recorded_monodromy(lin, cfg)
+            rho, sol = recorded_monodromy(lin, 1.0, cfg)
         with array_loop():
-            end_ref, ref = _recorded_monodromy(lin, cfg)
+            rho_ref, ref = recorded_monodromy(lin, 1.0, cfg, _on_arrays)
         assert sol.step_count == len(steps) > 20
         assert sol.final.shape == (10,)
         _assert_same_solution(sol, ref)
-        assert np.array_equal(end, end_ref)
+        assert rho == rho_ref
 
     def test_hidden_float_form_gives_the_same_monodromy(self, spectral_cfg):
         # perfbench's tracer hands integrate a wrapper of the monodromy's
-        # field, without f.floats: on arrays that field runs the float form too
+        # field, without f.floats: the float loop then calls the field on an
+        # array, and np.float64 arithmetic rounds as Python floats do
         lin = build_linearization(persistence_params())
-        end, sol = _recorded_monodromy(lin, spectral_cfg)
-        hidden_end, hidden = _recorded_monodromy(lin, spectral_cfg, hide=True)
+        rho, sol = recorded_monodromy(lin, 1.0, spectral_cfg)
+        hidden_rho, hidden = recorded_monodromy(lin, 1.0, spectral_cfg, _hidden)
         _assert_same_solution(sol, hidden)
-        assert np.array_equal(end, hidden_end)
+        assert rho == hidden_rho
 
     def test_non_square_rejected(self, sim_cfg):
         with pytest.raises(ValueError):
@@ -700,7 +698,8 @@ def _controller_runs():
                      t_end, capped, id="(4,)"),
         pytest.param(lambda: integrate(vector_field(params), 0.0, t_end, batch, sim, t_eval=grid),
                      t_end, sim, id="(3, 4)"),
-        pytest.param(lambda: _recorded_monodromy(lin, spectral)[1], params.period, spectral,
+        # rho_for_lambda's run at lambda = 1; it replaces abs_tol, which the rule does not read
+        pytest.param(lambda: recorded_monodromy(lin, 1.0, spectral)[1], params.period, spectral,
                      id="(10,)"),
         # the cap of 1 on the factor after a rejection binds in none of the
         # runs above; a pulse that the step sizes have grown past binds it twice

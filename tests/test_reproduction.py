@@ -50,6 +50,7 @@ from .helpers import (
     exponential_operator,
     baseline_params,
     flat_mu_wide_d_params,
+    hide_float_forms,
     hill_on_time_grid,
     integrating_factor_bounds,
     interpolated_t_star_radii,
@@ -58,6 +59,7 @@ from .helpers import (
     power_iteration_radius,
     random_autonomous_params,
     random_periodic_params,
+    recorded_monodromy,
     refined_linearization,
     refined_r0,
     skewed_params,
@@ -197,10 +199,10 @@ class TestLinearization:
            seed=st.integers(0, 2**32 - 1))
     def test_float_form_is_the_product_left_to_right(self, rates, log_r0_factor, amps, t,
                                                       log_lam, seed):
-        # at T = T*(t), the monodromy field's float form has, for M, the bits of
-        # sum_j A(t)[i, j] * M[j, k] taken left to right over all three j (M's
-        # entries are nonzero, so the products with A's zeros add nothing), and
-        # for T those of mu(t) - d(t) T; its array form has the same bits
+        # at T = T*(t), the monodromy field, its own float form, has, for M, the
+        # bits of sum_j A(t)[i, j] * M[j, k] taken left to right over all three
+        # j (M's entries are nonzero, so the products with A's zeros add
+        # nothing), and for T those of mu(t) - d(t) T
         rng = np.random.default_rng(seed)
         matrix = rng.uniform(-1.0, 1.0, size=(3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0,
                                                                             size=(3, 3))
@@ -208,7 +210,8 @@ class TestLinearization:
         lam = 10.0 ** log_lam
         ts = lin.t_star.value(t)
         f = reproduction._monodromy_field(lin, lam)
-        got = f.floats(10)(t, matrix.ravel().tolist() + [ts])
+        assert f.floats(10) is f
+        got = f(t, matrix.ravel().tolist() + [ts])
         # Python floats, not np.float64, whose arithmetic takes about twice as long
         assert all(type(v) is float for v in got)
         a, m = combined(lin, lam)(t).tolist(), matrix.tolist()
@@ -222,8 +225,6 @@ class TestLinearization:
         mu_t, _, d_t = lin.params.rates(t)
         expected.append(mu_t - d_t * ts)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
-        on_arrays = f(t, np.array(matrix.ravel().tolist() + [ts]))
-        assert on_arrays.shape == (10,) and on_arrays.tobytes() == np.array(got).tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(rates=RATES, log_r0_factor=st.floats(-1.5, 1.5), amps=AMPS,
@@ -231,18 +232,18 @@ class TestLinearization:
            seed=st.integers(0, 2**32 - 1))
     def test_float_form_is_the_combined_field_at_one_over_lambda(self, rates, log_r0_factor,
                                                                  amps, t, log_lam, seed):
-        # on any 10 values, T off T* included, the float form has the bits of
-        # `_combined_field` with lin's rates and 1/lam, and the array form,
-        # which a caller that hides f.floats gets, the same
+        # on any 10 values, T off T* included, the field has the bits of
+        # `_combined_field` with lin's rates and 1/lam, and so on an array, as
+        # integrate calls it for a caller that hides f.floats, once raveled
         lin = build_linearization(admissible_periodic(rates, log_r0_factor, amps))
         p, lam = lin.params, 10.0 ** log_lam
         rng = np.random.default_rng(seed)
         y = rng.uniform(-1.0, 1.0, size=10) * 10.0 ** rng.uniform(-3.0, 3.0, size=10)
         y[9] = rng.uniform(0.0, 100.0)  # T
         f = reproduction._monodromy_field(lin, lam)
-        got = f.floats(10)(t, y.tolist())
+        got = f(t, y.tolist())
         assert len(got) == 10 and all(type(v) is float for v in got)
-        on_arrays = f(t, y)
+        on_arrays = np.ravel(f(t, y))
         assert on_arrays.shape == y.shape and on_arrays.tobytes() == np.array(got).tobytes()
         alone = reproduction._combined_field(
             p.angular_frequency, p.mu.mean, p.mu.amplitude, p.beta.mean, p.beta.amplitude,
@@ -444,17 +445,18 @@ class TestR0Periodic:
         for a, b in zip(rhos, rhos[1:]):
             assert a >= b - 1e-9
 
-    def test_stacked_lambdas_match_scalar_calls(self, spectral_cfg):
-        # each lambda of an array is its own integration, so its radius has the
-        # bits of a call on that lambda alone
+    def test_a_numpy_scalar_gives_the_bits_of_its_float(self, spectral_cfg):
         lin = build_linearization(persistence_params())
-        for m in (1, 3, 6, 8):
-            lams = np.geomspace(0.5, 500.0, m)
-            stacked = rho_for_lambda(lin, lams, spectral_cfg)
-            assert stacked.shape == (m,)
-            scalar = [rho_for_lambda(lin, lam, spectral_cfg) for lam in lams]
-            assert all(isinstance(r, float) for r in scalar)
-            assert stacked.tobytes() == np.array(scalar).tobytes()
+        for lam in np.geomspace(0.5, 500.0, 3):
+            radius = rho_for_lambda(lin, lam, spectral_cfg)
+            assert type(radius) is float and radius == rho_for_lambda(lin, float(lam),
+                                                                      spectral_cfg)
+
+    def test_an_array_of_lambdas_is_a_type_error(self, spectral_cfg):
+        # one number a call: an array of lambdas is not a stack of runs
+        with pytest.raises(TypeError):
+            rho_for_lambda(build_linearization(persistence_params()), np.array([1.0, 2.0]),
+                           spectral_cfg)
 
     def test_scale_covariance_of_infection_term(self):
         # scaling beta scales F, and the root characterization scales with it
@@ -544,12 +546,16 @@ class TestR0Search:
         assert rho_calls[0][1] == 1.0
         assert np.shape(direct_calls[0][3]) == (10,)
 
-    def test_each_round_is_one_call_of_one_integration_a_lambda(self, monkeypatch):
+    def test_each_lambda_is_one_call_of_one_integration(self, monkeypatch):
         # with the Fourier value unconverged the search starts from K's two bounds
         monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
         calls = _spy_search(monkeypatch)
-        res = r0_periodic(persistence_params())
-        _assert_one_integration_a_lambda(*calls, res, first=[2])
+        params = persistence_params()
+        res = r0_periodic(params)
+        _assert_one_integration_a_lambda(*calls, res)
+        assert [lam for lam, _ in res.trace[1:3]] == list(
+            reproduction._operator_bounds(build_linearization(params), 1e-8))
+        assert res.iterations > 3
 
     def test_evaluation_budget_persistence(self):
         assert r0_periodic(persistence_params()).iterations <= 12
@@ -630,12 +636,12 @@ def _search(rho, root, guess_factor, tol):
     """
     rounds = []
 
-    def stacked(lams):
+    def a_round(lams):
         rounds.append(len(lams))
         return [rho(lam) for lam in lams]
 
     lams = [root / 20.0, 20.0 * root] + _pair(root * guess_factor, tol)
-    return _unit_crossing(stacked, [(lam, rho(lam)) for lam in lams], tol), rounds
+    return _unit_crossing(a_round, [(lam, rho(lam)) for lam in lams], tol), rounds
 
 
 class TestUnitCrossing:
@@ -667,12 +673,12 @@ class TestUnitCrossing:
         for radius in (2.0, 0.5):
             rounds = []
 
-            def stacked(lams):
+            def a_round(lams):
                 rounds.append(lams)
                 return [radius] * len(lams)
 
             with pytest.raises(BracketFailure):
-                _unit_crossing(stacked, [(1.0, radius), (3.0, radius)], 1e-8)
+                _unit_crossing(a_round, [(1.0, radius), (3.0, radius)], 1e-8)
             assert rounds == []
 
     def test_bracket_failure_when_the_rounds_run_out(self, monkeypatch):
@@ -680,12 +686,12 @@ class TestUnitCrossing:
         monkeypatch.setattr(reproduction, "MAX_ROUNDS", 0)
         rounds = []
 
-        def stacked(lams):
+        def a_round(lams):
             rounds.append(lams)
             return [1.0 / lam for lam in lams]
 
         with pytest.raises(BracketFailure, match="^no bracket within 0 rounds$"):
-            _unit_crossing(stacked, [(0.5, 2.0), (2.0, 0.5)], 1e-8)
+            _unit_crossing(a_round, [(0.5, 2.0), (2.0, 0.5)], 1e-8)
         assert rounds == []
 
 
@@ -730,7 +736,7 @@ def _bounds_protocol(params, guess, tol):
     trace = [(1.0, rho_for_lambda(lin, 1.0, cfg))]
 
     def rho(lams):
-        radii = rho_for_lambda(lin, np.array(lams), cfg).tolist()
+        radii = [rho_for_lambda(lin, lam, cfg) for lam in lams]
         trace.extend(zip(lams, radii))
         return radii
 
@@ -864,10 +870,9 @@ class TestLiouville:
         cfg = load_config(str(config_dir / f"{name}.ini"))
         params, P = cfg.params, cfg.params.period
         lin = build_linearization(params)
-        # rho_for_lambda's error control: relative to each entry, whatever abs_tol
-        relative = replace(cfg.integrator, abs_tol=sys.float_info.min)
-        M = reproduction._end_state(lin, 1.0, relative)[:9].reshape(3, 3)
-        assert abs(floquet_multipliers(M)[0]) == rho_for_lambda(lin, 1.0, cfg.integrator)
+        rho, sol = recorded_monodromy(lin, 1.0, cfg.integrator)
+        M = sol.final[:9].reshape(3, 3)
+        assert abs(floquet_multipliers(M)[0]) == rho
         sign, log_det = np.linalg.slogdet(M)
         expected = (-(params.k + params.delta + params.c) * P
                     + 2.0 * math.log(periodic._period_decay(params)))
@@ -894,21 +899,17 @@ def _spy_search(monkeypatch):
         (reproduction, "_monodromy_field"), (integrate_module, "integrate"))]
 
 
-def _assert_one_integration_a_lambda(rho_calls, direct_calls, fields, matrix_runs, res, first):
-    """lambda = 1 alone, then one rho_for_lambda call a round, each lambda one 10-wide run.
+def _assert_one_integration_a_lambda(rho_calls, direct_calls, fields, matrix_runs, res):
+    """One rho_for_lambda call a lambda, lambda = 1 first, each one 10-wide run.
 
-    The first calls have `first` lambdas, each later one at most 5, and the
-    runs' lambdas are the trace's, in its order; none goes through
-    integrate_matrix.
+    The calls' lambdas, each a number, and the runs' are the trace's, in its
+    order; none goes through integrate_matrix.
     """
-    sizes = [np.size(call[1]) for call in rho_calls[1:]]
+    lams = [lam for lam, _ in res.trace]
+    assert [call[1] for call in rho_calls] == lams and lams[0] == 1.0
+    assert all(type(call[1]) is float for call in rho_calls)
     assert [np.shape(call[3]) for call in direct_calls] == [(10,)] * res.iterations
-    assert [call[1] for call in fields] == [lam for lam, _ in res.trace] and matrix_runs == []
-    assert rho_calls[0][1] == 1.0 and np.ndim(rho_calls[0][1]) == 0
-    assert len(sizes) > len(first) and sizes[:len(first)] == first
-    # three chord crossings and two thirds
-    assert all(size <= 5 for size in sizes[len(first):])
-    assert 1 + sum(sizes) == res.iterations
+    assert [call[1] for call in fields] == lams and matrix_runs == []
 
 
 def _straddles(res, tol):
@@ -1107,8 +1108,8 @@ class _Searched(Exception):
 
 
 def _radius_at_one_only(lin, lam, cfg):
-    """A `rho_for_lambda` for the certified route: nan at lambda = 1, _Searched for an array."""
-    if np.ndim(lam):
+    """A `rho_for_lambda` for the certified route: nan at lambda = 1, _Searched at any other."""
+    if lam != 1.0:
         raise _Searched
     return math.nan
 
@@ -1233,7 +1234,7 @@ class TestFallback:
         res = r0_periodic(params, tol=tol)
         assert res.trace[0] == (1.0, res.rho_at_one)
         # the shifted pair, inside K's bounds, lies above R0, so the bounds follow it
-        _assert_one_integration_a_lambda(*calls, res, first=[2, 2])
+        _assert_one_integration_a_lambda(*calls, res)
         assert [lam for lam, _ in res.trace[1:3]] == _pair(value + 3.0 * tol, tol)
         assert [lam for lam, _ in res.trace[3:5]] == list(
             reproduction._operator_bounds(build_linearization(params), tol))
@@ -1253,7 +1254,19 @@ class TestFallback:
         res = r0_periodic(params, tol=tol)
         assert res.iterations == 3 and [lam for lam, _ in res.trace[1:]] == pair
         assert list(res.bracket) == pair and _straddles(res, tol)
-        assert len(bounds) == 1 and [np.size(call[1]) for call in rho_calls] == [1, 2]
+        assert len(bounds) == 1 and [call[1] for call in rho_calls] == [1.0, *pair]
+
+    @pytest.mark.parametrize("params", [persistence_params(), baseline_params()],
+                             ids=["persistence", "baseline"])
+    def test_hidden_float_form_gives_the_same_search(self, monkeypatch, params):
+        # perfbench's tracer hands integrate a wrapper without f.floats: each
+        # lambda's run then calls the monodromy field on arrays, and the
+        # search returns the same R0Result, trace and bracket included
+        monkeypatch.setattr(reproduction, "_hill_r0", _unconverged_hill)
+        res = r0_periodic(params)
+        starts = hide_float_forms(monkeypatch, reproduction)
+        assert r0_periodic(params) == res
+        assert len(starts) == res.iterations > 3
 
     def test_tolerance_below_the_fourier_accuracy(self, monkeypatch):
         # the enclosure is about 1e-15 wide here and still certifies Hill's value
@@ -1357,12 +1370,13 @@ def _wide_beta_params(period):
 class TestConvexity:
     def test_log_rho_is_convex_in_log_lambda(self, spectral_cfg):
         # the search's chord bounds rest on it (Kingman 1961): 21 lambdas evenly
-        # spaced in log lambda over R0 e^-1 .. R0 e^1, one call a set
+        # spaced in log lambda over R0 e^-1 .. R0 e^1, one call each
         rng = np.random.default_rng(20240103)
         for _ in range(10):
             params = random_periodic_params(rng)
+            lin = build_linearization(params)
             lams = r0_periodic(params).value * np.exp(np.linspace(-1.0, 1.0, 21))
-            log_rho = np.log(rho_for_lambda(build_linearization(params), lams, spectral_cfg))
+            log_rho = np.log([rho_for_lambda(lin, lam, spectral_cfg) for lam in lams])
             assert np.all(np.diff(log_rho, 2) > 0.0)
 
 
@@ -1405,7 +1419,7 @@ class TestSlowForcingLimit:
 class TestRhoAtOne:
     @pytest.mark.parametrize("route", ["no-infection-term", "enclosure", "u-not-positive",
                                        "enclosure-outside", "hill-nan"])
-    def test_one_unstacked_call_on_every_route(self, monkeypatch, route):
+    def test_lambda_one_first_and_once_on_every_route(self, monkeypatch, route):
         params = zero_beta_params() if route == "no-infection-term" else persistence_params()
         if route == "u-not-positive":
             monkeypatch.setattr(reproduction, "_hill_r0", _negated_hill)
@@ -1416,8 +1430,8 @@ class TestRhoAtOne:
         rho_calls = count_calls(monkeypatch, reproduction, "rho_for_lambda")
         res = r0_periodic(params)
         lams = [call[1] for call in rho_calls]
-        assert lams[0] == 1.0 and np.ndim(lams[0]) == 0
-        assert all(np.ndim(lam) == 1 and 1.0 not in lam for lam in lams[1:])
+        assert lams == [lam for lam, _ in res.trace] and lams[0] == 1.0
+        assert all(type(lam) is float for lam in lams) and 1.0 not in lams[1:]
         assert (len(lams) == 1) == (route in ("no-infection-term", "enclosure"))
         lin, cfg = build_linearization(params), IntegratorConfig.spectral()
         assert res.trace[0] == (1.0, res.rho_at_one)
@@ -1435,8 +1449,7 @@ class TestRhoAtOne:
         oracle = interpolated_t_star_radii(lin, [1.0], IntegratorConfig(rel_tol=1e-12))[0]
         assert abs(r0_periodic(cfg.params).rho_at_one - oracle) <= 2e-9 * oracle
         # the carried T closes on T*(0) over the period, at the config's tolerance
-        relative = replace(cfg.integrator, abs_tol=sys.float_info.min)
-        t_end = reproduction._end_state(lin, 1.0, relative)[9]
+        t_end = recorded_monodromy(lin, 1.0, cfg.integrator)[1].final[9]
         t0 = lin.t_star.t_star_initial
         assert abs(t_end - t0) <= 1e-12 * t0
 
@@ -1486,10 +1499,8 @@ class TestRhoAtOne:
     def test_abs_tol_does_not_apply(self, rates, log_r0_factor, amps, lam, abs_tols):
         lin = build_linearization(admissible_periodic(rates, log_r0_factor, amps))
         first, second = (IntegratorConfig(rel_tol=1e-8, abs_tol=a) for a in abs_tols)
-        assert rho_for_lambda(lin, lam, first) == rho_for_lambda(lin, lam, second)
-        stack = np.array([lam, 2.0 * lam])
-        assert np.array_equal(rho_for_lambda(lin, stack, first),
-                              rho_for_lambda(lin, stack, second))
+        for x in (lam, 2.0 * lam):
+            assert rho_for_lambda(lin, x, first) == rho_for_lambda(lin, x, second)
 
     def test_long_periods_end(self, config_dir):
         # P = 30,000 h: the lambda = 1 monodromy decays below 1e-300 under relative
