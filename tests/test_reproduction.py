@@ -34,13 +34,13 @@ from perivir import periodic, reproduction
 from perivir.cli import load_config, main
 from perivir.reproduction import _hill_r0, _pair, _unit_crossing
 
+from . import census
 from .helpers import (
     AMPS,
     MP_R0,
     RATES,
     adiabatic_r0,
     admissible_periodic,
-    beta_at_threshold,
     bisection_r0,
     bisection_root,
     closed_form_r0,
@@ -1215,6 +1215,30 @@ class TestMpReferences:
         reference = float(MP_R0[name])
         assert res.enclosure is not None
         assert abs(res.value - reference) <= 1e-14 * reference
+
+
+class TestCensus:
+    # the shipped configs and census.SEEDS' draws at 24 h and at long
+    # periods; a PR that moves a route or an order rewrites census.json
+    # (`python -m tests.census`) and names each set in CHANGES.md. A 24 h R0
+    # is Hill's value at order 4 or 8, identical on one BLAS thread and on
+    # the default threads; at long periods the orders reach 64, where the two
+    # thread settings differed by up to 2.2e-10 relative
+    LONG_PERIOD_REL = 5e-10
+
+    def test_routes_orders_and_r0s_match_the_pinned_table(self):
+        pinned = json.loads((ROOT / "tests" / "census.json").read_text())
+        got, moved = census.table(), []
+        assert got.keys() == pinned.keys()
+        for name, entries in pinned.items():
+            for i, ((order, value), (got_order, got_value)) in enumerate(zip(entries, got[name])):
+                if (name, i) in census.APART:
+                    continue
+                same = (got_value == value if value is None or not name.endswith("/long")
+                        else abs(got_value - value) <= self.LONG_PERIOD_REL * value)
+                if got_order != order or not same:
+                    moved.append((name, i, [order, value], [got_order, got_value]))
+        assert moved == []
 
 
 class TestFallback:
