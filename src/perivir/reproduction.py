@@ -17,22 +17,20 @@ virus load, as K = p k S_V^-1 S_I^-1 S_E^-1 (f .), each S one
 truncated Fourier matrix on T*'s basis, `periodic._hill_basis`, gives R0
 (Hill's method; Deconinck & Kutz 2006); `_apply_k` is K on coefficients.
 
-K certifies that value itself: K is positive, so for Hill's top
-eigenfunction u > 0, min (K u)/u <= R0 <= max (K u)/u (Collatz-Wielandt;
-Thieme 2009, SIAM J. Appl. Math. 70:188; Bacaer & Guernaoui 2006,
-J. Math. Biol. 53:421) for any u > 0 once K u is accurate: it is taken
-ENCLOSURE_MARGIN harmonics above u's order, on the T* nodes
-(`_collatz_wielandt`). The order doubles from 4 and stops at the first
-whose bounds lie inside value -+ tol/2: that pair is the bracket. When no
-order up to HILL_MAX_ORDER certifies, the search starts from K 1: its
-bounds on the T* nodes bracket R0 by the same theorem (`_operator_bounds`).
-The search evaluates the pair of the first value from order 16 on that
-agrees with the order before it within tol/4, when it lies between the
-bounds; when it straddles 1 it is the bracket, and otherwise the bounds
-are evaluated too. Rounds then narrow the bracket, using that log rho is
-convex in log lambda (Kingman 1961, Quart. J. Math. 12:283): the chord
-across the bracket crosses 1 right of R0, and a chord through an end and
-its outer neighbour crosses 1 left of it (`_unit_crossing`). Each lambda
+K certifies that value itself: K is positive, so min (K u)/u <= R0 <=
+max (K u)/u for any u > 0 (Collatz-Wielandt; Thieme 2009, SIAM J. Appl.
+Math. 70:188; Bacaer & Guernaoui 2006, J. Math. Biol. 53:421), widened by
+K u's error bound from its solves' residuals (`_collatz_wielandt`). The
+order doubles from 4 and stops at the first whose bounds on Hill's top
+eigenfunction lie inside value -+ tol/2: that pair is the bracket. Else
+the search starts from the bounds on u = 1 (`_operator_bounds`) and
+evaluates the pair of the first value from order 16 on that agrees with
+the order before it within tol/4, when it lies between the bounds; when it
+straddles 1 it is the bracket, and otherwise the bounds are evaluated
+too. Rounds then narrow the bracket, using that log rho is convex in log
+lambda (Kingman 1961, Quart. J. Math. 12:283): the chord across the
+bracket crosses 1 right of R0, and a chord through an end and its outer
+neighbour crosses 1 left of it (`_unit_crossing`). Each lambda
 is one `rho_for_lambda` call, one 10-wide integration of its 3x3
 monodromy with T carried after it, T' = mu - d T from T*(0)
 (`_combined_field`); rho(Phi_{F-G}(P)), whose side of 1 is R0's, is the
@@ -64,11 +62,10 @@ __all__ = [
     "r0_autonomous",
 ]
 
-R0_TOL = 1e-8         # r0_periodic's default bracket width
-MAX_ROUNDS = 40       # search rounds after the first
-HILL_MAX_ORDER = 64   # highest harmonic of the Fourier truncation
-ENCLOSURE_MARGIN = 16          # harmonics K u is taken at beyond u's order
-ENCLOSURE_RESOLUTION = 1e-12   # largest top-quarter harmonic of f u / largest, at most
+R0_TOL = 1e-8          # r0_periodic's default bracket width
+MAX_ROUNDS = 40        # search rounds after the first
+HILL_MAX_ORDER = 64    # highest harmonic of the Fourier truncation
+ENCLOSURE_MARGIN = 16  # harmonics K u is taken at beyond u's order
 
 
 class BracketFailure(NumericalFailure):
@@ -125,8 +122,8 @@ class R0Result:
     search, 3 when Hill's pair straddles 1, else 3 after K's bounds (5 with
     Hill's pair inside them) plus each round's lambdas. rho_at_one is
     rho(Phi_{F-G}(P)); sign(value - 1) == sign(rho_at_one - 1). enclosure
-    is (min, max) of (K u)/u, the Collatz-Wielandt bounds that certified
-    the bracket, and None on every other route.
+    is the widened (min, max) of (K u)/u, the Collatz-Wielandt bounds that
+    certified the bracket, and None on every other route.
     """
 
     value: float
@@ -250,7 +247,7 @@ def _hill_r0(lin: LinearizedSystem, order: int) -> tuple[float, np.ndarray | Non
     """
     f = lin._f
     basis = phi, weights, *_ = _hill_basis(len(f), order)
-    x = _apply_k(lin, weights[:, None] * (phi.T @ (f[:, None] * phi)), basis)
+    x = _apply_k(lin, weights[:, None] * (phi.T @ (f[:, None] * phi)), basis)[0]
     eye = np.eye(2 * order + 1)
     eig = np.linalg.eigvals(x)
     top = eig[np.argmax(np.abs(eig))]
@@ -264,54 +261,56 @@ def _hill_r0(lin: LinearizedSystem, order: int) -> tuple[float, np.ndarray | Non
     return value, (u if u.sum() > 0.0 else -u)
 
 
-def _apply_k(lin: LinearizedSystem, g: np.ndarray, basis) -> np.ndarray:
-    """p k S_V^-1 S_I^-1 S_E^-1 g: K on coefficients g (a vector, or a matrix's columns) on basis.
+def _apply_k(lin: LinearizedSystem, g: np.ndarray, basis) -> tuple[np.ndarray, list]:
+    """(K g, solves): K on coefficients g (a vector, or a matrix's columns) on basis.
 
-    S_x = d/dt + x + d(t) for x = k, delta, and S_V = d/dt + c: each one
-    `periodic._periodic_operator` on basis, of (x + d's mean, d's amplitude) or (c, 0).
+    K g = p k S_V^-1 S_I^-1 S_E^-1 g. S_x = d/dt + x + d(t) for x = k, delta,
+    and S_V = d/dt + c: each one `periodic._periodic_operator` on basis, of
+    (a, b) = (x + d's mean, d's amplitude) or (c, 0). solves holds each
+    one's (a, b, y) in turn, y its solution from the y before.
     """
-    p, d = lin.params, lin.params.d
-    for mean, amplitude in ((p.k + d.mean, d.amplitude), (p.delta + d.mean, d.amplitude),
-                            (p.c, 0.0)):
-        g = np.linalg.solve(_periodic_operator(p.angular_frequency, mean, amplitude, basis), g)
-    return p.p * p.k * g
+    p, d, solves = lin.params, lin.params.d, []
+    for a, b in ((p.k + d.mean, d.amplitude), (p.delta + d.mean, d.amplitude), (p.c, 0.0)):
+        g = np.linalg.solve(_periodic_operator(p.angular_frequency, a, b, basis), g)
+        solves.append((a, b, g))
+    return p.p * p.k * g, solves
 
 
 def _collatz_wielandt(lin: LinearizedSystem, u: np.ndarray | None,
                       order: int) -> tuple[float, float] | None:
-    """(min, max) of (K u)/u on the T* nodes, or None.
+    """(min, max) of (K u)/u on the T* nodes, each widened by K u's error over min u; or None.
 
-    K is `_hill_r0`'s operator and u > 0, so the two enclose R0
-    (Collatz-Wielandt; Thieme 2009). K u is `_apply_k` on f u's
-    coefficients at order + ENCLOSURE_MARGIN, back through phi. None unless
-    u is positive on the nodes and no harmonic of f u's top quarter there
-    exceeds ENCLOSURE_RESOLUTION of the largest.
+    K u is `_hill_r0`'s K on f u's coefficients ENCLOSURE_MARGIN harmonics
+    above order; for u > 0 on the nodes the two enclose R0 (Collatz-Wielandt;
+    Thieme 2009). Each S = d/dt + a + b sin(w t) has a positive Green's
+    function of mass at most 1/(a - |b|), so a solve whose residual on the
+    nodes (against f u itself first, its truncation inside) is r errs there
+    by at most (r + e)/(a - |b|), e the error before (Higham 2002, ch. 7).
+    The bound holds on the nodes only (Bernstein's inequality between them is
+    not applied), a posteriori in floats: numpy has no directed rounding (Rump 2010).
     """
-    if u is None:
+    if u is None or not np.all(u > 0.0):
         return None
     n = order + ENCLOSURE_MARGIN
-    basis = phi, weights, *_ = _hill_basis(len(u), n)
-    c = weights * ((lin._f * u) @ phi)
-    size = np.r_[abs(c[0]), np.hypot(c[1:n + 1], c[n + 1:])]
-    if not (np.all(u > 0.0) and size[3 * n // 4:].max() <= ENCLOSURE_RESOLUTION * size.max()):
-        return None
-    ratio = (phi @ _apply_k(lin, c, basis)) / u
-    return float(ratio.min()), float(ratio.max())
+    basis = phi, weights, deriv, _ = _hill_basis(len(u), n)
+    g, e, w = lin._f * u, 0.0, lin.params.angular_frequency
+    ku, solves = _apply_k(lin, weights * (g @ phi), basis)
+    for a, b, y in solves:  # phi's column n + 1 is sin(w t) on the nodes
+        nodes = phi @ y
+        residual = w * (phi @ (deriv @ y)) + (a + b * phi[:, n + 1]) * nodes - g
+        g, e = nodes, (float(np.abs(residual).max()) + e) / (a - abs(b))
+    ratio, widening = (phi @ ku) / u, lin.params.p * lin.params.k * e / float(u.min())
+    return float(ratio.min()) - widening, float(ratio.max()) + widening
 
 
 def _operator_bounds(lin: LinearizedSystem, tol: float) -> tuple[float, float]:
-    """Bounds on R0 from K 1 alone, each end widened by tol/2 and the lower kept above 0.
+    """K 1's `_collatz_wielandt` bounds on R0, each end widened by tol/2, the lower kept above 0.
 
-    The periodic solution of (d/dt + a + d(t)) y = g lies within
-    [inf g/(a + sup d), sup g/(a + inf d)], so K 1 lies within
-    [p k f_min / (c (k + d_max)(delta + d_max)), p k f_max / (c (k + d_min)(delta + d_min))],
-    f on the T* nodes, and min K 1 <= R0 <= max K 1 (Collatz-Wielandt).
+    Raises BracketFailure when the lower bound is not positive.
     """
-    params, f = lin.params, lin._f
-    d_min, d_max = params.d.mean - params.d.amplitude, params.d.mean + params.d.amplitude
-    scale = params.p * params.k / params.c
-    low = scale * float(f.min()) / ((params.k + d_max) * (params.delta + d_max))
-    high = scale * float(f.max()) / ((params.k + d_min) * (params.delta + d_min))
+    low, high = _collatz_wielandt(lin, np.ones(len(lin._f)), 0)
+    if not low > 0.0:
+        raise BracketFailure("K 1 does not bound R0 away from 0 on the T* nodes")
     return max(low - 0.5 * tol, 0.5 * low), high + 0.5 * tol
 
 

@@ -34,9 +34,6 @@ from .helpers import random_periodic_params
 SEEDS = (4545, 12345, 7)
 DRAWS = 120
 SHIPPED = ("baseline", "extinction", "persistence")
-# (list, index) of sets whose route the BLAS thread count decides: the
-# table holds their one-thread entry, and tier-1 does not compare them
-APART = {("12345/long", 11)}
 
 
 class _Searched(Exception):

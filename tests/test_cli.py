@@ -886,16 +886,18 @@ class TestStderrContract:
 
     @pytest.mark.parametrize("case, command, code", [
         ("bad-key", "r0", 2),
-        ("extinction-at-30000-h", "r0", 3),    # NonFiniteState in the lambda = 1 monodromy
+        ("growth-at-2190-h", "r0", 3),  # NonFiniteState: the lambda = 1 monodromy overflows
         ("above-the-ceiling", "validate", 4),
-        ("wide-d-at-30000-h", "r0", 3),  # d = 0.03 + 0.027 sin: e^{D(t)} overflowed Simpson's T*
+        ("step-limit", "r0", 3),  # StepLimitExceeded in the lambda = 1 monodromy
         ("t-star-unresolved", "r0", 3),  # UnresolvedTStar at 100,000 h, d = 0.05 + 0.0495 sin
     ])
     def test_one_line_per_failure(self, config_dir, tmp_path, case, command, code):
         text = {"bad-key": lambda: GOOD_CONFIG.replace("rel_tol = 1e-9", "rel_tl = 1e-9"),
-                "extinction-at-30000-h": lambda: _extinction_at(config_dir, 30_000.0),
+                "growth-at-2190-h": lambda: GOOD_CONFIG.replace(repr(2 * math.pi / 24),
+                                                                repr(2 * math.pi / 2190)),
                 "above-the-ceiling": lambda: GOOD_CONFIG,
-                "wide-d-at-30000-h": lambda: _extinction_at(config_dir, 30_000.0, "0.03 0.027"),
+                "step-limit": lambda: GOOD_CONFIG.replace("abs_tol = 1e-12",
+                                                          "abs_tol = 1e-12\nmax_steps = 10"),
                 "t-star-unresolved": lambda: _extinction_at(config_dir, 1e5, "0.05 0.0495"),
                 }[case]()
         path = tmp_path / "case.ini"

@@ -1,7 +1,9 @@
 """Source hygiene checks that stand in for a linter.
 
-Every name a module in src/perivir imports must be used in that module,
-listed in its __all__, or come from __future__. A star import appears only
+Every name a Python file in src/perivir, tests, demos or perfbench
+imports must be used in that file, listed in its __all__, or come from
+__future__; an import whose line carries `# noqa: F401` is kept for its
+side effect. A star import appears only
 in __init__.py and only from a sibling whose literal __all__ lists names
 that sibling defines, so each public name is declared once, in its module,
 and the package's public names are its compute modules' __all__ and the
@@ -68,6 +70,7 @@ def unused_imports(source: str) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 if name != "*":  # binds the names star_imports checks
                     imported[name] = node.lineno
+    kept = {i for i, line in enumerate(source.splitlines(), 1) if "# noqa: F401" in line}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
@@ -75,7 +78,7 @@ def unused_imports(source: str) -> list[str]:
             used |= {elt.value for elt in node.value.elts
                      if isinstance(elt, ast.Constant) and isinstance(elt.value, str)}
     return sorted(f"line {line}: {name}" for name, line in imported.items()
-                  if name not in used)
+                  if name not in used and line not in kept)
 
 
 def _top_level_definitions(tree: ast.Module):
@@ -154,7 +157,10 @@ def unread_dataclass_fields(sources: dict[str, str], readers: list[str]) -> list
     return unread
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(path for folder in ("tests", "demos", "perfbench")
+                                              for path in (ROOT / folder).glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -163,6 +169,7 @@ def test_detector_flags_unused_and_honours_all_and_future():
     source = ("from __future__ import annotations\n"
               "import math\nimport os\nfrom json import dumps, loads\n"
               "__all__ = ['dumps']\n"
+              "import json  # noqa: F401\n"
               "x = math.pi\n")
     assert unused_imports(source) == ["line 3: os", "line 4: loads"]
 
