@@ -31,7 +31,7 @@ from .analysis import GRID_POINTS_PER_PERIOD, monitor_invariants, simulate, swee
 from .integrate import IntegratorConfig, NumericalFailure
 from .model import (COEFF_KEYS, COEFF_NAMES, CONSTANT_NAMES, ModelParameters,
                     SinusoidalCoefficient, State, Trajectory)
-from .periodic import NEWTON_TOL, find_periodic_orbit, warm_start_guess
+from .periodic import NEWTON_TOL, collocation_guess, find_periodic_orbit, warm_start_guess
 from .reproduction import R0_TOL, r0_periodic
 from .svgplot import Panel, Series, write_panels
 
@@ -179,9 +179,13 @@ def load_config(path: str) -> RunConfig:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    """Write the CSV as one string; a number (a bool is not one) as repr(float(v)), else str(v)."""
+    """Write the CSV as one string; a number (a bool is not one) as repr(float(v)), else str(v).
+
+    A Python float, the common cell, is tested for first: repr(v) is repr(float(v)) for it.
+    """
     lines = [",".join(header)]
-    lines += [",".join([repr(float(v)) if isinstance(v, (int, float, np.floating))
+    lines += [",".join([repr(v) if type(v) is float
+                        else repr(float(v)) if isinstance(v, (int, float, np.floating))
                         and not isinstance(v, bool) else str(v) for v in row])
               for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -240,11 +244,19 @@ def _cmd_r0(cfg: RunConfig, args) -> int:
 
 
 def _cmd_orbit(cfg: RunConfig, args) -> int:
-    # find_periodic_orbit checks this too, but only after the warm start has run
+    # find_periodic_orbit and warm_start_guess check these too, but only after
+    # the start is computed, and the warm start runs only where collocation
+    # does not resolve the orbit: each option is checked on every route
     if not 0.0 <= args.newton_tol < math.inf:  # written so that nan fails
         raise ValueError("newton_tol must be finite and nonnegative")
+    if not math.isfinite(args.transient):
+        raise ValueError("transient must be finite")
+    if math.floor(args.transient / cfg.params.period) < 1:
+        raise ValueError("transient must cover at least one period")
     first = State.from_array(_ic_batch(cfg, "orbit")[0])
-    guess = warm_start_guess(cfg.params, first, args.transient, cfg.integrator)
+    guess = collocation_guess(cfg.params, cfg.integrator)
+    if guess is None:
+        guess = warm_start_guess(cfg.params, first, args.transient, cfg.integrator)
     orbit = find_periodic_orbit(cfg.params, guess, cfg.integrator,
                                 newton_tol=args.newton_tol)
     _write_csv(args.out, ("t", "T", "E", "I", "V"),
@@ -337,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("orbit", _cmd_orbit, "locate an endemic periodic orbit by Newton shooting")
     sp.add_argument("--transient", type=float, default=2000.0,
-                    help="warm-start transient length (hours), integrated one period "
+                    help="warm-start transient length (hours), used only where Fourier "
+                         "collocation does not resolve the orbit: integrated one period "
                          "at a time at simulation tolerance or looser; an upper bound, "
                          "it stops once the period map has settled")
     sp.add_argument("--newton-tol", type=float, default=NEWTON_TOL,

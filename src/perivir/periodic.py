@@ -11,7 +11,9 @@ the two routes cross-check each other.
 Interior (endemic) periodic orbits are located as fixed points of the
 full Poincare map by Newton shooting, with the Newton Jacobian taken from
 the variational equation integrated along the trajectory rather than from
-finite differences of the map.
+finite differences of the map. Shooting starts from trigonometric
+collocation on the same basis where that resolves the orbit
+(`collocation_guess`), and from Poincare passes otherwise (`warm_start_guess`).
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ TSTAR_MAX_ORDER = 128       # highest harmonic of T*'s Galerkin solve; 2N+1 < TS
 TSTAR_RESOLUTION = 1e-15    # largest top-quarter harmonic / mean, at most
 MAX_NEWTON_ITERS = 30
 NEWTON_TOL = 1e-10  # find_periodic_orbit's default shooting residual target
+COLLOCATION_NODES = 33  # collocation_guess's nodes: T and V at order 16, 66 unknowns
+COLLOCATION_ITERS = 16  # collocation_guess's Newton budget
 FACE_PASSES = 5  # warm-start passes in a row within abs_tol of E = I = V = 0 that end it
 
 
@@ -179,6 +183,11 @@ def _hill_basis(nodes: int, order: int) -> tuple[np.ndarray, ...]:
     return _read_only(phi, weights, deriv, sine)
 
 
+def _top_quarter(c: np.ndarray, order: int) -> float:
+    """The largest harmonic of coefficients c's top quarter on `_hill_basis` at order, over |c0|."""
+    return float(np.hypot(c[1:order + 1], c[order + 1:])[3 * order // 4:].max() / abs(c[0]))
+
+
 def _periodic_operator(w: float, mean: float, amplitude: float, basis) -> np.ndarray:
     """The matrix of d/dt + mean + amplitude sin(w t) on basis: every periodic solve's S."""
     _, weights, deriv, sine = basis
@@ -206,7 +215,7 @@ def virus_free_closed_form(params: ModelParameters) -> VirusFreeSolution:
         mu_hat = np.zeros(2 * order + 1)
         mu_hat[0], mu_hat[order + 1] = params.mu.mean, params.mu.amplitude
         c = np.linalg.solve(_periodic_operator(w, d.mean, d.amplitude, basis), mu_hat)
-        top = float(np.hypot(c[1:order + 1], c[order + 1:])[3 * order // 4:].max() / abs(c[0]))
+        top = _top_quarter(c, order)
         if top <= TSTAR_RESOLUTION:
             return VirusFreeSolution(basis[0] @ c, P)
         if order == TSTAR_MAX_ORDER:
@@ -390,6 +399,76 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
         iterations=len(trace),
         trace=tuple(trace),
     )
+
+
+def collocation_guess(params: ModelParameters, cfg: IntegratorConfig) -> State | None:
+    """x(0) of a positive periodic solution by trigonometric collocation, or None.
+
+    The unknowns are T and V on the COLLOCATION_NODES nodes of `_hill_basis`,
+    one square transform from their coefficients. Given the incidence g on
+    the nodes, E and I are linear: S_E E = g and S_I I = k E, each S a
+    `_periodic_operator`, so L = k S_I^-1 S_E^-1 (g on the nodes to I's
+    coefficients) is built once, and the model collocated on the nodes is
+
+        (w D + d) T + g - mu = 0,    (w D + c) V - p L g = 0,
+
+    D the Fourier differentiation matrix (Trefethen 2000, ch. 3; Boyd 2001).
+    Newton takes one solve of width 2 COLLOCATION_NODES an iteration, the
+    Jacobian from the incidence's partials scaling L's columns, from the
+    averaged model's interior equilibrium: V = a E, a = p k / (c (delta + d0)),
+    T = (mu0 - (k + d0) E) / d0, and the incidence balance, a quadratic in
+    E, has its one root in (0, mu0 / (k + d0)) exactly when R0 at the means
+    exceeds 1.
+
+    Returns None, leaving the start to `warm_start_guess`, when that root
+    does not exist; when Newton's step does not fall to cfg.rel_tol of the
+    state within COLLOCATION_ITERS iterations (below threshold it nears T*
+    with E, I and V at rounding level, where the step never does); when
+    the top quarter of T's or V's harmonics exceeds cfg.rel_tol of their
+    mean (the nodes do not resolve the orbit); or when a component of x(0)
+    is not positive. The state is a start only: shooting closes it on the
+    integrator's flow.
+    """
+    w, mu0, mu1, beta0, beta1, d0, d1, k, delta, p, c, c1, c2 = params.flat
+    kd, a = k + d0, p * k / (c * (delta + d0))
+    # d0 ((k + d0)(1 + c1 T)(1 + c2 V) - beta0 a T) = 0 at T, V of E: C + B E + A E^2 = 0
+    low = kd * (d0 + c1 * mu0)
+    C, B = low - beta0 * a * mu0, low * c2 * a + kd * (beta0 * a - kd * c1)
+    A = -kd * kd * c1 * c2 * a
+    if not C < 0.0:
+        return None
+    e_mean = 2.0 * C / (-B - math.sqrt(B * B - 4.0 * A * C))  # the smaller root: A <= 0 < B
+    n, order = COLLOCATION_NODES, COLLOCATION_NODES // 2
+    basis = phi, weights, deriv, _ = _hill_basis(n, order)
+    to_hat = weights[:, None] * phi.T
+    e_of_g = np.linalg.solve(_periodic_operator(w, kd, d1, basis), to_hat)
+    L = k * np.linalg.solve(_periodic_operator(w, delta + d0, d1, basis), e_of_g)
+    w_d, pl = w * (phi @ (deriv @ to_hat)), p * (phi @ L)
+    s = phi[:, order + 1]  # sin(w t) on the nodes
+    mu_t, beta_t = mu0 + mu1 * s, beta0 + beta1 * s
+    op_t, op_v = w_d + np.diag(d0 + d1 * s), w_d + c * np.eye(n)
+    z = np.r_[np.full(n, (mu0 - kd * e_mean) / d0), np.full(n, a * e_mean)]
+    with np.errstate(all="ignore"):  # a diverging iterate only fails the step test
+        for _ in range(COLLOCATION_ITERS):
+            T, V = z[:n], z[n:]
+            g = incidence(beta_t, T, V, c1, c2)
+            g_t, g_v = incidence_partials(beta_t, T, V, c1, c2)
+            jac = np.block([[op_t + np.diag(g_t), np.diag(g_v)], [-pl * g_t, op_v - pl * g_v]])
+            try:
+                dz = np.linalg.solve(jac, np.r_[mu_t - g - op_t @ T, pl @ g - op_v @ V])
+            except np.linalg.LinAlgError:
+                return None
+            z = z + dz
+            if np.max(np.abs(dz) / np.abs(z)) <= cfg.rel_tol:
+                break
+        else:
+            return None
+    T, V = z[:n], z[n:]
+    if not all(_top_quarter(weights * (y @ phi), order) <= cfg.rel_tol for y in (T, V)):
+        return None
+    g = incidence(beta_t, T, V, c1, c2)
+    x = np.array([T[0], phi[0] @ (e_of_g @ g), phi[0] @ (L @ g), V[0]])
+    return State.from_array(x) if np.all((x > 0.0) & (x < math.inf)) else None
 
 
 def warm_start_guess(params: ModelParameters, ic: State, transient: float,

@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perivir import (
@@ -193,6 +193,30 @@ def _fabricated_simulate(rows):
     return lambda *args, **kwargs: Trajectory(np.arange(3.0), np.array(rows)[:, None, :])
 
 
+def _warm_start_config(config_dir, tmp_path, ics: str) -> pathlib.Path:
+    """persistence.ini with beta constant, d's amplitude at 0.99 of its mean and R0 = 1.0003.
+
+    That forcing puts R0 about 6e-4 above its value at the rates' means,
+    which stays below 1: the averaged model has no interior equilibrium, so
+    `orbit` takes its start from the warm start, from ics (the config's
+    initial_conditions).
+    """
+    text = (config_dir / "persistence.ini").read_text()
+    for old, new in [("mean = 0.3\namplitude = 0.1", "mean = 0.3\namplitude = 0.0"),
+                     ("mean = 0.01\namplitude = 0.005", "mean = 0.01\namplitude = 0.0099"),
+                     ("10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1", ics)]:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "warm_start.ini"
+    path.write_text(text)
+    scale = 1.0003 / r0_periodic(load_config(str(path)).params).value
+    path.write_text(text.replace("mean = 0.3\n", f"mean = {0.3 * scale!r}\n"))
+    params = load_config(str(path)).params
+    assert closed_form_r0(params) < 1.0 < r0_periodic(params).value
+    assert periodic.collocation_guess(params, IntegratorConfig.spectral()) is None
+    return path
+
+
 def _scaled_beta_config(config_dir, tmp_path, r0: float) -> pathlib.Path:
     """persistence.ini with beta's mean and amplitude scaled so that R0 = r0.
 
@@ -313,6 +337,10 @@ class TestOutputBytes:
         st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1).map(np.int64),
         st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)),
         max_size=6), max_size=8))
+    # a Python float takes the writer's first test; every other cell the rule's own
+    @example(rows=[[True, False, 0, -7, 2 ** 70, np.int64(-3)],
+                   [np.float64(0.1), np.float64(-0.0), np.float32(0.5), -0.0, 0.0, 1e-300],
+                   [math.nan, math.inf, -math.inf, np.float64(math.nan), "x", ""]])
     def test_csv_rows_match_the_per_value_rule(self, tmp_path_factory, rows):
         path = tmp_path_factory.getbasetemp() / "bytes.csv"
         cli._write_csv(str(path), ("a", "b"), rows)
@@ -490,10 +518,28 @@ class TestCliDispatch:
         assert captured.err == "config-error: newton_tol must be finite and nonnegative\n"
         assert captured.out == "" and not out.exists()
 
-    def test_orbit_from_the_virus_free_face_exits_2(self, tmp_path, capsys, monkeypatch):
-        # rejected before any warm-start pass of the 20,000-period transient
-        path = tmp_path / "face.ini"
-        path.write_text(GOOD_CONFIG.replace("10,1,1,1; 5,2,0.5,3; 20,0.1,0.1,0.1", "10,0,0,0"))
+    @pytest.mark.parametrize("transient, message", [
+        ("nan", "transient must be finite"), ("inf", "transient must be finite"),
+        ("23.9", "transient must cover at least one period")])
+    def test_orbit_bad_transient_exits_2_on_either_route(self, config_dir, tmp_path, capsys,
+                                                         monkeypatch, transient, message):
+        # persistence.ini's start comes from collocation, which reads no
+        # transient; the option is rejected as the warm start would reject it
+        starts = count_calls(monkeypatch, cli, "collocation_guess")
+        out = tmp_path / "orbit.csv"
+        code = main(["orbit", "--config", str(config_dir / "persistence.ini"),
+                     "--transient", transient, "--out", str(out)])
+        assert code == 2
+        assert starts == []
+        captured = capsys.readouterr()
+        assert captured.err == f"config-error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_orbit_from_the_virus_free_face_exits_2(self, config_dir, tmp_path, capsys,
+                                                    monkeypatch):
+        # on a set that collocation leaves to the warm start: rejected before
+        # any pass of the 20,000-period transient
+        path = _warm_start_config(config_dir, tmp_path, "10,0,0,0")
         passes = count_calls(monkeypatch, periodic, "_period_pass")
         out = tmp_path / "orbit.csv"
         code = main(["orbit", "--config", str(path), "--transient", "480000",
@@ -546,12 +592,11 @@ class TestCliDispatch:
         assert captured.out == "" and not out.exists()
 
     def test_orbit_from_below_abs_tol_exits_3_unresolved(self, config_dir, tmp_path, capsys):
-        # above threshold, but a start at E = I = V = 1e-12 grows below the
-        # transient's abs_tol 1e-9 for its first passes: the message names
-        # that, not the virus-free orbit that extinction.ini's decay settles on
-        path = _scaled_beta_config(config_dir, tmp_path, 1.29)
-        path.write_text(path.read_text().replace(
-            "initial_conditions = 10,1,1,1;", "initial_conditions = 10,1e-12,1e-12,1e-12;"))
+        # above threshold, on a set that collocation leaves to the warm start,
+        # but a start at E = I = V = 1e-12 grows below the transient's abs_tol
+        # 1e-9 for its first passes: the message names that, not the
+        # virus-free orbit that extinction.ini's decay settles on
+        path = _warm_start_config(config_dir, tmp_path, "10,1e-12,1e-12,1e-12")
         out = tmp_path / "orbit.csv"
         assert main(["orbit", "--config", str(path), "--out", str(out)]) == 3
         captured = capsys.readouterr()
@@ -599,8 +644,9 @@ class TestCliDispatch:
 
     def test_orbit_warm_start_collapse_exits_3(self, config_dir, tmp_path, capsys,
                                                monkeypatch):
-        # a warm-start pass that lands on the virus-free face is a numerical
-        # collapse, reported at once rather than after the whole transient
+        # on a set that collocation leaves to the warm start, a pass that
+        # lands on the virus-free face is a numerical collapse, reported at
+        # once rather than after the whole transient
         original = periodic._period_pass
         passes = []
 
@@ -610,8 +656,8 @@ class TestCliDispatch:
             return State(image.t_cells, 0.0, 0.0, 0.0), step
 
         monkeypatch.setattr(periodic, "_period_pass", collapsing)
-        code = main(["orbit", "--config", str(config_dir / "persistence.ini"),
-                     "--out", str(tmp_path / "orbit.csv")])
+        path = _warm_start_config(config_dir, tmp_path, "10,1,1,1")
+        code = main(["orbit", "--config", str(path), "--out", str(tmp_path / "orbit.csv")])
         assert code == 3
         assert len(passes) == 1
         assert capsys.readouterr().err == (

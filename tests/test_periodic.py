@@ -44,7 +44,7 @@ from perivir.model import (
     rhs,
     vector_field,
 )
-from perivir.periodic import _healthy_field
+from perivir.periodic import _healthy_field, collocation_guess
 from perivir.reproduction import build_linearization, rho_for_lambda
 
 from .helpers import (
@@ -125,19 +125,24 @@ def dop853_fixed_point(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def scaled_beta(params: ModelParameters, r0: float) -> ModelParameters:
+    """params with beta's mean and amplitude scaled so that the periodic R0 is r0."""
+    scale = r0 / r0_periodic(params, tol=1e-10).value
+    return replace(params, beta=SinusoidalCoefficient(scale * params.beta.mean,
+                                                      scale * params.beta.amplitude))
+
+
 def shipped_orbit(config_dir, name: str, r0: float | None = None):
     """params and the orbit as `perivir orbit` finds it on a shipped config.
 
     With r0, the config's beta is scaled so that the periodic R0 is r0.
     """
     cfg = cli_module.load_config(str(config_dir / f"{name}.ini"))
-    params = cfg.params
-    if r0 is not None:
-        scale = r0 / r0_periodic(params, tol=1e-10).value
-        params = replace(params, beta=SinusoidalCoefficient(scale * params.beta.mean,
-                                                            scale * params.beta.amplitude))
-    guess = warm_start_guess(params, State.from_array(cfg.initial_conditions[0]), 2000.0,
-                             cfg.integrator)
+    params = cfg.params if r0 is None else scaled_beta(cfg.params, r0)
+    guess = collocation_guess(params, cfg.integrator)
+    if guess is None:
+        guess = warm_start_guess(params, State.from_array(cfg.initial_conditions[0]), 2000.0,
+                                 cfg.integrator)
     return params, cfg.integrator, find_periodic_orbit(params, guess, cfg.integrator)
 
 
@@ -645,12 +650,14 @@ class TestFindPeriodicOrbit:
 class TestAgainstDop853:
     """The returned orbit against the variational system integrated by DOP853 at rtol 1e-13."""
 
-    # Near threshold the leading multiplier is next to 1, so the fixed point
-    # amplifies the flow's error by about 1 / (R0 - 1): 7.6e-8 relative at
-    # R0 = 1.001, against 8.1e-11 and 2.8e-10 on the shipped sets. Tightening
-    # the near-threshold bound is ROADMAP item 20's.
+    # Near threshold the leading multiplier is next to 1, so a fixed point
+    # that shooting reaches from afar carries the flow's error amplified by
+    # about 1 / (R0 - 1): from the warm start 7.6e-8 relative at R0 = 1.001.
+    # From the collocation start shooting takes no step there, and the state
+    # is within 1e-9 at R0 = 1.0001 as on the shipped sets.
     @pytest.mark.parametrize("name, r0, bound", [
-        ("persistence", None, 1e-9), ("baseline", None, 1e-9), ("persistence", 1.001, 1e-7)])
+        ("persistence", None, 1e-9), ("baseline", None, 1e-9), ("persistence", 1.001, 1e-9),
+        ("persistence", 1.0001, 1e-9)])
     def test_initial_state_is_the_fixed_point(self, config_dir, name, r0, bound):
         params, _, orbit = shipped_orbit(config_dir, name, r0)
         x = orbit.initial_state.as_array()
@@ -791,6 +798,83 @@ class TestAugmentedField:
         J = jacobian(t, y, params)
         scale = np.abs(J) @ np.abs(phi)
         assert np.all(np.abs(np.reshape(out[4:], (4, 4)) - J @ phi) <= 1e-14 * scale)
+
+
+class TestCollocationGuess:
+    """`orbit`'s start by Fourier collocation, and None wherever the warm start must run."""
+
+    @pytest.mark.parametrize("name", ["persistence", "baseline"])
+    def test_shooting_only_polishes_on_shipped_configs(self, config_dir, name):
+        cfg = cli_module.load_config(str(config_dir / f"{name}.ini"))
+        guess = collocation_guess(cfg.params, cfg.integrator)
+        orbit = find_periodic_orbit(cfg.params, guess, cfg.integrator)
+        assert orbit.iterations <= 2
+        x = orbit.initial_state.as_array()
+        assert np.max(np.abs(guess.as_array() - x) / x) <= 1e-9
+
+    def test_slow_corner_returns_its_orbit(self, spectral_cfg):
+        # the slow corner of RATES with the forcing off, R0 = 1.2: a 2000 h
+        # warm start from (20, 0.1, 0.1, 0.1) ended outside Newton's basin and
+        # shooting fell onto the virus-free orbit. Collocation reads no
+        # initial condition, and with constant rates its solution is the
+        # averaged model's equilibrium, its own first iterate
+        rates = dict(mu0=0.25, d0=0.005, k=0.05, delta=0.02, p=0.1, c=0.05, c1=0.0, c2=0.0)
+        params = admissible_periodic(rates, 0.08, (0.0, 0.0, 0.0))
+        orbit = find_periodic_orbit(params, collocation_guess(params, spectral_cfg), spectral_cfg)
+        eq = autonomous_endemic_equilibrium(params)
+        assert np.max(np.abs(orbit.initial_state.as_array() - eq) / eq) < 1e-9
+        assert orbit.iterations == 1
+
+    @pytest.mark.parametrize("r0", [0.9, 0.999, 0.9999])
+    def test_below_threshold_leaves_the_start_to_the_warm_start(self, spectral_cfg, r0):
+        # at 0.9 the averaged model has no interior equilibrium; just below
+        # threshold Newton nears T* with E, I and V at rounding level, where
+        # its step never falls to rel_tol of them
+        assert collocation_guess(scaled_beta(persistence_params(), r0), spectral_cfg) is None
+
+    @pytest.mark.parametrize("period, warm_starts", [(24.0, 0), (720.0, 1)])
+    def test_orbit_warm_starts_only_where_collocation_does_not_resolve(
+            self, monkeypatch, tmp_path, config_dir, period, warm_starts):
+        # persistence.ini at its own 24 h and at 720 h, where the top quarter
+        # of T's harmonics on 33 nodes stays near 1e-7 of its mean, above
+        # rel_tol 1e-9
+        path = tmp_path / "persistence.ini"
+        path.write_text((config_dir / "persistence.ini").read_text().replace(
+            "angular_frequency = 0.2617993877991494",
+            f"angular_frequency = {2.0 * math.pi / period!r}"))
+        calls = count_calls(monkeypatch, cli_module, "warm_start_guess")
+        assert cli_module.main(["orbit", "--config", str(path),
+                                "--out", str(tmp_path / "orbit.csv")]) == 0
+        assert len(calls) == warm_starts
+
+    def test_solves_are_at_most_66_wide_at_24_h(self, monkeypatch, config_dir):
+        # L's two 33-wide solves and Newton's 66-wide ones: none reaches
+        # n = 100, where a multithreaded BLAS can cost 100 ms a solve (ROADMAP)
+        widths, solve = [], np.linalg.solve
+
+        def spied(a, *args):
+            widths.append(np.shape(a)[-1])
+            return solve(a, *args)
+
+        monkeypatch.setattr(np.linalg, "solve", spied)
+        for name in ("persistence", "baseline"):
+            cfg = cli_module.load_config(str(config_dir / f"{name}.ini"))
+            assert collocation_guess(cfg.params, cfg.integrator) is not None
+        assert sorted(set(widths)) == [33, 66]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rates=RATES, log_r0_factor=st.floats(0.02, 1.5), amps=AMPS)
+    def test_a_guess_is_positive_and_shooting_closes_it(self, rates, log_r0_factor, amps):
+        # above threshold at the means over RATES and AMPS: a guess is strictly
+        # positive, so no numerical verdict becomes a config error, and
+        # shooting closes it within newton_tol
+        params = admissible_periodic(rates, log_r0_factor, amps)
+        cfg = IntegratorConfig.spectral()
+        guess = collocation_guess(params, cfg)
+        if guess is not None:
+            assert np.all(guess.as_array() > 0.0)
+            orbit = find_periodic_orbit(params, guess, cfg)
+            assert orbit.newton_residual < 1e-10 and orbit.iterations <= 3
 
 
 class TestWarmStart:
