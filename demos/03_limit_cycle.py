@@ -22,11 +22,10 @@ from perivir import (
     SinusoidalCoefficient,
     State,
     find_periodic_orbit,
+    orbit_guess,
     poincare_map,
     simulate,
-    warm_start_guess,
 )
-from perivir.periodic import collocation_guess
 from perivir.svgplot import Panel, Series, write_panels
 
 OUT = pathlib.Path(__file__).resolve().parent / "output"
@@ -43,15 +42,14 @@ params = ModelParameters(
 
 cfg = IntegratorConfig.spectral()
 
-# 1. The start: T and V on 33 nodes by collocation, E and I from linear
-#    periodic solves, from the averaged model's equilibrium in 4 Newton
-#    steps. None would mean the nodes do not resolve the orbit; then the
-#    period map is iterated at simulation tolerance until it settles (2000
-#    hours is only the upper bound). Newton polishes at cfg's tolerance.
-guess = collocation_guess(params, cfg)
-if guess is None:
-    guess = warm_start_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, cfg)
-print("collocation guess:", np.round(guess.as_array(), 6))
+# 1. The start, as `perivir orbit` takes it: T and V on 33 nodes by
+#    collocation, E and I from linear periodic solves, from the averaged
+#    model's equilibrium in 4 Newton steps. Where the nodes do not resolve
+#    the orbit, the period map is iterated from (10, 1, 1, 1) at simulation
+#    tolerance until it settles (2000 hours is only the upper bound) instead.
+#    Newton polishes at cfg's tolerance.
+guess = orbit_guess(params, State(10.0, 1.0, 1.0, 1.0), 2000.0, cfg)
+print("start:", np.round(guess.as_array(), 6))
 
 # 2. Newton shooting.
 orbit = find_periodic_orbit(params, guess, cfg, newton_tol=1e-10)

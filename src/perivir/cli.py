@@ -31,7 +31,7 @@ from .analysis import GRID_POINTS_PER_PERIOD, monitor_invariants, simulate, swee
 from .integrate import IntegratorConfig, NumericalFailure
 from .model import (COEFF_KEYS, COEFF_NAMES, CONSTANT_NAMES, ModelParameters,
                     SinusoidalCoefficient, State, Trajectory)
-from .periodic import NEWTON_TOL, collocation_guess, find_periodic_orbit, warm_start_guess
+from .periodic import NEWTON_TOL, find_periodic_orbit, orbit_guess
 from .reproduction import R0_TOL, r0_periodic
 from .svgplot import Panel, Series, write_panels
 
@@ -244,19 +244,11 @@ def _cmd_r0(cfg: RunConfig, args) -> int:
 
 
 def _cmd_orbit(cfg: RunConfig, args) -> int:
-    # find_periodic_orbit and warm_start_guess check these too, but only after
-    # the start is computed, and the warm start runs only where collocation
-    # does not resolve the orbit: each option is checked on every route
+    # find_periodic_orbit checks this too, but only after the start is computed
     if not 0.0 <= args.newton_tol < math.inf:  # written so that nan fails
         raise ValueError("newton_tol must be finite and nonnegative")
-    if not math.isfinite(args.transient):
-        raise ValueError("transient must be finite")
-    if math.floor(args.transient / cfg.params.period) < 1:
-        raise ValueError("transient must cover at least one period")
     first = State.from_array(_ic_batch(cfg, "orbit")[0])
-    guess = collocation_guess(cfg.params, cfg.integrator)
-    if guess is None:
-        guess = warm_start_guess(cfg.params, first, args.transient, cfg.integrator)
+    guess = orbit_guess(cfg.params, first, args.transient, cfg.integrator)
     orbit = find_periodic_orbit(cfg.params, guess, cfg.integrator,
                                 newton_tol=args.newton_tol)
     _write_csv(args.out, ("t", "T", "E", "I", "V"),

@@ -11,8 +11,8 @@ the two routes cross-check each other.
 Interior (endemic) periodic orbits are located as fixed points of the
 full Poincare map by Newton shooting, with the Newton Jacobian taken from
 the variational equation integrated along the trajectory rather than from
-finite differences of the map. Shooting starts from trigonometric
-collocation on the same basis where that resolves the orbit
+finite differences of the map. `orbit_guess` starts shooting from
+trigonometric collocation on the same basis where that resolves the orbit
 (`collocation_guess`), and from Poincare passes otherwise (`warm_start_guess`).
 """
 
@@ -46,6 +46,7 @@ __all__ = [
     "poincare_map",
     "find_periodic_orbit",
     "warm_start_guess",
+    "orbit_guess",
     "floquet_multipliers",
 ]
 
@@ -471,6 +472,16 @@ def collocation_guess(params: ModelParameters, cfg: IntegratorConfig) -> State |
     return State.from_array(x) if np.all((x > 0.0) & (x < math.inf)) else None
 
 
+def _transient_periods(transient: float, period: float) -> int:
+    """The whole periods in a warm-start transient; ValueError unless finite and at least one."""
+    if not math.isfinite(transient):
+        raise ValueError("transient must be finite")
+    periods = math.floor(transient / period)
+    if periods < 1:
+        raise ValueError("transient must cover at least one period")
+    return periods
+
+
 def warm_start_guess(params: ModelParameters, ic: State, transient: float,
                      cfg: IntegratorConfig) -> State:
     """Iterate the Poincare map from ic until it settles, within a transient budget.
@@ -506,9 +517,10 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     together and did not shrink the change the passes run plain: such
     extrapolates aim at the map's other fixed point, the virus-free orbit.
 
-    A start on the invariant virus-free face E = I = V = 0 raises
-    ValueError; a pass that lands on it (E, I and V all clamped to zero)
-    raises ConvergedToBoundary, since no later pass can leave it, as do
+    A transient that is not finite or shorter than one period, or a start
+    on the invariant virus-free face E = I = V = 0, raises ValueError; a
+    pass that lands on the face (E, I and V all clamped to zero) raises
+    ConvergedToBoundary, since no later pass can leave it, as do
     FACE_PASSES passes in a row whose E, I and V all lie within the
     transient's abs_tol of zero, where the flow cannot tell them from the
     face (below threshold they flicker between 0 and noise there), and a
@@ -517,13 +529,9 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     infection at all, and the message says so: from a start that close
     to the face, growth above threshold is integrator noise too.
     """
-    if not math.isfinite(transient):
-        raise ValueError("transient must be finite")
+    periods = _transient_periods(transient, params.period)
     if ic.e_cells == ic.i_cells == ic.virus == 0.0:
         raise ValueError("ic lies on the invariant virus-free face E = I = V = 0")
-    periods = math.floor(transient / params.period)
-    if periods < 1:
-        raise ValueError("transient must cover at least one period")
     cfg = _loosened(cfg)
     x = ic.as_array()
     xs, rs = [], []  # the last three starts and their residuals G(x) - x, oldest first
@@ -562,11 +570,9 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
             if strikes < 2 and len(xs) > 1:
                 dx, dr = np.diff(xs, axis=0), np.diff(rs, axis=0)  # one difference a row
                 w = dr / np.abs(x_next)  # relative to the image
-                # sums, not @: a first matmul maps BLAS buffers, which lifts peak RSS
-                normal = (w[:, None] * w[None, :]).sum(axis=-1)
                 try:
-                    gamma = np.linalg.solve(normal, (w * (r / np.abs(x_next))).sum(axis=-1))
-                    trial = x_next - ((dx + dr) * gamma[:, None]).sum(axis=0)
+                    gamma = np.linalg.solve(w @ w.T, w @ (r / np.abs(x_next)))
+                    trial = x_next - gamma @ (dx + dr)
                     if np.all(np.abs(trial - x_next) <= 0.5 * x_next):
                         x, kept = trial, x_next
                 except np.linalg.LinAlgError:
@@ -575,6 +581,19 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     if np.any(x_next <= 0.0):
         raise ConvergedToBoundary(f"warm start ended with a component at zero after {n} passes")
     return State.from_array(x_next)
+
+
+def orbit_guess(params: ModelParameters, ic: State, transient: float,
+                cfg: IntegratorConfig) -> State:
+    """The start `perivir orbit` hands to `find_periodic_orbit`.
+
+    `collocation_guess` where it resolves the orbit, else
+    `warm_start_guess` from ic over transient. transient is checked first,
+    so one that the warm start would reject raises ValueError on either route.
+    """
+    _transient_periods(transient, params.period)
+    guess = collocation_guess(params, cfg)
+    return warm_start_guess(params, ic, transient, cfg) if guess is None else guess
 
 
 def floquet_multipliers(monodromy: np.ndarray) -> np.ndarray:

@@ -507,13 +507,13 @@ class TestCliDispatch:
     @pytest.mark.parametrize("newton_tol", ["inf", "nan", "-1"])
     def test_orbit_bad_newton_tol_exits_2(self, config_dir, tmp_path, capsys, monkeypatch,
                                           newton_tol):
-        # rejected before the warm start integrates the transient
-        warm_starts = count_calls(monkeypatch, cli, "warm_start_guess")
+        # rejected before the start is computed
+        starts = count_calls(monkeypatch, cli, "orbit_guess")
         out = tmp_path / "orbit.csv"
         code = main(["orbit", "--config", str(config_dir / "persistence.ini"),
                      "--transient", "240", "--newton-tol", newton_tol, "--out", str(out)])
         assert code == 2
-        assert warm_starts == []
+        assert starts == []
         captured = capsys.readouterr()
         assert captured.err == "config-error: newton_tol must be finite and nonnegative\n"
         assert captured.out == "" and not out.exists()
@@ -524,8 +524,8 @@ class TestCliDispatch:
     def test_orbit_bad_transient_exits_2_on_either_route(self, config_dir, tmp_path, capsys,
                                                          monkeypatch, transient, message):
         # persistence.ini's start comes from collocation, which reads no
-        # transient; the option is rejected as the warm start would reject it
-        starts = count_calls(monkeypatch, cli, "collocation_guess")
+        # transient; orbit_guess rejects it first, as the warm start would
+        starts = count_calls(monkeypatch, periodic, "collocation_guess")
         out = tmp_path / "orbit.csv"
         code = main(["orbit", "--config", str(config_dir / "persistence.ini"),
                      "--transient", transient, "--out", str(out)])

@@ -249,7 +249,7 @@ def test_package_namespace_is_the_modules_all():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout == "48\n"
+    assert out.stdout == "49\n"
 
 
 LAYERS = ("model", "integrate", "periodic", "reproduction", "analysis", "cli")
