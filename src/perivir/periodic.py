@@ -13,7 +13,9 @@ full Poincare map by Newton shooting, with the Newton Jacobian taken from
 the variational equation integrated along the trajectory rather than from
 finite differences of the map. `orbit_guess` starts shooting from
 trigonometric collocation on the same basis where that resolves the orbit
-(`collocation_guess`), and from Poincare passes otherwise (`warm_start_guess`).
+(`collocation_guess`), and from plain Poincare passes otherwise
+(`warm_start_guess`); shooting then polishes a moved start at the caller's
+tolerance until its next step lies within the flow's own error.
 """
 
 from __future__ import annotations
@@ -336,10 +338,20 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
     multipliers and the error bound. Damping halves the Newton step up to 8
     times when the residual does not decrease.
 
-    Converges when max |g| < newton_tol. When no damped step decreases the
-    residual but it already lies within the integrator's own error scale,
-    max_i |g_i| / (abs_tol + rel_tol*|x_i|) <= 1, the flow cannot resolve a
-    better fixed point and x is returned with its true residual.
+    The loosened steps run until max |g| < newton_tol. When no damped step
+    decreases the residual but it already lies within the integrator's own
+    error scale, max_i |g_i| / (abs_tol + rel_tol*|x_i|) <= 1, the flow
+    cannot resolve a better fixed point and they stop there too. Near
+    threshold a multiplier lies next to 1 and newton_tol on g leaves x up
+    to |g| / (1 - that multiplier) from the fixed point, so once a loosened
+    step has been taken, the full step at cfg from the multipliers' flow
+    polishes x while it exceeds that error scale and lowers the residual,
+    within MAX_NEWTON_ITERS steps in all (an error-oriented stop,
+    Deuflhard 2011, section 2.1). A start that already closes within
+    newton_tol takes no step at all: near threshold collocation's start lies
+    nearer the true orbit than the flow's own fixed point does (5e-12
+    against 5e-8 relative at R0 = 1.001), so a polish would move it away.
+    x is returned with its true residual.
 
     Raises ValueError unless 0 <= newton_tol < inf, ConvergedToBoundary
     when min(E, I, V) is not above the Newton error bound max |dx|, the next
@@ -380,8 +392,16 @@ def find_periodic_orbit(params: ModelParameters, guess: State, cfg: IntegratorCo
         x, states, g, res = x_try, states_try, g_try, res_try
     else:
         raise NewtonDiverged(f"no convergence within {MAX_NEWTON_ITERS} iterations")
-    trace.append((res, 0.0))
     dx, mono = _newton_step(params, x, g, cfg)
+    while (trace and len(trace) < MAX_NEWTON_ITERS
+           and np.max(np.abs(dx) / (cfg.abs_tol + cfg.rel_tol * np.abs(x))) > 1.0):
+        states_try, g_try, res_try = closure(x + dx)
+        if not res_try < res:
+            break
+        trace.append((res, 1.0))
+        x, states, g, res = x + dx, states_try, g_try, res_try
+        dx, mono = _newton_step(params, x, g, cfg)
+    trace.append((res, 0.0))
     bound = float(np.max(np.abs(dx)))  # the next Newton step's size bounds x's error
     if not np.min(x[1:]) > bound:  # written so that nan fails
         raise ConvergedToBoundary(
@@ -492,30 +512,18 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
     tolerance, so the transient runs at `_loosened(cfg)`, the step limits
     as given (max_steps applies to each pass).
 
-    Each pass is one poincare_map G over [0, P], at most floor(transient / P)
-    of them; every pass after the first starts from the step size the pass
-    before it proposed, not from initial_step. After the pass from x_n the
-    change is measured in units of that rel_tol,
+    Each pass is one poincare_map G over [0, P] from the last image,
+    x_{n+1} = G(x_n), at most floor(transient / P) of them; every pass after
+    the first starts from the step size the pass before it proposed, not
+    from initial_step. After the pass from x_n the change is measured in
+    units of that rel_tol,
     delta_n = max_i |G(x_n)_i - x_n,i| / (rel_tol * |G(x_n)_i|), and the
-    iteration stops once q = delta_n / delta_{n-1} < 1, delta_n <= 1 and
+    iteration stops once q = delta_n / delta_{n-1} < 1 and
     delta_n * q / (1 - q) <= 1: the a-posteriori bound on the distance to
     the fixed point of a map contracting by q. It returns G(x_n). A growing
     change (an infection still rising from near the virus-free orbit) never
     stops it, and an infinite one (a component clamped to zero) is no
     reference for the next q.
-
-    The next pass starts from an Anderson extrapolate (type II, mixing 1,
-    Walker & Ni 2011) of the last three starts and their residuals
-    r = G(x) - x: G(x_n) - (dX + dR) gamma, with gamma the least-squares
-    fit of the residual differences dR to r_n in units of G(x_n), from its
-    normal equations. The slow error of the map lies in one complex pair of
-    Floquet multipliers, which two differences remove. The history restarts
-    whenever q is not below 1, so a rising infection is never extrapolated,
-    and the pass starts from G(x_n) itself when the normal equations are
-    singular or the extrapolate moves a component by more than half its value.
-    After the second pass from an extrapolate that lowered E, I and V
-    together and did not shrink the change the passes run plain: such
-    extrapolates aim at the map's other fixed point, the virus-free orbit.
 
     A transient that is not finite or shorter than one period, or a start
     on the invariant virus-free face E = I = V = 0, raises ValueError; a
@@ -534,10 +542,8 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
         raise ValueError("ic lies on the invariant virus-free face E = I = V = 0")
     cfg = _loosened(cfg)
     x = ic.as_array()
-    xs, rs = [], []  # the last three starts and their residuals G(x) - x, oldest first
     last = np.nan  # no change before the first pass, so q is nan after it
     near_face = 0  # passes in a row with E, I and V within abs_tol of zero
-    kept, strikes = None, 0  # the image the extrapolate x replaced; failed ones aimed at the face
     for n in range(1, periods + 1):
         image, step = _period_pass(params, x, cfg)
         if image.e_cells == image.i_cells == image.virus == 0.0:
@@ -557,27 +563,11 @@ def warm_start_guess(params: ModelParameters, ic: State, transient: float,
         x_next = image.as_array()
         cfg = replace(cfg, initial_step=step)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = x_next - x
-            change = np.max(np.abs(r) / (cfg.rel_tol * np.abs(x_next)))
+            change = np.max(np.abs(x_next - x) / (cfg.rel_tol * np.abs(x_next)))
             q = change / last
-            if q < 1.0 and change <= 1.0 and change * q / (1.0 - q) <= 1.0:
+            if q < 1.0 and change * q / (1.0 - q) <= 1.0:
                 break
-            if not q < 1.0:  # a first or rising change: nothing to extrapolate from
-                xs, rs = [], []
-                strikes += kept is not None and bool(np.all(x[1:] < kept[1:]))
-            xs, rs = (xs + [x])[-3:], (rs + [r])[-3:]
-            x, kept = x_next, None
-            if strikes < 2 and len(xs) > 1:
-                dx, dr = np.diff(xs, axis=0), np.diff(rs, axis=0)  # one difference a row
-                w = dr / np.abs(x_next)  # relative to the image
-                try:
-                    gamma = np.linalg.solve(w @ w.T, w @ (r / np.abs(x_next)))
-                    trial = x_next - gamma @ (dx + dr)
-                    if np.all(np.abs(trial - x_next) <= 0.5 * x_next):
-                        x, kept = trial, x_next
-                except np.linalg.LinAlgError:
-                    pass
-        last = change if np.isfinite(change) else np.nan
+        x, last = x_next, change if np.isfinite(change) else np.nan
     if np.any(x_next <= 0.0):
         raise ConvergedToBoundary(f"warm start ended with a component at zero after {n} passes")
     return State.from_array(x_next)

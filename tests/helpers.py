@@ -12,7 +12,8 @@ numpy's FFT, R0's slow-forcing limit is a frozen-time growth rate found
 by bisection, the vector-field oracles are a scalar transcription of the
 four model equations and a per-column-view formulation for batches, and
 the R0 search oracle is plain doubling and bisection on the library's
-rho(lambda). The float loop's step and its dense output have
+rho(lambda), and the endemic orbit's is scipy's DOP853 at rtol 1e-13 on
+the state and its variational equation (`dop853_fixed_point`). The float loop's step and its dense output have
 list-comprehension transcriptions, value by value and left to right,
 which the generated step kernels and the after-the-loop interpolant must
 match bit for bit, and the step-size controller a transcription with
@@ -30,16 +31,15 @@ from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from perivir import (
-    ConvergedToBoundary,
     IntegratorConfig,
     LinearizedSystem,
     ModelParameters,
     NonFiniteState,
     R0Result,
     SinusoidalCoefficient,
-    State,
     VirusFreeSolution,
     build_linearization,
     floquet_multipliers,
@@ -48,6 +48,7 @@ from perivir import (
 )
 from perivir import periodic, reproduction
 from perivir.integrate import _A_ROWS, _C, _D_ROW, _E_ROW
+from perivir.model import jacobian, rhs
 
 OMEGA = 2.0 * math.pi / 24.0
 
@@ -468,37 +469,28 @@ def integrating_factor_bounds(lin: LinearizedSystem, u: np.ndarray) -> tuple[flo
     return float(ratio.min()), float(ratio.max())
 
 
-def plain_warm_start(params: ModelParameters, ic: State, transient: float,
-                     cfg: IntegratorConfig) -> State:
-    """warm_start_guess's guess by plain iteration: each pass starts from the last image.
+def dop853_flow(params: ModelParameters, x: np.ndarray):
+    """x's flow over one period and its monodromy, by scipy's DOP853 at rtol 1e-13.
 
-    The same passes, tolerances, step carry, stop rule and boundary exits as
-    warm_start_guess, without its extrapolation or its change <= 1 stop
-    condition: the iteration the accelerated route must not do worse than.
+    The state and the variational equation are integrated together, as
+    perfbench's orbit reference does, with the model's rhs and Jacobian.
     """
-    periods = math.floor(transient / params.period)
-    loose = IntegratorConfig.simulation()
-    cfg = replace(cfg, rel_tol=max(cfg.rel_tol, loose.rel_tol),
-                  abs_tol=max(cfg.abs_tol, loose.abs_tol))
-    x = ic.as_array()
-    last = np.nan
-    for n in range(1, periods + 1):
-        image, step = periodic._period_pass(params, x, cfg)
-        if image.e_cells == image.i_cells == image.virus == 0.0:
-            raise ConvergedToBoundary(
-                f"warm-start pass {n} landed on the virus-free face E = I = V = 0")
-        x_next = image.as_array()
-        cfg = replace(cfg, initial_step=step)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            change = np.max(np.abs(x_next - x) / (cfg.rel_tol * np.abs(x_next)))
-            q = change / last
-            settled = q < 1.0 and change * q / (1.0 - q) <= 1.0
-        x, last = x_next, change if np.isfinite(change) else np.nan
-        if settled:
-            break
-    if np.any(x <= 0.0):
-        raise ConvergedToBoundary(f"warm start ended with a component at zero after {n} passes")
-    return State.from_array(x)
+    def f(t, y):
+        return np.concatenate((rhs(t, y[:4], params),
+                               (jacobian(t, y[:4], params) @ y[4:].reshape(4, 4)).ravel()))
+
+    sol = solve_ivp(f, (0.0, params.period), np.concatenate((x, np.eye(4).ravel())),
+                    method="DOP853", rtol=1e-13, atol=1e-16)
+    assert sol.success
+    return sol.y[:4, -1], sol.y[4:, -1].reshape(4, 4)
+
+
+def dop853_fixed_point(params: ModelParameters, x: np.ndarray) -> np.ndarray:
+    """The fixed point of dop853_flow's period map, by three Newton steps from x."""
+    for _ in range(3):
+        end, mono = dop853_flow(params, x)
+        x = x + np.linalg.solve(mono - np.eye(4), x - end)
+    return x
 
 
 def expm_reference(A: np.ndarray) -> np.ndarray:

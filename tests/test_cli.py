@@ -45,7 +45,7 @@ from perivir.cli import (
 from perivir.model import Trajectory, vector_field
 from perivir.svgplot import Panel, Series
 
-from .helpers import closed_form_r0, count_calls
+from .helpers import closed_form_r0, count_calls, dop853_fixed_point
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -579,9 +579,9 @@ class TestCliDispatch:
 
     @pytest.mark.parametrize("r0", [0.999, 0.9999])
     def test_orbit_just_below_threshold_exits_3(self, config_dir, tmp_path, capsys, r0):
-        # Newton closes on the virus-free orbit within newton_tol, with E
-        # about 3.5e-9 but inside the next Newton step's size (9e-8): no
-        # interior orbit can be told from it
+        # Newton and its polish at cfg close on the virus-free orbit, with E
+        # at 1.7e-14 and 6.6e-12 but inside the next Newton step's size
+        # (1.1e-13 and 3.8e-10): no interior orbit can be told from it
         path = _scaled_beta_config(config_dir, tmp_path, r0)
         out = tmp_path / "orbit.csv"
         assert main(["orbit", "--config", str(path), "--out", str(out)]) == 3
@@ -662,6 +662,37 @@ class TestCliDispatch:
         assert len(passes) == 1
         assert capsys.readouterr().err == (
             "numerical-failure: warm-start pass 1 landed on the virus-free face E = I = V = 0\n")
+
+    def test_orbit_from_the_warm_start_is_the_flows_fixed_point(self, config_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        # on a set that collocation leaves to the warm start, R0 = 1.0003: a
+        # multiplier lies next to 1, and the passes and the loosened Newton
+        # steps stop short of the fixed point along it; the polish at cfg
+        # lands 2.7e-7 relative from DOP853's fixed point (9.4e-5 without it)
+        path = _warm_start_config(config_dir, tmp_path, "10,1,1,1")
+        warm_starts = count_calls(monkeypatch, periodic, "warm_start_guess")
+        assert main(["orbit", "--config", str(path), "--out", str(tmp_path / "orbit.csv")]) == 0
+        assert len(warm_starts) == 1
+        x = np.array(json.loads(capsys.readouterr().out.strip().splitlines()[-1])["initial_state"])
+        reference = dop853_fixed_point(load_config(str(path)).params, x)
+        assert np.max(np.abs(x - reference) / reference) <= 1e-6
+
+    def test_orbit_from_the_warm_start_does_not_depend_on_the_start(self, config_dir,
+                                                                    tmp_path, capsys):
+        # the same set from the three default initial conditions: the passes
+        # end in different places along the slow multiplier, and the polished
+        # states agree within a few units of the flow's error scale
+        # abs_tol + rel_tol*|x| (0.005 here; 5.5e4 without the polish)
+        states = []
+        for ics in ("10,1,1,1", "5,2,0.5,3", "20,0.1,0.1,0.1"):
+            path = _warm_start_config(config_dir, tmp_path, ics)
+            assert main(["orbit", "--config", str(path),
+                         "--out", str(tmp_path / "orbit.csv")]) == 0
+            out = capsys.readouterr().out.strip().splitlines()[-1]
+            states.append(np.array(json.loads(out)["initial_state"]))
+        integrator = load_config(str(path)).integrator
+        scale = integrator.abs_tol + integrator.rel_tol * np.abs(states[0])
+        assert max(np.max(np.abs(x - states[0]) / scale) for x in states[1:]) <= 8.0
 
     def test_fast_forcing_r0_and_validate_exit_0(self, config_dir, tmp_path, capsys):
         # a 0.1 h period, 240 times faster than the shipped sets': the
